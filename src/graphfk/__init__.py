@@ -55,6 +55,7 @@ from .spectral import (
     HeatKernel,
     SpectralDecomposition,
     eigendecompose,
+    eigenvalues,
     heat_kernel,
     kato_functional,
     partition_function,

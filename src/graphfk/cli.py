@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -30,11 +31,18 @@ from .bundles import (
     connection_from_magnetic,
     validate_connection,
 )
-from .errors import ConfigError, GraphFKError, IOFailure, NumericalFailure
+from .errors import (
+    BadParams,
+    ConfigError,
+    GraphFKError,
+    IOFailure,
+    NumericalFailure,
+)
 from .graphs import generate
 from .operators import assemble
 from .paths import estimate_partition
 from .semiclassics import (
+    MODES,
     SweepConfig,
     classical_partition,
     golden_thompson_margin,
@@ -42,6 +50,7 @@ from .semiclassics import (
 )
 from .spectral import (
     eigendecompose,
+    eigenvalues,
     heat_kernel,
     kato_functional,
     partition_function,
@@ -152,16 +161,16 @@ def _cmd_validate(cfg, outdir):
 
 def _cmd_spectrum(cfg, outdir):
     g, conn, pot = _resolve_inputs(cfg)
-    dec = eigendecompose(assemble(g, conn, pot))
+    lam = eigenvalues(assemble(g, conn, pot))
     lines = ["index,eigenvalue"]
-    for k, lam in enumerate(dec.eigenvalues):
-        lines.append(f"{k},{_fmt(lam)}")
+    for k, value in enumerate(lam):
+        lines.append(f"{k},{_fmt(value)}")
     _write(outdir, "spectrum.csv", "\n".join(lines) + "\n")
     return {
         "subcommand": "spectrum",
-        "dimension": dec.dimension,
-        "lambda_min": _fmt(dec.eigenvalues[0]),
-        "lambda_max": _fmt(dec.eigenvalues[-1]),
+        "dimension": lam.size,
+        "lambda_min": _fmt(lam[0]),
+        "lambda_max": _fmt(lam[-1]),
     }
 
 
@@ -182,15 +191,14 @@ def _cmd_kernel(cfg, outdir):
                         f"{_fmt(blk[a, b].real)},{_fmt(blk[a, b].imag)}")
     _write(outdir, "kernel.csv", "\n".join(lines) + "\n")
     return {"subcommand": "kernel", "t": t,
-            "trace": _fmt(partition_function(dec, t))}
+            "trace": _fmt(partition_function(dec.eigenvalues, t))}
 
 
 def _sweep_mode(conn, pot):
-    if conn is None:
-        return "scalar"
-    if conn.rank == 1:
-        return "magnetic"
-    return "covariant"
+    rank = conn.rank if conn is not None else getattr(pot, "rank", 1)
+    if rank > 1:
+        return "covariant"
+    return "scalar" if conn is None else "magnetic"
 
 
 def _cmd_sweep(cfg, outdir):
@@ -240,6 +248,15 @@ def _cmd_gt_check(cfg, outdir):
     }
 
 
+def _z_score(estimate, exact, se):
+    """(estimate - exact) / se; +-inf when se is 0 and the two differ."""
+    if se > 0:
+        return (estimate - exact) / se
+    if estimate == exact:
+        return 0.0
+    return math.copysign(math.inf, estimate - exact)
+
+
 def _cmd_fk_compare(cfg, outdir):
     g, conn, pot = _resolve_inputs(cfg)
     params = cfg.get("params", {})
@@ -250,19 +267,21 @@ def _cmd_fk_compare(cfg, outdir):
     hbar = float(params.get("hbar", 0.1))
     samples = int(params.get("samples", 100000))
     workers = int(params.get("workers", 1))
-    mode = params.get("mode", "covariant" if (conn and conn.rank > 1)
-                      else "scalar")
+    mode = params.get("mode", _sweep_mode(conn, pot))
+    if mode not in MODES:
+        raise BadParams(f"mode must be one of {MODES}")
+    if mode == "scalar" and conn is not None:
+        raise BadParams("scalar mode takes no connection")
+    if pot is None:
+        nu = conn.rank if conn is not None else 1
+        pot = Potential(nu, np.zeros((g.n, nu, nu)))
     t = beta * hbar
-    if mode == "scalar":
-        w = pot.as_scalar() if pot is not None else np.zeros(g.n)
-        dec = eigendecompose(assemble(g, None, w / hbar))
-        rep = estimate_partition(g, None, w, beta, hbar, samples, seed,
-                                 mode="scalar", workers=workers)
-    else:
-        scaled = Potential(pot.rank, pot.values / hbar)
-        dec = eigendecompose(assemble(g, conn, scaled))
-        rep = estimate_partition(g, conn, pot, beta, hbar, samples, seed,
-                                 mode="covariant", workers=workers)
+    dec = eigendecompose(
+        assemble(g, conn, Potential(pot.rank, pot.values / hbar)))
+    # magnetic is the rank-1 case of the covariant path kernel
+    kernel = "scalar" if mode == "scalar" else "covariant"
+    rep = estimate_partition(g, conn, pot, beta, hbar, samples, seed,
+                             mode=kernel, workers=workers)
     prop = propagator(dec, t)
     nu = dec.rank
     lines = ["x,exact,estimate,stderr,z_score"]
@@ -270,16 +289,18 @@ def _cmd_fk_compare(cfg, outdir):
     for x, est, se in rep.per_vertex:
         exact = float(np.trace(prop[x * nu:(x + 1) * nu,
                                     x * nu:(x + 1) * nu]).real)
-        z = (est - exact) / se if se > 0 else 0.0
+        z = _z_score(est, exact, se)
         max_z = max(max_z, abs(z))
         lines.append(f"{x},{_fmt(exact)},{_fmt(est)},{_fmt(se)},{_fmt(z)}")
-    exact_total = partition_function(dec, t)
-    z_total = ((rep.estimate - exact_total) / rep.stderr
-               if rep.stderr > 0 else 0.0)
+    exact_total = partition_function(dec.eigenvalues, t)
+    z_total = _z_score(rep.estimate, exact_total, rep.stderr)
     max_z = max(max_z, abs(z_total))
     lines.append(f"total,{_fmt(exact_total)},{_fmt(rep.estimate)},"
                  f"{_fmt(rep.stderr)},{_fmt(z_total)}")
     _write(outdir, "fk_compare.csv", "\n".join(lines) + "\n")
+    detail = f"|z| = {abs(z_total):.3f}"
+    if rep.stderr == 0:
+        detail += " (stderr is 0)"
     return {
         "subcommand": "fk-compare",
         "mode": mode,
@@ -289,7 +310,7 @@ def _cmd_fk_compare(cfg, outdir):
         "stderr": _fmt(rep.stderr),
         "max_abs_z": _fmt(max_z),
         "checks": [("estimate within 3 standard errors", abs(z_total) <= 3.0,
-                    f"|z| = {abs(z_total):.3f}")],
+                    detail)],
     }
 
 

@@ -82,6 +82,8 @@ def assemble(g: WeightedGraph, c: Connection = None, V=None,
 
     ``c`` defaults to the identity connection (scalar Laplacian for
     rank 1); ``V`` may be a Potential, a real vector (scalar), or None.
+    The matrix is float64 when no edge matrix and no potential value has
+    an imaginary part, and complex otherwise.
     """
     c = _resolve_connection(g, c, V)
     nu = c.rank
@@ -89,15 +91,20 @@ def assemble(g: WeightedGraph, c: Connection = None, V=None,
     if dim > cap:
         raise DimensionCap(f"dimension {dim} exceeds cap {cap}")
     Vvals = _potential_values(V, g, nu)
+    edges = list(g.directed_edges())
+    # Phi_{j,i} for the coupling block at row x=i, column y=j
+    Phi = np.array([c.matrix(j, i) for i, j, _w in edges],
+                   dtype=complex).reshape(-1, nu, nu)
+    if not (Phi.imag.any() or Vvals.imag.any()):
+        Phi, Vvals = Phi.real, Vvals.real
     deg = degrees(g)
-    A = np.zeros((dim, dim), dtype=complex)
+    A = np.zeros((dim, dim), dtype=Vvals.dtype)
     for x in range(g.n):
         sl = slice(x * nu, (x + 1) * nu)
         A[sl, sl] = deg.deg_m[x] * np.eye(nu) + Vvals[x]
-    for i, j, w in g.directed_edges():
-        # coupling block at row x=i, column y=j: -(b(i,j)/m(i)) Phi_{j,i}
+    for (i, j, w), P in zip(edges, Phi):
         A[i * nu:(i + 1) * nu, j * nu:(j + 1) * nu] -= (
-            w / g.measure[i]) * c.matrix(j, i)
+            w / g.measure[i]) * P
     return OperatorMatrix(g, nu, A, g.measure)
 
 
@@ -154,8 +161,12 @@ def degree_bound(g: WeightedGraph):
 
 
 def symmetrize(op: OperatorMatrix) -> np.ndarray:
-    """S = M^{1/2} A M^{-1/2}, Hermitian, same spectrum as A."""
+    """S = M^{1/2} A M^{-1/2}, Hermitian, same spectrum as A.
+
+    Real when A is real.  The scale ratio is exactly 1 on the diagonal,
+    so S keeps the diagonal of A bit for bit.
+    """
     scale = np.sqrt(np.repeat(op.measure, op.rank))
-    S = (scale[:, None] * op.matrix) / scale[None, :]
+    S = op.matrix * (scale[:, None] / scale[None, :])
     # clean rounding noise; the exact conjugation is Hermitian
     return 0.5 * (S + S.conj().T)

@@ -17,6 +17,7 @@ are reproducible independent of scheduling and worker count.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -325,21 +326,33 @@ def _run_jobs(run, jobs, workers):
 
 
 def _moments(values_by_chunk):
-    """Accumulate (sum, sum of squares, count) in fixed chunk order."""
-    s1 = 0.0
-    s2 = 0.0
-    n = 0
+    """(count, mean, M2) merged over the chunks in their fixed order.
+
+    Each chunk's mean and sum of squared deviations M2 are taken about
+    its first value, so a constant chunk gives M2 = 0 exactly.  Chunks
+    combine by the pairwise update of Chan, Golub & LeVeque (1983), which
+    avoids the cancellation of the one-pass s2 - n * mean^2.
+    """
+    n, mean, m2 = 0, 0.0, 0.0
     for vals in values_by_chunk:
-        s1 += float(vals.sum())
-        s2 += float((vals * vals).sum())
-        n += vals.size
-    return s1, s2, n
+        d = vals - vals[0]
+        shift = d.mean()
+        nb = vals.size
+        mb = float(vals[0] + shift)
+        m2b = float(((d - shift) ** 2).sum())
+        if n == 0:
+            n, mean, m2 = nb, mb, m2b
+            continue
+        delta = mb - mean
+        total = n + nb
+        mean += delta * nb / total
+        m2 += m2b + delta * delta * n * nb / total
+        n = total
+    return n, mean, m2
 
 
-def _mean_se(s1, s2, n):
-    mean = s1 / n
-    var = max(s2 - n * mean * mean, 0.0) / max(n - 1, 1)
-    return mean, np.sqrt(var / n)
+def _mean_se(n, mean, m2):
+    return mean, np.sqrt(m2 / max(n - 1, 1) / n)
 
 
 def estimate_heat_kernel(g: WeightedGraph, x: int, y: int, t: float,
@@ -408,17 +421,20 @@ def estimate_partition(g: WeightedGraph, c: Connection, V, beta: float,
         raise BadParams(f"unknown mode {mode!r}")
 
     per_vertex = []
-    tot_re = tot_im = 0.0
+    means_re, means_im = [], []
     var_re = var_im = 0.0
     for x in range(g.n):
         parts = _run_jobs(run, [(x, ci, size) for ci, size in jobs], workers)
         m_re, se_re = _mean_se(*_moments([p.real for p in parts]))
         m_im, se_im = _mean_se(*_moments([p.imag for p in parts]))
         per_vertex.append((x, m_re, float(se_re)))
-        tot_re += m_re
-        tot_im += m_im
+        means_re.append(m_re)
+        means_im.append(m_im)
         var_re += se_re ** 2
         var_im += se_im ** 2
+    # correctly rounded, as spectral.partition_function sums its terms, so
+    # a zero-variance estimate of a trace meets the exact value bit for bit
+    tot_re, tot_im = math.fsum(means_re), math.fsum(means_im)
     return EstimatorReport(
         tot_re, float(np.sqrt(var_re)), samples * g.n,
         f"philox(seed={seed})",

@@ -8,8 +8,8 @@ squeezed, in the scalar nonmagnetic case, between
 
 so it converges to the classical partition sum as hbar -> 0+.  For
 magnetic and covariant operators only the upper bound is available; the
-lower column is still reported (computed from the fiberwise spectral
-floor) but never asserted.
+lower column is still reported (with the fiberwise classical terms
+tr_x e^{-beta V(x)} in place of e^{-beta w(x)}) but never asserted.
 """
 
 from __future__ import annotations
@@ -18,11 +18,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bundles import Connection, Potential, spectral_floor
+from .bundles import Connection, Potential
 from .errors import BadParams
 from .graphs import ExhaustionSequence, WeightedGraph, degrees, restrict
 from .operators import assemble
-from .spectral import eigendecompose, partition_function
+from .spectral import eigenvalues, partition_function
+# not called here; kept because perfbench/tracer.py rebinds it
+from .spectral import eigendecompose  # noqa: F401
 
 MODES = ("scalar", "magnetic", "covariant")
 
@@ -83,20 +85,18 @@ class SweepResult:
         return "\n".join(lines) + "\n"
 
 
+def _classical_terms(V, beta: float) -> np.ndarray:
+    """Per-vertex terms tr_x e^{-beta V(x)} (scalar: e^{-beta w(x)})."""
+    if isinstance(V, Potential):
+        return np.exp(-beta * np.linalg.eigvalsh(V.values)).sum(axis=1)
+    return np.exp(-beta * np.asarray(V, dtype=float))
+
+
 def classical_partition(V, beta: float) -> float:
     """sum_x tr_x e^{-beta V(x)} (scalar: sum_x e^{-beta w(x)})."""
     if beta <= 0:
         raise BadParams("beta must be positive")
-    if isinstance(V, Potential):
-        if V.rank == 1:
-            return float(np.exp(-beta * V.as_scalar()).sum())
-        total = 0.0
-        for i in range(V.n):
-            lam = np.linalg.eigvalsh(V.values[i])
-            total += float(np.exp(-beta * lam).sum())
-        return total
-    w = np.asarray(V, dtype=float)
-    return float(np.exp(-beta * w).sum())
+    return float(_classical_terms(V, beta).sum())
 
 
 def _scaled_potential(V, hbar):
@@ -112,8 +112,8 @@ def semiclassical_trace(g: WeightedGraph, c: Connection, V,
     """tr(e^{-beta hbar H_{Phi, V/hbar}})."""
     if beta <= 0 or hbar <= 0:
         raise BadParams("beta and hbar must be positive")
-    dec = eigendecompose(assemble(g, c, _scaled_potential(V, hbar)))
-    return partition_function(dec, beta * hbar)
+    lam = eigenvalues(assemble(g, c, _scaled_potential(V, hbar)))
+    return partition_function(lam, beta * hbar)
 
 
 def sandwich_bounds(g: WeightedGraph, w, beta: float, hbar: float):
@@ -132,36 +132,13 @@ def golden_thompson_margin(g: WeightedGraph, c: Connection, V,
     """Classical minus quantum trace at time t; nonnegative by theory."""
     if t <= 0:
         raise BadParams("t must be positive")
-    dec = eigendecompose(assemble(g, c, V))
+    lam = eigenvalues(assemble(g, c, V))
     if V is None:
         nu = c.rank if c is not None else 1
         classical = float(g.n * nu)
     else:
         classical = classical_partition(V, t)
-    return classical - partition_function(dec, t)
-
-
-def _floor_vector(config: SweepConfig):
-    V = config.potential
-    if V is None:
-        return np.zeros(config.graph.n)
-    if V.rank == 1:
-        return V.as_scalar()
-    return spectral_floor(V).as_scalar()
-
-
-def _fiber_classical_terms(config: SweepConfig):
-    """Per-vertex classical terms tr_x e^{-beta V(x)}."""
-    V = config.potential
-    beta = config.beta
-    if V is None:
-        nu = config.connection.rank if config.connection is not None else 1
-        return np.full(config.graph.n, float(nu))
-    out = np.empty(V.n)
-    for i in range(V.n):
-        lam = np.linalg.eigvalsh(V.values[i])
-        out[i] = float(np.exp(-beta * lam).sum())
-    return out
+    return classical - partition_function(lam, t)
 
 
 def sweep(config: SweepConfig) -> SweepResult:
@@ -174,7 +151,11 @@ def sweep(config: SweepConfig) -> SweepResult:
     g = config.graph
     beta = config.beta
     deg_m = degrees(g).deg_m
-    terms = _fiber_classical_terms(config)
+    if config.potential is None:
+        nu = config.connection.rank if config.connection is not None else 1
+        terms = np.full(g.n, float(nu))
+    else:
+        terms = _classical_terms(config.potential, beta)
     classical = float(terms.sum())
     result = SweepResult(classical_value=classical)
     for hbar in config.hbar_schedule:

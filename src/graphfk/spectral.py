@@ -1,12 +1,16 @@
 """Exact spectral calculus: eigendecompositions, heat kernels, traces.
 
-Everything here runs through a full Hermitian eigendecomposition of the
-symmetrized operator (desk scale, deterministic), so semigroups and
-partition functions are exact up to linear-algebra rounding.
+Everything here runs through a dense eigensolve of the symmetrized
+operator (desk scale, deterministic), so semigroups and partition
+functions are exact up to linear-algebra rounding.  Traces need only
+eigenvalues (``eigenvalues``); kernels and propagators take the full
+decomposition (``eigendecompose``).  Both solve in real arithmetic
+when the assembled operator is real.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,15 +64,24 @@ def eigendecompose(op: OperatorMatrix) -> SpectralDecomposition:
     return SpectralDecomposition(lam, U, op.measure, op.rank)
 
 
+def eigenvalues(op: OperatorMatrix) -> np.ndarray:
+    """Ascending eigenvalues of the symmetrized operator, no eigenvectors."""
+    try:
+        return np.linalg.eigvalsh(symmetrize(op))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"eigenvalue solve failed: {exc}") from exc
+
+
 def _weights(dec: SpectralDecomposition):
     return np.repeat(dec.measure, dec.rank)
 
 
 def propagator(dec: SpectralDecomposition, t: float) -> np.ndarray:
-    """Matrix of e^{-tA} in the original (unsymmetrized) coordinates."""
-    w = np.sqrt(_weights(dec))
-    core = (dec.vectors * np.exp(-t * dec.eigenvalues)) @ dec.vectors.conj().T
-    return (core / w[:, None]) * w[None, :]
+    """Matrix of e^{-tA} in the original (unsymmetrized) coordinates.
+
+    (e^{-tA})_{xy} = K(t, x, y) m(y), the heat kernel against the measure.
+    """
+    return heat_kernel(dec, t).matrix * _weights(dec)
 
 
 def heat_kernel(dec: SpectralDecomposition, t: float) -> HeatKernel:
@@ -81,11 +94,11 @@ def heat_kernel(dec: SpectralDecomposition, t: float) -> HeatKernel:
     return HeatKernel(float(t), K, dec.measure, dec.rank)
 
 
-def partition_function(dec: SpectralDecomposition, t: float) -> float:
-    """tr(e^{-tH}) = sum_k e^{-t lambda_k}."""
+def partition_function(lam: np.ndarray, t: float) -> float:
+    """tr(e^{-tH}) = sum_k e^{-t lambda_k} from the eigenvalues lam."""
     if t <= 0:
         raise BadCoefficients("partition function needs t > 0")
-    return float(np.exp(-t * dec.eigenvalues).sum())
+    return math.fsum(np.exp(-t * np.asarray(lam)))
 
 
 def kernel_trace(dec: SpectralDecomposition, t: float) -> float:
@@ -97,54 +110,25 @@ def kernel_trace(dec: SpectralDecomposition, t: float) -> float:
     return total
 
 
-def _adaptive_simpson(f, a, b, rtol=1e-6, max_depth=30):
-    """Adaptive Simpson quadrature with relative tolerance."""
-
-    def simpson(fa, fm, fb, h):
-        return h / 6.0 * (fa + 4.0 * fm + fb)
-
-    def recurse(a, fa, b, fb, m, fm, whole, depth, scale):
-        lm = 0.5 * (a + m)
-        rm = 0.5 * (m + b)
-        flm, frm = f(lm), f(rm)
-        left = simpson(fa, flm, fm, m - a)
-        right = simpson(fm, frm, fb, b - m)
-        if depth >= max_depth or abs(left + right - whole) <= 15.0 * rtol * scale:
-            return left + right + (left + right - whole) / 15.0
-        return (recurse(a, fa, m, fm, lm, flm, left, depth + 1, scale)
-                + recurse(m, fm, b, fb, rm, frm, right, depth + 1, scale))
-
-    fa, fb = f(a), f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    whole = simpson(fa, fm, fb, b - a)
-    scale = abs(whole) + 1e-300
-    return recurse(a, fa, b, fb, m, fm, whole, 0, scale)
-
-
 def kato_functional(g: WeightedGraph, w, t: float) -> float:
     """sup_x int_0^t sum_y p(s,x,y) |w(y)| m(y) ds for the free scalar kernel.
 
-    The integrand is evaluated exactly from the spectral decomposition;
-    the time integral uses adaptive Simpson at relative tolerance 1e-6.
+    With S = U diag(lambda) U^T the symmetrized free operator,
+    p(s, x, y) m(y) = m(x)^{-1/2} (U e^{-s lambda} U^T)_{xy} m(y)^{1/2}, so
+    the time integral is exact: int_0^t e^{-s lambda} ds =
+    -expm1(-t lambda) / lambda, equal to t where t lambda = 0.
     """
     if t <= 0:
         raise BadCoefficients("kato functional needs t > 0")
     w = np.asarray(w, dtype=float)
     dec = eigendecompose(assemble(g))
-    absw_m = np.abs(w) * g.measure
     sq = np.sqrt(g.measure)
-
-    def integrand_all(s):
-        core = (dec.vectors * np.exp(-s * dec.eigenvalues)) @ dec.vectors.conj().T
-        # row x of p(s, x, .) m(.) applied to |w|
-        return ((core.real / sq[:, None]) / sq[None, :]) @ absw_m
-
-    best = 0.0
-    for x in range(g.n):
-        val = _adaptive_simpson(lambda s, x=x: integrand_all(s)[x], 0.0, t)
-        best = max(best, float(val))
-    return best
+    x = t * dec.eigenvalues
+    ratio = np.ones_like(x)
+    np.divide(-np.expm1(-x), x, out=ratio, where=x != 0)
+    U = dec.vectors
+    values = (U @ (t * ratio * (U.T @ (sq * np.abs(w))))) / sq
+    return float(values.max())
 
 
 def relative_form_bound_check(g: WeightedGraph, c: Connection,

@@ -247,10 +247,11 @@ def test_criterion_9_weighted_limit():
 
 def test_criterion_10_determinism(tmp_path):
     def config(name, workers, extra):
+        extra = dict(extra)
         cfg = {
             "graph": {"preset": "two_vertex"},
             "params": {"beta": 1.0, "hbar": 0.5, "samples": 100_000,
-                       "workers": workers},
+                       "workers": workers, **extra.pop("params", {})},
             "seed": 10100,
             "output_dir": str(tmp_path / f"{name}-w{workers}"),
         }
@@ -263,12 +264,11 @@ def test_criterion_10_determinism(tmp_path):
     for name, extra in (
         ("scalar", {}),
         ("magnetic", {"magnetic": {"inline": [["a", "b", 1.1]]},
-                      "params": {"beta": 1.0, "hbar": 0.5,
-                                 "samples": 100_000, "mode": "covariant"}}),
+                      "params": {"mode": "covariant"}}),
     ):
         blobs = []
         for workers in (1, 4):
-            cfg_path, csv_path = config(name, workers, dict(extra))
+            cfg_path, csv_path = config(name, workers, extra)
             assert cli_run(cfg_path, "fk-compare") == 0
             first = csv_path.read_bytes()
             assert cli_run(cfg_path, "fk-compare") == 0

@@ -4,7 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from graphfk import fileio
+from graphfk.bundles import connection_from_magnetic
 from graphfk.cli import main, run
+from graphfk.presets import four_cycle, two_vertex
+from graphfk.semiclassics import semiclassical_trace
 
 
 def write_config(tmp_path, name, cfg):
@@ -183,6 +187,87 @@ class TestFkCompare:
                     "workers": 4})
         assert run(cfg4, "fk-compare") == 0
         assert (tmp_path / "out" / "fk_compare.csv").read_bytes() == one
+
+    def _exact_total(self, tmp_path, cfg):
+        assert run(write_config(tmp_path, "c.json", cfg), "fk-compare") == 0
+        _header, rows = csv_rows(tmp_path / "out" / "fk_compare.csv")
+        return float(rows[-1].split(",")[1])
+
+    def test_magnetic_entry_resolves_to_magnetic_mode(self, tmp_path):
+        g, pot = two_vertex()
+        mag = {"inline": [["a", "b", 1.1]]}
+        cfg = {"graph": {"preset": "two_vertex"}, "magnetic": mag,
+               "params": {"samples": 2000}, "seed": 3,
+               "output_dir": str(tmp_path / "out")}
+        exact = self._exact_total(tmp_path, cfg)
+        report = (tmp_path / "out" / "report.txt").read_text()
+        assert "mode: magnetic" in report
+        theta = fileio.magnetic_from_entries(mag["inline"], g)
+        c = connection_from_magnetic(theta)
+        assert exact == pytest.approx(
+            semiclassical_trace(g, c, pot, 1.0, 0.1), rel=1e-12)
+        # two_vertex is a tree, so the phase is a gauge: the total matches
+        # the scalar run; on a cycle the flux changes it
+        cycle = {"graph": {"preset": "four_cycle"},
+                 "params": {"samples": 2000}, "seed": 3,
+                 "output_dir": str(tmp_path / "out")}
+        scalar = self._exact_total(tmp_path, cycle)
+        plain = (tmp_path / "out" / "fk_compare.csv").read_bytes()
+        flux = {"inline": [["v0", "v1", 1.1], ["v1", "v2", 0.0],
+                           ["v2", "v3", 0.0], ["v3", "v0", 0.0]]}
+        magnetic = self._exact_total(tmp_path, {**cycle, "magnetic": flux})
+        assert (tmp_path / "out" / "fk_compare.csv").read_bytes() != plain
+        g4, pot4 = four_cycle()
+        c4 = connection_from_magnetic(
+            fileio.magnetic_from_entries(flux["inline"], g4))
+        assert magnetic == pytest.approx(
+            semiclassical_trace(g4, c4, pot4, 1.0, 0.1), rel=1e-12)
+        assert abs(magnetic - scalar) > 1e-6
+
+    def test_rank2_connection_without_potential(self, tmp_path, capsys):
+        swap = [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]
+        cfg = write_config(tmp_path, "c.json", {
+            "graph": {"family": "path", "n": 2},
+            "connection": {"inline": [["v0", "v1", swap]]},
+            "params": {"samples": 1000},
+            "seed": 1,
+            "output_dir": str(tmp_path / "out"),
+        })
+        assert run(cfg, "fk-compare") == 0
+        assert "Traceback" not in capsys.readouterr().err
+        report = (tmp_path / "out" / "report.txt").read_text()
+        assert "mode: covariant" in report
+
+    def test_rank2_potential_without_connection(self, tmp_path):
+        V = [[[[1.0, 0.0], [0.2, 0.3]], [[0.2, -0.3], [0.5, 0.0]]],
+             [[[0.0, 0.0], [0.1, 0.0]], [[0.1, 0.0], [2.0, 0.0]]]]
+        cfg = write_config(tmp_path, "c.json", {
+            "graph": {"preset": "two_vertex"},
+            "potential": {"inline": [["a", V[0]], ["b", V[1]]]},
+            "params": {"samples": 1000},
+            "seed": 1,
+            "output_dir": str(tmp_path / "out"),
+        })
+        for subcommand in ("sweep", "fk-compare"):
+            assert run(cfg, subcommand) == 0
+            report = (tmp_path / "out" / "report.txt").read_text()
+            assert "mode: covariant" in report
+
+    def test_zero_stderr_is_not_a_pass(self, tmp_path):
+        # at hbar = 1e-7 no path jumps: every weight is 1, the stderr 0,
+        # while the exact trace is 4 - 8e-7
+        cfg = write_config(tmp_path, "c.json", {
+            "graph": {"preset": "four_cycle"},
+            "params": {"beta": 1.0, "hbar": 1e-7, "samples": 1024},
+            "seed": 1,
+            "output_dir": str(tmp_path / "out"),
+        })
+        assert run(cfg, "fk-compare") == 0
+        _header, rows = csv_rows(tmp_path / "out" / "fk_compare.csv")
+        assert rows[-1].split(",")[3:] == ["0", "inf"]
+        report = (tmp_path / "out" / "report.txt").read_text()
+        assert ("[FAIL] estimate within 3 standard errors: |z| = inf "
+                "(stderr is 0)") in report
 
 
 class TestKato:

@@ -15,7 +15,10 @@ from graphfk.errors import BadParams, RankMismatch
 from graphfk.graphs import build_graph, generate
 from graphfk.operators import assemble
 from graphfk.paths import (
+    CHUNK_SIZE,
     PathSample,
+    _mean_se,
+    _moments,
     estimate_heat_kernel,
     estimate_partition,
     occupation_integral,
@@ -26,7 +29,7 @@ from graphfk.paths import (
     simulate_scalar_paths,
 )
 from graphfk.semiclassics import semiclassical_trace
-from graphfk.spectral import eigendecompose, partition_function
+from graphfk.spectral import eigenvalues, partition_function
 
 from conftest import random_connection, random_graph, random_potential
 from graphfk.presets import two_vertex
@@ -352,6 +355,32 @@ class TestPartitionEstimate:
                                1000, seed=69, mode="covariant")
 
 
+class TestMoments:
+    def _se(self, values):
+        chunks = [values[i:i + CHUNK_SIZE]
+                  for i in range(0, values.size, CHUNK_SIZE)]
+        return _mean_se(*_moments(chunks))
+
+    def test_tiny_spread_about_large_mean(self):
+        values = 1.0 + 1e-9 * np.random.default_rng(71).normal(size=100_000)
+        mean, se = self._se(values)
+        assert mean == pytest.approx(values.mean(), rel=1e-15)
+        want = values.std(ddof=1) / math.sqrt(values.size)
+        assert se == pytest.approx(want, rel=0.01)
+
+    def test_constant_weights_zero_stderr(self):
+        mean, se = self._se(np.full(100_000, 0.7))
+        assert mean == 0.7
+        assert se == 0.0
+
+    def test_chunk_merge_matches_two_pass(self, rng):
+        values = rng.exponential(size=30_000) * (rng.random(30_000) < 0.3)
+        mean, se = self._se(values)
+        assert mean == pytest.approx(values.mean(), rel=1e-13)
+        assert se == pytest.approx(
+            values.std(ddof=1) / math.sqrt(values.size), rel=1e-12)
+
+
 class TestStreams:
     def test_distinct_keys_distinct_draws(self):
         a = path_stream(7, 0, 0).random(4)
@@ -372,7 +401,7 @@ class TestMagneticPartitionEstimate:
         # theta = pi flips the hopping sign but leaves the trace at 1+e^{-2}
         theta = MagneticPotential(edge_graph, {(0, 1): np.pi})
         c = connection_from_magnetic(theta)
-        exact = partition_function(eigendecompose(assemble(edge_graph, c)), 1.0)
+        exact = partition_function(eigenvalues(assemble(edge_graph, c)), 1.0)
         V = Potential.scalar([0.0, 0.0])
         report = estimate_partition(edge_graph, c, V, 1.0, 1.0, 50_000,
                                     seed=71, mode="covariant")

@@ -1,12 +1,19 @@
 import numpy as np
 import pytest
 
-from graphfk.bundles import Potential
+from graphfk.bundles import (
+    Connection,
+    MagneticPotential,
+    Potential,
+    connection_from_magnetic,
+)
 from graphfk.errors import BadCoefficients
 from graphfk.graphs import build_graph, generate, is_connected
-from graphfk.operators import assemble
+from graphfk.operators import OperatorMatrix, assemble, symmetrize
 from graphfk.spectral import (
+    SpectralDecomposition,
     eigendecompose,
+    eigenvalues,
     heat_kernel,
     kato_functional,
     kernel_trace,
@@ -15,7 +22,7 @@ from graphfk.spectral import (
     relative_form_bound_check,
 )
 
-from conftest import random_connection, random_graph
+from conftest import random_connection, random_graph, random_potential
 
 
 @pytest.fixture
@@ -54,6 +61,45 @@ class TestEigendecompose:
         U, lam = dec.vectors, dec.eigenvalues
         assert np.linalg.norm(S @ U - U * lam) <= 1e-9 * (1 + np.abs(lam).max())
         assert np.allclose(U.conj().T @ U, np.eye(U.shape[0]), atol=1e-10)
+
+
+class TestRealAndEigenvaluesOnlyRoutes:
+    """eigenvalues() and the real solve match a complex eigh of the same S."""
+
+    def _cases(self, rng):
+        for _ in range(6):
+            g = random_graph(rng, max_n=8)
+            w = rng.uniform(-2, 2, size=g.n)
+            phases = MagneticPotential(
+                g, {key: float(rng.uniform(-np.pi, np.pi)) for key in g.edges})
+            half_turn = Connection(
+                1, {key: np.array([[-1.0 + 0j]]) for key in g.edges})
+            yield "scalar", g, None, w, True
+            yield "magnetic", g, connection_from_magnetic(phases), w, False
+            yield "half turn", g, half_turn, w, True
+            yield ("covariant", g, random_connection(g, 2, rng),
+                   random_potential(g, 2, rng), False)
+
+    def test_match_complex_eigh(self, rng):
+        for name, g, c, V, real in self._cases(rng):
+            op = assemble(g, c, V)
+            assert np.isrealobj(op.matrix) == real, name
+            reference = OperatorMatrix(g, op.rank, op.matrix.astype(complex),
+                                       op.measure)
+            lam_ref, U_ref = np.linalg.eigh(symmetrize(reference))
+            scale = np.abs(lam_ref).max()
+            dec = eigendecompose(op)
+            assert np.isrealobj(dec.vectors) == real, name
+            for lam in (eigenvalues(op), dec.eigenvalues):
+                assert np.abs(lam - lam_ref).max() <= 1e-12 * scale, name
+            t = float(rng.uniform(0.1, 2.0))
+            want = np.exp(-t * lam_ref).sum()
+            got = partition_function(eigenvalues(op), t)
+            assert got == pytest.approx(want, rel=1e-12), name
+            K_ref = heat_kernel(SpectralDecomposition(
+                lam_ref, U_ref, op.measure, op.rank), t).matrix
+            K = heat_kernel(dec, t).matrix
+            assert np.abs(K - K_ref).max() <= 1e-12 * np.abs(K_ref).max(), name
 
 
 class TestHeatKernel:
@@ -123,17 +169,19 @@ class TestHeatKernel:
 
 class TestPartitionFunction:
     def test_two_vertex(self, edge_dec):
-        assert partition_function(edge_dec, 1.0) == pytest.approx(
+        assert partition_function(edge_dec.eigenvalues, 1.0) == pytest.approx(
             1 + np.exp(-2), abs=1e-12)
 
     def test_long_time_single_zero_mode(self, edge_dec):
-        assert partition_function(edge_dec, 60.0) == pytest.approx(1.0, abs=1e-12)
+        assert partition_function(edge_dec.eigenvalues, 60.0) == pytest.approx(
+            1.0, abs=1e-12)
 
     def test_short_time_dimension(self, rng):
         g = random_graph(rng, max_n=6)
         c = random_connection(g, 3, rng)
         dec = eigendecompose(assemble(g, c))
-        assert partition_function(dec, 1e-12) == pytest.approx(3 * g.n, rel=1e-9)
+        assert partition_function(dec.eigenvalues, 1e-12) == pytest.approx(
+            3 * g.n, rel=1e-9)
 
     def test_matches_kernel_trace(self, rng):
         for _ in range(10):
@@ -141,11 +189,12 @@ class TestPartitionFunction:
             c = random_connection(g, 2, rng)
             dec = eigendecompose(assemble(g, c))
             t = float(rng.uniform(0.1, 2.0))
-            assert abs(partition_function(dec, t)
+            assert abs(partition_function(dec.eigenvalues, t)
                        - kernel_trace(dec, t)) < 1e-9
 
     def test_strictly_decreasing(self, edge_dec):
-        values = [partition_function(edge_dec, t) for t in (0.5, 1.0, 2.0)]
+        values = [partition_function(edge_dec.eigenvalues, t)
+                  for t in (0.5, 1.0, 2.0)]
         assert values[0] > values[1] > values[2]
 
     def test_propagator_consistency(self, edge_dec):
@@ -154,6 +203,37 @@ class TestPartitionFunction:
 
 
 class TestKato:
+    def test_two_vertex_closed_form(self, edge_graph):
+        # sup at x = b: int_0^t p(s, b, b) ds = t/2 + (1 - e^{-2t})/4
+        for t in (1e-3, 0.0625, 0.5, 1.0, 4.0):
+            want = t / 2 + (1 - np.exp(-2 * t)) / 4
+            got = kato_functional(edge_graph, [0.0, 1.0], t)
+            assert got == pytest.approx(want, rel=1e-13)
+
+    def test_matches_fine_quadrature(self, rng):
+        # independent of the eigensolve: composite Simpson over a grid of
+        # e^{-sA} |w|, stepped by a Taylor series of e^{-hA}
+        for _ in range(3):
+            g = random_graph(rng, max_n=7)
+            w = rng.uniform(-2, 2, size=g.n)
+            A = assemble(g).matrix
+            t, steps = 0.8, 4000
+            h = t / steps
+            step = np.eye(g.n)
+            term = np.eye(g.n)
+            for k in range(1, 25):
+                term = term @ (-h * A) / k
+                step = step + term
+            f = [np.abs(w)]
+            for _k in range(steps):
+                f.append(step @ f[-1])
+            simpson = np.ones(steps + 1)
+            simpson[1:-1:2] = 4.0
+            simpson[2:-1:2] = 2.0
+            integral = (h / 3.0) * (simpson @ np.array(f))
+            assert kato_functional(g, w, t) == pytest.approx(
+                integral.max(), rel=1e-11)
+
     def test_zero_potential(self, edge_graph):
         assert kato_functional(edge_graph, [0.0, 0.0], 1.0) == 0.0
 
