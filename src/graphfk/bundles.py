@@ -126,9 +126,13 @@ class ValidationReport:
 
 
 def connection_from_magnetic(theta: MagneticPotential) -> Connection:
-    """Rank-1 connection Phi_{i,j} = e^{i theta(i, j)}."""
+    """Rank-1 connection Phi_{i,j} = e^{i theta(i, j)}.
+
+    theta = +-pi gives exactly -1 (e^{i pi} rounds to -1 + 1.2e-16 i), so
+    an operator whose phases are all 0 or +-pi assembles real.
+    """
     mats = {
-        key: np.array([[np.exp(1j * ph)]])
+        key: np.array([[-1.0 + 0j if abs(ph) == np.pi else np.exp(1j * ph)]])
         for key, ph in theta.phases.items()
     }
     return Connection(1, mats)

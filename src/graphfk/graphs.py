@@ -82,16 +82,6 @@ class WeightedGraph:
             B[j, i] = w
         return B
 
-    def neighbors(self, i):
-        """Sorted indices j with b(i, j) > 0."""
-        out = []
-        for (a, c) in self.edges:
-            if a == i:
-                out.append(c)
-            elif c == i:
-                out.append(a)
-        return sorted(out)
-
 
 @dataclass(frozen=True)
 class DegreeProfile:

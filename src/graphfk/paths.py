@@ -7,6 +7,14 @@ deg_m(y).  Along each path we carry the connection parallel transport
 the transported potential, which for rank 1 collapses to
 e^{-int_0^t v(X_s) ds}.
 
+One chunk kernel runs every estimator: the scalar case is rank 1 of the
+covariant one, with the identity connection.  It reads a per-vertex jump
+table: the rate deg_m(y), the neighbors of y in ascending index order,
+their cumulative probabilities cumsum(b(y, .) / deg_1(y)) with the last
+entry exactly 1, and the edge transports Phi_{y,x'}.  A jump from y with
+a uniform u in [0, 1) takes slot count(cum[y] < u), so it always lands
+on a neighbor, and costs O(largest degree), not O(n).
+
 Partition traces are estimated through the unconditioned identity
 sum_x E^x[1_{X_t = x} F] without ever sampling bridge measures.
 
@@ -18,6 +26,7 @@ are reproducible independent of scheduling and worker count.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -74,17 +83,43 @@ class EstimatorReport:
     per_vertex: tuple = None
 
 
-class _TransitionTable:
-    """Precomputed jump rates and cumulative transition rows."""
+class _JumpTable:
+    """Per-vertex jump data, one row per vertex y padded to the largest degree.
 
-    def __init__(self, g: WeightedGraph):
+    ``rates[y]`` is deg_m(y).  Row y of ``nbrs`` holds the neighbors of y
+    in ascending index order, ``cum`` their cumulative probabilities
+    cumsum(b(y, .) / deg_1(y)) with the last entry and the padding exactly
+    1, and ``phi`` the transports Phi_{y,x'} (identity when c is None).
+    A jump from y with uniform u in [0, 1) takes slot count(cum[y] < u).
+    """
+
+    def __init__(self, g: WeightedGraph, c: Connection = None, rank: int = 1):
         deg = degrees(g)
-        self.rates = deg.deg_m.copy()
-        B = g.adjacency()
-        with np.errstate(invalid="ignore", divide="ignore"):
-            P = B / deg.deg_1[:, None]
-        P[deg.deg_1 == 0] = 0.0
+        self.rates = deg.deg_m
+        eye = np.eye(rank, dtype=complex)
+        src, dst, w, mats = [], [], [], []
+        for (i, j), b in g.edges.items():
+            src += (i, j)
+            dst += (j, i)
+            w += (b, b)
+            if c is not None:
+                mats += (c.matrix(i, j), c.matrix(j, i))
+        order = np.lexsort((dst, src))
+        src = np.asarray(src, dtype=np.int64)[order]
+        dst = np.asarray(dst, dtype=np.int64)[order]
+        count = np.bincount(src, minlength=g.n)
+        slot = np.arange(src.size) - (np.cumsum(count) - count)[src]
+        width = max(int(count.max(initial=0)), 1)
+        self.nbrs = np.repeat(np.arange(g.n), width).reshape(g.n, width)
+        self.nbrs[src, slot] = dst
+        P = np.zeros((g.n, width))
+        P[src, slot] = np.asarray(w, dtype=float)[order] / deg.deg_1[src]
         self.cum = np.cumsum(P, axis=1)
+        # rounding can leave the row total below 1; every draw must land
+        self.cum[np.arange(width) >= count[:, None] - 1] = 1.0
+        self.phi = np.broadcast_to(eye, (g.n, width, rank, rank)).copy()
+        if mats:
+            self.phi[src, slot] = np.asarray(mats, dtype=complex)[order]
 
 
 def sample_path(g: WeightedGraph, x: int, t: float,
@@ -92,25 +127,22 @@ def sample_path(g: WeightedGraph, x: int, t: float,
     """Sample one path started at x over horizon t."""
     if t < 0:
         raise BadParams("horizon must be nonnegative")
-    tbl = _TransitionTable(g)
-    return _sample_path(tbl, x, t, stream)
-
-
-def _sample_path(tbl, x, t, stream):
+    tbl = _JumpTable(g)
+    rates, nbrs, cum = tbl.rates.tolist(), tbl.nbrs.tolist(), tbl.cum.tolist()
     cur = x
     tau = 0.0
     verts = [x]
     times = [0.0]
     while t > 0:
-        rate = tbl.rates[cur]
+        rate = rates[cur]
         if rate == 0.0:
             break
         s = stream.standard_exponential() / rate
         if tau + s >= t:
             break
         tau += s
-        u = stream.random()
-        cur = int(np.searchsorted(tbl.cum[cur], u, side="right"))
+        # bisect_left on the ascending row counts its entries < u: the slot
+        cur = nbrs[cur][bisect_left(cum[cur], stream.random())]
         verts.append(cur)
         times.append(tau)
     return PathSample(x, float(t), tuple(verts), tuple(times))
@@ -125,14 +157,6 @@ def parallel_transport(path: PathSample, c: Connection) -> np.ndarray:
             raise MissingEdgeMatrix(f"no connection matrix for edge ({y},{ynext})")
         U = c.matrix(y, ynext) @ U
     return U
-
-
-def _expm_neg_hermitian(dt, B):
-    """exp(-dt B) for a single Hermitian matrix."""
-    if B.shape == (1, 1):
-        return np.array([[np.exp(-dt * B[0, 0].real)]], dtype=complex)
-    lam, Q = np.linalg.eigh(B)
-    return (Q * np.exp(-dt * lam)[None, :]) @ Q.conj().T
 
 
 def ordered_exponential(path: PathSample, c: Connection, V: Potential,
@@ -161,7 +185,7 @@ def ordered_exponential(path: PathSample, c: Connection, V: Potential,
         dt = t1 - t0
         if dt > 0:
             B = U.conj().T @ V.values[path.vertices[k]] @ U
-            A = _expm_neg_hermitian(dt, B) @ A
+            A = _expm_neg_batch(np.array([dt]), B[None], nu)[0] @ A
         if k + 1 < n_states:
             U = c.matrix(path.vertices[k], path.vertices[k + 1]) @ U
     return A
@@ -186,42 +210,6 @@ def occupation_integral(path: PathSample, v, t: float) -> float:
 # Vectorized chunk simulation
 # ---------------------------------------------------------------------------
 
-def _scalar_chunk(tbl, start, horizon, v, n_paths, rng):
-    """Simulate a chunk of scalar paths; returns (terminal, F, N).
-
-    F accumulates the multiplicative Feynman-Kac weight
-    prod_k e^{-v(Y_k) dt_k}, matching the covariant rank-1 arithmetic
-    factor by factor.
-    """
-    states = np.full(n_paths, start, dtype=np.int64)
-    t = np.zeros(n_paths)
-    F = np.ones(n_paths)
-    N = np.zeros(n_paths, dtype=np.int64)
-    alive = np.full(n_paths, tbl.rates[start] > 0.0)
-    if horizon <= 0:
-        return states, F, N
-    idle = ~alive
-    if np.any(idle):
-        F[idle] *= np.exp(-v[start] * horizon)
-    while np.any(alive):
-        act = np.nonzero(alive)[0]
-        rates = tbl.rates[states[act]]
-        dt = rng.standard_exponential(act.size) / rates
-        rem = horizon - t[act]
-        dwell = np.minimum(dt, rem)
-        F[act] = F[act] * np.exp(-dwell * v[states[act]])
-        t[act] += dt
-        crossed = dt >= rem
-        alive[act[crossed]] = False
-        jumpers = act[~crossed]
-        if jumpers.size:
-            u = rng.random(jumpers.size)
-            rows = tbl.cum[states[jumpers]]
-            states[jumpers] = (rows < u[:, None]).sum(axis=1)
-            N[jumpers] += 1
-    return states, F, N
-
-
 def _expm_neg_batch(dt, B, nu):
     """exp(-dt_k B_k) for stacked Hermitian matrices (k, nu, nu)."""
     if nu == 1:
@@ -231,12 +219,13 @@ def _expm_neg_batch(dt, B, nu):
     return (Q * E[:, None, :]) @ Q.conj().swapaxes(1, 2)
 
 
-def _covariant_chunk(tbl, start, horizon, Vvals, Phi, n_paths, rng):
-    """Simulate a chunk of covariant paths; returns (terminal, tr-values, N).
+def _path_chunk(tbl, start, horizon, Vvals, n_paths, rng):
+    """Simulate a chunk of paths; returns (terminal, tr-values, N).
 
     Per path the value is tr(A_t transport_t^{-1}) with A_t the ordered
-    exponential.  The random stream is consumed in exactly the same
-    order as in the scalar chunk.
+    exponential of the transported potential Vvals (n, nu, nu).  For
+    rank 1 with the identity connection it is the Feynman-Kac weight
+    prod_k e^{-v(Y_k) dt_k}.
     """
     nu = Vvals.shape[1]
     states = np.full(n_paths, start, dtype=np.int64)
@@ -267,22 +256,15 @@ def _covariant_chunk(tbl, start, horizon, Vvals, Phi, n_paths, rng):
         alive[act[crossed]] = False
         jumpers = act[~crossed]
         if jumpers.size:
+            ys = states[jumpers]
             u = rng.random(jumpers.size)
-            rows = tbl.cum[states[jumpers]]
-            nxt = (rows < u[:, None]).sum(axis=1)
-            U[jumpers] = Phi[states[jumpers], nxt] @ U[jumpers]
-            states[jumpers] = nxt
+            slot = (tbl.cum[ys] < u[:, None]).sum(axis=1)
+            U[jumpers] = tbl.phi[ys, slot] @ U[jumpers]
+            states[jumpers] = tbl.nbrs[ys, slot]
             N[jumpers] += 1
     # tr(A U^{-1}) = tr(A U^H) for unitary transport
     vals = np.einsum("kij,kji->k", A, np.conj(U).swapaxes(1, 2))
     return states, vals, N
-
-
-def _dense_connection(g: WeightedGraph, c: Connection):
-    Phi = np.zeros((g.n, g.n, c.rank, c.rank), dtype=complex)
-    for i, j, _w in g.directed_edges():
-        Phi[i, j] = c.matrix(i, j)
-    return Phi
 
 
 def simulate_scalar_paths(g: WeightedGraph, start: int, t: float,
@@ -293,14 +275,16 @@ def simulate_scalar_paths(g: WeightedGraph, start: int, t: float,
     With v = None the weights F are identically 1 and the output carries
     the pure process law (terminal states and jump counts).
     """
-    tbl = _TransitionTable(g)
-    varr = np.zeros(g.n) if v is None else np.asarray(v, dtype=float)
+    tbl = _JumpTable(g)
+    vals = np.zeros(g.n) if v is None else np.asarray(v, dtype=float)
+    V = vals.reshape(-1, 1, 1)
     jobs = _chunk_sizes(samples, chunk)
 
     def run(job):
         ci, size = job
         rng = path_stream(seed, start, ci)
-        return _scalar_chunk(tbl, start, t, varr, size, rng)
+        terminal, F, N = _path_chunk(tbl, start, t, V, size, rng)
+        return terminal, F.real, N
 
     parts = _run_jobs(run, jobs, workers)
     return tuple(np.concatenate(cols) for cols in zip(*parts))
@@ -361,14 +345,14 @@ def estimate_heat_kernel(g: WeightedGraph, x: int, y: int, t: float,
     """Empirical frequency of X_t = y started at x; targets p(t,x,y) m(y)."""
     if samples < 100:
         raise BadParams("need at least 100 samples")
-    tbl = _TransitionTable(g)
-    zeros = np.zeros(g.n)
+    tbl = _JumpTable(g)
+    zeros = np.zeros((g.n, 1, 1))
     jobs = _chunk_sizes(samples, chunk)
 
     def run(job):
         ci, size = job
         rng = path_stream(seed, x, ci)
-        terminal, _F, _N = _scalar_chunk(tbl, x, t, zeros, size, rng)
+        terminal, _F, _N = _path_chunk(tbl, x, t, zeros, size, rng)
         return (terminal == y).astype(float)
 
     parts = _run_jobs(run, jobs, workers)
@@ -378,47 +362,34 @@ def estimate_heat_kernel(g: WeightedGraph, x: int, y: int, t: float,
 
 def estimate_partition(g: WeightedGraph, c: Connection, V, beta: float,
                        hbar: float, samples: int, seed: int,
-                       mode: str = "scalar", chunk: int = CHUNK_SIZE,
+                       chunk: int = CHUNK_SIZE,
                        workers: int = 1) -> EstimatorReport:
     """Monte Carlo estimate of tr(e^{-beta hbar H_{Phi, V/hbar}}).
 
-    ``samples`` paths are run per start vertex; per-vertex contributions
-    E^x[1_{X_t = x} F] are summed in vertex order.  In covariant mode F
-    is tr_x(A_t transport_t^{-1}) and the imaginary part is reported
-    alongside the real one.
+    ``V`` is a Potential or a real vector (rank 1); ``c`` defaults to the
+    identity connection of V's rank.  ``samples`` paths are run per start
+    vertex; per-vertex contributions E^x[1_{X_t = x} F] with
+    F = tr_x(A_t transport_t^{-1}) are summed in vertex order, and the
+    imaginary part is reported alongside the real one.
     """
     if beta <= 0 or hbar <= 0:
         raise BadParams("beta and hbar must be positive")
+    if not isinstance(V, Potential):
+        V = Potential.scalar(V)
+    if c is not None and c.rank != V.rank:
+        raise RankMismatch("connection and potential ranks differ")
     t = beta * hbar
-    tbl = _TransitionTable(g)
+    tbl = _JumpTable(g, c, V.rank)
+    # a potential without imaginary part scales in real arithmetic, as
+    # operators.assemble keeps it real
+    Vs = (V.values if V.values.imag.any() else V.values.real) / hbar
     jobs = _chunk_sizes(samples, chunk)
 
-    if mode == "scalar":
-        w = V.as_scalar() if isinstance(V, Potential) else np.asarray(V, dtype=float)
-        vscaled = w / hbar
-
-        def run(job):
-            x, ci, size = job
-            rng = path_stream(seed, x, ci)
-            terminal, F, _N = _scalar_chunk(tbl, x, t, vscaled, size, rng)
-            return (F * (terminal == x)).astype(complex)
-    elif mode == "covariant":
-        if not isinstance(V, Potential):
-            raise RankMismatch("covariant mode needs a Potential")
-        if c is None:
-            c = Connection.identity(g, V.rank)
-        if c.rank != V.rank:
-            raise RankMismatch("connection and potential ranks differ")
-        Vs = V.values / hbar
-        Phi = _dense_connection(g, c)
-
-        def run(job):
-            x, ci, size = job
-            rng = path_stream(seed, x, ci)
-            terminal, vals, _N = _covariant_chunk(tbl, x, t, Vs, Phi, size, rng)
-            return vals * (terminal == x)
-    else:
-        raise BadParams(f"unknown mode {mode!r}")
+    def run(job):
+        x, ci, size = job
+        rng = path_stream(seed, x, ci)
+        terminal, vals, _N = _path_chunk(tbl, x, t, Vs, size, rng)
+        return vals * (terminal == x)
 
     per_vertex = []
     means_re, means_im = [], []

@@ -29,6 +29,19 @@ from .spectral import eigendecompose  # noqa: F401
 MODES = ("scalar", "magnetic", "covariant")
 
 
+def check_mode(mode, connection, potential):
+    """Reject an unknown mode, and a scalar mode the inputs do not fit.
+
+    Scalar mode takes no connection and only a rank-1 potential.
+    """
+    if mode not in MODES:
+        raise BadParams(f"mode must be one of {MODES}")
+    if mode == "scalar" and (connection is not None
+                             or getattr(potential, "rank", 1) != 1):
+        raise BadParams(
+            "scalar mode takes no connection and only a rank-1 potential")
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Inputs of a semiclassical sweep over a decreasing hbar schedule."""
@@ -43,16 +56,13 @@ class SweepConfig:
     def __post_init__(self):
         if self.beta <= 0:
             raise BadParams("beta must be positive")
-        if self.mode not in MODES:
-            raise BadParams(f"mode must be one of {MODES}")
+        check_mode(self.mode, self.connection, self.potential)
         sched = tuple(float(h) for h in self.hbar_schedule)
         if not sched or any(h <= 0 for h in sched):
             raise BadParams("hbar schedule entries must be positive")
         if any(b >= a for a, b in zip(sched, sched[1:])):
             raise BadParams("hbar schedule must be strictly decreasing")
         object.__setattr__(self, "hbar_schedule", sched)
-        if self.mode == "scalar" and self.connection is not None:
-            raise BadParams("scalar mode takes no connection")
 
 
 @dataclass

@@ -133,8 +133,7 @@ def test_criterion_5_feynman_kac_covariant():
     V = random_potential(g, 2, rng)
     beta, hbar = 1.0, 0.5
     exact = semiclassical_trace(g, c, V, beta, hbar)
-    rep = estimate_partition(g, c, V, beta, hbar, 100_000, seed=5100,
-                             mode="covariant")
+    rep = estimate_partition(g, c, V, beta, hbar, 100_000, seed=5100)
     z_re = abs(rep.estimate - exact) / rep.stderr
     z_im = abs(rep.imag_estimate) / rep.imag_stderr
     ok = z_re <= 3.0 and z_im <= 3.0

@@ -40,6 +40,13 @@ class TestMagnetic:
         assert c.matrix(0, 1)[0, 0] == pytest.approx(-1.0)
         assert c.matrix(1, 0)[0, 0] == pytest.approx(-1.0)
 
+    def test_half_turn_is_exactly_minus_one(self, edge_graph):
+        for ph in (np.pi, -np.pi):
+            c = connection_from_magnetic(
+                MagneticPotential(edge_graph, {(0, 1): ph}))
+            assert c.matrix(0, 1)[0, 0] == -1.0
+            assert c.matrix(1, 0)[0, 0] == -1.0
+
     def test_pi_endpoints_coincide(self, edge_graph):
         cp = connection_from_magnetic(
             MagneticPotential(edge_graph, {(0, 1): np.pi}))

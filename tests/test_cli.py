@@ -253,6 +253,23 @@ class TestFkCompare:
             report = (tmp_path / "out" / "report.txt").read_text()
             assert "mode: covariant" in report
 
+    def test_scalar_mode_rejects_rank2_potential(self, tmp_path, capsys):
+        V = [[[1.0, 0.0], [0.2, 0.0]], [[0.2, 0.0], [0.5, 0.0]]]
+        cfg = write_config(tmp_path, "c.json", {
+            "graph": {"preset": "two_vertex"},
+            "potential": {"inline": [["a", V], ["b", V]]},
+            "params": {"samples": 1000, "mode": "scalar"},
+            "seed": 1,
+            "output_dir": str(tmp_path / "out"),
+        })
+        for subcommand in ("sweep", "fk-compare"):
+            assert run(cfg, subcommand) == 1, subcommand
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            record = json.loads(err.strip().splitlines()[-1])
+            assert record["kind"] == "validation"
+            assert "rank-1 potential" in record["error"]
+
     def test_zero_stderr_is_not_a_pass(self, tmp_path):
         # at hbar = 1e-7 no path jumps: every weight is 1, the stderr 0,
         # while the exact trace is 4 - 8e-7

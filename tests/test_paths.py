@@ -12,13 +12,15 @@ from graphfk.bundles import (
     spectral_floor,
 )
 from graphfk.errors import BadParams, RankMismatch
-from graphfk.graphs import build_graph, generate
+from graphfk.graphs import build_graph, degrees, generate
 from graphfk.operators import assemble
 from graphfk.paths import (
     CHUNK_SIZE,
     PathSample,
+    _JumpTable,
     _mean_se,
     _moments,
+    _path_chunk,
     estimate_heat_kernel,
     estimate_partition,
     occupation_integral,
@@ -109,6 +111,48 @@ class TestSamplePath:
         p = 0.75
         se = math.sqrt(p * (1 - p) / first.size)
         assert abs(p_hat - p) <= 3 * se
+
+
+class _StubStream:
+    """A generator stand-in: one jump at time 1e-9 with uniform u, then none."""
+
+    def __init__(self, u):
+        self.u = u
+        self.exponentials = 0
+
+    def standard_exponential(self, size=None):
+        self.exponentials += 1
+        value = 1e-9 if self.exponentials == 1 else 1e9
+        return value if size is None else np.full(size, value)
+
+    def random(self, size=None):
+        return self.u if size is None else np.full(size, self.u)
+
+
+class TestJumpTable:
+    @pytest.fixture
+    def star(self):
+        return build_graph([("c", "l0", 0.1), ("c", "l1", 0.7),
+                            ("c", "l2", 0.7), ("c", "l3", 0.7)])
+
+    def test_raw_row_sum_falls_short_of_one(self, star):
+        # the rounding the table corrects: the centre's raw row ends below 1
+        w = np.array([0.1, 0.7, 0.7, 0.7])
+        assert np.cumsum(w / degrees(star).deg_1[0])[-1] < 1.0
+        tbl = _JumpTable(star)
+        assert tbl.cum[0, -1] == 1.0
+        assert tbl.nbrs[0].tolist() == [1, 2, 3, 4]
+
+    @pytest.mark.parametrize("u, leaf", [(1.0 - 2.0**-53, "l3"),
+                                         (0.0, "l0")])
+    def test_every_draw_lands_on_a_neighbor(self, star, u, leaf):
+        terminal, _F, N = _path_chunk(_JumpTable(star), 0, 1.0,
+                                      np.zeros((star.n, 1, 1)), 1,
+                                      _StubStream(u))
+        assert N.tolist() == [1]
+        assert star.labels[terminal[0]] == leaf
+        path = sample_path(star, 0, 1.0, _StubStream(u))
+        assert [star.labels[v] for v in path.vertices] == ["c", leaf]
 
 
 class TestParallelTransport:
@@ -315,18 +359,20 @@ class TestPartitionEstimate:
         V = random_potential(g, 2, rng)
         beta, hbar = 1.0, 0.5
         exact = semiclassical_trace(g, c, V, beta, hbar)
-        report = estimate_partition(g, c, V, beta, hbar, 40_000, seed=63,
-                                    mode="covariant")
+        report = estimate_partition(g, c, V, beta, hbar, 40_000, seed=63)
         assert abs(report.estimate - exact) <= 3 * report.stderr
         assert abs(report.imag_estimate) <= 3 * report.imag_stderr
 
     def test_scalar_covariant_bit_identity(self):
+        # a real vector is rank 1; rank 1 with the identity connection is
+        # the scalar case
         g, pot = two_vertex()
-        scalar = estimate_partition(g, None, pot, 1.0, 0.3, 5000, seed=64)
-        covariant = estimate_partition(g, None, pot, 1.0, 0.3, 5000, seed=64,
-                                       mode="covariant")
-        assert scalar.estimate == covariant.estimate
-        assert scalar.stderr == covariant.stderr
+        args = (1.0, 0.3, 5000)
+        vector = estimate_partition(g, None, pot.as_scalar(), *args, seed=64)
+        rank1 = estimate_partition(g, None, pot, *args, seed=64)
+        identity = estimate_partition(g, Connection.identity(g, 1), pot,
+                                      *args, seed=64)
+        assert vector == rank1 == identity
 
     def test_worker_count_invariance(self):
         g, pot = two_vertex()
@@ -347,12 +393,9 @@ class TestPartitionEstimate:
         with pytest.raises(BadParams):
             estimate_partition(edge_graph, None, np.zeros(2), -1.0, 1.0,
                                1000, seed=67)
-        with pytest.raises(BadParams):
-            estimate_partition(edge_graph, None, np.zeros(2), 1.0, 1.0,
-                               1000, seed=68, mode="bogus")
         with pytest.raises(RankMismatch):
-            estimate_partition(edge_graph, None, np.zeros(2), 1.0, 1.0,
-                               1000, seed=69, mode="covariant")
+            estimate_partition(edge_graph, Connection.identity(edge_graph, 2),
+                               np.zeros(2), 1.0, 1.0, 1000, seed=69)
 
 
 class TestMoments:
@@ -404,6 +447,6 @@ class TestMagneticPartitionEstimate:
         exact = partition_function(eigenvalues(assemble(edge_graph, c)), 1.0)
         V = Potential.scalar([0.0, 0.0])
         report = estimate_partition(edge_graph, c, V, 1.0, 1.0, 50_000,
-                                    seed=71, mode="covariant")
+                                    seed=71)
         assert exact == pytest.approx(1 + math.exp(-2), abs=1e-12)
         assert abs(report.estimate - exact) <= 3 * report.stderr

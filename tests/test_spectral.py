@@ -102,6 +102,23 @@ class TestRealAndEigenvaluesOnlyRoutes:
             assert np.abs(K - K_ref).max() <= 1e-12 * np.abs(K_ref).max(), name
 
 
+    def test_half_turn_magnetic_solves_real(self):
+        # every phase pi: the connection is exactly -1, so the operator is
+        # real, and its spectrum is that of the complex e^{i pi} operator
+        g = generate("cycle", n=4)
+        w = np.array([0.1, 0.7, 0.3, 1.0])
+        theta = MagneticPotential(g, {key: np.pi for key in g.edges})
+        op = assemble(g, connection_from_magnetic(theta), w)
+        assert op.matrix.dtype == np.float64
+        rounded = Connection(
+            1, {key: np.array([[np.exp(1j * np.pi)]]) for key in g.edges})
+        ref = assemble(g, rounded, w)
+        assert ref.matrix.dtype == np.complex128
+        lam_ref = np.linalg.eigh(symmetrize(ref))[0]
+        scale = np.abs(lam_ref).max()
+        assert np.abs(eigenvalues(op) - lam_ref).max() <= 1e-12 * scale
+
+
 class TestHeatKernel:
     def test_on_diagonal_value(self, edge_dec):
         K = heat_kernel(edge_dec, 1.0)
