@@ -76,10 +76,14 @@ class MagneticPotential:
 
 @dataclass(frozen=True)
 class Potential:
-    """Fiberwise Hermitian potential: one nu x nu matrix per vertex."""
+    """Fiberwise Hermitian potential: one nu x nu matrix per vertex.
+
+    ``values`` is float64 when no entry has an imaginary part, so a real
+    potential scales and assembles in real arithmetic.
+    """
 
     rank: int
-    values: np.ndarray  # shape (n, rank, rank), complex
+    values: np.ndarray  # shape (n, rank, rank), float64 or complex
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=complex)
@@ -87,11 +91,13 @@ class Potential:
             raise NonHermitian(
                 f"potential values must have shape (n, {self.rank}, {self.rank})"
             )
-        object.__setattr__(self, "values", vals)
         dev = np.abs(vals - vals.conj().transpose(0, 2, 1)).max(initial=0.0)
         scale = np.abs(vals).max(initial=0.0)
         if dev > 1e-12 * (1.0 + scale):
             raise NonHermitian(f"potential not Hermitian (deviation {dev:.3e})")
+        if not vals.imag.any():
+            vals = vals.real.copy()
+        object.__setattr__(self, "values", vals)
 
     @property
     def n(self):
@@ -100,8 +106,11 @@ class Potential:
     @staticmethod
     def scalar(values) -> "Potential":
         """Rank-1 potential from a real vector."""
-        v = np.asarray(values, dtype=float)
-        return Potential(1, v.reshape(-1, 1, 1).astype(complex))
+        return Potential(1, np.asarray(values, dtype=float).reshape(-1, 1, 1))
+
+    def scaled(self, hbar) -> "Potential":
+        """V / hbar, in the arithmetic of the stored values."""
+        return Potential(self.rank, self.values / hbar)
 
     def as_scalar(self):
         """Real vertex values of a rank-1 potential."""

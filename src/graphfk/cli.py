@@ -27,22 +27,21 @@ import numpy as np
 from . import fileio, presets
 from .bundles import (
     Connection,
-    Potential,
     connection_from_magnetic,
     validate_connection,
 )
 from .errors import (
+    BadParams,
     ConfigError,
     GraphFKError,
     IOFailure,
     NumericalFailure,
 )
 from .graphs import generate
-from .operators import assemble
+from .operators import MODES, assemble, resolve
 from .paths import estimate_partition
 from .semiclassics import (
     SweepConfig,
-    check_mode,
     classical_partition,
     golden_thompson_margin,
     sweep,
@@ -89,8 +88,8 @@ def _resolve_inline_or_file(spec, loader_file, loader_inline, g):
     raise ConfigError("expected a file path or an 'inline' entry")
 
 
-def _resolve_inputs(cfg):
-    """(graph, connection, potential) from a parsed config."""
+def _read_inputs(cfg):
+    """(graph, connection, potential) as the config gives them."""
     g, preset_pot = _resolve_graph(cfg)
     conn = None
     if "connection" in cfg:
@@ -108,6 +107,25 @@ def _resolve_inputs(cfg):
             cfg["potential"], fileio.load_potential,
             fileio.potential_from_entries, g)
     return g, conn, pot
+
+
+def _resolve_inputs(cfg):
+    """The config's Problem; ``params.mode``, if stated, bounds its mode."""
+    g, conn, pot = _read_inputs(cfg)
+    # symmetrize would hide a non-unitary transport, so reject it here
+    bad = validate_connection(conn, g).violations if conn is not None else []
+    if bad:
+        (i, j), kind, dev = bad[0]
+        raise ConfigError(f"connection fails {kind} on edge ({g.labels[i]}, "
+                          f"{g.labels[j]}): deviation {dev:.3e}")
+    problem = resolve(g, conn, pot)
+    stated = cfg.get("params", {}).get("mode", problem.mode)
+    if stated not in MODES or MODES.index(stated) < MODES.index(problem.mode):
+        raise BadParams(
+            f"mode {stated!r} must be one of {MODES}, no narrower than the "
+            f"inputs' mode {problem.mode!r} (scalar takes no connection and "
+            "only a rank-1 potential, magnetic only rank 1)")
+    return problem
 
 
 def _write(outdir, name, text):
@@ -136,7 +154,7 @@ def emit_report(results, outdir, digest):
 
 
 def _cmd_validate(cfg, outdir):
-    g, conn, _pot = _resolve_inputs(cfg)
+    g, conn, _pot = _read_inputs(cfg)
     if conn is None:
         conn = Connection.identity(g)
     report = validate_connection(conn, g)
@@ -160,8 +178,8 @@ def _cmd_validate(cfg, outdir):
 
 
 def _cmd_spectrum(cfg, outdir):
-    g, conn, pot = _resolve_inputs(cfg)
-    lam = eigenvalues(assemble(g, conn, pot))
+    p = _resolve_inputs(cfg)
+    lam = eigenvalues(assemble(p.graph, p.connection, p.potential))
     lines = ["index,eigenvalue"]
     for k, value in enumerate(lam):
         lines.append(f"{k},{_fmt(value)}")
@@ -175,9 +193,10 @@ def _cmd_spectrum(cfg, outdir):
 
 
 def _cmd_kernel(cfg, outdir):
-    g, conn, pot = _resolve_inputs(cfg)
+    p = _resolve_inputs(cfg)
+    g = p.graph
     t = float(cfg.get("params", {}).get("t", 1.0))
-    dec = eigendecompose(assemble(g, conn, pot))
+    dec = eigendecompose(assemble(g, p.connection, p.potential))
     K = heat_kernel(dec, t)
     lines = ["t,x,y,re,im"]
     nu = dec.rank
@@ -194,26 +213,18 @@ def _cmd_kernel(cfg, outdir):
             "trace": _fmt(partition_function(dec.eigenvalues, t))}
 
 
-def _sweep_mode(conn, pot):
-    rank = conn.rank if conn is not None else getattr(pot, "rank", 1)
-    if rank > 1:
-        return "covariant"
-    return "scalar" if conn is None else "magnetic"
-
-
 def _cmd_sweep(cfg, outdir):
-    g, conn, pot = _resolve_inputs(cfg)
+    p = _resolve_inputs(cfg)
     params = cfg.get("params", {})
     beta = float(params.get("beta", 1.0))
     schedule = tuple(params.get("hbar_schedule", (1e-1, 1e-2, 1e-3, 1e-4)))
-    mode = params.get("mode", _sweep_mode(conn, pot))
-    config = SweepConfig(g, beta, schedule, mode, pot, conn)
+    config = SweepConfig(p.graph, beta, schedule, p.potential, p.connection)
     result = sweep(config)
     _write(outdir, "sweep.csv", result.to_csv())
     last = result.rows[-1]
     return {
         "subcommand": "sweep",
-        "mode": mode,
+        "mode": p.mode,
         "beta": beta,
         "classical_value": _fmt(result.classical_value),
         "final_trace": _fmt(last.trace),
@@ -228,11 +239,10 @@ def _cmd_sweep(cfg, outdir):
 
 
 def _cmd_gt_check(cfg, outdir):
-    g, conn, pot = _resolve_inputs(cfg)
+    p = _resolve_inputs(cfg)
     t = float(cfg.get("params", {}).get("t", 1.0))
-    margin = golden_thompson_margin(g, conn, pot, t)
-    classical = (classical_partition(pot, t) if pot is not None
-                 else float(g.n * (conn.rank if conn else 1)))
+    margin = golden_thompson_margin(p.graph, p.connection, p.potential, t)
+    classical = classical_partition(p.potential, t)
     quantum = classical - margin
     _write(outdir, "gt.csv",
            "t,classical,quantum,margin\n"
@@ -258,7 +268,8 @@ def _z_score(estimate, exact, se):
 
 
 def _cmd_fk_compare(cfg, outdir):
-    g, conn, pot = _resolve_inputs(cfg)
+    p = _resolve_inputs(cfg)
+    g, conn, pot = p.graph, p.connection, p.potential
     params = cfg.get("params", {})
     if "seed" not in cfg:
         raise ConfigError("fk-compare requires an explicit seed")
@@ -267,14 +278,8 @@ def _cmd_fk_compare(cfg, outdir):
     hbar = float(params.get("hbar", 0.1))
     samples = int(params.get("samples", 100000))
     workers = int(params.get("workers", 1))
-    mode = params.get("mode", _sweep_mode(conn, pot))
-    check_mode(mode, conn, pot)
-    if pot is None:
-        nu = conn.rank if conn is not None else 1
-        pot = Potential(nu, np.zeros((g.n, nu, nu)))
     t = beta * hbar
-    dec = eigendecompose(
-        assemble(g, conn, Potential(pot.rank, pot.values / hbar)))
+    dec = eigendecompose(assemble(g, conn, pot.scaled(hbar)))
     rep = estimate_partition(g, conn, pot, beta, hbar, samples, seed,
                              workers=workers)
     # tr_x of the diagonal block of e^{-tA}: sum_k |U_{xa,k}|^2 e^{-t lambda_k}
@@ -297,7 +302,7 @@ def _cmd_fk_compare(cfg, outdir):
         detail += " (stderr is 0)"
     return {
         "subcommand": "fk-compare",
-        "mode": mode,
+        "mode": p.mode,
         "samples_per_vertex": samples,
         "exact_trace": _fmt(exact_total),
         "estimate": _fmt(rep.estimate),
@@ -309,10 +314,13 @@ def _cmd_fk_compare(cfg, outdir):
 
 
 def _cmd_kato(cfg, outdir):
-    g, _conn, pot = _resolve_inputs(cfg)
+    p = _resolve_inputs(cfg)
+    if p.mode != "scalar":
+        raise BadParams(f"kato takes a scalar problem, not {p.mode}: "
+                        "no connection and a rank-1 potential")
+    g, w = p.graph, p.potential.as_scalar()
     params = cfg.get("params", {})
     grid = params.get("t_grid", [1.0, 0.5, 0.25, 0.125, 0.0625])
-    w = pot.as_scalar() if pot is not None else np.zeros(g.n)
     lines = ["t,value"]
     values = []
     for t in grid:

@@ -9,6 +9,11 @@ self-adjoint with respect to the weighted inner product
 (non-Hermitian for non-constant m); ``symmetrize`` conjugates by
 M^{1/2} to obtain a standard-Hermitian representative with the same
 spectrum, which is the single bridge to standard eigensolvers.
+
+``resolve`` turns (graph, connection, potential) into one ``Problem``,
+the arcs with their weights and transports, the potential and the mode
+the data imply, which the operator, the jump table of ``paths`` and
+every CLI subcommand read.
 """
 
 from __future__ import annotations
@@ -22,6 +27,73 @@ from .errors import DimensionCap, InvalidConnection, RankMismatch
 from .graphs import WeightedGraph, degrees
 
 DEFAULT_DIMENSION_CAP = 4096
+
+# Ordered by inclusion: scalar data is magnetic data, magnetic is covariant.
+MODES = ("scalar", "magnetic", "covariant")
+
+
+@dataclass(frozen=True)
+class Problem:
+    """H_{Phi,V} data on arcs, resolved once.
+
+    ``connection`` None is the trivial bundle; ``potential`` is always a
+    Potential (zero when none was given).  Arc e runs src[e] -> dst[e]
+    with weight w[e] and transport phi[e] = Phi_{src,dst}; arcs come in
+    ``WeightedGraph.directed_edges`` order, so arc e ^ 1 is the reverse
+    of arc e.  ``phi`` is float64 when no transport has an imaginary part.
+    """
+
+    graph: WeightedGraph
+    connection: Connection
+    potential: Potential
+    src: np.ndarray
+    dst: np.ndarray
+    w: np.ndarray
+    phi: np.ndarray
+
+    @property
+    def rank(self):
+        return self.potential.rank
+
+    @property
+    def mode(self):
+        """scalar (trivial rank 1), magnetic (rank-1 connection), covariant."""
+        if self.rank > 1:
+            return "covariant"
+        return "scalar" if self.connection is None else "magnetic"
+
+
+def resolve(g: WeightedGraph, c: Connection = None, V=None) -> Problem:
+    """The Problem of (g, c, V).
+
+    ``V`` may be a Potential, a real vector (rank 1) or None (zero, of the
+    connection's rank); ``c`` None is the identity connection.
+    """
+    if V is None:
+        rank = 1 if c is None else c.rank
+        V = Potential(rank, np.zeros((g.n, rank, rank)))
+    elif not isinstance(V, Potential):
+        V = Potential.scalar(V)
+    if c is not None and c.rank != V.rank:
+        raise RankMismatch(f"potential rank {V.rank} != connection rank {c.rank}")
+    if V.n != g.n:
+        raise RankMismatch(f"potential defined on {V.n} vertices, graph has {g.n}")
+    pairs = np.array(list(g.edges), dtype=np.int64).reshape(-1, 2)
+    src, dst = pairs.ravel(), pairs[:, ::-1].ravel()
+    w = np.repeat(np.fromiter(g.edges.values(), float, len(g.edges)), 2)
+    nu = V.rank
+    if c is None:
+        phi = np.broadcast_to(np.eye(nu), (src.size, nu, nu))
+    else:
+        for key in g.edges:
+            if not c.has_edge(*key):
+                raise InvalidConnection(f"connection missing edge {key}")
+        phi = np.array([c.matrix(i, j) for i, j in zip(src.tolist(),
+                                                       dst.tolist())],
+                       dtype=complex).reshape(-1, nu, nu)
+        if not phi.imag.any():
+            phi = phi.real
+    return Problem(g, c, V, src, dst, w, phi)
 
 
 @dataclass(frozen=True)
@@ -41,9 +113,6 @@ class OperatorMatrix:
     def dimension(self):
         return self.matrix.shape[0]
 
-    def symmetrized(self):
-        return symmetrize(self)
-
 
 def _as_section(f, n, rank):
     f = np.asarray(f, dtype=complex)
@@ -54,73 +123,41 @@ def _as_section(f, n, rank):
     return f
 
 
-def _potential_values(V, g, rank):
-    if V is None:
-        return np.zeros((g.n, rank, rank), dtype=complex)
-    if not isinstance(V, Potential):
-        V = Potential.scalar(np.asarray(V, dtype=float))
-    if V.rank != rank:
-        raise RankMismatch(f"potential rank {V.rank} != connection rank {rank}")
-    if V.n != g.n:
-        raise RankMismatch(f"potential defined on {V.n} vertices, graph has {g.n}")
-    return V.values
-
-
-def _resolve_connection(g, c, V):
-    if c is None:
-        rank = V.rank if isinstance(V, Potential) else 1
-        c = Connection.identity(g, rank)
-    for key in g.edges:
-        if not c.has_edge(*key):
-            raise InvalidConnection(f"connection missing edge {key}")
-    return c
+def _coupling(p: Problem):
+    """Phi_{dst,src} per arc: the transport that row src applies to f(dst)."""
+    return p.phi[np.arange(p.src.size) ^ 1]
 
 
 def assemble(g: WeightedGraph, c: Connection = None, V=None,
              cap: int = DEFAULT_DIMENSION_CAP) -> OperatorMatrix:
     """Materialize H_{Phi,V} as a dense matrix.
 
-    ``c`` defaults to the identity connection (scalar Laplacian for
-    rank 1); ``V`` may be a Potential, a real vector (scalar), or None.
-    The matrix is float64 when no edge matrix and no potential value has
-    an imaginary part, and complex otherwise.
+    ``c`` and ``V`` are resolved as by ``resolve``.  The matrix is float64
+    when no transport and no potential value has an imaginary part, and
+    complex otherwise.
     """
-    c = _resolve_connection(g, c, V)
-    nu = c.rank
-    dim = g.n * nu
-    if dim > cap:
-        raise DimensionCap(f"dimension {dim} exceeds cap {cap}")
-    Vvals = _potential_values(V, g, nu)
-    edges = list(g.directed_edges())
-    # Phi_{j,i} for the coupling block at row x=i, column y=j
-    Phi = np.array([c.matrix(j, i) for i, j, _w in edges],
-                   dtype=complex).reshape(-1, nu, nu)
-    if not (Phi.imag.any() or Vvals.imag.any()):
-        Phi, Vvals = Phi.real, Vvals.real
-    deg = degrees(g)
-    A = np.zeros((dim, dim), dtype=Vvals.dtype)
-    for x in range(g.n):
-        sl = slice(x * nu, (x + 1) * nu)
-        A[sl, sl] = deg.deg_m[x] * np.eye(nu) + Vvals[x]
-    for (i, j, w), P in zip(edges, Phi):
-        A[i * nu:(i + 1) * nu, j * nu:(j + 1) * nu] -= (
-            w / g.measure[i]) * P
-    return OperatorMatrix(g, nu, A, g.measure)
+    p = resolve(g, c, V)
+    n, nu = g.n, p.rank
+    if n * nu > cap:
+        raise DimensionCap(f"dimension {n * nu} exceeds cap {cap}")
+    Vvals = p.potential.values
+    A = np.zeros((n, nu, n, nu), dtype=np.result_type(p.phi, Vvals))
+    x = np.arange(n)
+    A[x, :, x, :] = degrees(g).deg_m[:, None, None] * np.eye(nu) + Vvals
+    # g.edges holds no multi-edges, so each off-diagonal block is one arc
+    A[p.src, :, p.dst, :] -= (
+        (p.w / g.measure[p.src])[:, None, None] * _coupling(p))
+    return OperatorMatrix(g, nu, A.reshape(n * nu, n * nu), g.measure)
 
 
 def apply_formal(g: WeightedGraph, c: Connection, V, f) -> np.ndarray:
     """Matrix-free evaluation of the operator on a section (n, nu)."""
-    c = _resolve_connection(g, c, V)
-    nu = c.rank
-    f = _as_section(f, g.n, nu)
-    Vvals = _potential_values(V, g, nu)
-    deg = degrees(g)
-    out = deg.deg_m[:, None] * f
-    for i, j, w in g.directed_edges():
-        out[i] -= (w / g.measure[i]) * (c.matrix(j, i) @ f[j])
-    for x in range(g.n):
-        out[x] += Vvals[x] @ f[x]
-    return out
+    p = resolve(g, c, V)
+    f = _as_section(f, g.n, p.rank)
+    out = degrees(g).deg_m[:, None] * f
+    hop = (_coupling(p) @ f[p.dst][:, :, None])[:, :, 0]
+    np.subtract.at(out, p.src, (p.w / g.measure[p.src])[:, None] * hop)
+    return out + (p.potential.values @ f[:, :, None])[:, :, 0]
 
 
 def quadratic_form(g: WeightedGraph, c: Connection, f1, f2) -> complex:
@@ -130,17 +167,13 @@ def quadratic_form(g: WeightedGraph, c: Connection, f1, f2) -> complex:
     b(x,y) (f1(x) - Phi_{y,x} f1(y), f2(x) - Phi_{y,x} f2(y))_x,
     conjugate-linear in the second argument.
     """
-    c = _resolve_connection(g, c, None) if c is None else c
-    nu = c.rank
-    f1 = _as_section(f1, g.n, nu)
-    f2 = _as_section(f2, g.n, nu)
-    total = 0.0 + 0.0j
-    for x, y, w in g.directed_edges():
-        P = c.matrix(y, x)
-        d1 = f1[x] - P @ f1[y]
-        d2 = f2[x] - P @ f2[y]
-        total += 0.5 * w * np.vdot(d2, d1)  # vdot conjugates its first arg
-    return complex(total)
+    p = resolve(g, c)
+    f1 = _as_section(f1, g.n, p.rank)
+    f2 = _as_section(f2, g.n, p.rank)
+    P = _coupling(p)
+    d1 = f1[p.src] - (P @ f1[p.dst][:, :, None])[:, :, 0]
+    d2 = f2[p.src] - (P @ f2[p.dst][:, :, None])[:, :, 0]
+    return complex(0.5 * (p.w * np.sum(np.conj(d2) * d1, axis=1)).sum())
 
 
 def degree_bound(g: WeightedGraph):

@@ -9,11 +9,12 @@ e^{-int_0^t v(X_s) ds}.
 
 One chunk kernel runs every estimator: the scalar case is rank 1 of the
 covariant one, with the identity connection.  It reads a per-vertex jump
-table: the rate deg_m(y), the neighbors of y in ascending index order,
-their cumulative probabilities cumsum(b(y, .) / deg_1(y)) with the last
-entry exactly 1, and the edge transports Phi_{y,x'}.  A jump from y with
-a uniform u in [0, 1) takes slot count(cum[y] < u), so it always lands
-on a neighbor, and costs O(largest degree), not O(n).
+table sorted from the arcs of one ``operators.Problem``: the rate
+deg_m(y), the neighbors of y in ascending index order, their cumulative
+probabilities cumsum(b(y, .) / deg_1(y)) with the last entry exactly 1,
+and the arc transports Phi_{y,x'}.  A jump from y with a uniform u in
+[0, 1) takes slot count(cum[y] < u), so it always lands on a neighbor,
+and costs O(largest degree), not O(n).
 
 Partition traces are estimated through the unconditioned identity
 sum_x E^x[1_{X_t = x} F] without ever sampling bridge measures.
@@ -35,6 +36,7 @@ import numpy as np
 from .bundles import Connection, Potential
 from .errors import BadParams, MissingEdgeMatrix, RankMismatch
 from .graphs import WeightedGraph, degrees
+from .operators import Problem, resolve
 
 CHUNK_SIZE = 8192
 
@@ -89,37 +91,29 @@ class _JumpTable:
     ``rates[y]`` is deg_m(y).  Row y of ``nbrs`` holds the neighbors of y
     in ascending index order, ``cum`` their cumulative probabilities
     cumsum(b(y, .) / deg_1(y)) with the last entry and the padding exactly
-    1, and ``phi`` the transports Phi_{y,x'} (identity when c is None).
+    1, and ``phi`` the transports Phi_{y,x'} of the problem's arcs.
     A jump from y with uniform u in [0, 1) takes slot count(cum[y] < u).
     """
 
-    def __init__(self, g: WeightedGraph, c: Connection = None, rank: int = 1):
+    def __init__(self, problem: Problem):
+        g, nu = problem.graph, problem.rank
         deg = degrees(g)
         self.rates = deg.deg_m
-        eye = np.eye(rank, dtype=complex)
-        src, dst, w, mats = [], [], [], []
-        for (i, j), b in g.edges.items():
-            src += (i, j)
-            dst += (j, i)
-            w += (b, b)
-            if c is not None:
-                mats += (c.matrix(i, j), c.matrix(j, i))
-        order = np.lexsort((dst, src))
-        src = np.asarray(src, dtype=np.int64)[order]
-        dst = np.asarray(dst, dtype=np.int64)[order]
+        order = np.lexsort((problem.dst, problem.src))
+        src, dst = problem.src[order], problem.dst[order]
         count = np.bincount(src, minlength=g.n)
         slot = np.arange(src.size) - (np.cumsum(count) - count)[src]
         width = max(int(count.max(initial=0)), 1)
         self.nbrs = np.repeat(np.arange(g.n), width).reshape(g.n, width)
         self.nbrs[src, slot] = dst
         P = np.zeros((g.n, width))
-        P[src, slot] = np.asarray(w, dtype=float)[order] / deg.deg_1[src]
+        P[src, slot] = problem.w[order] / deg.deg_1[src]
         self.cum = np.cumsum(P, axis=1)
         # rounding can leave the row total below 1; every draw must land
         self.cum[np.arange(width) >= count[:, None] - 1] = 1.0
-        self.phi = np.broadcast_to(eye, (g.n, width, rank, rank)).copy()
-        if mats:
-            self.phi[src, slot] = np.asarray(mats, dtype=complex)[order]
+        eye = np.eye(nu, dtype=complex)
+        self.phi = np.broadcast_to(eye, (g.n, width, nu, nu)).copy()
+        self.phi[src, slot] = problem.phi[order]
 
 
 def sample_path(g: WeightedGraph, x: int, t: float,
@@ -127,7 +121,7 @@ def sample_path(g: WeightedGraph, x: int, t: float,
     """Sample one path started at x over horizon t."""
     if t < 0:
         raise BadParams("horizon must be nonnegative")
-    tbl = _JumpTable(g)
+    tbl = _JumpTable(resolve(g))
     rates, nbrs, cum = tbl.rates.tolist(), tbl.nbrs.tolist(), tbl.cum.tolist()
     cur = x
     tau = 0.0
@@ -275,9 +269,9 @@ def simulate_scalar_paths(g: WeightedGraph, start: int, t: float,
     With v = None the weights F are identically 1 and the output carries
     the pure process law (terminal states and jump counts).
     """
-    tbl = _JumpTable(g)
-    vals = np.zeros(g.n) if v is None else np.asarray(v, dtype=float)
-    V = vals.reshape(-1, 1, 1)
+    problem = resolve(g, None, v)
+    tbl = _JumpTable(problem)
+    V = problem.potential.values
     jobs = _chunk_sizes(samples, chunk)
 
     def run(job):
@@ -345,7 +339,7 @@ def estimate_heat_kernel(g: WeightedGraph, x: int, y: int, t: float,
     """Empirical frequency of X_t = y started at x; targets p(t,x,y) m(y)."""
     if samples < 100:
         raise BadParams("need at least 100 samples")
-    tbl = _JumpTable(g)
+    tbl = _JumpTable(resolve(g))
     zeros = np.zeros((g.n, 1, 1))
     jobs = _chunk_sizes(samples, chunk)
 
@@ -366,23 +360,19 @@ def estimate_partition(g: WeightedGraph, c: Connection, V, beta: float,
                        workers: int = 1) -> EstimatorReport:
     """Monte Carlo estimate of tr(e^{-beta hbar H_{Phi, V/hbar}}).
 
-    ``V`` is a Potential or a real vector (rank 1); ``c`` defaults to the
-    identity connection of V's rank.  ``samples`` paths are run per start
-    vertex; per-vertex contributions E^x[1_{X_t = x} F] with
-    F = tr_x(A_t transport_t^{-1}) are summed in vertex order, and the
-    imaginary part is reported alongside the real one.
+    ``c`` and ``V`` are resolved as by ``operators.resolve``, and V / hbar
+    is taken in the arithmetic of V's values, as the exact side takes it.
+    ``samples`` paths are run per start vertex; per-vertex contributions
+    E^x[1_{X_t = x} F] with F = tr_x(A_t transport_t^{-1}) are summed in
+    vertex order, and the imaginary part is reported alongside the real
+    one.
     """
     if beta <= 0 or hbar <= 0:
         raise BadParams("beta and hbar must be positive")
-    if not isinstance(V, Potential):
-        V = Potential.scalar(V)
-    if c is not None and c.rank != V.rank:
-        raise RankMismatch("connection and potential ranks differ")
+    problem = resolve(g, c, V)
     t = beta * hbar
-    tbl = _JumpTable(g, c, V.rank)
-    # a potential without imaginary part scales in real arithmetic, as
-    # operators.assemble keeps it real
-    Vs = (V.values if V.values.imag.any() else V.values.real) / hbar
+    tbl = _JumpTable(problem)
+    Vs = problem.potential.scaled(hbar).values
     jobs = _chunk_sizes(samples, chunk)
 
     def run(job):

@@ -21,42 +21,29 @@ import numpy as np
 from .bundles import Connection, Potential
 from .errors import BadParams
 from .graphs import ExhaustionSequence, WeightedGraph, degrees, restrict
-from .operators import assemble
+from .operators import assemble, resolve
 from .spectral import eigenvalues, partition_function
 # not called here; kept because perfbench/tracer.py rebinds it
 from .spectral import eigendecompose  # noqa: F401
 
-MODES = ("scalar", "magnetic", "covariant")
-
-
-def check_mode(mode, connection, potential):
-    """Reject an unknown mode, and a scalar mode the inputs do not fit.
-
-    Scalar mode takes no connection and only a rank-1 potential.
-    """
-    if mode not in MODES:
-        raise BadParams(f"mode must be one of {MODES}")
-    if mode == "scalar" and (connection is not None
-                             or getattr(potential, "rank", 1) != 1):
-        raise BadParams(
-            "scalar mode takes no connection and only a rank-1 potential")
-
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Inputs of a semiclassical sweep over a decreasing hbar schedule."""
+    """Inputs of a semiclassical sweep over a decreasing hbar schedule.
+
+    The mode is not an input: ``sweep`` derives it from the connection
+    and the potential (``operators.Problem.mode``).
+    """
 
     graph: WeightedGraph
     beta: float
     hbar_schedule: tuple
-    mode: str = "scalar"
     potential: Potential = None
     connection: Connection = None
 
     def __post_init__(self):
         if self.beta <= 0:
             raise BadParams("beta must be positive")
-        check_mode(self.mode, self.connection, self.potential)
         sched = tuple(float(h) for h in self.hbar_schedule)
         if not sched or any(h <= 0 for h in sched):
             raise BadParams("hbar schedule entries must be positive")
@@ -95,26 +82,18 @@ class SweepResult:
         return "\n".join(lines) + "\n"
 
 
-def _classical_terms(V, beta: float) -> np.ndarray:
+def _classical_terms(V: Potential, beta: float) -> np.ndarray:
     """Per-vertex terms tr_x e^{-beta V(x)} (scalar: e^{-beta w(x)})."""
-    if isinstance(V, Potential):
-        return np.exp(-beta * np.linalg.eigvalsh(V.values)).sum(axis=1)
-    return np.exp(-beta * np.asarray(V, dtype=float))
+    return np.exp(-beta * np.linalg.eigvalsh(V.values)).sum(axis=1)
 
 
 def classical_partition(V, beta: float) -> float:
     """sum_x tr_x e^{-beta V(x)} (scalar: sum_x e^{-beta w(x)})."""
     if beta <= 0:
         raise BadParams("beta must be positive")
+    if not isinstance(V, Potential):
+        V = Potential.scalar(V)
     return float(_classical_terms(V, beta).sum())
-
-
-def _scaled_potential(V, hbar):
-    if V is None:
-        return None
-    if isinstance(V, Potential):
-        return Potential(V.rank, V.values / hbar)
-    return np.asarray(V, dtype=float) / hbar
 
 
 def semiclassical_trace(g: WeightedGraph, c: Connection, V,
@@ -122,7 +101,8 @@ def semiclassical_trace(g: WeightedGraph, c: Connection, V,
     """tr(e^{-beta hbar H_{Phi, V/hbar}})."""
     if beta <= 0 or hbar <= 0:
         raise BadParams("beta and hbar must be positive")
-    lam = eigenvalues(assemble(g, c, _scaled_potential(V, hbar)))
+    V = resolve(g, c, V).potential.scaled(hbar)
+    lam = eigenvalues(assemble(g, c, V))
     return partition_function(lam, beta * hbar)
 
 
@@ -130,7 +110,7 @@ def sandwich_bounds(g: WeightedGraph, w, beta: float, hbar: float):
     """(lower, upper) bracketing the scalar nonmagnetic quantum trace."""
     if beta <= 0 or hbar <= 0:
         raise BadParams("beta and hbar must be positive")
-    w = w.as_scalar() if isinstance(w, Potential) else np.asarray(w, dtype=float)
+    w = resolve(g, None, w).potential.as_scalar()
     deg_m = degrees(g).deg_m
     upper = float(np.exp(-beta * w).sum())
     lower = float((np.exp(-deg_m * beta * hbar) * np.exp(-beta * w)).sum())
@@ -142,41 +122,34 @@ def golden_thompson_margin(g: WeightedGraph, c: Connection, V,
     """Classical minus quantum trace at time t; nonnegative by theory."""
     if t <= 0:
         raise BadParams("t must be positive")
+    V = resolve(g, c, V).potential
     lam = eigenvalues(assemble(g, c, V))
-    if V is None:
-        nu = c.rank if c is not None else 1
-        classical = float(g.n * nu)
-    else:
-        classical = classical_partition(V, t)
-    return classical - partition_function(lam, t)
+    return classical_partition(V, t) - partition_function(lam, t)
 
 
 def sweep(config: SweepConfig) -> SweepResult:
     """Semiclassical sweep over the hbar schedule.
 
     Each row carries (hbar, trace, lower, upper, gap = upper - trace).
-    The scalar sandwich lower <= trace <= upper is asserted in scalar
-    mode; only the upper bound is asserted otherwise.
+    The scalar sandwich lower <= trace <= upper is asserted when the
+    problem is scalar; only the upper bound is asserted otherwise.
     """
     g = config.graph
     beta = config.beta
+    problem = resolve(g, config.connection, config.potential)
     deg_m = degrees(g).deg_m
-    if config.potential is None:
-        nu = config.connection.rank if config.connection is not None else 1
-        terms = np.full(g.n, float(nu))
-    else:
-        terms = _classical_terms(config.potential, beta)
+    terms = _classical_terms(problem.potential, beta)
     classical = float(terms.sum())
     result = SweepResult(classical_value=classical)
     for hbar in config.hbar_schedule:
         trace = semiclassical_trace(
-            g, config.connection, config.potential, beta, hbar)
+            g, config.connection, problem.potential, beta, hbar)
         lower = float((np.exp(-deg_m * beta * hbar) * terms).sum())
         gap = classical - trace
         if trace > classical + 1e-9:
             raise AssertionError(
                 f"upper bound violated at hbar={hbar}: {trace} > {classical}")
-        if config.mode == "scalar" and lower > trace + 1e-9:
+        if problem.mode == "scalar" and lower > trace + 1e-9:
             raise AssertionError(
                 f"sandwich lower bound violated at hbar={hbar}: "
                 f"{lower} > {trace}")
@@ -201,13 +174,11 @@ def exhaustion_sweep(host: WeightedGraph, exhaustion: ExhaustionSequence,
     than 1/size.
     """
     summaries = []
+    V = resolve(host, config.connection, config.potential).potential
     for keep in exhaustion.subsets:
         keep = sorted(keep)
         sub = restrict(host, keep)
-        V = config.potential
-        subV = None
-        if V is not None:
-            subV = Potential(V.rank, V.values[keep])
+        subV = Potential(V.rank, V.values[keep])
         subc = None
         if config.connection is not None:
             remap = {old: new for new, old in enumerate(keep)}
@@ -218,7 +189,7 @@ def exhaustion_sweep(host: WeightedGraph, exhaustion: ExhaustionSequence,
             }
             subc = Connection(config.connection.rank, mats)
         subconf = SweepConfig(sub, config.beta, config.hbar_schedule,
-                              config.mode, subV, subc)
+                              subV, subc)
         res = sweep(subconf)
         summaries.append({
             "size": sub.n,

@@ -135,28 +135,14 @@ def relative_form_bound_check(g: WeightedGraph, c: Connection,
                               V_minus: Potential, C1: float, C2: float):
     """Check Q_{V^-}(f) <= C1 Q_{Phi,0}(f) + C2 ||f||_m^2 for all f.
 
-    Equivalent to C1 H_{Phi,0} + C2 - V^- >= 0; returns (holds, margin)
-    with margin the smallest eigenvalue of the symmetrized difference.
+    Equivalent to C1 H_{Phi,-V^-/C1} + C2 >= 0; returns (holds, margin)
+    with margin the smallest eigenvalue of the symmetrized operator.
     """
     if not (0.0 < C1 < 1.0) or C2 < 0.0:
         raise BadCoefficients("need C1 in (0,1) and C2 >= 0")
-    free = assemble(g, c)
-    nu = free.rank
-    if V_minus.rank != nu or V_minus.n != g.n:
-        raise BadCoefficients("V_minus shape does not match operator")
+    # V^- / (-C1) is -V^-/C1
+    op = assemble(g, c, V_minus.scaled(-C1))
     shifted = OperatorMatrix(
-        g, nu,
-        C1 * free.matrix + C2 * np.eye(free.dimension)
-        - _block_diag(V_minus.values),
-        g.measure,
-    )
+        g, op.rank, C1 * op.matrix + C2 * np.eye(op.dimension), g.measure)
     lam_min = float(np.linalg.eigvalsh(symmetrize(shifted))[0])
     return lam_min >= -1e-10, lam_min
-
-
-def _block_diag(blocks):
-    n, nu, _ = blocks.shape
-    out = np.zeros((n * nu, n * nu), dtype=complex)
-    for i in range(n):
-        out[i * nu:(i + 1) * nu, i * nu:(i + 1) * nu] = blocks[i]
-    return out

@@ -1,7 +1,11 @@
 """Shared randomized-instance helpers for the test suite."""
 
+import shutil
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from graphfk.bundles import Connection, Potential
 from graphfk.graphs import build_graph
@@ -59,3 +63,16 @@ def random_section(rng, n, nu):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def pytest_configure(config):
+    # Hypothesis caches the constants of local modules in its home
+    # directory, ./.hypothesis by default, even without an example
+    # database; keep that cache out of the checkout
+    config.hypothesis_home = tempfile.mkdtemp(prefix="hypothesis-")
+    set_hypothesis_home_dir(config.hypothesis_home)
+
+
+def pytest_unconfigure(config):
+    set_hypothesis_home_dir(None)
+    shutil.rmtree(config.hypothesis_home, ignore_errors=True)

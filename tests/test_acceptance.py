@@ -54,8 +54,7 @@ def report(number, name, ok, detail):
 def test_criterion_1_semiclassical_limit():
     g, pot = two_vertex()
     start = time.perf_counter()
-    result = sweep(SweepConfig(g, 1.0, (1e-1, 1e-2, 1e-3, 1e-4),
-                               "scalar", pot))
+    result = sweep(SweepConfig(g, 1.0, (1e-1, 1e-2, 1e-3, 1e-4), pot))
     elapsed = time.perf_counter() - start
     rows_ok = all(r.lower <= r.trace + 1e-9 and r.trace <= r.upper + 1e-9
                   for r in result.rows)
@@ -236,8 +235,7 @@ def test_criterion_8_diamagnetic_and_norm_bound():
 
 def test_criterion_9_weighted_limit():
     g, pot = weyl_path()
-    result = sweep(SweepConfig(g, 1.0, (1e-1, 1e-2, 1e-3, 1e-4),
-                               "scalar", pot))
+    result = sweep(SweepConfig(g, 1.0, (1e-1, 1e-2, 1e-3, 1e-4), pot))
     err = abs(result.rows[-1].trace - 6.0)
     ok = result.classical_value == pytest.approx(6.0, abs=1e-12) and err < 1e-3
     report(9, "measure-weighted classical limit", ok,

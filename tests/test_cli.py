@@ -44,6 +44,26 @@ class TestValidate:
         assert run(cfg, "validate") == 1
         record = json.loads(capsys.readouterr().err.strip())
         assert record["kind"] == "validation"
+        _header, rows = csv_rows(tmp_path / "out" / "violations.csv")
+        assert rows[0].split(",")[:3] == ["0", "1", "unitarity"]
+
+    @pytest.mark.parametrize("subcommand",
+                             ["spectrum", "sweep", "fk-compare", "gt-check"])
+    def test_other_subcommands_reject_bad_connection(self, tmp_path, capsys,
+                                                     subcommand):
+        # symmetrize would hide the non-unitary [[2]] and report numbers
+        cfg = write_config(tmp_path, "c.json", {
+            "graph": {"preset": "two_vertex"},
+            "connection": {"inline": [["a", "b", [[[2.0, 0.0]]]]]},
+            "params": {"samples": 1000},
+            "seed": 1,
+            "output_dir": str(tmp_path / "out"),
+        })
+        assert run(cfg, subcommand) == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["kind"] == "validation"
+        assert "unitarity on edge (a, b)" in record["error"]
+        assert not (tmp_path / "out").exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert run(str(tmp_path / "nope.json"), "validate") == 1
@@ -107,6 +127,32 @@ class TestSweep:
         for r in data:
             _h, trace, lower, upper, _gap = map(float, r.split(","))
             assert lower <= trace + 1e-9 <= upper + 2e-9
+
+    def test_wider_stated_mode_runs_with_derived_mode(self, tmp_path):
+        cfg = write_config(tmp_path, "c.json", {
+            "graph": {"preset": "weyl_path"},
+            "params": {"mode": "covariant"},
+            "output_dir": str(tmp_path / "out"),
+        })
+        assert run(cfg, "sweep") == 0
+        report = (tmp_path / "out" / "report.txt").read_text()
+        assert "mode: scalar" in report
+
+    @pytest.mark.parametrize("mode", ["magnetic", "scalar", "bogus"])
+    def test_narrower_or_unknown_mode_exits_1(self, tmp_path, capsys, mode):
+        swap = [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]
+        cfg = write_config(tmp_path, "c.json", {
+            "graph": {"family": "path", "n": 2},
+            "connection": {"inline": [["v0", "v1", swap]]},
+            "params": {"samples": 1000, "mode": mode},
+            "seed": 1,
+            "output_dir": str(tmp_path / "out"),
+        })
+        for subcommand in ("sweep", "fk-compare", "spectrum"):
+            assert run(cfg, subcommand) == 1, subcommand
+            record = json.loads(capsys.readouterr().err.strip())
+            assert record["kind"] == "validation"
+            assert "'covariant'" in record["error"]
 
     def test_rerun_byte_identical(self, tmp_path):
         cfg = self._config(tmp_path)
@@ -300,6 +346,22 @@ class TestKato:
         assert values[0] >= values[1] >= values[2] >= 0
         report = (tmp_path / "out" / "report.txt").read_text()
         assert "[PASS] monotone in t" in report
+
+    def test_connection_exits_1(self, tmp_path, capsys):
+        # the Kato functional is of the free scalar kernel: a flux through
+        # the cycle must not be dropped silently
+        flux = [["v0", "v1", 1.1], ["v1", "v2", 0.0], ["v2", "v3", 0.0],
+                ["v3", "v0", 0.0]]
+        cfg = write_config(tmp_path, "c.json", {
+            "graph": {"preset": "four_cycle"},
+            "magnetic": {"inline": flux},
+            "output_dir": str(tmp_path / "out"),
+        })
+        assert run(cfg, "kato") == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["kind"] == "validation"
+        assert "scalar" in record["error"]
+        assert not (tmp_path / "out" / "kato.csv").exists()
 
 
 class TestKernel:

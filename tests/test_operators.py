@@ -7,13 +7,14 @@ from graphfk.bundles import (
     Potential,
     connection_from_magnetic,
 )
-from graphfk.errors import DimensionCap, RankMismatch
+from graphfk.errors import DimensionCap, InvalidConnection, RankMismatch
 from graphfk.graphs import build_graph, generate
 from graphfk.operators import (
     apply_formal,
     assemble,
     degree_bound,
     quadratic_form,
+    resolve,
     symmetrize,
 )
 
@@ -50,6 +51,38 @@ class TestAssemble:
         g = generate("path", n=5)
         with pytest.raises(DimensionCap):
             assemble(g, cap=4)
+
+
+class TestResolve:
+    def test_arcs_follow_directed_edges(self, rng):
+        g = random_graph(rng, max_n=7)
+        c = random_connection(g, 2, rng)
+        p = resolve(g, c)
+        arcs = list(zip(p.src.tolist(), p.dst.tolist(), p.w.tolist()))
+        assert arcs == list(g.directed_edges())
+        for e, (i, j, _w) in enumerate(arcs):
+            assert np.array_equal(p.phi[e], c.matrix(i, j))
+            assert (p.src[e ^ 1], p.dst[e ^ 1]) == (j, i)
+
+    def test_defaults_and_modes(self, edge_graph):
+        p = resolve(edge_graph)
+        assert p.mode == "scalar" and p.rank == 1
+        assert np.array_equal(p.potential.values, np.zeros((2, 1, 1)))
+        assert p.phi.dtype == p.potential.values.dtype == np.float64
+        theta = MagneticPotential(edge_graph, {(0, 1): 0.3})
+        assert resolve(edge_graph, connection_from_magnetic(theta)).mode == \
+            "magnetic"
+        p2 = resolve(edge_graph, Connection.identity(edge_graph, 2))
+        assert (p2.mode, p2.rank) == ("covariant", 2)
+        assert p2.potential.values.shape == (2, 2, 2)
+        V2 = Potential(2, np.zeros((2, 2, 2)))
+        assert resolve(edge_graph, None, V2).mode == "covariant"
+
+    def test_rejects_missing_edge_and_wrong_size(self, edge_graph):
+        with pytest.raises(InvalidConnection):
+            resolve(edge_graph, Connection(1, {}))
+        with pytest.raises(RankMismatch):
+            resolve(edge_graph, None, [0.0, 1.0, 2.0])
 
 
 class TestApplyFormal:

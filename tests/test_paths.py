@@ -13,7 +13,7 @@ from graphfk.bundles import (
 )
 from graphfk.errors import BadParams, RankMismatch
 from graphfk.graphs import build_graph, degrees, generate
-from graphfk.operators import assemble
+from graphfk.operators import assemble, resolve
 from graphfk.paths import (
     CHUNK_SIZE,
     PathSample,
@@ -139,14 +139,14 @@ class TestJumpTable:
         # the rounding the table corrects: the centre's raw row ends below 1
         w = np.array([0.1, 0.7, 0.7, 0.7])
         assert np.cumsum(w / degrees(star).deg_1[0])[-1] < 1.0
-        tbl = _JumpTable(star)
+        tbl = _JumpTable(resolve(star))
         assert tbl.cum[0, -1] == 1.0
         assert tbl.nbrs[0].tolist() == [1, 2, 3, 4]
 
     @pytest.mark.parametrize("u, leaf", [(1.0 - 2.0**-53, "l3"),
                                          (0.0, "l0")])
     def test_every_draw_lands_on_a_neighbor(self, star, u, leaf):
-        terminal, _F, N = _path_chunk(_JumpTable(star), 0, 1.0,
+        terminal, _F, N = _path_chunk(_JumpTable(resolve(star)), 0, 1.0,
                                       np.zeros((star.n, 1, 1)), 1,
                                       _StubStream(u))
         assert N.tolist() == [1]

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from graphfk import semiclassics
 from graphfk.bundles import (
+    Connection,
     MagneticPotential,
     Potential,
     connection_from_magnetic,
@@ -56,6 +58,12 @@ class TestSemiclassicalTrace:
                   for h in (0.1, 0.01, 0.001)]
         assert abs(traces[-1] - 5.0) < abs(traces[0] - 5.0)
         assert traces[-1] == pytest.approx(5.0, abs=1e-2)
+
+    def test_potential_and_vector_agree_bit_for_bit(self):
+        # both scale V by hbar in the same (real) arithmetic
+        g, pot = weyl_path()
+        assert semiclassical_trace(g, None, pot, 1.0, 0.1) == \
+            semiclassical_trace(g, None, pot.as_scalar(), 1.0, 0.1)
 
     def test_constant_potential_factors(self, rng):
         g = generate("cycle", n=4)
@@ -131,7 +139,7 @@ class TestGoldenThompson:
 class TestSweep:
     def test_two_vertex_convergence(self):
         g, pot = two_vertex()
-        config = SweepConfig(g, 1.0, (1e-1, 1e-2, 1e-3), "scalar", pot)
+        config = SweepConfig(g, 1.0, (1e-1, 1e-2, 1e-3), pot)
         result = sweep(config)
         gaps = [r.gap for r in result.rows]
         assert gaps[0] > gaps[1] > gaps[2]
@@ -144,24 +152,38 @@ class TestSweep:
         g = generate("cycle", n=4)
         c = random_connection(g, 2, rng)
         V = random_potential(g, 2, rng)
-        config = SweepConfig(g, 1.0, (1e-1, 1e-2), "covariant", V, c)
+        config = SweepConfig(g, 1.0, (1e-1, 1e-2), V, c)
         result = sweep(config)
         for r in result.rows:
             assert r.trace <= result.classical_value + 1e-9
 
     def test_weyl_preset(self):
         g, pot = weyl_path()
-        config = SweepConfig(g, 1.0, (1e-1, 1e-2, 1e-3, 1e-4), "scalar", pot)
+        config = SweepConfig(g, 1.0, (1e-1, 1e-2, 1e-3, 1e-4), pot)
         result = sweep(config)
         assert result.classical_value == pytest.approx(6.0, abs=1e-12)
         assert abs(result.rows[-1].trace - 6.0) < 1e-2
 
+    def test_sandwich_asserted_exactly_when_scalar(self, monkeypatch):
+        # a trace of 0 lies below the lower bound and under the upper one
+        monkeypatch.setattr(semiclassics, "semiclassical_trace",
+                            lambda *args: 0.0)
+        g, pot = weyl_path()
+        with pytest.raises(AssertionError, match="sandwich lower bound"):
+            sweep(SweepConfig(g, 1.0, (1e-1, 1e-2), pot))
+        magnetic = sweep(SweepConfig(g, 1.0, (1e-1, 1e-2), pot,
+                                     Connection.identity(g, 1)))
+        V2 = Potential(2, np.zeros((g.n, 2, 2)))
+        covariant = sweep(SweepConfig(g, 1.0, (1e-1, 1e-2), V2))
+        for result in (magnetic, covariant):
+            assert all(r.lower > r.trace == 0.0 for r in result.rows)
+
     def test_schedule_validation(self):
         g, pot = two_vertex()
         with pytest.raises(BadParams):
-            SweepConfig(g, 1.0, (1e-2, 1e-1), "scalar", pot)
+            SweepConfig(g, 1.0, (1e-2, 1e-1), pot)
         with pytest.raises(BadParams):
-            SweepConfig(g, -1.0, (1e-1,), "scalar", pot)
+            SweepConfig(g, -1.0, (1e-1,), pot)
 
     def test_gap_envelope(self, rng):
         # gap(hbar) <= classical * (1 - e^{-beta hbar C(b,m)}) from the sandwich
@@ -169,7 +191,7 @@ class TestSweep:
         for _ in range(10):
             g = random_graph(rng, max_n=7)
             w = rng.uniform(-1, 1, size=g.n)
-            config = SweepConfig(g, 1.0, (1e-1, 1e-2, 1e-3), "scalar",
+            config = SweepConfig(g, 1.0, (1e-1, 1e-2, 1e-3),
                                  Potential.scalar(w))
             result = sweep(config)
             c_bm = degrees(g).c_bm
@@ -203,7 +225,7 @@ class TestGaugeInvariance:
 
 class TestExhaustionSweep:
     def _config(self, g, w):
-        return SweepConfig(g, 1.0, (1e-1, 1e-2), "scalar", Potential.scalar(w))
+        return SweepConfig(g, 1.0, (1e-1, 1e-2), Potential.scalar(w))
 
     def test_constant_zero_potential(self):
         host = generate("path", n=8)
