@@ -2,26 +2,44 @@
 
 The process jumps from y to a neighbor x' with probability
 b(x', y) / deg_1(y) after an exponential holding time with rate
-deg_m(y).  Along each path we carry the connection parallel transport
-(ordered product of edge unitaries) and the time-ordered exponential of
-the transported potential, which for rank 1 collapses to
-e^{-int_0^t v(X_s) ds}.
+deg_m(y).  A path with holding times s_0..s_N on the chain Y_0..Y_N
+carries the Dyson weight
+
+    F = tr(E_0 Phi_{Y_1,Y_0} E_1 ... Phi_{Y_N,Y_{N-1}} E_N),
+    E_k = exp(-s_k V(Y_k)),
+
+earliest factor leftmost, the order of the Dyson series of e^{-tH};
+for rank 1 with the identity connection it is e^{-int_0^t v(X_s) ds}.
 
 One chunk kernel runs every estimator: the scalar case is rank 1 of the
 covariant one, with the identity connection.  It reads a per-vertex jump
 table sorted from the arcs of one ``operators.Problem``: the rate
 deg_m(y), the neighbors of y in ascending index order, their cumulative
 probabilities cumsum(b(y, .) / deg_1(y)) with the last entry exactly 1,
-and the arc transports Phi_{y,x'}.  A jump from y with a uniform u in
-[0, 1) takes slot count(cum[y] < u), so it always lands on a neighbor,
-and costs O(largest degree), not O(n).
+the back transports Phi_{x',y}, and the eigenbasis
+V(y)/hbar = Q_y diag(lam_y) Q_y^H, diagonalized once per problem.  A
+jump from y with a uniform u in [0, 1) takes slot count(cum[y] < u), so
+it always lands on a neighbor, and costs O(largest degree), not O(n).
+A holding interval multiplies by Q_y diag(e^{-s lam_y}) Q_y^H, an
+elementwise exp at rank 1: no LAPACK call runs in the path loop.
 
-Partition traces are estimated through the unconditioned identity
-sum_x E^x[1_{X_t = x} F] without ever sampling bridge measures.
+Partition traces are estimated per start vertex x as
 
-Random streams are counter-based (Philox) and keyed per
-(seed, start vertex, chunk index) with a fixed chunk size, so results
-are reproducible independent of scheduling and worker count.
+    Z_x = p_0 tr e^{-t V(x)/hbar} + (1 - p_0) E^x[1_{X_t = x} F | N >= 1]
+
+with p_0 = e^{-deg_m(x) t} the probability of no jump.  The first term,
+the paper's semiclassical leading term, is exact; the paths, drawn
+conditioned on at least one jump, estimate only the rest.  The process
+law estimators (``simulate_scalar_paths``, ``estimate_heat_kernel``)
+stay unconditioned.
+
+Random streams are counter-based (Philox).  ``estimate_partition`` lays
+its paths out vertex-major and cuts them into pieces of a fixed chunk
+size; each piece runs in one kernel call over all its start vertices,
+on the stream keyed (seed, piece index), and per-vertex moments merge
+in piece order.  The process-law estimators key their streams per
+(seed, start vertex, chunk index).  Results are reproducible
+independent of scheduling and worker count.
 """
 
 from __future__ import annotations
@@ -42,6 +60,9 @@ CHUNK_SIZE = 8192
 
 _MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
+# estimate_partition's pieces span start vertices: their streams take this
+# lane in place of a start vertex
+_ALL_STARTS = _MASK32
 
 
 def path_stream(seed: int, vertex: int, index: int) -> np.random.Generator:
@@ -91,12 +112,16 @@ class _JumpTable:
     ``rates[y]`` is deg_m(y).  Row y of ``nbrs`` holds the neighbors of y
     in ascending index order, ``cum`` their cumulative probabilities
     cumsum(b(y, .) / deg_1(y)) with the last entry and the padding exactly
-    1, and ``phi`` the transports Phi_{y,x'} of the problem's arcs.
-    A jump from y with uniform u in [0, 1) takes slot count(cum[y] < u).
+    1, and ``phi`` the back transports Phi_{x',y} (the reverse arcs'), the
+    factor a jump y -> x' puts into the Dyson weight.  A jump from y with
+    uniform u in [0, 1) takes slot count(cum[y] < u).  ``lam`` and ``Q``
+    diagonalize V(y) / hbar = Q_y diag(lam_y) Q_y^H (``Qh`` is Q^H); at
+    rank 1 ``lam`` is the value itself and Q is 1.
     """
 
-    def __init__(self, problem: Problem):
+    def __init__(self, problem: Problem, hbar: float = 1.0):
         g, nu = problem.graph, problem.rank
+        self.rank = nu
         deg = degrees(g)
         self.rates = deg.deg_m
         order = np.lexsort((problem.dst, problem.src))
@@ -111,9 +136,16 @@ class _JumpTable:
         self.cum = np.cumsum(P, axis=1)
         # rounding can leave the row total below 1; every draw must land
         self.cum[np.arange(width) >= count[:, None] - 1] = 1.0
-        eye = np.eye(nu, dtype=complex)
+        eye = np.eye(nu, dtype=problem.phi.dtype)
         self.phi = np.broadcast_to(eye, (g.n, width, nu, nu)).copy()
-        self.phi[src, slot] = problem.phi[order]
+        self.phi[src, slot] = problem.phi[order ^ 1]
+        values = problem.potential.scaled(hbar).values
+        if nu == 1:
+            self.lam, self.Q = values[:, 0].real, np.ones((g.n, 1, 1))
+        else:
+            self.lam, self.Q = np.linalg.eigh(values)
+        self.Qh = self.Q.conj().swapaxes(1, 2)
+        self.dtype = np.result_type(self.phi, self.Q)
 
 
 def sample_path(g: WeightedGraph, x: int, t: float,
@@ -160,7 +192,7 @@ def ordered_exponential(path: PathSample, c: Connection, V: Potential,
     Product of interval factors exp(-dt_k B_k) with
     B_k = transport_k^{-1} V(Y_k) transport_k, applied in time order
     (earliest factor rightmost); exact for the piecewise-constant
-    integrand of a jump path.
+    integrand of a jump path.  ``c`` None is the trivial bundle.
     """
     if path.horizon < t:
         raise BadParams("path horizon shorter than requested time")
@@ -180,7 +212,7 @@ def ordered_exponential(path: PathSample, c: Connection, V: Potential,
         if dt > 0:
             B = U.conj().T @ V.values[path.vertices[k]] @ U
             A = _expm_neg_batch(np.array([dt]), B[None], nu)[0] @ A
-        if k + 1 < n_states:
+        if k + 1 < n_states and c is not None:
             U = c.matrix(path.vertices[k], path.vertices[k + 1]) @ U
     return A
 
@@ -213,52 +245,108 @@ def _expm_neg_batch(dt, B, nu):
     return (Q * E[:, None, :]) @ Q.conj().swapaxes(1, 2)
 
 
-def _path_chunk(tbl, start, horizon, Vvals, n_paths, rng):
-    """Simulate a chunk of paths; returns (terminal, tr-values, N).
+def _matmul(A, B):
+    """Stacked A @ B as a sum of nu outer products: for the small nu of a
+    fibre this is several times faster than matmul's per-matrix calls."""
+    return sum(A[:, :, j, None] * B[:, None, j, :] for j in range(A.shape[2]))
 
-    Per path the value is tr(A_t transport_t^{-1}) with A_t the ordered
-    exponential of the transported potential Vvals (n, nu, nu).  For
-    rank 1 with the identity connection it is the Feynman-Kac weight
-    prod_k e^{-v(Y_k) dt_k}.
+
+def _hold(tbl, M, ys, dwell):
+    """M exp(-dwell V(y)) per path, in the eigenbasis of V(y)."""
+    e = np.exp(-dwell[:, None] * tbl.lam[ys])
+    if tbl.rank == 1:
+        return M * e[:, 0]
+    return _matmul(_matmul(M, tbl.Q[ys]) * e[:, None, :], tbl.Qh[ys])
+
+
+def _path_chunk(tbl, start, horizon, rng, loops=False):
+    """Run one path from each entry of ``start``; returns (terminal, F, N).
+
+    F is the path's Dyson weight (module docstring); for rank 1 with the
+    identity connection it is the Feynman-Kac weight prod_k e^{-v(Y_k) s_k}.
+    With ``loops`` the chunk serves the trace estimator: the first holding
+    time is drawn given that it ends before the horizon, so every path
+    jumps at least once (every start then needs a positive rate), and only
+    the paths that end at their start are weighed; F is 0 on the others.
+
+    The jump chain is walked for all paths at once, round by round.  At
+    rank 1 the weights are multiplied in as the paths go; above rank 1
+    each round's holding times and jumps are recorded, and the matrix
+    products are replayed afterwards only for the paths that are weighed.
     """
-    nu = Vvals.shape[1]
-    states = np.full(n_paths, start, dtype=np.int64)
-    t = np.zeros(n_paths)
-    A = np.broadcast_to(np.eye(nu, dtype=complex), (n_paths, nu, nu)).copy()
-    U = np.broadcast_to(np.eye(nu, dtype=complex), (n_paths, nu, nu)).copy()
-    N = np.zeros(n_paths, dtype=np.int64)
-    alive = np.full(n_paths, tbl.rates[start] > 0.0)
-    if horizon <= 0:
-        vals = np.einsum("kij,kji->k", A, np.conj(U).swapaxes(1, 2))
-        return states, vals, N
-    idle = ~alive
-    if np.any(idle):
-        dt0 = np.full(int(idle.sum()), horizon)
-        B = np.broadcast_to(Vvals[start], (dt0.size, nu, nu))
-        A[idle] = _expm_neg_batch(dt0, B, nu) @ A[idle]
-    while np.any(alive):
-        act = np.nonzero(alive)[0]
-        rates = tbl.rates[states[act]]
-        dt = rng.standard_exponential(act.size) / rates
+    nu = tbl.rank
+    states = start.copy()
+    t = np.zeros(start.size)
+    N = np.zeros(start.size, dtype=np.int64)
+    F = np.ones(start.size, dtype=tbl.dtype)  # the weights at rank 1
+    # a path from a vertex of rate 0 holds there up to the horizon
+    idle = np.flatnonzero((horizon > 0) & (tbl.rates[start] == 0.0))
+    if nu == 1:
+        F[idle] = _hold(tbl, F[idle], start[idle], np.full(idle.size, horizon))
+    moving = np.flatnonzero((horizon > 0) & (tbl.rates[start] > 0.0))
+    act = moving
+    rounds = []
+    first = loops
+    while act.size:
+        ys = states[act]
+        rates = tbl.rates[ys]
+        if first:
+            # P(tau <= s | tau < t) = expm1(-rate s) / expm1(-rate t); the
+            # clamp keeps a draw that rounds up to the horizon inside it
+            u = rng.random(act.size)
+            dt = np.minimum(-np.log1p(u * np.expm1(-rates * horizon)) / rates,
+                            np.nextafter(horizon, 0.0))
+            first = False
+        else:
+            dt = rng.standard_exponential(act.size) / rates
         rem = horizon - t[act]
-        dwell = np.minimum(dt, rem)
-        Ua = U[act]
-        B = np.conj(Ua).swapaxes(1, 2) @ Vvals[states[act]] @ Ua
-        A[act] = _expm_neg_batch(dwell, B, nu) @ A[act]
         t[act] += dt
-        crossed = dt >= rem
-        alive[act[crossed]] = False
-        jumpers = act[~crossed]
-        if jumpers.size:
-            ys = states[jumpers]
-            u = rng.random(jumpers.size)
+        jumped = dt < rem
+        dwell = np.minimum(dt, rem)
+        if nu == 1:
+            F[act] = _hold(tbl, F[act], ys, dwell)
+        act = act[jumped]
+        slot = None
+        if act.size:
+            ys = states[act]
+            u = rng.random(act.size)
             slot = (tbl.cum[ys] < u[:, None]).sum(axis=1)
-            U[jumpers] = tbl.phi[ys, slot] @ U[jumpers]
-            states[jumpers] = tbl.nbrs[ys, slot]
-            N[jumpers] += 1
-    # tr(A U^{-1}) = tr(A U^H) for unitary transport
-    vals = np.einsum("kij,kji->k", A, np.conj(U).swapaxes(1, 2))
-    return states, vals, N
+            if nu == 1:
+                F[act] *= tbl.phi[ys, slot, 0, 0]
+            states[act] = tbl.nbrs[ys, slot]
+            N[act] += 1
+        if nu > 1:
+            rounds.append((dwell, jumped, slot))
+    weighed = states == start if loops else np.full(start.size, True)
+    if nu == 1:
+        return states, np.where(weighed, F, 0), N
+    F = np.zeros(start.size, dtype=tbl.dtype)
+    F[weighed] = _weigh(tbl, start, horizon, idle, moving, rounds, weighed)
+    return states, F, N
+
+
+def _weigh(tbl, start, horizon, idle, act, rounds, weighed):
+    """Dyson weights (rank > 1) of the paths marked ``weighed``: the idle
+    paths hold for the horizon, and the rounds of the moving paths
+    ``act`` are replayed."""
+    nu = tbl.rank
+    row = np.cumsum(weighed) - 1  # path -> its row of M and cur
+    cur = start[weighed]  # the vertex each weighed path is at
+    M = np.broadcast_to(np.eye(nu, dtype=tbl.dtype), (cur.size, nu, nu)).copy()
+    r = row[idle]
+    M[r] = _hold(tbl, M[r], cur[r], np.full(r.size, horizon))
+    for dwell, jumped, slot in rounds:
+        keep = weighed[act]
+        r = row[act[keep]]
+        M[r] = _hold(tbl, M[r], cur[r], dwell[keep])
+        act = act[jumped]
+        if not act.size:
+            break
+        keep = weighed[act]
+        r, slot = row[act[keep]], slot[keep]
+        M[r] = _matmul(M[r], tbl.phi[cur[r], slot])
+        cur[r] = tbl.nbrs[cur[r], slot]
+    return np.einsum("kii->k", M)
 
 
 def simulate_scalar_paths(g: WeightedGraph, start: int, t: float,
@@ -269,15 +357,14 @@ def simulate_scalar_paths(g: WeightedGraph, start: int, t: float,
     With v = None the weights F are identically 1 and the output carries
     the pure process law (terminal states and jump counts).
     """
-    problem = resolve(g, None, v)
-    tbl = _JumpTable(problem)
-    V = problem.potential.values
+    tbl = _JumpTable(resolve(g, None, v))
     jobs = _chunk_sizes(samples, chunk)
 
     def run(job):
         ci, size = job
         rng = path_stream(seed, start, ci)
-        terminal, F, N = _path_chunk(tbl, start, t, V, size, rng)
+        starts = np.full(size, start, dtype=np.int64)
+        terminal, F, N = _path_chunk(tbl, starts, t, rng)
         return terminal, F.real, N
 
     parts = _run_jobs(run, jobs, workers)
@@ -297,40 +384,60 @@ def _chunk_sizes(samples, chunk):
 
 
 def _run_jobs(run, jobs, workers):
+    """The results of ``run`` over ``jobs``, yielded in job order."""
     if workers <= 1:
-        return [run(j) for j in jobs]
+        yield from map(run, jobs)
+        return
     with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(run, jobs))
+        yield from ex.map(run, jobs)
+
+
+def _chunk_moments(keys, vals):
+    """(key, count, mean, M2) for each run of equal keys in a sorted chunk.
+
+    ``vals`` holds one column per statistic.  Each run's mean and sum of
+    squared deviations M2 are taken about its first value, so a constant
+    run gives M2 = 0 exactly.
+    """
+    first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    count = np.diff(np.r_[first, keys.size])
+    d = vals - np.repeat(vals[first], count, axis=0)
+    shift = np.add.reduceat(d, first) / count[:, None]
+    m2 = np.add.reduceat((d - np.repeat(shift, count, axis=0)) ** 2, first)
+    return keys[first], count, vals[first] + shift, m2
+
+
+def _merge_moments(size, width, chunks):
+    """(count, mean, M2) per key in range(size), merged over the chunks.
+
+    Chunks combine in their fixed order, as they come, by the pairwise
+    update of Chan, Golub & LeVeque (1983), which avoids the cancellation
+    of the one-pass s2 - n * mean^2.
+    """
+    n = np.zeros(size, dtype=np.int64)
+    mean, m2 = np.zeros((size, width)), np.zeros((size, width))
+    for keys, nb, mb, m2b in chunks:
+        na, nb = n[keys, None], nb[:, None]
+        total = na + nb
+        delta = mb - mean[keys]
+        fresh = na == 0
+        mean[keys] = np.where(fresh, mb, mean[keys] + delta * nb / total)
+        m2[keys] = np.where(fresh, m2b, m2[keys]
+                            + (m2b + delta * delta * na * nb / total))
+        n[keys] = total[:, 0]
+    return n[:, None], mean, m2
 
 
 def _moments(values_by_chunk):
-    """(count, mean, M2) merged over the chunks in their fixed order.
-
-    Each chunk's mean and sum of squared deviations M2 are taken about
-    its first value, so a constant chunk gives M2 = 0 exactly.  Chunks
-    combine by the pairwise update of Chan, Golub & LeVeque (1983), which
-    avoids the cancellation of the one-pass s2 - n * mean^2.
-    """
-    n, mean, m2 = 0, 0.0, 0.0
-    for vals in values_by_chunk:
-        d = vals - vals[0]
-        shift = d.mean()
-        nb = vals.size
-        mb = float(vals[0] + shift)
-        m2b = float(((d - shift) ** 2).sum())
-        if n == 0:
-            n, mean, m2 = nb, mb, m2b
-            continue
-        delta = mb - mean
-        total = n + nb
-        mean += delta * nb / total
-        m2 += m2b + delta * delta * n * nb / total
-        n = total
-    return n, mean, m2
+    """(count, mean, M2) of one sample given in chunks, merged in order."""
+    n, mean, m2 = _merge_moments(1, 1, (
+        _chunk_moments(np.zeros(v.size, dtype=np.int64), v[:, None])
+        for v in values_by_chunk))
+    return int(n[0, 0]), float(mean[0, 0]), float(m2[0, 0])
 
 
 def _mean_se(n, mean, m2):
-    return mean, np.sqrt(m2 / max(n - 1, 1) / n)
+    return mean, np.sqrt(m2 / np.maximum(n - 1, 1) / np.maximum(n, 1))
 
 
 def estimate_heat_kernel(g: WeightedGraph, x: int, y: int, t: float,
@@ -340,13 +447,13 @@ def estimate_heat_kernel(g: WeightedGraph, x: int, y: int, t: float,
     if samples < 100:
         raise BadParams("need at least 100 samples")
     tbl = _JumpTable(resolve(g))
-    zeros = np.zeros((g.n, 1, 1))
     jobs = _chunk_sizes(samples, chunk)
 
     def run(job):
         ci, size = job
         rng = path_stream(seed, x, ci)
-        terminal, _F, _N = _path_chunk(tbl, x, t, zeros, size, rng)
+        starts = np.full(size, x, dtype=np.int64)
+        terminal, _F, _N = _path_chunk(tbl, starts, t, rng)
         return (terminal == y).astype(float)
 
     parts = _run_jobs(run, jobs, workers)
@@ -362,43 +469,47 @@ def estimate_partition(g: WeightedGraph, c: Connection, V, beta: float,
 
     ``c`` and ``V`` are resolved as by ``operators.resolve``, and V / hbar
     is taken in the arithmetic of V's values, as the exact side takes it.
-    ``samples`` paths are run per start vertex; per-vertex contributions
-    E^x[1_{X_t = x} F] with F = tr_x(A_t transport_t^{-1}) are summed in
-    vertex order, and the imaginary part is reported alongside the real
-    one.
+    With t = beta hbar, each vertex x contributes
+
+        Z_x = p_0 tr e^{-t V(x)/hbar} + (1 - p_0) E^x[1_{X_t = x} F | N >= 1],
+
+    p_0 = e^{-deg_m(x) t}: the no-jump term is exact, and ``samples``
+    paths conditioned on a jump estimate the rest, so a vertex of rate 0
+    runs no path and reports its exact term with stderr 0.  The paths of
+    all vertices run vertex-major in pieces of ``chunk`` paths, one kernel
+    call per piece on the stream keyed (seed, piece index); per-vertex
+    moments merge in piece order, so results do not depend on
+    ``workers``.  The Z_x are summed in vertex order, and the imaginary
+    part is reported alongside the real one.
     """
     if beta <= 0 or hbar <= 0:
         raise BadParams("beta and hbar must be positive")
     problem = resolve(g, c, V)
     t = beta * hbar
-    tbl = _JumpTable(problem)
-    Vs = problem.potential.scaled(hbar).values
-    jobs = _chunk_sizes(samples, chunk)
+    tbl = _JumpTable(problem, hbar)
+    p_jump = -np.expm1(-tbl.rates * t)
+    no_jump = np.exp(-tbl.rates * t) * np.exp(-t * tbl.lam).sum(axis=1)
+    live = np.flatnonzero(p_jump > 0.0)
 
     def run(job):
-        x, ci, size = job
-        rng = path_stream(seed, x, ci)
-        terminal, vals, _N = _path_chunk(tbl, x, t, Vs, size, rng)
-        return vals * (terminal == x)
+        ci, size = job
+        start = live[(ci * chunk + np.arange(size)) // samples]
+        rng = path_stream(seed, _ALL_STARTS, ci)
+        _terminal, F, _N = _path_chunk(tbl, start, t, rng, loops=True)
+        return _chunk_moments(start, np.stack([F.real, F.imag], axis=1))
 
-    per_vertex = []
-    means_re, means_im = [], []
-    var_re = var_im = 0.0
-    for x in range(g.n):
-        parts = _run_jobs(run, [(x, ci, size) for ci, size in jobs], workers)
-        m_re, se_re = _mean_se(*_moments([p.real for p in parts]))
-        m_im, se_im = _mean_se(*_moments([p.imag for p in parts]))
-        per_vertex.append((x, m_re, float(se_re)))
-        means_re.append(m_re)
-        means_im.append(m_im)
-        var_re += se_re ** 2
-        var_im += se_im ** 2
+    jobs = _chunk_sizes(live.size * samples, chunk)
+    mean, se = _mean_se(*_merge_moments(g.n, 2, _run_jobs(run, jobs, workers)))
+    # columns: real and imaginary part
+    est = np.stack([no_jump, np.zeros(g.n)], axis=1) + p_jump[:, None] * mean
+    se = p_jump[:, None] * se
     # correctly rounded, as spectral.partition_function sums its terms, so
     # a zero-variance estimate of a trace meets the exact value bit for bit
-    tot_re, tot_im = math.fsum(means_re), math.fsum(means_im)
     return EstimatorReport(
-        tot_re, float(np.sqrt(var_re)), samples * g.n,
-        f"philox(seed={seed})",
-        imag_estimate=tot_im, imag_stderr=float(np.sqrt(var_im)),
-        per_vertex=tuple(per_vertex),
+        math.fsum(est[:, 0].tolist()), float(np.sqrt(np.sum(se[:, 0] ** 2))),
+        samples * g.n, f"philox(seed={seed})",
+        imag_estimate=math.fsum(est[:, 1].tolist()),
+        imag_stderr=float(np.sqrt(np.sum(se[:, 1] ** 2))),
+        per_vertex=tuple(zip(range(g.n), est[:, 0].tolist(),
+                             se[:, 0].tolist())),
     )

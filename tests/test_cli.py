@@ -317,8 +317,10 @@ class TestFkCompare:
             assert "rank-1 potential" in record["error"]
 
     def test_zero_stderr_is_not_a_pass(self, tmp_path):
-        # at hbar = 1e-7 no path jumps: every weight is 1, the stderr 0,
-        # while the exact trace is 4 - 8e-7
+        # at hbar = 1e-7 (t = 1e-7, deg_m = 2) every path conditioned on a
+        # jump jumps once and none returns: the stderr is 0, and the
+        # estimate is the exact no-jump stratum 4 p_0 = 4 - 8t + 8t^2, just
+        # below the exact trace 1 + 2 e^{-2t} + e^{-4t} = 4 - 8t + 12t^2
         cfg = write_config(tmp_path, "c.json", {
             "graph": {"preset": "four_cycle"},
             "params": {"beta": 1.0, "hbar": 1e-7, "samples": 1024},
@@ -327,7 +329,8 @@ class TestFkCompare:
         })
         assert run(cfg, "fk-compare") == 0
         _header, rows = csv_rows(tmp_path / "out" / "fk_compare.csv")
-        assert rows[-1].split(",")[3:] == ["0", "inf"]
+        assert float(rows[-1].split(",")[2]) == 4 * math.exp(-2e-7)
+        assert rows[-1].split(",")[3:] == ["0", "-inf"]
         report = (tmp_path / "out" / "report.txt").read_text()
         assert ("[FAIL] estimate within 3 standard errors: |z| = inf "
                 "(stderr is 0)") in report

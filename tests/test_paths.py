@@ -14,11 +14,17 @@ from graphfk.bundles import (
 from graphfk.errors import BadParams, RankMismatch
 from graphfk.graphs import build_graph, degrees, generate
 from graphfk.operators import assemble, resolve
+from scipy.linalg import expm
+
+from graphfk import paths
 from graphfk.paths import (
     CHUNK_SIZE,
     PathSample,
+    _chunk_moments,
+    _hold,
     _JumpTable,
     _mean_se,
+    _merge_moments,
     _moments,
     _path_chunk,
     estimate_heat_kernel,
@@ -33,7 +39,12 @@ from graphfk.paths import (
 from graphfk.semiclassics import semiclassical_trace
 from graphfk.spectral import eigenvalues, partition_function
 
-from conftest import random_connection, random_graph, random_potential
+from conftest import (
+    random_connection,
+    random_graph,
+    random_potential,
+    random_unitary,
+)
 from graphfk.presets import two_vertex
 
 
@@ -114,19 +125,23 @@ class TestSamplePath:
 
 
 class _StubStream:
-    """A generator stand-in: one jump at time 1e-9 with uniform u, then none."""
+    """A generator stand-in: the standard exponentials ``holds`` in turn,
+    then 1e9 (no further jump), and the uniforms ``u`` in turn, cycled.
+    By default one jump at time 1e-9 with uniform u, then none."""
 
-    def __init__(self, u):
-        self.u = u
-        self.exponentials = 0
+    def __init__(self, u, holds=(1e-9,)):
+        self.u = np.atleast_1d(u)
+        self.holds = list(holds)
+        self.uniforms = 0
 
     def standard_exponential(self, size=None):
-        self.exponentials += 1
-        value = 1e-9 if self.exponentials == 1 else 1e9
+        value = self.holds.pop(0) if self.holds else 1e9
         return value if size is None else np.full(size, value)
 
     def random(self, size=None):
-        return self.u if size is None else np.full(size, self.u)
+        value = self.u[self.uniforms % self.u.size]
+        self.uniforms += 1
+        return value if size is None else np.full(size, value)
 
 
 class TestJumpTable:
@@ -146,13 +161,65 @@ class TestJumpTable:
     @pytest.mark.parametrize("u, leaf", [(1.0 - 2.0**-53, "l3"),
                                          (0.0, "l0")])
     def test_every_draw_lands_on_a_neighbor(self, star, u, leaf):
-        terminal, _F, N = _path_chunk(_JumpTable(resolve(star)), 0, 1.0,
-                                      np.zeros((star.n, 1, 1)), 1,
+        terminal, _F, N = _path_chunk(_JumpTable(resolve(star)),
+                                      np.zeros(1, dtype=np.int64), 1.0,
                                       _StubStream(u))
         assert N.tolist() == [1]
         assert star.labels[terminal[0]] == leaf
         path = sample_path(star, 0, 1.0, _StubStream(u))
         assert [star.labels[v] for v in path.vertices] == ["c", leaf]
+
+
+class TestKernel:
+    def test_dyson_order_on_a_triangle(self, rng):
+        # the Dyson series of e^{-tH} with K(x,y) = b/m(x) Phi_{y,x} weighs
+        # the loop 0 -> 1 -> 2 -> 0 by tr(E_0 Phi_10 E_1 Phi_21 E_2 Phi_02
+        # E_3), earliest factor leftmost; with non-commuting V the reverse
+        # order differs
+        g = generate("cycle", n=3)
+        c = random_connection(g, 2, rng)
+        V = random_potential(g, 2, rng)
+        tbl = _JumpTable(resolve(g, c, V))
+        # rate deg_m = 2: holding times 0.2, 0.3, 0.4 and then 0.3 to t
+        holds, t = (0.4, 0.6, 0.8), 1.2
+        # slots: 0 -> 1 (first of {1, 2}), 1 -> 2, 2 -> 0
+        terminal, F, N = _path_chunk(tbl, np.zeros(1, dtype=np.int64), t,
+                                     _StubStream([0.25, 0.75, 0.25], holds))
+        assert terminal.tolist() == [0] and N.tolist() == [3]
+        E = [expm(-dt * V.values[y]) for dt, y in
+             zip((0.2, 0.3, 0.4, 0.3), (0, 1, 2, 0))]
+        want = np.trace(E[0] @ c.matrix(1, 0) @ E[1] @ c.matrix(2, 1) @ E[2]
+                        @ c.matrix(0, 2) @ E[3])
+        assert abs(F[0] - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("nu", [1, 2, 3])
+    def test_eigenbasis_factor_matches_expm(self, rng, nu):
+        # W^H diag(e^{-dt lam}) W with W = Q^H U is exp(-dt U^H V U / hbar)
+        g = generate("path", n=3)
+        V = random_potential(g, nu, rng)
+        c = random_connection(g, nu, rng)
+        hbar = 0.3
+        tbl = _JumpTable(resolve(g, c, V), hbar)
+        for y in range(g.n):
+            U = random_unitary(rng, nu)
+            dt = float(rng.uniform(0.01, 1.0))
+            M = U.conj().T.reshape(1, nu, nu)
+            if nu == 1:
+                M = M.reshape(1)
+            got = _hold(tbl, M, np.array([y]), np.array([dt]))
+            got = got.reshape(nu, nu) @ U
+            want = expm(-dt * U.conj().T @ V.values[y] @ U / hbar)
+            assert np.abs(got - want).max() <= 1e-13
+
+    def test_conditioned_draw_stays_inside_the_horizon(self):
+        # at rate 1.5 and t = 0.01 the unclamped draw -log1p(u expm1(-rt))/r
+        # rounds up to t for u = 1 - 2^-53, and the path would not jump
+        g = build_graph([("a", "b", 1.5)])
+        terminal, _F, N = _path_chunk(_JumpTable(resolve(g)),
+                                      np.zeros(1, dtype=np.int64), 0.01,
+                                      _StubStream(1.0 - 2.0**-53),
+                                      loops=True)
+        assert N.tolist() == [1] and terminal.tolist() == [1]
 
 
 class TestParallelTransport:
@@ -278,6 +345,18 @@ class TestOrderedExponential:
         with pytest.raises(BadParams):
             ordered_exponential(path, c, V, 1.0)
 
+    def test_trivial_bundle(self):
+        # c = None is the trivial bundle, as in operators.resolve
+        g = generate("path", n=2)
+        V = Potential.scalar([0.1, 0.2])
+        path = sample_path(g, 0, 5.0, path_stream(1, 0, 0))
+        assert path.jumps == 6
+        A = ordered_exponential(path, None, V, 5.0)
+        assert A[0, 0] == ordered_exponential(
+            path, Connection.identity(g, 1), V, 5.0)[0, 0]
+        assert A[0, 0].real == pytest.approx(
+            np.exp(-occupation_integral(path, V, 5.0)), rel=1e-12)
+
     def test_rank_mismatch(self, edge_graph, rng):
         c = random_connection(edge_graph, 3, rng)
         V = random_potential(edge_graph, 2, rng)
@@ -383,6 +462,43 @@ class TestPartitionEstimate:
         assert one.stderr == four.stderr
         assert one.per_vertex == four.per_vertex
 
+    def test_straddling_chunks_worker_invariance(self, rng):
+        # 1000 paths per vertex in pieces of 384: pieces straddle vertices
+        g = generate("cycle", n=3)
+        c = random_connection(g, 2, rng)
+        V = random_potential(g, 2, rng)
+        reports = [estimate_partition(g, c, V, 1.0, 0.5, 1000, seed=68,
+                                      chunk=384, workers=w)
+                   for w in (1, 2, 4)]
+        assert reports[0] == reports[1] == reports[2]
+        assert all(se > 0 for _x, _est, se in reports[0].per_vertex)
+
+    def test_isolated_vertex_is_exact(self, rng):
+        # p_0 = 1 at a vertex of rate 0: its term tr e^{-beta V(x)} is exact
+        g = build_graph([("a", "b", 1.0)], vertices=["a", "b", "c"],
+                        measure=[("c", 1.0)])
+        V = random_potential(g, 2, rng)
+        rep = estimate_partition(g, None, V, 1.0, 0.5, 1000, seed=70)
+        _x, est, se = rep.per_vertex[2]
+        assert se == 0.0
+        assert est == pytest.approx(
+            np.exp(-np.linalg.eigvalsh(V.values[2])).sum(), rel=1e-14)
+
+    def test_no_paths_without_edges(self, monkeypatch):
+        # every vertex has rate 0: the estimate is the exact trace and no
+        # path is run
+        g = build_graph([], vertices=["a", "b"])
+        w = np.array([0.3, -0.4])
+
+        def no_paths(*args, **kwargs):
+            raise AssertionError("a path was run")
+
+        monkeypatch.setattr(paths, "_path_chunk", no_paths)
+        rep = estimate_partition(g, None, w, 1.0, 0.25, 1000, seed=72)
+        exact = semiclassical_trace(g, None, w, 1.0, 0.25)
+        assert rep.estimate == exact
+        assert rep.stderr == 0.0
+
     def test_repeat_run_identical(self):
         g, pot = two_vertex()
         a = estimate_partition(g, None, pot, 1.0, 0.2, 10_000, seed=66)
@@ -415,6 +531,24 @@ class TestMoments:
         mean, se = self._se(np.full(100_000, 0.7))
         assert mean == 0.7
         assert se == 0.0
+
+    def test_per_key_merge_matches_two_pass(self, rng):
+        # vertex-major keys cut into chunks that straddle key runs
+        keys = np.repeat(np.arange(5), [700, 1, 0, 1300, 999])
+        values = rng.exponential(size=keys.size) * (rng.random(keys.size) < 0.3)
+        chunks = [(keys[i:i + 384], values[i:i + 384, None])
+                  for i in range(0, keys.size, 384)]
+        n, mean, m2 = _merge_moments(
+            6, 1, (_chunk_moments(k, v) for k, v in chunks))
+        n, mean, m2 = n[:, 0], mean[:, 0], m2[:, 0]
+        assert n.tolist() == [700, 1, 0, 1300, 999, 0]
+        for key in (0, 3, 4):
+            sample = values[keys == key]
+            assert mean[key] == pytest.approx(sample.mean(), rel=1e-13)
+            assert m2[key] == pytest.approx(
+                ((sample - sample.mean()) ** 2).sum(), rel=1e-12)
+        assert mean[1] == values[700] and m2[1] == 0.0
+        assert mean[2] == mean[5] == 0.0
 
     def test_chunk_merge_matches_two_pass(self, rng):
         values = rng.exponential(size=30_000) * (rng.random(30_000) < 0.3)
