@@ -16,22 +16,28 @@ covariant one, with the identity connection.  It reads a per-vertex jump
 table sorted from the arcs of one ``operators.Problem``: the rate
 deg_m(y), the neighbors of y in ascending index order, their cumulative
 probabilities cumsum(b(y, .) / deg_1(y)) with the last entry exactly 1,
-the back transports Phi_{x',y}, and the eigenbasis
-V(y)/hbar = Q_y diag(lam_y) Q_y^H, diagonalized once per problem.  A
-jump from y with a uniform u in [0, 1) takes slot count(cum[y] < u), so
-it always lands on a neighbor, and costs O(largest degree), not O(n).
-A holding interval multiplies by Q_y diag(e^{-s lam_y}) Q_y^H, an
-elementwise exp at rank 1: no LAPACK call runs in the path loop.
+the eigenbasis V(y)/hbar = Q_y diag(lam_y) Q_y^H, diagonalized once per
+problem, and the jump factors W = Q_y^H Phi_{x',y} Q_{x'} between
+eigenbases.  A jump from y with a uniform u in [0, 1) takes slot
+count(cum[y] < u), so it always lands on a neighbor, and costs O(largest
+degree), not O(n).  A closed path is weighed in the eigenbases: a
+holding interval scales by diag(e^{-s lam_y}) and a jump multiplies by
+one W, so no LAPACK call runs in the path loop, and a holding factor at
+rank 1 is an elementwise exp.
 
 Partition traces are estimated per start vertex x as
 
-    Z_x = p_0 tr e^{-t V(x)/hbar} + (1 - p_0) E^x[1_{X_t = x} F | N >= 1]
+    Z_x = p_0 tr e^{-t V(x)/hbar} + E^x[g 1_{X_t = x} F]
 
 with p_0 = e^{-deg_m(x) t} the probability of no jump.  The first term,
-the paper's semiclassical leading term, is exact; the paths, drawn
-conditioned on at least one jump, estimate only the rest.  The process
-law estimators (``simulate_scalar_paths``, ``estimate_heat_kernel``)
-stay unconditioned.
+the paper's semiclassical leading term, is exact.  A path with one jump
+ends where it cannot start, the graph having no self-loops, so that
+stratum is 0 and the paths skip it: each of the first two holding times
+is drawn given that it ends before the horizon, and the path carries the
+probability g of that pair of events (the forced transitions of Lewis &
+Boehm, Nucl. Eng. Des. 77 (1984) 49).  The process law estimators
+(``simulate_scalar_paths``, ``estimate_heat_kernel``) stay
+unconditioned.
 
 Random streams are counter-based (Philox).  ``estimate_partition`` lays
 its paths out vertex-major and cuts them into pieces of a fixed chunk
@@ -110,13 +116,15 @@ class _JumpTable:
     """Per-vertex jump data, one row per vertex y padded to the largest degree.
 
     ``rates[y]`` is deg_m(y).  Row y of ``nbrs`` holds the neighbors of y
-    in ascending index order, ``cum`` their cumulative probabilities
+    in ascending index order, and ``cum`` their cumulative probabilities
     cumsum(b(y, .) / deg_1(y)) with the last entry and the padding exactly
-    1, and ``phi`` the back transports Phi_{x',y} (the reverse arcs'), the
-    factor a jump y -> x' puts into the Dyson weight.  A jump from y with
-    uniform u in [0, 1) takes slot count(cum[y] < u).  ``lam`` and ``Q``
-    diagonalize V(y) / hbar = Q_y diag(lam_y) Q_y^H (``Qh`` is Q^H); at
-    rank 1 ``lam`` is the value itself and Q is 1.
+    1.  A jump from y with uniform u in [0, 1) takes slot count(cum[y] < u).
+    ``lam`` and the unitaries Q diagonalize V(y) / hbar = Q_y diag(lam_y)
+    Q_y^H, and ``W[:, :, y, k] = Q_y^H Phi_{x',y} Q_{x'}`` is the factor a
+    jump y -> x' = nbrs[y, k] puts into the Dyson weight, with the back
+    transport Phi_{x',y} (the reverse arc's) taken between the two
+    eigenbases; W is stored entry-major, as ``_weigh`` keeps its matrices.
+    At rank 1 ``lam`` is the value itself and ``W`` is Phi.
     """
 
     def __init__(self, problem: Problem, hbar: float = 1.0):
@@ -136,16 +144,19 @@ class _JumpTable:
         self.cum = np.cumsum(P, axis=1)
         # rounding can leave the row total below 1; every draw must land
         self.cum[np.arange(width) >= count[:, None] - 1] = 1.0
+        # its columns but the last, which is 1 and never below a draw
+        self.cols = np.ascontiguousarray(self.cum[:, :-1].T)
         eye = np.eye(nu, dtype=problem.phi.dtype)
-        self.phi = np.broadcast_to(eye, (g.n, width, nu, nu)).copy()
-        self.phi[src, slot] = problem.phi[order ^ 1]
+        phi = np.broadcast_to(eye, (g.n, width, nu, nu)).copy()
+        phi[src, slot] = problem.phi[order ^ 1]
         values = problem.potential.scaled(hbar).values
         if nu == 1:
-            self.lam, self.Q = values[:, 0].real, np.ones((g.n, 1, 1))
+            self.lam, W = values[:, 0].real, phi
         else:
-            self.lam, self.Q = np.linalg.eigh(values)
-        self.Qh = self.Q.conj().swapaxes(1, 2)
-        self.dtype = np.result_type(self.phi, self.Q)
+            self.lam, Q = np.linalg.eigh(values)
+            W = Q.conj().swapaxes(1, 2)[:, None] @ phi @ Q[self.nbrs]
+        self.W = np.ascontiguousarray(np.moveaxis(W, (2, 3), (0, 1)))
+        self.dtype = self.W.dtype
 
 
 def sample_path(g: WeightedGraph, x: int, t: float,
@@ -190,9 +201,11 @@ def ordered_exponential(path: PathSample, c: Connection, V: Potential,
     """Time-ordered exponential of the transported potential up to t.
 
     Product of interval factors exp(-dt_k B_k) with
-    B_k = transport_k^{-1} V(Y_k) transport_k, applied in time order
-    (earliest factor rightmost); exact for the piecewise-constant
-    integrand of a jump path.  ``c`` None is the trivial bundle.
+    B_k = transport_k^{-1} V(Y_k) transport_k, earliest factor leftmost,
+    the order of the Dyson series; exact for the piecewise-constant
+    integrand of a jump path.  With U the ``parallel_transport`` of the
+    path, tr(A U^H) is its Dyson weight F (module docstring).  ``c`` None
+    is the trivial bundle.
     """
     if path.horizon < t:
         raise BadParams("path horizon shorter than requested time")
@@ -211,7 +224,7 @@ def ordered_exponential(path: PathSample, c: Connection, V: Potential,
         dt = t1 - t0
         if dt > 0:
             B = U.conj().T @ V.values[path.vertices[k]] @ U
-            A = _expm_neg_batch(np.array([dt]), B[None], nu)[0] @ A
+            A = A @ _expm_neg_batch(np.array([dt]), B[None], nu)[0]
         if k + 1 < n_states and c is not None:
             U = c.matrix(path.vertices[k], path.vertices[k + 1]) @ U
     return A
@@ -246,17 +259,19 @@ def _expm_neg_batch(dt, B, nu):
 
 
 def _matmul(A, B):
-    """Stacked A @ B as a sum of nu outer products: for the small nu of a
-    fibre this is several times faster than matmul's per-matrix calls."""
-    return sum(A[:, :, j, None] * B[:, None, j, :] for j in range(A.shape[2]))
+    """Stacked A @ B for matrices stored entry-major, shape (nu, nu, k):
+    nu broadcast products over the long last axis, several times faster
+    than matmul's per-matrix calls for the small nu of a fibre."""
+    out = A[:, 0, None] * B[None, 0]
+    for j in range(1, A.shape[1]):
+        out += A[:, j, None] * B[None, j]
+    return out
 
 
-def _hold(tbl, M, ys, dwell):
-    """M exp(-dwell V(y)) per path, in the eigenbasis of V(y)."""
-    e = np.exp(-dwell[:, None] * tbl.lam[ys])
-    if tbl.rank == 1:
-        return M * e[:, 0]
-    return _matmul(_matmul(M, tbl.Q[ys]) * e[:, None, :], tbl.Qh[ys])
+def _hold(tbl, ys, dwell):
+    """e^{-dwell lam_y} per path, shape (paths, nu): the holding factor
+    exp(-dwell V(y)) in the eigenbasis of V(y), a diagonal."""
+    return np.exp(-dwell[:, None] * tbl.lam[ys])
 
 
 def _path_chunk(tbl, start, horizon, rng, loops=False):
@@ -264,89 +279,138 @@ def _path_chunk(tbl, start, horizon, rng, loops=False):
 
     F is the path's Dyson weight (module docstring); for rank 1 with the
     identity connection it is the Feynman-Kac weight prod_k e^{-v(Y_k) s_k}.
-    With ``loops`` the chunk serves the trace estimator: the first holding
-    time is drawn given that it ends before the horizon, so every path
-    jumps at least once (every start then needs a positive rate), and only
-    the paths that end at their start are weighed; F is 0 on the others.
+    Above rank 1 only closed paths, those that end at their start, are
+    weighed, and F is 0 on the others.
+
+    With ``loops`` the chunk serves the trace estimator, and only closed
+    paths are weighed at any rank.  The first two jumps are forced: each of
+    the first two holding times is drawn given that it ends within the time
+    left, r = horizon - (time so far), which happens with probability
+    g_k = 1 - e^{-deg_m r}, and F carries the product g = g_1 g_2.  So
+    every path jumps at least twice (every start needs a positive rate),
+    and E[F] is the contribution of the paths with two jumps or more.
 
     The jump chain is walked for all paths at once, round by round.  At
-    rank 1 the weights are multiplied in as the paths go; above rank 1
-    each round's holding times and jumps are recorded, and the matrix
-    products are replayed afterwards only for the paths that are weighed.
+    rank 1 the weights are multiplied in as the paths go; above rank 1 F
+    carries g alone, each round's holding times and jumps are recorded, and
+    the matrix products are replayed afterwards (``_weigh``) only for the
+    closed paths.
     """
-    nu = tbl.rank
+    nu, width = tbl.rank, tbl.nbrs.shape[1]
     states = start.copy()
     t = np.zeros(start.size)
     N = np.zeros(start.size, dtype=np.int64)
-    F = np.ones(start.size, dtype=tbl.dtype)  # the weights at rank 1
+    # the weights at rank 1; above rank 1 the real factor g alone
+    F = np.ones(start.size, dtype=tbl.dtype if nu == 1 else float)
     # a path from a vertex of rate 0 holds there up to the horizon
     idle = np.flatnonzero((horizon > 0) & (tbl.rates[start] == 0.0))
     if nu == 1:
-        F[idle] = _hold(tbl, F[idle], start[idle], np.full(idle.size, horizon))
+        F[idle] *= _hold(tbl, start[idle], np.full(idle.size, horizon))[:, 0]
     moving = np.flatnonzero((horizon > 0) & (tbl.rates[start] > 0.0))
     act = moving
     rounds = []
-    first = loops
+    forced = 2 if loops else 0
     while act.size:
         ys = states[act]
         rates = tbl.rates[ys]
-        if first:
-            # P(tau <= s | tau < t) = expm1(-rate s) / expm1(-rate t); the
-            # clamp keeps a draw that rounds up to the horizon inside it
+        rem = horizon - t[act]
+        if forced:
+            # P(tau <= s | tau < r) = expm1(-rate s) / expm1(-rate r); the
+            # clamp keeps a draw that rounds up to r inside it
+            g = -np.expm1(-rates * rem)
             u = rng.random(act.size)
-            dt = np.minimum(-np.log1p(u * np.expm1(-rates * horizon)) / rates,
-                            np.nextafter(horizon, 0.0))
-            first = False
+            dt = np.minimum(-np.log1p(-u * g) / rates, np.nextafter(rem, 0.0))
+            F[act] *= g
+            forced -= 1
         else:
             dt = rng.standard_exponential(act.size) / rates
-        rem = horizon - t[act]
         t[act] += dt
         jumped = dt < rem
         dwell = np.minimum(dt, rem)
         if nu == 1:
-            F[act] = _hold(tbl, F[act], ys, dwell)
+            F[act] *= _hold(tbl, ys, dwell)[:, 0]
+        else:
+            held = np.empty(start.size)
+            held[act] = dwell
         act = act[jumped]
-        slot = None
+        took = None
         if act.size:
             ys = states[act]
             u = rng.random(act.size)
-            slot = (tbl.cum[ys] < u[:, None]).sum(axis=1)
+            # count(cum[y] < u), column by column: a row-wise sum over the
+            # short rows costs several times more
+            slot = np.zeros(act.size, dtype=np.int64)
+            for col in tbl.cols:
+                slot += col[ys] < u
+            arc = ys * width + slot  # the flat index of (y, slot)
             if nu == 1:
-                F[act] *= tbl.phi[ys, slot, 0, 0]
-            states[act] = tbl.nbrs[ys, slot]
+                F[act] *= np.take(tbl.W, arc)
+            else:
+                took = np.empty(start.size, dtype=np.int64)
+                took[act] = slot
+            states[act] = np.take(tbl.nbrs, arc)
             N[act] += 1
         if nu > 1:
-            rounds.append((dwell, jumped, slot))
-    weighed = states == start if loops else np.full(start.size, True)
-    if nu == 1:
-        return states, np.where(weighed, F, 0), N
-    F = np.zeros(start.size, dtype=tbl.dtype)
-    F[weighed] = _weigh(tbl, start, horizon, idle, moving, rounds, weighed)
-    return states, F, N
+            rounds.append((held, took))
+    if nu == 1 and not loops:
+        return states, F, N
+    closed = states == start
+    weight = np.where(closed, F, 0).astype(tbl.dtype, copy=False)
+    if nu > 1:
+        paths, trace = _weigh(tbl, start, horizon, idle, N, rounds, closed)
+        weight[paths] *= trace
+    return states, weight, N
 
 
-def _weigh(tbl, start, horizon, idle, act, rounds, weighed):
-    """Dyson weights (rank > 1) of the paths marked ``weighed``: the idle
-    paths hold for the horizon, and the rounds of the moving paths
-    ``act`` are replayed."""
-    nu = tbl.rank
-    row = np.cumsum(weighed) - 1  # path -> its row of M and cur
-    cur = start[weighed]  # the vertex each weighed path is at
-    M = np.broadcast_to(np.eye(nu, dtype=tbl.dtype), (cur.size, nu, nu)).copy()
-    r = row[idle]
-    M[r] = _hold(tbl, M[r], cur[r], np.full(r.size, horizon))
-    for dwell, jumped, slot in rounds:
-        keep = weighed[act]
-        r = row[act[keep]]
-        M[r] = _hold(tbl, M[r], cur[r], dwell[keep])
-        act = act[jumped]
-        if not act.size:
+def _weigh(tbl, start, horizon, idle, N, rounds, closed):
+    """Dyson weights (rank > 1) of the paths marked ``closed``; returns
+    (paths, weights).  ``rounds`` holds, per round of the walk, the
+    holding times and the slots taken, indexed by path.
+
+    The replay runs in the eigenbases of the potential.  M starts at the
+    identity; a hold at y scales its columns by e^{-s lam_y}, and a jump
+    y -> x' multiplies it by W = Q_y^H Phi_{x',y} Q_{x'}, one nu x nu
+    product.  The inner Q_{x'} Q_{x'}^H cancel, and the outer Q_x ... Q_x^H
+    of a path that ends at its start x leave the trace unchanged, so tr M
+    is the weight.  The paths are taken most jumps first, so that those
+    still moving in a round, and those that jump in it, are prefixes; the
+    idle paths, which hold for the horizon and were never in a round, come
+    last.
+    """
+    nu, width = tbl.rank, tbl.nbrs.shape[1]
+    key = N.copy()
+    key[idle] = -1
+    paths = np.flatnonzero(closed)
+    paths = paths[np.argsort(-key[paths], kind="stable")]
+    neg = -key[paths]  # ascending
+
+    def count(i):  # of the paths with key >= i, a prefix
+        return int(np.searchsorted(neg, -i, side="right"))
+
+    cur = start[paths]  # the vertex each path is at
+    # M is stored entry-major, (nu, nu, paths), so that every operation
+    # runs over the long path axis
+    M = np.zeros((nu, nu, paths.size), dtype=tbl.dtype)
+    M[range(nu), range(nu)] = 1.0
+    lo = count(0)
+    M[:, :, lo:] *= _hold(tbl, cur[lo:], np.full(paths.size - lo,
+                                                  horizon)).T[None]
+    for i, (held, took) in enumerate(rounds):
+        moving, jumping = count(i), count(i + 1)
+        if not moving:
             break
-        keep = weighed[act]
-        r, slot = row[act[keep]], slot[keep]
-        M[r] = _matmul(M[r], tbl.phi[cur[r], slot])
-        cur[r] = tbl.nbrs[cur[r], slot]
-    return np.einsum("kii->k", M)
+        e = _hold(tbl, cur[:moving], held[paths[:moving]]).T
+        # the paths that do not jump hold up to the horizon and are done
+        M[:, :, jumping:moving] *= e[None, :, jumping:moving]
+        if not jumping:
+            break
+        # the hold and the jump in one product: M diag(e) W = M (e W)
+        arc = cur[:jumping] * width + took[paths[:jumping]]
+        W = np.take(tbl.W.reshape(nu, nu, -1), arc, axis=2)
+        W *= e[:, None, :jumping]
+        M[:, :, :jumping] = _matmul(M[:, :, :jumping], W)
+        cur[:jumping] = np.take(tbl.nbrs, arc)
+    return paths, np.trace(M)
 
 
 def simulate_scalar_paths(g: WeightedGraph, start: int, t: float,
@@ -372,6 +436,8 @@ def simulate_scalar_paths(g: WeightedGraph, start: int, t: float,
 
 
 def _chunk_sizes(samples, chunk):
+    if chunk < 1:
+        raise BadParams("chunk size must be at least 1")
     jobs = []
     done = 0
     ci = 0
@@ -471,12 +537,16 @@ def estimate_partition(g: WeightedGraph, c: Connection, V, beta: float,
     is taken in the arithmetic of V's values, as the exact side takes it.
     With t = beta hbar, each vertex x contributes
 
-        Z_x = p_0 tr e^{-t V(x)/hbar} + (1 - p_0) E^x[1_{X_t = x} F | N >= 1],
+        Z_x = p_0 tr e^{-t V(x)/hbar} + E^x[g 1_{X_t = x} F],
 
-    p_0 = e^{-deg_m(x) t}: the no-jump term is exact, and ``samples``
-    paths conditioned on a jump estimate the rest, so a vertex of rate 0
-    runs no path and reports its exact term with stderr 0.  The paths of
-    all vertices run vertex-major in pieces of ``chunk`` paths, one kernel
+    p_0 = e^{-deg_m(x) t}.  The no-jump term is exact.  A path that jumps
+    once cannot return, the graph having no self-loops, so the paths are
+    drawn with their first two jumps forced, as by ``_path_chunk`` with
+    ``loops``: g = (1 - e^{-deg_m(x) t})(1 - e^{-deg_m(y) (t - tau_1)}) is
+    the probability of a first jump and, given it at tau_1 to y, of a
+    second, and ``samples`` such paths estimate the rest.  A vertex of rate 0 runs no
+    path and reports its exact term with stderr 0.  The paths of all
+    vertices run vertex-major in pieces of ``chunk`` paths, one kernel
     call per piece on the stream keyed (seed, piece index); per-vertex
     moments merge in piece order, so results do not depend on
     ``workers``.  The Z_x are summed in vertex order, and the imaginary
@@ -484,12 +554,16 @@ def estimate_partition(g: WeightedGraph, c: Connection, V, beta: float,
     """
     if beta <= 0 or hbar <= 0:
         raise BadParams("beta and hbar must be positive")
+    if samples < 2:
+        raise BadParams("need at least 2 samples per vertex for a "
+                        "standard error")
+    if workers < 1:
+        raise BadParams("need at least 1 worker")
     problem = resolve(g, c, V)
     t = beta * hbar
     tbl = _JumpTable(problem, hbar)
-    p_jump = -np.expm1(-tbl.rates * t)
     no_jump = np.exp(-tbl.rates * t) * np.exp(-t * tbl.lam).sum(axis=1)
-    live = np.flatnonzero(p_jump > 0.0)
+    live = np.flatnonzero(tbl.rates * t > 0.0)  # p_0 < 1
 
     def run(job):
         ci, size = job
@@ -501,8 +575,7 @@ def estimate_partition(g: WeightedGraph, c: Connection, V, beta: float,
     jobs = _chunk_sizes(live.size * samples, chunk)
     mean, se = _mean_se(*_merge_moments(g.n, 2, _run_jobs(run, jobs, workers)))
     # columns: real and imaginary part
-    est = np.stack([no_jump, np.zeros(g.n)], axis=1) + p_jump[:, None] * mean
-    se = p_jump[:, None] * se
+    est = np.stack([no_jump, np.zeros(g.n)], axis=1) + mean
     # correctly rounded, as spectral.partition_function sums its terms, so
     # a zero-variance estimate of a trace meets the exact value bit for bit
     return EstimatorReport(

@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from graphfk import fileio
+from graphfk import cli, fileio
 from graphfk.bundles import connection_from_magnetic
 from graphfk.cli import main, run
+from graphfk.paths import EstimatorReport
 from graphfk.presets import four_cycle, two_vertex
 from graphfk.semiclassics import semiclassical_trace
 
@@ -316,11 +317,18 @@ class TestFkCompare:
             assert record["kind"] == "validation"
             assert "rank-1 potential" in record["error"]
 
-    def test_zero_stderr_is_not_a_pass(self, tmp_path):
-        # at hbar = 1e-7 (t = 1e-7, deg_m = 2) every path conditioned on a
-        # jump jumps once and none returns: the stderr is 0, and the
-        # estimate is the exact no-jump stratum 4 p_0 = 4 - 8t + 8t^2, just
-        # below the exact trace 1 + 2 e^{-2t} + e^{-4t} = 4 - 8t + 12t^2
+    def test_zero_stderr_is_not_a_pass(self, tmp_path, monkeypatch):
+        # an estimate that states stderr 0 and misses the exact trace: here
+        # the no-jump stratum 4 p_0 = 4 e^{-2t} alone (t = 1e-7, deg_m = 2),
+        # just below the exact trace 1 + 2 e^{-2t} + e^{-4t} = 4 - 8t + 12t^2
+        p0 = math.exp(-2e-7)
+
+        def zero_stderr(g, *args, **kwargs):
+            return EstimatorReport(4 * p0, 0.0, 1024 * g.n, "stub",
+                                   per_vertex=tuple((x, p0, 0.0)
+                                                    for x in range(g.n)))
+
+        monkeypatch.setattr(cli, "estimate_partition", zero_stderr)
         cfg = write_config(tmp_path, "c.json", {
             "graph": {"preset": "four_cycle"},
             "params": {"beta": 1.0, "hbar": 1e-7, "samples": 1024},
@@ -329,11 +337,28 @@ class TestFkCompare:
         })
         assert run(cfg, "fk-compare") == 0
         _header, rows = csv_rows(tmp_path / "out" / "fk_compare.csv")
-        assert float(rows[-1].split(",")[2]) == 4 * math.exp(-2e-7)
+        assert float(rows[-1].split(",")[2]) == 4 * p0
         assert rows[-1].split(",")[3:] == ["0", "-inf"]
+        assert all(row.split(",")[3:] == ["0", "-inf"] for row in rows[:-1])
         report = (tmp_path / "out" / "report.txt").read_text()
         assert ("[FAIL] estimate within 3 standard errors: |z| = inf "
                 "(stderr is 0)") in report
+
+    @pytest.mark.parametrize("samples", [0, 1, -5])
+    def test_too_few_samples_exit_1(self, tmp_path, capsys, samples):
+        # fewer than 2 paths per vertex give no standard error
+        cfg = write_config(tmp_path, "c.json", {
+            "graph": {"preset": "four_cycle"},
+            "params": {"samples": samples},
+            "seed": 1,
+            "output_dir": str(tmp_path / "out"),
+        })
+        assert run(cfg, "fk-compare") == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        record = json.loads(err.strip().splitlines()[-1])
+        assert record["kind"] == "validation"
+        assert "samples" in record["error"]
 
 
 class TestKato:

@@ -43,7 +43,6 @@ from conftest import (
     random_connection,
     random_graph,
     random_potential,
-    random_unitary,
 )
 from graphfk.presets import two_vertex
 
@@ -170,6 +169,23 @@ class TestJumpTable:
         assert [star.labels[v] for v in path.vertices] == ["c", leaf]
 
 
+def _triangle(rng, nu):
+    """The 3-cycle, rate deg_m = 2 at every vertex, with a random
+    connection and potential of rank ``nu``.  The uniforms 0.25, 0.75,
+    0.25 walk it 0 -> 1 -> 2 -> 0: 0 -> 1 is the first slot of {1, 2},
+    1 -> 2 the second of {0, 2} and 2 -> 0 the first of {0, 1}."""
+    g = generate("cycle", n=3)
+    return g, random_connection(g, nu, rng), random_potential(g, nu, rng)
+
+
+def _dyson_product(c, V, holds, walk):
+    """tr(E_0 Phi_{Y_1,Y_0} E_1 ... E_N), multiplied out directly."""
+    A = expm(-holds[0] * V.values[walk[0]])
+    for dt, y, ynext in zip(holds[1:], walk, walk[1:]):
+        A = A @ c.matrix(ynext, y) @ expm(-dt * V.values[ynext])
+    return np.trace(A)
+
+
 class TestKernel:
     def test_dyson_order_on_a_triangle(self, rng):
         # the Dyson series of e^{-tH} with K(x,y) = b/m(x) Phi_{y,x} weighs
@@ -192,34 +208,86 @@ class TestKernel:
                         @ c.matrix(0, 2) @ E[3])
         assert abs(F[0] - want) <= 1e-12 * abs(want)
 
+    def test_single_path_weight_on_a_triangle(self, rng):
+        # the single-path API on the same path: tr(A U^H), with A the ordered
+        # exponential and U the parallel transport, is the kernel's F
+        g, c, V = _triangle(rng, 2)
+        t = 1.2
+        _terminal, F, _N = _path_chunk(_JumpTable(resolve(g, c, V)),
+                                       np.zeros(1, dtype=np.int64), t,
+                                       _StubStream([0.25, 0.75, 0.25],
+                                                   (0.4, 0.6, 0.8)))
+        path = PathSample(0, t, (0, 1, 2, 0), (0.0, 0.2, 0.5, 0.9))
+        A = ordered_exponential(path, c, V, t)
+        single = np.trace(A @ parallel_transport(path, c).conj().T)
+        assert abs(single - F[0]) <= 1e-12 * abs(F[0])
+
+    @pytest.mark.parametrize("nu", [1, 2])
+    def test_forced_pair_weight(self, rng, nu):
+        # loops: the first two holding times are drawn inside the time left
+        # r, with P(tau <= s) = expm1(-2 s) / expm1(-2 r), and F is the
+        # path's Dyson weight times g = (1 - e^{-2t})(1 - e^{-2(t - 0.2)}),
+        # the probability that both fall inside
+        g, c, V = _triangle(rng, nu)
+        tbl = _JumpTable(resolve(g, c, V))
+        t = 1.2
+        u1 = math.expm1(-2 * 0.2) / math.expm1(-2 * t)
+        u2 = math.expm1(-2 * 0.3) / math.expm1(-2 * (t - 0.2))
+        # then the unforced holding time 0.4 and no further jump
+        stream = _StubStream([u1, 0.25, u2, 0.75, 0.25], holds=(0.8,))
+        terminal, F, N = _path_chunk(tbl, np.zeros(1, dtype=np.int64), t,
+                                     stream, loops=True)
+        assert terminal.tolist() == [0] and N.tolist() == [3]
+        weight = -math.expm1(-2 * t) * -math.expm1(-2 * (t - 0.2))
+        want = weight * _dyson_product(c, V, (0.2, 0.3, 0.4, 0.3),
+                                       (0, 1, 2, 0))
+        assert abs(F[0] - want) <= 1e-12 * abs(want)
+
     @pytest.mark.parametrize("nu", [1, 2, 3])
     def test_eigenbasis_factor_matches_expm(self, rng, nu):
-        # W^H diag(e^{-dt lam}) W with W = Q^H U is exp(-dt U^H V U / hbar)
+        # W[:, :, y, k] = Q_y^H Phi_{x',y} Q_{x'}, and a hold is the diagonal
+        # e^{-dt lam_y}: Q_y diag(e^{-dt lam_y}) Q_y^H is exp(-dt V(y) / hbar)
         g = generate("path", n=3)
         V = random_potential(g, nu, rng)
         c = random_connection(g, nu, rng)
         hbar = 0.3
         tbl = _JumpTable(resolve(g, c, V), hbar)
+        lam, Q = np.linalg.eigh(V.values / hbar)
+        assert np.array_equal(tbl.lam, lam)
         for y in range(g.n):
-            U = random_unitary(rng, nu)
+            nbrs = [x for x in range(g.n) if g.weight(y, x) > 0]
+            for k, x in enumerate(nbrs):
+                assert tbl.nbrs[y, k] == x
+                want = Q[y].conj().T @ c.matrix(x, y) @ Q[x]
+                assert np.abs(tbl.W[:, :, y, k] - want).max() <= 1e-13
             dt = float(rng.uniform(0.01, 1.0))
-            M = U.conj().T.reshape(1, nu, nu)
-            if nu == 1:
-                M = M.reshape(1)
-            got = _hold(tbl, M, np.array([y]), np.array([dt]))
-            got = got.reshape(nu, nu) @ U
-            want = expm(-dt * U.conj().T @ V.values[y] @ U / hbar)
-            assert np.abs(got - want).max() <= 1e-13
+            e = _hold(tbl, np.array([y]), np.array([dt]))[0]
+            got = (Q[y] * e) @ Q[y].conj().T
+            want = expm(-dt * V.values[y] / hbar)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_idle_path_holds_for_the_horizon(self, rng):
+        # above rank 1 the idle path is weighed beside moving ones
+        g = build_graph([("a", "b", 1.0)], vertices=["a", "b", "c"],
+                        measure=[("c", 1.0)])
+        V = random_potential(g, 2, rng)
+        tbl = _JumpTable(resolve(g, None, V))
+        _terminal, F, N = _path_chunk(tbl, np.array([2, 0, 2]), 0.7,
+                                      path_stream(3, 0, 0))
+        want = np.trace(expm(-0.7 * V.values[2]))
+        assert N[0] == N[2] == 0
+        assert abs(F[0] - want) <= 1e-13 * abs(want) and F[2] == F[0]
 
     def test_conditioned_draw_stays_inside_the_horizon(self):
         # at rate 1.5 and t = 0.01 the unclamped draw -log1p(u expm1(-rt))/r
-        # rounds up to t for u = 1 - 2^-53, and the path would not jump
+        # rounds up to t for u = 1 - 2^-53, and the path would not jump;
+        # clamped, the second forced draw also lands inside the time left
         g = build_graph([("a", "b", 1.5)])
         terminal, _F, N = _path_chunk(_JumpTable(resolve(g)),
                                       np.zeros(1, dtype=np.int64), 0.01,
                                       _StubStream(1.0 - 2.0**-53),
                                       loops=True)
-        assert N.tolist() == [1] and terminal.tolist() == [1]
+        assert N.tolist() == [2] and terminal.tolist() == [0]
 
 
 class TestParallelTransport:
@@ -267,7 +335,7 @@ def _dyson_truncation(path, c, V, t, order=4):
 
     For interval-constant integrands B_1..B_M the n-th simplex integral
     splits into compositions n = p_M + ... + p_1 with weight
-    prod_m Delta_m^{p_m} / p_m!, factors applied latest-leftmost.
+    prod_m Delta_m^{p_m} / p_m!, factors applied earliest-leftmost.
     """
     nu = V.rank
     # interval data: (duration, transported potential)
@@ -292,7 +360,7 @@ def _dyson_truncation(path, c, V, t, order=4):
         term = np.eye(nu, dtype=complex)
         for (dt, B), p in zip(intervals, powers):
             fac = np.linalg.matrix_power(-dt * B, p) / math.factorial(p)
-            term = fac @ term
+            term = term @ fac
         total += term
     return total
 
@@ -512,6 +580,28 @@ class TestPartitionEstimate:
         with pytest.raises(RankMismatch):
             estimate_partition(edge_graph, Connection.identity(edge_graph, 2),
                                np.zeros(2), 1.0, 1.0, 1000, seed=69)
+
+    @pytest.mark.parametrize("kw", [dict(samples=1), dict(samples=0),
+                                    dict(samples=-5), dict(workers=0),
+                                    dict(workers=-2), dict(chunk=0),
+                                    dict(chunk=-1)])
+    def test_ignored_inputs_rejected(self, edge_graph, kw):
+        # one sample has no standard error, and a chunk size below 1 never
+        # advances the chunk loop
+        args = dict(samples=1000, chunk=CHUNK_SIZE, workers=1) | kw
+        with pytest.raises(BadParams):
+            estimate_partition(edge_graph, None, np.zeros(2), 1.0, 1.0,
+                               seed=73, **args)
+
+    @pytest.mark.parametrize("chunk", [0, -1])
+    def test_process_law_estimators_reject_empty_chunks(self, edge_graph,
+                                                        chunk):
+        with pytest.raises(BadParams):
+            simulate_scalar_paths(edge_graph, 0, 1.0, 1000, seed=74,
+                                  chunk=chunk)
+        with pytest.raises(BadParams):
+            estimate_heat_kernel(edge_graph, 0, 0, 1.0, 1000, seed=75,
+                                 chunk=chunk)
 
 
 class TestMoments:
