@@ -20,14 +20,14 @@ the eigenbasis V(y)/hbar = Q_y diag(lam_y) Q_y^H, diagonalized once per
 problem, and the jump factors W = Q_y^H Phi_{x',y} Q_{x'} between
 eigenbases.  A jump from y with a uniform u in [0, 1) takes slot
 count(cum[y] < u), so it always lands on a neighbor, and costs O(largest
-degree), not O(n).  A closed path is weighed in the eigenbases: a
-holding interval scales by diag(e^{-s lam_y}) and a jump multiplies by
-one W, so no LAPACK call runs in the path loop, and a holding factor at
-rank 1 is an elementwise exp.
+degree), not O(n).  Paths are weighed in the eigenbases: a holding
+interval scales by diag(e^{-s lam_y}) and a jump multiplies by one W, so
+no LAPACK call runs in the path loop, and a holding factor at rank 1 is
+an elementwise exp.
 
 Partition traces are estimated per start vertex x as
 
-    Z_x = p_0 tr e^{-t V(x)/hbar} + E^x[g 1_{X_t = x} F]
+    Z_x = p_0 tr e^{-t V(x)/hbar} + E^x[S],   E^x[S] = E^x[g 1_{X_t = x} F]
 
 with p_0 = e^{-deg_m(x) t} the probability of no jump.  The first term,
 the paper's semiclassical leading term, is exact.  A path with one jump
@@ -35,9 +35,19 @@ ends where it cannot start, the graph having no self-loops, so that
 stratum is 0 and the paths skip it: each of the first two holding times
 is drawn given that it ends before the horizon, and the path carries the
 probability g of that pair of events (the forced transitions of Lewis &
-Boehm, Nucl. Eng. Des. 77 (1984) 49).  The process law estimators
-(``simulate_scalar_paths``, ``estimate_heat_kernel``) stay
-unconditioned.
+Boehm, Nucl. Eng. Des. 77 (1984) 49).  A path is not scored by whether
+it happens to end at x.  Each of its jumps k >= 2 from a neighbor y of x
+scores, in S, the weight of the return it could have made: the
+probability p(y -> x) of jumping to x times the probability
+e^{-deg_m(x) r} of then staying there for the time r left, times the
+Dyson weight of that return.  This is the expected-value (next-event)
+estimator of Spanier & Gelbard, Monte Carlo Principles and Neutron
+Transport Problems (1969), ch. 3: each term is the conditional
+expectation, given the path up to the time of its k-th jump, of the
+weight of the paths that end at x with exactly k jumps, so E[S] is
+unchanged, and the Bernoulli noise of the indicator is gone.  The
+process law estimators (``simulate_scalar_paths``,
+``estimate_heat_kernel``) stay unconditioned.
 
 Random streams are counter-based (Philox).  ``estimate_partition`` lays
 its paths out vertex-major and cuts them into pieces of a fixed chunk
@@ -125,6 +135,14 @@ class _JumpTable:
     transport Phi_{x',y} (the reverse arc's) taken between the two
     eigenbases; W is stored entry-major, as ``_weigh`` keeps its matrices.
     At rank 1 ``lam`` is the value itself and ``W`` is Phi.
+
+    ``PW`` is W times the jump probability b(x', y) / deg_1(y), the factor
+    of a return y -> x that is scored, not taken.  Its slots are flat,
+    y * width + k, 0 on the padding, and one 0 follows the last, which a
+    return from a non-neighbor of x reads.  ``ncols`` holds the columns of
+    ``nbrs`` with the padding set to n, so that the slot of x in row y is
+    count(nbrs[y] < x).  ``stay`` is lam + deg_m: held at x for a time r
+    without a jump, a path gains e^{-r stay[x]} in the eigenbasis.
     """
 
     def __init__(self, problem: Problem, hbar: float = 1.0):
@@ -146,6 +164,8 @@ class _JumpTable:
         self.cum[np.arange(width) >= count[:, None] - 1] = 1.0
         # its columns but the last, which is 1 and never below a draw
         self.cols = np.ascontiguousarray(self.cum[:, :-1].T)
+        pad = np.arange(width) >= count[:, None]
+        self.ncols = np.ascontiguousarray(np.where(pad, g.n, self.nbrs).T)
         eye = np.eye(nu, dtype=problem.phi.dtype)
         phi = np.broadcast_to(eye, (g.n, width, nu, nu)).copy()
         phi[src, slot] = problem.phi[order ^ 1]
@@ -156,6 +176,9 @@ class _JumpTable:
             self.lam, Q = np.linalg.eigh(values)
             W = Q.conj().swapaxes(1, 2)[:, None] @ phi @ Q[self.nbrs]
         self.W = np.ascontiguousarray(np.moveaxis(W, (2, 3), (0, 1)))
+        PW = (self.W * P).reshape(nu, nu, -1)
+        self.PW = np.concatenate([PW, np.zeros((nu, nu, 1), PW.dtype)], axis=2)
+        self.stay = self.lam + self.rates[:, None]
         self.dtype = self.W.dtype
 
 
@@ -268,10 +291,15 @@ def _matmul(A, B):
     return out
 
 
+def _exp_take(values, ys, scale):
+    """exp(-scale_k values[ys_k]) per path, shape (paths, nu)."""
+    return np.exp(-scale[:, None] * np.take(values, ys, axis=0))
+
+
 def _hold(tbl, ys, dwell):
     """e^{-dwell lam_y} per path, shape (paths, nu): the holding factor
     exp(-dwell V(y)) in the eigenbasis of V(y), a diagonal."""
-    return np.exp(-dwell[:, None] * tbl.lam[ys])
+    return _exp_take(tbl.lam, ys, dwell)
 
 
 def _path_chunk(tbl, start, horizon, rng, loops=False):
@@ -282,19 +310,29 @@ def _path_chunk(tbl, start, horizon, rng, loops=False):
     Above rank 1 only closed paths, those that end at their start, are
     weighed, and F is 0 on the others.
 
-    With ``loops`` the chunk serves the trace estimator, and only closed
-    paths are weighed at any rank.  The first two jumps are forced: each of
-    the first two holding times is drawn given that it ends within the time
-    left, r = horizon - (time so far), which happens with probability
-    g_k = 1 - e^{-deg_m r}, and F carries the product g = g_1 g_2.  So
-    every path jumps at least twice (every start needs a positive rate),
-    and E[F] is the contribution of the paths with two jumps or more.
+    With ``loops`` the chunk serves the trace estimator and returns the
+    next-event score S of each path in place of F.  The first two jumps
+    are forced: each of the first two holding times is drawn given that it
+    ends within the time left, r = horizon - (time so far), which happens
+    with probability g_k = 1 - e^{-deg_m r}, and the path carries the
+    product g = g_1 g_2.  So every path jumps at least twice (every start
+    needs a positive rate).  Each jump k >= 2, at tau_k from a neighbor y
+    of the start x, scores the return it could have made:
+
+        g p(y -> x) e^{-deg_m(x) r} tr(M_k Phi_{x,y} e^{-r V(x)}),
+
+    with r = horizon - tau_k, p(y -> x) = b(x, y) / deg_1(y) and M_k the
+    Dyson product up to tau_k.  Given the path up to tau_k, that is the
+    expected weight of the paths whose k-th jump lands on x and that stay
+    there: so E[S] = E[g 1_{X_t = x} F], the contribution of the paths with
+    two jumps or more, with no Bernoulli noise from the indicator.  The
+    path itself walks on as drawn.
 
     The jump chain is walked for all paths at once, round by round.  At
-    rank 1 the weights are multiplied in as the paths go; above rank 1 F
-    carries g alone, each round's holding times and jumps are recorded, and
-    the matrix products are replayed afterwards (``_weigh``) only for the
-    closed paths.
+    rank 1 the weights, and the scores, are multiplied in as the paths go;
+    above rank 1 the walk carries g alone, each round's holding times and
+    jumps are recorded, and the matrix products are replayed afterwards
+    (``_weigh``).
     """
     nu, width = tbl.rank, tbl.nbrs.shape[1]
     states = start.copy()
@@ -302,6 +340,7 @@ def _path_chunk(tbl, start, horizon, rng, loops=False):
     N = np.zeros(start.size, dtype=np.int64)
     # the weights at rank 1; above rank 1 the real factor g alone
     F = np.ones(start.size, dtype=tbl.dtype if nu == 1 else float)
+    S = np.zeros(start.size, dtype=tbl.dtype)
     # a path from a vertex of rate 0 holds there up to the horizon
     idle = np.flatnonzero((horizon > 0) & (tbl.rates[start] == 0.0))
     if nu == 1:
@@ -310,18 +349,18 @@ def _path_chunk(tbl, start, horizon, rng, loops=False):
     act = moving
     rounds = []
     forced = 2 if loops else 0
+    i = 0  # the round, and the jump it makes is jump i + 1
     while act.size:
         ys = states[act]
         rates = tbl.rates[ys]
         rem = horizon - t[act]
-        if forced:
+        if i < forced:
             # P(tau <= s | tau < r) = expm1(-rate s) / expm1(-rate r); the
             # clamp keeps a draw that rounds up to r inside it
             g = -np.expm1(-rates * rem)
             u = rng.random(act.size)
             dt = np.minimum(-np.log1p(-u * g) / rates, np.nextafter(rem, 0.0))
             F[act] *= g
-            forced -= 1
         else:
             dt = rng.standard_exponential(act.size) / rates
         t[act] += dt
@@ -336,6 +375,10 @@ def _path_chunk(tbl, start, horizon, rng, loops=False):
         took = None
         if act.size:
             ys = states[act]
+            if loops and nu == 1 and i:
+                # jump 2 or later: score the return to the start
+                S[act] += _return_score(tbl, F[act][None, None], ys,
+                                        start[act], horizon - t[act])
             u = rng.random(act.size)
             # count(cum[y] < u), column by column: a row-wise sum over the
             # short rows costs several times more
@@ -352,19 +395,39 @@ def _path_chunk(tbl, start, horizon, rng, loops=False):
             N[act] += 1
         if nu > 1:
             rounds.append((held, took))
-    if nu == 1 and not loops:
-        return states, F, N
-    closed = states == start
-    weight = np.where(closed, F, 0).astype(tbl.dtype, copy=False)
-    if nu > 1:
-        paths, trace = _weigh(tbl, start, horizon, idle, N, rounds, closed)
-        weight[paths] *= trace
-    return states, weight, N
+        i += 1
+    if nu == 1:
+        return states, S if loops else F, N
+    # above rank 1 S takes the scores, or without loops (F is 1 there) the
+    # weights of the closed paths
+    paths = moving if loops else np.flatnonzero(states == start)
+    paths, weight = _weigh(tbl, start, horizon, idle, N, rounds, paths,
+                           loops)
+    S[paths] = F[paths] * weight
+    return states, S, N
 
 
-def _weigh(tbl, start, horizon, idle, N, rounds, closed):
-    """Dyson weights (rank > 1) of the paths marked ``closed``; returns
-    (paths, weights).  ``rounds`` holds, per round of the walk, the
+def _return_score(tbl, M, ys, x, r):
+    """sum_ab M_ab (P W)_ba e^{-r (lam_{x,a} + deg_m(x))} per path, for M
+    stored entry-major: tr M times the return ys -> x and a hold at x for
+    the time r left without a jump, 0 where ys is not a neighbor of x."""
+    n, width = tbl.nbrs.shape
+    # the slot of x in row ys is count(nbrs[ys] < x), column by column; a
+    # full row of neighbors below x counts to width, and x is not among them
+    slot = np.zeros(ys.size, dtype=np.int64)
+    for col in tbl.ncols:
+        slot += col[ys] < x
+    slot = np.minimum(slot, width - 1)
+    near = np.take(tbl.ncols, slot * n + ys) == x
+    # a non-neighbor of x reads the 0 after the last slot
+    PW = np.take(tbl.PW, np.where(near, ys * width + slot, n * width), axis=2)
+    PW *= _exp_take(tbl.stay, x, r).T
+    return np.einsum("abk,bak->k", M, PW)
+
+
+def _weigh(tbl, start, horizon, idle, N, rounds, paths, score):
+    """Dyson weights (rank > 1) of ``paths``; returns (paths, weights) in
+    the order replayed.  ``rounds`` holds, per round of the walk, the
     holding times and the slots taken, indexed by path.
 
     The replay runs in the eigenbases of the potential.  M starts at the
@@ -372,22 +435,34 @@ def _weigh(tbl, start, horizon, idle, N, rounds, closed):
     y -> x' multiplies it by W = Q_y^H Phi_{x',y} Q_{x'}, one nu x nu
     product.  The inner Q_{x'} Q_{x'}^H cancel, and the outer Q_x ... Q_x^H
     of a path that ends at its start x leave the trace unchanged, so tr M
-    is the weight.  The paths are taken most jumps first, so that those
-    still moving in a round, and those that jump in it, are prefixes; the
-    idle paths, which hold for the horizon and were never in a round, come
-    last.
+    is the weight of a closed path.
+
+    With ``score`` the weight is instead the sum of the next-event scores
+    of ``_path_chunk``, without g: a jump k >= 2 from a neighbor y of x,
+    with M held at y up to tau_k and r = horizon - tau_k left, adds
+
+        sum_ab M_ab (P W)_ba e^{-r (lam_{x,a} + deg_m(x))},
+
+    the trace of M times the return y -> x and a hold at x up to the
+    horizon without a jump, nu^2 products; it too ends at x.  A path's
+    replay then ends at its last jump, and the nu x nu product of a jump
+    runs only for the paths that jump again.
+
+    The paths are taken most jumps first, so that those still moving in a
+    round, and those that jump in it, are prefixes; the idle paths, which
+    hold for the horizon and were never in a round, come last.
     """
     nu, width = tbl.rank, tbl.nbrs.shape[1]
     key = N.copy()
     key[idle] = -1
-    paths = np.flatnonzero(closed)
     paths = paths[np.argsort(-key[paths], kind="stable")]
     neg = -key[paths]  # ascending
 
     def count(i):  # of the paths with key >= i, a prefix
         return int(np.searchsorted(neg, -i, side="right"))
 
-    cur = start[paths]  # the vertex each path is at
+    x = start[paths]
+    cur = x.copy()  # the vertex each path is at
     # M is stored entry-major, (nu, nu, paths), so that every operation
     # runs over the long path axis
     M = np.zeros((nu, nu, paths.size), dtype=tbl.dtype)
@@ -395,22 +470,38 @@ def _weigh(tbl, start, horizon, idle, N, rounds, closed):
     lo = count(0)
     M[:, :, lo:] *= _hold(tbl, cur[lo:], np.full(paths.size - lo,
                                                   horizon)).T[None]
+    tau = np.zeros(paths.size)
+    total = np.zeros(paths.size, dtype=tbl.dtype)
     for i, (held, took) in enumerate(rounds):
-        moving, jumping = count(i), count(i + 1)
-        if not moving:
+        jumping = count(i + 1)
+        # the paths that do not jump hold up to the horizon and are done;
+        # a scored path is done at its last jump
+        done = jumping if score else count(i)
+        if not done:
             break
-        e = _hold(tbl, cur[:moving], held[paths[:moving]]).T
-        # the paths that do not jump hold up to the horizon and are done
-        M[:, :, jumping:moving] *= e[None, :, jumping:moving]
+        s = held[paths[:done]]
+        e = _hold(tbl, cur[:done], s).T
+        M[:, :, :done] *= e[None]
         if not jumping:
             break
-        # the hold and the jump in one product: M diag(e) W = M (e W)
-        arc = cur[:jumping] * width + took[paths[:jumping]]
-        W = np.take(tbl.W.reshape(nu, nu, -1), arc, axis=2)
-        W *= e[:, None, :jumping]
-        M[:, :, :jumping] = _matmul(M[:, :, :jumping], W)
-        cur[:jumping] = np.take(tbl.nbrs, arc)
-    return paths, np.trace(M)
+        again = jumping
+        if score:
+            tau[:jumping] += s
+            if i:
+                total[:jumping] += _return_score(
+                    tbl, M[:, :, :jumping], cur[:jumping], x[:jumping],
+                    horizon - tau[:jumping])
+            again = count(i + 2)
+        arc = cur[:again] * width + took[paths[:again]]
+        if i:
+            W = np.take(tbl.W.reshape(nu, nu, -1), arc, axis=2)
+            M[:, :, :again] = _matmul(M[:, :, :again], W)
+        else:  # M is the diagonal diag(e): M W is W with rows scaled by e
+            np.take(tbl.W.reshape(nu, nu, -1), arc, axis=2, mode="clip",
+                    out=M[:, :, :again])
+            M[:, :, :again] *= e[:, None, :again]
+        cur[:again] = np.take(tbl.nbrs, arc)
+    return paths, total if score else np.trace(M)
 
 
 def simulate_scalar_paths(g: WeightedGraph, start: int, t: float,
@@ -421,6 +512,10 @@ def simulate_scalar_paths(g: WeightedGraph, start: int, t: float,
     With v = None the weights F are identically 1 and the output carries
     the pure process law (terminal states and jump counts).
     """
+    if samples < 1:
+        raise BadParams("need at least 1 sample")
+    if workers < 1:
+        raise BadParams("need at least 1 worker")
     tbl = _JumpTable(resolve(g, None, v))
     jobs = _chunk_sizes(samples, chunk)
 
@@ -512,6 +607,8 @@ def estimate_heat_kernel(g: WeightedGraph, x: int, y: int, t: float,
     """Empirical frequency of X_t = y started at x; targets p(t,x,y) m(y)."""
     if samples < 100:
         raise BadParams("need at least 100 samples")
+    if workers < 1:
+        raise BadParams("need at least 1 worker")
     tbl = _JumpTable(resolve(g))
     jobs = _chunk_sizes(samples, chunk)
 
@@ -537,20 +634,24 @@ def estimate_partition(g: WeightedGraph, c: Connection, V, beta: float,
     is taken in the arithmetic of V's values, as the exact side takes it.
     With t = beta hbar, each vertex x contributes
 
-        Z_x = p_0 tr e^{-t V(x)/hbar} + E^x[g 1_{X_t = x} F],
+        Z_x = p_0 tr e^{-t V(x)/hbar} + E^x[S],
 
     p_0 = e^{-deg_m(x) t}.  The no-jump term is exact.  A path that jumps
     once cannot return, the graph having no self-loops, so the paths are
     drawn with their first two jumps forced, as by ``_path_chunk`` with
     ``loops``: g = (1 - e^{-deg_m(x) t})(1 - e^{-deg_m(y) (t - tau_1)}) is
     the probability of a first jump and, given it at tau_1 to y, of a
-    second, and ``samples`` such paths estimate the rest.  A vertex of rate 0 runs no
-    path and reports its exact term with stderr 0.  The paths of all
-    vertices run vertex-major in pieces of ``chunk`` paths, one kernel
-    call per piece on the stream keyed (seed, piece index); per-vertex
-    moments merge in piece order, so results do not depend on
-    ``workers``.  The Z_x are summed in vertex order, and the imaginary
-    part is reported alongside the real one.
+    second.  Each path is scored by S, the sum over its jumps k >= 2 from
+    a neighbor of x of the weight of the return to x it could have made
+    there and then, in place of the indicator 1_{X_t = x}: by the tower
+    property E^x[S] = E^x[g 1_{X_t = x} F], the weight of the paths with
+    two jumps or more that end at x, and ``samples`` such paths estimate
+    it.  A vertex of rate 0 runs no path and reports its exact term with
+    stderr 0.  The paths of all vertices run vertex-major in pieces of
+    ``chunk`` paths, one kernel call per piece on the stream keyed (seed,
+    piece index); per-vertex moments merge in piece order, so results do
+    not depend on ``workers``.  The Z_x are summed in vertex order, and
+    the imaginary part is reported alongside the real one.
     """
     if beta <= 0 or hbar <= 0:
         raise BadParams("beta and hbar must be positive")

@@ -225,23 +225,51 @@ class TestKernel:
     @pytest.mark.parametrize("nu", [1, 2])
     def test_forced_pair_weight(self, rng, nu):
         # loops: the first two holding times are drawn inside the time left
-        # r, with P(tau <= s) = expm1(-2 s) / expm1(-2 r), and F is the
-        # path's Dyson weight times g = (1 - e^{-2t})(1 - e^{-2(t - 0.2)}),
-        # the probability that both fall inside
+        # r, with P(tau <= s) = expm1(-2 s) / expm1(-2 r), and the path
+        # carries g = (1 - e^{-2t})(1 - e^{-2(t - 0.2)}), the probability
+        # that both fall inside.  The walk 0 -> 1 -> 2 -> 0 jumps at 0.2,
+        # 0.5 and 0.9; jumps 2 and 3 leave neighbors of 0 and score the
+        # return they could have made, with probability 1/2, staying at 0
+        # up to t = 1.2 with probability e^{-2 r}
         g, c, V = _triangle(rng, nu)
         tbl = _JumpTable(resolve(g, c, V))
         t = 1.2
         u1 = math.expm1(-2 * 0.2) / math.expm1(-2 * t)
         u2 = math.expm1(-2 * 0.3) / math.expm1(-2 * (t - 0.2))
-        # then the unforced holding time 0.4 and no further jump
-        stream = _StubStream([u1, 0.25, u2, 0.75, 0.25], holds=(0.8,))
-        terminal, F, N = _path_chunk(tbl, np.zeros(1, dtype=np.int64), t,
-                                     stream, loops=True)
-        assert terminal.tolist() == [0] and N.tolist() == [3]
         weight = -math.expm1(-2 * t) * -math.expm1(-2 * (t - 0.2))
-        want = weight * _dyson_product(c, V, (0.2, 0.3, 0.4, 0.3),
-                                       (0, 1, 2, 0))
-        assert abs(F[0] - want) <= 1e-12 * abs(want)
+        from1 = weight * 0.5 * math.exp(-2 * 0.7) * _dyson_product(
+            c, V, (0.2, 0.3, 0.7), (0, 1, 0))
+        from2 = weight * 0.5 * math.exp(-2 * 0.3) * _dyson_product(
+            c, V, (0.2, 0.3, 0.4, 0.3), (0, 1, 2, 0))
+        # without and with the unforced holding time 0.4 before jump 3
+        for holds, want in (((), from1), ((0.8,), from1 + from2)):
+            stream = _StubStream([u1, 0.25, u2, 0.75, 0.25], holds)
+            terminal, S, N = _path_chunk(tbl, np.zeros(1, dtype=np.int64), t,
+                                         stream, loops=True)
+            assert N.tolist() == [2 + len(holds)]
+            assert terminal.tolist() == [[2], [0]][len(holds)]
+            assert abs(S[0] - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("nu", [1, 2])
+    @pytest.mark.parametrize("x, u", [(0, 1.0 - 2.0**-53), (4, 0.0)])
+    def test_jumps_away_from_the_start_score_zero(self, rng, nu, x, u):
+        # on the path 0 - 1 - 2 - 3 - 4 the walk from an end makes four
+        # jumps away from it; only jump 2 leaves a neighbor of the start,
+        # and jumps 3 and 4 add exactly 0
+        g = generate("path", n=5)
+        tbl = _JumpTable(resolve(g, random_connection(g, nu, rng),
+                                 random_potential(g, nu, rng)))
+        scores = []
+        for holds in ((), (0.1, 0.1)):
+            # the forced holding times take 0.5 and every jump u, the
+            # highest or the lowest slot
+            stream = _StubStream([0.5, u, 0.5, u, u, u], holds)
+            terminal, S, N = _path_chunk(tbl, np.array([x]), 1.0, stream,
+                                         loops=True)
+            assert N.tolist() == [2 + len(holds)]
+            assert terminal.tolist() == [abs(x - 2 - len(holds))]
+            scores.append(S[0])
+        assert scores[0] != 0 and scores[1] == scores[0]
 
     @pytest.mark.parametrize("nu", [1, 2, 3])
     def test_eigenbasis_factor_matches_expm(self, rng, nu):
@@ -602,6 +630,24 @@ class TestPartitionEstimate:
         with pytest.raises(BadParams):
             estimate_heat_kernel(edge_graph, 0, 0, 1.0, 1000, seed=75,
                                  chunk=chunk)
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_process_law_estimators_reject_no_workers(self, edge_graph,
+                                                      workers):
+        # a worker count below 1 used to run serially without a word
+        with pytest.raises(BadParams):
+            simulate_scalar_paths(edge_graph, 0, 1.0, 1000, seed=76,
+                                  workers=workers)
+        with pytest.raises(BadParams):
+            estimate_heat_kernel(edge_graph, 0, 0, 1.0, 1000, seed=77,
+                                 workers=workers)
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_simulate_scalar_paths_rejects_no_samples(self, edge_graph,
+                                                      samples):
+        # it used to return (), which no caller can unpack into three arrays
+        with pytest.raises(BadParams):
+            simulate_scalar_paths(edge_graph, 0, 1.0, samples, seed=1)
 
 
 class TestMoments:
