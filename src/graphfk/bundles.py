@@ -187,17 +187,14 @@ def spectral_floor(V: Potential) -> Potential:
     _check_hermitian(V)
     if V.rank == 1:
         return Potential.scalar(V.as_scalar())
-    w = np.array([np.linalg.eigvalsh(V.values[i])[0] for i in range(V.n)])
-    return Potential.scalar(w)
+    return Potential.scalar(np.linalg.eigvalsh(V.values)[:, 0])
 
 
 def decompose_potential(V: Potential):
     """Fiberwise spectral split V = V_plus - V_minus with V_pm >= 0."""
     _check_hermitian(V)
-    plus = np.empty_like(V.values)
-    minus = np.empty_like(V.values)
-    for i in range(V.n):
-        lam, U = np.linalg.eigh(V.values[i])
-        plus[i] = (U * np.clip(lam, 0.0, None)) @ U.conj().T
-        minus[i] = (U * np.clip(-lam, 0.0, None)) @ U.conj().T
+    lam, U = np.linalg.eigh(V.values)
+    Uh = U.conj().swapaxes(1, 2)
+    plus = (U * np.clip(lam, 0.0, None)[:, None]) @ Uh
+    minus = (U * np.clip(-lam, 0.0, None)[:, None]) @ Uh
     return Potential(V.rank, plus), Potential(V.rank, minus)

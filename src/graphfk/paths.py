@@ -45,16 +45,19 @@ estimator of Spanier & Gelbard, Monte Carlo Principles and Neutron
 Transport Problems (1969), ch. 3: each term is the conditional
 expectation, given the path up to the time of its k-th jump, of the
 weight of the paths that end at x with exactly k jumps, so E[S] is
-unchanged, and the Bernoulli noise of the indicator is gone.  The
-process law estimators (``simulate_scalar_paths``,
-``estimate_heat_kernel``) stay unconditioned.
+unchanged, and the Bernoulli noise of the indicator is gone.
+
+The process-law estimators run at rank 1, unconditioned:
+``simulate_scalar_paths`` returns each path's terminal vertex,
+Feynman-Kac weight and jump count, and ``estimate_heat_kernel`` counts
+the terminal vertices of that walk.
 
 Random streams are counter-based (Philox).  ``estimate_partition`` lays
 its paths out vertex-major and cuts them into pieces of a fixed chunk
 size; each piece runs in one kernel call over all its start vertices,
 on the stream keyed (seed, piece index), and per-vertex moments merge
-in piece order.  The process-law estimators key their streams per
-(seed, start vertex, chunk index).  Results are reproducible
+in piece order.  ``simulate_scalar_paths`` keys its streams per (seed,
+start vertex, chunk index).  Results are reproducible
 independent of scheduling and worker count.
 """
 
@@ -68,7 +71,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bundles import Connection, Potential
-from .errors import BadParams, MissingEdgeMatrix, RankMismatch
+from .errors import BadParams, MissingEdgeMatrix, RankMismatch, UnknownIndex
 from .graphs import WeightedGraph, degrees
 from .operators import Problem, resolve
 
@@ -305,10 +308,10 @@ def _hold(tbl, ys, dwell):
 def _path_chunk(tbl, start, horizon, rng, loops=False):
     """Run one path from each entry of ``start``; returns (terminal, F, N).
 
-    F is the path's Dyson weight (module docstring); for rank 1 with the
-    identity connection it is the Feynman-Kac weight prod_k e^{-v(Y_k) s_k}.
-    Above rank 1 only closed paths, those that end at their start, are
-    weighed, and F is 0 on the others.
+    At rank 1, F is the path's Dyson weight (module docstring), with the
+    identity connection the Feynman-Kac weight prod_k e^{-v(Y_k) s_k}.
+    Above rank 1 the kernel serves the trace estimator alone, called with
+    ``loops``.
 
     With ``loops`` the chunk serves the trace estimator and returns the
     next-event score S of each path in place of F.  The first two jumps
@@ -341,9 +344,9 @@ def _path_chunk(tbl, start, horizon, rng, loops=False):
     # the weights at rank 1; above rank 1 the real factor g alone
     F = np.ones(start.size, dtype=tbl.dtype if nu == 1 else float)
     S = np.zeros(start.size, dtype=tbl.dtype)
-    # a path from a vertex of rate 0 holds there up to the horizon
-    idle = np.flatnonzero((horizon > 0) & (tbl.rates[start] == 0.0))
     if nu == 1:
+        # a path from a vertex of rate 0 holds there up to the horizon
+        idle = np.flatnonzero((horizon > 0) & (tbl.rates[start] == 0.0))
         F[idle] *= _hold(tbl, start[idle], np.full(idle.size, horizon))[:, 0]
     moving = np.flatnonzero((horizon > 0) & (tbl.rates[start] > 0.0))
     act = moving
@@ -398,12 +401,8 @@ def _path_chunk(tbl, start, horizon, rng, loops=False):
         i += 1
     if nu == 1:
         return states, S if loops else F, N
-    # above rank 1 S takes the scores, or without loops (F is 1 there) the
-    # weights of the closed paths
-    paths = moving if loops else np.flatnonzero(states == start)
-    paths, weight = _weigh(tbl, start, horizon, idle, N, rounds, paths,
-                           loops)
-    S[paths] = F[paths] * weight
+    paths, score = _weigh(tbl, start, horizon, N, rounds, moving)
+    S[paths] = F[paths] * score
     return states, S, N
 
 
@@ -425,40 +424,34 @@ def _return_score(tbl, M, ys, x, r):
     return np.einsum("abk,bak->k", M, PW)
 
 
-def _weigh(tbl, start, horizon, idle, N, rounds, paths, score):
-    """Dyson weights (rank > 1) of ``paths``; returns (paths, weights) in
-    the order replayed.  ``rounds`` holds, per round of the walk, the
-    holding times and the slots taken, indexed by path.
+def _weigh(tbl, start, horizon, N, rounds, paths):
+    """Next-event scores (rank > 1) of ``paths``, without g; returns
+    (paths, scores) in the order replayed.  ``rounds`` holds, per round of
+    the walk, the holding times and the slots taken, indexed by path.
 
     The replay runs in the eigenbases of the potential.  M starts at the
     identity; a hold at y scales its columns by e^{-s lam_y}, and a jump
     y -> x' multiplies it by W = Q_y^H Phi_{x',y} Q_{x'}, one nu x nu
-    product.  The inner Q_{x'} Q_{x'}^H cancel, and the outer Q_x ... Q_x^H
-    of a path that ends at its start x leave the trace unchanged, so tr M
-    is the weight of a closed path.
-
-    With ``score`` the weight is instead the sum of the next-event scores
-    of ``_path_chunk``, without g: a jump k >= 2 from a neighbor y of x,
-    with M held at y up to tau_k and r = horizon - tau_k left, adds
+    product, in which the inner Q_{x'} Q_{x'}^H cancel.  A jump k >= 2
+    from a neighbor y of the start x, with M held at y up to tau_k and
+    r = horizon - tau_k left, adds
 
         sum_ab M_ab (P W)_ba e^{-r (lam_{x,a} + deg_m(x))},
 
     the trace of M times the return y -> x and a hold at x up to the
-    horizon without a jump, nu^2 products; it too ends at x.  A path's
-    replay then ends at its last jump, and the nu x nu product of a jump
-    runs only for the paths that jump again.
+    horizon without a jump, nu^2 products; the path it closes ends at x,
+    so the outer Q_x ... Q_x^H leave the trace unchanged.  A path's replay
+    ends at its last jump, and the nu x nu product of a jump runs only for
+    the paths that jump again.
 
-    The paths are taken most jumps first, so that those still moving in a
-    round, and those that jump in it, are prefixes; the idle paths, which
-    hold for the horizon and were never in a round, come last.
+    The paths are taken most jumps first, so that those that jump in a
+    round, and those that jump again, are prefixes.
     """
     nu, width = tbl.rank, tbl.nbrs.shape[1]
-    key = N.copy()
-    key[idle] = -1
-    paths = paths[np.argsort(-key[paths], kind="stable")]
-    neg = -key[paths]  # ascending
+    paths = paths[np.argsort(-N[paths], kind="stable")]
+    neg = -N[paths]  # ascending
 
-    def count(i):  # of the paths with key >= i, a prefix
+    def count(i):  # of the paths with N >= i, a prefix
         return int(np.searchsorted(neg, -i, side="right"))
 
     x = start[paths]
@@ -467,31 +460,22 @@ def _weigh(tbl, start, horizon, idle, N, rounds, paths, score):
     # runs over the long path axis
     M = np.zeros((nu, nu, paths.size), dtype=tbl.dtype)
     M[range(nu), range(nu)] = 1.0
-    lo = count(0)
-    M[:, :, lo:] *= _hold(tbl, cur[lo:], np.full(paths.size - lo,
-                                                  horizon)).T[None]
     tau = np.zeros(paths.size)
     total = np.zeros(paths.size, dtype=tbl.dtype)
     for i, (held, took) in enumerate(rounds):
+        # a path is done at its last jump
         jumping = count(i + 1)
-        # the paths that do not jump hold up to the horizon and are done;
-        # a scored path is done at its last jump
-        done = jumping if score else count(i)
-        if not done:
-            break
-        s = held[paths[:done]]
-        e = _hold(tbl, cur[:done], s).T
-        M[:, :, :done] *= e[None]
         if not jumping:
             break
-        again = jumping
-        if score:
-            tau[:jumping] += s
-            if i:
-                total[:jumping] += _return_score(
-                    tbl, M[:, :, :jumping], cur[:jumping], x[:jumping],
-                    horizon - tau[:jumping])
-            again = count(i + 2)
+        s = held[paths[:jumping]]
+        e = _hold(tbl, cur[:jumping], s).T
+        M[:, :, :jumping] *= e[None]
+        tau[:jumping] += s
+        if i:
+            total[:jumping] += _return_score(
+                tbl, M[:, :, :jumping], cur[:jumping], x[:jumping],
+                horizon - tau[:jumping])
+        again = count(i + 2)
         arc = cur[:again] * width + took[paths[:again]]
         if i:
             W = np.take(tbl.W.reshape(nu, nu, -1), arc, axis=2)
@@ -501,7 +485,7 @@ def _weigh(tbl, start, horizon, idle, N, rounds, paths, score):
                     out=M[:, :, :again])
             M[:, :, :again] *= e[:, None, :again]
         cur[:again] = np.take(tbl.nbrs, arc)
-    return paths, total if score else np.trace(M)
+    return paths, total
 
 
 def simulate_scalar_paths(g: WeightedGraph, start: int, t: float,
@@ -512,6 +496,10 @@ def simulate_scalar_paths(g: WeightedGraph, start: int, t: float,
     With v = None the weights F are identically 1 and the output carries
     the pure process law (terminal states and jump counts).
     """
+    if t < 0:
+        raise BadParams("horizon must be nonnegative")
+    if not 0 <= start < g.n:
+        raise UnknownIndex(f"start vertex {start} not in graph")
     if samples < 1:
         raise BadParams("need at least 1 sample")
     if workers < 1:
@@ -604,23 +592,20 @@ def _mean_se(n, mean, m2):
 def estimate_heat_kernel(g: WeightedGraph, x: int, y: int, t: float,
                          samples: int, seed: int, chunk: int = CHUNK_SIZE,
                          workers: int = 1) -> EstimatorReport:
-    """Empirical frequency of X_t = y started at x; targets p(t,x,y) m(y)."""
+    """Empirical frequency of X_t = y started at x; targets p(t,x,y) m(y).
+
+    The walk is that of ``simulate_scalar_paths``; its hits merge chunk by
+    chunk.
+    """
     if samples < 100:
         raise BadParams("need at least 100 samples")
-    if workers < 1:
-        raise BadParams("need at least 1 worker")
-    tbl = _JumpTable(resolve(g))
-    jobs = _chunk_sizes(samples, chunk)
-
-    def run(job):
-        ci, size = job
-        rng = path_stream(seed, x, ci)
-        starts = np.full(size, x, dtype=np.int64)
-        terminal, _F, _N = _path_chunk(tbl, starts, t, rng)
-        return (terminal == y).astype(float)
-
-    parts = _run_jobs(run, jobs, workers)
-    mean, se = _mean_se(*_moments(parts))
+    if not 0 <= y < g.n:
+        raise UnknownIndex(f"vertex {y} not in graph")
+    terminal, _F, _N = simulate_scalar_paths(g, x, t, samples, seed,
+                                             chunk=chunk, workers=workers)
+    hits = (terminal == y).astype(float)
+    mean, se = _mean_se(*_moments(np.split(hits, range(chunk, samples,
+                                                        chunk))))
     return EstimatorReport(mean, float(se), samples, f"philox(seed={seed})")
 
 

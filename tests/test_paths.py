@@ -11,7 +11,7 @@ from graphfk.bundles import (
     connection_from_magnetic,
     spectral_floor,
 )
-from graphfk.errors import BadParams, RankMismatch
+from graphfk.errors import BadParams, RankMismatch, UnknownIndex
 from graphfk.graphs import build_graph, degrees, generate
 from graphfk.operators import assemble, resolve
 from scipy.linalg import expm
@@ -187,40 +187,18 @@ def _dyson_product(c, V, holds, walk):
 
 
 class TestKernel:
-    def test_dyson_order_on_a_triangle(self, rng):
-        # the Dyson series of e^{-tH} with K(x,y) = b/m(x) Phi_{y,x} weighs
-        # the loop 0 -> 1 -> 2 -> 0 by tr(E_0 Phi_10 E_1 Phi_21 E_2 Phi_02
-        # E_3), earliest factor leftmost; with non-commuting V the reverse
-        # order differs
-        g = generate("cycle", n=3)
-        c = random_connection(g, 2, rng)
-        V = random_potential(g, 2, rng)
-        tbl = _JumpTable(resolve(g, c, V))
-        # rate deg_m = 2: holding times 0.2, 0.3, 0.4 and then 0.3 to t
-        holds, t = (0.4, 0.6, 0.8), 1.2
-        # slots: 0 -> 1 (first of {1, 2}), 1 -> 2, 2 -> 0
-        terminal, F, N = _path_chunk(tbl, np.zeros(1, dtype=np.int64), t,
-                                     _StubStream([0.25, 0.75, 0.25], holds))
-        assert terminal.tolist() == [0] and N.tolist() == [3]
-        E = [expm(-dt * V.values[y]) for dt, y in
-             zip((0.2, 0.3, 0.4, 0.3), (0, 1, 2, 0))]
-        want = np.trace(E[0] @ c.matrix(1, 0) @ E[1] @ c.matrix(2, 1) @ E[2]
-                        @ c.matrix(0, 2) @ E[3])
-        assert abs(F[0] - want) <= 1e-12 * abs(want)
-
     def test_single_path_weight_on_a_triangle(self, rng):
-        # the single-path API on the same path: tr(A U^H), with A the ordered
-        # exponential and U the parallel transport, is the kernel's F
+        # the single-path API on the loop 0 -> 1 -> 2 -> 0: tr(A U^H), with A
+        # the ordered exponential and U the parallel transport, is the Dyson
+        # weight tr(E_0 Phi_10 E_1 Phi_21 E_2 Phi_02 E_3), earliest factor
+        # leftmost; with non-commuting V the reverse order differs
         g, c, V = _triangle(rng, 2)
         t = 1.2
-        _terminal, F, _N = _path_chunk(_JumpTable(resolve(g, c, V)),
-                                       np.zeros(1, dtype=np.int64), t,
-                                       _StubStream([0.25, 0.75, 0.25],
-                                                   (0.4, 0.6, 0.8)))
         path = PathSample(0, t, (0, 1, 2, 0), (0.0, 0.2, 0.5, 0.9))
         A = ordered_exponential(path, c, V, t)
         single = np.trace(A @ parallel_transport(path, c).conj().T)
-        assert abs(single - F[0]) <= 1e-12 * abs(F[0])
+        want = _dyson_product(c, V, (0.2, 0.3, 0.4, 0.3), (0, 1, 2, 0))
+        assert abs(single - want) <= 1e-12 * abs(want)
 
     @pytest.mark.parametrize("nu", [1, 2])
     def test_forced_pair_weight(self, rng, nu):
@@ -294,17 +272,16 @@ class TestKernel:
             want = expm(-dt * V.values[y] / hbar)
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
-    def test_idle_path_holds_for_the_horizon(self, rng):
-        # above rank 1 the idle path is weighed beside moving ones
+    def test_idle_scalar_path_holds_for_the_horizon(self):
+        # a path from a vertex of rate 0 never jumps and carries the
+        # Feynman-Kac weight of holding there up to t
         g = build_graph([("a", "b", 1.0)], vertices=["a", "b", "c"],
                         measure=[("c", 1.0)])
-        V = random_potential(g, 2, rng)
-        tbl = _JumpTable(resolve(g, None, V))
-        _terminal, F, N = _path_chunk(tbl, np.array([2, 0, 2]), 0.7,
-                                      path_stream(3, 0, 0))
-        want = np.trace(expm(-0.7 * V.values[2]))
-        assert N[0] == N[2] == 0
-        assert abs(F[0] - want) <= 1e-13 * abs(want) and F[2] == F[0]
+        v = np.array([0.3, -0.2, 0.9])
+        terminal, F, N = simulate_scalar_paths(g, 2, 0.7, 5, seed=3, v=v)
+        assert terminal.tolist() == [2] * 5 and N.tolist() == [0] * 5
+        want = math.exp(-0.7 * 0.9)
+        assert np.abs(F - want).max() <= 1e-15 * want
 
     def test_conditioned_draw_stays_inside_the_horizon(self):
         # at rate 1.5 and t = 0.01 the unclamped draw -log1p(u expm1(-rt))/r
@@ -641,6 +618,27 @@ class TestPartitionEstimate:
         with pytest.raises(BadParams):
             estimate_heat_kernel(edge_graph, 0, 0, 1.0, 1000, seed=77,
                                  workers=workers)
+
+    def test_simulate_scalar_paths_rejects_negative_horizon(self,
+                                                            edge_graph):
+        # it used to return the t = 0 law: F = 1 and N = 0
+        with pytest.raises(BadParams):
+            simulate_scalar_paths(edge_graph, 0, -1.0, 3, seed=1,
+                                  v=np.array([0.3, 0.5]))
+
+    @pytest.mark.parametrize("x", [2, -1])
+    def test_simulate_scalar_paths_rejects_unknown_start(self, edge_graph,
+                                                         x):
+        # 2 raised an IndexError in the kernel, and -1 walked from vertex 1
+        # but reported -1 as the end of a path that did not jump
+        with pytest.raises(UnknownIndex):
+            simulate_scalar_paths(edge_graph, x, 1.0, 3, seed=1)
+
+    @pytest.mark.parametrize("y", [7, -1])
+    def test_heat_kernel_rejects_unknown_target(self, edge_graph, y):
+        # 7 was reported as 0.0 with stderr 0
+        with pytest.raises(UnknownIndex):
+            estimate_heat_kernel(edge_graph, 0, y, 1.0, 100, seed=1)
 
     @pytest.mark.parametrize("samples", [0, -3])
     def test_simulate_scalar_paths_rejects_no_samples(self, edge_graph,
