@@ -32,14 +32,9 @@ from .operators import (
 )
 from .paths import (
     EstimatorReport,
-    PathSample,
     estimate_heat_kernel,
     estimate_partition,
-    occupation_integral,
-    ordered_exponential,
-    parallel_transport,
     path_stream,
-    sample_path,
 )
 from .semiclassics import (
     SweepConfig,

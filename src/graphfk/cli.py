@@ -80,6 +80,33 @@ def _resolve_graph(cfg):
     raise ConfigError("graph entry must give a file, preset, or family")
 
 
+def _params(cfg):
+    """The config's ``params`` object, {} when absent."""
+    params = cfg.get("params", {})
+    if not isinstance(params, dict):
+        raise ConfigError("'params' must be a JSON object")
+    return params
+
+
+def _number(value, name, kind=float):
+    """``kind(value)`` for a finite config number; ConfigError else."""
+    try:
+        x = kind(value)
+        if math.isfinite(x):
+            return x
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigError(f"{name} must be a finite number, not {value!r}")
+
+
+def _numbers(params, key, default):
+    """The list ``params[key]`` as finite floats; ConfigError else."""
+    values = params.get(key, default)
+    if not isinstance(values, list):
+        raise ConfigError(f"{key} must be a list of numbers, not {values!r}")
+    return [_number(v, f"{key} entry") for v in values]
+
+
 def _resolve_inline_or_file(spec, loader_file, loader_inline, g):
     if isinstance(spec, str):
         return loader_file(spec, g)
@@ -119,7 +146,7 @@ def _resolve_inputs(cfg):
         raise ConfigError(f"connection fails {kind} on edge ({g.labels[i]}, "
                           f"{g.labels[j]}): deviation {dev:.3e}")
     problem = resolve(g, conn, pot)
-    stated = cfg.get("params", {}).get("mode", problem.mode)
+    stated = _params(cfg).get("mode", problem.mode)
     if stated not in MODES or MODES.index(stated) < MODES.index(problem.mode):
         raise BadParams(
             f"mode {stated!r} must be one of {MODES}, no narrower than the "
@@ -195,7 +222,7 @@ def _cmd_spectrum(cfg, outdir):
 def _cmd_kernel(cfg, outdir):
     p = _resolve_inputs(cfg)
     g = p.graph
-    t = float(cfg.get("params", {}).get("t", 1.0))
+    t = _number(_params(cfg).get("t", 1.0), "t")
     dec = eigendecompose(assemble(g, p.connection, p.potential))
     K = heat_kernel(dec, t)
     lines = ["t,x,y,re,im"]
@@ -215,9 +242,9 @@ def _cmd_kernel(cfg, outdir):
 
 def _cmd_sweep(cfg, outdir):
     p = _resolve_inputs(cfg)
-    params = cfg.get("params", {})
-    beta = float(params.get("beta", 1.0))
-    schedule = tuple(params.get("hbar_schedule", (1e-1, 1e-2, 1e-3, 1e-4)))
+    params = _params(cfg)
+    beta = _number(params.get("beta", 1.0), "beta")
+    schedule = _numbers(params, "hbar_schedule", [1e-1, 1e-2, 1e-3, 1e-4])
     config = SweepConfig(p.graph, beta, schedule, p.potential, p.connection)
     result = sweep(config)
     _write(outdir, "sweep.csv", result.to_csv())
@@ -240,7 +267,7 @@ def _cmd_sweep(cfg, outdir):
 
 def _cmd_gt_check(cfg, outdir):
     p = _resolve_inputs(cfg)
-    t = float(cfg.get("params", {}).get("t", 1.0))
+    t = _number(_params(cfg).get("t", 1.0), "t")
     margin = golden_thompson_margin(p.graph, p.connection, p.potential, t)
     classical = classical_partition(p.potential, t)
     quantum = classical - margin
@@ -270,14 +297,14 @@ def _z_score(estimate, exact, se):
 def _cmd_fk_compare(cfg, outdir):
     p = _resolve_inputs(cfg)
     g, conn, pot = p.graph, p.connection, p.potential
-    params = cfg.get("params", {})
+    params = _params(cfg)
     if "seed" not in cfg:
         raise ConfigError("fk-compare requires an explicit seed")
-    seed = int(cfg["seed"])
-    beta = float(params.get("beta", 1.0))
-    hbar = float(params.get("hbar", 0.1))
-    samples = int(params.get("samples", 100000))
-    workers = int(params.get("workers", 1))
+    seed = _number(cfg["seed"], "seed", int)
+    beta = _number(params.get("beta", 1.0), "beta")
+    hbar = _number(params.get("hbar", 0.1), "hbar")
+    samples = _number(params.get("samples", 100000), "samples", int)
+    workers = _number(params.get("workers", 1), "workers", int)
     t = beta * hbar
     dec = eigendecompose(assemble(g, conn, pot.scaled(hbar)))
     rep = estimate_partition(g, conn, pot, beta, hbar, samples, seed,
@@ -319,18 +346,17 @@ def _cmd_kato(cfg, outdir):
         raise BadParams(f"kato takes a scalar problem, not {p.mode}: "
                         "no connection and a rank-1 potential")
     g, w = p.graph, p.potential.as_scalar()
-    params = cfg.get("params", {})
-    grid = params.get("t_grid", [1.0, 0.5, 0.25, 0.125, 0.0625])
+    grid = _numbers(_params(cfg), "t_grid", [1.0, 0.5, 0.25, 0.125, 0.0625])
     lines = ["t,value"]
     values = []
     for t in grid:
-        val = kato_functional(g, w, float(t))
+        val = kato_functional(g, w, t)
         values.append(val)
         lines.append(f"{_fmt(t)},{_fmt(val)}")
     _write(outdir, "kato.csv", "\n".join(lines) + "\n")
     return {
         "subcommand": "kato",
-        "t_grid": list(map(float, grid)),
+        "t_grid": grid,
         "values": [float(v) for v in values],
         "checks": [("monotone in t", all(
             a >= b - 1e-12 for a, b in zip(values, values[1:])),

@@ -10,6 +10,7 @@ Magnetic: [[label_i, label_j, phase]].  Potential: [[label, matrix]] or
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -28,13 +29,21 @@ def _load_json(path):
         raise ConfigError(f"cannot parse {path}: {exc}") from None
 
 
-def graph_from_dict(data) -> WeightedGraph:
+@contextmanager
+def _parsing(what):
+    """Report the TypeError or ValueError of a malformed entry as a
+    ConfigError naming ``what``."""
     try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed {what}: {exc}") from None
+
+
+def graph_from_dict(data) -> WeightedGraph:
+    with _parsing("graph spec"):
         edges = [(a, b, float(w)) for a, b, w in data.get("edges", [])]
         measure = [(a, float(v)) for a, v in data.get("measure", [])]
         vertices = data.get("vertices")
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed graph spec: {exc}") from None
     return build_graph(edges, measure=measure or None, vertices=vertices)
 
 
@@ -57,14 +66,16 @@ def _complex_matrix(entry):
 def connection_from_entries(entries, g: WeightedGraph) -> Connection:
     mats = {}
     rank = None
-    for a, b, matrix in entries:
-        i, j = g.index(a), g.index(b)
-        M = _complex_matrix(matrix)
-        if rank is None:
-            rank = M.shape[0]
-        elif M.shape != (rank, rank):
-            raise ConfigError("connection matrices have inconsistent ranks")
-        mats[(i, j)] = M
+    with _parsing("connection entry"):
+        for a, b, matrix in entries:
+            i, j = g.index(a), g.index(b)
+            M = _complex_matrix(matrix)
+            if rank is None:
+                rank = M.shape[0]
+            elif M.shape != (rank, rank):
+                raise ConfigError(
+                    "connection matrices have inconsistent ranks")
+            mats[(i, j)] = M
     if rank is None:
         raise ConfigError("empty connection file")
     return Connection(rank, mats)
@@ -76,10 +87,11 @@ def load_connection(path, g: WeightedGraph) -> Connection:
 
 def magnetic_from_entries(entries, g: WeightedGraph) -> MagneticPotential:
     phases = {}
-    for a, b, ph in entries:
-        i, j = g.index(a), g.index(b)
-        key = (i, j) if i < j else (j, i)
-        phases[key] = float(ph) if i < j else -float(ph)
+    with _parsing("magnetic entry"):
+        for a, b, ph in entries:
+            i, j = g.index(a), g.index(b)
+            key = (i, j) if i < j else (j, i)
+            phases[key] = float(ph) if i < j else -float(ph)
     return MagneticPotential(g, phases)
 
 
@@ -90,17 +102,18 @@ def load_magnetic(path, g: WeightedGraph) -> MagneticPotential:
 def potential_from_entries(entries, g: WeightedGraph) -> Potential:
     by_index = {}
     rank = None
-    for lab, value in entries:
-        i = g.index(lab)
-        if isinstance(value, (int, float)):
-            M = np.array([[complex(value)]])
-        else:
-            M = _complex_matrix(value)
-        if rank is None:
-            rank = M.shape[0]
-        elif M.shape != (rank, rank):
-            raise ConfigError("potential matrices have inconsistent ranks")
-        by_index[i] = M
+    with _parsing("potential entry"):
+        for lab, value in entries:
+            i = g.index(lab)
+            if isinstance(value, (int, float)):
+                M = np.array([[complex(value)]])
+            else:
+                M = _complex_matrix(value)
+            if rank is None:
+                rank = M.shape[0]
+            elif M.shape != (rank, rank):
+                raise ConfigError("potential matrices have inconsistent ranks")
+            by_index[i] = M
     if rank is None:
         raise ConfigError("empty potential file")
     vals = np.zeros((g.n, rank, rank), dtype=complex)

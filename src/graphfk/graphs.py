@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from collections import deque
+from functools import cached_property
 
 import numpy as np
 
@@ -55,10 +56,15 @@ class WeightedGraph:
     def n(self):
         return len(self.labels)
 
+    @cached_property
+    def _positions(self):
+        """label -> index of its first occurrence, as ``tuple.index``."""
+        return {lab: i for i, lab in reversed(tuple(enumerate(self.labels)))}
+
     def index(self, label):
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return self._positions[label]
+        except (KeyError, TypeError):  # TypeError: an unhashable label
             raise UnknownIndex(f"unknown vertex label {label!r}") from None
 
     def weight(self, i, j):
@@ -211,26 +217,31 @@ def generate(family, **params) -> WeightedGraph:
     lattice_box(l, side) -- the integer lattice restricted to a box of
     the given side length, edges between Euclidean-distance-1 points.
     """
+    try:
+        params = {key: int(value) for key, value in params.items()}
+    except (TypeError, ValueError, OverflowError):
+        raise BadParams(f"{family} takes integer parameters, not "
+                        f"{params}") from None
     if family == "path":
-        n = int(params.get("n", 0))
+        n = params.get("n", 0)
         if n < 1:
             raise BadParams("path needs n >= 1")
         edges = [(f"v{i}", f"v{i+1}", 1.0) for i in range(n - 1)]
         return build_graph(edges, vertices=[f"v{i}" for i in range(n)])
     if family == "cycle":
-        n = int(params.get("n", 0))
+        n = params.get("n", 0)
         if n < 3:
             raise BadParams("cycle needs n >= 3 (no self-loops or doubled edges)")
         edges = [(f"v{i}", f"v{(i+1) % n}", 1.0) for i in range(n)]
         return build_graph(edges)
     if family == "star":
-        k = int(params.get("leaves", 0))
+        k = params.get("leaves", 0)
         if k < 1:
             raise BadParams("star needs leaves >= 1")
         edges = [("c", f"l{i}", 1.0) for i in range(k)]
         return build_graph(edges)
     if family == "complete":
-        n = int(params.get("n", 0))
+        n = params.get("n", 0)
         if n < 2:
             raise BadParams("complete needs n >= 2")
         edges = [
@@ -238,8 +249,8 @@ def generate(family, **params) -> WeightedGraph:
         ]
         return build_graph(edges)
     if family == "lattice_box":
-        l = int(params.get("l", 0))
-        side = int(params.get("side", 0))
+        l = params.get("l", 0)
+        side = params.get("side", 0)
         if l < 1 or side < 2:
             raise BadParams("lattice_box needs l >= 1 and side >= 2")
         coords = [()]

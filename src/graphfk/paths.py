@@ -64,14 +64,13 @@ independent of scheduling and worker count.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bundles import Connection, Potential
-from .errors import BadParams, MissingEdgeMatrix, RankMismatch, UnknownIndex
+from .bundles import Connection
+from .errors import BadParams, UnknownIndex
 from .graphs import WeightedGraph, degrees
 from .operators import Problem, resolve
 
@@ -88,28 +87,6 @@ def path_stream(seed: int, vertex: int, index: int) -> np.random.Generator:
     """Counter-based stream for one (seed, start vertex, path/chunk index)."""
     key = ((seed & _MASK64) << 64) | ((vertex & _MASK32) << 32) | (index & _MASK32)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-@dataclass(frozen=True)
-class PathSample:
-    """One realization of the jump process up to the horizon.
-
-    ``vertices`` is the jump chain Y_0..Y_N and ``times`` the jump times
-    starting at 0; the terminal vertex X_t is the last chain state.
-    """
-
-    start: int
-    horizon: float
-    vertices: tuple
-    times: tuple
-
-    @property
-    def jumps(self):
-        return len(self.vertices) - 1
-
-    @property
-    def terminal(self):
-        return self.vertices[-1]
 
 
 @dataclass(frozen=True)
@@ -185,104 +162,9 @@ class _JumpTable:
         self.dtype = self.W.dtype
 
 
-def sample_path(g: WeightedGraph, x: int, t: float,
-                stream: np.random.Generator) -> PathSample:
-    """Sample one path started at x over horizon t."""
-    if t < 0:
-        raise BadParams("horizon must be nonnegative")
-    tbl = _JumpTable(resolve(g))
-    rates, nbrs, cum = tbl.rates.tolist(), tbl.nbrs.tolist(), tbl.cum.tolist()
-    cur = x
-    tau = 0.0
-    verts = [x]
-    times = [0.0]
-    while t > 0:
-        rate = rates[cur]
-        if rate == 0.0:
-            break
-        s = stream.standard_exponential() / rate
-        if tau + s >= t:
-            break
-        tau += s
-        # bisect_left on the ascending row counts its entries < u: the slot
-        cur = nbrs[cur][bisect_left(cum[cur], stream.random())]
-        verts.append(cur)
-        times.append(tau)
-    return PathSample(x, float(t), tuple(verts), tuple(times))
-
-
-def parallel_transport(path: PathSample, c: Connection) -> np.ndarray:
-    """Ordered product of edge unitaries along the jumps (identity if none)."""
-    U = np.eye(c.rank, dtype=complex)
-    for k in range(path.jumps):
-        y, ynext = path.vertices[k], path.vertices[k + 1]
-        if not c.has_edge(y, ynext):
-            raise MissingEdgeMatrix(f"no connection matrix for edge ({y},{ynext})")
-        U = c.matrix(y, ynext) @ U
-    return U
-
-
-def ordered_exponential(path: PathSample, c: Connection, V: Potential,
-                        t: float) -> np.ndarray:
-    """Time-ordered exponential of the transported potential up to t.
-
-    Product of interval factors exp(-dt_k B_k) with
-    B_k = transport_k^{-1} V(Y_k) transport_k, earliest factor leftmost,
-    the order of the Dyson series; exact for the piecewise-constant
-    integrand of a jump path.  With U the ``parallel_transport`` of the
-    path, tr(A U^H) is its Dyson weight F (module docstring).  ``c`` None
-    is the trivial bundle.
-    """
-    if path.horizon < t:
-        raise BadParams("path horizon shorter than requested time")
-    nu = V.rank
-    if c is not None and c.rank != nu:
-        raise RankMismatch("connection and potential ranks differ")
-    U = np.eye(nu, dtype=complex)
-    A = np.eye(nu, dtype=complex)
-    n_states = len(path.vertices)
-    for k in range(n_states):
-        t0 = path.times[k]
-        t1 = path.times[k + 1] if k + 1 < n_states else t
-        t1 = min(t1, t)
-        if t0 >= t:
-            break
-        dt = t1 - t0
-        if dt > 0:
-            B = U.conj().T @ V.values[path.vertices[k]] @ U
-            A = A @ _expm_neg_batch(np.array([dt]), B[None], nu)[0]
-        if k + 1 < n_states and c is not None:
-            U = c.matrix(path.vertices[k], path.vertices[k + 1]) @ U
-    return A
-
-
-def occupation_integral(path: PathSample, v, t: float) -> float:
-    """int_0^t v(X_s) ds for a scalar potential, exact interval sum."""
-    v = v.as_scalar() if isinstance(v, Potential) else np.asarray(v, dtype=float)
-    total = 0.0
-    n_states = len(path.vertices)
-    for k in range(n_states):
-        t0 = path.times[k]
-        t1 = path.times[k + 1] if k + 1 < n_states else t
-        t1 = min(t1, t)
-        if t0 >= t:
-            break
-        total += v[path.vertices[k]] * (t1 - t0)
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Vectorized chunk simulation
 # ---------------------------------------------------------------------------
-
-def _expm_neg_batch(dt, B, nu):
-    """exp(-dt_k B_k) for stacked Hermitian matrices (k, nu, nu)."""
-    if nu == 1:
-        return np.exp(-dt * B[:, 0, 0].real).astype(complex)[:, None, None]
-    lam, Q = np.linalg.eigh(B)
-    E = np.exp(-dt[:, None] * lam)
-    return (Q * E[:, None, :]) @ Q.conj().swapaxes(1, 2)
-
 
 def _matmul(A, B):
     """Stacked A @ B for matrices stored entry-major, shape (nu, nu, k):
@@ -638,7 +520,7 @@ def estimate_partition(g: WeightedGraph, c: Connection, V, beta: float,
     not depend on ``workers``.  The Z_x are summed in vertex order, and
     the imaginary part is reported alongside the real one.
     """
-    if beta <= 0 or hbar <= 0:
+    if not (beta > 0 and hbar > 0):  # NaN fails it too
         raise BadParams("beta and hbar must be positive")
     if samples < 2:
         raise BadParams("need at least 2 samples per vertex for a "

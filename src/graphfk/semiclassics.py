@@ -42,10 +42,10 @@ class SweepConfig:
     connection: Connection = None
 
     def __post_init__(self):
-        if self.beta <= 0:
+        if not self.beta > 0:  # NaN fails it too
             raise BadParams("beta must be positive")
         sched = tuple(float(h) for h in self.hbar_schedule)
-        if not sched or any(h <= 0 for h in sched):
+        if not sched or any(not h > 0 for h in sched):
             raise BadParams("hbar schedule entries must be positive")
         if any(b >= a for a, b in zip(sched, sched[1:])):
             raise BadParams("hbar schedule must be strictly decreasing")

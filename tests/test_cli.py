@@ -361,6 +361,52 @@ class TestFkCompare:
         assert "samples" in record["error"]
 
 
+class TestMalformedConfig:
+    """Bad config values exit 1 with a JSON error record and write no
+    output, where they used to crash with a traceback or run on."""
+
+    def _exit_1(self, tmp_path, capsys, subcommand, cfg):
+        cfg = write_config(tmp_path, "c.json", {
+            "seed": 1, "output_dir": str(tmp_path / "out"), **cfg})
+        assert run(cfg, subcommand) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        record = json.loads(err.strip().splitlines()[-1])
+        assert record["kind"] == "validation"
+        assert not (tmp_path / "out").exists()
+        return record
+
+    def test_unknown_label_in_inline_potential(self, tmp_path, capsys):
+        record = self._exit_1(tmp_path, capsys, "spectrum", {
+            "graph": {"preset": "two_vertex"},
+            "potential": {"inline": [["a", 0.5], ["zz", 1.0]]}})
+        assert "'zz'" in record["error"]
+
+    @pytest.mark.parametrize("entry", [
+        {"potential": {"inline": [["a", "abc"]]}},
+        {"potential": {"inline": [["a"]]}},
+        {"magnetic": {"inline": [["a", "b", "x"]]}},
+        {"connection": {"inline": [["a", "b", "x"]]}},
+        {"graph": {"family": "path", "n": "x"}},
+    ], ids=["potential-text", "potential-no-value", "magnetic-text",
+            "connection-text", "family-text-size"])
+    def test_malformed_entry(self, tmp_path, capsys, entry):
+        self._exit_1(tmp_path, capsys, "spectrum",
+                     {"graph": {"preset": "two_vertex"}, **entry})
+
+    @pytest.mark.parametrize("subcommand, cfg", [
+        ("sweep", {"params": {"beta": math.nan}}),
+        ("sweep", {"params": {"beta": "x"}}),
+        ("fk-compare", {"params": {"samples": 100}, "seed": "x"}),
+        ("sweep", {"params": {"hbar_schedule": 0.1}}),
+        ("sweep", {"params": [1]}),
+    ], ids=["nan-beta", "text-beta", "text-seed", "scalar-schedule",
+            "params-list"])
+    def test_bad_params(self, tmp_path, capsys, subcommand, cfg):
+        self._exit_1(tmp_path, capsys, subcommand,
+                     {"graph": {"preset": "two_vertex"}, **cfg})
+
+
 class TestKato:
     def test_monotone_grid(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {

@@ -13,6 +13,7 @@ from graphfk.errors import (
 )
 from graphfk.graphs import (
     ExhaustionSequence,
+    WeightedGraph,
     build_graph,
     degrees,
     generate,
@@ -62,6 +63,14 @@ class TestBuildGraph:
             build_graph([("a", "b", 1.0)], measure=[("a", -1.0)])
         with pytest.raises(DuplicateLabel):
             build_graph([("a", "b", 1.0)], vertices=["a", "a", "b"])
+
+    def test_label_lookup(self):
+        # the first occurrence, as tuple.index finds it
+        g = WeightedGraph(("a", "b", "a"), {}, np.ones(3))
+        assert [g.index(lab) for lab in ("a", "b")] == [0, 1]
+        for label in ("c", ["a"]):
+            with pytest.raises(UnknownIndex):
+                g.index(label)
 
 
 class TestDegrees:
@@ -139,6 +148,8 @@ class TestGenerate:
             generate("lattice_box", l=0, side=3)
         with pytest.raises(BadParams):
             generate("nonsense")
+        with pytest.raises(BadParams):
+            generate("path", n="x")
 
 
 class TestRestrict:

@@ -19,7 +19,6 @@ from scipy.linalg import expm
 from graphfk import paths
 from graphfk.paths import (
     CHUNK_SIZE,
-    PathSample,
     _chunk_moments,
     _hold,
     _JumpTable,
@@ -29,11 +28,7 @@ from graphfk.paths import (
     _path_chunk,
     estimate_heat_kernel,
     estimate_partition,
-    occupation_integral,
-    ordered_exponential,
-    parallel_transport,
     path_stream,
-    sample_path,
     simulate_scalar_paths,
 )
 from graphfk.semiclassics import semiclassical_trace
@@ -53,74 +48,91 @@ def edge_graph():
 
 
 class TestSamplePath:
+    """Laws of the jump process, checked on the paths that
+    ``simulate_scalar_paths`` walks in one batch."""
+
     def test_zero_horizon(self, edge_graph):
-        path = sample_path(edge_graph, 0, 0.0, path_stream(1, 0, 0))
-        assert path.jumps == 0
-        assert path.terminal == 0
+        terminal, _F, N = simulate_scalar_paths(edge_graph, 0, 0.0, 100,
+                                                seed=1)
+        assert N.tolist() == [0] * 100
+        assert terminal.tolist() == [0] * 100
 
     def test_two_vertex_alternates(self, edge_graph):
         # single neighbor: every jump flips the vertex
-        path = sample_path(edge_graph, 0, 50.0, path_stream(2, 0, 0))
-        assert path.jumps > 5
-        for k in range(path.jumps):
-            assert path.vertices[k + 1] == 1 - path.vertices[k]
+        terminal, _F, N = simulate_scalar_paths(edge_graph, 0, 5.0, 2000,
+                                                seed=2)
+        assert N.max() > 5
+        assert np.array_equal(terminal, N % 2)
 
-    def test_neighbors_and_ordering(self, rng):
-        for _ in range(20):
+    def test_one_jump_lands_on_a_neighbor(self, rng):
+        for i in range(20):
             g = random_graph(rng, max_n=8)
             x = int(rng.integers(0, g.n))
-            path = sample_path(g, x, 2.0, path_stream(3, x, _))
-            for k in range(path.jumps):
-                assert g.weight(path.vertices[k], path.vertices[k + 1]) > 0
-            assert all(a < b for a, b in zip(path.times, path.times[1:]))
-            assert path.times[-1] <= path.horizon
+            terminal, _F, N = simulate_scalar_paths(g, x, 0.5, 500, seed=i)
+            assert np.all(terminal[N == 0] == x)
+            one = terminal[N == 1]
+            assert one.size
+            assert all(g.weight(x, int(y)) > 0 for y in one)
 
     def test_isolated_vertex_never_jumps(self):
         g = build_graph([("a", "b", 1.0)], vertices=["a", "b", "c"],
                         measure=[("c", 1.0)])
-        path = sample_path(g, 2, 10.0, path_stream(4, 2, 0))
-        assert path.jumps == 0
+        terminal, _F, N = simulate_scalar_paths(g, 2, 10.0, 100, seed=4)
+        assert N.tolist() == [0] * 100 and terminal.tolist() == [2] * 100
 
     def test_negative_horizon(self, edge_graph):
         with pytest.raises(BadParams):
-            sample_path(edge_graph, 0, -1.0, path_stream(5, 0, 0))
+            simulate_scalar_paths(edge_graph, 0, -1.0, 3, seed=5)
 
     def test_no_jump_probability(self, edge_graph):
-        # deg_m = 1, t = 1: P(N(t)=0) = e^{-1}
+        # P(N(t)=0) = e^{-deg_m(x) t}: deg_m = 1 on the edge, and 2 at the
+        # centre of a 3-path with unit weights
         n = 100_000
-        _term, _F, N = simulate_scalar_paths(edge_graph, 0, 1.0, n, seed=11)
-        p_hat = float((N == 0).mean())
-        p = math.exp(-1.0)
-        se = math.sqrt(p * (1 - p) / n)
-        assert abs(p_hat - p) <= 3 * se
+        center = generate("path", n=3)
+        for g, x, rate, t, seed in ((edge_graph, 0, 1.0, 1.0, 11),
+                                    (center, 1, 2.0, 0.1, 12),
+                                    (center, 1, 2.0, 0.5, 13),
+                                    (center, 1, 2.0, 1.0, 14)):
+            _term, _F, N = simulate_scalar_paths(g, x, t, n, seed=seed)
+            p_hat = float((N == 0).mean())
+            p = math.exp(-rate * t)
+            se = math.sqrt(p * (1 - p) / n)
+            assert abs(p_hat - p) <= 3 * se
 
     def test_mean_first_holding_time(self):
-        # rate deg_m(x) = 2 at the center of a 3-path with unit weights
-        g = generate("path", n=3)
-        stream = path_stream(12, 1, 0)
-        holds = []
-        for _ in range(20_000):
-            path = sample_path(g, 1, 30.0, stream)
-            assert path.jumps >= 1
-            holds.append(path.times[1])
-        holds = np.asarray(holds)
+        # the centre of a star with two unit edges leaves at rate 2, and
+        # leaves of measure 1e12 hold for good; with v the indicator of the
+        # centre, -log F is the first holding time, of mean 1/2
+        g = build_graph([("c", "l1", 1.0), ("c", "l2", 1.0)],
+                        measure=[("l1", 1e12), ("l2", 1e12)])
+        _term, F, N = simulate_scalar_paths(g, 0, 30.0, 20_000, seed=12,
+                                            v=np.array([1.0, 0.0, 0.0]))
+        assert N.tolist() == [1] * N.size
+        holds = -np.log(F)
         se = holds.std(ddof=1) / math.sqrt(holds.size)
         assert abs(holds.mean() - 0.5) <= 3 * se
 
     def test_transition_frequencies(self):
-        # star center jumps to leaf j with probability b_j / sum b
-        g = build_graph([("c", "l1", 1.0), ("c", "l2", 3.0)])
-        stream = path_stream(13, 0, 0)
-        first = []
-        for _ in range(20_000):
-            path = sample_path(g, 0, 50.0, stream)
-            assert path.jumps >= 1
-            first.append(path.vertices[1])
-        first = np.asarray(first)
+        # the star centre jumps to leaf j with probability b_j / sum b; with
+        # m(l2) = 3 both leaves leave at rate 1, so stopping after one jump
+        # does not bias the leaf it took
+        g = build_graph([("c", "l1", 1.0), ("c", "l2", 3.0)],
+                        measure=[("l2", 3.0)])
+        terminal, _F, N = simulate_scalar_paths(g, 0, 1.0, 100_000, seed=15)
+        first = terminal[N == 1]
         p_hat = float((first == 2).mean())
         p = 0.75
         se = math.sqrt(p * (1 - p) / first.size)
         assert abs(p_hat - p) <= 3 * se
+
+    def test_constant_potential_weight(self, rng):
+        # a constant v weighs every path by e^{-v t}, however it jumps
+        g = random_graph(rng, max_n=8)
+        _term, F, N = simulate_scalar_paths(g, 0, 1.5, 2000, seed=16,
+                                            v=np.full(g.n, 0.8))
+        assert N.max() > 1
+        want = math.exp(-0.8 * 1.5)
+        assert np.abs(F - want).max() <= 1e-12 * want
 
 
 class _StubStream:
@@ -133,14 +145,13 @@ class _StubStream:
         self.holds = list(holds)
         self.uniforms = 0
 
-    def standard_exponential(self, size=None):
-        value = self.holds.pop(0) if self.holds else 1e9
-        return value if size is None else np.full(size, value)
+    def standard_exponential(self, size):
+        return np.full(size, self.holds.pop(0) if self.holds else 1e9)
 
-    def random(self, size=None):
+    def random(self, size):
         value = self.u[self.uniforms % self.u.size]
         self.uniforms += 1
-        return value if size is None else np.full(size, value)
+        return np.full(size, value)
 
 
 class TestJumpTable:
@@ -165,8 +176,6 @@ class TestJumpTable:
                                       _StubStream(u))
         assert N.tolist() == [1]
         assert star.labels[terminal[0]] == leaf
-        path = sample_path(star, 0, 1.0, _StubStream(u))
-        assert [star.labels[v] for v in path.vertices] == ["c", leaf]
 
 
 def _triangle(rng, nu):
@@ -188,18 +197,31 @@ def _dyson_product(c, V, holds, walk):
 
 class TestKernel:
     def test_single_path_weight_on_a_triangle(self, rng):
-        # the single-path API on the loop 0 -> 1 -> 2 -> 0: tr(A U^H), with A
-        # the ordered exponential and U the parallel transport, is the Dyson
-        # weight tr(E_0 Phi_10 E_1 Phi_21 E_2 Phi_02 E_3), earliest factor
-        # leftmost; with non-commuting V the reverse order differs
+        # the loop 0 -> 1 -> 2 -> 0, jumping at 0.2, 0.5 and 0.9, adds to
+        # the rank-2 score of the walk of test_forced_pair_weight the
+        # return from 2 with the Dyson weight tr(E_0 Phi_10 E_1 Phi_21 E_2
+        # Phi_02 E_3), earliest factor leftmost; with non-commuting V the
+        # reverse order differs
         g, c, V = _triangle(rng, 2)
+        tbl = _JumpTable(resolve(g, c, V))
         t = 1.2
-        path = PathSample(0, t, (0, 1, 2, 0), (0.0, 0.2, 0.5, 0.9))
-        A = ordered_exponential(path, c, V, t)
-        single = np.trace(A @ parallel_transport(path, c).conj().T)
-        want = _dyson_product(c, V, (0.2, 0.3, 0.4, 0.3), (0, 1, 2, 0))
-        assert abs(single - want) <= 1e-12 * abs(want)
-
+        u1 = math.expm1(-2 * 0.2) / math.expm1(-2 * t)
+        u2 = math.expm1(-2 * 0.3) / math.expm1(-2 * (t - 0.2))
+        scores = [_path_chunk(tbl, np.zeros(1, dtype=np.int64), t,
+                              _StubStream([u1, 0.25, u2, 0.75, 0.25], holds),
+                              loops=True)[1][0]
+                  for holds in ((), (0.8,))]
+        factor = (-math.expm1(-2 * t) * -math.expm1(-2 * (t - 0.2))
+                  * 0.5 * math.exp(-2 * 0.3))
+        holds, walk = (0.2, 0.3, 0.4, 0.3), (0, 1, 2, 0)
+        want = factor * _dyson_product(c, V, holds, walk)
+        reverse = expm(-holds[-1] * V.values[walk[-1]])
+        for dt, y, ynext in zip(holds[-2::-1], walk[-2::-1], walk[:0:-1]):
+            reverse = reverse @ c.matrix(ynext, y) @ expm(-dt * V.values[y])
+        reverse = factor * np.trace(reverse)
+        loop = scores[1] - scores[0]
+        assert abs(loop - want) <= 1e-12 * max(map(abs, scores))
+        assert abs(loop - reverse) > 1e-6 * abs(want)
     @pytest.mark.parametrize("nu", [1, 2])
     def test_forced_pair_weight(self, rng, nu):
         # loops: the first two holding times are drawn inside the time left
@@ -295,177 +317,140 @@ class TestKernel:
         assert N.tolist() == [2] and terminal.tolist() == [0]
 
 
-class TestParallelTransport:
-    def test_no_jumps_identity(self, edge_graph, rng):
-        c = random_connection(edge_graph, 3, rng)
-        path = PathSample(0, 1.0, (0,), (0.0,))
-        assert np.allclose(parallel_transport(path, c), np.eye(3))
+def _series_product(c, V, holds, walk, order=4):
+    """tr(T_0 Phi_{Y_1,Y_0} T_1 ... T_N), T_k the Taylor series of
+    exp(-dt_k V(Y_k)) with the powers of all factors summing to at most
+    ``order``: the time-ordered series of the path truncated at ``order``,
+    exact termwise for a piecewise-constant integrand."""
+    nu = V.rank
+    total = 0.0
+    for powers in itertools.product(range(order + 1), repeat=len(holds)):
+        if sum(powers) > order:
+            continue
+        term = np.eye(nu, dtype=complex)
+        for k, (dt, y, p) in enumerate(zip(holds, walk, powers)):
+            if k:
+                term = term @ c.matrix(y, walk[k - 1])
+            term = term @ (np.linalg.matrix_power(-dt * V.values[y], p)
+                           / math.factorial(p))
+        total += np.trace(term)
+    return total
 
+
+class TestParallelTransport:
     def test_rank1_phase_product(self, rng):
+        # with V = 0 the kernel weighs the loop 0 -> 1 -> 2 -> 3 -> 0 round
+        # a magnetic 4-cycle by its phases alone; each vertex leaves at
+        # rate 2, so the holds 2 jump at 1, 2, 3 and 4
         g = generate("cycle", n=4)
         phases = {key: float(rng.uniform(-np.pi, np.pi)) for key in g.edges}
         theta = MagneticPotential(g, phases)
         c = connection_from_magnetic(theta)
         verts = (0, 1, 2, 3, 0)
-        path = PathSample(0, 5.0, verts, (0.0, 1.0, 2.0, 3.0, 4.0))
         total = sum(theta.phase(verts[k], verts[k + 1]) for k in range(4))
-        U = parallel_transport(path, c)
-        assert U[0, 0] == pytest.approx(np.exp(1j * total), abs=1e-12)
-
-    def test_retraced_edge_cancels(self, edge_graph, rng):
-        c = random_connection(edge_graph, 3, rng)
-        path = PathSample(0, 3.0, (0, 1, 0), (0.0, 1.0, 2.0))
-        assert np.allclose(parallel_transport(path, c), np.eye(3), atol=1e-12)
-
-    def test_unitary_after_many_jumps(self, edge_graph, rng):
-        c = random_connection(edge_graph, 3, rng)
-        n_jumps = 1000
-        verts = tuple(k % 2 for k in range(n_jumps + 1))
-        times = tuple(0.001 * k for k in range(n_jumps + 1))
-        path = PathSample(0, 2.0, verts, times)
-        U = parallel_transport(path, c)
-        assert np.abs(U.conj().T @ U - np.eye(3)).max() <= 1e-9
-
-    def test_unitary_on_sampled_paths(self, rng):
-        g = random_graph(rng, max_n=6)
-        c = random_connection(g, 2, rng)
-        for i in range(20):
-            path = sample_path(g, 0, 3.0, path_stream(21, 0, i))
-            U = parallel_transport(path, c)
-            assert np.abs(U.conj().T @ U - np.eye(2)).max() <= 1e-10
-
-
-def _dyson_truncation(path, c, V, t, order=4):
-    """Truncated time-ordered series, exact for piecewise-constant input.
-
-    For interval-constant integrands B_1..B_M the n-th simplex integral
-    splits into compositions n = p_M + ... + p_1 with weight
-    prod_m Delta_m^{p_m} / p_m!, factors applied earliest-leftmost.
-    """
-    nu = V.rank
-    # interval data: (duration, transported potential)
-    U = np.eye(nu, dtype=complex)
-    intervals = []
-    n_states = len(path.vertices)
-    for k in range(n_states):
-        t0 = path.times[k]
-        t1 = min(path.times[k + 1] if k + 1 < n_states else t, t)
-        if t0 >= t:
-            break
-        if t1 > t0:
-            B = U.conj().T @ V.values[path.vertices[k]] @ U
-            intervals.append((t1 - t0, B))
-        if k + 1 < n_states:
-            U = c.matrix(path.vertices[k], path.vertices[k + 1]) @ U
-    total = np.zeros((nu, nu), dtype=complex)
-    M = len(intervals)
-    for powers in itertools.product(range(order + 1), repeat=M):
-        if sum(powers) > order:
-            continue
-        term = np.eye(nu, dtype=complex)
-        for (dt, B), p in zip(intervals, powers):
-            fac = np.linalg.matrix_power(-dt * B, p) / math.factorial(p)
-            term = term @ fac
-        total += term
-    return total
+        terminal, F, N = _path_chunk(
+            _JumpTable(resolve(g, c, np.zeros(4))),
+            np.zeros(1, dtype=np.int64), 5.0,
+            _StubStream([0.25, 0.75, 0.75, 0.25], (2.0,) * 4))
+        assert N.tolist() == [4] and terminal.tolist() == [0]
+        assert F[0] == pytest.approx(np.exp(-1j * total), abs=1e-12)
 
 
 class TestOrderedExponential:
-    def test_zero_potential_identity(self, edge_graph, rng):
-        c = random_connection(edge_graph, 2, rng)
-        V = Potential(2, np.zeros((2, 2, 2), dtype=complex))
-        path = sample_path(edge_graph, 0, 2.0, path_stream(31, 0, 0))
-        A = ordered_exponential(path, c, V, 2.0)
-        assert np.allclose(A, np.eye(2), atol=1e-12)
-
     def test_constant_scalar(self, edge_graph):
         cval = 0.8
         V = Potential.scalar([cval, cval])
         c = Connection.identity(edge_graph, 1)
-        path = sample_path(edge_graph, 0, 1.5, path_stream(32, 0, 0))
-        A = ordered_exponential(path, c, V, 1.5)
-        assert A[0, 0] == pytest.approx(np.exp(-cval * 1.5), abs=1e-12)
-
-    def test_rank1_equals_occupation_exponential(self, rng):
-        g = random_graph(rng, max_n=6)
-        w = rng.uniform(-1, 1, size=g.n)
-        V = Potential.scalar(w)
-        c = Connection.identity(g, 1)
-        for i in range(10):
-            path = sample_path(g, 0, 1.2, path_stream(33, 0, i))
-            A = ordered_exponential(path, c, V, 1.2)
-            expect = np.exp(-occupation_integral(path, w, 1.2))
-            assert A[0, 0].real == pytest.approx(expect, rel=1e-12)
-            assert abs(A[0, 0].imag) < 1e-14
+        _term, F, N = _path_chunk(_JumpTable(resolve(edge_graph, c, V)),
+                                  np.zeros(200, dtype=np.int64), 1.5,
+                                  path_stream(32, 0, 0))
+        assert N.max() > 1
+        assert np.abs(F - np.exp(-cval * 1.5)).max() <= 1e-12
 
     def test_dyson_series_oracle(self, rng):
-        # small-time truncated ordered series within 5 (|V| t)^5
-        for trial in range(10):
-            g = random_graph(rng, max_n=5)
-            c = random_connection(g, 2, rng)
-            V = random_potential(g, 2, rng)
+        # small-time truncated ordered series within 5 (|V| t)^5 per entry,
+        # so 10 (|V| t)^5 on the rank-2 trace: the loop of
+        # test_single_path_weight_on_a_triangle, its times scaled to t
+        for _ in range(10):
+            g, c, V = _triangle(rng, 2)
             norm = max(np.linalg.norm(V.values[i], 2) for i in range(g.n))
             t = 0.1 / norm
-            path = sample_path(g, 0, t, path_stream(34, 0, trial))
-            A = ordered_exponential(path, c, V, t)
-            oracle = _dyson_truncation(path, c, V, t)
-            assert np.abs(A - oracle).max() <= 5 * (norm * t) ** 5
-
-    def test_horizon_too_short(self, edge_graph, rng):
-        c = random_connection(edge_graph, 2, rng)
-        V = random_potential(edge_graph, 2, rng)
-        path = sample_path(edge_graph, 0, 0.5, path_stream(35, 0, 0))
-        with pytest.raises(BadParams):
-            ordered_exponential(path, c, V, 1.0)
+            tbl = _JumpTable(resolve(g, c, V))
+            u1 = math.expm1(-2 * 0.2 * t) / math.expm1(-2 * t)
+            u2 = math.expm1(-2 * 0.3 * t) / math.expm1(-2 * 0.8 * t)
+            scores = [_path_chunk(tbl, np.zeros(1, dtype=np.int64), t,
+                                  _StubStream([u1, 0.25, u2, 0.75, 0.25],
+                                              holds), loops=True)[1][0]
+                      for holds in ((), (0.8 * t,))]
+            factor = (-math.expm1(-2 * t) * -math.expm1(-2 * 0.8 * t)
+                      * 0.5 * math.exp(-2 * 0.1 * t))
+            loop = (scores[1] - scores[0]) / factor
+            oracle = _series_product(c, V, (0.2 * t, 0.3 * t, 0.4 * t,
+                                            0.1 * t), (0, 1, 2, 0))
+            assert abs(loop - oracle) <= 10 * (norm * t) ** 5
 
     def test_trivial_bundle(self):
         # c = None is the trivial bundle, as in operators.resolve
         g = generate("path", n=2)
         V = Potential.scalar([0.1, 0.2])
-        path = sample_path(g, 0, 5.0, path_stream(1, 0, 0))
-        assert path.jumps == 6
-        A = ordered_exponential(path, None, V, 5.0)
-        assert A[0, 0] == ordered_exponential(
-            path, Connection.identity(g, 1), V, 5.0)[0, 0]
-        assert A[0, 0].real == pytest.approx(
-            np.exp(-occupation_integral(path, V, 5.0)), rel=1e-12)
+        start = np.zeros(200, dtype=np.int64)
+        _t, none, N = _path_chunk(_JumpTable(resolve(g, None, V)), start,
+                                  5.0, path_stream(1, 0, 0))
+        _t, ident, _N = _path_chunk(
+            _JumpTable(resolve(g, Connection.identity(g, 1), V)), start, 5.0,
+            path_stream(1, 0, 0))
+        assert N.max() > 5
+        assert np.array_equal(none, ident)
+        assert not np.iscomplexobj(none)
 
     def test_rank_mismatch(self, edge_graph, rng):
         c = random_connection(edge_graph, 3, rng)
         V = random_potential(edge_graph, 2, rng)
-        path = sample_path(edge_graph, 0, 1.0, path_stream(36, 0, 0))
         with pytest.raises(RankMismatch):
-            ordered_exponential(path, c, V, 1.0)
+            _JumpTable(resolve(edge_graph, c, V))
 
     def test_gronwall_norm_bound(self, rng):
+        # ||A_t|| <= e^{-int w}, w the spectral floor of V, bounds each
+        # path's rank-2 score by 2 times its score under w, on the same walk
         g = random_graph(rng, max_n=6)
         c = random_connection(g, 2, rng)
         V = random_potential(g, 2, rng)
-        w = spectral_floor(V).as_scalar()
-        for i in range(200):
-            path = sample_path(g, 0, 1.0, path_stream(37, 0, i))
-            A = ordered_exponential(path, c, V, 1.0)
-            bound = np.exp(-occupation_integral(path, w, 1.0))
-            assert np.linalg.norm(A, 2) <= bound + 1e-9
+        w = spectral_floor(V)
+        start = np.zeros(2000, dtype=np.int64)
+        term, S, N = _path_chunk(_JumpTable(resolve(g, c, V)), start, 1.0,
+                                 path_stream(37, 0, 0), loops=True)
+        term_w, S_w, N_w = _path_chunk(_JumpTable(resolve(g, None, w)),
+                                       start, 1.0, path_stream(37, 0, 0),
+                                       loops=True)
+        assert np.array_equal(term, term_w) and np.array_equal(N, N_w)
+        assert np.any(S != 0)
+        assert np.all(np.abs(S) <= 2 * S_w.real * (1 + 1e-12))
 
 
 class TestOccupationIntegral:
+    """The rank-1 weight F = exp(-int_0^t v(X_s) ds) read as the
+    occupation integral of v."""
+
     def test_constant_one(self, edge_graph):
-        path = sample_path(edge_graph, 0, 1.7, path_stream(41, 0, 0))
-        assert occupation_integral(path, np.ones(2), 1.7) == pytest.approx(
-            1.7, abs=1e-12)
+        _term, F, N = simulate_scalar_paths(edge_graph, 0, 1.7, 100, seed=41,
+                                            v=np.ones(2))
+        assert N.max() > 1
+        assert np.abs(-np.log(F) - 1.7).max() <= 1e-12
 
     def test_no_jump_value(self, edge_graph):
-        path = PathSample(0, 2.0, (0,), (0.0,))
-        assert occupation_integral(path, np.array([0.3, 9.0]), 2.0) == (
-            pytest.approx(0.6, abs=1e-12))
+        terminal, F, N = _path_chunk(
+            _JumpTable(resolve(edge_graph, None, np.array([0.3, 9.0]))),
+            np.zeros(1, dtype=np.int64), 2.0, _StubStream(0.5, (1e9,)))
+        assert N.tolist() == [0] and terminal.tolist() == [0]
+        assert -math.log(F[0]) == pytest.approx(0.6, abs=1e-12)
 
-    def test_two_interval_path(self):
-        path = PathSample(0, 1.0, (0, 1), (0.0, 0.4))
-        v = np.array([0.0, 1.0])
-        # time spent at vertex 1 is 0.6
-        assert occupation_integral(path, v, 1.0) == pytest.approx(
-            0.6, abs=1e-12)
+    def test_two_interval_path(self, edge_graph):
+        # the jump 0 -> 1 at 0.4: time spent at vertex 1 is 0.6
+        terminal, F, N = _path_chunk(
+            _JumpTable(resolve(edge_graph, None, np.array([0.0, 1.0]))),
+            np.zeros(1, dtype=np.int64), 1.0, _StubStream(0.5, (0.4,)))
+        assert N.tolist() == [1] and terminal.tolist() == [1]
+        assert -math.log(F[0]) == pytest.approx(0.6, abs=1e-12)
 
 
 class TestHeatKernelEstimate:
@@ -581,6 +566,9 @@ class TestPartitionEstimate:
     def test_bad_params(self, edge_graph):
         with pytest.raises(BadParams):
             estimate_partition(edge_graph, None, np.zeros(2), -1.0, 1.0,
+                               1000, seed=67)
+        with pytest.raises(BadParams):
+            estimate_partition(edge_graph, None, np.zeros(2), math.nan, 1.0,
                                1000, seed=67)
         with pytest.raises(RankMismatch):
             estimate_partition(edge_graph, Connection.identity(edge_graph, 2),

@@ -184,6 +184,11 @@ class TestSweep:
             SweepConfig(g, 1.0, (1e-2, 1e-1), pot)
         with pytest.raises(BadParams):
             SweepConfig(g, -1.0, (1e-1,), pot)
+        # NaN compares false both ways: it used to pass both checks
+        with pytest.raises(BadParams):
+            SweepConfig(g, np.nan, (1e-1,), pot)
+        with pytest.raises(BadParams):
+            SweepConfig(g, 1.0, (1e-1, np.nan), pot)
 
     def test_gap_envelope(self, rng):
         # gap(hbar) <= classical * (1 - e^{-beta hbar C(b,m)}) from the sandwich
