@@ -67,9 +67,12 @@ def _resolve_graph(cfg):
         raise ConfigError("config needs a 'graph' entry")
     if isinstance(spec, str):
         return fileio.load_graph(spec), None
+    if not isinstance(spec, dict):
+        raise ConfigError("graph entry must be a file path or an object, "
+                          f"not {spec!r}")
     if "preset" in spec:
         name = spec["preset"]
-        if name not in presets.PRESETS:
+        if not isinstance(name, str) or name not in presets.PRESETS:
             raise ConfigError(f"unknown preset {name!r}")
         return presets.PRESETS[name]()
     if "file" in spec:
@@ -89,10 +92,11 @@ def _params(cfg):
 
 
 def _number(value, name, kind=float):
-    """``kind(value)`` for a finite config number; ConfigError else."""
+    """``kind(value)`` for a finite config number; ConfigError else, and
+    for an int also when ``value`` has a fraction that it would drop."""
     try:
         x = kind(value)
-        if math.isfinite(x):
+        if math.isfinite(x) and not (isinstance(value, float) and x != value):
             return x
     except (TypeError, ValueError, OverflowError):
         pass
@@ -380,6 +384,8 @@ def run(config_path, subcommand):
     try:
         cfg = fileio.load_config(config_path)
         outdir = cfg.get("output_dir", ".")
+        if not isinstance(outdir, str):
+            raise ConfigError(f"output_dir must be a path, not {outdir!r}")
         digest = hashlib.sha256(
             Path(config_path).read_bytes()).hexdigest()
         results = _COMMANDS[subcommand](cfg, outdir)

@@ -65,8 +65,8 @@ class NumericalFailure(GraphFKError):
     pass
 
 
-class BadCoefficients(GraphFKError):
-    pass
+class BadCoefficients(BadParams):
+    """A time or a form-bound coefficient out of range."""
 
 
 class ConfigError(GraphFKError):

@@ -10,6 +10,7 @@ Magnetic: [[label_i, label_j, phase]].  Potential: [[label, matrix]] or
 from __future__ import annotations
 
 import json
+import os
 from contextlib import contextmanager
 
 import numpy as np
@@ -20,11 +21,17 @@ from .graphs import WeightedGraph, build_graph
 
 
 def _load_json(path):
+    if not isinstance(path, (str, os.PathLike)):
+        # open() would take an integer for a file descriptor
+        raise ConfigError(f"a file path must be a string, not {path!r}")
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        # a directory, an unreadable file, or bytes that are not UTF-8
+        raise ConfigError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from None
 
@@ -40,11 +47,14 @@ def _parsing(what):
 
 
 def graph_from_dict(data) -> WeightedGraph:
+    if not isinstance(data, dict):
+        raise ConfigError("a graph spec must be a JSON object")
     with _parsing("graph spec"):
         edges = [(a, b, float(w)) for a, b, w in data.get("edges", [])]
         measure = [(a, float(v)) for a, v in data.get("measure", [])]
-        vertices = data.get("vertices")
-    return build_graph(edges, measure=measure or None, vertices=vertices)
+        # an unhashable label, such as a list, fails in build_graph
+        return build_graph(edges, measure=measure or None,
+                           vertices=data.get("vertices"))
 
 
 def load_graph(path) -> WeightedGraph:

@@ -210,6 +210,38 @@ def is_connected(g: WeightedGraph) -> bool:
     return len(seen) == g.n
 
 
+def has_triangle(g: WeightedGraph) -> bool:
+    """True iff some three vertices are pairwise adjacent.
+
+    Each edge is oriented up the order (degree, index), which leaves every
+    vertex at most sqrt(2E) out-neighbors, and each oriented edge u -> v
+    looks for an out-neighbor of v among those of u (Chiba & Nishizeki,
+    SIAM J. Comput. 14 (1985) 210): O(E sqrt(E)) work, in pieces of
+    about 2^20 lookups.
+    """
+    pairs = np.array(list(g.edges), dtype=np.int64).reshape(-1, 2)
+    rank = np.empty(g.n, dtype=np.int64)
+    rank[np.lexsort((np.arange(g.n),
+                     np.bincount(pairs.ravel(), minlength=g.n)))] = \
+        np.arange(g.n)
+    pairs = np.where((rank[pairs[:, 0]] < rank[pairs[:, 1]])[:, None],
+                     pairs, pairs[:, ::-1])
+    keys = np.sort(pairs[:, 0] * g.n + pairs[:, 1])
+    u, v = np.divmod(keys, g.n)
+    count = np.bincount(u, minlength=g.n)
+    width = int(count.max(initial=0))
+    out = np.full((g.n, width), -1, dtype=np.int64)  # -1 pads
+    out[u, np.arange(u.size) - (np.cumsum(count) - count)[u]] = v
+    step = max(1, 2**20 // max(width, 1))
+    for lo in range(0, u.size, step):
+        w = out[v[lo:lo + step]]
+        probe = u[lo:lo + step, None] * g.n + w
+        at = np.minimum(np.searchsorted(keys, probe), keys.size - 1)
+        if np.any((w >= 0) & (keys[at] == probe)):
+            return True
+    return False
+
+
 def generate(family, **params) -> WeightedGraph:
     """Standard graph families with b = 1 and m = 1.
 
@@ -218,10 +250,15 @@ def generate(family, **params) -> WeightedGraph:
     the given side length, edges between Euclidean-distance-1 points.
     """
     try:
-        params = {key: int(value) for key, value in params.items()}
+        ints = {key: int(value) for key, value in params.items()}
+        # int() would drop the fraction of 2.7 silently
+        if any(ints[key] != value for key, value in params.items()
+               if isinstance(value, float)):
+            raise ValueError
     except (TypeError, ValueError, OverflowError):
         raise BadParams(f"{family} takes integer parameters, not "
                         f"{params}") from None
+    params = ints
     if family == "path":
         n = params.get("n", 0)
         if n < 1:

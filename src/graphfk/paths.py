@@ -25,27 +25,31 @@ interval scales by diag(e^{-s lam_y}) and a jump multiplies by one W, so
 no LAPACK call runs in the path loop, and a holding factor at rank 1 is
 an elementwise exp.
 
-Partition traces are estimated per start vertex x as
+Partition traces are estimated per start vertex x from the Dyson
+strata Z_k(x), the weight of the paths from x that end at x with exactly
+k jumps, as
 
-    Z_x = p_0 tr e^{-t V(x)/hbar} + E^x[S],   E^x[S] = E^x[g 1_{X_t = x} F]
+    Z_x = Z_0 + Z_2 + E^x[S],   E^x[S] = sum_{k >= K} Z_k(x).
 
-with p_0 = e^{-deg_m(x) t} the probability of no jump.  The first term,
-the paper's semiclassical leading term, is exact.  A path with one jump
-ends where it cannot start, the graph having no self-loops, so that
-stratum is 0 and the paths skip it: each of the first two holding times
-is drawn given that it ends before the horizon, and the path carries the
-probability g of that pair of events (the forced transitions of Lewis &
-Boehm, Nucl. Eng. Des. 77 (1984) 49).  A path is not scored by whether
-it happens to end at x.  Each of its jumps k >= 2 from a neighbor y of x
-scores, in S, the weight of the return it could have made: the
-probability p(y -> x) of jumping to x times the probability
+Z_0 = p_0 tr e^{-t V(x)/hbar}, with p_0 = e^{-deg_m(x) t} the
+probability of no jump, is the paper's semiclassical leading term, and
+Z_2 is ``semiclassics.two_jump_terms``, in closed form; both are exact.
+Z_1 = 0, the graph having no self-loops, and Z_3 = 0 when it has no
+triangle.  So the paths are drawn with their first K jumps forced, K = 4
+on a graph without triangles and 3 otherwise: each of the first K
+holding times is drawn given that it ends before the horizon, and the
+path carries the probability g of those events (the forced transitions
+of Lewis & Boehm, Nucl. Eng. Des. 77 (1984) 49).  A path is not scored
+by whether it happens to end at x.  Each of its jumps k >= K from a
+neighbor y of x scores, in S, the weight of the return it could have
+made: the probability p(y -> x) of jumping to x times the probability
 e^{-deg_m(x) r} of then staying there for the time r left, times the
 Dyson weight of that return.  This is the expected-value (next-event)
 estimator of Spanier & Gelbard, Monte Carlo Principles and Neutron
 Transport Problems (1969), ch. 3: each term is the conditional
 expectation, given the path up to the time of its k-th jump, of the
-weight of the paths that end at x with exactly k jumps, so E[S] is
-unchanged, and the Bernoulli noise of the indicator is gone.
+weight of the paths that end at x with exactly k jumps, so its mean is
+Z_k, and the Bernoulli noise of the indicator is gone.
 
 The process-law estimators run at rank 1, unconditioned:
 ``simulate_scalar_paths`` returns each path's terminal vertex,
@@ -71,8 +75,9 @@ import numpy as np
 
 from .bundles import Connection
 from .errors import BadParams, UnknownIndex
-from .graphs import WeightedGraph, degrees
+from .graphs import WeightedGraph, degrees, has_triangle
 from .operators import Problem, resolve
+from .semiclassics import two_jump_terms
 
 CHUNK_SIZE = 8192
 
@@ -123,6 +128,10 @@ class _JumpTable:
     ``nbrs`` with the padding set to n, so that the slot of x in row y is
     count(nbrs[y] < x).  ``stay`` is lam + deg_m: held at x for a time r
     without a jump, a path gains e^{-r stay[x]} in the eigenbasis.
+
+    ``forced`` is the number of jumps the trace estimator forces, and the
+    first it scores: 4 when the graph has no triangle, where no path
+    returns to its start in three jumps, and 3 otherwise.
     """
 
     def __init__(self, problem: Problem, hbar: float = 1.0):
@@ -160,6 +169,7 @@ class _JumpTable:
         self.PW = np.concatenate([PW, np.zeros((nu, nu, 1), PW.dtype)], axis=2)
         self.stay = self.lam + self.rates[:, None]
         self.dtype = self.W.dtype
+        self.forced = 3 if has_triangle(g) else 4
 
 
 # ---------------------------------------------------------------------------
@@ -196,22 +206,23 @@ def _path_chunk(tbl, start, horizon, rng, loops=False):
     ``loops``.
 
     With ``loops`` the chunk serves the trace estimator and returns the
-    next-event score S of each path in place of F.  The first two jumps
-    are forced: each of the first two holding times is drawn given that it
-    ends within the time left, r = horizon - (time so far), which happens
-    with probability g_k = 1 - e^{-deg_m r}, and the path carries the
-    product g = g_1 g_2.  So every path jumps at least twice (every start
-    needs a positive rate).  Each jump k >= 2, at tau_k from a neighbor y
-    of the start x, scores the return it could have made:
+    next-event score S of each path in place of F.  The first K =
+    ``tbl.forced`` jumps are forced: each of the first K holding times is
+    drawn given that it ends within the time left, r = horizon - (time so
+    far), which happens with probability g_k = 1 - e^{-deg_m r}, and the
+    path carries the product g = g_1 ... g_K.  So every path jumps at
+    least K times (every start needs a positive rate).  Each jump k >= K,
+    at tau_k from a neighbor y of the start x, scores the return it could
+    have made:
 
         g p(y -> x) e^{-deg_m(x) r} tr(M_k Phi_{x,y} e^{-r V(x)}),
 
     with r = horizon - tau_k, p(y -> x) = b(x, y) / deg_1(y) and M_k the
     Dyson product up to tau_k.  Given the path up to tau_k, that is the
     expected weight of the paths whose k-th jump lands on x and that stay
-    there: so E[S] = E[g 1_{X_t = x} F], the contribution of the paths with
-    two jumps or more, with no Bernoulli noise from the indicator.  The
-    path itself walks on as drawn.
+    there: so E[S] is the weight of the paths from x with K jumps or more
+    that end at x, with no Bernoulli noise from the indicator.  The path
+    itself walks on as drawn.
 
     The jump chain is walked for all paths at once, round by round.  At
     rank 1 the weights, and the scores, are multiplied in as the paths go;
@@ -233,7 +244,7 @@ def _path_chunk(tbl, start, horizon, rng, loops=False):
     moving = np.flatnonzero((horizon > 0) & (tbl.rates[start] > 0.0))
     act = moving
     rounds = []
-    forced = 2 if loops else 0
+    forced = tbl.forced if loops else 0
     i = 0  # the round, and the jump it makes is jump i + 1
     while act.size:
         ys = states[act]
@@ -260,8 +271,8 @@ def _path_chunk(tbl, start, horizon, rng, loops=False):
         took = None
         if act.size:
             ys = states[act]
-            if loops and nu == 1 and i:
-                # jump 2 or later: score the return to the start
+            if loops and nu == 1 and i >= forced - 1:
+                # jump K or later: score the return to the start
                 S[act] += _return_score(tbl, F[act][None, None], ys,
                                         start[act], horizon - t[act])
             u = rng.random(act.size)
@@ -314,9 +325,9 @@ def _weigh(tbl, start, horizon, N, rounds, paths):
     The replay runs in the eigenbases of the potential.  M starts at the
     identity; a hold at y scales its columns by e^{-s lam_y}, and a jump
     y -> x' multiplies it by W = Q_y^H Phi_{x',y} Q_{x'}, one nu x nu
-    product, in which the inner Q_{x'} Q_{x'}^H cancel.  A jump k >= 2
-    from a neighbor y of the start x, with M held at y up to tau_k and
-    r = horizon - tau_k left, adds
+    product, in which the inner Q_{x'} Q_{x'}^H cancel.  A jump k >= K =
+    ``tbl.forced`` from a neighbor y of the start x, with M held at y up
+    to tau_k and r = horizon - tau_k left, adds
 
         sum_ab M_ab (P W)_ba e^{-r (lam_{x,a} + deg_m(x))},
 
@@ -353,7 +364,7 @@ def _weigh(tbl, start, horizon, N, rounds, paths):
         e = _hold(tbl, cur[:jumping], s).T
         M[:, :, :jumping] *= e[None]
         tau[:jumping] += s
-        if i:
+        if i >= tbl.forced - 1:
             total[:jumping] += _return_score(
                 tbl, M[:, :, :jumping], cur[:jumping], x[:jumping],
                 horizon - tau[:jumping])
@@ -378,7 +389,7 @@ def simulate_scalar_paths(g: WeightedGraph, start: int, t: float,
     With v = None the weights F are identically 1 and the output carries
     the pure process law (terminal states and jump counts).
     """
-    if t < 0:
+    if not t >= 0:  # NaN fails it too
         raise BadParams("horizon must be nonnegative")
     if not 0 <= start < g.n:
         raise UnknownIndex(f"start vertex {start} not in graph")
@@ -501,23 +512,25 @@ def estimate_partition(g: WeightedGraph, c: Connection, V, beta: float,
     is taken in the arithmetic of V's values, as the exact side takes it.
     With t = beta hbar, each vertex x contributes
 
-        Z_x = p_0 tr e^{-t V(x)/hbar} + E^x[S],
+        Z_x = p_0 tr e^{-t V(x)/hbar} + Z_2(x) + E^x[S],
 
-    p_0 = e^{-deg_m(x) t}.  The no-jump term is exact.  A path that jumps
-    once cannot return, the graph having no self-loops, so the paths are
-    drawn with their first two jumps forced, as by ``_path_chunk`` with
-    ``loops``: g = (1 - e^{-deg_m(x) t})(1 - e^{-deg_m(y) (t - tau_1)}) is
-    the probability of a first jump and, given it at tau_1 to y, of a
-    second.  Each path is scored by S, the sum over its jumps k >= 2 from
-    a neighbor of x of the weight of the return to x it could have made
+    p_0 = e^{-deg_m(x) t}.  The no-jump term and the two-jump term Z_2
+    (``semiclassics.two_jump_terms``) are exact.  A path that jumps once
+    cannot return, the graph having no self-loops, nor one that jumps
+    three times if the graph has no triangle.  So the paths are drawn with
+    their first K jumps forced, K = 4 without triangles and 3 otherwise,
+    as by ``_path_chunk`` with ``loops``: g is the probability of a first
+    jump inside the horizon and, given each, of the next, up to the K-th.
+    Each path is scored by S, the sum over its jumps k >= K from a
+    neighbor of x of the weight of the return to x it could have made
     there and then, in place of the indicator 1_{X_t = x}: by the tower
-    property E^x[S] = E^x[g 1_{X_t = x} F], the weight of the paths with
-    two jumps or more that end at x, and ``samples`` such paths estimate
-    it.  A vertex of rate 0 runs no path and reports its exact term with
-    stderr 0.  The paths of all vertices run vertex-major in pieces of
-    ``chunk`` paths, one kernel call per piece on the stream keyed (seed,
-    piece index); per-vertex moments merge in piece order, so results do
-    not depend on ``workers``.  The Z_x are summed in vertex order, and
+    property E^x[S] is the weight of the paths with K jumps or more that
+    end at x, and ``samples`` such paths estimate it.  A vertex of rate 0
+    runs no path and reports its exact terms with stderr 0.  The paths of
+    all vertices run vertex-major in pieces of ``chunk`` paths, one kernel
+    call per piece on the stream keyed (seed, piece index); per-vertex
+    moments merge in piece order, so results do not depend on
+    ``workers``.  The Z_x are summed in vertex order, and
     the imaginary part is reported alongside the real one.
     """
     if not (beta > 0 and hbar > 0):  # NaN fails it too
@@ -530,7 +543,8 @@ def estimate_partition(g: WeightedGraph, c: Connection, V, beta: float,
     problem = resolve(g, c, V)
     t = beta * hbar
     tbl = _JumpTable(problem, hbar)
-    no_jump = np.exp(-tbl.rates * t) * np.exp(-t * tbl.lam).sum(axis=1)
+    exact = (np.exp(-tbl.rates * t) * np.exp(-t * tbl.lam).sum(axis=1)
+             + two_jump_terms(problem, t, hbar))
     live = np.flatnonzero(tbl.rates * t > 0.0)  # p_0 < 1
 
     def run(job):
@@ -543,7 +557,7 @@ def estimate_partition(g: WeightedGraph, c: Connection, V, beta: float,
     jobs = _chunk_sizes(live.size * samples, chunk)
     mean, se = _mean_se(*_merge_moments(g.n, 2, _run_jobs(run, jobs, workers)))
     # columns: real and imaginary part
-    est = np.stack([no_jump, np.zeros(g.n)], axis=1) + mean
+    est = np.stack([exact, np.zeros(g.n)], axis=1) + mean
     # correctly rounded, as spectral.partition_function sums its terms, so
     # a zero-variance estimate of a trace meets the exact value bit for bit
     return EstimatorReport(

@@ -10,10 +10,16 @@ so it converges to the classical partition sum as hbar -> 0+.  For
 magnetic and covariant operators only the upper bound is available; the
 lower column is still reported (with the fiberwise classical terms
 tr_x e^{-beta V(x)} in place of e^{-beta w(x)}) but never asserted.
+
+The lower bound is the no-jump term Z_0 of the Dyson series of the
+trace.  ``two_jump_terms`` gives the next nonzero term, Z_2, in closed
+form; in the scalar case every term of the series is nonnegative, so
+Z_0 + Z_2 <= trace is a sharper lower bound, and the sweep asserts it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +27,7 @@ import numpy as np
 from .bundles import Connection, Potential
 from .errors import BadParams
 from .graphs import ExhaustionSequence, WeightedGraph, degrees, restrict
-from .operators import assemble, resolve
+from .operators import Problem, _coupling, assemble, resolve
 from .spectral import eigenvalues, partition_function
 # not called here; kept because perfbench/tracer.py rebinds it
 from .spectral import eigendecompose  # noqa: F401
@@ -89,7 +95,7 @@ def _classical_terms(V: Potential, beta: float) -> np.ndarray:
 
 def classical_partition(V, beta: float) -> float:
     """sum_x tr_x e^{-beta V(x)} (scalar: sum_x e^{-beta w(x)})."""
-    if beta <= 0:
+    if not beta > 0:  # NaN fails it too
         raise BadParams("beta must be positive")
     if not isinstance(V, Potential):
         V = Potential.scalar(V)
@@ -99,7 +105,7 @@ def classical_partition(V, beta: float) -> float:
 def semiclassical_trace(g: WeightedGraph, c: Connection, V,
                         beta: float, hbar: float) -> float:
     """tr(e^{-beta hbar H_{Phi, V/hbar}})."""
-    if beta <= 0 or hbar <= 0:
+    if not (beta > 0 and hbar > 0):  # NaN fails it too
         raise BadParams("beta and hbar must be positive")
     V = resolve(g, c, V).potential.scaled(hbar)
     lam = eigenvalues(assemble(g, c, V))
@@ -108,7 +114,7 @@ def semiclassical_trace(g: WeightedGraph, c: Connection, V,
 
 def sandwich_bounds(g: WeightedGraph, w, beta: float, hbar: float):
     """(lower, upper) bracketing the scalar nonmagnetic quantum trace."""
-    if beta <= 0 or hbar <= 0:
+    if not (beta > 0 and hbar > 0):  # NaN fails it too
         raise BadParams("beta and hbar must be positive")
     w = resolve(g, None, w).potential.as_scalar()
     deg_m = degrees(g).deg_m
@@ -120,11 +126,91 @@ def sandwich_bounds(g: WeightedGraph, w, beta: float, hbar: float):
 def golden_thompson_margin(g: WeightedGraph, c: Connection, V,
                            t: float) -> float:
     """Classical minus quantum trace at time t; nonnegative by theory."""
-    if t <= 0:
+    if not t > 0:  # NaN fails it too
         raise BadParams("t must be positive")
     V = resolve(g, c, V).potential
     lam = eigenvalues(assemble(g, c, V))
     return classical_partition(V, t) - partition_function(lam, t)
+
+
+def _series(coeffs, z):
+    """sum_k coeffs[k] z^k by Horner's rule (numpy.polynomial would add
+    a few milliseconds to the package import)."""
+    out = np.zeros_like(z)
+    for c in coeffs[::-1]:
+        out = out * z + c
+    return out
+
+
+# Taylor coefficients of psi(z) = int_0^1 s e^{-sz} ds, (-1)^k / (k! (k + 2)),
+# and of chi(z) = int_0^1 (1 - s) e^{-sz} ds, (-1)^k / (k + 2)!; below
+# _SERIES_CUT the closed forms cancel, and 20 terms leave under 1e-19 there
+_SERIES_CUT = 1.0
+_PSI = np.array([(-1) ** k / (math.factorial(k) * (k + 2)) for k in range(20)])
+_CHI = np.array([(-1) ** k / math.factorial(k + 2) for k in range(20)])
+
+
+def _psi_chi(z):
+    """(psi(z), chi(z)) for z >= 0, psi(z) = int_0^1 s e^{-sz} ds and
+    chi(z) = int_0^1 (1 - s) e^{-sz} ds: the series below the cut, the
+    closed forms (-expm1(-z) - z e^{-z}) / z^2 and (z + expm1(-z)) / z^2,
+    accurate to a few units in the last place, from it up (McCurdy, Ng &
+    Parlett, Math. Comp. 43 (1984) 501)."""
+    small = z < _SERIES_CUT
+    zs = np.where(small, z, 0.0)
+    zc = np.where(small, _SERIES_CUT, z)
+    em = np.expm1(-zc)
+    return (np.where(small, _series(_PSI, zs),
+                     (-em - zc * np.exp(-zc)) / zc ** 2),
+            np.where(small, _series(_CHI, zs), (zc + em) / zc ** 2))
+
+
+def _two_jump_integral(alpha, beta, t):
+    """I(alpha, beta) = int_0^t u e^{-u alpha} e^{-(t - u) beta} du,
+    elementwise: t^2 e^{-t beta} psi(t (alpha - beta)) for alpha >= beta,
+    and t^2 e^{-t alpha} chi(t (beta - alpha)) by the mirror s -> 1 - s
+    for alpha < beta, so no exponential grows."""
+    alpha, beta = np.broadcast_arrays(np.asarray(alpha, float),
+                                      np.asarray(beta, float))
+    psi, chi = _psi_chi(t * np.abs(alpha - beta))
+    return t * t * np.exp(-t * np.minimum(alpha, beta)) * np.where(
+        alpha >= beta, psi, chi)
+
+
+def two_jump_terms(problem: Problem, t: float, hbar: float = 1.0):
+    """Per vertex x, the two-jump term Z_2(x) of tr e^{-t H_{Phi, V/hbar}}.
+
+    H = D - K splits into its diagonal blocks D_x = deg_m(x) + V(x)/hbar
+    and the hops K_xy = b(x,y)/m_x Phi_{y,x}.  Z_k(x) is the trace at x of
+    the term of the Dyson series of e^{-tH} with k factors K; in the
+    scalar case every term is nonnegative.  With the eigenbases V(x)/hbar
+    = Q_x diag(lam_x) Q_x^H and a = deg_m + lam,
+
+        Z_2(x) = sum_{y~x} b(x,y)^2/(m_x m_y) sum_ab |W_ab|^2 I(a_xa, a_yb),
+        W = Q_x^H Phi_{y,x} Q_y,
+
+    I as in ``_two_jump_integral``: by the cyclicity of the trace the two
+    holds at x merge into one of total time u, and the splits of u weigh
+    it by u.  Z_0(x) = sum_a e^{-t a_xa}, Z_1 = 0 without self-loops, and
+    Z_3 = 0 without triangles.  O(E nu^3) on the arcs of ``problem``;
+    V / hbar is taken in the arithmetic of V's values.
+    """
+    g, nu = problem.graph, problem.rank
+    x, y = problem.src, problem.dst
+    values = problem.potential.scaled(hbar).values
+    back = _coupling(problem)  # Phi_{y,x} on the arc x -> y
+    if nu == 1:
+        lam, W = values[:, :, 0].real, back
+    else:
+        lam, Q = np.linalg.eigh(values)
+        W = Q[x].conj().swapaxes(1, 2) @ back @ Q[y]
+    # deg_m, summed in the arc order that ``degrees`` sums in
+    a = (np.bincount(x, weights=problem.w, minlength=g.n)
+         / g.measure)[:, None] + lam
+    I = _two_jump_integral(a[x][:, :, None], a[y][:, None, :], t)
+    arcs = (problem.w ** 2 / (g.measure[x] * g.measure[y])
+            * np.einsum("eab,eab->e", np.abs(W) ** 2, I))
+    return np.bincount(x, weights=arcs, minlength=g.n)
 
 
 def sweep(config: SweepConfig) -> SweepResult:
@@ -132,7 +218,9 @@ def sweep(config: SweepConfig) -> SweepResult:
 
     Each row carries (hbar, trace, lower, upper, gap = upper - trace).
     The scalar sandwich lower <= trace <= upper is asserted when the
-    problem is scalar; only the upper bound is asserted otherwise.
+    problem is scalar, sharpened below to lower + Z_2 <= trace with the
+    two-jump term of ``two_jump_terms``; only the upper bound is asserted
+    otherwise.
     """
     g = config.graph
     beta = config.beta
@@ -149,10 +237,12 @@ def sweep(config: SweepConfig) -> SweepResult:
         if trace > classical + 1e-9:
             raise AssertionError(
                 f"upper bound violated at hbar={hbar}: {trace} > {classical}")
-        if problem.mode == "scalar" and lower > trace + 1e-9:
-            raise AssertionError(
-                f"sandwich lower bound violated at hbar={hbar}: "
-                f"{lower} > {trace}")
+        if problem.mode == "scalar":
+            two_jump = float(two_jump_terms(problem, beta * hbar, hbar).sum())
+            if lower + two_jump > trace + 1e-9:
+                raise AssertionError(
+                    f"sandwich lower bound violated at hbar={hbar}: "
+                    f"{lower} + {two_jump} > {trace}")
         result.rows.append(SweepRow(hbar, trace, lower, classical, gap))
     result.gap_ratios = [
         b.gap / a.gap if a.gap > 0 else float("nan")

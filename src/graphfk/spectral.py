@@ -86,7 +86,7 @@ def propagator(dec: SpectralDecomposition, t: float) -> np.ndarray:
 
 def heat_kernel(dec: SpectralDecomposition, t: float) -> HeatKernel:
     """Heat kernel at time t > 0 via functional calculus."""
-    if t <= 0:
+    if not t > 0:  # NaN fails it too
         raise BadCoefficients("heat kernel needs t > 0")
     w = np.sqrt(_weights(dec))
     core = (dec.vectors * np.exp(-t * dec.eigenvalues)) @ dec.vectors.conj().T
@@ -96,7 +96,7 @@ def heat_kernel(dec: SpectralDecomposition, t: float) -> HeatKernel:
 
 def partition_function(lam: np.ndarray, t: float) -> float:
     """tr(e^{-tH}) = sum_k e^{-t lambda_k} from the eigenvalues lam."""
-    if t <= 0:
+    if not t > 0:  # NaN fails it too
         raise BadCoefficients("partition function needs t > 0")
     return math.fsum(np.exp(-t * np.asarray(lam)))
 
@@ -118,7 +118,7 @@ def kato_functional(g: WeightedGraph, w, t: float) -> float:
     the time integral is exact: int_0^t e^{-s lambda} ds =
     -expm1(-t lambda) / lambda, equal to t where t lambda = 0.
     """
-    if t <= 0:
+    if not t > 0:  # NaN fails it too
         raise BadCoefficients("kato functional needs t > 0")
     w = np.asarray(w, dtype=float)
     dec = eigendecompose(assemble(g))

@@ -406,6 +406,76 @@ class TestMalformedConfig:
         self._exit_1(tmp_path, capsys, subcommand,
                      {"graph": {"preset": "two_vertex"}, **cfg})
 
+    @pytest.mark.parametrize("graph", [5, {"preset": {}}, {"preset": ["x"]},
+                                       {"file": 5}],
+                             ids=["number", "object-preset", "list-preset",
+                                  "number-file"])
+    def test_graph_entry_of_the_wrong_type(self, tmp_path, capsys, graph):
+        # the first three crashed with a TypeError traceback, and open()
+        # took the file number 5 for a file descriptor
+        self._exit_1(tmp_path, capsys, "spectrum", {"graph": graph})
+
+    def test_output_dir_not_a_string(self, tmp_path, capsys):
+        # pathlib raised a TypeError
+        self._exit_1(tmp_path, capsys, "spectrum",
+                     {"graph": {"preset": "two_vertex"}, "output_dir": 5})
+
+    def test_list_labels_in_a_graph_file(self, tmp_path, capsys):
+        # build_graph raised "unhashable type: 'list'" outside the parser
+        path = write_config(tmp_path, "g.json",
+                            {"edges": [[["a"], "b", 1.0]]})
+        record = self._exit_1(tmp_path, capsys, "spectrum", {"graph": path})
+        assert "malformed graph spec" in record["error"]
+
+    @pytest.mark.parametrize("key", ["graph", "potential"])
+    def test_data_path_names_a_directory(self, tmp_path, capsys, key):
+        # an IsADirectoryError traceback
+        cfg = {"graph": {"preset": "two_vertex"}, key: str(tmp_path)}
+        record = self._exit_1(tmp_path, capsys, "spectrum", cfg)
+        assert "cannot read" in record["error"]
+
+    def test_config_path_names_a_directory(self, tmp_path, capsys):
+        assert run(str(tmp_path), "spectrum") == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "cannot read" in json.loads(err.strip())["error"]
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        # a UnicodeDecodeError traceback
+        path = tmp_path / "c.json"
+        path.write_bytes(b'{"graph": "\xff"}')
+        assert run(str(path), "spectrum") == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "cannot read" in json.loads(err.strip())["error"]
+
+    def test_unreadable_data_file(self, tmp_path, capsys, monkeypatch):
+        # a PermissionError traceback; open is stubbed, since a file mode
+        # does not stop a superuser from reading
+        path = write_config(tmp_path, "g.json", {"edges": [["a", "b", 1.0]]})
+        cfg = write_config(tmp_path, "c.json", {"graph": path})
+
+        def refuse(name, *args, **kwargs):
+            if name == path:
+                raise PermissionError(13, "Permission denied", name)
+            return open(name, *args, **kwargs)
+
+        monkeypatch.setattr(fileio, "open", refuse, raising=False)
+        assert run(cfg, "spectrum") == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "Permission denied" in json.loads(err.strip())["error"]
+
+    @pytest.mark.parametrize("subcommand, cfg", [
+        ("spectrum", {"graph": {"family": "path", "n": 2.7}}),
+        ("fk-compare", {"graph": {"preset": "two_vertex"},
+                        "params": {"samples": 1000.9}}),
+    ], ids=["family-size", "samples"])
+    def test_fractional_integer_params(self, tmp_path, capsys, subcommand,
+                                       cfg):
+        # the fraction was dropped: a 2-vertex path, 1000 paths
+        self._exit_1(tmp_path, capsys, subcommand, cfg)
+
 
 class TestKato:
     def test_monotone_grid(self, tmp_path):

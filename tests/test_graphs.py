@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from graphfk.graphs import (
     build_graph,
     degrees,
     generate,
+    has_triangle,
     is_connected,
     restrict,
 )
@@ -115,6 +118,23 @@ class TestConnectivity:
         for _ in range(40):
             g = random_graph(rng, max_n=8, connected=False)
             assert is_connected(g) == brute_force_connected(g)
+
+
+class TestTriangles:
+    def test_examples(self):
+        assert has_triangle(generate("cycle", n=3))
+        assert has_triangle(generate("complete", n=5))
+        assert not has_triangle(generate("cycle", n=4))
+        assert not has_triangle(generate("lattice_box", l=2, side=5))
+        assert not has_triangle(generate("star", leaves=6))
+        assert not has_triangle(build_graph([], vertices=["a", "b"]))
+
+    def test_against_brute_force(self, rng):
+        for _ in range(60):
+            g = random_graph(rng, max_n=9, connected=False)
+            want = any(g.weight(i, j) and g.weight(j, k) and g.weight(i, k)
+                       for i, j, k in itertools.combinations(range(g.n), 3))
+            assert has_triangle(g) == want
 
 
 class TestGenerate:

@@ -195,78 +195,101 @@ def _dyson_product(c, V, holds, walk):
     return np.trace(A)
 
 
+def _cycle_walk(n, t, forced):
+    """The stub draws that walk the n-cycle 0 -> 1 -> ... -> n-1 -> 0 with
+    the forced holding times ``forced``, then 0 -> 1 -> 0 unforced, and
+    the probability g that the forced holding times all end inside the
+    horizon t.  Every vertex leaves at rate 2; a forced holding time s with
+    the time r left is drawn with P(tau <= s) = expm1(-2 s) / expm1(-2 r).
+    Going round takes the first slot of {1, n-1} at 0, the second of
+    {i-1, i+1} at 0 < i < n-1, and the first of {0, n-2} at n-1; the
+    steps after it take the first slot."""
+    slots = [0.25] + [0.75] * (n - 2) + [0.25]
+    uniforms, g, r = [], 1.0, t
+    for s, slot in zip(forced, slots):
+        uniforms += [math.expm1(-2 * s) / math.expm1(-2 * r), slot]
+        g *= -math.expm1(-2 * r)
+        r -= s
+    return uniforms + [0.25, 0.25], g
+
+
 class TestKernel:
     def test_single_path_weight_on_a_triangle(self, rng):
-        # the loop 0 -> 1 -> 2 -> 0, jumping at 0.2, 0.5 and 0.9, adds to
-        # the rank-2 score of the walk of test_forced_pair_weight the
-        # return from 2 with the Dyson weight tr(E_0 Phi_10 E_1 Phi_21 E_2
-        # Phi_02 E_3), earliest factor leftmost; with non-commuting V the
-        # reverse order differs
+        # the loop 0 -> 1 -> 2 -> 0 with its three jumps forced, at 0.2, 0.5
+        # and 0.9, scores at jump 3 the Dyson weight tr(E_0 Phi_10 E_1
+        # Phi_21 E_2 Phi_02 E_3), earliest factor leftmost; with
+        # non-commuting V the reverse order differs
         g, c, V = _triangle(rng, 2)
         tbl = _JumpTable(resolve(g, c, V))
         t = 1.2
-        u1 = math.expm1(-2 * 0.2) / math.expm1(-2 * t)
-        u2 = math.expm1(-2 * 0.3) / math.expm1(-2 * (t - 0.2))
-        scores = [_path_chunk(tbl, np.zeros(1, dtype=np.int64), t,
-                              _StubStream([u1, 0.25, u2, 0.75, 0.25], holds),
-                              loops=True)[1][0]
-                  for holds in ((), (0.8,))]
-        factor = (-math.expm1(-2 * t) * -math.expm1(-2 * (t - 0.2))
-                  * 0.5 * math.exp(-2 * 0.3))
+        uniforms, weight = _cycle_walk(3, t, (0.2, 0.3, 0.4))
+        score = _path_chunk(tbl, np.zeros(1, dtype=np.int64), t,
+                            _StubStream(uniforms), loops=True)[1][0]
+        factor = weight * 0.5 * math.exp(-2 * 0.3)
         holds, walk = (0.2, 0.3, 0.4, 0.3), (0, 1, 2, 0)
         want = factor * _dyson_product(c, V, holds, walk)
         reverse = expm(-holds[-1] * V.values[walk[-1]])
         for dt, y, ynext in zip(holds[-2::-1], walk[-2::-1], walk[:0:-1]):
             reverse = reverse @ c.matrix(ynext, y) @ expm(-dt * V.values[y])
         reverse = factor * np.trace(reverse)
-        loop = scores[1] - scores[0]
-        assert abs(loop - want) <= 1e-12 * max(map(abs, scores))
-        assert abs(loop - reverse) > 1e-6 * abs(want)
+        assert abs(score - want) <= 1e-12 * abs(want)
+        assert abs(score - reverse) > 1e-6 * abs(want)
+
     @pytest.mark.parametrize("nu", [1, 2])
-    def test_forced_pair_weight(self, rng, nu):
-        # loops: the first two holding times are drawn inside the time left
-        # r, with P(tau <= s) = expm1(-2 s) / expm1(-2 r), and the path
-        # carries g = (1 - e^{-2t})(1 - e^{-2(t - 0.2)}), the probability
-        # that both fall inside.  The walk 0 -> 1 -> 2 -> 0 jumps at 0.2,
-        # 0.5 and 0.9; jumps 2 and 3 leave neighbors of 0 and score the
-        # return they could have made, with probability 1/2, staying at 0
-        # up to t = 1.2 with probability e^{-2 r}
-        g, c, V = _triangle(rng, nu)
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_forced_jumps_weight(self, rng, nu, n):
+        # loops: the first K jumps are forced, K = 3 on the triangle and
+        # K = 4 on the square, which has none, and the path carries g, the
+        # probability that they all fall inside the horizon.  The walk round
+        # the n-cycle, its holds adding up to 0.9, scores only at jump K,
+        # from n-1 (on the triangle jump 2, from the neighbor 1 of 0, does
+        # not score): the return to 0 with probability 1/2, staying there up
+        # to t = 1.5 with probability e^{-2 r}.  Two unforced holds of 0.1
+        # then walk 0 -> 1 -> 0: jump K + 1 leaves the start and adds 0,
+        # and jump K + 2 leaves 1 and scores its return
+        g = generate("cycle", n=n)
+        c, V = random_connection(g, nu, rng), random_potential(g, nu, rng)
         tbl = _JumpTable(resolve(g, c, V))
-        t = 1.2
-        u1 = math.expm1(-2 * 0.2) / math.expm1(-2 * t)
-        u2 = math.expm1(-2 * 0.3) / math.expm1(-2 * (t - 0.2))
-        weight = -math.expm1(-2 * t) * -math.expm1(-2 * (t - 0.2))
-        from1 = weight * 0.5 * math.exp(-2 * 0.7) * _dyson_product(
-            c, V, (0.2, 0.3, 0.7), (0, 1, 0))
-        from2 = weight * 0.5 * math.exp(-2 * 0.3) * _dyson_product(
-            c, V, (0.2, 0.3, 0.4, 0.3), (0, 1, 2, 0))
-        # without and with the unforced holding time 0.4 before jump 3
-        for holds, want in (((), from1), ((0.8,), from1 + from2)):
-            stream = _StubStream([u1, 0.25, u2, 0.75, 0.25], holds)
+        assert tbl.forced == n
+        t = 1.5
+        forced = (0.2, 0.3, 0.4) if n == 3 else (0.2, 0.3, 0.2, 0.2)
+        uniforms, weight = _cycle_walk(n, t, forced)
+        walk = tuple(range(n)) + (0,)
+        first = weight * 0.5 * math.exp(-2 * 0.6) * _dyson_product(
+            c, V, forced + (0.6,), walk)
+        second = weight * 0.5 * math.exp(-2 * 0.4) * _dyson_product(
+            c, V, forced + (0.1, 0.1, 0.4), walk + (1, 0))
+        # the stub's exponentials are scaled by 1 / rate: 0.2 holds for 0.1
+        for holds, want in (((), first), ((0.2, 0.2), first + second)):
+            stream = _StubStream(uniforms, holds)
             terminal, S, N = _path_chunk(tbl, np.zeros(1, dtype=np.int64), t,
                                          stream, loops=True)
-            assert N.tolist() == [2 + len(holds)]
-            assert terminal.tolist() == [[2], [0]][len(holds)]
+            assert N.tolist() == [n + len(holds)]
+            assert terminal.tolist() == [0]
             assert abs(S[0] - want) <= 1e-12 * abs(want)
 
     @pytest.mark.parametrize("nu", [1, 2])
-    @pytest.mark.parametrize("x, u", [(0, 1.0 - 2.0**-53), (4, 0.0)])
-    def test_jumps_away_from_the_start_score_zero(self, rng, nu, x, u):
-        # on the path 0 - 1 - 2 - 3 - 4 the walk from an end makes four
-        # jumps away from it; only jump 2 leaves a neighbor of the start,
-        # and jumps 3 and 4 add exactly 0
+    @pytest.mark.parametrize("x, away", [(0, 1.0 - 2.0**-53), (4, 0.0)])
+    def test_jumps_away_from_the_start_score_zero(self, rng, nu, x, away):
+        # the path 0 - 1 - 2 - 3 - 4 has no triangle: four forced jumps go
+        # from an end to its neighbor, back, to the neighbor again and one
+        # step further, so jump 4 leaves a neighbor of the start and scores;
+        # two more jumps away from the start, from non-neighbors of it, add
+        # exactly 0
         g = generate("path", n=5)
         tbl = _JumpTable(resolve(g, random_connection(g, nu, rng),
                                  random_potential(g, nu, rng)))
+        assert tbl.forced == 4
+        back = 1.0 - 2.0**-53 - away  # the other end of a row
         scores = []
         for holds in ((), (0.1, 0.1)):
-            # the forced holding times take 0.5 and every jump u, the
-            # highest or the lowest slot
-            stream = _StubStream([0.5, u, 0.5, u, u, u], holds)
-            terminal, S, N = _path_chunk(tbl, np.array([x]), 1.0, stream,
+            # the forced holding times take 0.5, and a jump away from the
+            # start the highest slot of a row from 0, the lowest from 4
+            stream = _StubStream([0.5, away, 0.5, back, 0.5, away, 0.5, away,
+                                  away, away], holds)
+            terminal, S, N = _path_chunk(tbl, np.array([x]), 3.0, stream,
                                          loops=True)
-            assert N.tolist() == [2 + len(holds)]
+            assert N.tolist() == [4 + len(holds)]
             assert terminal.tolist() == [abs(x - 2 - len(holds))]
             scores.append(S[0])
         assert scores[0] != 0 and scores[1] == scores[0]
@@ -376,15 +399,10 @@ class TestOrderedExponential:
             norm = max(np.linalg.norm(V.values[i], 2) for i in range(g.n))
             t = 0.1 / norm
             tbl = _JumpTable(resolve(g, c, V))
-            u1 = math.expm1(-2 * 0.2 * t) / math.expm1(-2 * t)
-            u2 = math.expm1(-2 * 0.3 * t) / math.expm1(-2 * 0.8 * t)
-            scores = [_path_chunk(tbl, np.zeros(1, dtype=np.int64), t,
-                                  _StubStream([u1, 0.25, u2, 0.75, 0.25],
-                                              holds), loops=True)[1][0]
-                      for holds in ((), (0.8 * t,))]
-            factor = (-math.expm1(-2 * t) * -math.expm1(-2 * 0.8 * t)
-                      * 0.5 * math.exp(-2 * 0.1 * t))
-            loop = (scores[1] - scores[0]) / factor
+            uniforms, weight = _cycle_walk(3, t, (0.2 * t, 0.3 * t, 0.4 * t))
+            score = _path_chunk(tbl, np.zeros(1, dtype=np.int64), t,
+                                _StubStream(uniforms), loops=True)[1][0]
+            loop = score / (weight * 0.5 * math.exp(-2 * 0.1 * t))
             oracle = _series_product(c, V, (0.2 * t, 0.3 * t, 0.4 * t,
                                             0.1 * t), (0, 1, 2, 0))
             assert abs(loop - oracle) <= 10 * (norm * t) ** 5
@@ -511,6 +529,18 @@ class TestPartitionEstimate:
                                       *args, seed=64)
         assert vector == rank1 == identity
 
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_triangles_keep_three_forced_jumps(self, rng, n):
+        # the complete graph has triangles: Z_3 > 0, so the estimator may
+        # force only three jumps, scoring from jump 3; forcing four would
+        # drop Z_3, which here is hundreds of standard errors
+        g = generate("complete", n=n)
+        w = rng.uniform(-1, 1, size=n)
+        assert _JumpTable(resolve(g, None, w)).forced == 3
+        exact = semiclassical_trace(g, None, w, 1.0, 0.3)
+        rep = estimate_partition(g, None, w, 1.0, 0.3, 4000, seed=80 + n)
+        assert abs(rep.estimate - exact) <= 4 * rep.stderr
+
     def test_worker_count_invariance(self):
         g, pot = two_vertex()
         kw = dict(beta=1.0, hbar=0.2, samples=20_000, seed=65, chunk=1024)
@@ -613,6 +643,14 @@ class TestPartitionEstimate:
         with pytest.raises(BadParams):
             simulate_scalar_paths(edge_graph, 0, -1.0, 3, seed=1,
                                   v=np.array([0.3, 0.5]))
+
+    def test_process_law_estimators_reject_nan_horizon(self, edge_graph):
+        # NaN passed the old t < 0 check, no path moved, and the heat
+        # kernel came back as 1.0
+        with pytest.raises(BadParams):
+            simulate_scalar_paths(edge_graph, 0, math.nan, 3, seed=1)
+        with pytest.raises(BadParams):
+            estimate_heat_kernel(edge_graph, 0, 0, math.nan, 100, seed=1)
 
     @pytest.mark.parametrize("x", [2, -1])
     def test_simulate_scalar_paths_rejects_unknown_start(self, edge_graph,

@@ -1,5 +1,9 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from graphfk import semiclassics
 from graphfk.bundles import (
@@ -10,15 +14,22 @@ from graphfk.bundles import (
 )
 from graphfk.errors import BadParams
 from graphfk.graphs import ExhaustionSequence, build_graph, generate, restrict
-from graphfk.operators import assemble
+from graphfk.operators import assemble, resolve
 from graphfk.semiclassics import (
+    _CHI,
+    _PSI,
+    _SERIES_CUT,
     SweepConfig,
+    _psi_chi,
+    _series,
+    _two_jump_integral,
     classical_partition,
     exhaustion_sweep,
     golden_thompson_margin,
     sandwich_bounds,
     semiclassical_trace,
     sweep,
+    two_jump_terms,
 )
 from graphfk.spectral import eigendecompose, eigenvalues, partition_function
 
@@ -178,6 +189,17 @@ class TestSweep:
         for result in (magnetic, covariant):
             assert all(r.lower > r.trace == 0.0 for r in result.rows)
 
+    def test_two_jump_bound_asserted_when_scalar(self, monkeypatch):
+        # a trace equal to Z_0 meets the paper's lower bound but falls short
+        # of Z_0 + Z_2 by Z_2, which is far above the 1e-9 allowance here
+        g, pot = weyl_path()
+        rows = sweep(SweepConfig(g, 1.0, (1e-1, 1e-2), pot)).rows
+        lower = {r.hbar: r.lower for r in rows}
+        monkeypatch.setattr(semiclassics, "semiclassical_trace",
+                            lambda g, c, V, beta, hbar: lower[hbar])
+        with pytest.raises(AssertionError, match="sandwich lower bound"):
+            sweep(SweepConfig(g, 1.0, (1e-1, 1e-2), pot))
+
     def test_schedule_validation(self):
         g, pot = two_vertex()
         with pytest.raises(BadParams):
@@ -204,6 +226,138 @@ class TestSweep:
                 envelope = result.classical_value * (
                     1 - np.exp(-r.hbar * c_bm))
                 assert r.gap <= envelope + 1e-9
+
+
+def _dyson_two_jump(g, c, V, t):
+    """Per vertex, the second-order Dyson term of tr e^{-tH}, H = D - K
+    with D the diagonal blocks of the assembled matrix: int_0^t ds
+    int_0^s dr tr_x(e^{-(t-s) D} K e^{-(s-r) D} K e^{-r D}) by 32 x 32
+    Gauss-Legendre nodes (r = s v) and scipy's expm at every node."""
+    H = assemble(g, c, V).matrix
+    nu = V.rank
+    D = np.zeros_like(H)
+    for x in range(g.n):
+        blk = slice(x * nu, (x + 1) * nu)
+        D[blk, blk] = H[blk, blk]
+    K = D - H
+    nodes, weights = np.polynomial.legendre.leggauss(32)
+    nodes, weights = (nodes + 1) / 2, weights / 2  # on [0, 1]
+    total = np.zeros((g.n * nu, g.n * nu), dtype=complex)
+    for a, wa in zip(nodes, weights):
+        s = a * t
+        left = expm(-(t - s) * D) @ K
+        for b, wb in zip(nodes, weights):
+            r = b * s
+            total += (wa * t) * (wb * s) * (
+                left @ expm(-(s - r) * D) @ K @ expm(-r * D))
+    diag = np.diagonal(total).reshape(g.n, nu).sum(axis=1)
+    assert np.abs(diag.imag).max() <= 1e-12 * np.abs(diag).max()
+    return diag.real
+
+
+class TestTwoJumpTerm:
+    @pytest.mark.parametrize("nu", [1, 2, 3])
+    def test_matches_dyson_quadrature(self, rng, nu):
+        # K_4 with non-uniform weights and measure, a unitary connection,
+        # and above rank 1 a complex Hermitian potential
+        g = generate("complete", n=4)
+        g = build_graph([(g.labels[i], g.labels[j], float(rng.uniform(0.2, 2)))
+                         for i, j in g.edges],
+                        measure=[(lab, float(rng.uniform(0.3, 2.0)))
+                                 for lab in g.labels])
+        c = random_connection(g, nu, rng)
+        V = random_potential(g, nu, rng)
+        assert nu == 1 or np.abs(V.values.imag).max() > 0
+        beta, hbar = 1.0, 0.4
+        got = two_jump_terms(resolve(g, c, V), beta * hbar, hbar)
+        want = _dyson_two_jump(g, c, V.scaled(hbar), beta * hbar)
+        assert np.all(got > 0)
+        assert np.abs(got - want).max() <= 1e-12 * want.max()
+
+    def test_trivial_connection_is_the_scalar_term(self, rng):
+        # rank 1: |W|^2 = 1 on every arc, with or without phases
+        g = random_graph(rng, max_n=8)
+        w = rng.uniform(-1, 1, size=g.n)
+        theta = MagneticPotential(g, {key: float(rng.uniform(-3, 3))
+                                      for key in g.edges})
+        scalar = two_jump_terms(resolve(g, None, w), 0.3, 0.3)
+        magnetic = two_jump_terms(
+            resolve(g, connection_from_magnetic(theta), w), 0.3, 0.3)
+        assert np.allclose(magnetic, scalar, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("mirrored", [False, True])
+    def test_series_meets_closed_form_across_the_cut(self, mirrored):
+        # psi(z) = int_0^1 s e^{-sz} ds, chi(z) = int_0^1 (1 - s) e^{-sz}
+        # ds: the Taylor series and the closed forms agree on both sides of
+        # the cut to a few units in the last place, so the switch between
+        # them leaves no step
+        z = _SERIES_CUT * np.linspace(0.5, 1.5, 301)
+        em = np.expm1(-z)
+        closed = (z + em) / z**2 if mirrored else (-em - z * np.exp(-z)) / z**2
+        series = _series(_CHI if mirrored else _PSI, z)
+        assert np.abs(series / closed - 1).max() <= 2e-15
+        below = np.nextafter(_SERIES_CUT, 0.0)
+        step = np.diff([_psi_chi(np.array(v))[int(mirrored)]
+                        for v in (below, _SERIES_CUT)])
+        assert abs(step[0]) <= 4e-16
+
+    def test_psi_chi_against_exact_series(self):
+        # psi and chi from z = 1e-8 to 4, against their Taylor series
+        # summed in exact rational arithmetic to 60 terms, below 1e-20
+        z = np.geomspace(1e-8, 4.0, 61)
+        got = _psi_chi(z)
+        for k, zk in enumerate(z.tolist()):
+            x = Fraction(zk)
+            for mirrored in (0, 1):
+                exact = sum(
+                    (-x) ** j / (math.factorial(j + 2) if mirrored
+                                 else math.factorial(j) * (j + 2))
+                    for j in range(60))
+                assert abs(got[mirrored][k] / float(exact) - 1) <= 1e-15
+
+    def test_integral_matches_quadrature(self):
+        # I(alpha, beta) = int_0^t u e^{-u alpha} e^{-(t - u) beta} du on
+        # both sides of alpha = beta, at and near it and far from it
+        nodes, weights = np.polynomial.legendre.leggauss(60)
+        t = 0.7
+        u, wu = t * (nodes + 1) / 2, t * weights / 2
+        for alpha, beta in ((1.0, 1.0), (2.0, 2.0 + 1e-9), (-3.0, 40.0),
+                            (40.0, -3.0), (0.5, 0.25), (5.0, 5.5)):
+            want = float(np.sum(wu * u * np.exp(-u * alpha
+                                                - (t - u) * beta)))
+            got = float(_two_jump_integral(alpha, beta, t))
+            assert got == pytest.approx(want, rel=1e-14)
+
+    def test_scalar_lower_bound_on_random_problems(self, rng):
+        # every Dyson term is nonnegative in the scalar case, so
+        # Z_0 + Z_2 <= trace; the bound is within a few ulps of tight
+        # where hbar is small
+        for _ in range(200):
+            g = random_graph(rng, max_n=7, connected=bool(rng.random() < 0.8))
+            w = rng.uniform(-2, 2, size=g.n)
+            beta = float(rng.uniform(0.2, 2.0))
+            hbar = float(10 ** rng.uniform(-3, 0))
+            trace = semiclassical_trace(g, None, w, beta, hbar)
+            lower, _upper = sandwich_bounds(g, w, beta, hbar)
+            z2 = two_jump_terms(resolve(g, None, w), beta * hbar, hbar).sum()
+            assert lower + z2 <= trace * (1 + 1e-13)
+            sweep(SweepConfig(g, beta, (hbar,), Potential.scalar(w)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda g, w: semiclassical_trace(g, None, w, np.nan, 0.1),
+    lambda g, w: semiclassical_trace(g, None, w, 1.0, np.nan),
+    lambda g, w: sandwich_bounds(g, w, np.nan, 0.1),
+    lambda g, w: sandwich_bounds(g, w, 1.0, np.nan),
+    lambda g, w: golden_thompson_margin(g, None, w, np.nan),
+    lambda g, w: classical_partition(w, np.nan),
+], ids=["trace-beta", "trace-hbar", "sandwich-beta", "sandwich-hbar",
+        "golden-thompson", "classical"])
+def test_nan_time_rejected(call):
+    # NaN passed the old beta <= 0 checks and came back as a NaN result
+    g, pot = two_vertex()
+    with pytest.raises(BadParams):
+        call(g, pot.as_scalar())
 
 
 class TestGaugeInvariance:

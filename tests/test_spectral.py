@@ -7,7 +7,7 @@ from graphfk.bundles import (
     Potential,
     connection_from_magnetic,
 )
-from graphfk.errors import BadCoefficients
+from graphfk.errors import BadCoefficients, BadParams
 from graphfk.graphs import build_graph, generate, is_connected
 from graphfk.operators import OperatorMatrix, assemble, symmetrize
 from graphfk.spectral import (
@@ -269,6 +269,17 @@ class TestKato:
     def test_needs_positive_t(self, edge_graph):
         with pytest.raises(BadCoefficients):
             kato_functional(edge_graph, [1.0, 1.0], 0.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda g: heat_kernel(eigendecompose(assemble(g)), np.nan),
+    lambda g: partition_function(eigenvalues(assemble(g)), np.nan),
+    lambda g: kato_functional(g, [1.0, 1.0], np.nan),
+], ids=["heat_kernel", "partition_function", "kato_functional"])
+def test_nan_time_rejected(call):
+    # NaN passed the old t <= 0 checks and came back as a NaN result
+    with pytest.raises(BadParams):
+        call(build_graph([("a", "b", 1.0)]))
 
 
 class TestRelativeFormBound:
