@@ -42,14 +42,14 @@ class WeightedGraph:
     def __post_init__(self):
         m = np.asarray(self.measure, dtype=float)
         object.__setattr__(self, "measure", m)
-        if np.any(m <= 0):
+        if not np.all(m > 0):  # NaN fails it too
             raise NonpositiveMeasure("measure must be strictly positive")
         for (i, j), w in self.edges.items():
             if i == j:
                 raise SelfLoop(f"self-loop at index {i}")
             if not (0 <= i < self.n and 0 <= j < self.n):
                 raise UnknownIndex(f"edge ({i},{j}) out of range")
-            if w <= 0:
+            if not w > 0:  # NaN fails it too
                 raise NonpositiveWeight(f"b({i},{j}) = {w}")
 
     @property
@@ -161,7 +161,7 @@ def build_graph(edges, measure=None, vertices=None):
     for a, b_lab, w in edges:
         if a == b_lab:
             raise SelfLoop(f"self-loop at {a!r}")
-        if w <= 0:
+        if not w > 0:  # NaN fails it too
             raise NonpositiveWeight(f"b({a!r},{b_lab!r}) = {w}")
         i, j = idx[a], idx[b_lab]
         key = (i, j) if i < j else (j, i)
@@ -175,7 +175,7 @@ def build_graph(edges, measure=None, vertices=None):
     m = np.ones(len(labels))
     if measure:
         for lab, v in measure:
-            if v <= 0:
+            if not v > 0:  # NaN fails it too
                 raise NonpositiveMeasure(f"m({lab!r}) = {v}")
             m[idx[lab]] = v
 

@@ -80,6 +80,10 @@ from .operators import Problem, resolve
 from .semiclassics import two_jump_terms
 
 CHUNK_SIZE = 8192
+# Upper bound on ``workers``: each worker is an OS thread, and past a few
+# per core they only contend for the cores.  A larger value is refused
+# before any job or thread exists.
+MAX_WORKERS = 64
 
 _MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
@@ -395,8 +399,7 @@ def simulate_scalar_paths(g: WeightedGraph, start: int, t: float,
         raise UnknownIndex(f"start vertex {start} not in graph")
     if samples < 1:
         raise BadParams("need at least 1 sample")
-    if workers < 1:
-        raise BadParams("need at least 1 worker")
+    _check_workers(workers)
     tbl = _JumpTable(resolve(g, None, v))
     jobs = _chunk_sizes(samples, chunk)
 
@@ -423,6 +426,12 @@ def _chunk_sizes(samples, chunk):
         done += size
         ci += 1
     return jobs
+
+
+def _check_workers(workers):
+    if not 1 <= workers <= MAX_WORKERS:
+        raise BadParams(f"workers must be between 1 and {MAX_WORKERS}, "
+                        f"not {workers}")
 
 
 def _run_jobs(run, jobs, workers):
@@ -538,8 +547,7 @@ def estimate_partition(g: WeightedGraph, c: Connection, V, beta: float,
     if samples < 2:
         raise BadParams("need at least 2 samples per vertex for a "
                         "standard error")
-    if workers < 1:
-        raise BadParams("need at least 1 worker")
+    _check_workers(workers)
     problem = resolve(g, c, V)
     t = beta * hbar
     tbl = _JumpTable(problem, hbar)

@@ -27,8 +27,8 @@ import numpy as np
 from .bundles import Connection, Potential
 from .errors import BadParams
 from .graphs import ExhaustionSequence, WeightedGraph, degrees, restrict
-from .operators import Problem, _coupling, assemble, resolve
-from .spectral import eigenvalues, partition_function
+from .operators import Problem, _coupling, assemble, resolve, symmetrize
+from .spectral import eigenvalues, hermitian_eigenvalues, partition_function
 # not called here; kept because perfbench/tracer.py rebinds it
 from .spectral import eigendecompose  # noqa: F401
 
@@ -102,14 +102,36 @@ def classical_partition(V, beta: float) -> float:
     return float(_classical_terms(V, beta).sum())
 
 
+def _traces(problem: Problem, beta: float, schedule):
+    """tr(e^{-beta hbar H_{Phi, V/hbar}}) for each hbar of ``schedule``.
+
+    The hops do not depend on hbar, so the free operator is assembled and
+    symmetrized once; each hbar then writes the diagonal blocks
+    0.5 (B + B^H), B = deg_m + V/hbar, in place, as ``symmetrize`` of the
+    assembled H_{Phi, V/hbar} holds them (its scale ratio is exactly 1
+    there), and solves for the eigenvalues.  V / hbar is taken in the
+    arithmetic of V's values.
+    """
+    g, nu = problem.graph, problem.rank
+    S = symmetrize(assemble(g, problem.connection,
+                            Potential(nu, np.zeros((g.n, nu, nu)))))
+    # complex as soon as the hops or V are, as the assembled matrix is
+    S = S.astype(np.result_type(S, problem.potential.values), copy=False)
+    blocks = S.reshape(g.n, nu, g.n, nu)
+    deg = degrees(g).deg_m[:, None, None] * np.eye(nu)
+    diag = np.arange(g.n)
+    for hbar in schedule:
+        B = deg + problem.potential.scaled(hbar).values
+        blocks[diag, :, diag, :] = 0.5 * (B + B.conj().swapaxes(1, 2))
+        yield partition_function(hermitian_eigenvalues(S), beta * hbar)
+
+
 def semiclassical_trace(g: WeightedGraph, c: Connection, V,
                         beta: float, hbar: float) -> float:
     """tr(e^{-beta hbar H_{Phi, V/hbar}})."""
     if not (beta > 0 and hbar > 0):  # NaN fails it too
         raise BadParams("beta and hbar must be positive")
-    V = resolve(g, c, V).potential.scaled(hbar)
-    lam = eigenvalues(assemble(g, c, V))
-    return partition_function(lam, beta * hbar)
+    return next(_traces(resolve(g, c, V), beta, (hbar,)))
 
 
 def sandwich_bounds(g: WeightedGraph, w, beta: float, hbar: float):
@@ -220,7 +242,8 @@ def sweep(config: SweepConfig) -> SweepResult:
     The scalar sandwich lower <= trace <= upper is asserted when the
     problem is scalar, sharpened below to lower + Z_2 <= trace with the
     two-jump term of ``two_jump_terms``; only the upper bound is asserted
-    otherwise.
+    otherwise.  The problem is resolved, and the free operator assembled
+    and symmetrized, once for the whole schedule (``_traces``).
     """
     g = config.graph
     beta = config.beta
@@ -229,9 +252,8 @@ def sweep(config: SweepConfig) -> SweepResult:
     terms = _classical_terms(problem.potential, beta)
     classical = float(terms.sum())
     result = SweepResult(classical_value=classical)
-    for hbar in config.hbar_schedule:
-        trace = semiclassical_trace(
-            g, config.connection, problem.potential, beta, hbar)
+    schedule = config.hbar_schedule
+    for hbar, trace in zip(schedule, _traces(problem, beta, schedule)):
         lower = float((np.exp(-deg_m * beta * hbar) * terms).sum())
         gap = classical - trace
         if trace > classical + 1e-9:

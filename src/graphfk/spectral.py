@@ -3,9 +3,11 @@
 Everything here runs through a dense eigensolve of the symmetrized
 operator (desk scale, deterministic), so semigroups and partition
 functions are exact up to linear-algebra rounding.  Traces need only
-eigenvalues (``eigenvalues``); kernels and propagators take the full
+eigenvalues (``eigenvalues``, or ``hermitian_eigenvalues`` on a matrix
+already symmetrized); kernels and propagators take the full
 decomposition (``eigendecompose``).  Both solve in real arithmetic
-when the assembled operator is real.
+when the assembled operator is real.  ``kato_functional`` takes a whole
+grid of times on one decomposition of the free operator.
 """
 
 from __future__ import annotations
@@ -64,12 +66,18 @@ def eigendecompose(op: OperatorMatrix) -> SpectralDecomposition:
     return SpectralDecomposition(lam, U, op.measure, op.rank)
 
 
-def eigenvalues(op: OperatorMatrix) -> np.ndarray:
-    """Ascending eigenvalues of the symmetrized operator, no eigenvectors."""
+def hermitian_eigenvalues(S: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix, e.g. a ``symmetrize``
+    output; S is left as it was."""
     try:
-        return np.linalg.eigvalsh(symmetrize(op))
+        return np.linalg.eigvalsh(S)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"eigenvalue solve failed: {exc}") from exc
+
+
+def eigenvalues(op: OperatorMatrix) -> np.ndarray:
+    """Ascending eigenvalues of the symmetrized operator, no eigenvectors."""
+    return hermitian_eigenvalues(symmetrize(op))
 
 
 def _weights(dec: SpectralDecomposition):
@@ -110,25 +118,34 @@ def kernel_trace(dec: SpectralDecomposition, t: float) -> float:
     return total
 
 
-def kato_functional(g: WeightedGraph, w, t: float) -> float:
+def kato_functional(g: WeightedGraph, w, t):
     """sup_x int_0^t sum_y p(s,x,y) |w(y)| m(y) ds for the free scalar kernel.
 
     With S = U diag(lambda) U^T the symmetrized free operator,
     p(s, x, y) m(y) = m(x)^{-1/2} (U e^{-s lambda} U^T)_{xy} m(y)^{1/2}, so
     the time integral is exact: int_0^t e^{-s lambda} ds =
     -expm1(-t lambda) / lambda, equal to t where t lambda = 0.
+
+    ``t`` is a time or an array of times, and the result has its shape,
+    as ``np.exp`` gives it: a float for a float.  Every time is checked
+    before the solve; S is decomposed, and U^T (m^{1/2} |w|) formed, once
+    for all of them.
     """
-    if not t > 0:  # NaN fails it too
+    times = np.asarray(t, dtype=float)
+    if not np.all(times > 0):  # NaN fails it too
         raise BadCoefficients("kato functional needs t > 0")
     w = np.asarray(w, dtype=float)
     dec = eigendecompose(assemble(g))
     sq = np.sqrt(g.measure)
-    x = t * dec.eigenvalues
-    ratio = np.ones_like(x)
-    np.divide(-np.expm1(-x), x, out=ratio, where=x != 0)
     U = dec.vectors
-    values = (U @ (t * ratio * (U.T @ (sq * np.abs(w))))) / sq
-    return float(values.max())
+    proj = U.T @ (sq * np.abs(w))
+    out = np.empty(times.shape)
+    for i, ti in np.ndenumerate(times):
+        x = ti * dec.eigenvalues
+        ratio = np.ones_like(x)
+        np.divide(-np.expm1(-x), x, out=ratio, where=x != 0)
+        out[i] = ((U @ (ti * ratio * proj)) / sq).max()
+    return float(out) if out.ndim == 0 else out
 
 
 def relative_form_bound_check(g: WeightedGraph, c: Connection,
@@ -138,11 +155,11 @@ def relative_form_bound_check(g: WeightedGraph, c: Connection,
     Equivalent to C1 H_{Phi,-V^-/C1} + C2 >= 0; returns (holds, margin)
     with margin the smallest eigenvalue of the symmetrized operator.
     """
-    if not (0.0 < C1 < 1.0) or C2 < 0.0:
+    if not (0.0 < C1 < 1.0 and C2 >= 0.0):  # NaN fails it too
         raise BadCoefficients("need C1 in (0,1) and C2 >= 0")
     # V^- / (-C1) is -V^-/C1
     op = assemble(g, c, V_minus.scaled(-C1))
     shifted = OperatorMatrix(
         g, op.rank, C1 * op.matrix + C2 * np.eye(op.dimension), g.measure)
-    lam_min = float(np.linalg.eigvalsh(symmetrize(shifted))[0])
+    lam_min = float(eigenvalues(shifted)[0])
     return lam_min >= -1e-10, lam_min

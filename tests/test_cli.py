@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from graphfk import cli, fileio
+from graphfk import cli, fileio, paths, semiclassics, spectral
 from graphfk.bundles import connection_from_magnetic
 from graphfk.cli import main, run
 from graphfk.paths import EstimatorReport
@@ -117,6 +117,17 @@ class TestSweep:
                        "hbar_schedule": [1e-1, 1e-2, 1e-3]},
             "output_dir": str(tmp_path / "out"),
         })
+
+    def test_one_assembly_per_run(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return cli.assemble(*args, **kwargs)
+
+        monkeypatch.setattr(semiclassics, "assemble", counted)
+        assert run(self._config(tmp_path), "sweep") == 0
+        assert len(calls) == 1
 
     def test_header_and_final_gap(self, tmp_path):
         assert run(self._config(tmp_path), "sweep") == 0
@@ -466,6 +477,28 @@ class TestMalformedConfig:
         assert "Traceback" not in err
         assert "Permission denied" in json.loads(err.strip())["error"]
 
+    @pytest.mark.parametrize("graph, name", [
+        ({"edges": [["a", "b", math.nan], ["b", "c", 1.0]]}, "b("),
+        ({"edges": [["a", "b", 1.0]], "measure": [["a", math.nan]]}, "m("),
+    ], ids=["nan-weight", "nan-measure"])
+    def test_nan_in_a_graph_file(self, tmp_path, capsys, graph, name):
+        # NaN passed the old w <= 0 and v <= 0 checks, and the eigensolve
+        # exited 2 with "Eigenvalues did not converge"
+        path = write_config(tmp_path, "g.json", graph)
+        record = self._exit_1(tmp_path, capsys, "spectrum", {"graph": path})
+        assert name in record["error"] and "nan" in record["error"]
+
+    def test_workers_above_the_bound(self, tmp_path, capsys, monkeypatch):
+        # refused before any job or thread exists: no pool is ever built
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was built")
+
+        monkeypatch.setattr(paths, "ThreadPoolExecutor", no_pool)
+        record = self._exit_1(tmp_path, capsys, "fk-compare", {
+            "graph": {"preset": "two_vertex"},
+            "params": {"samples": 1000, "workers": 10**12}})
+        assert str(paths.MAX_WORKERS) in record["error"]
+
     @pytest.mark.parametrize("subcommand, cfg", [
         ("spectrum", {"graph": {"family": "path", "n": 2.7}}),
         ("fk-compare", {"graph": {"preset": "two_vertex"},
@@ -506,6 +539,27 @@ class TestKato:
         assert record["kind"] == "validation"
         assert "scalar" in record["error"]
         assert not (tmp_path / "out" / "kato.csv").exists()
+
+
+    def test_one_decomposition_per_run(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(op):
+            calls.append(op)
+            return spectral.SpectralDecomposition(
+                *np.linalg.eigh(spectral.symmetrize(op)), op.measure, op.rank)
+
+        monkeypatch.setattr(spectral, "eigendecompose", counted)
+        cfg = write_config(tmp_path, "c.json", {
+            "graph": {"family": "path", "n": 6},
+            "potential": {"inline": [[f"v{i}", 0.5 * i - 1.0]
+                                     for i in range(6)]},
+            "output_dir": str(tmp_path / "out"),
+        })
+        assert run(cfg, "kato") == 0
+        assert len(calls) == 1
+        _header, rows = csv_rows(tmp_path / "out" / "kato.csv")
+        assert len(rows) == 5
 
 
 class TestKernel:

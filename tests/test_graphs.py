@@ -67,6 +67,18 @@ class TestBuildGraph:
         with pytest.raises(DuplicateLabel):
             build_graph([("a", "b", 1.0)], vertices=["a", "a", "b"])
 
+    def test_nan_weight_and_measure_rejected(self):
+        # NaN compares false both ways, so it passed w <= 0 and m <= 0
+        nan = float("nan")
+        with pytest.raises(NonpositiveWeight):
+            build_graph([("a", "b", nan)])
+        with pytest.raises(NonpositiveMeasure):
+            build_graph([("a", "b", 1.0)], measure=[("a", nan)])
+        with pytest.raises(NonpositiveWeight):
+            WeightedGraph(("a", "b"), {(0, 1): nan}, np.ones(2))
+        with pytest.raises(NonpositiveMeasure):
+            WeightedGraph(("a", "b"), {(0, 1): 1.0}, np.array([1.0, nan]))
+
     def test_label_lookup(self):
         # the first occurrence, as tuple.index finds it
         g = WeightedGraph(("a", "b", "a"), {}, np.ones(3))

@@ -19,6 +19,7 @@ from scipy.linalg import expm
 from graphfk import paths
 from graphfk.paths import (
     CHUNK_SIZE,
+    MAX_WORKERS,
     _chunk_moments,
     _hold,
     _JumpTable,
@@ -636,6 +637,25 @@ class TestPartitionEstimate:
         with pytest.raises(BadParams):
             estimate_heat_kernel(edge_graph, 0, 0, 1.0, 1000, seed=77,
                                  workers=workers)
+
+    def test_workers_above_the_bound_rejected_before_any_thread(
+            self, edge_graph, monkeypatch):
+        # each worker is an OS thread: a huge count must be refused up
+        # front, never handed to a pool
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was built")
+
+        monkeypatch.setattr(paths, "ThreadPoolExecutor", no_pool)
+        for workers in (MAX_WORKERS + 1, 10**12):
+            with pytest.raises(BadParams, match="workers"):
+                estimate_partition(edge_graph, None, np.zeros(2), 1.0, 1.0,
+                                   1000, seed=78, workers=workers)
+            with pytest.raises(BadParams, match="workers"):
+                simulate_scalar_paths(edge_graph, 0, 1.0, 1000, seed=79,
+                                      workers=workers)
+            with pytest.raises(BadParams, match="workers"):
+                estimate_heat_kernel(edge_graph, 0, 0, 1.0, 1000, seed=80,
+                                     workers=workers)
 
     def test_simulate_scalar_paths_rejects_negative_horizon(self,
                                                             edge_graph):

@@ -14,7 +14,7 @@ from graphfk.bundles import (
 )
 from graphfk.errors import BadParams
 from graphfk.graphs import ExhaustionSequence, build_graph, generate, restrict
-from graphfk.operators import assemble, resolve
+from graphfk.operators import assemble, resolve, symmetrize
 from graphfk.semiclassics import (
     _CHI,
     _PSI,
@@ -177,8 +177,9 @@ class TestSweep:
 
     def test_sandwich_asserted_exactly_when_scalar(self, monkeypatch):
         # a trace of 0 lies below the lower bound and under the upper one
-        monkeypatch.setattr(semiclassics, "semiclassical_trace",
-                            lambda *args: 0.0)
+        monkeypatch.setattr(semiclassics, "_traces",
+                            lambda problem, beta, schedule:
+                            (0.0 for _hbar in schedule))
         g, pot = weyl_path()
         with pytest.raises(AssertionError, match="sandwich lower bound"):
             sweep(SweepConfig(g, 1.0, (1e-1, 1e-2), pot))
@@ -195,10 +196,70 @@ class TestSweep:
         g, pot = weyl_path()
         rows = sweep(SweepConfig(g, 1.0, (1e-1, 1e-2), pot)).rows
         lower = {r.hbar: r.lower for r in rows}
-        monkeypatch.setattr(semiclassics, "semiclassical_trace",
-                            lambda g, c, V, beta, hbar: lower[hbar])
+        monkeypatch.setattr(semiclassics, "_traces",
+                            lambda problem, beta, schedule:
+                            (lower[hbar] for hbar in schedule))
         with pytest.raises(AssertionError, match="sandwich lower bound"):
             sweep(SweepConfig(g, 1.0, (1e-1, 1e-2), pot))
+
+    @pytest.mark.parametrize("mode", ["scalar", "magnetic", "covariant",
+                                      "covariant-trivial"])
+    def test_rows_equal_single_traces_bit_for_bit(self, rng, mode):
+        # one symmetrized free operator for the schedule, the diagonal
+        # blocks rewritten per hbar: each trace is the one-hbar call's
+        schedule = (1.0, 0.3, 1e-1, 1e-2, 1e-3, 1e-4)
+        for _ in range(4):
+            g = random_graph(rng, max_n=9)
+            g = type(g)(g.labels, g.edges, rng.uniform(0.5, 2.0, g.n))
+            nu = 1 if mode in ("scalar", "magnetic") else 2
+            c = None
+            if mode in ("magnetic", "covariant"):
+                c = random_connection(g, nu, rng)
+            V = random_potential(g, nu, rng)
+            rows = sweep(SweepConfig(g, 1.3, schedule, V, c)).rows
+            assert [r.hbar for r in rows] == list(schedule)
+            assert [r.trace for r in rows] == [
+                semiclassical_trace(g, c, V, 1.3, h) for h in schedule]
+
+    @pytest.mark.parametrize("mode", ["scalar", "magnetic", "covariant",
+                                      "covariant-trivial"])
+    def test_each_matrix_is_the_assembled_one(self, rng, monkeypatch, mode):
+        # the covariant-trivial case has a real free operator and a complex
+        # potential, so the schedule solves in complex arithmetic
+        g = random_graph(rng, max_n=8)
+        g = type(g)(g.labels, g.edges, rng.uniform(0.5, 2.0, g.n))
+        nu = 1 if mode in ("scalar", "magnetic") else 3
+        c = random_connection(g, nu, rng) if mode in ("magnetic",
+                                                      "covariant") else None
+        V = random_potential(g, nu, rng)
+        seen = []
+
+        def capture(S):
+            seen.append(S.copy())
+            return np.linalg.eigvalsh(S)
+
+        monkeypatch.setattr(semiclassics, "hermitian_eigenvalues", capture)
+        schedule = (0.5, 1e-2, 1e-4)
+        sweep(SweepConfig(g, 1.0, schedule, V, c))
+        assert len(seen) == len(schedule)
+        for S, hbar in zip(seen, schedule):
+            want = symmetrize(assemble(g, c, V.scaled(hbar)))
+            assert S.dtype == want.dtype
+            assert np.array_equal(S, want)
+
+    def test_one_assembly_per_sweep(self, rng, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return assemble(*args, **kwargs)
+
+        monkeypatch.setattr(semiclassics, "assemble", counted)
+        g = generate("cycle", n=5)
+        c = random_connection(g, 2, rng)
+        sweep(SweepConfig(g, 1.0, (1e-1, 1e-2, 1e-3, 1e-4),
+                          random_potential(g, 2, rng), c))
+        assert len(calls) == 1
 
     def test_schedule_validation(self):
         g, pot = two_vertex()

@@ -7,6 +7,7 @@ from graphfk.bundles import (
     Potential,
     connection_from_magnetic,
 )
+from graphfk import spectral
 from graphfk.errors import BadCoefficients, BadParams
 from graphfk.graphs import build_graph, generate, is_connected
 from graphfk.operators import OperatorMatrix, assemble, symmetrize
@@ -270,6 +271,53 @@ class TestKato:
         with pytest.raises(BadCoefficients):
             kato_functional(edge_graph, [1.0, 1.0], 0.0)
 
+    def test_grid_equals_per_time_calls(self, rng):
+        # one decomposition for the grid, the same matvec per time: each
+        # value is the scalar call's to the last bit
+        grid = np.array([4.0, 1.0, 0.5, 0.25, 0.125, 0.0625, 1e-3])
+        for _ in range(5):
+            g = random_graph(rng, max_n=12)
+            g = type(g)(g.labels, g.edges, rng.uniform(0.5, 2.0, g.n))
+            w = rng.uniform(-2, 2, size=g.n)
+            values = kato_functional(g, w, grid)
+            assert values.shape == grid.shape
+            assert values.tolist() == [kato_functional(g, w, t)
+                                       for t in grid.tolist()]
+
+    def test_result_takes_the_shape_of_t(self, edge_graph):
+        w = [0.0, 1.0]
+        assert type(kato_functional(edge_graph, w, 0.5)) is float
+        assert kato_functional(edge_graph, w, np.array(0.5)) == \
+            kato_functional(edge_graph, w, 0.5)
+        grid = np.array([[1.0, 0.5], [0.25, 0.125]])
+        got = kato_functional(edge_graph, w, grid)
+        assert got.shape == (2, 2)
+        assert got.ravel().tolist() == kato_functional(
+            edge_graph, w, grid.ravel()).tolist()
+        assert kato_functional(edge_graph, w, [1.0, 0.5]).tolist() == \
+            kato_functional(edge_graph, w, np.array([1.0, 0.5])).tolist()
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
+    def test_every_time_checked_before_the_solve(self, edge_graph,
+                                                 monkeypatch, bad):
+        def no_solve(op):
+            raise AssertionError("decomposed before the grid was checked")
+
+        monkeypatch.setattr(spectral, "eigendecompose", no_solve)
+        with pytest.raises(BadCoefficients):
+            kato_functional(edge_graph, [1.0, 1.0], [1.0, 0.5, bad])
+
+    def test_one_decomposition_per_grid(self, edge_graph, monkeypatch):
+        calls = []
+
+        def counted(op):
+            calls.append(op)
+            return eigendecompose(op)
+
+        monkeypatch.setattr(spectral, "eigendecompose", counted)
+        kato_functional(edge_graph, [1.0, 2.0], [1.0, 0.5, 0.25, 0.125])
+        assert len(calls) == 1
+
 
 @pytest.mark.parametrize("call", [
     lambda g: heat_kernel(eigendecompose(assemble(g)), np.nan),
@@ -303,3 +351,12 @@ class TestRelativeFormBound:
         V0 = Potential.scalar([0.0, 0.0])
         with pytest.raises(BadCoefficients):
             relative_form_bound_check(edge_graph, None, V0, 1.5, 0.0)
+
+    @pytest.mark.parametrize("C1, C2", [(np.nan, 0.5), (0.5, np.nan),
+                                        (0.5, -0.1)],
+                             ids=["nan-C1", "nan-C2", "negative-C2"])
+    def test_rejects_nan_and_negative(self, edge_graph, C1, C2):
+        # a NaN C2 passed the old C2 < 0 check and came back (False, nan)
+        V0 = Potential.scalar([0.0, 0.0])
+        with pytest.raises(BadCoefficients):
+            relative_form_bound_check(edge_graph, None, V0, C1, C2)
