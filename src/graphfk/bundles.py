@@ -91,6 +91,8 @@ class Potential:
             raise NonHermitian(
                 f"potential values must have shape (n, {self.rank}, {self.rank})"
             )
+        if not np.isfinite(vals).all():
+            raise NonHermitian("potential values must be finite")
         dev = np.abs(vals - vals.conj().transpose(0, 2, 1)).max(initial=0.0)
         scale = np.abs(vals).max(initial=0.0)
         if dev > 1e-12 * (1.0 + scale):
@@ -147,6 +149,14 @@ def connection_from_magnetic(theta: MagneticPotential) -> Connection:
     return Connection(1, mats)
 
 
+def _distance_to_identity(P) -> float:
+    """||P - I||_2; NaN when P has a non-finite entry, on which the
+    norm's SVD would fail to converge."""
+    if not np.isfinite(P).all():
+        return float("nan")
+    return float(np.linalg.norm(P - np.eye(P.shape[0]), ord=2))
+
+
 def validate_connection(c: Connection, g: WeightedGraph) -> ValidationReport:
     """Check unitarity and inverse-symmetry of c on every edge of g.
 
@@ -155,23 +165,22 @@ def validate_connection(c: Connection, g: WeightedGraph) -> ValidationReport:
     "inverse-symmetry"}.
     """
     report = ValidationReport()
-    eye = np.eye(c.rank)
     for key in g.edges:
         if not c.has_edge(*key):
             report.violations.append((key, "missing", float("inf")))
             continue
         M = c.matrix(*key)
-        dev = np.linalg.norm(M.conj().T @ M - eye, ord=2)
-        if dev > UNITARITY_TOL:
-            report.violations.append((key, "unitarity", float(dev)))
+        dev = _distance_to_identity(M.conj().T @ M)
+        if not dev <= UNITARITY_TOL:  # NaN fails it too
+            report.violations.append((key, "unitarity", dev))
         # When both orientations were supplied explicitly, check that the
         # reverse really is the inverse; stored-once inputs satisfy this
         # by construction.
         if key in c.matrices and (key[1], key[0]) in c.matrices:
             rev = c.matrices[(key[1], key[0])]
-            dev2 = np.linalg.norm(rev @ M - eye, ord=2)
-            if dev2 > UNITARITY_TOL:
-                report.violations.append((key, "inverse-symmetry", float(dev2)))
+            dev2 = _distance_to_identity(rev @ M)
+            if not dev2 <= UNITARITY_TOL:
+                report.violations.append((key, "inverse-symmetry", dev2))
     return report
 
 

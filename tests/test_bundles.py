@@ -82,6 +82,17 @@ class TestValidateConnection:
         assert "unitarity" in kinds
         assert report.max_deviation >= 1.0
 
+    @pytest.mark.parametrize("both", [False, True])
+    def test_nan_matrix_flagged(self, edge_graph, both):
+        # the norm's SVD raised LinAlgError on a NaN entry
+        M = np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=complex)
+        mats = {(0, 1): M, (1, 0): np.eye(2)} if both else {(0, 1): M}
+        report = validate_connection(Connection(2, mats), edge_graph)
+        assert not report.ok
+        assert all(np.isnan(v[2]) for v in report.violations)
+        assert {v[1] for v in report.violations} == (
+            {"unitarity", "inverse-symmetry"} if both else {"unitarity"})
+
     def test_wrong_reverse_flagged(self, edge_graph):
         a = np.pi / 3
         rot = np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]],
@@ -160,6 +171,14 @@ class TestDecompose:
     def test_non_hermitian_rejected(self):
         with pytest.raises(NonHermitian):
             Potential(2, np.array([[[0, 1], [0, 0]]], dtype=complex))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        # a NaN made the Hermiticity deviation NaN, which passed dev > tol
+        with pytest.raises(NonHermitian, match="finite"):
+            Potential.scalar([0.0, bad])
+        with pytest.raises(NonHermitian, match="finite"):
+            Potential(2, np.array([[[bad, 0], [0, 1]]], dtype=complex))
 
 
 class TestConnectionStorage:

@@ -488,6 +488,18 @@ class TestMalformedConfig:
         record = self._exit_1(tmp_path, capsys, "spectrum", {"graph": path})
         assert name in record["error"] and "nan" in record["error"]
 
+    @pytest.mark.parametrize("entry", [
+        {"potential": {"inline": [["a", math.nan], ["b", 1.0]]}},
+        {"magnetic": {"inline": [["a", "b", math.nan]]}},
+        {"connection": {"inline": [["a", "b", [[[math.nan, 0.0]]]]]}},
+    ], ids=["nan-potential", "nan-phase", "nan-connection"])
+    @pytest.mark.parametrize("subcommand", ["spectrum", "sweep"])
+    def test_nan_in_inline_data(self, tmp_path, capsys, entry, subcommand):
+        # a NaN potential ran to exit 0 with a wrong spectrum and NaN
+        # bounds; a NaN transport crashed in the unitarity check's SVD
+        self._exit_1(tmp_path, capsys, subcommand,
+                     {"graph": {"preset": "two_vertex"}, **entry})
+
     def test_workers_above_the_bound(self, tmp_path, capsys, monkeypatch):
         # refused before any job or thread exists: no pool is ever built
         def no_pool(*args, **kwargs):
