@@ -310,9 +310,11 @@ def _cmd_fk_compare(cfg, outdir):
     samples = _number(params.get("samples", 100000), "samples", int)
     workers = _number(params.get("workers", 1), "workers", int)
     t = beta * hbar
-    dec = eigendecompose(assemble(g, conn, pot.scaled(hbar)))
+    # the estimator checks beta, hbar, samples and workers before the
+    # eigensolve runs or the potential is scaled by hbar
     rep = estimate_partition(g, conn, pot, beta, hbar, samples, seed,
                              workers=workers)
+    dec = eigendecompose(assemble(g, conn, pot.scaled(hbar)))
     # tr_x of the diagonal block of e^{-tA}: sum_k |U_{xa,k}|^2 e^{-t lambda_k}
     diag = np.abs(dec.vectors) ** 2 @ np.exp(-t * dec.eigenvalues)
     exact_x = diag.reshape(g.n, dec.rank).sum(axis=1)

@@ -20,10 +20,10 @@ the eigenbasis V(y)/hbar = Q_y diag(lam_y) Q_y^H, diagonalized once per
 problem, and the jump factors W = Q_y^H Phi_{x',y} Q_{x'} between
 eigenbases.  A jump from y with a uniform u in [0, 1) takes slot
 count(cum[y] < u), so it always lands on a neighbor, and costs O(largest
-degree), not O(n).  Paths are weighed in the eigenbases: a holding
-interval scales by diag(e^{-s lam_y}) and a jump multiplies by one W, so
-no LAPACK call runs in the path loop, and a holding factor at rank 1 is
-an elementwise exp.
+degree), not O(n).  Paths are weighed in the eigenbases as they walk, at
+every rank by the same code: a holding interval scales by diag(e^{-s
+lam_y}) and a jump multiplies by one W, so no LAPACK call runs in the
+path loop, and at rank 1 each factor is one elementwise product.
 
 Partition traces are estimated per start vertex x from the Dyson
 strata Z_k(x), the weight of the paths from x that end at x with exactly
@@ -68,6 +68,7 @@ independent of scheduling and worker count.
 from __future__ import annotations
 
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -122,8 +123,9 @@ class _JumpTable:
     Q_y^H, and ``W[:, :, y, k] = Q_y^H Phi_{x',y} Q_{x'}`` is the factor a
     jump y -> x' = nbrs[y, k] puts into the Dyson weight, with the back
     transport Phi_{x',y} (the reverse arc's) taken between the two
-    eigenbases; W is stored entry-major, as ``_weigh`` keeps its matrices.
-    At rank 1 ``lam`` is the value itself and ``W`` is Phi.
+    eigenbases; W is stored entry-major, as ``_path_chunk`` keeps its
+    Dyson products.  At rank 1 ``lam`` is the value itself and ``W`` is Phi
+    (``eigh`` would round a magnetic rank 1 differently).
 
     ``PW`` is W times the jump probability b(x', y) / deg_1(y), the factor
     of a return y -> x that is scored, not taken.  Its slots are flat,
@@ -180,11 +182,22 @@ class _JumpTable:
 # Vectorized chunk simulation
 # ---------------------------------------------------------------------------
 
-def _matmul(A, B):
+def _matmul(A, B, fresh=False):
     """Stacked A @ B for matrices stored entry-major, shape (nu, nu, k):
     nu broadcast products over the long last axis, several times faster
-    than matmul's per-matrix calls for the small nu of a fibre."""
-    out = A[:, 0, None] * B[None, 0]
+    than matmul's per-matrix calls for the small nu of a fibre.
+
+    The first product is taken in place unless ``fresh``.  For k = 1
+    numpy takes an in-place complex product as a reduction, without the
+    fused multiply-add of its vector loop, so the two can differ in the
+    last bit.  ``_path_chunk`` passes ``fresh`` in a round that dropped
+    paths, so that each product rounds as it would if taken right after
+    its jump, over every path that made one."""
+    if fresh:
+        out = A[:, 0, None] * B[None, 0]
+    else:
+        out = np.repeat(A[:, :1], A.shape[1], axis=1)
+        out *= B[:1]
     for j in range(1, A.shape[1]):
         out += A[:, j, None] * B[None, j]
     return out
@@ -204,10 +217,9 @@ def _hold(tbl, ys, dwell):
 def _path_chunk(tbl, start, horizon, rng, loops=False):
     """Run one path from each entry of ``start``; returns (terminal, F, N).
 
-    At rank 1, F is the path's Dyson weight (module docstring), with the
-    identity connection the Feynman-Kac weight prod_k e^{-v(Y_k) s_k}.
-    Above rank 1 the kernel serves the trace estimator alone, called with
-    ``loops``.
+    F is the path's Dyson weight (module docstring), with the identity
+    connection the Feynman-Kac weight prod_k e^{-v(Y_k) s_k}; it is kept
+    at rank 1 only, which is all the process-law estimators run.
 
     With ``loops`` the chunk serves the trace estimator and returns the
     next-event score S of each path in place of F.  The first K =
@@ -228,79 +240,80 @@ def _path_chunk(tbl, start, horizon, rng, loops=False):
     that end at x, with no Bernoulli noise from the indicator.  The path
     itself walks on as drawn.
 
-    The jump chain is walked for all paths at once, round by round.  At
-    rank 1 the weights, and the scores, are multiplied in as the paths go;
-    above rank 1 the walk carries g alone, each round's holding times and
-    jumps are recorded, and the matrix products are replayed afterwards
-    (``_weigh``).
+    The jump chain is walked for all paths at once, round by round, and
+    each path carries its Dyson product M in the eigenbases of the
+    potential, stored entry-major, shape (nu, nu, paths), so that every
+    operation runs over the long path axis.  M starts at the identity.  A
+    round multiplies in the jump the path made in the round before, M W
+    with W = Q_y^H Phi_{x',y} Q_{x'} (one nu x nu product, in which the
+    inner Q_{x'} Q_{x'}^H cancel; the first is W with its rows scaled, M
+    being diagonal until then), then g_k in a forced round, then the hold,
+    which scales the columns of M by e^{-s lam_y}.  The score of a return
+    takes nu^2 products (``_return_score``); the path it closes ends at x,
+    so the outer Q_x ... Q_x^H leave its trace unchanged.  With ``loops``
+    a path leaves the walk in the round it stops jumping, before that
+    round's products: its last jump and last hold are never multiplied
+    out.  Without, a path's F is M[0, 0] after its last hold.
     """
     nu, width = tbl.rank, tbl.nbrs.shape[1]
     states = start.copy()
-    t = np.zeros(start.size)
     N = np.zeros(start.size, dtype=np.int64)
-    # the weights at rank 1; above rank 1 the real factor g alone
-    F = np.ones(start.size, dtype=tbl.dtype if nu == 1 else float)
+    F = np.ones(start.size, dtype=tbl.dtype)
     S = np.zeros(start.size, dtype=tbl.dtype)
-    if nu == 1:
-        # a path from a vertex of rate 0 holds there up to the horizon
-        idle = np.flatnonzero((horizon > 0) & (tbl.rates[start] == 0.0))
-        F[idle] *= _hold(tbl, start[idle], np.full(idle.size, horizon))[:, 0]
-    moving = np.flatnonzero((horizon > 0) & (tbl.rates[start] > 0.0))
-    act = moving
-    rounds = []
+    # a path from a vertex of rate 0 holds there up to the horizon
+    idle = np.flatnonzero((horizon > 0) & (tbl.rates[start] == 0.0))
+    F[idle] *= _hold(tbl, start[idle], np.full(idle.size, horizon))[:, 0]
+    act = np.flatnonzero((horizon > 0) & (tbl.rates[start] > 0.0))
+    ys, t = start[act], np.zeros(act.size)
+    M = np.zeros((nu, nu, act.size), dtype=tbl.dtype)
+    M[range(nu), range(nu)] = 1.0
+    W = tbl.W.reshape(nu, nu, -1)
     forced = tbl.forced if loops else 0
     i = 0  # the round, and the jump it makes is jump i + 1
     while act.size:
-        ys = states[act]
         rates = tbl.rates[ys]
-        rem = horizon - t[act]
+        rem = horizon - t
         if i < forced:
             # P(tau <= s | tau < r) = expm1(-rate s) / expm1(-rate r); the
             # clamp keeps a draw that rounds up to r inside it
             g = -np.expm1(-rates * rem)
             u = rng.random(act.size)
             dt = np.minimum(-np.log1p(-u * g) / rates, np.nextafter(rem, 0.0))
-            F[act] *= g
         else:
             dt = rng.standard_exponential(act.size) / rates
-        t[act] += dt
+        t += dt
         jumped = dt < rem
         dwell = np.minimum(dt, rem)
-        if nu == 1:
-            F[act] *= _hold(tbl, ys, dwell)[:, 0]
-        else:
-            held = np.empty(start.size)
-            held[act] = dwell
-        act = act[jumped]
-        took = None
-        if act.size:
-            ys = states[act]
-            if loops and nu == 1 and i >= forced - 1:
-                # jump K or later: score the return to the start
-                S[act] += _return_score(tbl, F[act][None, None], ys,
-                                        start[act], horizon - t[act])
-            u = rng.random(act.size)
-            # count(cum[y] < u), column by column: a row-wise sum over the
-            # short rows costs several times more
-            slot = np.zeros(act.size, dtype=np.int64)
-            for col in tbl.cols:
-                slot += col[ys] < u
-            arc = ys * width + slot  # the flat index of (y, slot)
-            if nu == 1:
-                F[act] *= np.take(tbl.W, arc)
-            else:
-                took = np.empty(start.size, dtype=np.int64)
-                took[act] = slot
-            states[act] = np.take(tbl.nbrs, arc)
-            N[act] += 1
-        if nu > 1:
-            rounds.append((held, took))
+        dropped = loops and not jumped.all()  # never in a forced round
+        if dropped:
+            act, ys, t, dwell, arc, M = (
+                a[..., jumped] for a in (act, ys, t, dwell, arc, M))
+        if i == 1:  # M is diagonal: M W is W with its rows scaled
+            M = np.repeat(M[range(nu), range(nu)][:, None], nu, axis=1)
+            M *= np.take(W, arc, axis=2)
+        elif i:
+            M = _matmul(M, np.take(W, arc, axis=2), fresh=dropped)
+        if i < forced:
+            M *= g
+        M *= _hold(tbl, ys, dwell).T[None]
+        if not loops:
+            F[act[~jumped]] = M[0, 0, ~jumped]
+            act, ys, t, M = (a[..., jumped] for a in (act, ys, t, M))
+        if loops and i >= forced - 1:
+            # jump K or later: score the return to the start
+            S[act] += _return_score(tbl, M, ys, start[act], horizon - t)
+        u = rng.random(act.size)
+        # count(cum[y] < u), column by column: a row-wise sum over the
+        # short rows costs several times more
+        slot = np.zeros(act.size, dtype=np.int64)
+        for col in tbl.cols:
+            slot += col[ys] < u
+        arc = ys * width + slot  # the flat index of (y, slot)
+        ys = np.take(tbl.nbrs, arc)
+        states[act] = ys
+        N[act] += 1
         i += 1
-    if nu == 1:
-        return states, S if loops else F, N
-    paths, score = _weigh(tbl, start, horizon, N, rounds, moving)
-    S[paths] = F[paths] * score
-    return states, S, N
+    return states, S if loops else F, N
 
 
 def _return_score(tbl, M, ys, x, r):
@@ -319,70 +332,6 @@ def _return_score(tbl, M, ys, x, r):
     PW = np.take(tbl.PW, np.where(near, ys * width + slot, n * width), axis=2)
     PW *= _exp_take(tbl.stay, x, r).T
     return np.einsum("abk,bak->k", M, PW)
-
-
-def _weigh(tbl, start, horizon, N, rounds, paths):
-    """Next-event scores (rank > 1) of ``paths``, without g; returns
-    (paths, scores) in the order replayed.  ``rounds`` holds, per round of
-    the walk, the holding times and the slots taken, indexed by path.
-
-    The replay runs in the eigenbases of the potential.  M starts at the
-    identity; a hold at y scales its columns by e^{-s lam_y}, and a jump
-    y -> x' multiplies it by W = Q_y^H Phi_{x',y} Q_{x'}, one nu x nu
-    product, in which the inner Q_{x'} Q_{x'}^H cancel.  A jump k >= K =
-    ``tbl.forced`` from a neighbor y of the start x, with M held at y up
-    to tau_k and r = horizon - tau_k left, adds
-
-        sum_ab M_ab (P W)_ba e^{-r (lam_{x,a} + deg_m(x))},
-
-    the trace of M times the return y -> x and a hold at x up to the
-    horizon without a jump, nu^2 products; the path it closes ends at x,
-    so the outer Q_x ... Q_x^H leave the trace unchanged.  A path's replay
-    ends at its last jump, and the nu x nu product of a jump runs only for
-    the paths that jump again.
-
-    The paths are taken most jumps first, so that those that jump in a
-    round, and those that jump again, are prefixes.
-    """
-    nu, width = tbl.rank, tbl.nbrs.shape[1]
-    paths = paths[np.argsort(-N[paths], kind="stable")]
-    neg = -N[paths]  # ascending
-
-    def count(i):  # of the paths with N >= i, a prefix
-        return int(np.searchsorted(neg, -i, side="right"))
-
-    x = start[paths]
-    cur = x.copy()  # the vertex each path is at
-    # M is stored entry-major, (nu, nu, paths), so that every operation
-    # runs over the long path axis
-    M = np.zeros((nu, nu, paths.size), dtype=tbl.dtype)
-    M[range(nu), range(nu)] = 1.0
-    tau = np.zeros(paths.size)
-    total = np.zeros(paths.size, dtype=tbl.dtype)
-    for i, (held, took) in enumerate(rounds):
-        # a path is done at its last jump
-        jumping = count(i + 1)
-        if not jumping:
-            break
-        s = held[paths[:jumping]]
-        e = _hold(tbl, cur[:jumping], s).T
-        M[:, :, :jumping] *= e[None]
-        tau[:jumping] += s
-        if i >= tbl.forced - 1:
-            total[:jumping] += _return_score(
-                tbl, M[:, :, :jumping], cur[:jumping], x[:jumping],
-                horizon - tau[:jumping])
-        again = count(i + 2)
-        arc = cur[:again] * width + took[paths[:again]]
-        if i:
-            W = np.take(tbl.W.reshape(nu, nu, -1), arc, axis=2)
-            M[:, :, :again] = _matmul(M[:, :, :again], W)
-        else:  # M is the diagonal diag(e): M W is W with rows scaled by e
-            np.take(tbl.W.reshape(nu, nu, -1), arc, axis=2, mode="clip",
-                    out=M[:, :, :again])
-            M[:, :, :again] *= e[:, None, :again]
-        cur[:again] = np.take(tbl.nbrs, arc)
-    return paths, total
 
 
 def simulate_scalar_paths(g: WeightedGraph, start: int, t: float,
@@ -415,17 +364,12 @@ def simulate_scalar_paths(g: WeightedGraph, start: int, t: float,
 
 
 def _chunk_sizes(samples, chunk):
+    """(chunk index, size) of each piece of ``samples`` paths, lazily, so
+    that a run of any size holds no list of its jobs."""
     if chunk < 1:
         raise BadParams("chunk size must be at least 1")
-    jobs = []
-    done = 0
-    ci = 0
-    while done < samples:
-        size = min(chunk, samples - done)
-        jobs.append((ci, size))
-        done += size
-        ci += 1
-    return jobs
+    return ((ci, min(chunk, samples - ci * chunk))
+            for ci in range(-(-samples // chunk)))
 
 
 def _check_workers(workers):
@@ -435,12 +379,19 @@ def _check_workers(workers):
 
 
 def _run_jobs(run, jobs, workers):
-    """The results of ``run`` over ``jobs``, yielded in job order."""
+    """The results of ``run`` over ``jobs``, yielded in job order, with at
+    most 2 * workers jobs submitted and not yet taken."""
     if workers <= 1:
         yield from map(run, jobs)
         return
     with ThreadPoolExecutor(max_workers=workers) as ex:
-        yield from ex.map(run, jobs)
+        pending = deque()
+        for job in jobs:
+            if len(pending) == 2 * workers:
+                yield pending.popleft().result()
+            pending.append(ex.submit(run, job))
+        while pending:
+            yield pending.popleft().result()
 
 
 def _chunk_moments(keys, vals):

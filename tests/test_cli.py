@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -354,6 +355,31 @@ class TestFkCompare:
         report = (tmp_path / "out" / "report.txt").read_text()
         assert ("[FAIL] estimate within 3 standard errors: |z| = inf "
                 "(stderr is 0)") in report
+
+    @pytest.mark.parametrize("params", [dict(hbar=0.0), dict(hbar=-0.1),
+                                        dict(beta=0.0)])
+    def test_nonpositive_beta_or_hbar_exit_1_before_the_solve(
+            self, tmp_path, capsys, monkeypatch, params):
+        # hbar = 0 used to scale the potential by 1/0 (two RuntimeWarnings,
+        # then "potential values must be finite"), and hbar < 0 ran the
+        # whole eigensolve before the estimator refused it
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the eigensolve ran")
+
+        monkeypatch.setattr(cli, "eigendecompose", no_solve)
+        cfg = write_config(tmp_path, "c.json", {
+            "graph": {"preset": "two_vertex"},
+            "params": {"beta": 1.0, "hbar": 0.1, "samples": 1000} | params,
+            "seed": 1,
+            "output_dir": str(tmp_path / "out"),
+        })
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(cfg, "fk-compare") == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert json.loads(err) == {"error": "beta and hbar must be positive",
+                                   "kind": "validation"}
 
     @pytest.mark.parametrize("samples", [0, 1, -5])
     def test_too_few_samples_exit_1(self, tmp_path, capsys, samples):

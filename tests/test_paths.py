@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections.abc import Iterator
 
 import numpy as np
 import pytest
@@ -21,12 +22,14 @@ from graphfk.paths import (
     CHUNK_SIZE,
     MAX_WORKERS,
     _chunk_moments,
+    _chunk_sizes,
     _hold,
     _JumpTable,
     _mean_se,
     _merge_moments,
     _moments,
     _path_chunk,
+    _run_jobs,
     estimate_heat_kernel,
     estimate_partition,
     path_stream,
@@ -328,6 +331,42 @@ class TestKernel:
         assert terminal.tolist() == [2] * 5 and N.tolist() == [0] * 5
         want = math.exp(-0.7 * 0.9)
         assert np.abs(F - want).max() <= 1e-15 * want
+
+    @pytest.mark.parametrize("graph", [("cycle", dict(n=5)),
+                                       ("complete", dict(n=4)),
+                                       ("lattice_box", dict(l=2, side=4))])
+    @pytest.mark.parametrize("phased", [False, True])
+    def test_scalar_is_rank_one_of_covariant(self, rng, graph, phased):
+        # V = diag(v_1, v_2) with a diagonal connection diag(e^{i theta_1},
+        # e^{i theta_2}) splits into two rank-1 problems: on the same draws
+        # the rank-2 walk is theirs, and its scores are their sum.  At
+        # t = 1.5 the paths make 3 to 16 jumps, so the rounds shrink
+        g = generate(graph[0], **graph[1])
+        v = rng.uniform(-1.0, 1.0, size=(2, g.n))
+        theta = rng.uniform(-np.pi, np.pi, size=(2, len(g.edges))) * phased
+        phase = np.exp(1j * theta)
+        both = Connection.identity(g, 2)
+        if phased:
+            both = Connection(2, {key: np.diag(phase[:, k])
+                                  for k, key in enumerate(g.edges)})
+        V = Potential(2, np.stack([np.diag(v[:, x]) for x in range(g.n)])
+                      .astype(complex))
+        start = np.repeat(np.arange(g.n), 400)
+        runs = [_path_chunk(_JumpTable(resolve(g, both, V), 0.5), start, 1.5,
+                            path_stream(81, 0, 0), loops=True)]
+        for a in range(2):
+            c = Connection(1, {key: phase[a, k].reshape(1, 1)
+                               for k, key in enumerate(g.edges)})
+            runs.append(_path_chunk(
+                _JumpTable(resolve(g, c, Potential.scalar(v[a])), 0.5),
+                start, 1.5, path_stream(81, 0, 0), loops=True))
+        (term, S, N), (term_1, S_1, N_1), (term_2, S_2, N_2) = runs
+        assert np.array_equal(term, term_1) and np.array_equal(term, term_2)
+        assert np.array_equal(N, N_1) and np.array_equal(N, N_2)
+        assert N.min() >= _JumpTable(resolve(g)).forced and N.max() >= 10
+        scale = np.abs(S).max()
+        assert scale > 0
+        assert np.abs(S - (S_1 + S_2)).max() <= 1e-12 * scale
 
     def test_conditioned_draw_stays_inside_the_horizon(self):
         # at rate 1.5 and t = 0.01 the unclamped draw -log1p(u expm1(-rt))/r
@@ -656,6 +695,84 @@ class TestPartitionEstimate:
             with pytest.raises(BadParams, match="workers"):
                 estimate_heat_kernel(edge_graph, 0, 0, 1.0, 1000, seed=80,
                                      workers=workers)
+
+    def test_chunk_sizes_are_lazy(self):
+        # a list of every job used to be built first: 10^12 paths died
+        # with a MemoryError before one ran
+        jobs = _chunk_sizes(10, 3)
+        assert isinstance(jobs, Iterator)
+        assert list(jobs) == [(0, 3), (1, 3), (2, 3), (3, 1)]
+        assert next(_chunk_sizes(10**12, CHUNK_SIZE)) == (0, CHUNK_SIZE)
+        with pytest.raises(BadParams):
+            _chunk_sizes(10, 0)  # on the call, not on the first job
+
+    def test_jobs_in_flight_are_bounded(self, monkeypatch):
+        # the pool holds at most 2 * workers jobs not yet taken, and the
+        # results come in job order whatever the order they finish in
+        pools = []
+
+        class LazyPool:
+            def __init__(self, max_workers):
+                self.in_flight, self.most = 0, 0
+                pools.append(self)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                self.in_flight += 1
+                self.most = max(self.most, self.in_flight)
+                pool = self
+
+                class Job:
+                    def result(self):
+                        pool.in_flight -= 1
+                        return fn(*args)
+
+                return Job()
+
+        monkeypatch.setattr(paths, "ThreadPoolExecutor", LazyPool)
+        assert list(_run_jobs(lambda job: -job, range(50), 3)) == [
+            -job for job in range(50)]
+        assert pools[-1].most == 6
+
+    def test_estimate_submits_few_jobs_before_the_first_result(
+            self, edge_graph, monkeypatch):
+        # 10^6 paths per vertex are 245 jobs; ThreadPoolExecutor.map would
+        # submit all of them before a result is taken
+        submitted = []
+
+        class Stop(Exception):
+            pass
+
+        class FirstResultStops:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                submitted.append(args)
+
+                class Job:
+                    def result(self):
+                        raise Stop(len(submitted))
+
+                return Job()
+
+        monkeypatch.setattr(paths, "ThreadPoolExecutor", FirstResultStops)
+        g, pot = two_vertex()
+        with pytest.raises(Stop) as stop:
+            estimate_partition(g, None, pot, 1.0, 0.1, 10**6, seed=82,
+                               workers=2)
+        assert stop.value.args == (4,)
 
     def test_simulate_scalar_paths_rejects_negative_horizon(self,
                                                             edge_graph):
