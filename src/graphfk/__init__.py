@@ -6,7 +6,6 @@ Feynman-Kac Monte Carlo for scalar, magnetic, and covariant operators.
 
 from .bundles import (
     Connection,
-    MagneticPotential,
     Potential,
     connection_from_magnetic,
     decompose_potential,

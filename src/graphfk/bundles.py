@@ -3,8 +3,10 @@
 Fibers are the standard nu-dimensional complex space with the standard
 Hermitian product (conjugate-linear in the second argument).  A unitary
 connection assigns to each directed edge (i, j) a unitary nu x nu matrix
-mapping the fiber at i to the fiber at j; only one direction per edge is
-stored and the reverse is synthesized as the conjugate transpose, so the
+mapping the fiber at i to the fiber at j.  It is stored once per edge,
+as an (E, nu, nu) array aligned with the edges of the graph
+(``graphs.WeightedGraph``): entry e is Phi_{i,j} for edge e = (i, j),
+i < j, and the reverse Phi_{j,i} is its conjugate transpose, so the
 inverse-symmetry relation is exact by construction for validated inputs.
 The scalar case is rank 1, where a connection is a unit-modulus phase
 e^{i theta} with theta an antisymmetric magnetic potential.
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MissingEdgeMatrix, MissingEdgePhase, NonHermitian
+from .errors import InvalidConnection, NonHermitian
 from .graphs import WeightedGraph
 
 UNITARITY_TOL = 1e-10
@@ -24,54 +26,31 @@ UNITARITY_TOL = 1e-10
 
 @dataclass(frozen=True)
 class Connection:
-    """Unitary connection: stored matrices over directed edges.
+    """Unitary connection: one transport per edge, shape (E, rank, rank).
 
-    ``matrices`` maps directed pairs (i, j) to Phi_{i,j} : F_i -> F_j.
-    Normally only one direction per edge is stored; the reverse is
-    synthesized as the conjugate transpose (= inverse for unitaries).
-    Storing both directions is allowed so that diagnostics can flag
-    inconsistent inputs.
+    ``matrices[e]`` is Phi_{i,j} : F_i -> F_j for edge e = (i, j) of the
+    graph, in its edge order; Phi_{j,i} is its conjugate transpose (=
+    inverse for unitaries).
     """
 
     rank: int
-    matrices: dict
-
-    def matrix(self, i, j):
-        """Phi_{i,j} as a nu x nu complex array."""
-        M = self.matrices.get((i, j))
-        if M is None:
-            M = self.matrices.get((j, i))
-            M = None if M is None else M.conj().T
-        if M is None:
-            raise MissingEdgeMatrix(f"no connection matrix for edge ({i},{j})")
-        return M
-
-    def has_edge(self, i, j):
-        return (i, j) in self.matrices or (j, i) in self.matrices
+    matrices: np.ndarray
 
     @staticmethod
     def identity(g: WeightedGraph, rank: int = 1) -> "Connection":
         eye = np.eye(rank, dtype=complex)
-        return Connection(rank, {key: eye for key in g.edges})
+        return Connection(rank, np.broadcast_to(eye, (len(g.edges), rank, rank)))
 
-
-@dataclass(frozen=True)
-class MagneticPotential:
-    """Antisymmetric edge phase theta in [-pi, pi], stored once per edge."""
-
-    graph: WeightedGraph
-    phases: dict
-
-    def __post_init__(self):
-        for key in self.graph.edges:
-            if key not in self.phases:
-                raise MissingEdgePhase(f"no phase for edge {key}")
-
-    def phase(self, i, j):
-        """theta(i, j); the reverse orientation is the negated view."""
-        if i < j:
-            return self.phases[(i, j)]
-        return -self.phases[(j, i)]
+    def aligned(self, g: WeightedGraph) -> np.ndarray:
+        """``matrices`` as a complex array, checked to hold one transport
+        per edge of g."""
+        P = np.asarray(self.matrices, dtype=complex)
+        if P.shape != (len(g.edges), self.rank, self.rank):
+            raise InvalidConnection(
+                f"connection matrices of shape {P.shape}, not one "
+                f"{self.rank} x {self.rank} transport per edge of "
+                f"{len(g.edges)}")
+        return P
 
 
 @dataclass(frozen=True)
@@ -136,52 +115,41 @@ class ValidationReport:
         return max((v[2] for v in self.violations), default=0.0)
 
 
-def connection_from_magnetic(theta: MagneticPotential) -> Connection:
-    """Rank-1 connection Phi_{i,j} = e^{i theta(i, j)}.
+def connection_from_magnetic(theta) -> Connection:
+    """Rank-1 connection Phi_{i,j} = e^{i theta(i, j)} from the phases
+    theta, one per edge (i, j) in edge order.
 
     theta = +-pi gives exactly -1 (e^{i pi} rounds to -1 + 1.2e-16 i), so
     an operator whose phases are all 0 or +-pi assembles real.
     """
-    mats = {
-        key: np.array([[-1.0 + 0j if abs(ph) == np.pi else np.exp(1j * ph)]])
-        for key, ph in theta.phases.items()
-    }
-    return Connection(1, mats)
+    theta = np.asarray(theta, dtype=float).reshape(-1, 1, 1)
+    return Connection(1, np.where(np.abs(theta) == np.pi, -1.0 + 0j,
+                                  np.exp(1j * theta)))
 
 
-def _distance_to_identity(P) -> float:
-    """||P - I||_2; NaN when P has a non-finite entry, on which the
-    norm's SVD would fail to converge."""
-    if not np.isfinite(P).all():
-        return float("nan")
-    return float(np.linalg.norm(P - np.eye(P.shape[0]), ord=2))
+def distance_to_identity(P) -> np.ndarray:
+    """||P_k - I||_2 for a stack of square matrices P, shape (k,); NaN
+    where P_k has a non-finite entry, on which the norm's SVD would fail
+    to converge."""
+    dev = np.full(len(P), np.nan)
+    finite = np.isfinite(P).all(axis=(1, 2))
+    dev[finite] = np.linalg.norm(P[finite] - np.eye(P.shape[1]), ord=2,
+                                 axis=(1, 2))
+    return dev
 
 
 def validate_connection(c: Connection, g: WeightedGraph) -> ValidationReport:
-    """Check unitarity and inverse-symmetry of c on every edge of g.
+    """Check the unitarity of c on every edge of g.
 
-    Returns a diagnostic report; never raises.  Entries are
-    (edge, kind, deviation) with kind in {"missing", "unitarity",
-    "inverse-symmetry"}.
+    Returns a diagnostic report, with entries (edge, "unitarity",
+    deviation) in edge order.  Raises InvalidConnection only when c does
+    not hold one transport per edge of g.
     """
-    report = ValidationReport()
-    for key in g.edges:
-        if not c.has_edge(*key):
-            report.violations.append((key, "missing", float("inf")))
-            continue
-        M = c.matrix(*key)
-        dev = _distance_to_identity(M.conj().T @ M)
-        if not dev <= UNITARITY_TOL:  # NaN fails it too
-            report.violations.append((key, "unitarity", dev))
-        # When both orientations were supplied explicitly, check that the
-        # reverse really is the inverse; stored-once inputs satisfy this
-        # by construction.
-        if key in c.matrices and (key[1], key[0]) in c.matrices:
-            rev = c.matrices[(key[1], key[0])]
-            dev2 = _distance_to_identity(rev @ M)
-            if not dev2 <= UNITARITY_TOL:
-                report.violations.append((key, "inverse-symmetry", dev2))
-    return report
+    P = c.aligned(g)
+    dev = distance_to_identity(P.conj().swapaxes(1, 2) @ P)
+    bad = np.flatnonzero(~(dev <= UNITARITY_TOL))  # NaN fails it too
+    return ValidationReport([(tuple(g.edges[e].tolist()), "unitarity",
+                              float(dev[e])) for e in bad])
 
 
 def _check_hermitian(V: Potential):

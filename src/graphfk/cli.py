@@ -25,11 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio, presets
-from .bundles import (
-    Connection,
-    connection_from_magnetic,
-    validate_connection,
-)
+from .bundles import Connection, validate_connection
 from .errors import (
     BadParams,
     ConfigError,
@@ -128,10 +124,9 @@ def _read_inputs(cfg):
             cfg["connection"], fileio.load_connection,
             fileio.connection_from_entries, g)
     elif "magnetic" in cfg:
-        theta = _resolve_inline_or_file(
+        conn = _resolve_inline_or_file(
             cfg["magnetic"], fileio.load_magnetic,
             fileio.magnetic_from_entries, g)
-        conn = connection_from_magnetic(theta)
     pot = preset_pot
     if "potential" in cfg:
         pot = _resolve_inline_or_file(

@@ -37,14 +37,6 @@ class UnknownIndex(GraphFKError):
     pass
 
 
-class MissingEdgePhase(GraphFKError):
-    pass
-
-
-class MissingEdgeMatrix(GraphFKError):
-    pass
-
-
 class NonHermitian(GraphFKError):
     pass
 

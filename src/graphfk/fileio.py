@@ -5,6 +5,14 @@ Graph spec: {"vertices": [...], "edges": [[a, b, weight], ...],
 Connection: [[label_i, label_j, matrix]] with complex entries [re, im].
 Magnetic: [[label_i, label_j, phase]].  Potential: [[label, matrix]] or
 [[label, scalar]].
+
+Connection and magnetic entries go through one aligner, a magnetic
+phase as its rank-1 transport e^{i phase}.  Every edge takes an entry
+in either orientation, and the reverse orientation is read as the
+conjugate transpose.  An entry on a pair that is not an edge, two
+entries on one edge in one orientation, an edge without an entry, and
+an edge given both ways whose reverse is not the inverse within
+``bundles.UNITARITY_TOL``, are refused with a ConfigError.
 """
 
 from __future__ import annotations
@@ -15,7 +23,13 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .bundles import Connection, MagneticPotential, Potential
+from .bundles import (
+    UNITARITY_TOL,
+    Connection,
+    Potential,
+    connection_from_magnetic,
+    distance_to_identity,
+)
 from .errors import ConfigError
 from .graphs import WeightedGraph, build_graph
 
@@ -73,39 +87,72 @@ def _complex_matrix(entry):
     raise ConfigError(f"cannot interpret matrix entry of shape {arr.shape}")
 
 
+def _aligned(g: WeightedGraph, arcs, mats, what) -> Connection:
+    """The Connection of g that the transports ``mats`` (k, nu, nu),
+    given on the arcs ``arcs`` [(i, j)], make, by the rules of the module
+    docstring; ``what`` names the entries in the errors."""
+    def name(i, j):
+        return f"({g.labels[i]}, {g.labels[j]})"
+
+    edge = dict(zip(map(tuple, g.edges.tolist()), range(len(g.edges))))
+    given = np.full(2 * len(g.edges), -1)  # the entry on i -> j, on j -> i
+    for k, (i, j) in enumerate(arcs):
+        e = edge.get((min(i, j), max(i, j)))
+        if e is None:
+            raise ConfigError(f"{what} entry on {name(i, j)}, which is not "
+                              "an edge")
+        slot = 2 * e + (i > j)
+        if given[slot] >= 0:
+            raise ConfigError(f"two {what} entries on {name(i, j)}")
+        given[slot] = k
+    fwd, rev = given[0::2], given[1::2]
+    missing = np.flatnonzero((fwd < 0) & (rev < 0))
+    if missing.size:
+        raise ConfigError(f"{what} has no entry for edge "
+                          f"{name(*g.edges[missing[0]])}")
+    both = np.flatnonzero((fwd >= 0) & (rev >= 0))
+    dev = distance_to_identity(mats[rev[both]] @ mats[fwd[both]])
+    bad = np.flatnonzero(~(dev <= UNITARITY_TOL))  # NaN fails it too
+    if bad.size:
+        raise ConfigError(f"{what} fails inverse-symmetry on edge "
+                          f"{name(*g.edges[both[bad[0]]])}: deviation "
+                          f"{dev[bad[0]]:.3e}")
+    return Connection(mats.shape[1], np.where(
+        (fwd >= 0)[:, None, None], mats[fwd], mats[rev].conj().swapaxes(1, 2)))
+
+
+def _entries(entries, g: WeightedGraph, what, parse):
+    """The arcs (i, j) and the parsed values of ``entries`` [[label_i,
+    label_j, value]]."""
+    arcs, values = [], []
+    with _parsing(f"{what} entry"):
+        for a, b, value in entries:
+            arcs.append((g.index(a), g.index(b)))
+            values.append(parse(value))
+    return arcs, values
+
+
 def connection_from_entries(entries, g: WeightedGraph) -> Connection:
-    mats = {}
-    rank = None
-    with _parsing("connection entry"):
-        for a, b, matrix in entries:
-            i, j = g.index(a), g.index(b)
-            M = _complex_matrix(matrix)
-            if rank is None:
-                rank = M.shape[0]
-            elif M.shape != (rank, rank):
-                raise ConfigError(
-                    "connection matrices have inconsistent ranks")
-            mats[(i, j)] = M
-    if rank is None:
+    arcs, mats = _entries(entries, g, "connection", _complex_matrix)
+    if not mats:
         raise ConfigError("empty connection file")
-    return Connection(rank, mats)
+    if any(M.shape != (len(mats[0]),) * 2 for M in mats):
+        raise ConfigError("connection matrices must be square, of one rank")
+    return _aligned(g, arcs, np.array(mats), "connection")
 
 
 def load_connection(path, g: WeightedGraph) -> Connection:
     return connection_from_entries(_load_json(path), g)
 
 
-def magnetic_from_entries(entries, g: WeightedGraph) -> MagneticPotential:
-    phases = {}
-    with _parsing("magnetic entry"):
-        for a, b, ph in entries:
-            i, j = g.index(a), g.index(b)
-            key = (i, j) if i < j else (j, i)
-            phases[key] = float(ph) if i < j else -float(ph)
-    return MagneticPotential(g, phases)
+def magnetic_from_entries(entries, g: WeightedGraph) -> Connection:
+    """The rank-1 connection e^{i theta} of magnetic entries."""
+    arcs, phases = _entries(entries, g, "magnetic", float)
+    return _aligned(g, arcs, connection_from_magnetic(phases).matrices,
+                    "magnetic potential")
 
 
-def load_magnetic(path, g: WeightedGraph) -> MagneticPotential:
+def load_magnetic(path, g: WeightedGraph) -> Connection:
     return magnetic_from_entries(_load_json(path), g)
 
 
@@ -121,8 +168,9 @@ def potential_from_entries(entries, g: WeightedGraph) -> Potential:
                 M = _complex_matrix(value)
             if rank is None:
                 rank = M.shape[0]
-            elif M.shape != (rank, rank):
-                raise ConfigError("potential matrices have inconsistent ranks")
+            if M.shape != (rank, rank):
+                raise ConfigError("potential matrices must be square, of one "
+                                  "rank")
             by_index[i] = M
     if rank is None:
         raise ConfigError("empty potential file")

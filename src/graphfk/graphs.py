@@ -2,14 +2,19 @@
 
 A graph is a finite ordered vertex set with a symmetric positive edge
 weight b (zero diagonal, absence encodes 0) and a strictly positive
-vertex measure m.  All numerics downstream run on the contiguous vertex
-indices; labels are opaque strings kept for I/O only.
+vertex measure m.  Its E edges are stored once, as arrays: the pairs
+(i, j) with i < j, shape (E, 2), and their weights b(i, j) = b(j, i),
+shape (E,), in the order the edges were first given.  Edge e runs in
+both directions, as arc 2e, i -> j, and arc 2e + 1, j -> i; every
+per-edge array of the package (a connection's transports, the arcs of
+``operators.Problem``) is aligned with this order.  All numerics
+downstream run on the contiguous vertex indices; labels are opaque
+strings kept for I/O only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections import deque
 from functools import cached_property
 
 import numpy as np
@@ -30,27 +35,44 @@ from .errors import (
 class WeightedGraph:
     """Immutable triple (X, b, m) on contiguous indices 0..n-1.
 
-    ``edges`` maps canonical pairs (i, j) with i < j to the positive
-    weight b(i, j) = b(j, i); both directed views are synthesized on
-    demand.
+    ``edges`` holds each edge once as a pair (i, j) with i < j, shape
+    (E, 2), and ``weights`` the positive weights b(i, j), shape (E,).
     """
 
     labels: tuple
-    edges: dict
+    edges: np.ndarray
+    weights: np.ndarray
     measure: np.ndarray
 
     def __post_init__(self):
         m = np.asarray(self.measure, dtype=float)
-        object.__setattr__(self, "measure", m)
+        e = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
+        w = np.asarray(self.weights, dtype=float)
+        for name, value in (("measure", m), ("edges", e), ("weights", w)):
+            object.__setattr__(self, name, value)
         if not np.all(m > 0):  # NaN fails it too
             raise NonpositiveMeasure("measure must be strictly positive")
-        for (i, j), w in self.edges.items():
-            if i == j:
-                raise SelfLoop(f"self-loop at index {i}")
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise UnknownIndex(f"edge ({i},{j}) out of range")
-            if not w > 0:  # NaN fails it too
-                raise NonpositiveWeight(f"b({i},{j}) = {w}")
+        if w.shape != (len(e),):
+            raise BadParams(f"{len(e)} edges and {w.size} weights")
+        # each check names the first edge that fails it
+        checks = (
+            (e[:, 0] == e[:, 1], SelfLoop, "self-loop at index {i}"),
+            (((e < 0) | (e >= self.n)).any(axis=1), UnknownIndex,
+             "edge ({i},{j}) out of range"),
+            (e[:, 0] > e[:, 1], BadParams, "edge ({i},{j}) not stored as i < j"),
+            (~(w > 0), NonpositiveWeight, "b({i},{j}) = {w}"),  # NaN fails
+        )
+        for fails, error, text in checks:
+            if fails.any():
+                k = int(np.argmax(fails))
+                raise error(text.format(i=e[k, 0], j=e[k, 1], w=w[k]))
+        # a set of the keys i n + j: numpy's sort would map a few hundred
+        # KiB of its code into every run, and np.unique imports numpy.ma
+        key = e[:, 0] * self.n + e[:, 1]
+        if len(set(key.tolist())) < len(key):
+            key = np.sort(key)  # the pair stored twice sits next to itself
+            i, j = divmod(int(key[1:][key[1:] == key[:-1]][0]), self.n)
+            raise BadParams(f"edge ({i},{j}) stored twice")
 
     @property
     def n(self):
@@ -66,27 +88,6 @@ class WeightedGraph:
             return self._positions[label]
         except (KeyError, TypeError):  # TypeError: an unhashable label
             raise UnknownIndex(f"unknown vertex label {label!r}") from None
-
-    def weight(self, i, j):
-        """b(i, j); zero when no edge is stored."""
-        if i == j:
-            return 0.0
-        key = (i, j) if i < j else (j, i)
-        return self.edges.get(key, 0.0)
-
-    def directed_edges(self):
-        """Both orientations of every stored edge."""
-        for (i, j), w in self.edges.items():
-            yield i, j, w
-            yield j, i, w
-
-    def adjacency(self):
-        """Dense symmetric weight matrix B with B[i, j] = b(i, j)."""
-        B = np.zeros((self.n, self.n))
-        for (i, j), w in self.edges.items():
-            B[i, j] = w
-            B[j, i] = w
-        return B
 
 
 @dataclass(frozen=True)
@@ -179,14 +180,18 @@ def build_graph(edges, measure=None, vertices=None):
                 raise NonpositiveMeasure(f"m({lab!r}) = {v}")
             m[idx[lab]] = v
 
-    return WeightedGraph(tuple(labels), edge_map, m)
+    return WeightedGraph(tuple(labels), list(edge_map),
+                         list(edge_map.values()), m)
 
 
 def degrees(g: WeightedGraph) -> DegreeProfile:
-    """Degree functionals of the graph."""
-    deg_1 = np.zeros(g.n)
-    for i, j, w in g.directed_edges():
-        deg_1[i] += w
+    """Degree functionals of the graph.
+
+    deg_1 sums the weights over the arcs in arc order, the order in which
+    ``operators.Problem`` lists them.
+    """
+    deg_1 = np.bincount(g.edges.ravel(), weights=np.repeat(g.weights, 2),
+                        minlength=g.n)
     deg_m = deg_1 / g.measure
     return DegreeProfile(deg_1, deg_m, float(deg_m.max()) if g.n else 0.0)
 
@@ -195,18 +200,19 @@ def is_connected(g: WeightedGraph) -> bool:
     """True iff every vertex pair is joined by a chain of positive-b edges."""
     if g.n <= 1:
         return True
-    nbrs = {i: [] for i in range(g.n)}
-    for (i, j) in g.edges:
-        nbrs[i].append(j)
-        nbrs[j].append(i)
+    # the neighbours of i are nbrs[ptr[i]:ptr[i + 1]]
+    src = g.edges.ravel()
+    order = np.argsort(src, kind="stable")
+    nbrs = g.edges[:, ::-1].ravel()[order].tolist()
+    ptr = np.searchsorted(src[order], np.arange(g.n + 1)).tolist()
     seen = {0}
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        for j in nbrs[i]:
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        for j in nbrs[ptr[i]:ptr[i + 1]]:
             if j not in seen:
                 seen.add(j)
-                queue.append(j)
+                stack.append(j)
     return len(seen) == g.n
 
 
@@ -219,7 +225,7 @@ def has_triangle(g: WeightedGraph) -> bool:
     SIAM J. Comput. 14 (1985) 210): O(E sqrt(E)) work, in pieces of
     about 2^20 lookups.
     """
-    pairs = np.array(list(g.edges), dtype=np.int64).reshape(-1, 2)
+    pairs = g.edges
     rank = np.empty(g.n, dtype=np.int64)
     rank[np.lexsort((np.arange(g.n),
                      np.bincount(pairs.ravel(), minlength=g.n)))] = \
@@ -290,24 +296,33 @@ def generate(family, **params) -> WeightedGraph:
         side = params.get("side", 0)
         if l < 1 or side < 2:
             raise BadParams("lattice_box needs l >= 1 and side >= 2")
-        coords = [()]
-        for _ in range(l):
-            coords = [c + (k,) for c in coords for k in range(side)]
-        label = {c: "x" + "_".join(map(str, c)) for c in coords}
-        edges = []
-        for c in coords:
-            for d in range(l):
-                nb = c[:d] + (c[d] + 1,) + c[d + 1:]
-                if nb[d] < side:
-                    edges.append((label[c], label[nb], 1.0))
-        return build_graph(edges, vertices=[label[c] for c in coords])
+        # vertex v has the coordinates coords[v], the last the fastest; its
+        # edges go one step up each dimension d where there is room, in the
+        # order (v, d), to v + side^(l - 1 - d)
+        coords = np.indices((side,) * l).reshape(l, -1).T
+        v = np.arange(len(coords))[:, None]
+        up = coords < side - 1
+        edges = np.stack([np.broadcast_to(v, up.shape)[up],
+                          (v + side ** np.arange(l)[::-1])[up]], axis=1)
+        labels = ["x" + "_".join(map(str, c)) for c in coords.tolist()]
+        return WeightedGraph(tuple(labels), edges, np.ones(len(edges)),
+                             np.ones(len(labels)))
     raise BadParams(f"unknown family {family!r}")
+
+
+def edge_mask(g: WeightedGraph, keep) -> np.ndarray:
+    """Which edges of g have both ends in ``keep`` (vertex indices), shape
+    (E,): the edges, and the per-edge data, of the induced subgraph."""
+    inside = np.zeros(g.n, dtype=bool)
+    inside[list(keep)] = True
+    return inside[g.edges].all(axis=1)
 
 
 def restrict(g: WeightedGraph, keep) -> WeightedGraph:
     """Induced subgraph on ``keep`` (vertex indices), measure restricted.
 
-    Edges crossing the boundary are discarded (Dirichlet truncation).
+    Edges crossing the boundary are discarded (Dirichlet truncation); the
+    edges kept are ``edge_mask(g, keep)``, in their order in g.
     """
     keep = sorted(set(keep))
     if not keep:
@@ -315,12 +330,8 @@ def restrict(g: WeightedGraph, keep) -> WeightedGraph:
     for i in keep:
         if not (0 <= i < g.n):
             raise UnknownIndex(f"index {i} not in graph")
-    remap = {old: new for new, old in enumerate(keep)}
-    edges = {
-        (remap[i], remap[j]): w
-        for (i, j), w in g.edges.items()
-        if i in remap and j in remap
-    }
-    return WeightedGraph(
-        tuple(g.labels[i] for i in keep), edges, g.measure[keep]
-    )
+    mask = edge_mask(g, keep)
+    # the new index of a kept vertex is its position in the sorted keep
+    return WeightedGraph(tuple(g.labels[i] for i in keep),
+                         np.searchsorted(keep, g.edges[mask]),
+                         g.weights[mask], g.measure[keep])

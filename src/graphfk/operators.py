@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bundles import Connection, Potential
-from .errors import DimensionCap, InvalidConnection, RankMismatch
+from .errors import DimensionCap, RankMismatch
 from .graphs import WeightedGraph, degrees
 
 DEFAULT_DIMENSION_CAP = 4096
@@ -38,9 +38,10 @@ class Problem:
 
     ``connection`` None is the trivial bundle; ``potential`` is always a
     Potential (zero when none was given).  Arc e runs src[e] -> dst[e]
-    with weight w[e] and transport phi[e] = Phi_{src,dst}; arcs come in
-    ``WeightedGraph.directed_edges`` order, so arc e ^ 1 is the reverse
-    of arc e.  ``phi`` is float64 when no transport has an imaginary part.
+    with weight w[e] and transport phi[e] = Phi_{src,dst}.  Arcs 2k and
+    2k + 1 are edge k of the graph, (i, j) with i < j, in its two
+    directions, i -> j first, so arc e ^ 1 is the reverse of arc e.
+    ``phi`` is float64 when no transport has an imaginary part.
     """
 
     graph: WeightedGraph
@@ -67,7 +68,8 @@ def resolve(g: WeightedGraph, c: Connection = None, V=None) -> Problem:
     """The Problem of (g, c, V).
 
     ``V`` may be a Potential, a real vector (rank 1) or None (zero, of the
-    connection's rank); ``c`` None is the identity connection.
+    connection's rank); ``c`` None is the identity connection, and
+    InvalidConnection is raised unless c holds one transport per edge.
     """
     if V is None:
         rank = 1 if c is None else c.rank
@@ -78,21 +80,14 @@ def resolve(g: WeightedGraph, c: Connection = None, V=None) -> Problem:
         raise RankMismatch(f"potential rank {V.rank} != connection rank {c.rank}")
     if V.n != g.n:
         raise RankMismatch(f"potential defined on {V.n} vertices, graph has {g.n}")
-    pairs = np.array(list(g.edges), dtype=np.int64).reshape(-1, 2)
-    src, dst = pairs.ravel(), pairs[:, ::-1].ravel()
-    w = np.repeat(np.fromiter(g.edges.values(), float, len(g.edges)), 2)
+    src, dst = g.edges.ravel(), g.edges[:, ::-1].ravel()
+    w = np.repeat(g.weights, 2)
     nu = V.rank
-    if c is None:
-        phi = np.broadcast_to(np.eye(nu), (src.size, nu, nu))
-    else:
-        for key in g.edges:
-            if not c.has_edge(*key):
-                raise InvalidConnection(f"connection missing edge {key}")
-        phi = np.array([c.matrix(i, j) for i, j in zip(src.tolist(),
-                                                       dst.tolist())],
-                       dtype=complex).reshape(-1, nu, nu)
-        if not phi.imag.any():
-            phi = phi.real
+    P = (Connection.identity(g, nu) if c is None else c).aligned(g)
+    # each transport, then its reverse, the conjugate transpose
+    phi = np.stack([P, P.conj().swapaxes(1, 2)], axis=1).reshape(-1, nu, nu)
+    if not phi.imag.any():
+        phi = phi.real
     return Problem(g, c, V, src, dst, w, phi)
 
 
@@ -144,7 +139,7 @@ def assemble(g: WeightedGraph, c: Connection = None, V=None,
     A = np.zeros((n, nu, n, nu), dtype=np.result_type(p.phi, Vvals))
     x = np.arange(n)
     A[x, :, x, :] = degrees(g).deg_m[:, None, None] * np.eye(nu) + Vvals
-    # g.edges holds no multi-edges, so each off-diagonal block is one arc
+    # g stores each edge once, so each off-diagonal block is one arc
     A[p.src, :, p.dst, :] -= (
         (p.w / g.measure[p.src])[:, None, None] * _coupling(p))
     return OperatorMatrix(g, nu, A.reshape(n * nu, n * nu), g.measure)

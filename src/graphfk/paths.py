@@ -253,8 +253,11 @@ def _path_chunk(tbl, start, horizon, rng, loops=False):
     so the outer Q_x ... Q_x^H leave its trace unchanged.  With ``loops``
     a path leaves the walk in the round it stops jumping, before that
     round's products: its last jump and last hold are never multiplied
-    out.  Without, a path's F is M[0, 0] after its last hold.
+    out.  Without, a path's F is M[0, 0] after its last hold, which is
+    its weight at rank 1 only: above it, BadParams is raised.
     """
+    if not loops and tbl.rank > 1:
+        raise BadParams("the unforced walk weighs paths at rank 1 only")
     nu, width = tbl.rank, tbl.nbrs.shape[1]
     states = start.copy()
     N = np.zeros(start.size, dtype=np.int64)

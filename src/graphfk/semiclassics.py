@@ -26,7 +26,8 @@ import numpy as np
 
 from .bundles import Connection, Potential
 from .errors import BadParams
-from .graphs import ExhaustionSequence, WeightedGraph, degrees, restrict
+from .graphs import (ExhaustionSequence, WeightedGraph, degrees, edge_mask,
+                     restrict)
 from .operators import Problem, _coupling, assemble, resolve, symmetrize
 from .spectral import eigenvalues, hermitian_eigenvalues, partition_function
 # not called here; kept because perfbench/tracer.py rebinds it
@@ -226,9 +227,7 @@ def two_jump_terms(problem: Problem, t: float, hbar: float = 1.0):
     else:
         lam, Q = np.linalg.eigh(values)
         W = Q[x].conj().swapaxes(1, 2) @ back @ Q[y]
-    # deg_m, summed in the arc order that ``degrees`` sums in
-    a = (np.bincount(x, weights=problem.w, minlength=g.n)
-         / g.measure)[:, None] + lam
+    a = degrees(g).deg_m[:, None] + lam
     I = _two_jump_integral(a[x][:, :, None], a[y][:, None, :], t)
     arcs = (problem.w ** 2 / (g.measure[x] * g.measure[y])
             * np.einsum("eab,eab->e", np.abs(W) ** 2, I))
@@ -293,13 +292,8 @@ def exhaustion_sweep(host: WeightedGraph, exhaustion: ExhaustionSequence,
         subV = Potential(V.rank, V.values[keep])
         subc = None
         if config.connection is not None:
-            remap = {old: new for new, old in enumerate(keep)}
-            mats = {
-                (remap[i], remap[j]): M
-                for (i, j), M in config.connection.matrices.items()
-                if i in remap and j in remap
-            }
-            subc = Connection(config.connection.rank, mats)
+            subc = Connection(config.connection.rank, config.connection
+                              .aligned(host)[edge_mask(host, keep)])
         subconf = SweepConfig(sub, config.beta, config.hbar_schedule,
                               subV, subc)
         res = sweep(subconf)

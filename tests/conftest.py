@@ -36,6 +36,23 @@ def random_graph(rng, max_n=10, min_n=2, connected=True):
     return build_graph(edges, measure=measure, vertices=labels)
 
 
+def dense_weights(g):
+    """Dense symmetric weight matrix B with B[i, j] = b(i, j)."""
+    B = np.zeros((g.n, g.n))
+    for (i, j), w in zip(g.edges.tolist(), g.weights.tolist()):
+        B[i, j] = B[j, i] = w
+    return B
+
+
+def transports(g, c):
+    """Phi_{i,j} of c for both orientations of every edge, keyed (i, j):
+    the stored matrix on edge (i, j), its conjugate transpose on (j, i)."""
+    phi = {}
+    for (i, j), M in zip(g.edges.tolist(), c.matrices):
+        phi[i, j], phi[j, i] = M, M.conj().T
+    return phi
+
+
 def random_unitary(rng, nu):
     z = rng.normal(size=(nu, nu)) + 1j * rng.normal(size=(nu, nu))
     q, r = np.linalg.qr(z)
@@ -43,7 +60,8 @@ def random_unitary(rng, nu):
 
 
 def random_connection(g, nu, rng):
-    return Connection(nu, {key: random_unitary(rng, nu) for key in g.edges})
+    mats = [random_unitary(rng, nu) for _ in g.edges]
+    return Connection(nu, np.reshape(mats, (-1, nu, nu)))
 
 
 def random_hermitian(rng, nu, scale=1.0):

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from graphfk.bundles import (
-    MagneticPotential,
     Potential,
     connection_from_magnetic,
     spectral_floor,
@@ -38,6 +37,7 @@ from graphfk.semiclassics import SweepConfig, semiclassical_trace, sweep
 from graphfk.spectral import eigendecompose, heat_kernel
 
 from conftest import (
+    dense_weights,
     random_connection,
     random_graph,
     random_potential,
@@ -185,14 +185,14 @@ def test_criterion_7_operator_layer():
     stencil_ok = True
     for l, side in ((1, 6), (2, 3)):
         g = generate("lattice_box", l=l, side=side)
-        phases = {key: float(rng.uniform(-np.pi, np.pi)) for key in g.edges}
-        theta = MagneticPotential(g, phases)
-        A = assemble(g, connection_from_magnetic(theta)).matrix
-        B = g.adjacency()
+        phases = rng.uniform(-np.pi, np.pi, len(g.edges))
+        A = assemble(g, connection_from_magnetic(phases)).matrix
+        B = dense_weights(g)
         expect = np.diag(B.sum(axis=1)).astype(complex)
-        for (i, j), b in g.edges.items():
-            expect[i, j] = -b * np.exp(1j * theta.phase(j, i))
-            expect[j, i] = -b * np.exp(1j * theta.phase(i, j))
+        # theta(i, j) = phase on edge (i, j), theta(j, i) = -theta(i, j)
+        for (i, j), b, ph in zip(g.edges.tolist(), g.weights, phases):
+            expect[i, j] = -b * np.exp(1j * -ph)
+            expect[j, i] = -b * np.exp(1j * ph)
         stencil_ok = stencil_ok and np.abs(A - expect).max() < 1e-12
     ok = worst_green <= 1e-10 and norm_ok and stencil_ok
     report(7, "operator layer identities", ok,

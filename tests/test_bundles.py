@@ -3,15 +3,16 @@ import pytest
 
 from graphfk.bundles import (
     Connection,
-    MagneticPotential,
     Potential,
     connection_from_magnetic,
     decompose_potential,
     spectral_floor,
     validate_connection,
 )
-from graphfk.errors import MissingEdgePhase, NonHermitian
+from graphfk.errors import ConfigError, InvalidConnection, NonHermitian
+from graphfk.fileio import connection_from_entries, magnetic_from_entries
 from graphfk.graphs import build_graph, generate
+from graphfk.operators import resolve
 
 from conftest import random_connection, random_potential
 
@@ -21,51 +22,59 @@ def edge_graph():
     return build_graph([("a", "b", 1.0)])
 
 
+def both_ways(c, g):
+    """(Phi_{0,1}, Phi_{1,0}) of the one-edge graph, as resolve sees them."""
+    phi = resolve(g, c).phi
+    return complex(phi[0, 0, 0]), complex(phi[1, 0, 0])
+
+
+def matrix_json(M):
+    return [[[float(z.real), float(z.imag)] for z in row] for row in M]
+
+
 class TestMagnetic:
     def test_zero_phase_gives_identity(self, edge_graph):
-        theta = MagneticPotential(edge_graph, {(0, 1): 0.0})
-        c = connection_from_magnetic(theta)
-        assert c.matrix(0, 1)[0, 0] == pytest.approx(1.0)
-        assert c.matrix(1, 0)[0, 0] == pytest.approx(1.0)
+        c = connection_from_magnetic([0.0])
+        forward, reverse = both_ways(c, edge_graph)
+        assert forward == pytest.approx(1.0)
+        assert reverse == pytest.approx(1.0)
 
     def test_quarter_turn(self, edge_graph):
-        theta = MagneticPotential(edge_graph, {(0, 1): np.pi / 2})
-        c = connection_from_magnetic(theta)
-        assert c.matrix(0, 1)[0, 0] == pytest.approx(1j)
-        assert c.matrix(1, 0)[0, 0] == pytest.approx(-1j)
+        c = connection_from_magnetic([np.pi / 2])
+        forward, reverse = both_ways(c, edge_graph)
+        assert forward == pytest.approx(1j)
+        assert reverse == pytest.approx(-1j)
 
     def test_half_turn_endpoint(self, edge_graph):
-        theta = MagneticPotential(edge_graph, {(0, 1): np.pi})
-        c = connection_from_magnetic(theta)
-        assert c.matrix(0, 1)[0, 0] == pytest.approx(-1.0)
-        assert c.matrix(1, 0)[0, 0] == pytest.approx(-1.0)
+        c = connection_from_magnetic([np.pi])
+        forward, reverse = both_ways(c, edge_graph)
+        assert forward == pytest.approx(-1.0)
+        assert reverse == pytest.approx(-1.0)
 
     def test_half_turn_is_exactly_minus_one(self, edge_graph):
         for ph in (np.pi, -np.pi):
-            c = connection_from_magnetic(
-                MagneticPotential(edge_graph, {(0, 1): ph}))
-            assert c.matrix(0, 1)[0, 0] == -1.0
-            assert c.matrix(1, 0)[0, 0] == -1.0
+            c = connection_from_magnetic([ph])
+            assert both_ways(c, edge_graph) == (-1.0, -1.0)
 
     def test_pi_endpoints_coincide(self, edge_graph):
-        cp = connection_from_magnetic(
-            MagneticPotential(edge_graph, {(0, 1): np.pi}))
-        cm = connection_from_magnetic(
-            MagneticPotential(edge_graph, {(0, 1): -np.pi}))
-        assert cp.matrix(0, 1)[0, 0] == pytest.approx(cm.matrix(0, 1)[0, 0])
+        cp = connection_from_magnetic([np.pi])
+        cm = connection_from_magnetic([-np.pi])
+        assert cp.matrices[0, 0, 0] == pytest.approx(cm.matrices[0, 0, 0])
 
     def test_antisymmetric_view(self, edge_graph):
-        theta = MagneticPotential(edge_graph, {(0, 1): 0.7})
-        assert theta.phase(1, 0) == -theta.phase(0, 1)
+        # an entry on the reverse orientation is the negated phase
+        forward = magnetic_from_entries([["a", "b", -0.7]], edge_graph)
+        reverse = magnetic_from_entries([["b", "a", 0.7]], edge_graph)
+        assert both_ways(reverse, edge_graph) == both_ways(forward, edge_graph)
+        assert reverse.matrices[0, 0, 0] == pytest.approx(np.exp(-0.7j))
 
     def test_missing_phase(self, edge_graph):
-        with pytest.raises(MissingEdgePhase):
-            MagneticPotential(edge_graph, {})
+        with pytest.raises(ConfigError, match=r"no entry for edge \(a, b\)"):
+            magnetic_from_entries([], edge_graph)
 
     def test_output_always_validates(self, rng):
         g = generate("cycle", n=6)
-        phases = {key: float(rng.uniform(-np.pi, np.pi)) for key in g.edges}
-        c = connection_from_magnetic(MagneticPotential(g, phases))
+        c = connection_from_magnetic(rng.uniform(-np.pi, np.pi, len(g.edges)))
         assert validate_connection(c, g).ok
 
 
@@ -76,7 +85,7 @@ class TestValidateConnection:
         assert report.ok
 
     def test_nonunitary_flagged(self, edge_graph):
-        c = Connection(2, {(0, 1): np.diag([1.0, 2.0]).astype(complex)})
+        c = Connection(2, [np.diag([1.0, 2.0]).astype(complex)])
         report = validate_connection(c, edge_graph)
         kinds = {v[1] for v in report.violations}
         assert "unitarity" in kinds
@@ -86,28 +95,39 @@ class TestValidateConnection:
     def test_nan_matrix_flagged(self, edge_graph, both):
         # the norm's SVD raised LinAlgError on a NaN entry
         M = np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=complex)
-        mats = {(0, 1): M, (1, 0): np.eye(2)} if both else {(0, 1): M}
-        report = validate_connection(Connection(2, mats), edge_graph)
+        if both:
+            # given both ways, the reverse is checked as the entries align
+            entries = [["a", "b", matrix_json(M)],
+                       ["b", "a", matrix_json(np.eye(2))]]
+            with pytest.raises(ConfigError,
+                               match="inverse-symmetry .* deviation nan"):
+                connection_from_entries(entries, edge_graph)
+            return
+        report = validate_connection(Connection(2, [M]), edge_graph)
         assert not report.ok
         assert all(np.isnan(v[2]) for v in report.violations)
-        assert {v[1] for v in report.violations} == (
-            {"unitarity", "inverse-symmetry"} if both else {"unitarity"})
+        assert {v[1] for v in report.violations} == {"unitarity"}
 
     def test_wrong_reverse_flagged(self, edge_graph):
         a = np.pi / 3
         rot = np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]],
                        dtype=complex)
         # reverse set to the forward matrix instead of its inverse
-        c = Connection(2, {(0, 1): rot, (1, 0): rot})
-        report = validate_connection(c, edge_graph)
-        kinds = {v[1] for v in report.violations}
-        assert "inverse-symmetry" in kinds
+        entries = [["a", "b", matrix_json(rot)], ["b", "a", matrix_json(rot)]]
+        with pytest.raises(ConfigError, match="inverse-symmetry on edge"):
+            connection_from_entries(entries, edge_graph)
+        # the true inverse passes, and the forward entry is kept
+        entries[1][2] = matrix_json(rot.conj().T)
+        c = connection_from_entries(entries, edge_graph)
+        assert np.array_equal(c.matrices[0], rot)
 
     def test_missing_edge_flagged(self):
         g = generate("path", n=3)
-        c = Connection(1, {(0, 1): np.eye(1, dtype=complex)})
-        report = validate_connection(c, g)
-        assert any(v[1] == "missing" for v in report.violations)
+        c = Connection(1, [np.eye(1, dtype=complex)])
+        with pytest.raises(InvalidConnection, match="per edge of 2"):
+            validate_connection(c, g)
+        with pytest.raises(ConfigError, match=r"no entry for edge \(v1, v2\)"):
+            connection_from_entries([["v0", "v1", 1.0]], g)
 
 
 class TestSpectralFloor:
@@ -185,7 +205,6 @@ class TestConnectionStorage:
     def test_reverse_is_inverse_by_construction(self, rng):
         g = generate("cycle", n=4)
         c = random_connection(g, 3, rng)
-        for (i, j) in g.edges:
-            F = c.matrix(i, j)
-            R = c.matrix(j, i)
+        phi = resolve(g, c, random_potential(g, 3, rng)).phi
+        for F, R in zip(phi[0::2], phi[1::2]):
             assert np.allclose(R @ F, np.eye(3), atol=1e-10)

@@ -261,8 +261,9 @@ class TestFkCompare:
         exact = self._exact_total(tmp_path, cfg)
         report = (tmp_path / "out" / "report.txt").read_text()
         assert "mode: magnetic" in report
-        theta = fileio.magnetic_from_entries(mag["inline"], g)
-        c = connection_from_magnetic(theta)
+        c = fileio.magnetic_from_entries(mag["inline"], g)
+        assert np.array_equal(c.matrices,
+                              connection_from_magnetic([1.1]).matrices)
         assert exact == pytest.approx(
             semiclassical_trace(g, c, pot, 1.0, 0.1), rel=1e-12)
         # two_vertex is a tree, so the phase is a gauge: the total matches
@@ -277,8 +278,7 @@ class TestFkCompare:
         magnetic = self._exact_total(tmp_path, {**cycle, "magnetic": flux})
         assert (tmp_path / "out" / "fk_compare.csv").read_bytes() != plain
         g4, pot4 = four_cycle()
-        c4 = connection_from_magnetic(
-            fileio.magnetic_from_entries(flux["inline"], g4))
+        c4 = fileio.magnetic_from_entries(flux["inline"], g4)
         assert magnetic == pytest.approx(
             semiclassical_trace(g4, c4, pot4, 1.0, 0.1), rel=1e-12)
         assert abs(magnetic - scalar) > 1e-6
@@ -546,6 +546,82 @@ class TestMalformedConfig:
                                        cfg):
         # the fraction was dropped: a 2-vertex path, 1000 paths
         self._exit_1(tmp_path, capsys, subcommand, cfg)
+
+
+class TestEdgeEntries:
+    """Connection and magnetic entries give each edge one transport: an
+    entry that would be dropped or overwritten exits 1 before any output
+    is written, where it used to be ignored without a word."""
+
+    _exit_1 = TestMalformedConfig._exit_1
+    UNIT = [[[1.0, 0.0]]]
+    CYCLE = [["v0", "v1"], ["v1", "v2"], ["v2", "v3"], ["v3", "v0"]]
+
+    @pytest.mark.parametrize("subcommand", ["validate", "spectrum"])
+    @pytest.mark.parametrize("key, value", [("connection", [[[5.0, 0.0]]]),
+                                            ("magnetic", 0.3)])
+    def test_entry_on_a_non_edge(self, tmp_path, capsys, subcommand, key,
+                                 value):
+        # a non-unitary [[5]] on the diagonal (v0, v2) of four_cycle
+        unit = self.UNIT if key == "connection" else 0.0
+        entries = [pair + [unit] for pair in self.CYCLE]
+        record = self._exit_1(tmp_path, capsys, subcommand, {
+            "graph": {"preset": "four_cycle"},
+            key: {"inline": entries + [["v0", "v2", value]]}})
+        assert "on (v0, v2), which is not an edge" in record["error"]
+
+    @pytest.mark.parametrize("subcommand", ["validate", "spectrum"])
+    @pytest.mark.parametrize("key, first, second", [
+        ("connection", [[[1.0, 0.0]]], [[[0.0, 1.0]]]),
+        ("magnetic", 0.5, 0.7)])
+    def test_second_entry_in_one_orientation(self, tmp_path, capsys,
+                                             subcommand, key, first, second):
+        record = self._exit_1(tmp_path, capsys, subcommand, {
+            "graph": {"preset": "two_vertex"},
+            key: {"inline": [["a", "b", first], ["a", "b", second]]}})
+        assert "two " in record["error"] and "on (a, b)" in record["error"]
+
+    @pytest.mark.parametrize("subcommand", ["validate", "spectrum"])
+    def test_magnetic_both_ways_must_agree(self, tmp_path, capsys,
+                                           subcommand):
+        # 0.5 on b -> a is -0.5 on a -> b, not the 0.5 given there
+        record = self._exit_1(tmp_path, capsys, subcommand, {
+            "graph": {"preset": "two_vertex"},
+            "magnetic": {"inline": [["a", "b", 0.5], ["b", "a", 0.5]]}})
+        assert "inverse-symmetry on edge (a, b)" in record["error"]
+        cfg = write_config(tmp_path, "c.json", {
+            "graph": {"preset": "two_vertex"},
+            "magnetic": {"inline": [["a", "b", 0.5], ["b", "a", -0.5]]},
+            "output_dir": str(tmp_path / "out")})
+        assert run(cfg, subcommand) == 0
+
+    @pytest.mark.parametrize("subcommand", ["validate", "spectrum"])
+    @pytest.mark.parametrize("key, entries, message", [
+        ("connection", [["v0", "v1", [[[1.0, 0.0]]]]],
+         "connection has no entry for edge (v1, v2)"),
+        ("magnetic", [["v1", "v0", 0.2]],
+         "magnetic potential has no entry for edge (v1, v2)"),
+        ("connection", [["v0", "v1", [[[0.0, 1.0]]]],
+                        ["v1", "v0", [[[0.0, 1.0]]]],
+                        ["v1", "v2", [[[1.0, 0.0]]]]],
+         "connection fails inverse-symmetry on edge (v0, v1): deviation "
+         "2.000e+00"),
+    ], ids=["missing-matrix", "missing-phase", "bad-reverse"])
+    def test_edge_checks_at_parse(self, tmp_path, capsys, subcommand, key,
+                                  entries, message):
+        # validate used to write violations.csv with a missing or an
+        # inverse-symmetry row; the entries now fail before any output
+        record = self._exit_1(tmp_path, capsys, subcommand, {
+            "graph": {"family": "path", "n": 3}, key: {"inline": entries}})
+        assert record["error"] == message
+
+    @pytest.mark.parametrize("subcommand", ["validate", "spectrum"])
+    def test_nonsquare_first_matrix(self, tmp_path, capsys, subcommand):
+        row = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
+        record = self._exit_1(tmp_path, capsys, subcommand, {
+            "graph": {"preset": "two_vertex"},
+            "connection": {"inline": [["a", "b", [row, row]]]}})
+        assert "square" in record["error"]
 
 
 class TestKato:

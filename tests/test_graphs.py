@@ -18,19 +18,20 @@ from graphfk.graphs import (
     WeightedGraph,
     build_graph,
     degrees,
+    edge_mask,
     generate,
     has_triangle,
     is_connected,
     restrict,
 )
 
-from conftest import random_graph
+from conftest import dense_weights, random_graph
 
 
 def brute_force_connected(g):
     """Transitive-closure oracle."""
     n = g.n
-    reach = np.eye(n, dtype=bool) | (g.adjacency() > 0)
+    reach = np.eye(n, dtype=bool) | (dense_weights(g) > 0)
     for _ in range(n):
         reach = reach | (reach @ reach)
     return bool(reach.all())
@@ -75,13 +76,30 @@ class TestBuildGraph:
         with pytest.raises(NonpositiveMeasure):
             build_graph([("a", "b", 1.0)], measure=[("a", nan)])
         with pytest.raises(NonpositiveWeight):
-            WeightedGraph(("a", "b"), {(0, 1): nan}, np.ones(2))
+            WeightedGraph(("a", "b"), [(0, 1)], [nan], np.ones(2))
         with pytest.raises(NonpositiveMeasure):
-            WeightedGraph(("a", "b"), {(0, 1): 1.0}, np.array([1.0, nan]))
+            WeightedGraph(("a", "b"), [(0, 1)], [1.0], np.array([1.0, nan]))
+
+    @pytest.mark.parametrize("edges, error, message", [
+        ([(0, 1), (2, 2)], SelfLoop, "self-loop at index 2"),
+        ([(0, 1), (1, 3)], UnknownIndex, r"edge \(1,3\) out of range"),
+        ([(0, 1), (-1, 2)], UnknownIndex, r"edge \(-1,2\) out of range"),
+        ([(0, 1), (2, 1)], BadParams, r"edge \(2,1\) not stored as i < j"),
+        ([(1, 2), (0, 1), (1, 2)], BadParams, r"edge \(1,2\) stored twice"),
+    ])
+    def test_edge_arrays_checked(self, edges, error, message):
+        with pytest.raises(error, match=message):
+            WeightedGraph(("a", "b", "c"), edges, np.ones(len(edges)),
+                          np.ones(3))
+
+    def test_weights_one_per_edge(self):
+        with pytest.raises(BadParams, match="2 edges and 1 weights"):
+            WeightedGraph(("a", "b", "c"), [(0, 1), (1, 2)], [1.0],
+                          np.ones(3))
 
     def test_label_lookup(self):
         # the first occurrence, as tuple.index finds it
-        g = WeightedGraph(("a", "b", "a"), {}, np.ones(3))
+        g = WeightedGraph(("a", "b", "a"), [], [], np.ones(3))
         assert [g.index(lab) for lab in ("a", "b")] == [0, 1]
         for label in ("c", ["a"]):
             with pytest.raises(UnknownIndex):
@@ -114,9 +132,16 @@ class TestDegrees:
         for _ in range(20):
             g = random_graph(rng, max_n=8, connected=False)
             d = degrees(g)
-            B = g.adjacency()
+            B = dense_weights(g)
             assert np.allclose(d.deg_1, B.sum(axis=1), rtol=1e-12, atol=0)
             assert np.allclose(d.deg_m * g.measure, d.deg_1, rtol=1e-12, atol=0)
+            # bit for bit the sum over the arcs, edge by edge, i -> j
+            # first: the order the operator and the jump table read
+            deg_1 = np.zeros(g.n)
+            for (i, j), w in zip(g.edges.tolist(), g.weights.tolist()):
+                deg_1[i] += w
+                deg_1[j] += w
+            assert np.array_equal(d.deg_1, deg_1)
 
 
 class TestConnectivity:
@@ -144,7 +169,8 @@ class TestTriangles:
     def test_against_brute_force(self, rng):
         for _ in range(60):
             g = random_graph(rng, max_n=9, connected=False)
-            want = any(g.weight(i, j) and g.weight(j, k) and g.weight(i, k)
+            B = dense_weights(g)
+            want = any(B[i, j] and B[j, k] and B[i, k]
                        for i, j, k in itertools.combinations(range(g.n), 3))
             assert has_triangle(g) == want
 
@@ -165,7 +191,7 @@ class TestGenerate:
         g = generate("lattice_box", l=2, side=3)
         coords = {lab: tuple(map(int, lab[1:].split("_")))
                   for lab in g.labels}
-        for (i, j), w in g.edges.items():
+        for (i, j), w in zip(g.edges.tolist(), g.weights.tolist()):
             a, b = coords[g.labels[i]], coords[g.labels[j]]
             dist = sum((u - v) ** 2 for u, v in zip(a, b))
             assert dist == 1 and w == 1.0
@@ -193,7 +219,8 @@ class TestRestrict:
     def test_identity(self):
         g = generate("cycle", n=5)
         sub = restrict(g, range(5))
-        assert sub.edges == g.edges
+        assert np.array_equal(sub.edges, g.edges)
+        assert np.array_equal(sub.weights, g.weights)
         assert np.array_equal(sub.measure, g.measure)
 
     def test_opposite_corners(self):
@@ -210,7 +237,13 @@ class TestRestrict:
             via_a = restrict(restrict(g, a), [a.index(i) for i in b])
             direct = restrict(g, b)
             assert via_a.labels == direct.labels
-            assert via_a.edges == direct.edges
+            assert np.array_equal(via_a.edges, direct.edges)
+            assert np.array_equal(via_a.weights, direct.weights)
+            # the edges kept are those of the mask, in their order in g
+            mask = edge_mask(g, b)
+            assert np.array_equal(direct.weights, g.weights[mask])
+            assert np.array_equal(np.array(direct.labels)[direct.edges],
+                                  np.array(g.labels)[g.edges[mask]])
 
     def test_errors(self):
         g = generate("path", n=3)

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -17,3 +18,21 @@ def test_package_imports_no_heavy_module():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_subcommands_load_no_masked_arrays(tmp_path):
+    # numpy.ma costs each run about 1.7 MiB of memory; np.unique, for one,
+    # imports it on first use, so a run that reaches it would pay it
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({
+        "graph": {"preset": "weyl_path"}, "seed": 1,
+        "params": {"samples": 200, "hbar": 0.3},
+        "output_dir": str(tmp_path / "out")}))
+    probe = ("import sys; from graphfk import cli; "
+             f"codes = [cli.run({str(config)!r}, s) "
+             "for s in sorted(cli._COMMANDS)]; "
+             "print(codes, 'numpy.ma' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[0, 0, 0, 0, 0, 0, 0] False"

@@ -3,7 +3,6 @@ import pytest
 
 from graphfk.bundles import (
     Connection,
-    MagneticPotential,
     Potential,
     connection_from_magnetic,
 )
@@ -18,7 +17,12 @@ from graphfk.operators import (
     symmetrize,
 )
 
-from conftest import random_connection, random_graph, random_section
+from conftest import (
+    dense_weights,
+    random_connection,
+    random_graph,
+    random_section,
+)
 
 
 @pytest.fixture
@@ -36,8 +40,7 @@ class TestAssemble:
         assert np.allclose(A, [[1, -1], [-1, 2]])
 
     def test_half_turn_flips_sign(self, edge_graph):
-        theta = MagneticPotential(edge_graph, {(0, 1): np.pi})
-        c = connection_from_magnetic(theta)
+        c = connection_from_magnetic([np.pi])
         A = assemble(edge_graph, c).matrix
         assert np.allclose(A, [[1, 1], [1, 1]])
         assert np.allclose(np.linalg.eigvalsh(A.real), [0.0, 2.0])
@@ -59,9 +62,13 @@ class TestResolve:
         c = random_connection(g, 2, rng)
         p = resolve(g, c)
         arcs = list(zip(p.src.tolist(), p.dst.tolist(), p.w.tolist()))
-        assert arcs == list(g.directed_edges())
+        # edge k = (i, j) is arc 2k, i -> j, and arc 2k + 1, j -> i
+        assert arcs == [arc for (i, j), w in zip(g.edges.tolist(),
+                                                 g.weights.tolist())
+                        for arc in ((i, j, w), (j, i, w))]
         for e, (i, j, _w) in enumerate(arcs):
-            assert np.array_equal(p.phi[e], c.matrix(i, j))
+            M = c.matrices[e // 2]
+            assert np.array_equal(p.phi[e], M.conj().T if e % 2 else M)
             assert (p.src[e ^ 1], p.dst[e ^ 1]) == (j, i)
 
     def test_defaults_and_modes(self, edge_graph):
@@ -69,8 +76,7 @@ class TestResolve:
         assert p.mode == "scalar" and p.rank == 1
         assert np.array_equal(p.potential.values, np.zeros((2, 1, 1)))
         assert p.phi.dtype == p.potential.values.dtype == np.float64
-        theta = MagneticPotential(edge_graph, {(0, 1): 0.3})
-        assert resolve(edge_graph, connection_from_magnetic(theta)).mode == \
+        assert resolve(edge_graph, connection_from_magnetic([0.3])).mode == \
             "magnetic"
         p2 = resolve(edge_graph, Connection.identity(edge_graph, 2))
         assert (p2.mode, p2.rank) == ("covariant", 2)
@@ -80,7 +86,9 @@ class TestResolve:
 
     def test_rejects_missing_edge_and_wrong_size(self, edge_graph):
         with pytest.raises(InvalidConnection):
-            resolve(edge_graph, Connection(1, {}))
+            resolve(edge_graph, Connection(1, np.zeros((0, 1, 1))))
+        with pytest.raises(InvalidConnection):
+            resolve(edge_graph, Connection(1, np.ones((2, 1, 1))))
         with pytest.raises(RankMismatch):
             resolve(edge_graph, None, [0.0, 1.0, 2.0])
 
@@ -101,10 +109,11 @@ class TestApplyFormal:
         f = np.zeros(g.n)
         f[z] = 1.0
         out = apply_formal(g, None, None, f)[:, 0]
+        B = dense_weights(g)
         for x in range(g.n):
             if x != z:
                 assert out[x] == pytest.approx(
-                    -g.weight(x, z) / g.measure[x], abs=1e-12)
+                    -B[x, z] / g.measure[x], abs=1e-12)
 
     def test_agrees_with_matrix(self, rng):
         for nu in (1, 2, 3):
@@ -127,8 +136,7 @@ class TestQuadraticForm:
         assert quadratic_form(edge_graph, None, f, f).real == pytest.approx(1.0)
 
     def test_half_turn_value(self, edge_graph):
-        theta = MagneticPotential(edge_graph, {(0, 1): np.pi})
-        c = connection_from_magnetic(theta)
+        c = connection_from_magnetic([np.pi])
         f = np.array([1.0, 1.0])
         assert quadratic_form(edge_graph, c, f, f).real == pytest.approx(4.0)
 
@@ -227,23 +235,27 @@ class TestSymmetrize:
 class TestScalarReduction:
     def test_magnetic_coefficients_entrywise(self, rng):
         g = generate("cycle", n=5)
-        phases = {key: float(rng.uniform(-np.pi, np.pi)) for key in g.edges}
-        theta = MagneticPotential(g, phases)
-        c = connection_from_magnetic(theta)
+        phases = rng.uniform(-np.pi, np.pi, len(g.edges))
+        c = connection_from_magnetic(phases)
         A = assemble(g, c).matrix
         deg_m = np.array([2.0] * 5)
+        # theta(y, x) = -theta(x, y), given on edge (i, j) as theta(i, j)
+        theta = np.zeros((5, 5))
+        theta[tuple(g.edges.T)] = phases
+        theta -= theta.T
+        B = dense_weights(g)
         for x in range(5):
             assert A[x, x] == pytest.approx(deg_m[x])
             for y in range(5):
-                if x != y and g.weight(x, y) > 0:
-                    expect = -(g.weight(x, y) / g.measure[x]) * np.exp(
-                        1j * theta.phase(y, x))
+                if x != y and B[x, y] > 0:
+                    expect = -(B[x, y] / g.measure[x]) * np.exp(
+                        1j * theta[y, x])
                     assert A[x, y] == pytest.approx(expect)
 
     @pytest.mark.parametrize("l,side", [(1, 4), (2, 3)])
     def test_lattice_stencil(self, l, side):
         g = generate("lattice_box", l=l, side=side)
         A = assemble(g).matrix.real
-        B = g.adjacency()
+        B = dense_weights(g)
         stencil = np.diag(B.sum(axis=1)) - B
         assert np.allclose(A, stencil, atol=0)

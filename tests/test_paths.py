@@ -7,7 +7,6 @@ import pytest
 
 from graphfk.bundles import (
     Connection,
-    MagneticPotential,
     Potential,
     connection_from_magnetic,
     spectral_floor,
@@ -39,9 +38,11 @@ from graphfk.semiclassics import semiclassical_trace
 from graphfk.spectral import eigenvalues, partition_function
 
 from conftest import (
+    dense_weights,
     random_connection,
     random_graph,
     random_potential,
+    transports,
 )
 from graphfk.presets import two_vertex
 
@@ -76,7 +77,7 @@ class TestSamplePath:
             assert np.all(terminal[N == 0] == x)
             one = terminal[N == 1]
             assert one.size
-            assert all(g.weight(x, int(y)) > 0 for y in one)
+            assert all(dense_weights(g)[x, one] > 0)
 
     def test_isolated_vertex_never_jumps(self):
         g = build_graph([("a", "b", 1.0)], vertices=["a", "b", "c"],
@@ -191,11 +192,12 @@ def _triangle(rng, nu):
     return g, random_connection(g, nu, rng), random_potential(g, nu, rng)
 
 
-def _dyson_product(c, V, holds, walk):
-    """tr(E_0 Phi_{Y_1,Y_0} E_1 ... E_N), multiplied out directly."""
+def _dyson_product(phi, V, holds, walk):
+    """tr(E_0 Phi_{Y_1,Y_0} E_1 ... E_N), multiplied out directly, with
+    the transports ``phi`` of ``conftest.transports``."""
     A = expm(-holds[0] * V.values[walk[0]])
     for dt, y, ynext in zip(holds[1:], walk, walk[1:]):
-        A = A @ c.matrix(ynext, y) @ expm(-dt * V.values[ynext])
+        A = A @ phi[ynext, y] @ expm(-dt * V.values[ynext])
     return np.trace(A)
 
 
@@ -231,10 +233,11 @@ class TestKernel:
                             _StubStream(uniforms), loops=True)[1][0]
         factor = weight * 0.5 * math.exp(-2 * 0.3)
         holds, walk = (0.2, 0.3, 0.4, 0.3), (0, 1, 2, 0)
-        want = factor * _dyson_product(c, V, holds, walk)
+        phi = transports(g, c)
+        want = factor * _dyson_product(phi, V, holds, walk)
         reverse = expm(-holds[-1] * V.values[walk[-1]])
         for dt, y, ynext in zip(holds[-2::-1], walk[-2::-1], walk[:0:-1]):
-            reverse = reverse @ c.matrix(ynext, y) @ expm(-dt * V.values[y])
+            reverse = reverse @ phi[ynext, y] @ expm(-dt * V.values[y])
         reverse = factor * np.trace(reverse)
         assert abs(score - want) <= 1e-12 * abs(want)
         assert abs(score - reverse) > 1e-6 * abs(want)
@@ -259,10 +262,11 @@ class TestKernel:
         forced = (0.2, 0.3, 0.4) if n == 3 else (0.2, 0.3, 0.2, 0.2)
         uniforms, weight = _cycle_walk(n, t, forced)
         walk = tuple(range(n)) + (0,)
+        phi = transports(g, c)
         first = weight * 0.5 * math.exp(-2 * 0.6) * _dyson_product(
-            c, V, forced + (0.6,), walk)
+            phi, V, forced + (0.6,), walk)
         second = weight * 0.5 * math.exp(-2 * 0.4) * _dyson_product(
-            c, V, forced + (0.1, 0.1, 0.4), walk + (1, 0))
+            phi, V, forced + (0.1, 0.1, 0.4), walk + (1, 0))
         # the stub's exponentials are scaled by 1 / rate: 0.2 holds for 0.1
         for holds, want in (((), first), ((0.2, 0.2), first + second)):
             stream = _StubStream(uniforms, holds)
@@ -309,11 +313,12 @@ class TestKernel:
         tbl = _JumpTable(resolve(g, c, V), hbar)
         lam, Q = np.linalg.eigh(V.values / hbar)
         assert np.array_equal(tbl.lam, lam)
+        B, phi = dense_weights(g), transports(g, c)
         for y in range(g.n):
-            nbrs = [x for x in range(g.n) if g.weight(y, x) > 0]
+            nbrs = [x for x in range(g.n) if B[y, x] > 0]
             for k, x in enumerate(nbrs):
                 assert tbl.nbrs[y, k] == x
-                want = Q[y].conj().T @ c.matrix(x, y) @ Q[x]
+                want = Q[y].conj().T @ phi[x, y] @ Q[x]
                 assert np.abs(tbl.W[:, :, y, k] - want).max() <= 1e-13
             dt = float(rng.uniform(0.01, 1.0))
             e = _hold(tbl, np.array([y]), np.array([dt]))[0]
@@ -347,16 +352,15 @@ class TestKernel:
         phase = np.exp(1j * theta)
         both = Connection.identity(g, 2)
         if phased:
-            both = Connection(2, {key: np.diag(phase[:, k])
-                                  for k, key in enumerate(g.edges)})
+            both = Connection(2, [np.diag(phase[:, k])
+                                  for k in range(len(g.edges))])
         V = Potential(2, np.stack([np.diag(v[:, x]) for x in range(g.n)])
                       .astype(complex))
         start = np.repeat(np.arange(g.n), 400)
         runs = [_path_chunk(_JumpTable(resolve(g, both, V), 0.5), start, 1.5,
                             path_stream(81, 0, 0), loops=True)]
         for a in range(2):
-            c = Connection(1, {key: phase[a, k].reshape(1, 1)
-                               for k, key in enumerate(g.edges)})
+            c = Connection(1, phase[a].reshape(-1, 1, 1))
             runs.append(_path_chunk(
                 _JumpTable(resolve(g, c, Potential.scalar(v[a])), 0.5),
                 start, 1.5, path_stream(81, 0, 0), loops=True))
@@ -367,6 +371,14 @@ class TestKernel:
         scale = np.abs(S).max()
         assert scale > 0
         assert np.abs(S - (S_1 + S_2)).max() <= 1e-12 * scale
+
+    def test_unforced_walk_refuses_rank_above_one(self, rng):
+        # without loops F is M[0, 0], one entry of the Dyson product: the
+        # weight of a path at rank 1 only
+        g, c, V = _triangle(rng, 2)
+        with pytest.raises(BadParams, match="rank 1 only"):
+            _path_chunk(_JumpTable(resolve(g, c, V)),
+                        np.zeros(4, dtype=np.int64), 1.0, path_stream(1, 0, 0))
 
     def test_conditioned_draw_stays_inside_the_horizon(self):
         # at rate 1.5 and t = 0.01 the unclamped draw -log1p(u expm1(-rt))/r
@@ -380,7 +392,7 @@ class TestKernel:
         assert N.tolist() == [2] and terminal.tolist() == [0]
 
 
-def _series_product(c, V, holds, walk, order=4):
+def _series_product(phi, V, holds, walk, order=4):
     """tr(T_0 Phi_{Y_1,Y_0} T_1 ... T_N), T_k the Taylor series of
     exp(-dt_k V(Y_k)) with the powers of all factors summing to at most
     ``order``: the time-ordered series of the path truncated at ``order``,
@@ -393,7 +405,7 @@ def _series_product(c, V, holds, walk, order=4):
         term = np.eye(nu, dtype=complex)
         for k, (dt, y, p) in enumerate(zip(holds, walk, powers)):
             if k:
-                term = term @ c.matrix(y, walk[k - 1])
+                term = term @ phi[y, walk[k - 1]]
             term = term @ (np.linalg.matrix_power(-dt * V.values[y], p)
                            / math.factorial(p))
         total += np.trace(term)
@@ -406,11 +418,12 @@ class TestParallelTransport:
         # a magnetic 4-cycle by its phases alone; each vertex leaves at
         # rate 2, so the holds 2 jump at 1, 2, 3 and 4
         g = generate("cycle", n=4)
-        phases = {key: float(rng.uniform(-np.pi, np.pi)) for key in g.edges}
-        theta = MagneticPotential(g, phases)
-        c = connection_from_magnetic(theta)
-        verts = (0, 1, 2, 3, 0)
-        total = sum(theta.phase(verts[k], verts[k + 1]) for k in range(4))
+        # edges (0, 1), (1, 2), (2, 3) and (0, 3): the loop runs the last
+        # one backwards, against its phase
+        assert g.edges.tolist() == [[0, 1], [1, 2], [2, 3], [0, 3]]
+        phases = rng.uniform(-np.pi, np.pi, 4)
+        c = connection_from_magnetic(phases)
+        total = phases[0] + phases[1] + phases[2] - phases[3]
         terminal, F, N = _path_chunk(
             _JumpTable(resolve(g, c, np.zeros(4))),
             np.zeros(1, dtype=np.int64), 5.0,
@@ -443,8 +456,9 @@ class TestOrderedExponential:
             score = _path_chunk(tbl, np.zeros(1, dtype=np.int64), t,
                                 _StubStream(uniforms), loops=True)[1][0]
             loop = score / (weight * 0.5 * math.exp(-2 * 0.1 * t))
-            oracle = _series_product(c, V, (0.2 * t, 0.3 * t, 0.4 * t,
-                                            0.1 * t), (0, 1, 2, 0))
+            oracle = _series_product(
+                transports(g, c), V, (0.2 * t, 0.3 * t, 0.4 * t, 0.1 * t),
+                (0, 1, 2, 0))
             assert abs(loop - oracle) <= 10 * (norm * t) ** 5
 
     def test_trivial_bundle(self):
@@ -873,8 +887,7 @@ class TestStreams:
 class TestMagneticPartitionEstimate:
     def test_half_turn_two_vertex(self, edge_graph):
         # theta = pi flips the hopping sign but leaves the trace at 1+e^{-2}
-        theta = MagneticPotential(edge_graph, {(0, 1): np.pi})
-        c = connection_from_magnetic(theta)
+        c = connection_from_magnetic([np.pi])
         exact = partition_function(eigenvalues(assemble(edge_graph, c)), 1.0)
         V = Potential.scalar([0.0, 0.0])
         report = estimate_partition(edge_graph, c, V, 1.0, 1.0, 50_000,

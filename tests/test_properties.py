@@ -46,13 +46,13 @@ def problems(draw):
     g = build_graph(edges, measure=measure, vertices=labels)
     mode = draw(st.sampled_from(MODES))
     if mode == "covariant":
-        mats = {}
-        for key in g.edges:
+        mats = []
+        for _ in g.edges:
             q = np.array([draw(unit) for _ in range(4)]) + [1.5, 0, 0, 0]
             a, b = complex(*q[:2]), complex(*q[2:])
-            mats[key] = np.array([[a, b], [-b.conjugate(), a.conjugate()]]) \
-                / np.linalg.norm(q)
-        c = Connection(2, mats)
+            mats.append(np.array([[a, b], [-b.conjugate(), a.conjugate()]])
+                        / np.linalg.norm(q))
+        c = Connection(2, np.reshape(mats, (-1, 2, 2)))
         vals = []
         for _ in range(n):
             d1, d2, re, im = (draw(unit) for _ in range(4))
@@ -60,8 +60,8 @@ def problems(draw):
         return g, c, Potential(2, np.array(vals)), mode
     c = None
     if mode == "magnetic":
-        c = Connection(1, {key: np.array([[np.exp(1j * math.pi * draw(unit))]])
-                           for key in g.edges})
+        c = Connection(1, np.reshape([np.exp(1j * math.pi * draw(unit))
+                                      for _ in g.edges], (-1, 1, 1)))
     return g, c, Potential.scalar([draw(unit) for _ in range(n)]), mode
 
 

@@ -3,7 +3,6 @@ import pytest
 
 from graphfk.bundles import (
     Connection,
-    MagneticPotential,
     Potential,
     connection_from_magnetic,
 )
@@ -41,9 +40,8 @@ class TestEigendecompose:
         assert np.allclose(edge_dec.eigenvalues, [0.0, 2.0])
 
     def test_half_turn(self, edge_graph):
-        from graphfk.bundles import MagneticPotential, connection_from_magnetic
-        c = connection_from_magnetic(
-            MagneticPotential(edge_graph, {(0, 1): np.pi}))
+        from graphfk.bundles import connection_from_magnetic
+        c = connection_from_magnetic([np.pi])
         dec = eigendecompose(assemble(edge_graph, c))
         assert np.allclose(dec.eigenvalues, [0.0, 2.0], atol=1e-12)
 
@@ -71,10 +69,8 @@ class TestRealAndEigenvaluesOnlyRoutes:
         for _ in range(6):
             g = random_graph(rng, max_n=8)
             w = rng.uniform(-2, 2, size=g.n)
-            phases = MagneticPotential(
-                g, {key: float(rng.uniform(-np.pi, np.pi)) for key in g.edges})
-            half_turn = Connection(
-                1, {key: np.array([[-1.0 + 0j]]) for key in g.edges})
+            phases = rng.uniform(-np.pi, np.pi, len(g.edges))
+            half_turn = Connection(1, np.full((len(g.edges), 1, 1), -1.0 + 0j))
             yield "scalar", g, None, w, True
             yield "magnetic", g, connection_from_magnetic(phases), w, False
             yield "half turn", g, half_turn, w, True
@@ -108,11 +104,11 @@ class TestRealAndEigenvaluesOnlyRoutes:
         # real, and its spectrum is that of the complex e^{i pi} operator
         g = generate("cycle", n=4)
         w = np.array([0.1, 0.7, 0.3, 1.0])
-        theta = MagneticPotential(g, {key: np.pi for key in g.edges})
+        theta = np.full(len(g.edges), np.pi)
         op = assemble(g, connection_from_magnetic(theta), w)
         assert op.matrix.dtype == np.float64
         rounded = Connection(
-            1, {key: np.array([[np.exp(1j * np.pi)]]) for key in g.edges})
+            1, np.full((len(g.edges), 1, 1), np.exp(1j * np.pi)))
         ref = assemble(g, rounded, w)
         assert ref.matrix.dtype == np.complex128
         lam_ref = np.linalg.eigh(symmetrize(ref))[0]
@@ -277,7 +273,8 @@ class TestKato:
         grid = np.array([4.0, 1.0, 0.5, 0.25, 0.125, 0.0625, 1e-3])
         for _ in range(5):
             g = random_graph(rng, max_n=12)
-            g = type(g)(g.labels, g.edges, rng.uniform(0.5, 2.0, g.n))
+            g = type(g)(g.labels, g.edges, g.weights,
+                        rng.uniform(0.5, 2.0, g.n))
             w = rng.uniform(-2, 2, size=g.n)
             values = kato_functional(g, w, grid)
             assert values.shape == grid.shape
