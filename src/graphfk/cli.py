@@ -5,7 +5,8 @@ Usage: graphfk SUBCOMMAND CONFIG.json
 Subcommands: validate | spectrum | kernel | sweep | gt-check |
 fk-compare | kato.  The config is a JSON object with keys ``graph``,
 ``connection`` or ``magnetic``, ``potential``, ``params``,
-``output_dir``, ``seed``.  All outputs (CSV files plus a plain-text
+``output_dir``, ``seed``; ``params`` may hold only the keys its
+subcommand reads (``PARAMS``).  All outputs (CSV files plus a plain-text
 report) are deterministic given the config; stochastic subcommands
 require an explicit seed.
 
@@ -79,12 +80,34 @@ def _resolve_graph(cfg):
     raise ConfigError("graph entry must give a file, preset, or family")
 
 
+# The ``params`` keys each subcommand reads; ``run`` refuses any other
+PARAMS = {
+    "validate": (),
+    "spectrum": ("mode",),
+    "kernel": ("mode", "t"),
+    "sweep": ("mode", "beta", "hbar_schedule"),
+    "gt-check": ("mode", "t"),
+    "fk-compare": ("mode", "beta", "hbar", "samples", "workers"),
+    "kato": ("mode", "t_grid"),
+}
+
+
 def _params(cfg):
     """The config's ``params`` object, {} when absent."""
     params = cfg.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("'params' must be a JSON object")
     return params
+
+
+def _check_params(cfg, subcommand):
+    """ConfigError naming the first ``params`` key, in sorted order, that
+    ``subcommand`` does not read."""
+    stray = sorted(set(_params(cfg)) - set(PARAMS[subcommand]))
+    if stray:
+        reads = ", ".join(PARAMS[subcommand]) or "none"
+        raise ConfigError(f"{subcommand} does not read params key "
+                          f"{stray[0]!r} (it reads: {reads})")
 
 
 def _number(value, name, kind=float):
@@ -326,6 +349,11 @@ def _cmd_fk_compare(cfg, outdir):
                  f"{_fmt(rep.stderr)},{_fmt(z_total)}")
     _write(outdir, "fk_compare.csv", "\n".join(lines) + "\n")
     detail = f"|z| = {abs(z_total):.3f}"
+    strata = {} if rep.strata is None else {
+        "forced_jumps": rep.forced,
+        "exact_strata": " ".join(f"Z{k}" for k in rep.strata) + (
+            "" if 4 in rep.strata else " (Z3 and Z4 not computed: the "
+            "closed 4-walks exceed paths.WALK_BUDGET)")}
     if rep.stderr == 0:
         detail += " (stderr is 0)"
     return {
@@ -336,6 +364,7 @@ def _cmd_fk_compare(cfg, outdir):
         "estimate": _fmt(rep.estimate),
         "stderr": _fmt(rep.stderr),
         "max_abs_z": _fmt(max_z),
+        **strata,
         "checks": [("estimate within 3 standard errors", abs(z_total) <= 3.0,
                     detail)],
     }
@@ -382,6 +411,7 @@ def run(config_path, subcommand):
             raise ConfigError(f"output_dir must be a path, not {outdir!r}")
         digest = hashlib.sha256(
             Path(config_path).read_bytes()).hexdigest()
+        _check_params(cfg, subcommand)
         results = _COMMANDS[subcommand](cfg, outdir)
         emit_report(results, outdir, digest)
         return 0

@@ -4,7 +4,8 @@ Graph spec: {"vertices": [...], "edges": [[a, b, weight], ...],
 "measure": [[a, value], ...]}; missing measure entries default to 1.0.
 Connection: [[label_i, label_j, matrix]] with complex entries [re, im].
 Magnetic: [[label_i, label_j, phase]].  Potential: [[label, matrix]] or
-[[label, scalar]].
+[[label, scalar]], at most one entry per vertex; a vertex without one
+takes the value 0.
 
 Connection and magnetic entries go through one aligner, a magnetic
 phase as its rank-1 transport e^{i phase}.  Every edge takes an entry
@@ -162,6 +163,8 @@ def potential_from_entries(entries, g: WeightedGraph) -> Potential:
     with _parsing("potential entry"):
         for lab, value in entries:
             i = g.index(lab)
+            if i in by_index:
+                raise ConfigError(f"two potential entries for vertex {lab!r}")
             if isinstance(value, (int, float)):
                 M = np.array([[complex(value)]])
             else:

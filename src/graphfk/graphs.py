@@ -196,15 +196,20 @@ def degrees(g: WeightedGraph) -> DegreeProfile:
     return DegreeProfile(deg_1, deg_m, float(deg_m.max()) if g.n else 0.0)
 
 
-def is_connected(g: WeightedGraph) -> bool:
-    """True iff every vertex pair is joined by a chain of positive-b edges."""
-    if g.n <= 1:
-        return True
-    # the neighbours of i are nbrs[ptr[i]:ptr[i + 1]]
+def _neighbours(g: WeightedGraph):
+    """(nbrs, ptr) as lists, the neighbours of i nbrs[ptr[i]:ptr[i + 1]]."""
     src = g.edges.ravel()
     order = np.argsort(src, kind="stable")
     nbrs = g.edges[:, ::-1].ravel()[order].tolist()
     ptr = np.searchsorted(src[order], np.arange(g.n + 1)).tolist()
+    return nbrs, ptr
+
+
+def is_connected(g: WeightedGraph) -> bool:
+    """True iff every vertex pair is joined by a chain of positive-b edges."""
+    if g.n <= 1:
+        return True
+    nbrs, ptr = _neighbours(g)
     seen = {0}
     stack = [0]
     while stack:
@@ -216,14 +221,39 @@ def is_connected(g: WeightedGraph) -> bool:
     return len(seen) == g.n
 
 
-def has_triangle(g: WeightedGraph) -> bool:
-    """True iff some three vertices are pairwise adjacent.
+def two_colouring(g: WeightedGraph):
+    """A colour 0 or 1 per vertex, shape (n,), that differs across every
+    edge, or None when there is none: when some component holds an odd
+    cycle.  Each component is searched once from its first vertex, in
+    O(n + E).  A graph with a colouring is bipartite and has no closed
+    walk of odd length."""
+    nbrs, ptr = _neighbours(g)
+    colour = [-1] * g.n
+    for root in range(g.n):
+        if colour[root] >= 0:
+            continue
+        colour[root] = 0
+        stack = [root]
+        while stack:
+            i = stack.pop()
+            for j in nbrs[ptr[i]:ptr[i + 1]]:
+                if colour[j] < 0:
+                    colour[j] = 1 - colour[i]
+                    stack.append(j)
+    colour = np.array(colour, dtype=np.int64)
+    ends = colour[g.edges]
+    return colour if np.all(ends[:, 0] != ends[:, 1]) else None
+
+
+def _triangle_pieces(g: WeightedGraph):
+    """The triangles of g, as arrays of rows (u, v, w), one per piece of
+    about 2^20 lookups.
 
     Each edge is oriented up the order (degree, index), which leaves every
     vertex at most sqrt(2E) out-neighbors, and each oriented edge u -> v
-    looks for an out-neighbor of v among those of u (Chiba & Nishizeki,
-    SIAM J. Comput. 14 (1985) 210): O(E sqrt(E)) work, in pieces of
-    about 2^20 lookups.
+    lists the out-neighbors of v that are also out-neighbors of u (Chiba &
+    Nishizeki, SIAM J. Comput. 14 (1985) 210): row (u, v, w) has u -> v,
+    u -> w and v -> w, so each triangle comes once.  O(E sqrt(E)) work.
     """
     pairs = g.edges
     rank = np.empty(g.n, dtype=np.int64)
@@ -243,9 +273,22 @@ def has_triangle(g: WeightedGraph) -> bool:
         w = out[v[lo:lo + step]]
         probe = u[lo:lo + step, None] * g.n + w
         at = np.minimum(np.searchsorted(keys, probe), keys.size - 1)
-        if np.any((w >= 0) & (keys[at] == probe)):
-            return True
-    return False
+        row, col = np.nonzero((w >= 0) & (keys[at] == probe))
+        yield np.stack([u[lo + row], v[lo + row], w[row, col]], axis=1)
+
+
+def has_triangle(g: WeightedGraph) -> bool:
+    """True iff some three vertices are pairwise adjacent; it stops at
+    the first piece of ``_triangle_pieces`` that holds one, so a dense
+    graph costs one piece, not a listing of its triangles."""
+    return any(len(piece) for piece in _triangle_pieces(g))
+
+
+def triangles(g: WeightedGraph) -> np.ndarray:
+    """Every set of three pairwise adjacent vertices once, shape (T, 3),
+    as the rows (u, v, w) of ``_triangle_pieces``."""
+    return np.concatenate([np.zeros((0, 3), dtype=np.int64),
+                           *_triangle_pieces(g)])
 
 
 def generate(family, **params) -> WeightedGraph:

@@ -29,18 +29,23 @@ Partition traces are estimated per start vertex x from the Dyson
 strata Z_k(x), the weight of the paths from x that end at x with exactly
 k jumps, as
 
-    Z_x = Z_0 + Z_2 + E^x[S],   E^x[S] = sum_{k >= K} Z_k(x).
+    Z_x = Z_0 + Z_2 + Z_3 + Z_4 + E^x[S],   E^x[S] = sum_{k >= K} Z_k(x).
 
 Z_0 = p_0 tr e^{-t V(x)/hbar}, with p_0 = e^{-deg_m(x) t} the
-probability of no jump, is the paper's semiclassical leading term, and
-Z_2 is ``semiclassics.two_jump_terms``, in closed form; both are exact.
-Z_1 = 0, the graph having no self-loops, and Z_3 = 0 when it has no
-triangle.  So the paths are drawn with their first K jumps forced, K = 4
-on a graph without triangles and 3 otherwise: each of the first K
-holding times is drawn given that it ends before the horizon, and the
-path carries the probability g of those events (the forced transitions
-of Lewis & Boehm, Nucl. Eng. Des. 77 (1984) 49).  A path is not scored
-by whether it happens to end at x.  Each of its jumps k >= K from a
+probability of no jump, is the paper's semiclassical leading term; Z_2
+is ``semiclassics.two_jump_terms``, in closed form, and Z_3 and Z_4 are
+``semiclassics.three_jump_terms`` and ``four_jump_terms``, sums over the
+closed 3- and 4-walks of divided differences of exp; all are exact.  Z_1
+= 0, the graph having no self-loops, Z_3 = 0 when it has no triangle,
+and every odd stratum is 0 on a bipartite graph.  So the paths are drawn
+with their first K jumps forced, K = 6 on a bipartite graph and 5 on any
+other: each of the first K holding times is drawn given that it ends
+before the horizon, and the path carries the probability g of those
+events (the forced transitions of Lewis & Boehm, Nucl. Eng. Des. 77
+(1984) 49).  Where the closed 4-walks, times nu^4, exceed
+``WALK_BUDGET``, Z_3 and Z_4 are left to the paths, and K is 4 on a
+graph without triangles and 3 otherwise.  A path is not scored by
+whether it happens to end at x.  Each of its jumps k >= K from a
 neighbor y of x scores, in S, the weight of the return it could have
 made: the probability p(y -> x) of jumping to x times the probability
 e^{-deg_m(x) r} of then staying there for the time r left, times the
@@ -76,15 +81,22 @@ import numpy as np
 
 from .bundles import Connection
 from .errors import BadParams, UnknownIndex
-from .graphs import WeightedGraph, degrees, has_triangle
+from .graphs import (WeightedGraph, degrees, has_triangle, triangles,
+                     two_colouring)
 from .operators import Problem, resolve
-from .semiclassics import two_jump_terms
+from .semiclassics import (_eigenbasis, four_jump_terms, three_jump_terms,
+                           two_jump_terms)
 
 CHUNK_SIZE = 8192
 # Upper bound on ``workers``: each worker is an OS thread, and past a few
 # per core they only contend for the cores.  A larger value is refused
 # before any job or thread exists.
 MAX_WORKERS = 64
+# Closed 4-walks, times nu^4 index sequences, above which
+# ``estimate_partition`` does not compute Z_3 and Z_4 and forces the
+# jumps it forced without them: at 0.5-0.8 us each on a 2-core machine,
+# 2^21 of them take about a second
+WALK_BUDGET = 2**21
 
 _MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
@@ -110,6 +122,8 @@ class EstimatorReport:
     imag_estimate: float = None
     imag_stderr: float = None
     per_vertex: tuple = None
+    forced: int = None  # the jumps every path was forced to make
+    strata: tuple = None  # the orders k of the strata Z_k added exactly
 
 
 class _JumpTable:
@@ -123,9 +137,9 @@ class _JumpTable:
     Q_y^H, and ``W[:, :, y, k] = Q_y^H Phi_{x',y} Q_{x'}`` is the factor a
     jump y -> x' = nbrs[y, k] puts into the Dyson weight, with the back
     transport Phi_{x',y} (the reverse arc's) taken between the two
-    eigenbases; W is stored entry-major, as ``_path_chunk`` keeps its
-    Dyson products.  At rank 1 ``lam`` is the value itself and ``W`` is Phi
-    (``eigh`` would round a magnetic rank 1 differently).
+    eigenbases (``semiclassics._eigenbasis``, the identity on the
+    padding); W is stored entry-major, as ``_path_chunk`` keeps its Dyson
+    products.
 
     ``PW`` is W times the jump probability b(x', y) / deg_1(y), the factor
     of a return y -> x that is scored, not taken.  Its slots are flat,
@@ -136,11 +150,13 @@ class _JumpTable:
     without a jump, a path gains e^{-r stay[x]} in the eigenbasis.
 
     ``forced`` is the number of jumps the trace estimator forces, and the
-    first it scores: 4 when the graph has no triangle, where no path
-    returns to its start in three jumps, and 3 otherwise.
+    first it scores.  By default it is the first stratum above Z_2 that
+    the graph does not make 0: 4 when the graph has no triangle, where no
+    path returns to its start in three jumps, and 3 otherwise.
+    ``estimate_partition`` passes 5 or 6 when it adds Z_3 and Z_4 exactly.
     """
 
-    def __init__(self, problem: Problem, hbar: float = 1.0):
+    def __init__(self, problem: Problem, hbar: float = 1.0, forced=None):
         g, nu = problem.graph, problem.rank
         self.rank = nu
         deg = degrees(g)
@@ -161,21 +177,18 @@ class _JumpTable:
         self.cols = np.ascontiguousarray(self.cum[:, :-1].T)
         pad = np.arange(width) >= count[:, None]
         self.ncols = np.ascontiguousarray(np.where(pad, g.n, self.nbrs).T)
-        eye = np.eye(nu, dtype=problem.phi.dtype)
-        phi = np.broadcast_to(eye, (g.n, width, nu, nu)).copy()
-        phi[src, slot] = problem.phi[order ^ 1]
-        values = problem.potential.scaled(hbar).values
-        if nu == 1:
-            self.lam, W = values[:, 0].real, phi
-        else:
-            self.lam, Q = np.linalg.eigh(values)
-            W = Q.conj().swapaxes(1, 2)[:, None] @ phi @ Q[self.nbrs]
+        self.lam, arcW = _eigenbasis(problem, hbar)
+        W = np.broadcast_to(np.eye(nu, dtype=arcW.dtype),
+                            (g.n, width, nu, nu)).copy()
+        W[src, slot] = arcW[order]
         self.W = np.ascontiguousarray(np.moveaxis(W, (2, 3), (0, 1)))
         PW = (self.W * P).reshape(nu, nu, -1)
         self.PW = np.concatenate([PW, np.zeros((nu, nu, 1), PW.dtype)], axis=2)
         self.stay = self.lam + self.rates[:, None]
         self.dtype = self.W.dtype
-        self.forced = 3 if has_triangle(g) else 4
+        if forced is None:
+            forced = 3 if has_triangle(g) else 4
+        self.forced = forced
 
 
 # ---------------------------------------------------------------------------
@@ -465,6 +478,26 @@ def estimate_heat_kernel(g: WeightedGraph, x: int, y: int, t: float,
     return EstimatorReport(mean, float(se), samples, f"philox(seed={seed})")
 
 
+def _exact_strata(problem: Problem, t: float, hbar: float):
+    """(Z_3 + Z_4 per vertex, K, the orders of the exact strata).
+
+    Z_3 and Z_4 are exact unless the closed 4-walks, times nu^4, exceed
+    ``WALK_BUDGET``; then the strata are Z_0 and Z_2, and K is 3 on a
+    graph with triangles and 4 without.  Otherwise K is the first order
+    above 4 whose stratum the graph does not make 0: 6 on a bipartite
+    graph, which has no closed walk of odd length, and 5 on any other.
+    """
+    g = problem.graph
+    z4 = four_jump_terms(problem, t, hbar, budget=WALK_BUDGET)
+    if z4 is None:
+        return 0.0, 3 if has_triangle(g) else 4, (0, 2)
+    # within the budget, 6 T = tr A^3 <= sqrt(2E tr A^4) is too
+    tri = triangles(g)
+    if len(tri):
+        return z4 + three_jump_terms(problem, t, hbar, tri), 5, (0, 2, 3, 4)
+    return z4, 6 if two_colouring(g) is not None else 5, (0, 2, 4)
+
+
 def estimate_partition(g: WeightedGraph, c: Connection, V, beta: float,
                        hbar: float, samples: int, seed: int,
                        chunk: int = CHUNK_SIZE,
@@ -475,15 +508,18 @@ def estimate_partition(g: WeightedGraph, c: Connection, V, beta: float,
     is taken in the arithmetic of V's values, as the exact side takes it.
     With t = beta hbar, each vertex x contributes
 
-        Z_x = p_0 tr e^{-t V(x)/hbar} + Z_2(x) + E^x[S],
+        Z_x = p_0 tr e^{-t V(x)/hbar} + Z_2(x) + Z_3(x) + Z_4(x) + E^x[S],
 
-    p_0 = e^{-deg_m(x) t}.  The no-jump term and the two-jump term Z_2
-    (``semiclassics.two_jump_terms``) are exact.  A path that jumps once
-    cannot return, the graph having no self-loops, nor one that jumps
-    three times if the graph has no triangle.  So the paths are drawn with
-    their first K jumps forced, K = 4 without triangles and 3 otherwise,
-    as by ``_path_chunk`` with ``loops``: g is the probability of a first
-    jump inside the horizon and, given each, of the next, up to the K-th.
+    p_0 = e^{-deg_m(x) t}.  The no-jump term and the strata Z_2, Z_3 and
+    Z_4 (``semiclassics.two_jump_terms``, ``three_jump_terms`` and
+    ``four_jump_terms``) are exact.  A path that jumps once cannot return,
+    the graph having no self-loops, nor one that jumps five times if the
+    graph is bipartite.  So the paths are drawn with their first K jumps
+    forced, K = 6 on a bipartite graph and 5 otherwise (``_exact_strata``;
+    where the closed 4-walks exceed ``WALK_BUDGET``, Z_3 and Z_4 are not
+    computed and K is 4 without triangles and 3 with them), as by
+    ``_path_chunk`` with ``loops``: g is the probability of a first jump
+    inside the horizon and, given each, of the next, up to the K-th.
     Each path is scored by S, the sum over its jumps k >= K from a
     neighbor of x of the weight of the return to x it could have made
     there and then, in place of the indicator 1_{X_t = x}: by the tower
@@ -493,8 +529,9 @@ def estimate_partition(g: WeightedGraph, c: Connection, V, beta: float,
     all vertices run vertex-major in pieces of ``chunk`` paths, one kernel
     call per piece on the stream keyed (seed, piece index); per-vertex
     moments merge in piece order, so results do not depend on
-    ``workers``.  The Z_x are summed in vertex order, and
-    the imaginary part is reported alongside the real one.
+    ``workers``.  The Z_x are summed in vertex order, and the imaginary
+    part is reported alongside the real one; the report also gives K
+    (``forced``) and the orders of the exact strata (``strata``).
     """
     if not (beta > 0 and hbar > 0):  # NaN fails it too
         raise BadParams("beta and hbar must be positive")
@@ -504,9 +541,10 @@ def estimate_partition(g: WeightedGraph, c: Connection, V, beta: float,
     _check_workers(workers)
     problem = resolve(g, c, V)
     t = beta * hbar
-    tbl = _JumpTable(problem, hbar)
+    higher, forced, strata = _exact_strata(problem, t, hbar)
+    tbl = _JumpTable(problem, hbar, forced)
     exact = (np.exp(-tbl.rates * t) * np.exp(-t * tbl.lam).sum(axis=1)
-             + two_jump_terms(problem, t, hbar))
+             + two_jump_terms(problem, t, hbar) + higher)
     live = np.flatnonzero(tbl.rates * t > 0.0)  # p_0 < 1
 
     def run(job):
@@ -529,4 +567,5 @@ def estimate_partition(g: WeightedGraph, c: Connection, V, beta: float,
         imag_stderr=float(np.sqrt(np.sum(se[:, 1] ** 2))),
         per_vertex=tuple(zip(range(g.n), est[:, 0].tolist(),
                              se[:, 0].tolist())),
+        forced=forced, strata=strata,
     )

@@ -15,6 +15,14 @@ The lower bound is the no-jump term Z_0 of the Dyson series of the
 trace.  ``two_jump_terms`` gives the next nonzero term, Z_2, in closed
 form; in the scalar case every term of the series is nonnegative, so
 Z_0 + Z_2 <= trace is a sharper lower bound, and the sweep asserts it.
+
+``three_jump_terms`` and ``four_jump_terms`` give Z_3 and Z_4 per vertex,
+exactly: each closed walk of k jumps contributes its hops times t^k
+times a divided difference of exp over the k + 1 values deg_m + lam it
+holds at (Hermite-Genocchi), and ``_divided_exp`` takes those, batched,
+from the exponential of the bidiagonal Opitz matrix by scaling and
+squaring.  The Monte Carlo trace estimator adds them; the sweep does
+not, and its check stays Z_0 + Z_2 <= trace.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ import numpy as np
 from .bundles import Connection, Potential
 from .errors import BadParams
 from .graphs import (ExhaustionSequence, WeightedGraph, degrees, edge_mask,
-                     restrict)
+                     restrict, triangles)
 from .operators import Problem, _coupling, assemble, resolve, symmetrize
 from .spectral import eigenvalues, hermitian_eigenvalues, partition_function
 # not called here; kept because perfbench/tracer.py rebinds it
@@ -200,38 +208,252 @@ def _two_jump_integral(alpha, beta, t):
         alpha >= beta, psi, chi)
 
 
+def _eigenbasis(problem: Problem, hbar: float):
+    """(lam, W): the eigenvalues of V(x)/hbar = Q_x diag(lam_x) Q_x^H,
+    shape (n, nu), and per arc x -> y the factor W = Q_x^H Phi_{y,x} Q_y,
+    shape (2E, nu, nu), that a jump along it puts into a Dyson weight
+    taken in the eigenbases.  V / hbar is taken in the arithmetic of V's
+    values; at rank 1 lam is that value and W is Phi (``eigh`` would
+    round a magnetic rank 1 differently)."""
+    nu = problem.rank
+    values = problem.potential.scaled(hbar).values
+    back = _coupling(problem)  # Phi_{y,x} on the arc x -> y
+    if nu == 1:
+        return values[:, :, 0].real, back
+    lam, Q = np.linalg.eigh(values)
+    return lam, Q[problem.src].conj().swapaxes(1, 2) @ back @ Q[problem.dst]
+
+
+def _arc_factors(problem: Problem, hbar: float):
+    """(a, W, hop) of the Dyson strata of e^{-t H_{Phi, V/hbar}}: a =
+    deg_m + lam, shape (n, nu), and W as in ``_eigenbasis``; an arc x ->
+    y puts hop = b(x,y)/m_x, shape (2E,), and W into the weight of a
+    walk along it."""
+    g = problem.graph
+    lam, W = _eigenbasis(problem, hbar)
+    return (degrees(g).deg_m[:, None] + lam, W,
+            problem.w / g.measure[problem.src])
+
+
 def two_jump_terms(problem: Problem, t: float, hbar: float = 1.0):
     """Per vertex x, the two-jump term Z_2(x) of tr e^{-t H_{Phi, V/hbar}}.
 
     H = D - K splits into its diagonal blocks D_x = deg_m(x) + V(x)/hbar
     and the hops K_xy = b(x,y)/m_x Phi_{y,x}.  Z_k(x) is the trace at x of
     the term of the Dyson series of e^{-tH} with k factors K; in the
-    scalar case every term is nonnegative.  With the eigenbases V(x)/hbar
-    = Q_x diag(lam_x) Q_x^H and a = deg_m + lam,
+    scalar case every term is nonnegative.  With a and W as in
+    ``_arc_factors``,
 
         Z_2(x) = sum_{y~x} b(x,y)^2/(m_x m_y) sum_ab |W_ab|^2 I(a_xa, a_yb),
-        W = Q_x^H Phi_{y,x} Q_y,
 
     I as in ``_two_jump_integral``: by the cyclicity of the trace the two
     holds at x merge into one of total time u, and the splits of u weigh
-    it by u.  Z_0(x) = sum_a e^{-t a_xa}, Z_1 = 0 without self-loops, and
-    Z_3 = 0 without triangles.  O(E nu^3) on the arcs of ``problem``;
-    V / hbar is taken in the arithmetic of V's values.
+    it by u.  Z_0(x) = sum_a e^{-t a_xa} and Z_1 = 0 without self-loops;
+    ``three_jump_terms`` and ``four_jump_terms`` give Z_3 and Z_4.
+    O(E nu^3) on the arcs of ``problem``.
     """
-    g, nu = problem.graph, problem.rank
-    x, y = problem.src, problem.dst
-    values = problem.potential.scaled(hbar).values
-    back = _coupling(problem)  # Phi_{y,x} on the arc x -> y
-    if nu == 1:
-        lam, W = values[:, :, 0].real, back
-    else:
-        lam, Q = np.linalg.eigh(values)
-        W = Q[x].conj().swapaxes(1, 2) @ back @ Q[y]
-    a = degrees(g).deg_m[:, None] + lam
+    g, x, y = problem.graph, problem.src, problem.dst
+    a, W, _hop = _arc_factors(problem, hbar)
     I = _two_jump_integral(a[x][:, :, None], a[y][:, None, :], t)
     arcs = (problem.w ** 2 / (g.measure[x] * g.measure[y])
             * np.einsum("eab,eab->e", np.abs(W) ** 2, I))
     return np.bincount(x, weights=arcs, minlength=g.n)
+
+
+# The Taylor terms beyond the order k, and the size to which
+# ``_divided_exp`` scales the nodes before it sums them: each entry's tail
+# is then below (1/4)^12 / 12! = 1.3e-16 of it
+_DD_TERMS, _DD_NORM = 11, 0.25
+# Divided differences per piece of the strata: pieces bound the memory of
+# ``four_jump_terms`` whatever the number of walks
+_PIECE = 2048
+
+
+def _divided_exp(z):
+    """e[z_0, ..., z_k], the divided difference of exp, per column of z,
+    shape (k + 1, B) -> (B,).
+
+    It is entry (0, k) of the exponential of the Opitz matrix Z = diag(z)
+    + N, N the ones above the diagonal (Opitz, ZAMM 44 (1964); McCurdy,
+    Ng & Parlett, Math. Comp. 43 (1984) 501).  Entry (i, j) of e^Z is
+    e[z_i, ..., z_j] > 0, by Hermite-Genocchi, so the upper triangle of
+    every power and product below is nonnegative.  Each column is shifted
+    by the midpoint mu of its nodes, e^Z = e^mu e^{Z - mu}, and the nodes
+    are scaled by 2^-s until they are at most ``_DD_NORM`` in size.  The
+    Taylor series of e^B, B = 2^-s (Z - mu), is summed by Horner's rule;
+    every entry's terms are bounded by those of e^{|b|}, so they cancel
+    at most by a factor e^{2 |b|}.  s squarings then bring e^B back to
+    e^{Z - mu}, adding only products of nonnegative numbers, so nothing
+    cancels there (the last forms entry (0, k) alone); each doubles the
+    relative rounding, which ends near 2^s eps, about spread * eps.  One
+    s serves the whole batch: that of its widest column.  The upper
+    triangle is kept entry-major, its diagonals one after the other,
+    flat, shape ((k+1)(k+2)/2, B), so every operation runs over the
+    batch.
+    """
+    n = z.shape[0]
+    top, bottom = z.max(axis=0), z.min(axis=0)
+    mid = 0.5 * (top + bottom)
+    half = float((top - mid).max(initial=0.0))
+    s = math.ceil(math.log2(half / _DD_NORM)) if half > _DD_NORM else 0
+    b = (z - mid) * 2.0 ** -s
+    # diagonal l of the triangle holds the entries (i, i + l), i < n - l
+    off = np.r_[0, np.cumsum(np.arange(n, 0, -1))]
+    diag = [slice(off[l], off[l + 1]) for l in range(n)]
+    rows = np.concatenate([b[:n - l] for l in range(n)])
+    X = np.empty((off[-1], z.shape[1]))
+    X[:n], X[n:] = 1.0, 0.0
+    tmp = np.empty_like(X)
+    # Horner's rule on B1 = diag(b) + N, without divisions: after step m,
+    # X holds M!/(m - 1)! times the partial result, M the number of terms
+    c = 1.0
+    for m in range(_DD_TERMS + n - 1, 0, -1):
+        c *= m
+        np.multiply(rows, X, out=tmp)
+        for l in range(1, n):
+            tmp[diag[l]] += X[off[l - 1] + 1:off[l]]
+        tmp[:n] += c
+        X, tmp = tmp, X
+    # e^B = D e^{B1} D^-1, D = diag(2^-s i): diagonal l scales by 2^-s l
+    X *= 1.0 / c
+    for l in range(1, n):
+        X[diag[l]] *= 2.0 ** (-s * l)
+    for _ in range(s - 1):
+        for l in range(n):
+            out = tmp[diag[l]]
+            np.multiply(X[:n - l], X[diag[l]], out=out)
+            for j in range(1, l + 1):
+                out += (X[off[j]:off[j] + n - l]
+                        * X[off[l - j] + j:off[l - j + 1]])
+        X, tmp = tmp, X
+    if s:
+        # the last squaring needs entry (0, k) only: sum_j (0, j) (j, k)
+        corner = X[off[n - 1]] * X[0]
+        for j in range(1, n):
+            corner += X[off[j]] * X[off[n - 1 - j] + j]
+        return np.exp(mid) * corner
+    return np.exp(mid) * X[-1]
+
+
+def _walk_terms(arcs, seq, factors, src, t):
+    """The weight of each closed walk along ``arcs``, shape (k, B), in the
+    Dyson term of e^{-tH} with k hops, real part.
+
+    The walk x_0 -> x_1 -> ... -> x_0 takes, with (a, W, hop) =
+    ``factors``, its hops times the sum over the index sequences i_0 ...
+    i_{k-1}, the columns of ``seq``, shape (k, nu^k), of prod_j
+    W_j[i_j, i_{j+1}] (i_k = i_0) times the integral over the holds s_0 +
+    ... + s_k = t of e^{-sum_j s_j a_j}, the last hold at x_0 again: t^k
+    e[-t a_0, ..., -t a_{k-1}, -t a_0] by Hermite-Genocchi.  The index
+    sequences run along the batch, B nu^k divided differences in one
+    ``_divided_exp`` call.
+    """
+    a, W, hop = factors
+    k, nu = seq.shape[0], a.shape[1]
+    # W_j[i_j, i_{j+1}] and a at the start of hop j, as flat indices
+    i, j = seq[:, None], np.roll(seq, -1, axis=0)[:, None]
+    F = np.take(W, arcs[:, :, None] * nu * nu + i * nu + j).prod(axis=0)
+    z = np.empty((k + 1,) + F.shape)
+    z[:k] = np.take(a, src[arcs][:, :, None] * nu + i)
+    z[:k] *= -t
+    z[k] = z[0]
+    dd = _divided_exp(z.reshape(k + 1, -1)).reshape(F.shape)
+    return t ** k * hop[arcs].prod(axis=0) * np.einsum("bs,bs->b",
+                                                         F.real, dd)
+
+
+def _arc_of(g, i, j):
+    """The arc index of i -> j for each pair of edge ends (i, j)."""
+    keys = g.edges[:, 0] * g.n + g.edges[:, 1]
+    order = np.argsort(keys)
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    return 2 * order[np.searchsorted(keys[order], lo * g.n + hi)] + (i > j)
+
+
+def three_jump_terms(problem: Problem, t: float, hbar: float = 1.0,
+                     tri=None):
+    """Per vertex x, the three-jump term Z_3(x) of tr e^{-t H_{Phi,
+    V/hbar}}: the weights (``_walk_terms``) of the closed 3-walks from x,
+    which go round the triangles at x, ``graphs.triangles`` or ``tri``.
+    Round a triangle one way and the other the weights are complex
+    conjugates, so each corner takes one way twice, real part.  0 on a
+    graph without triangles."""
+    g, nu = problem.graph, problem.rank
+    tri = triangles(g) if tri is None else tri
+    factors = _arc_factors(problem, hbar)
+    # the walks from each corner: (u, v, w), (v, w, u) and (w, u, v)
+    corners = np.concatenate([np.roll(tri, -r, axis=1) for r in range(3)]).T
+    arcs = _arc_of(g, corners, np.roll(corners, -1, axis=0))
+    seq = np.indices((nu,) * 3).reshape(3, -1)
+    out = np.zeros(g.n)
+    step = max(1, _PIECE // nu ** 3)
+    for lo in range(0, arcs.shape[1], step):
+        out += np.bincount(corners[0, lo:lo + step], minlength=g.n,
+                           weights=2 * _walk_terms(arcs[:, lo:lo + step], seq,
+                                                   factors, problem.src, t))
+    return out
+
+
+def _two_paths(problem: Problem):
+    """The 2-paths x -> y -> z (z = x too) as their two arcs (e1, e2),
+    sorted by (x, z), with the first index and the size of each group of
+    equal (x, z)."""
+    src, dst, n = problem.src, problem.dst, problem.graph.n
+    order = np.argsort(src, kind="stable")  # the arcs out of y, in a run
+    out = np.bincount(src, minlength=n)
+    ptr = np.cumsum(out) - out
+    e1 = np.repeat(np.arange(src.size), out[dst])
+    e2 = order[ptr[dst[e1]] + np.arange(e1.size)
+               - np.repeat(np.cumsum(out[dst]) - out[dst], out[dst])]
+    key = src[e1] * n + dst[e2]
+    by = np.argsort(key, kind="stable")
+    e1, e2, key = e1[by], e2[by], key[by]
+    first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    return e1, e2, first, np.diff(np.r_[first, key.size])
+
+
+def four_jump_terms(problem: Problem, t: float, hbar: float = 1.0,
+                    budget=None):
+    """Per vertex x, the four-jump term Z_4(x) of tr e^{-t H_{Phi,
+    V/hbar}}, or None when its closed 4-walks times nu^4 exceed
+    ``budget``.
+
+    A closed 4-walk x -> y -> z -> w -> x joins the 2-path x -> y -> z to
+    the reverse of a 2-path x -> w -> z, one of the same group (x, z) of
+    ``_two_paths``: a group of c 2-paths makes c^2 walks, so their number
+    is known before any weight is computed.  The walks (p, q) and (q, p)
+    are each other's reverse and weigh complex conjugates, so the pairs
+    p <= q are weighed (``_walk_terms``), those with p < q twice, real
+    part, in pieces of about ``_PIECE`` divided differences.
+    """
+    g, nu = problem.graph, problem.rank
+    out_deg = np.bincount(problem.src, minlength=g.n)
+    # every 2-path makes a walk with itself: refuse before listing them
+    if budget is not None and int(out_deg @ out_deg) * nu ** 4 > budget:
+        return None
+    e1, e2, first, count = _two_paths(problem)
+    if budget is not None and int(count @ count) * nu ** 4 > budget:
+        return None
+    factors = _arc_factors(problem, hbar)
+    seq = np.indices((nu,) * 4).reshape(4, -1)
+    # the pairs p <= q of one group, in order of p, then q: p pairs with
+    # q = p ... last - 1, last the end of its group
+    last = np.repeat(first + count, count)
+    after = last - np.arange(last.size)
+    end = np.cumsum(after)
+    total = int(end[-1]) if end.size else 0
+    out = np.zeros(g.n)
+    step = max(1, _PIECE // nu ** 4)
+    for lo in range(0, total, step):
+        idx = np.arange(lo, min(lo + step, total))
+        p = np.searchsorted(end, idx, side="right")
+        q = p + idx - (end[p] - after[p])
+        arcs = np.stack([e1[p], e2[p], e2[q] ^ 1, e1[q] ^ 1])
+        weight = np.where(p < q, 2.0, 1.0) * _walk_terms(
+            arcs, seq, factors, problem.src, t)
+        out += np.bincount(problem.src[e1[p]], weights=weight,
+                           minlength=g.n)
+    return out
 
 
 def sweep(config: SweepConfig) -> SweepResult:

@@ -19,6 +19,15 @@ def write_config(tmp_path, name, cfg):
     return str(path)
 
 
+def for_subcommand(tmp_path, cfg, subcommand):
+    """A config file of ``cfg`` with only the params keys that
+    ``subcommand`` reads: a config may not hold any other."""
+    params = {k: v for k, v in cfg.get("params", {}).items()
+              if k in cli.PARAMS[subcommand]}
+    return write_config(tmp_path, f"{subcommand}.json",
+                        cfg | {"params": params})
+
+
 def csv_rows(path):
     lines = path.read_text().strip().split("\n")
     return lines[0], lines[1:]
@@ -54,13 +63,13 @@ class TestValidate:
     def test_other_subcommands_reject_bad_connection(self, tmp_path, capsys,
                                                      subcommand):
         # symmetrize would hide the non-unitary [[2]] and report numbers
-        cfg = write_config(tmp_path, "c.json", {
+        cfg = for_subcommand(tmp_path, {
             "graph": {"preset": "two_vertex"},
             "connection": {"inline": [["a", "b", [[[2.0, 0.0]]]]]},
             "params": {"samples": 1000},
             "seed": 1,
             "output_dir": str(tmp_path / "out"),
-        })
+        }, subcommand)
         assert run(cfg, subcommand) == 1
         record = json.loads(capsys.readouterr().err.strip())
         assert record["kind"] == "validation"
@@ -154,15 +163,16 @@ class TestSweep:
     @pytest.mark.parametrize("mode", ["magnetic", "scalar", "bogus"])
     def test_narrower_or_unknown_mode_exits_1(self, tmp_path, capsys, mode):
         swap = [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]
-        cfg = write_config(tmp_path, "c.json", {
+        cfg = {
             "graph": {"family": "path", "n": 2},
             "connection": {"inline": [["v0", "v1", swap]]},
             "params": {"samples": 1000, "mode": mode},
             "seed": 1,
             "output_dir": str(tmp_path / "out"),
-        })
+        }
         for subcommand in ("sweep", "fk-compare", "spectrum"):
-            assert run(cfg, subcommand) == 1, subcommand
+            assert run(for_subcommand(tmp_path, cfg, subcommand),
+                       subcommand) == 1, subcommand
             record = json.loads(capsys.readouterr().err.strip())
             assert record["kind"] == "validation"
             assert "'covariant'" in record["error"]
@@ -283,6 +293,25 @@ class TestFkCompare:
             semiclassical_trace(g4, c4, pot4, 1.0, 0.1), rel=1e-12)
         assert abs(magnetic - scalar) > 1e-6
 
+    @pytest.mark.parametrize("graph, budget, lines", [
+        ({"preset": "four_cycle"}, None,
+         ["forced_jumps: 6", "exact_strata: Z0 Z2 Z4"]),
+        ({"preset": "four_cycle"}, 0,
+         ["forced_jumps: 4", "exact_strata: Z0 Z2 (Z3 and Z4 not computed"]),
+        ({"family": "complete", "n": 4}, None,
+         ["forced_jumps: 5", "exact_strata: Z0 Z2 Z3 Z4"]),
+        ({"family": "complete", "n": 4}, 0, ["forced_jumps: 3"])])
+    def test_report_states_the_forced_jumps(self, tmp_path, monkeypatch,
+                                            graph, budget, lines):
+        if budget is not None:
+            monkeypatch.setattr(paths, "WALK_BUDGET", budget)
+        cfg = write_config(tmp_path, "c.json", {
+            "graph": graph, "params": {"samples": 200},
+            "seed": 1, "output_dir": str(tmp_path / "out")})
+        assert run(cfg, "fk-compare") == 0
+        report = (tmp_path / "out" / "report.txt").read_text()
+        assert all(line in report for line in lines)
+
     def test_rank2_connection_without_potential(self, tmp_path, capsys):
         swap = [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]
         cfg = write_config(tmp_path, "c.json", {
@@ -300,29 +329,31 @@ class TestFkCompare:
     def test_rank2_potential_without_connection(self, tmp_path):
         V = [[[[1.0, 0.0], [0.2, 0.3]], [[0.2, -0.3], [0.5, 0.0]]],
              [[[0.0, 0.0], [0.1, 0.0]], [[0.1, 0.0], [2.0, 0.0]]]]
-        cfg = write_config(tmp_path, "c.json", {
+        cfg = {
             "graph": {"preset": "two_vertex"},
             "potential": {"inline": [["a", V[0]], ["b", V[1]]]},
             "params": {"samples": 1000},
             "seed": 1,
             "output_dir": str(tmp_path / "out"),
-        })
+        }
         for subcommand in ("sweep", "fk-compare"):
-            assert run(cfg, subcommand) == 0
+            assert run(for_subcommand(tmp_path, cfg, subcommand),
+                       subcommand) == 0
             report = (tmp_path / "out" / "report.txt").read_text()
             assert "mode: covariant" in report
 
     def test_scalar_mode_rejects_rank2_potential(self, tmp_path, capsys):
         V = [[[1.0, 0.0], [0.2, 0.0]], [[0.2, 0.0], [0.5, 0.0]]]
-        cfg = write_config(tmp_path, "c.json", {
+        cfg = {
             "graph": {"preset": "two_vertex"},
             "potential": {"inline": [["a", V], ["b", V]]},
             "params": {"samples": 1000, "mode": "scalar"},
             "seed": 1,
             "output_dir": str(tmp_path / "out"),
-        })
+        }
         for subcommand in ("sweep", "fk-compare"):
-            assert run(cfg, subcommand) == 1, subcommand
+            assert run(for_subcommand(tmp_path, cfg, subcommand),
+                       subcommand) == 1, subcommand
             err = capsys.readouterr().err
             assert "Traceback" not in err
             record = json.loads(err.strip().splitlines()[-1])
@@ -412,6 +443,25 @@ class TestMalformedConfig:
         assert record["kind"] == "validation"
         assert not (tmp_path / "out").exists()
         return record
+
+    def test_repeated_potential_vertex(self, tmp_path, capsys):
+        # a second entry for a vertex used to replace the first silently
+        record = self._exit_1(tmp_path, capsys, "spectrum", {
+            "graph": {"preset": "two_vertex"},
+            "potential": {"inline": [["a", 0.5], ["b", 0.1], ["a", 0.7]]}})
+        assert "two potential entries for vertex 'a'" in record["error"]
+
+    def test_vertex_without_potential_entry_takes_zero(self, tmp_path):
+        g, _pot = two_vertex()
+        cfg = write_config(tmp_path, "c.json", {
+            "graph": {"preset": "two_vertex"},
+            "potential": {"inline": [["a", 0.5]]},
+            "output_dir": str(tmp_path / "out")})
+        assert run(cfg, "spectrum") == 0
+        _header, rows = csv_rows(tmp_path / "out" / "spectrum.csv")
+        got = [float(r.split(",")[1]) for r in rows]
+        want = spectral.eigenvalues(cli.assemble(g, None, [0.5, 0.0]))
+        assert np.allclose(got, want, rtol=1e-14, atol=0)
 
     def test_unknown_label_in_inline_potential(self, tmp_path, capsys):
         record = self._exit_1(tmp_path, capsys, "spectrum", {
@@ -546,6 +596,44 @@ class TestMalformedConfig:
                                        cfg):
         # the fraction was dropped: a 2-vertex path, 1000 paths
         self._exit_1(tmp_path, capsys, subcommand, cfg)
+
+
+class TestParams:
+    """Each subcommand reads the params keys of ``cli.PARAMS``; any other
+    key exits 1 and is named, where it used to be ignored."""
+
+    READ = {"mode": "covariant", "t": 0.5, "beta": 1.0, "hbar": 0.3,
+            "hbar_schedule": [0.1, 0.01], "samples": 200, "workers": 1,
+            "t_grid": [1.0, 0.5]}
+    STRAY = {"validate": {"mode": "scalar"},
+             "spectrum": {"hbar": -5, "bogus": 1},
+             "kernel": {"beta": 1.0}, "sweep": {"samples": 100},
+             "gt-check": {"hbar": 0.1}, "fk-compare": {"t": 1.0},
+             "kato": {"beta": 2.0}}
+
+    @pytest.mark.parametrize("subcommand", sorted(cli.PARAMS))
+    def test_stray_key_exits_1(self, tmp_path, capsys, subcommand):
+        params = {k: self.READ[k] for k in cli.PARAMS[subcommand]}
+        cfg = write_config(tmp_path, "c.json", {
+            "graph": {"preset": "two_vertex"}, "seed": 1,
+            "params": params | self.STRAY[subcommand],
+            "output_dir": str(tmp_path / "out")})
+        assert run(cfg, subcommand) == 1
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["kind"] == "validation"
+        first = sorted(self.STRAY[subcommand])[0]
+        assert f"does not read params key {first!r}" in record["error"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("subcommand", sorted(cli.PARAMS))
+    def test_every_key_read_runs(self, tmp_path, subcommand):
+        # the table lists only keys the subcommand reads: each of them, at
+        # a valid value, runs
+        cfg = write_config(tmp_path, "c.json", {
+            "graph": {"preset": "two_vertex"}, "seed": 1,
+            "params": {k: self.READ[k] for k in cli.PARAMS[subcommand]},
+            "output_dir": str(tmp_path / "out")})
+        assert run(cfg, subcommand) == 0
 
 
 class TestEdgeEntries:

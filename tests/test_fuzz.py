@@ -3,13 +3,15 @@
 Each example takes a preset graph, gives it a connection, magnetic
 phases, a potential and params, and then breaks some of them: entries
 with swapped or unknown labels, on non-edges, duplicated, reversed or
-dropped, non-square, NaN or non-numeric matrices, and values of the
-wrong type.  ``cli.run`` must return 0, 1 or 2, and a run that fails
-writes one JSON error record as the last line of stderr.  The params
-stay small (samples <= 10^4, workers <= 4), so no example starts large
-work.  Hypothesis draws each example's seed, derandomized and without a
-database, and a stdlib Random on that seed makes the choices, evenly:
-Hypothesis's own draws favour the first of a list's entries.
+dropped, non-square, NaN or non-numeric matrices, values of the wrong
+type, and params keys the subcommand does not read.  ``cli.run`` must
+return 0, 1 or 2, and a run that fails writes one JSON error record as
+the last line of stderr; a stray params key exits 1 with an error that
+names it.  The params stay small (samples <= 10^4, workers <= 4), so no
+example starts large work.  Hypothesis draws each example's seed,
+derandomized and without a database, and a stdlib Random on that seed
+makes the choices, evenly: Hypothesis's own draws favour the first of a
+list's entries.
 """
 
 import contextlib
@@ -101,14 +103,22 @@ INVALID = {
     "t_grid": [[], ["x"], 1.0]}
 
 
-def params(rnd):
-    """Some params, at most one of them out of range or of the wrong type;
-    always ``samples``, whose default of 10^5 would start large work."""
-    keys = ["samples"] + rnd.sample(sorted(VALID), rnd.randint(0, 4))
+def params(rnd, subcommand):
+    """Some of the params ``subcommand`` reads, at most one of them out of
+    range or of the wrong type, and at times one it does not read; for
+    fk-compare always ``samples``, whose default of 10^5 would start large
+    work."""
+    reads = sorted(cli.PARAMS[subcommand])
+    keys = rnd.sample(reads, rnd.randint(0, len(reads)))
+    if subcommand == "fk-compare":
+        keys.append("samples")
     out = {key: rnd.choice(VALID[key]) for key in keys}
-    if rnd.random() < 0.3:
-        key = rnd.choice(sorted(INVALID))
+    if reads and rnd.random() < 0.3:
+        key = rnd.choice(reads)
         out[key] = rnd.choice(INVALID[key])
+    if rnd.random() < 0.2:
+        key = rnd.choice(sorted(set(VALID) - set(reads)) + ["bogus"])
+        out[key] = rnd.choice(VALID.get(key, [1]))
     return out
 
 
@@ -118,10 +128,11 @@ def configs(draw):
     potential, and params; mutated as above, and at times one top-level
     value of the wrong type."""
     rnd = random.Random(draw(st.integers(0, 2**64 - 1)))
+    subcommand = rnd.choice(sorted(cli._COMMANDS))
     name = rnd.choice(sorted(PRESETS))
     labels = list(GRAPHS[name].labels)
     pairs = [[labels[i], labels[j]] for i, j in GRAPHS[name].edges.tolist()]
-    cfg = {"graph": {"preset": name}, "params": params(rnd),
+    cfg = {"graph": {"preset": name}, "params": params(rnd, subcommand),
            "seed": rnd.choice([1, 7])}
     rank = rnd.randint(1, 2)
     kind = rnd.choice(["none", "connection", "magnetic"])
@@ -140,7 +151,7 @@ def configs(draw):
         # never a string: a string output_dir would be written to
         key = rnd.choice(["params", "seed", "graph", "output_dir"])
         cfg[key] = rnd.choice([[1], 5, None, {"preset": 5}])
-    return cfg, rnd.choice(sorted(cli._COMMANDS))
+    return cfg, subcommand
 
 
 @SETTINGS
@@ -158,3 +169,11 @@ def test_mutated_configs_exit_cleanly(case):
     if status:
         record = json.loads(err.getvalue().strip().splitlines()[-1])
         assert set(record) == {"error", "kind"}
+    params = cfg.get("params")
+    stray = sorted(set(params) - set(cli.PARAMS[subcommand])
+                   if isinstance(params, dict) else ())
+    if stray and isinstance(cfg["output_dir"], str):
+        # a key the subcommand does not read is refused before any input
+        # is read, and named
+        assert status == 1
+        assert repr(stray[0]) in record["error"]

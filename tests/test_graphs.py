@@ -23,6 +23,8 @@ from graphfk.graphs import (
     has_triangle,
     is_connected,
     restrict,
+    triangles,
+    two_colouring,
 )
 
 from conftest import dense_weights, random_graph
@@ -157,6 +159,10 @@ class TestConnectivity:
             assert is_connected(g) == brute_force_connected(g)
 
 
+def _triangle_set(g):
+    return {frozenset(t) for t in triangles(g).tolist()}
+
+
 class TestTriangles:
     def test_examples(self):
         assert has_triangle(generate("cycle", n=3))
@@ -165,14 +171,69 @@ class TestTriangles:
         assert not has_triangle(generate("lattice_box", l=2, side=5))
         assert not has_triangle(generate("star", leaves=6))
         assert not has_triangle(build_graph([], vertices=["a", "b"]))
+        assert _triangle_set(generate("cycle", n=3)) == {frozenset(range(3))}
+        assert len(triangles(generate("complete", n=5))) == 10
+        assert len(triangles(generate("cycle", n=4))) == 0
+        assert len(triangles(generate("lattice_box", l=2, side=5))) == 0
+        assert len(triangles(generate("star", leaves=6))) == 0
+        assert triangles(build_graph([], vertices=["a", "b"])).shape == (0, 3)
 
     def test_against_brute_force(self, rng):
+        # each triangle once, as a row (u, v, w) whose three pairs are edges
         for _ in range(60):
             g = random_graph(rng, max_n=9, connected=False)
             B = dense_weights(g)
-            want = any(B[i, j] and B[j, k] and B[i, k]
-                       for i, j, k in itertools.combinations(range(g.n), 3))
-            assert has_triangle(g) == want
+            want = {frozenset(c) for c in itertools.combinations(range(g.n), 3)
+                    if B[c[0], c[1]] and B[c[1], c[2]] and B[c[0], c[2]]}
+            found = triangles(g)
+            assert len(found) == len(want)
+            assert _triangle_set(g) == want
+            assert has_triangle(g) == bool(want)
+
+
+class TestTwoColouring:
+    @staticmethod
+    def _proper(g, colour):
+        return colour is not None and all(
+            colour[i] != colour[j] for i, j in g.edges.tolist())
+
+    def test_even_cycle(self):
+        g = generate("cycle", n=6)
+        colour = two_colouring(g)
+        assert self._proper(g, colour)
+        assert colour.tolist() == [0, 1, 0, 1, 0, 1]
+
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_odd_cycle(self, n):
+        assert two_colouring(generate("cycle", n=n)) is None
+
+    def test_forest(self):
+        g = build_graph([("a", "b", 1.0), ("b", "c", 1.0), ("b", "d", 1.0),
+                         ("e", "f", 2.0)], vertices=list("abcdefg"))
+        assert self._proper(g, two_colouring(g))
+
+    def test_one_odd_component(self):
+        # a square, a lone vertex and a separate 5-cycle: the odd cycle in
+        # the last component decides
+        square = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")]
+        pentagon = [(f"p{i}", f"p{(i + 1) % 5}") for i in range(5)]
+        g = build_graph([(u, v, 1.0) for u, v in square + pentagon],
+                        vertices=["z"])
+        assert two_colouring(g) is None
+        h = build_graph([(u, v, 1.0) for u, v in square], vertices=["z"])
+        assert self._proper(h, two_colouring(h))
+
+    def test_against_odd_closed_walks(self, rng):
+        # a graph is bipartite iff it has no closed walk of odd length, that
+        # is iff tr A^k = 0 for every odd k up to n
+        for _ in range(60):
+            g = random_graph(rng, max_n=9, connected=False)
+            A = (dense_weights(g) > 0).astype(float)
+            odd = any(np.trace(np.linalg.matrix_power(A, k)) > 0
+                      for k in range(3, g.n + 1, 2))
+            colour = two_colouring(g)
+            assert (colour is None) == odd
+            assert colour is None or self._proper(g, colour)
 
 
 class TestGenerate:

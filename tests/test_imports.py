@@ -23,13 +23,15 @@ def test_package_imports_no_heavy_module():
 def test_subcommands_load_no_masked_arrays(tmp_path):
     # numpy.ma costs each run about 1.7 MiB of memory; np.unique, for one,
     # imports it on first use, so a run that reaches it would pay it
-    config = tmp_path / "c.json"
-    config.write_text(json.dumps({
-        "graph": {"preset": "weyl_path"}, "seed": 1,
-        "params": {"samples": 200, "hbar": 0.3},
-        "output_dir": str(tmp_path / "out")}))
+    # fk-compare's params; the other subcommands read none of them
+    for params, name in (({"samples": 200, "hbar": 0.3}, "fk.json"),
+                         ({}, "c.json")):
+        (tmp_path / name).write_text(json.dumps({
+            "graph": {"preset": "weyl_path"}, "seed": 1, "params": params,
+            "output_dir": str(tmp_path / "out")}))
     probe = ("import sys; from graphfk import cli; "
-             f"codes = [cli.run({str(config)!r}, s) "
+             f"codes = [cli.run({str(tmp_path)!r} + ('/fk.json' "
+             "if s == 'fk-compare' else '/c.json'), s) "
              "for s in sorted(cli._COMMANDS)]; "
              "print(codes, 'numpy.ma' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=str(SRC))

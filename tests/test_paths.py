@@ -894,3 +894,105 @@ class TestMagneticPartitionEstimate:
                                     seed=71)
         assert exact == pytest.approx(1 + math.exp(-2), abs=1e-12)
         assert abs(report.estimate - exact) <= 3 * report.stderr
+
+
+def _mode_inputs(g, mode, rng):
+    """(connection, potential) of a random problem in ``mode``."""
+    if mode == "covariant":
+        return random_connection(g, 2, rng), random_potential(g, 2, rng)
+    w = rng.uniform(-1.0, 1.0, g.n)
+    if mode == "magnetic":
+        return connection_from_magnetic(rng.uniform(-3, 3, len(g.edges))), w
+    return None, w
+
+
+GRAPHS = {"lattice": ("lattice_box", dict(l=2, side=3)),
+          "even cycle": ("cycle", dict(n=6)),
+          "path": ("path", dict(n=5)),
+          "odd cycle": ("cycle", dict(n=5)),
+          "complete": ("complete", dict(n=4))}
+
+
+def _graph(name):
+    family, params = GRAPHS[name]
+    return generate(family, **params)
+
+
+class TestExactStrata:
+    """Z_3 and Z_4 are exact: the walk is forced to K = 6 jumps on a
+    bipartite graph and to 5 on any other, unless the closed 4-walks
+    exceed ``paths.WALK_BUDGET``."""
+
+    @pytest.mark.parametrize("name, forced, strata", [
+        ("lattice", 6, (0, 2, 4)), ("even cycle", 6, (0, 2, 4)),
+        ("path", 6, (0, 2, 4)), ("odd cycle", 5, (0, 2, 4)),
+        ("complete", 5, (0, 2, 3, 4))])
+    def test_forced_jumps(self, rng, name, forced, strata):
+        g = _graph(name)
+        rep = estimate_partition(g, None, rng.uniform(-1, 1, g.n), 1.0, 0.5,
+                                 50, seed=90)
+        assert (rep.forced, rep.strata) == (forced, strata)
+
+    @pytest.mark.parametrize("name, walks, fallback", [
+        ("even cycle", 6 * 6, 4), ("complete", 84, 3)])
+    def test_walk_budget_keeps_the_old_forcing(self, rng, monkeypatch, name,
+                                               walks, fallback):
+        # the 6-cycle has tr A^4 = 36 closed 4-walks and K_4 has 84: one
+        # over the budget keeps Z_0 + Z_2 and K = 4, or 3 with triangles
+        g = _graph(name)
+        w = rng.uniform(-1, 1, g.n)
+        args = (g, None, w, 1.0, 0.5, 4000)
+        monkeypatch.setattr(paths, "WALK_BUDGET", walks)
+        assert estimate_partition(*args, seed=91).strata[-1] == 4
+        monkeypatch.setattr(paths, "WALK_BUDGET", walks - 1)
+        rep = estimate_partition(*args, seed=91)
+        assert (rep.forced, rep.strata) == (fallback, (0, 2))
+        exact = semiclassical_trace(g, None, w, 1.0, 0.5)
+        assert abs(rep.estimate - exact) <= 5 * rep.stderr
+
+    def test_over_the_budget_no_triangle_is_listed(self, monkeypatch):
+        # a dense graph has far more triangles than the budget allows
+        # walks: above it the estimator asks only whether one exists
+        def no_listing(g):
+            raise AssertionError("triangles listed")
+
+        monkeypatch.setattr(paths, "WALK_BUDGET", 0)
+        monkeypatch.setattr(paths, "triangles", no_listing)
+        g = generate("complete", n=8)
+        rep = estimate_partition(g, None, np.zeros(g.n), 1.0, 0.5, 50,
+                                 seed=95)
+        assert (rep.forced, rep.strata) == (3, (0, 2))
+
+    @pytest.mark.parametrize("mode", ["scalar", "magnetic", "covariant"])
+    @pytest.mark.parametrize("name", ["lattice", "odd cycle", "complete"])
+    def test_matches_exact_trace(self, rng, mode, name):
+        # at t = 1.5 the strata from 5 or 6 jumps on hold a few per cent
+        # of the trace
+        g = _graph(name)
+        c, V = _mode_inputs(g, mode, rng)
+        exact = semiclassical_trace(g, c, V, 1.0, 1.5)
+        rep = estimate_partition(g, c, V, 1.0, 1.5, 4000, seed=92)
+        assert rep.stderr > 0
+        assert abs(rep.estimate - exact) <= 5 * rep.stderr
+        assert abs(rep.imag_estimate) <= 5 * max(rep.imag_stderr, 1e-15)
+
+    @pytest.mark.parametrize("mode", ["scalar", "magnetic", "covariant"])
+    @pytest.mark.parametrize("name", ["lattice", "complete"])
+    def test_worker_count_invariance(self, rng, mode, name):
+        # 300 paths per vertex in pieces of 256 straddle the vertices
+        g = _graph(name)
+        c, V = _mode_inputs(g, mode, rng)
+        reports = [estimate_partition(g, c, V, 1.0, 0.7, 300, seed=93,
+                                      chunk=256, workers=w)
+                   for w in (1, 2, 4)]
+        assert reports[0] == reports[1] == reports[2]
+
+    def test_forced_jumps_of_the_table(self):
+        # a table built with forced = 6 forces six jumps on every path
+        g = generate("cycle", n=4)
+        tbl = _JumpTable(resolve(g), forced=6)
+        assert tbl.forced == 6 and _JumpTable(resolve(g)).forced == 4
+        _terminal, _S, N = _path_chunk(tbl, np.zeros(500, dtype=np.int64),
+                                       0.05, path_stream(94, 0, 0),
+                                       loops=True)
+        assert N.min() == 6

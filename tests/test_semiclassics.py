@@ -21,6 +21,7 @@ from graphfk.semiclassics import (
     SweepConfig,
     _psi_chi,
     _series,
+    _divided_exp,
     _two_jump_integral,
     classical_partition,
     exhaustion_sweep,
@@ -28,6 +29,8 @@ from graphfk.semiclassics import (
     sandwich_bounds,
     semiclassical_trace,
     sweep,
+    four_jump_terms,
+    three_jump_terms,
     two_jump_terms,
 )
 from graphfk.spectral import eigendecompose, eigenvalues, partition_function
@@ -401,6 +404,123 @@ class TestTwoJumpTerm:
             z2 = two_jump_terms(resolve(g, None, w), beta * hbar, hbar).sum()
             assert lower + z2 <= trace * (1 + 1e-13)
             sweep(SweepConfig(g, beta, (hbar,), Potential.scalar(w)))
+
+
+def _opitz_expm(z):
+    """Entry (0, k) of scipy's expm of the Opitz matrix diag(z) + N."""
+    k = len(z) - 1
+    return expm(np.diag(z) + np.diag(np.ones(k), 1))[0, k]
+
+
+class TestDividedExp:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("spread", [0.0, 1e-9, 0.3, 1.0, 5.0, 30.0,
+                                        100.0, 700.0])
+    def test_against_expm_of_the_opitz_matrix(self, rng, k, spread):
+        # random nodes over [-spread, 0] shifted by up to 3, the first
+        # repeated last as a closed walk repeats its start, and in every
+        # fourth column all nodes equal
+        z = -spread * rng.uniform(0, 1, (k + 1, 64)) - rng.uniform(0, 3, 64)
+        z[k] = z[0]
+        z[:, ::4] = z[0, ::4]
+        got = _divided_exp(z)
+        assert np.all(np.isfinite(got)) and np.all(got > 0)
+        want = np.array([_opitz_expm(col) for col in z.T])
+        assert np.abs(got / want - 1).max() <= 1e-12
+
+    def test_equal_and_two_nodes_in_closed_form(self):
+        # e[z, ..., z] = e^z / k!, and e[x, y] = (e^x - e^y) / (x - y)
+        z = np.linspace(-40.0, 3.0, 44)
+        for k in range(1, 5):
+            got = _divided_exp(np.tile(z, (k + 1, 1)))
+            assert np.abs(got / (np.exp(z) / math.factorial(k)) - 1).max() \
+                <= 1e-14
+        x, y = np.array([-1.0, -700.0, 2.0]), np.array([-2.0, 0.0, 2.5])
+        want = np.expm1(x - y) * np.exp(y) / (x - y)
+        alone = [_divided_exp(np.array([[a], [b]]))[0] for a, b in zip(x, y)]
+        err = np.abs(np.array(alone) / want - 1)
+        # each squaring doubles the relative rounding of the Taylor sum:
+        # the spread of 700 takes 11 of them
+        assert err[[0, 2]].max() <= 1e-15 and err[1] <= 1e-12
+        # in one batch every column takes the squarings of the widest
+        assert np.abs(_divided_exp(np.stack([x, y])) / want - 1).max() \
+            <= 1e-12
+
+
+def _dyson_block(g, c, V, t, k):
+    """Per vertex, the k-jump Dyson term of tr e^{-tH}: the diagonal of
+    block (0, k) of the exponential of the block-bidiagonal matrix with
+    -tD on the diagonal and tK above it, H = D - K (Van Loan, IEEE TAC
+    23 (1978) 395), by scipy's expm."""
+    H = assemble(g, c, V).matrix
+    nu, N = V.rank, H.shape[0]
+    D = np.zeros_like(H)
+    for x in range(g.n):
+        blk = slice(x * nu, (x + 1) * nu)
+        D[blk, blk] = H[blk, blk]
+    big = np.zeros(((k + 1) * N, (k + 1) * N), dtype=H.dtype)
+    for i in range(k + 1):
+        big[i * N:(i + 1) * N, i * N:(i + 1) * N] = -t * D
+        if i < k:
+            big[i * N:(i + 1) * N, (i + 1) * N:(i + 2) * N] = t * (D - H)
+    diag = np.diagonal(expm(big)[:N, k * N:]).reshape(g.n, nu).sum(axis=1)
+    assert np.abs(diag.imag).max() <= 1e-12 * np.abs(diag).max()
+    return diag.real
+
+
+def _weighted(g, rng):
+    """g with weights in [0.2, 2] and measures in [0.3, 2]."""
+    return build_graph([(g.labels[i], g.labels[j], float(rng.uniform(0.2, 2)))
+                        for i, j in g.edges.tolist()],
+                       measure=[(lab, float(rng.uniform(0.3, 2.0)))
+                                for lab in g.labels])
+
+
+class TestHigherStrata:
+    @pytest.mark.parametrize("mode, nu", [("scalar", 1), ("magnetic", 1),
+                                          ("covariant", 2),
+                                          ("covariant", 3)])
+    @pytest.mark.parametrize("graph", [("complete", dict(n=5)),
+                                       ("cycle", dict(n=5)),
+                                       ("lattice_box", dict(l=2, side=3)),
+                                       ("random", {})])
+    def test_match_block_bidiagonal_expm(self, rng, graph, mode, nu):
+        # Z_3 and Z_4 per vertex, on graphs with triangles (K_5, most
+        # random graphs) and without, with random weights and measures
+        if graph[0] == "random":
+            g = random_graph(rng, max_n=9)
+        else:
+            g = _weighted(generate(graph[0], **graph[1]), rng)
+        c = None if mode == "scalar" else random_connection(g, nu, rng)
+        V = random_potential(g, nu, rng)
+        if nu == 1:
+            V = Potential.scalar(V.values[:, 0, 0].real)
+        t, hbar = 0.8, 0.5
+        problem = resolve(g, c, V)
+        assert problem.mode == mode
+        for k, terms in ((3, three_jump_terms), (4, four_jump_terms)):
+            got = terms(problem, t, hbar)
+            want = _dyson_block(g, c, V.scaled(hbar), t, k)
+            scale = max(np.abs(want).max(), 1e-300)
+            assert np.abs(got - want).max() <= 1e-12 * scale, k
+
+    def test_lattice_of_64_vertices(self, rng):
+        # n = 64 at rank 1, with a wide spread of potential values
+        g = generate("lattice_box", l=2, side=8)
+        w = rng.uniform(-2.0, 30.0, g.n)
+        problem = resolve(g, None, w)
+        got = four_jump_terms(problem, 1.0, 0.5)
+        want = _dyson_block(g, None, Potential.scalar(w / 0.5), 1.0, 4)
+        assert np.abs(got / want - 1).max() <= 1e-12
+        assert not three_jump_terms(problem, 1.0, 0.5).any()
+
+    def test_budget_counts_closed_walks(self):
+        # the 4-cycle has tr A^4 = 32 closed 4-walks: at rank 2, 512 index
+        # sequences
+        problem = resolve(generate("cycle", n=4), None,
+                          Potential(2, np.zeros((4, 2, 2))))
+        assert four_jump_terms(problem, 1.0, budget=511) is None
+        assert four_jump_terms(problem, 1.0, budget=512) is not None
 
 
 @pytest.mark.parametrize("call", [

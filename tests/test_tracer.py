@@ -25,18 +25,21 @@ def test_spans_recorded_and_targets_restored(tmp_path):
     tracer_mod = load_tracer()
     originals = [(module, attr, getattr(module, attr))
                  for module, attr, _name in tracer_mod.TARGETS]
-    cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({
-        "graph": {"preset": "four_cycle"},
-        "params": {"hbar_schedule": [1e-1, 1e-2], "samples": 1000},
-        "seed": 1,
-        "output_dir": str(tmp_path / "out"),
-    }))
+    cfg = {}
+    for subcommand, params in (("sweep", {"hbar_schedule": [1e-1, 1e-2]}),
+                               ("fk-compare", {"samples": 1000})):
+        cfg[subcommand] = tmp_path / f"{subcommand}.json"
+        cfg[subcommand].write_text(json.dumps({
+            "graph": {"preset": "four_cycle"},
+            "params": params,
+            "seed": 1,
+            "output_dir": str(tmp_path / "out"),
+        }))
     tracer = tracer_mod.Tracer()
     tracer.install()
     try:
-        assert run(str(cfg), "sweep") == 0
-        assert run(str(cfg), "fk-compare") == 0
+        assert run(str(cfg["sweep"]), "sweep") == 0
+        assert run(str(cfg["fk-compare"]), "fk-compare") == 0
     finally:
         tracer.uninstall()
     names = {span["name"] for span in tracer.spans}
