@@ -150,13 +150,11 @@ class _JumpTable:
     without a jump, a path gains e^{-r stay[x]} in the eigenbasis.
 
     ``forced`` is the number of jumps the trace estimator forces, and the
-    first it scores.  By default it is the first stratum above Z_2 that
-    the graph does not make 0: 4 when the graph has no triangle, where no
-    path returns to its start in three jumps, and 3 otherwise.
-    ``estimate_partition`` passes 5 or 6 when it adds Z_3 and Z_4 exactly.
+    first it scores: K of ``_exact_strata``.  ``simulate_scalar_paths``
+    walks unforced and passes 0.
     """
 
-    def __init__(self, problem: Problem, hbar: float = 1.0, forced=None):
+    def __init__(self, problem: Problem, hbar: float = 1.0, *, forced: int):
         g, nu = problem.graph, problem.rank
         self.rank = nu
         deg = degrees(g)
@@ -186,8 +184,6 @@ class _JumpTable:
         self.PW = np.concatenate([PW, np.zeros((nu, nu, 1), PW.dtype)], axis=2)
         self.stay = self.lam + self.rates[:, None]
         self.dtype = self.W.dtype
-        if forced is None:
-            forced = 3 if has_triangle(g) else 4
         self.forced = forced
 
 
@@ -365,7 +361,7 @@ def simulate_scalar_paths(g: WeightedGraph, start: int, t: float,
     if samples < 1:
         raise BadParams("need at least 1 sample")
     _check_workers(workers)
-    tbl = _JumpTable(resolve(g, None, v))
+    tbl = _JumpTable(resolve(g, None, v), forced=0)
     jobs = _chunk_sizes(samples, chunk)
 
     def run(job):
@@ -542,7 +538,7 @@ def estimate_partition(g: WeightedGraph, c: Connection, V, beta: float,
     problem = resolve(g, c, V)
     t = beta * hbar
     higher, forced, strata = _exact_strata(problem, t, hbar)
-    tbl = _JumpTable(problem, hbar, forced)
+    tbl = _JumpTable(problem, hbar, forced=forced)
     exact = (np.exp(-tbl.rates * t) * np.exp(-t * tbl.lam).sum(axis=1)
              + two_jump_terms(problem, t, hbar) + higher)
     live = np.flatnonzero(tbl.rates * t > 0.0)  # p_0 < 1

@@ -20,8 +20,9 @@ Z_0 + Z_2 <= trace is a sharper lower bound, and the sweep asserts it.
 exactly: each closed walk of k jumps contributes its hops times t^k
 times a divided difference of exp over the k + 1 values deg_m + lam it
 holds at (Hermite-Genocchi), and ``_divided_exp`` takes those, batched,
-from the exponential of the bidiagonal Opitz matrix by scaling and
-squaring.  The Monte Carlo trace estimator adds them; the sweep does
+from the exponential of the bidiagonal Opitz matrix: by its series
+where the values spread little, by scaling and squaring where they
+spread widely.  The Monte Carlo trace estimator adds them; the sweep does
 not, and its check stays Z_0 + Z_2 <= trace.
 """
 
@@ -260,8 +261,13 @@ def two_jump_terms(problem: Problem, t: float, hbar: float = 1.0):
     return np.bincount(x, weights=arcs, minlength=g.n)
 
 
+# The node spread up to which ``_divided_exp`` sums the series about the
+# smallest node, in a number of terms that grows as the spread (72 at
+# 16); a wider batch scales and squares, at a cost that grows as its
+# logarithm.  At 16 the two cost about the same
+_DD_SERIES = 16.0
 # The Taylor terms beyond the order k, and the size to which
-# ``_divided_exp`` scales the nodes before it sums them: each entry's tail
+# ``_dd_squared`` scales the nodes before it sums them: each entry's tail
 # is then below (1/4)^12 / 12! = 1.3e-16 of it
 _DD_TERMS, _DD_NORM = 11, 0.25
 # Divided differences per piece of the strata: pieces bound the memory of
@@ -276,25 +282,74 @@ def _divided_exp(z):
     It is entry (0, k) of the exponential of the Opitz matrix Z = diag(z)
     + N, N the ones above the diagonal (Opitz, ZAMM 44 (1964); McCurdy,
     Ng & Parlett, Math. Comp. 43 (1984) 501).  Entry (i, j) of e^Z is
-    e[z_i, ..., z_j] > 0, by Hermite-Genocchi, so the upper triangle of
-    every power and product below is nonnegative.  Each column is shifted
-    by the midpoint mu of its nodes, e^Z = e^mu e^{Z - mu}, and the nodes
-    are scaled by 2^-s until they are at most ``_DD_NORM`` in size.  The
-    Taylor series of e^B, B = 2^-s (Z - mu), is summed by Horner's rule;
-    every entry's terms are bounded by those of e^{|b|}, so they cancel
-    at most by a factor e^{2 |b|}.  s squarings then bring e^B back to
-    e^{Z - mu}, adding only products of nonnegative numbers, so nothing
-    cancels there (the last forms entry (0, k) alone); each doubles the
-    relative rounding, which ends near 2^s eps, about spread * eps.  One
-    s serves the whole batch: that of its widest column.  The upper
-    triangle is kept entry-major, its diagonals one after the other,
-    flat, shape ((k+1)(k+2)/2, B), so every operation runs over the
-    batch.
+    e[z_i, ..., z_j] > 0, by Hermite-Genocchi.  A batch whose nodes
+    spread over at most ``_DD_SERIES`` shifts each column by its smallest
+    node, e^Z = e^bottom e^{Z - bottom}, and sums the series of entry (0,
+    k) alone (``_dd_series``), at most e^16.  A wider one shifts each
+    column by its largest node top and scales and squares the whole
+    triangle (``_dd_squared``): the nodes of Z - top are at most 0, so no
+    entry of e^{u (Z - top)}, u >= 0, exceeds 1, and none overflows,
+    whatever the spread.
+    """
+    top, bottom = z.max(axis=0), z.min(axis=0)
+    spread = float((top - bottom).max(initial=0.0))
+    if spread <= _DD_SERIES:
+        return np.exp(bottom) * _dd_series(z - bottom, spread)
+    return np.exp(top) * _dd_squared(z, top, bottom, spread)
+
+
+def _dd_series(b, spread):
+    """e[b_0, ..., b_k] per column for nodes b in [0, spread], as the
+    series sum_m (e_0^T B^m e_k) / m!, B = diag(b) + N.
+
+    Row 0 of B^m takes row 0 of B^{m-1} times B, 2k + 1 operations per
+    column, and its entry k is h_{m-k}(b_0, ..., b_k), the complete
+    homogeneous polynomial, at most C(m, k) spread^{m-k}.  Every term is
+    nonnegative, so nothing cancels and the rounding stays near m eps;
+    term j = m - k is below spread^j / j! of the value, which is at least
+    1/k!, and the sum stops once that falls below 2^-56.
+    """
+    k = b.shape[0] - 1
+    last, term = k, 1.0
+    while term >= 2.0 ** -56:
+        last += 1
+        term *= spread / (last - k)
+    row = np.zeros_like(b)
+    row[0] = 1.0
+    tmp = np.empty_like(b)
+    out = np.zeros(b.shape[1])
+    f = 1.0
+    for m in range(1, last):
+        f /= m
+        np.multiply(b, row, out=tmp)
+        tmp[1:] += row[:-1]
+        row, tmp = tmp, row
+        if m >= k:
+            out += f * row[k]
+    return out
+
+
+def _dd_squared(z, top, bottom, spread):
+    """e^{-top} e[z_0, ..., z_k] per column, by scaling and squaring the
+    Opitz matrix Z.
+
+    With mu the midpoint of the nodes, the Taylor series of e^B, B = 2^-s
+    (Z - mu), is summed by Horner's rule, s the least with the nodes of B
+    at most ``_DD_NORM`` in size; every entry's terms are bounded by
+    those of e^{|b|}, so they cancel at most by a factor e^{2 |b|}.
+    Times e^{-2^-s (top - mu)}, e^B becomes e^{2^-s (Z - top)}, and s
+    squarings bring that back to e^{Z - top}.  The upper triangle of
+    every power is nonnegative, so they add only products of nonnegative
+    numbers and nothing cancels there (the last forms entry (0, k)
+    alone); each doubles the relative rounding, which ends near 2^s eps,
+    below 4 spread eps.  One s serves the whole batch: that of its widest
+    column.  The upper triangle is kept entry-major, its diagonals one
+    after the other, flat, shape ((k+1)(k+2)/2, B), so every operation
+    runs over the batch.
     """
     n = z.shape[0]
-    top, bottom = z.max(axis=0), z.min(axis=0)
     mid = 0.5 * (top + bottom)
-    half = float((top - mid).max(initial=0.0))
+    half = 0.5 * spread
     s = math.ceil(math.log2(half / _DD_NORM)) if half > _DD_NORM else 0
     b = (z - mid) * 2.0 ** -s
     # diagonal l of the triangle holds the entries (i, i + l), i < n - l
@@ -314,8 +369,9 @@ def _divided_exp(z):
             tmp[diag[l]] += X[off[l - 1] + 1:off[l]]
         tmp[:n] += c
         X, tmp = tmp, X
-    # e^B = D e^{B1} D^-1, D = diag(2^-s i): diagonal l scales by 2^-s l
-    X *= 1.0 / c
+    # e^B = D e^{B1} D^-1, D = diag(2^-s i): diagonal l scales by 2^-s l;
+    # the shift from mid to top scales it all
+    X *= np.exp((mid - top) * 2.0 ** -s) / c
     for l in range(1, n):
         X[diag[l]] *= 2.0 ** (-s * l)
     for _ in range(s - 1):
@@ -331,8 +387,8 @@ def _divided_exp(z):
         corner = X[off[n - 1]] * X[0]
         for j in range(1, n):
             corner += X[off[j]] * X[off[n - 1 - j] + j]
-        return np.exp(mid) * corner
-    return np.exp(mid) * X[-1]
+        return corner
+    return X[-1]
 
 
 def _walk_terms(arcs, seq, factors, src, t):

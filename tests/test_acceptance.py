@@ -227,7 +227,7 @@ def test_criterion_8_diamagnetic_and_norm_bound():
         V = random_potential(g, nu, rng)
         start = np.arange(per_graph) % g.n
         cov, floor = (
-            _path_chunk(_JumpTable(problem), start, t,
+            _path_chunk(_JumpTable(problem, forced=3), start, t,
                         path_stream(8100, 0, i), loops=True)
             for problem in (resolve(g, c, V),
                             resolve(g, None, spectral_floor(V))))

@@ -257,6 +257,17 @@ class TestFkCompare:
         assert run(cfg4, "fk-compare") == 0
         assert (tmp_path / "out" / "fk_compare.csv").read_bytes() == one
 
+    def test_wide_potential_spread_stays_finite(self, tmp_path):
+        # beta dV = 1500: the divided differences of the closed walks span
+        # more than exp's range, and each must still come out finite
+        cfg = self._config(
+            tmp_path, potential={"inline": [["a", 0.0], ["b", 1500.0]]},
+            params={"beta": 1.0, "hbar": 1.0, "samples": 2000})
+        assert run(cfg, "fk-compare") == 0
+        _header, rows = csv_rows(tmp_path / "out" / "fk_compare.csv")
+        values = [float(v) for row in rows for v in row.split(",")[1:4]]
+        assert len(values) == 9 and np.all(np.isfinite(values))
+
     def _exact_total(self, tmp_path, cfg):
         assert run(write_config(tmp_path, "c.json", cfg), "fk-compare") == 0
         _header, rows = csv_rows(tmp_path / "out" / "fk_compare.csv")

@@ -428,6 +428,38 @@ class TestDividedExp:
         want = np.array([_opitz_expm(col) for col in z.T])
         assert np.abs(got / want - 1).max() <= 1e-12
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("spread", [1500.0, 5000.0])
+    def test_wide_spreads_stay_finite(self, rng, k, spread):
+        # past a spread of 1420 e^{(Z - mu)} overflows for any shift mu
+        # but the largest node; the largest node of each column is in
+        # [-3, 0], so the value does not underflow.  The rounding grows as
+        # 2^s eps, s the squarings, below 4 spread eps
+        z = -spread * rng.uniform(0, 1, (k + 1, 64))
+        z[k] = z[0]
+        z[:, ::4] = z[0, ::4]
+        z[:, 1] = 0.0
+        z[1:k, 1] = -spread
+        z -= z.max(axis=0) + rng.uniform(0, 3, 64)
+        got = _divided_exp(z)
+        assert np.all(np.isfinite(got)) and np.all(got > 0)
+        want = np.array([_opitz_expm(col) for col in z.T])
+        assert np.abs(got / want - 1).max() <= 2e-15 * spread
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    @pytest.mark.parametrize("factor", [1 - 1e-9, 1 + 1e-9])
+    def test_either_side_of_the_series_limit(self, rng, k, factor):
+        # up to a spread of _DD_SERIES the series about the smallest node,
+        # beyond it scaling and squaring; each column spans the spread
+        spread = semiclassics._DD_SERIES * factor
+        z = -spread * rng.uniform(0, 1, (k + 1, 64))
+        z[k] = z[0]
+        z[0], z[1] = 0.0, -spread
+        z -= rng.uniform(0, 3, 64)
+        got = _divided_exp(z)
+        want = np.array([_opitz_expm(col) for col in z.T])
+        assert np.abs(got / want - 1).max() <= 1e-12
+
     def test_equal_and_two_nodes_in_closed_form(self):
         # e[z, ..., z] = e^z / k!, and e[x, y] = (e^x - e^y) / (x - y)
         z = np.linspace(-40.0, 3.0, 44)
@@ -513,6 +545,23 @@ class TestHigherStrata:
         want = _dyson_block(g, None, Potential.scalar(w / 0.5), 1.0, 4)
         assert np.abs(got / want - 1).max() <= 1e-12
         assert not three_jump_terms(problem, 1.0, 0.5).any()
+
+    @pytest.mark.parametrize("graph", [("complete", dict(n=5)),
+                                       ("lattice_box", dict(l=2, side=3))])
+    def test_wide_potential_spread(self, rng, graph):
+        # t dV = 1600 between neighbors: the divided differences of each
+        # walk span a spread above 1420, where a shift by anything but the
+        # largest node overflows
+        g = _weighted(generate(graph[0], **graph[1]), rng)
+        w = rng.uniform(0.0, 3.0, g.n)
+        w[::2] += 1600.0
+        problem = resolve(g, None, w)
+        for k, terms in ((3, three_jump_terms), (4, four_jump_terms)):
+            got = terms(problem, 1.0)
+            want = _dyson_block(g, None, Potential.scalar(w), 1.0, k)
+            assert np.all(np.isfinite(got))
+            scale = max(np.abs(want).max(), 1e-300)
+            assert np.abs(got - want).max() <= 1e-12 * scale, k
 
     def test_budget_counts_closed_walks(self):
         # the 4-cycle has tr A^4 = 32 closed 4-walks: at rank 2, 512 index
