@@ -351,9 +351,8 @@ def _cmd_fk_compare(cfg, outdir):
     detail = f"|z| = {abs(z_total):.3f}"
     strata = {} if rep.strata is None else {
         "forced_jumps": rep.forced,
-        "exact_strata": " ".join(f"Z{k}" for k in rep.strata) + (
-            "" if 4 in rep.strata else " (Z3 and Z4 not computed: the "
-            "closed 4-walks exceed paths.WALK_BUDGET)")}
+        "exact_strata": " ".join(f"Z{k}" for k in rep.strata),
+        "forced_reason": rep.forced_reason}
     if rep.stderr == 0:
         detail += " (stderr is 0)"
     return {

@@ -29,22 +29,28 @@ Partition traces are estimated per start vertex x from the Dyson
 strata Z_k(x), the weight of the paths from x that end at x with exactly
 k jumps, as
 
-    Z_x = Z_0 + Z_2 + Z_3 + Z_4 + E^x[S],   E^x[S] = sum_{k >= K} Z_k(x).
+    Z_x = Z_0 + Z_2 + Z_3 + Z_4 (+ Z_6) + E^x[S],
+    E^x[S] = sum_{k >= K} Z_k(x).
 
 Z_0 = p_0 tr e^{-t V(x)/hbar}, with p_0 = e^{-deg_m(x) t} the
 probability of no jump, is the paper's semiclassical leading term; Z_2
-is ``semiclassics.two_jump_terms``, in closed form, and Z_3 and Z_4 are
-``semiclassics.three_jump_terms`` and ``four_jump_terms``, sums over the
-closed 3- and 4-walks of divided differences of exp; all are exact.  Z_1
-= 0, the graph having no self-loops, Z_3 = 0 when it has no triangle,
-and every odd stratum is 0 on a bipartite graph.  So the paths are drawn
-with their first K jumps forced, K = 6 on a bipartite graph and 5 on any
-other: each of the first K holding times is drawn given that it ends
-before the horizon, and the path carries the probability g of those
-events (the forced transitions of Lewis & Boehm, Nucl. Eng. Des. 77
-(1984) 49).  Where the closed 4-walks, times nu^4, exceed
-``WALK_BUDGET``, Z_3 and Z_4 are left to the paths, and K is 4 on a
-graph without triangles and 3 otherwise.  A path is not scored by
+is ``semiclassics.two_jump_terms``, in closed form, and Z_3, Z_4 and Z_6
+are ``semiclassics.three_jump_terms``, ``four_jump_terms`` and
+``six_jump_terms``, sums over the closed 3-, 4- and 6-walks of divided
+differences of exp; all are exact.  Z_1 = 0, the graph having no
+self-loops, Z_3 = 0 when it has no triangle, and every odd stratum is 0
+on a bipartite graph.  So the paths are drawn with their first K jumps
+forced, K = 6 on a bipartite graph and 5 on any other: each of the first
+K holding times is drawn given that it ends before the horizon, and the
+path carries the probability g of those events (the forced transitions
+of Lewis & Boehm, Nucl. Eng. Des. 77 (1984) 49).  On a bipartite graph
+with s = t max deg_m >= ``SIX_JUMPS_FROM`` (1), Z_6 is exact as well
+and K = 8; at smaller s the tail beyond six jumps is too small a share
+of the trace to be worth it.  Where the closed 4-walks, times nu^4,
+exceed ``WALK_BUDGET``, Z_3 and Z_4 are left to the paths, and K is 4 on
+a graph without triangles and 3 otherwise; where the closed 6-walks,
+times nu^6, exceed it, Z_6 is left to them and K stays 6.
+``_exact_strata`` picks K and says why.  A path is not scored by
 whether it happens to end at x.  Each of its jumps k >= K from a
 neighbor y of x scores, in S, the weight of the return it could have
 made: the probability p(y -> x) of jumping to x times the probability
@@ -84,8 +90,8 @@ from .errors import BadParams, UnknownIndex
 from .graphs import (WeightedGraph, degrees, has_triangle, triangles,
                      two_colouring)
 from .operators import Problem, resolve
-from .semiclassics import (_eigenbasis, four_jump_terms, three_jump_terms,
-                           two_jump_terms)
+from .semiclassics import (_eigenbasis, four_jump_terms, six_jump_terms,
+                           three_jump_terms, two_jump_terms)
 
 CHUNK_SIZE = 8192
 # Upper bound on ``workers``: each worker is an OS thread, and past a few
@@ -95,8 +101,17 @@ MAX_WORKERS = 64
 # Closed 4-walks, times nu^4 index sequences, above which
 # ``estimate_partition`` does not compute Z_3 and Z_4 and forces the
 # jumps it forced without them: at 0.5-0.8 us each on a 2-core machine,
-# 2^21 of them take about a second
+# 2^21 of them take about a second.  The closed 6-walks, times nu^6, meet
+# the same budget before Z_6 is computed; at n = 1024 a weighed pair of
+# 6-walks takes about 0.5 us, so 2^21 walks, about a million pairs, take
+# about half a second
 WALK_BUDGET = 2**21
+# s = t max deg_m from which a bipartite graph takes Z_6 exactly and
+# forces 8 jumps.  Below it, the tail beyond six jumps is a vanishing
+# share of the trace (2.6e-16 of about 77 at s = 0.04): its stderr
+# would fall below the rounding of an exact trace, and an eight-jump
+# estimate would be checked against that rounding
+SIX_JUMPS_FROM = 1.0
 
 _MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
@@ -124,6 +139,7 @@ class EstimatorReport:
     per_vertex: tuple = None
     forced: int = None  # the jumps every path was forced to make
     strata: tuple = None  # the orders k of the strata Z_k added exactly
+    forced_reason: str = None  # why ``forced`` is what it is
 
 
 class _JumpTable:
@@ -475,23 +491,47 @@ def estimate_heat_kernel(g: WeightedGraph, x: int, y: int, t: float,
 
 
 def _exact_strata(problem: Problem, t: float, hbar: float):
-    """(Z_3 + Z_4 per vertex, K, the orders of the exact strata).
+    """(Z_3 + Z_4 + Z_6 per vertex, K, the orders of the exact strata,
+    the reason for K).
 
     Z_3 and Z_4 are exact unless the closed 4-walks, times nu^4, exceed
     ``WALK_BUDGET``; then the strata are Z_0 and Z_2, and K is 3 on a
     graph with triangles and 4 without.  Otherwise K is the first order
-    above 4 whose stratum the graph does not make 0: 6 on a bipartite
-    graph, which has no closed walk of odd length, and 5 on any other.
+    above 4 whose stratum the graph does not make 0: 5 on a graph that is
+    not bipartite, and 6 on a bipartite one, which has no closed walk of
+    odd length.  On a bipartite graph with s = t max deg_m at least
+    ``SIX_JUMPS_FROM``, Z_6 is exact too and K is 8, unless the closed
+    6-walks, times nu^6, exceed the budget.
     """
     g = problem.graph
     z4 = four_jump_terms(problem, t, hbar, budget=WALK_BUDGET)
     if z4 is None:
-        return 0.0, 3 if has_triangle(g) else 4, (0, 2)
+        over = "Z3 and Z4 not computed: the closed 4-walks exceed " \
+               "paths.WALK_BUDGET"
+        if has_triangle(g):
+            return 0.0, 3, (0, 2), over
+        return 0.0, 4, (0, 2), over + "; no triangle, so Z3 = 0"
     # within the budget, 6 T = tr A^3 <= sqrt(2E tr A^4) is too
     tri = triangles(g)
+    odd_walks = "not bipartite, so Z5 is not 0"
     if len(tri):
-        return z4 + three_jump_terms(problem, t, hbar, tri), 5, (0, 2, 3, 4)
-    return z4, 6 if two_colouring(g) is not None else 5, (0, 2, 4)
+        return (z4 + three_jump_terms(problem, t, hbar, tri), 5,
+                (0, 2, 3, 4), odd_walks)
+    if two_colouring(g) is None:
+        return z4, 5, (0, 2, 4), odd_walks
+    s = t * float(degrees(g).deg_m.max())
+    if s < SIX_JUMPS_FROM:
+        return z4, 6, (0, 2, 4), (f"bipartite, so Z5 = 0; Z6 not computed: "
+                                  f"t max deg_m = {s:.6g} < "
+                                  f"{SIX_JUMPS_FROM:g}")
+    z6 = six_jump_terms(problem, t, hbar, budget=WALK_BUDGET)
+    if z6 is None:
+        return z4, 6, (0, 2, 4), ("bipartite, so Z5 = 0; Z6 not computed: "
+                                  "the closed 6-walks exceed "
+                                  "paths.WALK_BUDGET")
+    return z4 + z6, 8, (0, 2, 4, 6), (f"bipartite, so Z5 = Z7 = 0; Z6 "
+                                      f"computed: t max deg_m = {s:.6g} "
+                                      f">= {SIX_JUMPS_FROM:g}")
 
 
 def estimate_partition(g: WeightedGraph, c: Connection, V, beta: float,
@@ -504,16 +544,20 @@ def estimate_partition(g: WeightedGraph, c: Connection, V, beta: float,
     is taken in the arithmetic of V's values, as the exact side takes it.
     With t = beta hbar, each vertex x contributes
 
-        Z_x = p_0 tr e^{-t V(x)/hbar} + Z_2(x) + Z_3(x) + Z_4(x) + E^x[S],
+        Z_x = p_0 tr e^{-t V(x)/hbar} + Z_2(x) + Z_3(x) + Z_4(x)
+              (+ Z_6(x)) + E^x[S],
 
     p_0 = e^{-deg_m(x) t}.  The no-jump term and the strata Z_2, Z_3 and
     Z_4 (``semiclassics.two_jump_terms``, ``three_jump_terms`` and
-    ``four_jump_terms``) are exact.  A path that jumps once cannot return,
-    the graph having no self-loops, nor one that jumps five times if the
-    graph is bipartite.  So the paths are drawn with their first K jumps
-    forced, K = 6 on a bipartite graph and 5 otherwise (``_exact_strata``;
-    where the closed 4-walks exceed ``WALK_BUDGET``, Z_3 and Z_4 are not
-    computed and K is 4 without triangles and 3 with them), as by
+    ``four_jump_terms``) are exact, and so is Z_6 (``six_jump_terms``) on
+    a bipartite graph with t max deg_m >= ``SIX_JUMPS_FROM``.  A path
+    that jumps once cannot return, the graph having no self-loops, nor
+    one that jumps five or seven times if the graph is bipartite.  So the
+    paths are drawn with their first K jumps forced (``_exact_strata``):
+    K = 8 where Z_6 is computed, 6 on any other bipartite graph and 5 on
+    the rest; where the closed 4-walks exceed ``WALK_BUDGET``, Z_3 and
+    Z_4 are not computed and K is 4 without triangles and 3 with them,
+    and where the closed 6-walks exceed it, K is 6.  The walk runs as by
     ``_path_chunk`` with ``loops``: g is the probability of a first jump
     inside the horizon and, given each, of the next, up to the K-th.
     Each path is scored by S, the sum over its jumps k >= K from a
@@ -527,7 +571,8 @@ def estimate_partition(g: WeightedGraph, c: Connection, V, beta: float,
     moments merge in piece order, so results do not depend on
     ``workers``.  The Z_x are summed in vertex order, and the imaginary
     part is reported alongside the real one; the report also gives K
-    (``forced``) and the orders of the exact strata (``strata``).
+    (``forced``), the reason for it (``forced_reason``) and the orders of
+    the exact strata (``strata``).
     """
     if not (beta > 0 and hbar > 0):  # NaN fails it too
         raise BadParams("beta and hbar must be positive")
@@ -537,7 +582,7 @@ def estimate_partition(g: WeightedGraph, c: Connection, V, beta: float,
     _check_workers(workers)
     problem = resolve(g, c, V)
     t = beta * hbar
-    higher, forced, strata = _exact_strata(problem, t, hbar)
+    higher, forced, strata, reason = _exact_strata(problem, t, hbar)
     tbl = _JumpTable(problem, hbar, forced=forced)
     exact = (np.exp(-tbl.rates * t) * np.exp(-t * tbl.lam).sum(axis=1)
              + two_jump_terms(problem, t, hbar) + higher)
@@ -563,5 +608,5 @@ def estimate_partition(g: WeightedGraph, c: Connection, V, beta: float,
         imag_stderr=float(np.sqrt(np.sum(se[:, 1] ** 2))),
         per_vertex=tuple(zip(range(g.n), est[:, 0].tolist(),
                              se[:, 0].tolist())),
-        forced=forced, strata=strata,
+        forced=forced, strata=strata, forced_reason=reason,
     )

@@ -16,14 +16,16 @@ trace.  ``two_jump_terms`` gives the next nonzero term, Z_2, in closed
 form; in the scalar case every term of the series is nonnegative, so
 Z_0 + Z_2 <= trace is a sharper lower bound, and the sweep asserts it.
 
-``three_jump_terms`` and ``four_jump_terms`` give Z_3 and Z_4 per vertex,
-exactly: each closed walk of k jumps contributes its hops times t^k
-times a divided difference of exp over the k + 1 values deg_m + lam it
-holds at (Hermite-Genocchi), and ``_divided_exp`` takes those, batched,
-from the exponential of the bidiagonal Opitz matrix: by its series
-where the values spread little, by scaling and squaring where they
-spread widely.  The Monte Carlo trace estimator adds them; the sweep does
-not, and its check stays Z_0 + Z_2 <= trace.
+``three_jump_terms``, ``four_jump_terms`` and ``six_jump_terms`` give
+Z_3, Z_4 and Z_6 per vertex, exactly: each closed walk of k jumps
+contributes its hops times t^k times a divided difference of exp over
+the k + 1 values deg_m + lam it holds at (Hermite-Genocchi), and
+``_divided_exp`` takes those, batched, from the exponential of the
+bidiagonal Opitz matrix: by its series where the values spread little,
+by scaling and squaring where they spread widely.  The closed 4- and
+6-walks are joined from pairs of 2- and 3-paths with the same ends, by
+one routine.  The Monte Carlo trace estimator adds the strata; the sweep
+does not, and its check stays Z_0 + Z_2 <= trace.
 """
 
 from __future__ import annotations
@@ -250,7 +252,8 @@ def two_jump_terms(problem: Problem, t: float, hbar: float = 1.0):
     I as in ``_two_jump_integral``: by the cyclicity of the trace the two
     holds at x merge into one of total time u, and the splits of u weigh
     it by u.  Z_0(x) = sum_a e^{-t a_xa} and Z_1 = 0 without self-loops;
-    ``three_jump_terms`` and ``four_jump_terms`` give Z_3 and Z_4.
+    ``three_jump_terms``, ``four_jump_terms`` and ``six_jump_terms`` give
+    Z_3, Z_4 and Z_6.
     O(E nu^3) on the arcs of ``problem``.
     """
     g, x, y = problem.graph, problem.src, problem.dst
@@ -271,7 +274,7 @@ _DD_SERIES = 16.0
 # is then below (1/4)^12 / 12! = 1.3e-16 of it
 _DD_TERMS, _DD_NORM = 11, 0.25
 # Divided differences per piece of the strata: pieces bound the memory of
-# ``four_jump_terms`` whatever the number of walks
+# ``four_jump_terms`` and ``six_jump_terms`` whatever the number of walks
 _PIECE = 2048
 
 
@@ -450,48 +453,60 @@ def three_jump_terms(problem: Problem, t: float, hbar: float = 1.0,
     return out
 
 
-def _two_paths(problem: Problem):
-    """The 2-paths x -> y -> z (z = x too) as their two arcs (e1, e2),
-    sorted by (x, z), with the first index and the size of each group of
-    equal (x, z)."""
+def _h_paths(problem: Problem, h: int):
+    """The h-paths x -> ... -> z (z = x too) as their h arcs, shape (h,
+    P), sorted by (x, z), with the first index and the size of each group
+    of equal (x, z).  Each path of h - 1 arcs is extended by the arcs out
+    of its end, in arc order."""
     src, dst, n = problem.src, problem.dst, problem.graph.n
     order = np.argsort(src, kind="stable")  # the arcs out of y, in a run
     out = np.bincount(src, minlength=n)
     ptr = np.cumsum(out) - out
-    e1 = np.repeat(np.arange(src.size), out[dst])
-    e2 = order[ptr[dst[e1]] + np.arange(e1.size)
-               - np.repeat(np.cumsum(out[dst]) - out[dst], out[dst])]
-    key = src[e1] * n + dst[e2]
+    arcs = np.arange(src.size)[None]
+    for _ in range(h - 1):
+        fan = out[dst[arcs[-1]]]
+        arcs = np.repeat(arcs, fan, axis=1)
+        nxt = order[ptr[dst[arcs[-1]]] + np.arange(arcs.shape[1])
+                    - np.repeat(np.cumsum(fan) - fan, fan)]
+        arcs = np.concatenate([arcs, nxt[None]])
+    key = src[arcs[0]] * n + dst[arcs[-1]]
     by = np.argsort(key, kind="stable")
-    e1, e2, key = e1[by], e2[by], key[by]
+    arcs, key = arcs[:, by], key[by]
     first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-    return e1, e2, first, np.diff(np.r_[first, key.size])
+    return arcs, first, np.diff(np.r_[first, key.size])
 
 
-def four_jump_terms(problem: Problem, t: float, hbar: float = 1.0,
-                    budget=None):
-    """Per vertex x, the four-jump term Z_4(x) of tr e^{-t H_{Phi,
-    V/hbar}}, or None when its closed 4-walks times nu^4 exceed
+def _joined_walk_terms(problem: Problem, t: float, hbar: float, h: int,
+                       budget=None):
+    """Per vertex x, the 2h-jump term Z_2h(x) of tr e^{-t H_{Phi,
+    V/hbar}}, or None when its closed 2h-walks times nu^2h exceed
     ``budget``.
 
-    A closed 4-walk x -> y -> z -> w -> x joins the 2-path x -> y -> z to
-    the reverse of a 2-path x -> w -> z, one of the same group (x, z) of
-    ``_two_paths``: a group of c 2-paths makes c^2 walks, so their number
-    is known before any weight is computed.  The walks (p, q) and (q, p)
-    are each other's reverse and weigh complex conjugates, so the pairs
-    p <= q are weighed (``_walk_terms``), those with p < q twice, real
-    part, in pieces of about ``_PIECE`` divided differences.
+    A closed 2h-walk from x joins the h-path p from x to z, at its h-th
+    jump, to the reverse of an h-path q from x to z, one of the same
+    group (x, z) of ``_h_paths``: a group of c h-paths makes c^2 walks,
+    so their number is known before any weight is computed.  The walks
+    (p, q) and (q, p) are each other's reverse and weigh complex
+    conjugates, so the pairs p <= q are weighed (``_walk_terms``), those
+    with p < q twice, real part, in pieces of about ``_PIECE`` divided
+    differences.
     """
     g, nu = problem.graph, problem.rank
-    out_deg = np.bincount(problem.src, minlength=g.n)
-    # every 2-path makes a walk with itself: refuse before listing them
-    if budget is not None and int(out_deg @ out_deg) * nu ** 4 > budget:
-        return None
-    e1, e2, first, count = _two_paths(problem)
-    if budget is not None and int(count @ count) * nu ** 4 > budget:
+    per_walk = nu ** (2 * h)
+    if budget is not None:
+        # every h-path makes a walk with itself: refuse before listing
+        # them.  Their count is 1^T A^h 1, one pass over the arcs per jump
+        paths = np.ones(g.n)
+        for _ in range(h):
+            paths = np.bincount(problem.src, weights=paths[problem.dst],
+                                minlength=g.n)
+        if paths.sum() * per_walk > budget:
+            return None
+    arcs, first, count = _h_paths(problem, h)
+    if budget is not None and int(count @ count) * per_walk > budget:
         return None
     factors = _arc_factors(problem, hbar)
-    seq = np.indices((nu,) * 4).reshape(4, -1)
+    seq = np.indices((nu,) * (2 * h)).reshape(2 * h, -1)
     # the pairs p <= q of one group, in order of p, then q: p pairs with
     # q = p ... last - 1, last the end of its group
     last = np.repeat(first + count, count)
@@ -499,17 +514,36 @@ def four_jump_terms(problem: Problem, t: float, hbar: float = 1.0,
     end = np.cumsum(after)
     total = int(end[-1]) if end.size else 0
     out = np.zeros(g.n)
-    step = max(1, _PIECE // nu ** 4)
+    step = max(1, _PIECE // per_walk)
     for lo in range(0, total, step):
         idx = np.arange(lo, min(lo + step, total))
         p = np.searchsorted(end, idx, side="right")
         q = p + idx - (end[p] - after[p])
-        arcs = np.stack([e1[p], e2[p], e2[q] ^ 1, e1[q] ^ 1])
+        # p's arcs, then q's reversed, last first
+        walk = np.concatenate([arcs[:, p], arcs[::-1, q] ^ 1])
         weight = np.where(p < q, 2.0, 1.0) * _walk_terms(
-            arcs, seq, factors, problem.src, t)
-        out += np.bincount(problem.src[e1[p]], weights=weight,
+            walk, seq, factors, problem.src, t)
+        out += np.bincount(problem.src[arcs[0, p]], weights=weight,
                            minlength=g.n)
     return out
+
+
+def four_jump_terms(problem: Problem, t: float, hbar: float = 1.0,
+                    budget=None):
+    """Per vertex x, the four-jump term Z_4(x) of tr e^{-t H_{Phi,
+    V/hbar}}, or None when its closed 4-walks times nu^4 exceed
+    ``budget``: the closed 4-walks x -> y -> z -> w -> x joined from the
+    2-paths x -> y -> z and x -> w -> z (``_joined_walk_terms``)."""
+    return _joined_walk_terms(problem, t, hbar, 2, budget)
+
+
+def six_jump_terms(problem: Problem, t: float, hbar: float = 1.0,
+                   budget=None):
+    """Per vertex x, the six-jump term Z_6(x) of tr e^{-t H_{Phi,
+    V/hbar}}, or None when its closed 6-walks times nu^6 exceed
+    ``budget``: the closed 6-walks joined from pairs of 3-paths x -> y ->
+    w -> z with the same ends (``_joined_walk_terms``)."""
+    return _joined_walk_terms(problem, t, hbar, 3, budget)
 
 
 def sweep(config: SweepConfig) -> SweepResult:

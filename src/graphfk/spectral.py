@@ -109,15 +109,6 @@ def partition_function(lam: np.ndarray, t: float) -> float:
     return math.fsum(np.exp(-t * np.asarray(lam)))
 
 
-def kernel_trace(dec: SpectralDecomposition, t: float) -> float:
-    """Trace recomputed as sum_x tr_x K(t,x,x) m(x) (basis independence check)."""
-    K = heat_kernel(dec, t)
-    total = 0.0
-    for x in range(dec.measure.size):
-        total += np.trace(K.block(x, x)).real * dec.measure[x]
-    return total
-
-
 def kato_functional(g: WeightedGraph, w, t):
     """sup_x int_0^t sum_y p(s,x,y) |w(y)| m(y) ds for the free scalar kernel.
 

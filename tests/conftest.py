@@ -9,6 +9,7 @@ from hypothesis.configuration import set_hypothesis_home_dir
 
 from graphfk.bundles import Connection, Potential
 from graphfk.graphs import build_graph
+from graphfk.spectral import heat_kernel
 
 
 def random_graph(rng, max_n=10, min_n=2, connected=True):
@@ -76,6 +77,15 @@ def random_potential(g, nu, rng, scale=1.0):
 
 def random_section(rng, n, nu):
     return rng.normal(size=(n, nu)) + 1j * rng.normal(size=(n, nu))
+
+
+def kernel_trace(dec, t):
+    """Trace recomputed as sum_x tr_x K(t,x,x) m(x) (basis independence check)."""
+    K = heat_kernel(dec, t)
+    total = 0.0
+    for x in range(dec.measure.size):
+        total += np.trace(K.block(x, x)).real * dec.measure[x]
+    return total
 
 
 @pytest.fixture

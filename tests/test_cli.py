@@ -308,7 +308,8 @@ class TestFkCompare:
         ({"preset": "four_cycle"}, None,
          ["forced_jumps: 6", "exact_strata: Z0 Z2 Z4"]),
         ({"preset": "four_cycle"}, 0,
-         ["forced_jumps: 4", "exact_strata: Z0 Z2 (Z3 and Z4 not computed"]),
+         ["forced_jumps: 4", "exact_strata: Z0 Z2\n",
+          "forced_reason: Z3 and Z4 not computed"]),
         ({"family": "complete", "n": 4}, None,
          ["forced_jumps: 5", "exact_strata: Z0 Z2 Z3 Z4"]),
         ({"family": "complete", "n": 4}, 0, ["forced_jumps: 3"])])
@@ -318,6 +319,24 @@ class TestFkCompare:
             monkeypatch.setattr(paths, "WALK_BUDGET", budget)
         cfg = write_config(tmp_path, "c.json", {
             "graph": graph, "params": {"samples": 200},
+            "seed": 1, "output_dir": str(tmp_path / "out")})
+        assert run(cfg, "fk-compare") == 0
+        report = (tmp_path / "out" / "report.txt").read_text()
+        assert all(line in report for line in lines)
+
+    @pytest.mark.parametrize("hbar, lines", [
+        (0.5, ["forced_jumps: 8", "exact_strata: Z0 Z2 Z4 Z6\n",
+               "forced_reason: bipartite, so Z5 = Z7 = 0; Z6 computed: "
+               "t max deg_m = 1 >= 1\n"]),
+        (0.1, ["forced_jumps: 6", "exact_strata: Z0 Z2 Z4\n",
+               "forced_reason: bipartite, so Z5 = 0; Z6 not computed: "
+               "t max deg_m = 0.2 < 1\n"])])
+    def test_report_says_why_six_jumps_are_taken_or_not(self, tmp_path,
+                                                         hbar, lines):
+        # the 4-cycle has degree 2: Z_6 from t max deg_m = 2 hbar = 1 up
+        cfg = write_config(tmp_path, "c.json", {
+            "graph": {"family": "cycle", "n": 4},
+            "params": {"samples": 200, "hbar": hbar},
             "seed": 1, "output_dir": str(tmp_path / "out")})
         assert run(cfg, "fk-compare") == 0
         report = (tmp_path / "out" / "report.txt").read_text()

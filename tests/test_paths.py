@@ -926,13 +926,17 @@ def _graph(name):
 class TestExactStrata:
     """Z_3 and Z_4 are exact: the walk is forced to K = 6 jumps on a
     bipartite graph and to 5 on any other, unless the closed 4-walks
-    exceed ``paths.WALK_BUDGET``."""
+    exceed ``paths.WALK_BUDGET``.  On a bipartite graph with t max deg_m
+    >= 1, Z_6 is exact too and K = 8, unless the closed 6-walks exceed
+    the budget."""
 
     @pytest.mark.parametrize("name, forced, strata", [
-        ("lattice", 6, (0, 2, 4)), ("even cycle", 6, (0, 2, 4)),
-        ("path", 6, (0, 2, 4)), ("odd cycle", 5, (0, 2, 4)),
+        ("lattice", 8, (0, 2, 4, 6)), ("even cycle", 8, (0, 2, 4, 6)),
+        ("path", 8, (0, 2, 4, 6)), ("odd cycle", 5, (0, 2, 4)),
         ("complete", 5, (0, 2, 3, 4))])
     def test_forced_jumps(self, rng, name, forced, strata):
+        # at t = 0.5 the degree-2 cycle and path sit at t max deg_m = 1,
+        # where Z_6 is taken, and the lattice at 2
         g = _graph(name)
         rep = estimate_partition(g, None, rng.uniform(-1, 1, g.n), 1.0, 0.5,
                                  50, seed=90)
@@ -969,7 +973,8 @@ class TestExactStrata:
         assert (rep.forced, rep.strata) == (3, (0, 2))
 
     @pytest.mark.parametrize("mode", ["scalar", "magnetic", "covariant"])
-    @pytest.mark.parametrize("name", ["lattice", "odd cycle", "complete"])
+    @pytest.mark.parametrize("name", ["lattice", "even cycle", "odd cycle",
+                                      "complete"])
     def test_matches_exact_trace(self, rng, mode, name):
         # at t = 1.5 the strata from 5 or 6 jumps on hold a few per cent
         # of the trace
@@ -977,6 +982,7 @@ class TestExactStrata:
         c, V = _mode_inputs(g, mode, rng)
         exact = semiclassical_trace(g, c, V, 1.0, 1.5)
         rep = estimate_partition(g, c, V, 1.0, 1.5, 4000, seed=92)
+        assert rep.forced == (8 if name in ("lattice", "even cycle") else 5)
         assert rep.stderr > 0
         assert abs(rep.estimate - exact) <= 5 * rep.stderr
         assert abs(rep.imag_estimate) <= 5 * max(rep.imag_stderr, 1e-15)
@@ -1005,6 +1011,62 @@ class TestExactStrata:
                                       chunk=256, workers=w)
                    for w in (1, 2, 4)]
         assert reports[0] == reports[1] == reports[2]
+        assert reports[0].forced == (8 if name == "lattice" else 5)
+
+    @pytest.mark.parametrize("name, hbar, budget, forced, reason", [
+        ("lattice", 0.5, None, 8,
+         "bipartite, so Z5 = Z7 = 0; Z6 computed: t max deg_m = 2 >= 1"),
+        ("even cycle", 0.49, None, 6,
+         "bipartite, so Z5 = 0; Z6 not computed: t max deg_m = 0.98 < 1"),
+        ("even cycle", 0.5, 36, 6, "bipartite, so Z5 = 0; Z6 not computed: "
+         "the closed 6-walks exceed paths.WALK_BUDGET"),
+        ("odd cycle", 0.5, None, 5, "not bipartite, so Z5 is not 0"),
+        ("even cycle", 0.5, 0, 4, "Z3 and Z4 not computed: the closed "
+         "4-walks exceed paths.WALK_BUDGET; no triangle, so Z3 = 0"),
+        ("complete", 0.5, 0, 3, "Z3 and Z4 not computed: the closed "
+         "4-walks exceed paths.WALK_BUDGET")],
+        ids=["eight", "six-small-s", "six-over-budget", "five",
+             "four-over-budget", "three-over-budget"])
+    def test_report_says_why(self, rng, monkeypatch, name, hbar, budget,
+                             forced, reason):
+        # one case per branch of _exact_strata; the 6-cycle has 36 closed
+        # 4-walks and 132 closed 6-walks
+        if budget is not None:
+            monkeypatch.setattr(paths, "WALK_BUDGET", budget)
+        g = _graph(name)
+        rep = estimate_partition(g, None, rng.uniform(-1, 1, g.n), 1.0, hbar,
+                                 50, seed=97)
+        assert (rep.forced, rep.forced_reason) == (forced, reason)
+
+    @pytest.mark.parametrize("mode", ["scalar", "magnetic", "covariant"])
+    def test_six_walk_budget_keeps_six_jumps(self, rng, monkeypatch, mode):
+        # the 6-cycle has tr A^6 = 132 closed 6-walks, times nu^6; one
+        # over the budget keeps Z_0 + Z_2 + Z_4 and K = 6
+        g = _graph("even cycle")
+        c, V = _mode_inputs(g, mode, rng)
+        walks = 132 * (2 if mode == "covariant" else 1) ** 6
+        args = (g, c, V, 1.0, 1.5, 4000)
+        monkeypatch.setattr(paths, "WALK_BUDGET", walks)
+        assert estimate_partition(*args, seed=98).forced == 8
+        monkeypatch.setattr(paths, "WALK_BUDGET", walks - 1)
+        rep = estimate_partition(*args, seed=98)
+        assert (rep.forced, rep.strata) == (6, (0, 2, 4))
+        exact = semiclassical_trace(g, c, V, 1.0, 1.5)
+        assert abs(rep.estimate - exact) <= 5 * rep.stderr
+
+    def test_small_s_never_takes_six_jumps(self, rng, monkeypatch):
+        # the covariant benchmark's regime: the 8 x 8 box at rank 2 and
+        # t = 0.01, s = 0.04.  There the tail beyond six jumps is near
+        # the rounding of the trace, and Z_6 is not even computed
+        def no_six(*args, **kwargs):
+            raise AssertionError("Z6 computed")
+
+        monkeypatch.setattr(paths, "six_jump_terms", no_six)
+        g = generate("lattice_box", l=2, side=8)
+        rep = estimate_partition(g, random_connection(g, 2, rng),
+                                 random_potential(g, 2, rng), 1.0, 0.01, 50,
+                                 seed=99)
+        assert (rep.forced, rep.strata) == (6, (0, 2, 4))
 
     def test_forced_jumps_of_the_table(self):
         # a table built with forced = 6 forces six jumps on every path

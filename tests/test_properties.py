@@ -27,9 +27,10 @@ from graphfk.semiclassics import (
 from graphfk.spectral import (
     eigendecompose,
     eigenvalues,
-    kernel_trace,
     partition_function,
 )
+
+from conftest import kernel_trace
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None)
 unit = st.floats(-1.0, 1.0)

@@ -30,6 +30,7 @@ from graphfk.semiclassics import (
     semiclassical_trace,
     sweep,
     four_jump_terms,
+    six_jump_terms,
     three_jump_terms,
     two_jump_terms,
 )
@@ -570,6 +571,58 @@ class TestHigherStrata:
                           Potential(2, np.zeros((4, 2, 2))))
         assert four_jump_terms(problem, 1.0, budget=511) is None
         assert four_jump_terms(problem, 1.0, budget=512) is not None
+
+
+def _bipartite(name):
+    """C_6, C_8, the 4 x 4 box or K_{2,3}."""
+    if name == "K23":
+        return build_graph([(f"a{i}", f"b{j}", 1.0)
+                            for i in range(2) for j in range(3)])
+    if name == "box":
+        return generate("lattice_box", l=2, side=4)
+    return generate("cycle", n=int(name[1:]))
+
+
+class TestSixJumpStratum:
+    @pytest.mark.parametrize("name, mode, nu", [
+        *[(name, mode, nu) for name in ("C6", "C8", "box", "K23")
+          for mode, nu in (("scalar", 1), ("magnetic", 1),
+                           ("covariant", 2))],
+        ("C6", "covariant", 3)])
+    def test_matches_block_bidiagonal_expm(self, rng, name, mode, nu):
+        # Z_6 per vertex with random weights and measures; rank 3 on C_6
+        # alone, its nu^6 = 729 index sequences per walk being the cost
+        g = _weighted(_bipartite(name), rng)
+        c = None if mode == "scalar" else random_connection(g, nu, rng)
+        V = random_potential(g, nu, rng)
+        if nu == 1:
+            V = Potential.scalar(V.values[:, 0, 0].real)
+        problem = resolve(g, c, V)
+        assert problem.mode == mode
+        got = six_jump_terms(problem, 0.8, 0.5)
+        want = _dyson_block(g, c, V.scaled(0.5), 0.8, 6)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("name", ["C6", "C8", "box", "K23"])
+    def test_budget_counts_closed_walks(self, name):
+        # the budget meets tr A^6, the closed 6-walks, before any weight
+        g = _bipartite(name)
+        A = np.zeros((g.n, g.n))
+        A[g.edges[:, 0], g.edges[:, 1]] = A[g.edges[:, 1], g.edges[:, 0]] = 1
+        walks = int(np.trace(np.linalg.matrix_power(A, 6)))
+        problem = resolve(g, None, np.zeros(g.n))
+        assert six_jump_terms(problem, 1.0, budget=walks - 1) is None
+        assert six_jump_terms(problem, 1.0, budget=walks) is not None
+
+    def test_four_and_six_walks_of_one_routine(self):
+        # C_4 in closed form at V = 0, b = m = 1: the eigenvalues of A are
+        # 2, 0, 0, -2, so a vertex starts (A^2h)_xx = 2^(2h - 1) closed
+        # 2h-walks, and each holds at the degree 2 for the whole time:
+        # Z_2h = 2^(2h - 1) t^2h e^{-2t} / (2h)!
+        problem = resolve(generate("cycle", n=4), None, np.zeros(4))
+        for h, terms in ((2, four_jump_terms), (3, six_jump_terms)):
+            want = 2 ** (2 * h - 1) * math.exp(-2.0) / math.factorial(2 * h)
+            assert np.abs(terms(problem, 1.0) / want - 1).max() <= 1e-14
 
 
 @pytest.mark.parametrize("call", [

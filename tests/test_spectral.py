@@ -16,13 +16,13 @@ from graphfk.spectral import (
     eigenvalues,
     heat_kernel,
     kato_functional,
-    kernel_trace,
     partition_function,
     propagator,
     relative_form_bound_check,
 )
 
-from conftest import random_connection, random_graph, random_potential
+from conftest import (kernel_trace, random_connection, random_graph,
+                      random_potential)
 
 
 @pytest.fixture
