@@ -41,7 +41,6 @@ from .semiclassics import (
     classical_partition,
     exhaustion_sweep,
     golden_thompson_margin,
-    sandwich_bounds,
     semiclassical_trace,
     sweep,
 )

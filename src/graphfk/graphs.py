@@ -284,13 +284,6 @@ def has_triangle(g: WeightedGraph) -> bool:
     return any(len(piece) for piece in _triangle_pieces(g))
 
 
-def triangles(g: WeightedGraph) -> np.ndarray:
-    """Every set of three pairwise adjacent vertices once, shape (T, 3),
-    as the rows (u, v, w) of ``_triangle_pieces``."""
-    return np.concatenate([np.zeros((0, 3), dtype=np.int64),
-                           *_triangle_pieces(g)])
-
-
 def generate(family, **params) -> WeightedGraph:
     """Standard graph families with b = 1 and m = 1.
 

@@ -33,17 +33,16 @@ k jumps, as
     E^x[S] = sum_{k >= K} Z_k(x).
 
 Z_0 = p_0 tr e^{-t V(x)/hbar}, with p_0 = e^{-deg_m(x) t} the
-probability of no jump, is the paper's semiclassical leading term; Z_2
-is ``semiclassics.two_jump_terms``, in closed form, and Z_3, Z_4 and Z_6
-are ``semiclassics.three_jump_terms``, ``four_jump_terms`` and
-``six_jump_terms``, sums over the closed 3-, 4- and 6-walks of divided
-differences of exp; all are exact.  Z_1 = 0, the graph having no
-self-loops, Z_3 = 0 when it has no triangle, and every odd stratum is 0
-on a bipartite graph.  So the paths are drawn with their first K jumps
-forced, K = 6 on a bipartite graph and 5 on any other: each of the first
-K holding times is drawn given that it ends before the horizon, and the
-path carries the probability g of those events (the forced transitions
-of Lewis & Boehm, Nucl. Eng. Des. 77 (1984) 49).  On a bipartite graph
+probability of no jump, is the paper's semiclassical leading term; Z_2,
+Z_3, Z_4 and Z_6 are ``semiclassics.jump_terms``, one routine that sums
+divided differences of exp over the closed 2-, 3-, 4- and 6-walks; all
+are exact.  Z_1 = 0, the graph having no self-loops, Z_3 = 0 when it
+has no triangle, and every odd stratum is 0 on a bipartite graph.  So
+the paths are drawn with their first K jumps forced, K = 6 on a
+bipartite graph and 5 on any other: each of the first K holding times is
+drawn given that it ends before the horizon, and the path carries the
+probability g of those events (the forced transitions of Lewis & Boehm,
+Nucl. Eng. Des. 77 (1984) 49).  On a bipartite graph
 with s = t max deg_m >= ``SIX_JUMPS_FROM`` (1), Z_6 is exact as well
 and K = 8; at smaller s the tail beyond six jumps is too small a share
 of the trace to be worth it.  Where the closed 4-walks, times nu^4,
@@ -87,11 +86,9 @@ import numpy as np
 
 from .bundles import Connection
 from .errors import BadParams, UnknownIndex
-from .graphs import (WeightedGraph, degrees, has_triangle, triangles,
-                     two_colouring)
+from .graphs import WeightedGraph, degrees, has_triangle, two_colouring
 from .operators import Problem, resolve
-from .semiclassics import (_eigenbasis, four_jump_terms, six_jump_terms,
-                           three_jump_terms, two_jump_terms)
+from .semiclassics import _eigenbasis, jump_terms
 
 CHUNK_SIZE = 8192
 # Upper bound on ``workers``: each worker is an OS thread, and past a few
@@ -504,19 +501,18 @@ def _exact_strata(problem: Problem, t: float, hbar: float):
     6-walks, times nu^6, exceed the budget.
     """
     g = problem.graph
-    z4 = four_jump_terms(problem, t, hbar, budget=WALK_BUDGET)
+    z4 = jump_terms(problem, t, hbar, 4, budget=WALK_BUDGET)
     if z4 is None:
         over = "Z3 and Z4 not computed: the closed 4-walks exceed " \
                "paths.WALK_BUDGET"
         if has_triangle(g):
             return 0.0, 3, (0, 2), over
         return 0.0, 4, (0, 2), over + "; no triangle, so Z3 = 0"
-    # within the budget, 6 T = tr A^3 <= sqrt(2E tr A^4) is too
-    tri = triangles(g)
+    # within the budget, tr A^3 <= sqrt(2E tr A^4) is too
     odd_walks = "not bipartite, so Z5 is not 0"
-    if len(tri):
-        return (z4 + three_jump_terms(problem, t, hbar, tri), 5,
-                (0, 2, 3, 4), odd_walks)
+    if has_triangle(g):
+        return (z4 + jump_terms(problem, t, hbar, 3), 5, (0, 2, 3, 4),
+                odd_walks)
     if two_colouring(g) is None:
         return z4, 5, (0, 2, 4), odd_walks
     s = t * float(degrees(g).deg_m.max())
@@ -524,7 +520,7 @@ def _exact_strata(problem: Problem, t: float, hbar: float):
         return z4, 6, (0, 2, 4), (f"bipartite, so Z5 = 0; Z6 not computed: "
                                   f"t max deg_m = {s:.6g} < "
                                   f"{SIX_JUMPS_FROM:g}")
-    z6 = six_jump_terms(problem, t, hbar, budget=WALK_BUDGET)
+    z6 = jump_terms(problem, t, hbar, 6, budget=WALK_BUDGET)
     if z6 is None:
         return z4, 6, (0, 2, 4), ("bipartite, so Z5 = 0; Z6 not computed: "
                                   "the closed 6-walks exceed "
@@ -548,9 +544,8 @@ def estimate_partition(g: WeightedGraph, c: Connection, V, beta: float,
               (+ Z_6(x)) + E^x[S],
 
     p_0 = e^{-deg_m(x) t}.  The no-jump term and the strata Z_2, Z_3 and
-    Z_4 (``semiclassics.two_jump_terms``, ``three_jump_terms`` and
-    ``four_jump_terms``) are exact, and so is Z_6 (``six_jump_terms``) on
-    a bipartite graph with t max deg_m >= ``SIX_JUMPS_FROM``.  A path
+    Z_4 (``semiclassics.jump_terms``) are exact, and so is Z_6 on a
+    bipartite graph with t max deg_m >= ``SIX_JUMPS_FROM``.  A path
     that jumps once cannot return, the graph having no self-loops, nor
     one that jumps five or seven times if the graph is bipartite.  So the
     paths are drawn with their first K jumps forced (``_exact_strata``):
@@ -585,7 +580,7 @@ def estimate_partition(g: WeightedGraph, c: Connection, V, beta: float,
     higher, forced, strata, reason = _exact_strata(problem, t, hbar)
     tbl = _JumpTable(problem, hbar, forced=forced)
     exact = (np.exp(-tbl.rates * t) * np.exp(-t * tbl.lam).sum(axis=1)
-             + two_jump_terms(problem, t, hbar) + higher)
+             + jump_terms(problem, t, hbar, 2) + higher)
     live = np.flatnonzero(tbl.rates * t > 0.0)  # p_0 < 1
 
     def run(job):

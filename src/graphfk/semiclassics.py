@@ -1,4 +1,4 @@
-"""Semiclassical trace sweeps, Golden-Thompson margins, sandwich bounds.
+"""Semiclassical trace sweeps, Golden-Thompson margins, Dyson strata.
 
 The quantum partition function tr(e^{-beta hbar H_{Phi, V/hbar}}) is
 squeezed, in the scalar nonmagnetic case, between
@@ -12,20 +12,17 @@ lower column is still reported (with the fiberwise classical terms
 tr_x e^{-beta V(x)} in place of e^{-beta w(x)}) but never asserted.
 
 The lower bound is the no-jump term Z_0 of the Dyson series of the
-trace.  ``two_jump_terms`` gives the next nonzero term, Z_2, in closed
-form; in the scalar case every term of the series is nonnegative, so
-Z_0 + Z_2 <= trace is a sharper lower bound, and the sweep asserts it.
-
-``three_jump_terms``, ``four_jump_terms`` and ``six_jump_terms`` give
-Z_3, Z_4 and Z_6 per vertex, exactly: each closed walk of k jumps
-contributes its hops times t^k times a divided difference of exp over
-the k + 1 values deg_m + lam it holds at (Hermite-Genocchi), and
-``_divided_exp`` takes those, batched, from the exponential of the
-bidiagonal Opitz matrix: by its series where the values spread little,
-by scaling and squaring where they spread widely.  The closed 4- and
-6-walks are joined from pairs of 2- and 3-paths with the same ends, by
-one routine.  The Monte Carlo trace estimator adds the strata; the sweep
-does not, and its check stays Z_0 + Z_2 <= trace.
+trace.  ``jump_terms`` gives the strata Z_k, k >= 2, per vertex,
+exactly: each closed walk of k jumps contributes its hops times t^k
+times a divided difference of exp over the k + 1 values deg_m + lam it
+holds at (Hermite-Genocchi), and ``_divided_exp`` takes those, batched,
+from the exponential of the bidiagonal Opitz matrix: by its series where
+the values spread little, by scaling and squaring where they spread
+widely.  Every closed k-walk is joined from a pair of paths of ceil(k/2)
+and floor(k/2) jumps with the same ends.  In the scalar case every term
+of the series is nonnegative, so Z_0 + Z_2 <= trace is a sharper lower
+bound, and the sweep asserts it.  The Monte Carlo trace estimator adds
+the higher strata; the sweep does not.
 """
 
 from __future__ import annotations
@@ -38,7 +35,7 @@ import numpy as np
 from .bundles import Connection, Potential
 from .errors import BadParams
 from .graphs import (ExhaustionSequence, WeightedGraph, degrees, edge_mask,
-                     restrict, triangles)
+                     restrict)
 from .operators import Problem, _coupling, assemble, resolve, symmetrize
 from .spectral import eigenvalues, hermitian_eigenvalues, partition_function
 # not called here; kept because perfbench/tracer.py rebinds it
@@ -146,17 +143,6 @@ def semiclassical_trace(g: WeightedGraph, c: Connection, V,
     return next(_traces(resolve(g, c, V), beta, (hbar,)))
 
 
-def sandwich_bounds(g: WeightedGraph, w, beta: float, hbar: float):
-    """(lower, upper) bracketing the scalar nonmagnetic quantum trace."""
-    if not (beta > 0 and hbar > 0):  # NaN fails it too
-        raise BadParams("beta and hbar must be positive")
-    w = resolve(g, None, w).potential.as_scalar()
-    deg_m = degrees(g).deg_m
-    upper = float(np.exp(-beta * w).sum())
-    lower = float((np.exp(-deg_m * beta * hbar) * np.exp(-beta * w)).sum())
-    return lower, upper
-
-
 def golden_thompson_margin(g: WeightedGraph, c: Connection, V,
                            t: float) -> float:
     """Classical minus quantum trace at time t; nonnegative by theory."""
@@ -165,50 +151,6 @@ def golden_thompson_margin(g: WeightedGraph, c: Connection, V,
     V = resolve(g, c, V).potential
     lam = eigenvalues(assemble(g, c, V))
     return classical_partition(V, t) - partition_function(lam, t)
-
-
-def _series(coeffs, z):
-    """sum_k coeffs[k] z^k by Horner's rule (numpy.polynomial would add
-    a few milliseconds to the package import)."""
-    out = np.zeros_like(z)
-    for c in coeffs[::-1]:
-        out = out * z + c
-    return out
-
-
-# Taylor coefficients of psi(z) = int_0^1 s e^{-sz} ds, (-1)^k / (k! (k + 2)),
-# and of chi(z) = int_0^1 (1 - s) e^{-sz} ds, (-1)^k / (k + 2)!; below
-# _SERIES_CUT the closed forms cancel, and 20 terms leave under 1e-19 there
-_SERIES_CUT = 1.0
-_PSI = np.array([(-1) ** k / (math.factorial(k) * (k + 2)) for k in range(20)])
-_CHI = np.array([(-1) ** k / math.factorial(k + 2) for k in range(20)])
-
-
-def _psi_chi(z):
-    """(psi(z), chi(z)) for z >= 0, psi(z) = int_0^1 s e^{-sz} ds and
-    chi(z) = int_0^1 (1 - s) e^{-sz} ds: the series below the cut, the
-    closed forms (-expm1(-z) - z e^{-z}) / z^2 and (z + expm1(-z)) / z^2,
-    accurate to a few units in the last place, from it up (McCurdy, Ng &
-    Parlett, Math. Comp. 43 (1984) 501)."""
-    small = z < _SERIES_CUT
-    zs = np.where(small, z, 0.0)
-    zc = np.where(small, _SERIES_CUT, z)
-    em = np.expm1(-zc)
-    return (np.where(small, _series(_PSI, zs),
-                     (-em - zc * np.exp(-zc)) / zc ** 2),
-            np.where(small, _series(_CHI, zs), (zc + em) / zc ** 2))
-
-
-def _two_jump_integral(alpha, beta, t):
-    """I(alpha, beta) = int_0^t u e^{-u alpha} e^{-(t - u) beta} du,
-    elementwise: t^2 e^{-t beta} psi(t (alpha - beta)) for alpha >= beta,
-    and t^2 e^{-t alpha} chi(t (beta - alpha)) by the mirror s -> 1 - s
-    for alpha < beta, so no exponential grows."""
-    alpha, beta = np.broadcast_arrays(np.asarray(alpha, float),
-                                      np.asarray(beta, float))
-    psi, chi = _psi_chi(t * np.abs(alpha - beta))
-    return t * t * np.exp(-t * np.minimum(alpha, beta)) * np.where(
-        alpha >= beta, psi, chi)
 
 
 def _eigenbasis(problem: Problem, hbar: float):
@@ -227,43 +169,6 @@ def _eigenbasis(problem: Problem, hbar: float):
     return lam, Q[problem.src].conj().swapaxes(1, 2) @ back @ Q[problem.dst]
 
 
-def _arc_factors(problem: Problem, hbar: float):
-    """(a, W, hop) of the Dyson strata of e^{-t H_{Phi, V/hbar}}: a =
-    deg_m + lam, shape (n, nu), and W as in ``_eigenbasis``; an arc x ->
-    y puts hop = b(x,y)/m_x, shape (2E,), and W into the weight of a
-    walk along it."""
-    g = problem.graph
-    lam, W = _eigenbasis(problem, hbar)
-    return (degrees(g).deg_m[:, None] + lam, W,
-            problem.w / g.measure[problem.src])
-
-
-def two_jump_terms(problem: Problem, t: float, hbar: float = 1.0):
-    """Per vertex x, the two-jump term Z_2(x) of tr e^{-t H_{Phi, V/hbar}}.
-
-    H = D - K splits into its diagonal blocks D_x = deg_m(x) + V(x)/hbar
-    and the hops K_xy = b(x,y)/m_x Phi_{y,x}.  Z_k(x) is the trace at x of
-    the term of the Dyson series of e^{-tH} with k factors K; in the
-    scalar case every term is nonnegative.  With a and W as in
-    ``_arc_factors``,
-
-        Z_2(x) = sum_{y~x} b(x,y)^2/(m_x m_y) sum_ab |W_ab|^2 I(a_xa, a_yb),
-
-    I as in ``_two_jump_integral``: by the cyclicity of the trace the two
-    holds at x merge into one of total time u, and the splits of u weigh
-    it by u.  Z_0(x) = sum_a e^{-t a_xa} and Z_1 = 0 without self-loops;
-    ``three_jump_terms``, ``four_jump_terms`` and ``six_jump_terms`` give
-    Z_3, Z_4 and Z_6.
-    O(E nu^3) on the arcs of ``problem``.
-    """
-    g, x, y = problem.graph, problem.src, problem.dst
-    a, W, _hop = _arc_factors(problem, hbar)
-    I = _two_jump_integral(a[x][:, :, None], a[y][:, None, :], t)
-    arcs = (problem.w ** 2 / (g.measure[x] * g.measure[y])
-            * np.einsum("eab,eab->e", np.abs(W) ** 2, I))
-    return np.bincount(x, weights=arcs, minlength=g.n)
-
-
 # The node spread up to which ``_divided_exp`` sums the series about the
 # smallest node, in a number of terms that grows as the spread (72 at
 # 16); a wider batch scales and squares, at a cost that grows as its
@@ -273,8 +178,8 @@ _DD_SERIES = 16.0
 # ``_dd_squared`` scales the nodes before it sums them: each entry's tail
 # is then below (1/4)^12 / 12! = 1.3e-16 of it
 _DD_TERMS, _DD_NORM = 11, 0.25
-# Divided differences per piece of the strata: pieces bound the memory of
-# ``four_jump_terms`` and ``six_jump_terms`` whatever the number of walks
+# Divided differences per piece of ``jump_terms``: pieces bound its memory
+# whatever the number of walks
 _PIECE = 2048
 
 
@@ -394,18 +299,18 @@ def _dd_squared(z, top, bottom, spread):
     return X[-1]
 
 
-def _walk_terms(arcs, seq, factors, src, t):
+def _walk_terms(arcs, seq, factors, t):
     """The weight of each closed walk along ``arcs``, shape (k, B), in the
     Dyson term of e^{-tH} with k hops, real part.
 
     The walk x_0 -> x_1 -> ... -> x_0 takes, with (a, W, hop) =
-    ``factors``, its hops times the sum over the index sequences i_0 ...
-    i_{k-1}, the columns of ``seq``, shape (k, nu^k), of prod_j
-    W_j[i_j, i_{j+1}] (i_k = i_0) times the integral over the holds s_0 +
-    ... + s_k = t of e^{-sum_j s_j a_j}, the last hold at x_0 again: t^k
-    e[-t a_0, ..., -t a_{k-1}, -t a_0] by Hermite-Genocchi.  The index
-    sequences run along the batch, B nu^k divided differences in one
-    ``_divided_exp`` call.
+    ``factors`` (``jump_terms``), its hops times the sum over the index
+    sequences i_0 ... i_{k-1}, the columns of ``seq``, shape (k, nu^k), of
+    prod_j W_j[i_j, i_{j+1}] (i_k = i_0) times the integral over the
+    holds s_0 + ... + s_k = t of e^{-sum_j s_j a_j}, the last hold at x_0
+    again: t^k e[-t a_0, ..., -t a_{k-1}, -t a_0] by Hermite-Genocchi.
+    The index sequences run along the batch, B nu^k divided differences
+    in one ``_divided_exp`` call.
     """
     a, W, hop = factors
     k, nu = seq.shape[0], a.shape[1]
@@ -413,7 +318,7 @@ def _walk_terms(arcs, seq, factors, src, t):
     i, j = seq[:, None], np.roll(seq, -1, axis=0)[:, None]
     F = np.take(W, arcs[:, :, None] * nu * nu + i * nu + j).prod(axis=0)
     z = np.empty((k + 1,) + F.shape)
-    z[:k] = np.take(a, src[arcs][:, :, None] * nu + i)
+    z[:k] = np.take(a, arcs[:, :, None] * nu + i)
     z[:k] *= -t
     z[k] = z[0]
     dd = _divided_exp(z.reshape(k + 1, -1)).reshape(F.shape)
@@ -421,43 +326,10 @@ def _walk_terms(arcs, seq, factors, src, t):
                                                          F.real, dd)
 
 
-def _arc_of(g, i, j):
-    """The arc index of i -> j for each pair of edge ends (i, j)."""
-    keys = g.edges[:, 0] * g.n + g.edges[:, 1]
-    order = np.argsort(keys)
-    lo, hi = np.minimum(i, j), np.maximum(i, j)
-    return 2 * order[np.searchsorted(keys[order], lo * g.n + hi)] + (i > j)
-
-
-def three_jump_terms(problem: Problem, t: float, hbar: float = 1.0,
-                     tri=None):
-    """Per vertex x, the three-jump term Z_3(x) of tr e^{-t H_{Phi,
-    V/hbar}}: the weights (``_walk_terms``) of the closed 3-walks from x,
-    which go round the triangles at x, ``graphs.triangles`` or ``tri``.
-    Round a triangle one way and the other the weights are complex
-    conjugates, so each corner takes one way twice, real part.  0 on a
-    graph without triangles."""
-    g, nu = problem.graph, problem.rank
-    tri = triangles(g) if tri is None else tri
-    factors = _arc_factors(problem, hbar)
-    # the walks from each corner: (u, v, w), (v, w, u) and (w, u, v)
-    corners = np.concatenate([np.roll(tri, -r, axis=1) for r in range(3)]).T
-    arcs = _arc_of(g, corners, np.roll(corners, -1, axis=0))
-    seq = np.indices((nu,) * 3).reshape(3, -1)
-    out = np.zeros(g.n)
-    step = max(1, _PIECE // nu ** 3)
-    for lo in range(0, arcs.shape[1], step):
-        out += np.bincount(corners[0, lo:lo + step], minlength=g.n,
-                           weights=2 * _walk_terms(arcs[:, lo:lo + step], seq,
-                                                   factors, problem.src, t))
-    return out
-
-
 def _h_paths(problem: Problem, h: int):
     """The h-paths x -> ... -> z (z = x too) as their h arcs, shape (h,
-    P), sorted by (x, z), with the first index and the size of each group
-    of equal (x, z).  Each path of h - 1 arcs is extended by the arcs out
-    of its end, in arc order."""
+    P), and their keys x n + z, both sorted by key.  Each path of h - 1
+    arcs is extended by the arcs out of its end, in arc order."""
     src, dst, n = problem.src, problem.dst, problem.graph.n
     order = np.argsort(src, kind="stable")  # the arcs out of y, in a run
     out = np.bincount(src, minlength=n)
@@ -471,79 +343,75 @@ def _h_paths(problem: Problem, h: int):
         arcs = np.concatenate([arcs, nxt[None]])
     key = src[arcs[0]] * n + dst[arcs[-1]]
     by = np.argsort(key, kind="stable")
-    arcs, key = arcs[:, by], key[by]
-    first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-    return arcs, first, np.diff(np.r_[first, key.size])
+    return arcs[:, by], key[by]
 
 
-def _joined_walk_terms(problem: Problem, t: float, hbar: float, h: int,
-                       budget=None):
-    """Per vertex x, the 2h-jump term Z_2h(x) of tr e^{-t H_{Phi,
-    V/hbar}}, or None when its closed 2h-walks times nu^2h exceed
-    ``budget``.
+def jump_terms(problem: Problem, t: float, hbar: float, k: int,
+               budget=None):
+    """Per vertex x, the k-jump term Z_k(x) of tr e^{-t H_{Phi, V/hbar}},
+    k >= 2, or None when its closed k-walks times nu^k exceed ``budget``.
 
-    A closed 2h-walk from x joins the h-path p from x to z, at its h-th
-    jump, to the reverse of an h-path q from x to z, one of the same
-    group (x, z) of ``_h_paths``: a group of c h-paths makes c^2 walks,
-    so their number is known before any weight is computed.  The walks
-    (p, q) and (q, p) are each other's reverse and weigh complex
-    conjugates, so the pairs p <= q are weighed (``_walk_terms``), those
-    with p < q twice, real part, in pieces of about ``_PIECE`` divided
-    differences.
+    H = D - K splits into its diagonal blocks D_x = deg_m(x) + V(x)/hbar
+    and the hops K_xy = b(x,y)/m_x Phi_{y,x}.  Z_k(x) is the trace at x of
+    the term of the Dyson series of e^{-tH} with k factors K: the sum of
+    the weights (``_walk_terms``) of the closed k-walks from x.  A jump
+    along the arc x -> y puts hop = b(x,y)/m_x and W (``_eigenbasis``)
+    into the weight of a walk, and a hold at x the values a = deg_m(x) +
+    lam_x, gathered per arc at its source.  Z_0(x) = sum_a e^{-t a_xa},
+    Z_1 = 0 without self-loops, and in the scalar case every term is
+    nonnegative.
+
+    A closed k-walk from x is an h-path p from x to z, h = ceil(k/2),
+    followed by the reverse of a j-path q from x to z, j = floor(k/2): one
+    with the same key in ``_h_paths``.  For even k, (p, q) and (q, p) are
+    each other's reverse and weigh complex conjugates, so the pairs p <= q
+    are weighed, those with p < q twice, real part; for odd k every pair
+    is.  The closed walks are counted before any is weighed, which is done
+    in pieces of about ``_PIECE`` divided differences.  For even k every
+    h-path makes a walk with itself, so their count 1^T A^h 1 is checked
+    against the budget before they are listed, one pass over the arcs per
+    jump.
     """
-    g, nu = problem.graph, problem.rank
-    per_walk = nu ** (2 * h)
-    if budget is not None:
-        # every h-path makes a walk with itself: refuse before listing
-        # them.  Their count is 1^T A^h 1, one pass over the arcs per jump
+    g, nu, src = problem.graph, problem.rank, problem.src
+    h, j = (k + 1) // 2, k // 2
+    per_walk = nu ** k
+    if budget is not None and h == j:
         paths = np.ones(g.n)
         for _ in range(h):
-            paths = np.bincount(problem.src, weights=paths[problem.dst],
+            paths = np.bincount(src, weights=paths[problem.dst],
                                 minlength=g.n)
         if paths.sum() * per_walk > budget:
             return None
-    arcs, first, count = _h_paths(problem, h)
-    if budget is not None and int(count @ count) * per_walk > budget:
+    arcs, key = _h_paths(problem, h)
+    back, back_key = (arcs, key) if h == j else _h_paths(problem, j)
+    # the partners of p: the j-paths lo[p] ... hi[p] - 1, with its key
+    lo = np.searchsorted(back_key, key)
+    hi = np.searchsorted(back_key, key, side="right")
+    if budget is not None and int((hi - lo).sum()) * per_walk > budget:
         return None
-    factors = _arc_factors(problem, hbar)
-    seq = np.indices((nu,) * (2 * h)).reshape(2 * h, -1)
-    # the pairs p <= q of one group, in order of p, then q: p pairs with
-    # q = p ... last - 1, last the end of its group
-    last = np.repeat(first + count, count)
-    after = last - np.arange(last.size)
+    if h == j:
+        lo = np.arange(key.size)  # the pairs p <= q
+    lam, W = _eigenbasis(problem, hbar)
+    factors = ((degrees(g).deg_m[:, None] + lam)[src], W,
+               problem.w / g.measure[src])
+    seq = np.indices((nu,) * k).reshape(k, -1)
+    # the pairs in order of p, then q
+    after = hi - lo
     end = np.cumsum(after)
     total = int(end[-1]) if end.size else 0
     out = np.zeros(g.n)
     step = max(1, _PIECE // per_walk)
-    for lo in range(0, total, step):
-        idx = np.arange(lo, min(lo + step, total))
+    for first in range(0, total, step):
+        idx = np.arange(first, min(first + step, total))
         p = np.searchsorted(end, idx, side="right")
-        q = p + idx - (end[p] - after[p])
+        q = lo[p] + idx - (end[p] - after[p])
         # p's arcs, then q's reversed, last first
-        walk = np.concatenate([arcs[:, p], arcs[::-1, q] ^ 1])
-        weight = np.where(p < q, 2.0, 1.0) * _walk_terms(
-            walk, seq, factors, problem.src, t)
-        out += np.bincount(problem.src[arcs[0, p]], weights=weight,
-                           minlength=g.n)
+        weight = _walk_terms(np.concatenate([arcs[:, p], back[::-1, q] ^ 1]),
+                             seq, factors, t)
+        if h == j:
+            weight *= np.where(p < q, 2.0, 1.0)
+        out += np.bincount(src[arcs[0, p]], weights=weight, minlength=g.n)
     return out
-
-
-def four_jump_terms(problem: Problem, t: float, hbar: float = 1.0,
-                    budget=None):
-    """Per vertex x, the four-jump term Z_4(x) of tr e^{-t H_{Phi,
-    V/hbar}}, or None when its closed 4-walks times nu^4 exceed
-    ``budget``: the closed 4-walks x -> y -> z -> w -> x joined from the
-    2-paths x -> y -> z and x -> w -> z (``_joined_walk_terms``)."""
-    return _joined_walk_terms(problem, t, hbar, 2, budget)
-
-
-def six_jump_terms(problem: Problem, t: float, hbar: float = 1.0,
-                   budget=None):
-    """Per vertex x, the six-jump term Z_6(x) of tr e^{-t H_{Phi,
-    V/hbar}}, or None when its closed 6-walks times nu^6 exceed
-    ``budget``: the closed 6-walks joined from pairs of 3-paths x -> y ->
-    w -> z with the same ends (``_joined_walk_terms``)."""
-    return _joined_walk_terms(problem, t, hbar, 3, budget)
 
 
 def sweep(config: SweepConfig) -> SweepResult:
@@ -552,7 +420,7 @@ def sweep(config: SweepConfig) -> SweepResult:
     Each row carries (hbar, trace, lower, upper, gap = upper - trace).
     The scalar sandwich lower <= trace <= upper is asserted when the
     problem is scalar, sharpened below to lower + Z_2 <= trace with the
-    two-jump term of ``two_jump_terms``; only the upper bound is asserted
+    two-jump term of ``jump_terms``; only the upper bound is asserted
     otherwise.  The problem is resolved, and the free operator assembled
     and symmetrized, once for the whole schedule (``_traces``).
     """
@@ -571,7 +439,7 @@ def sweep(config: SweepConfig) -> SweepResult:
             raise AssertionError(
                 f"upper bound violated at hbar={hbar}: {trace} > {classical}")
         if problem.mode == "scalar":
-            two_jump = float(two_jump_terms(problem, beta * hbar, hbar).sum())
+            two_jump = float(jump_terms(problem, beta * hbar, hbar, 2).sum())
             if lower + two_jump > trace + 1e-9:
                 raise AssertionError(
                     f"sandwich lower bound violated at hbar={hbar}: "

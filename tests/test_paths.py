@@ -34,7 +34,7 @@ from graphfk.paths import (
     path_stream,
     simulate_scalar_paths,
 )
-from graphfk.semiclassics import semiclassical_trace
+from graphfk.semiclassics import jump_terms, semiclassical_trace
 from graphfk.spectral import eigenvalues, partition_function
 
 from conftest import (
@@ -960,13 +960,15 @@ class TestExactStrata:
         assert abs(rep.estimate - exact) <= 5 * rep.stderr
 
     def test_over_the_budget_no_triangle_is_listed(self, monkeypatch):
-        # a dense graph has far more triangles than the budget allows
-        # walks: above it the estimator asks only whether one exists
-        def no_listing(g):
-            raise AssertionError("triangles listed")
+        # a dense graph has far more closed 3-walks than the budget allows
+        # walks: above it the estimator asks only whether a triangle exists
+        def no_three(problem, t, hbar, k, budget=None):
+            if k == 3:
+                raise AssertionError("closed 3-walks listed")
+            return jump_terms(problem, t, hbar, k, budget)
 
         monkeypatch.setattr(paths, "WALK_BUDGET", 0)
-        monkeypatch.setattr(paths, "triangles", no_listing)
+        monkeypatch.setattr(paths, "jump_terms", no_three)
         g = generate("complete", n=8)
         rep = estimate_partition(g, None, np.zeros(g.n), 1.0, 0.5, 50,
                                  seed=95)
@@ -1058,10 +1060,12 @@ class TestExactStrata:
         # the covariant benchmark's regime: the 8 x 8 box at rank 2 and
         # t = 0.01, s = 0.04.  There the tail beyond six jumps is near
         # the rounding of the trace, and Z_6 is not even computed
-        def no_six(*args, **kwargs):
-            raise AssertionError("Z6 computed")
+        def no_six(problem, t, hbar, k, budget=None):
+            if k == 6:
+                raise AssertionError("Z6 computed")
+            return jump_terms(problem, t, hbar, k, budget)
 
-        monkeypatch.setattr(paths, "six_jump_terms", no_six)
+        monkeypatch.setattr(paths, "jump_terms", no_six)
         g = generate("lattice_box", l=2, side=8)
         rep = estimate_partition(g, random_connection(g, 2, rng),
                                  random_potential(g, 2, rng), 1.0, 0.01, 50,

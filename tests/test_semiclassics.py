@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -15,24 +16,14 @@ from graphfk.errors import BadParams
 from graphfk.graphs import ExhaustionSequence, build_graph, generate, restrict
 from graphfk.operators import assemble, resolve, symmetrize
 from graphfk.semiclassics import (
-    _CHI,
-    _PSI,
-    _SERIES_CUT,
     SweepConfig,
-    _psi_chi,
-    _series,
     _divided_exp,
-    _two_jump_integral,
     classical_partition,
     exhaustion_sweep,
     golden_thompson_margin,
-    sandwich_bounds,
+    jump_terms,
     semiclassical_trace,
     sweep,
-    four_jump_terms,
-    six_jump_terms,
-    three_jump_terms,
-    two_jump_terms,
 )
 from graphfk.spectral import eigendecompose, eigenvalues, partition_function
 
@@ -92,22 +83,25 @@ class TestSemiclassicalTrace:
 
 
 class TestSandwich:
+    # the lower and upper columns of the sweep's rows
     def test_two_vertex_values(self):
         g, pot = two_vertex()
-        lower, upper = sandwich_bounds(g, pot, 1.0, 0.01)
-        assert lower == pytest.approx(np.exp(-0.01) * (1 + np.exp(-1)), abs=1e-12)
-        assert upper == pytest.approx(1 + np.exp(-1), abs=1e-12)
+        row, = sweep(SweepConfig(g, 1.0, (0.01,), pot)).rows
+        assert row.lower == pytest.approx(np.exp(-0.01) * (1 + np.exp(-1)),
+                                          abs=1e-12)
+        assert row.upper == pytest.approx(1 + np.exp(-1), abs=1e-12)
 
     def test_lower_tends_to_upper(self):
         g, pot = two_vertex()
-        gaps = [np.subtract(*sandwich_bounds(g, pot, 1.0, h)[::-1])
-                for h in (0.1, 0.01, 0.001)]
+        rows = sweep(SweepConfig(g, 1.0, (0.1, 0.01, 0.001), pot)).rows
+        gaps = [r.upper - r.lower for r in rows]
         assert gaps[0] > gaps[1] > gaps[2] >= 0
 
     def test_constant_degree_closed_form(self):
         g = generate("cycle", n=6)
-        lower, _ = sandwich_bounds(g, np.zeros(6), 2.0, 0.05)
-        assert lower == pytest.approx(6 * np.exp(-2 * 2.0 * 0.05), abs=1e-12)
+        row, = sweep(SweepConfig(g, 2.0, (0.05,), np.zeros(6))).rows
+        assert row.lower == pytest.approx(6 * np.exp(-2 * 2.0 * 0.05),
+                                          abs=1e-12)
 
 
 class TestGoldenThompson:
@@ -333,7 +327,7 @@ class TestTwoJumpTerm:
         V = random_potential(g, nu, rng)
         assert nu == 1 or np.abs(V.values.imag).max() > 0
         beta, hbar = 1.0, 0.4
-        got = two_jump_terms(resolve(g, c, V), beta * hbar, hbar)
+        got = jump_terms(resolve(g, c, V), beta * hbar, hbar, 2)
         want = _dyson_two_jump(g, c, V.scaled(hbar), beta * hbar)
         assert np.all(got > 0)
         assert np.abs(got - want).max() <= 1e-12 * want.max()
@@ -343,32 +337,20 @@ class TestTwoJumpTerm:
         g = random_graph(rng, max_n=8)
         w = rng.uniform(-1, 1, size=g.n)
         theta = rng.uniform(-3, 3, len(g.edges))
-        scalar = two_jump_terms(resolve(g, None, w), 0.3, 0.3)
-        magnetic = two_jump_terms(
-            resolve(g, connection_from_magnetic(theta), w), 0.3, 0.3)
+        scalar = jump_terms(resolve(g, None, w), 0.3, 0.3, 2)
+        magnetic = jump_terms(
+            resolve(g, connection_from_magnetic(theta), w), 0.3, 0.3, 2)
         assert np.allclose(magnetic, scalar, rtol=1e-14, atol=0)
 
-    @pytest.mark.parametrize("mirrored", [False, True])
-    def test_series_meets_closed_form_across_the_cut(self, mirrored):
-        # psi(z) = int_0^1 s e^{-sz} ds, chi(z) = int_0^1 (1 - s) e^{-sz}
-        # ds: the Taylor series and the closed forms agree on both sides of
-        # the cut to a few units in the last place, so the switch between
-        # them leaves no step
-        z = _SERIES_CUT * np.linspace(0.5, 1.5, 301)
-        em = np.expm1(-z)
-        closed = (z + em) / z**2 if mirrored else (-em - z * np.exp(-z)) / z**2
-        series = _series(_CHI if mirrored else _PSI, z)
-        assert np.abs(series / closed - 1).max() <= 2e-15
-        below = np.nextafter(_SERIES_CUT, 0.0)
-        step = np.diff([_psi_chi(np.array(v))[int(mirrored)]
-                        for v in (below, _SERIES_CUT)])
-        assert abs(step[0]) <= 4e-16
-
     def test_psi_chi_against_exact_series(self):
-        # psi and chi from z = 1e-8 to 4, against their Taylor series
-        # summed in exact rational arithmetic to 60 terms, below 1e-20
+        # psi(z) = int_0^1 s e^{-sz} ds = e[-z, 0, -z] and chi(z) =
+        # int_0^1 (1 - s) e^{-sz} ds = e[-z, 0, 0], from z = 1e-8 to 4,
+        # against their Taylor series summed in exact rational arithmetic
+        # to 60 terms, below 1e-20
         z = np.geomspace(1e-8, 4.0, 61)
-        got = _psi_chi(z)
+        zero = np.zeros_like(z)
+        got = (_divided_exp(np.stack([-z, zero, -z])),
+               _divided_exp(np.stack([-z, zero, zero])))
         for k, zk in enumerate(z.tolist()):
             x = Fraction(zk)
             for mirrored in (0, 1):
@@ -378,18 +360,32 @@ class TestTwoJumpTerm:
                     for j in range(60))
                 assert abs(got[mirrored][k] / float(exact) - 1) <= 1e-15
 
-    def test_integral_matches_quadrature(self):
-        # I(alpha, beta) = int_0^t u e^{-u alpha} e^{-(t - u) beta} du on
-        # both sides of alpha = beta, at and near it and far from it
-        nodes, weights = np.polynomial.legendre.leggauss(60)
+    def test_integral_matches_closed_form(self):
+        # Z_2 of one edge, b = m = 1, is I(alpha, beta) = int_0^t u
+        # e^{-u alpha} e^{-(t - u) beta} du at the one end and I(beta,
+        # alpha) at the other, alpha and beta the values deg_m + v at the
+        # ends: on both sides of alpha = beta, at and near it and far from
+        # it, against (1 - e^{-td} (1 + td)) e^{-t beta} / d^2, d = alpha
+        # - beta, in 50-digit decimal arithmetic
+        g, _ = two_vertex()
         t = 0.7
-        u, wu = t * (nodes + 1) / 2, t * weights / 2
+
+        def closed(alpha, beta):
+            d, T = alpha - beta, Decimal(t)
+            if d == 0:
+                return T * T / 2 * (-T * beta).exp()
+            return ((1 - (-T * d).exp() * (1 + T * d)) / (d * d)
+                    * (-T * beta).exp())
+
         for alpha, beta in ((1.0, 1.0), (2.0, 2.0 + 1e-9), (-3.0, 40.0),
                             (40.0, -3.0), (0.5, 0.25), (5.0, 5.5)):
-            want = float(np.sum(wu * u * np.exp(-u * alpha
-                                                - (t - u) * beta)))
-            got = float(_two_jump_integral(alpha, beta, t))
-            assert got == pytest.approx(want, rel=1e-14)
+            v = np.array([alpha, beta]) - 1.0  # deg_m = 1
+            got = jump_terms(resolve(g, None, v), t, 1.0, 2)
+            ends = [Decimal(a) for a in (1.0 + v).tolist()]
+            with localcontext() as ctx:
+                ctx.prec = 50
+                want = [float(closed(*ends)), float(closed(*ends[::-1]))]
+            assert got.tolist() == pytest.approx(want, rel=1e-14, abs=0)
 
     def test_scalar_lower_bound_on_random_problems(self, rng):
         # every Dyson term is nonnegative in the scalar case, so
@@ -400,11 +396,11 @@ class TestTwoJumpTerm:
             w = rng.uniform(-2, 2, size=g.n)
             beta = float(rng.uniform(0.2, 2.0))
             hbar = float(10 ** rng.uniform(-3, 0))
-            trace = semiclassical_trace(g, None, w, beta, hbar)
-            lower, _upper = sandwich_bounds(g, w, beta, hbar)
-            z2 = two_jump_terms(resolve(g, None, w), beta * hbar, hbar).sum()
-            assert lower + z2 <= trace * (1 + 1e-13)
-            sweep(SweepConfig(g, beta, (hbar,), Potential.scalar(w)))
+            row, = sweep(SweepConfig(g, beta, (hbar,),
+                                     Potential.scalar(w))).rows
+            assert row.trace == semiclassical_trace(g, None, w, beta, hbar)
+            z2 = jump_terms(resolve(g, None, w), beta * hbar, hbar, 2).sum()
+            assert row.lower + z2 <= row.trace * (1 + 1e-13)
 
 
 def _opitz_expm(z):
@@ -531,8 +527,8 @@ class TestHigherStrata:
         t, hbar = 0.8, 0.5
         problem = resolve(g, c, V)
         assert problem.mode == mode
-        for k, terms in ((3, three_jump_terms), (4, four_jump_terms)):
-            got = terms(problem, t, hbar)
+        for k in (3, 4):
+            got = jump_terms(problem, t, hbar, k)
             want = _dyson_block(g, c, V.scaled(hbar), t, k)
             scale = max(np.abs(want).max(), 1e-300)
             assert np.abs(got - want).max() <= 1e-12 * scale, k
@@ -542,10 +538,10 @@ class TestHigherStrata:
         g = generate("lattice_box", l=2, side=8)
         w = rng.uniform(-2.0, 30.0, g.n)
         problem = resolve(g, None, w)
-        got = four_jump_terms(problem, 1.0, 0.5)
+        got = jump_terms(problem, 1.0, 0.5, 4)
         want = _dyson_block(g, None, Potential.scalar(w / 0.5), 1.0, 4)
         assert np.abs(got / want - 1).max() <= 1e-12
-        assert not three_jump_terms(problem, 1.0, 0.5).any()
+        assert not jump_terms(problem, 1.0, 0.5, 3).any()
 
     @pytest.mark.parametrize("graph", [("complete", dict(n=5)),
                                        ("lattice_box", dict(l=2, side=3))])
@@ -557,20 +553,22 @@ class TestHigherStrata:
         w = rng.uniform(0.0, 3.0, g.n)
         w[::2] += 1600.0
         problem = resolve(g, None, w)
-        for k, terms in ((3, three_jump_terms), (4, four_jump_terms)):
-            got = terms(problem, 1.0)
+        for k in (3, 4):
+            got = jump_terms(problem, 1.0, 1.0, k)
             want = _dyson_block(g, None, Potential.scalar(w), 1.0, k)
             assert np.all(np.isfinite(got))
             scale = max(np.abs(want).max(), 1e-300)
             assert np.abs(got - want).max() <= 1e-12 * scale, k
 
     def test_budget_counts_closed_walks(self):
-        # the 4-cycle has tr A^4 = 32 closed 4-walks: at rank 2, 512 index
+        # at rank 2 the 4-cycle has tr A^4 = 32 closed 4-walks, 512 index
+        # sequences, and K_4 has tr A^3 = 24 closed 3-walks, 192 index
         # sequences
-        problem = resolve(generate("cycle", n=4), None,
-                          Potential(2, np.zeros((4, 2, 2))))
-        assert four_jump_terms(problem, 1.0, budget=511) is None
-        assert four_jump_terms(problem, 1.0, budget=512) is not None
+        for g, k, walks in ((generate("cycle", n=4), 4, 32 * 2 ** 4),
+                            (generate("complete", n=4), 3, 24 * 2 ** 3)):
+            problem = resolve(g, None, Potential(2, np.zeros((4, 2, 2))))
+            assert jump_terms(problem, 1.0, 1.0, k, budget=walks - 1) is None
+            assert jump_terms(problem, 1.0, 1.0, k, budget=walks) is not None
 
 
 def _bipartite(name):
@@ -599,7 +597,7 @@ class TestSixJumpStratum:
             V = Potential.scalar(V.values[:, 0, 0].real)
         problem = resolve(g, c, V)
         assert problem.mode == mode
-        got = six_jump_terms(problem, 0.8, 0.5)
+        got = jump_terms(problem, 0.8, 0.5, 6)
         want = _dyson_block(g, c, V.scaled(0.5), 0.8, 6)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -611,25 +609,45 @@ class TestSixJumpStratum:
         A[g.edges[:, 0], g.edges[:, 1]] = A[g.edges[:, 1], g.edges[:, 0]] = 1
         walks = int(np.trace(np.linalg.matrix_power(A, 6)))
         problem = resolve(g, None, np.zeros(g.n))
-        assert six_jump_terms(problem, 1.0, budget=walks - 1) is None
-        assert six_jump_terms(problem, 1.0, budget=walks) is not None
+        assert jump_terms(problem, 1.0, 1.0, 6, budget=walks - 1) is None
+        assert jump_terms(problem, 1.0, 1.0, 6, budget=walks) is not None
 
-    def test_four_and_six_walks_of_one_routine(self):
-        # C_4 in closed form at V = 0, b = m = 1: the eigenvalues of A are
-        # 2, 0, 0, -2, so a vertex starts (A^2h)_xx = 2^(2h - 1) closed
-        # 2h-walks, and each holds at the degree 2 for the whole time:
-        # Z_2h = 2^(2h - 1) t^2h e^{-2t} / (2h)!
-        problem = resolve(generate("cycle", n=4), None, np.zeros(4))
-        for h, terms in ((2, four_jump_terms), (3, six_jump_terms)):
-            want = 2 ** (2 * h - 1) * math.exp(-2.0) / math.factorial(2 * h)
-            assert np.abs(terms(problem, 1.0) / want - 1).max() <= 1e-14
+    def test_every_order_of_one_routine(self):
+        # a d-regular graph in closed form at V = 0, b = m = 1: a vertex
+        # starts (A^k)_xx closed k-walks, each holding at the degree d for
+        # the whole time, so Z_k = (A^k)_xx t^k e^{-td} / k!.  C_4 for the
+        # even orders, (A^k)_xx = 2^(k - 1), and K_4 for k = 3, where
+        # (A^3)_xx = 6
+        for name, n, d, orders in (("cycle", 4, 2, (2, 4, 6)),
+                                   ("complete", 4, 3, (3,))):
+            g = generate(name, n=n)
+            A = np.zeros((n, n))
+            A[g.edges[:, 0], g.edges[:, 1]] = 1
+            A += A.T
+            problem = resolve(g, None, np.zeros(n))
+            for k in orders:
+                walks = np.diagonal(np.linalg.matrix_power(A, k))
+                want = walks * math.exp(-d) / math.factorial(k)
+                got = jump_terms(problem, 1.0, 1.0, k)
+                assert np.abs(got / want - 1).max() <= 1e-14, k
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_no_edge_no_walk(self, n):
+        # a single vertex and three without an edge: every stratum is 0,
+        # under any budget
+        g = build_graph([], vertices=[f"v{i}" for i in range(n)])
+        problem = resolve(g, None, np.zeros(n))
+        for k in (2, 3, 4, 6):
+            for budget in (None, 0):
+                got = jump_terms(problem, 1.0, 1.0, k, budget=budget)
+                assert got.shape == (n,) and not got.any()
 
 
 @pytest.mark.parametrize("call", [
     lambda g, w: semiclassical_trace(g, None, w, np.nan, 0.1),
     lambda g, w: semiclassical_trace(g, None, w, 1.0, np.nan),
-    lambda g, w: sandwich_bounds(g, w, np.nan, 0.1),
-    lambda g, w: sandwich_bounds(g, w, 1.0, np.nan),
+    lambda g, w: sweep(SweepConfig(g, np.nan, (0.1,), w)),
+    lambda g, w: sweep(SweepConfig(g, 1.0, (np.nan,), w)),
     lambda g, w: golden_thompson_margin(g, None, w, np.nan),
     lambda g, w: classical_partition(w, np.nan),
 ], ids=["trace-beta", "trace-hbar", "sandwich-beta", "sandwich-hbar",
