@@ -8,30 +8,21 @@ from .bundles import (
     Connection,
     Potential,
     connection_from_magnetic,
-    decompose_potential,
-    spectral_floor,
     validate_connection,
 )
 from .graphs import (
-    ExhaustionSequence,
     WeightedGraph,
     build_graph,
     degrees,
     generate,
-    is_connected,
-    restrict,
 )
 from .operators import (
     OperatorMatrix,
-    apply_formal,
     assemble,
-    degree_bound,
-    quadratic_form,
     symmetrize,
 )
 from .paths import (
     EstimatorReport,
-    estimate_heat_kernel,
     estimate_partition,
     path_stream,
 )
@@ -39,7 +30,6 @@ from .semiclassics import (
     SweepConfig,
     SweepResult,
     classical_partition,
-    exhaustion_sweep,
     golden_thompson_margin,
     semiclassical_trace,
     sweep,
@@ -52,7 +42,6 @@ from .spectral import (
     heat_kernel,
     kato_functional,
     partition_function,
-    relative_form_bound_check,
 )
 
 __version__ = "0.1.0"

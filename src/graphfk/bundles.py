@@ -151,27 +151,3 @@ def validate_connection(c: Connection, g: WeightedGraph) -> ValidationReport:
     return ValidationReport([(tuple(g.edges[e].tolist()), "unitarity",
                               float(dev[e])) for e in bad])
 
-
-def _check_hermitian(V: Potential):
-    # Potential.__post_init__ already enforces Hermiticity; re-validate in
-    # case callers hand in raw arrays.
-    if not isinstance(V, Potential):
-        raise NonHermitian("expected a Potential")
-
-
-def spectral_floor(V: Potential) -> Potential:
-    """Scalar potential w(i) = min spec(V(i)); identity on rank 1."""
-    _check_hermitian(V)
-    if V.rank == 1:
-        return Potential.scalar(V.as_scalar())
-    return Potential.scalar(np.linalg.eigvalsh(V.values)[:, 0])
-
-
-def decompose_potential(V: Potential):
-    """Fiberwise spectral split V = V_plus - V_minus with V_pm >= 0."""
-    _check_hermitian(V)
-    lam, U = np.linalg.eigh(V.values)
-    Uh = U.conj().swapaxes(1, 2)
-    plus = (U * np.clip(lam, 0.0, None)[:, None]) @ Uh
-    minus = (U * np.clip(-lam, 0.0, None)[:, None]) @ Uh
-    return Potential(V.rank, plus), Potential(V.rank, minus)

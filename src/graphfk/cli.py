@@ -111,11 +111,13 @@ def _check_params(cfg, subcommand):
 
 
 def _number(value, name, kind=float):
-    """``kind(value)`` for a finite config number; ConfigError else, and
-    for an int also when ``value`` has a fraction that it would drop."""
+    """``kind(value)`` for a finite config number; ConfigError else, for
+    a JSON boolean, and for an int also when ``value`` has a fraction
+    that it would drop."""
     try:
         x = kind(value)
-        if math.isfinite(x) and not (isinstance(value, float) and x != value):
+        if (math.isfinite(x) and not isinstance(value, bool)
+                and not (isinstance(value, float) and x != value)):
             return x
     except (TypeError, ValueError, OverflowError):
         pass
@@ -123,10 +125,12 @@ def _number(value, name, kind=float):
 
 
 def _numbers(params, key, default):
-    """The list ``params[key]`` as finite floats; ConfigError else."""
+    """The nonempty list ``params[key]`` as finite floats; ConfigError
+    else."""
     values = params.get(key, default)
-    if not isinstance(values, list):
-        raise ConfigError(f"{key} must be a list of numbers, not {values!r}")
+    if not isinstance(values, list) or not values:
+        raise ConfigError(f"{key} must be a nonempty list of numbers, not "
+                          f"{values!r}")
     return [_number(v, f"{key} entry") for v in values]
 
 
@@ -380,13 +384,14 @@ def _cmd_kato(cfg, outdir):
     lines = ["t,value"] + [f"{_fmt(t)},{_fmt(val)}"
                            for t, val in zip(grid, values)]
     _write(outdir, "kato.csv", "\n".join(lines) + "\n")
+    by_t = [val for _t, val in sorted(zip(grid, values))]
     return {
         "subcommand": "kato",
         "t_grid": grid,
         "values": values,
         "checks": [("monotone in t", all(
-            a >= b - 1e-12 for a, b in zip(values, values[1:])),
-            "values nonincreasing along decreasing grid")],
+            a <= b + 1e-12 for a, b in zip(by_t, by_t[1:])),
+            "values nondecreasing in t")],
     }
 
 

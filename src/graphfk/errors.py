@@ -29,10 +29,6 @@ class BadParams(GraphFKError):
     pass
 
 
-class EmptySubset(GraphFKError):
-    pass
-
-
 class UnknownIndex(GraphFKError):
     pass
 
@@ -58,7 +54,7 @@ class NumericalFailure(GraphFKError):
 
 
 class BadCoefficients(BadParams):
-    """A time or a form-bound coefficient out of range."""
+    """A time out of range."""
 
 
 class ConfigError(GraphFKError):

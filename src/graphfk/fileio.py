@@ -165,6 +165,9 @@ def potential_from_entries(entries, g: WeightedGraph) -> Potential:
             i = g.index(lab)
             if i in by_index:
                 raise ConfigError(f"two potential entries for vertex {lab!r}")
+            if isinstance(value, bool):  # JSON true is not the number 1
+                raise ConfigError(f"potential entry for vertex {lab!r} must "
+                                  f"be a number or a matrix, not {value!r}")
             if isinstance(value, (int, float)):
                 M = np.array([[complex(value)]])
             else:

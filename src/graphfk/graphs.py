@@ -10,11 +10,17 @@ per-edge array of the package (a connection's transports, the arcs of
 ``operators.Problem``) is aligned with this order.  All numerics
 downstream run on the contiguous vertex indices; labels are opaque
 strings kept for I/O only.
+
+Graphs are built from labelled edge lists (``build_graph``) or standard
+families (``generate``).  Besides the degrees, the module answers the
+two questions of structure the trace estimator asks: whether the graph
+is bipartite (``two_colouring``) and whether it holds a triangle
+(``has_triangle``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -23,7 +29,6 @@ from .errors import (
     AsymmetricInput,
     BadParams,
     DuplicateLabel,
-    EmptySubset,
     NonpositiveMeasure,
     NonpositiveWeight,
     SelfLoop,
@@ -97,35 +102,6 @@ class DegreeProfile:
     deg_1: np.ndarray
     deg_m: np.ndarray
     c_bm: float
-
-
-@dataclass(frozen=True)
-class ExhaustionSequence:
-    """Nested vertex-index subsets of a host graph.
-
-    ``partial`` marks sequences whose last subset does not cover the
-    host vertex set.
-    """
-
-    host: WeightedGraph
-    subsets: tuple = field(default_factory=tuple)
-
-    def __post_init__(self):
-        prev = None
-        for s in self.subsets:
-            s = frozenset(s)
-            if prev is not None and not prev <= s:
-                raise BadParams("exhaustion subsets must be nested")
-            for i in s:
-                if not (0 <= i < self.host.n):
-                    raise UnknownIndex(f"index {i} not in host graph")
-            prev = s
-
-    @property
-    def partial(self):
-        if not self.subsets:
-            return True
-        return frozenset(self.subsets[-1]) != frozenset(range(self.host.n))
 
 
 def build_graph(edges, measure=None, vertices=None):
@@ -205,22 +181,6 @@ def _neighbours(g: WeightedGraph):
     return nbrs, ptr
 
 
-def is_connected(g: WeightedGraph) -> bool:
-    """True iff every vertex pair is joined by a chain of positive-b edges."""
-    if g.n <= 1:
-        return True
-    nbrs, ptr = _neighbours(g)
-    seen = {0}
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        for j in nbrs[ptr[i]:ptr[i + 1]]:
-            if j not in seen:
-                seen.add(j)
-                stack.append(j)
-    return len(seen) == g.n
-
-
 def two_colouring(g: WeightedGraph):
     """A colour 0 or 1 per vertex, shape (n,), that differs across every
     edge, or None when there is none: when some component holds an odd
@@ -293,9 +253,10 @@ def generate(family, **params) -> WeightedGraph:
     """
     try:
         ints = {key: int(value) for key, value in params.items()}
-        # int() would drop the fraction of 2.7 silently
-        if any(ints[key] != value for key, value in params.items()
-               if isinstance(value, float)):
+        # int() would drop the fraction of 2.7 silently, and read true as 1
+        if any(isinstance(value, bool)
+               or isinstance(value, float) and ints[key] != value
+               for key, value in params.items()):
             raise ValueError
     except (TypeError, ValueError, OverflowError):
         raise BadParams(f"{family} takes integer parameters, not "
@@ -345,29 +306,3 @@ def generate(family, **params) -> WeightedGraph:
                              np.ones(len(labels)))
     raise BadParams(f"unknown family {family!r}")
 
-
-def edge_mask(g: WeightedGraph, keep) -> np.ndarray:
-    """Which edges of g have both ends in ``keep`` (vertex indices), shape
-    (E,): the edges, and the per-edge data, of the induced subgraph."""
-    inside = np.zeros(g.n, dtype=bool)
-    inside[list(keep)] = True
-    return inside[g.edges].all(axis=1)
-
-
-def restrict(g: WeightedGraph, keep) -> WeightedGraph:
-    """Induced subgraph on ``keep`` (vertex indices), measure restricted.
-
-    Edges crossing the boundary are discarded (Dirichlet truncation); the
-    edges kept are ``edge_mask(g, keep)``, in their order in g.
-    """
-    keep = sorted(set(keep))
-    if not keep:
-        raise EmptySubset("keep must be nonempty")
-    for i in keep:
-        if not (0 <= i < g.n):
-            raise UnknownIndex(f"index {i} not in graph")
-    mask = edge_mask(g, keep)
-    # the new index of a kept vertex is its position in the sorted keep
-    return WeightedGraph(tuple(g.labels[i] for i in keep),
-                         np.searchsorted(keep, g.edges[mask]),
-                         g.weights[mask], g.measure[keep])

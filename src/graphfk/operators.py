@@ -5,7 +5,8 @@ The operator acts on sections f : X -> C^nu by
     A f(x) = (1/m(x)) sum_y b(x,y) (f(x) - Phi_{y,x} f(y)) + V(x) f(x),
 
 self-adjoint with respect to the weighted inner product
-<f, g>_m = sum_x (f(x), g(x)) m(x).  The matrix A is stored as-is
+<f, g>_m = sum_x (f(x), g(x)) m(x).  ``assemble`` materializes A as a
+dense matrix, of dimension at most ``DIMENSION_CAP``, stored as-is
 (non-Hermitian for non-constant m); ``symmetrize`` conjugates by
 M^{1/2} to obtain a standard-Hermitian representative with the same
 spectrum, which is the single bridge to standard eigensolvers.
@@ -26,7 +27,9 @@ from .bundles import Connection, Potential
 from .errors import DimensionCap, RankMismatch
 from .graphs import WeightedGraph, degrees
 
-DEFAULT_DIMENSION_CAP = 4096
+# The largest n * nu that ``assemble`` materializes: a dense complex
+# matrix of that dimension takes 256 MiB
+DIMENSION_CAP = 4096
 
 # Ordered by inclusion: scalar data is magnetic data, magnetic is covariant.
 MODES = ("scalar", "magnetic", "covariant")
@@ -104,37 +107,25 @@ class OperatorMatrix:
     matrix: np.ndarray
     measure: np.ndarray
 
-    @property
-    def dimension(self):
-        return self.matrix.shape[0]
-
-
-def _as_section(f, n, rank):
-    f = np.asarray(f, dtype=complex)
-    if rank == 1 and f.shape == (n,):
-        f = f.reshape(n, 1)
-    if f.shape != (n, rank):
-        raise RankMismatch(f"section must have shape ({n}, {rank}), got {f.shape}")
-    return f
-
 
 def _coupling(p: Problem):
     """Phi_{dst,src} per arc: the transport that row src applies to f(dst)."""
     return p.phi[np.arange(p.src.size) ^ 1]
 
 
-def assemble(g: WeightedGraph, c: Connection = None, V=None,
-             cap: int = DEFAULT_DIMENSION_CAP) -> OperatorMatrix:
+def assemble(g: WeightedGraph, c: Connection = None,
+             V=None) -> OperatorMatrix:
     """Materialize H_{Phi,V} as a dense matrix.
 
     ``c`` and ``V`` are resolved as by ``resolve``.  The matrix is float64
     when no transport and no potential value has an imaginary part, and
-    complex otherwise.
+    complex otherwise.  DimensionCap is raised, before anything of size
+    n^2 is allocated, when n * nu exceeds ``DIMENSION_CAP``.
     """
     p = resolve(g, c, V)
     n, nu = g.n, p.rank
-    if n * nu > cap:
-        raise DimensionCap(f"dimension {n * nu} exceeds cap {cap}")
+    if n * nu > DIMENSION_CAP:
+        raise DimensionCap(f"dimension {n * nu} exceeds cap {DIMENSION_CAP}")
     Vvals = p.potential.values
     A = np.zeros((n, nu, n, nu), dtype=np.result_type(p.phi, Vvals))
     x = np.arange(n)
@@ -143,49 +134,6 @@ def assemble(g: WeightedGraph, c: Connection = None, V=None,
     A[p.src, :, p.dst, :] -= (
         (p.w / g.measure[p.src])[:, None, None] * _coupling(p))
     return OperatorMatrix(g, nu, A.reshape(n * nu, n * nu), g.measure)
-
-
-def apply_formal(g: WeightedGraph, c: Connection, V, f) -> np.ndarray:
-    """Matrix-free evaluation of the operator on a section (n, nu)."""
-    p = resolve(g, c, V)
-    f = _as_section(f, g.n, p.rank)
-    out = degrees(g).deg_m[:, None] * f
-    hop = (_coupling(p) @ f[p.dst][:, :, None])[:, :, 0]
-    np.subtract.at(out, p.src, (p.w / g.measure[p.src])[:, None] * hop)
-    return out + (p.potential.values @ f[:, :, None])[:, :, 0]
-
-
-def quadratic_form(g: WeightedGraph, c: Connection, f1, f2) -> complex:
-    """Sesquilinear energy form of the free covariant operator.
-
-    (1/2) sum over ordered neighbor pairs x~y of
-    b(x,y) (f1(x) - Phi_{y,x} f1(y), f2(x) - Phi_{y,x} f2(y))_x,
-    conjugate-linear in the second argument.
-    """
-    p = resolve(g, c)
-    f1 = _as_section(f1, g.n, p.rank)
-    f2 = _as_section(f2, g.n, p.rank)
-    P = _coupling(p)
-    d1 = f1[p.src] - (P @ f1[p.dst][:, :, None])[:, :, 0]
-    d2 = f2[p.src] - (P @ f2[p.dst][:, :, None])[:, :, 0]
-    return complex(0.5 * (p.w * np.sum(np.conj(d2) * d1, axis=1)).sum())
-
-
-def degree_bound(g: WeightedGraph):
-    """(C(b,m), 2 C(b,m), observed norm) for the free scalar operator.
-
-    The observed norm is the largest-magnitude eigenvalue of the
-    V = 0, identity-connection operator; it must not exceed 2 C(b,m).
-    """
-    deg = degrees(g)
-    c_bm = deg.c_bm
-    S = symmetrize(assemble(g))
-    lam = np.linalg.eigvalsh(S)
-    observed = float(np.abs(lam).max())
-    if observed > 2.0 * c_bm + 1e-9:
-        raise AssertionError(
-            f"operator norm {observed} exceeds bound {2.0 * c_bm}")
-    return c_bm, 2.0 * c_bm, observed
 
 
 def symmetrize(op: OperatorMatrix) -> np.ndarray:

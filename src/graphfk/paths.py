@@ -61,10 +61,8 @@ expectation, given the path up to the time of its k-th jump, of the
 weight of the paths that end at x with exactly k jumps, so its mean is
 Z_k, and the Bernoulli noise of the indicator is gone.
 
-The process-law estimators run at rank 1, unconditioned:
-``simulate_scalar_paths`` returns each path's terminal vertex,
-Feynman-Kac weight and jump count, and ``estimate_heat_kernel`` counts
-the terminal vertices of that walk.
+The process law runs at rank 1, unconditioned: ``simulate_scalar_paths``
+returns each path's terminal vertex, Feynman-Kac weight and jump count.
 
 Random streams are counter-based (Philox).  ``estimate_partition`` lays
 its paths out vertex-major and cuts them into pieces of a fixed chunk
@@ -130,7 +128,6 @@ class EstimatorReport:
     estimate: float
     stderr: float
     samples: int
-    seed_descriptor: str
     imag_estimate: float = None
     imag_stderr: float = None
     per_vertex: tuple = None
@@ -241,7 +238,7 @@ def _path_chunk(tbl, start, horizon, rng, loops=False):
 
     F is the path's Dyson weight (module docstring), with the identity
     connection the Feynman-Kac weight prod_k e^{-v(Y_k) s_k}; it is kept
-    at rank 1 only, which is all the process-law estimators run.
+    at rank 1 only, which is all ``simulate_scalar_paths`` runs.
 
     With ``loops`` the chunk serves the trace estimator and returns the
     next-event score S of each path in place of F.  The first K =
@@ -455,36 +452,8 @@ def _merge_moments(size, width, chunks):
     return n[:, None], mean, m2
 
 
-def _moments(values_by_chunk):
-    """(count, mean, M2) of one sample given in chunks, merged in order."""
-    n, mean, m2 = _merge_moments(1, 1, (
-        _chunk_moments(np.zeros(v.size, dtype=np.int64), v[:, None])
-        for v in values_by_chunk))
-    return int(n[0, 0]), float(mean[0, 0]), float(m2[0, 0])
-
-
 def _mean_se(n, mean, m2):
     return mean, np.sqrt(m2 / np.maximum(n - 1, 1) / np.maximum(n, 1))
-
-
-def estimate_heat_kernel(g: WeightedGraph, x: int, y: int, t: float,
-                         samples: int, seed: int, chunk: int = CHUNK_SIZE,
-                         workers: int = 1) -> EstimatorReport:
-    """Empirical frequency of X_t = y started at x; targets p(t,x,y) m(y).
-
-    The walk is that of ``simulate_scalar_paths``; its hits merge chunk by
-    chunk.
-    """
-    if samples < 100:
-        raise BadParams("need at least 100 samples")
-    if not 0 <= y < g.n:
-        raise UnknownIndex(f"vertex {y} not in graph")
-    terminal, _F, _N = simulate_scalar_paths(g, x, t, samples, seed,
-                                             chunk=chunk, workers=workers)
-    hits = (terminal == y).astype(float)
-    mean, se = _mean_se(*_moments(np.split(hits, range(chunk, samples,
-                                                        chunk))))
-    return EstimatorReport(mean, float(se), samples, f"philox(seed={seed})")
 
 
 def _exact_strata(problem: Problem, t: float, hbar: float):
@@ -598,8 +567,7 @@ def estimate_partition(g: WeightedGraph, c: Connection, V, beta: float,
     # a zero-variance estimate of a trace meets the exact value bit for bit
     return EstimatorReport(
         math.fsum(est[:, 0].tolist()), float(np.sqrt(np.sum(se[:, 0] ** 2))),
-        samples * g.n, f"philox(seed={seed})",
-        imag_estimate=math.fsum(est[:, 1].tolist()),
+        samples * g.n, imag_estimate=math.fsum(est[:, 1].tolist()),
         imag_stderr=float(np.sqrt(np.sum(se[:, 1] ** 2))),
         per_vertex=tuple(zip(range(g.n), est[:, 0].tolist(),
                              se[:, 0].tolist())),

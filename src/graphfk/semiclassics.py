@@ -34,8 +34,7 @@ import numpy as np
 
 from .bundles import Connection, Potential
 from .errors import BadParams
-from .graphs import (ExhaustionSequence, WeightedGraph, degrees, edge_mask,
-                     restrict)
+from .graphs import WeightedGraph, degrees
 from .operators import Problem, _coupling, assemble, resolve, symmetrize
 from .spectral import eigenvalues, hermitian_eigenvalues, partition_function
 # not called here; kept because perfbench/tracer.py rebinds it
@@ -81,7 +80,6 @@ class SweepResult:
     rows: list = field(default_factory=list)
     classical_value: float = 0.0
     converged: bool = False
-    gap_ratios: list = field(default_factory=list)
 
     def to_csv(self):
         lines = ["hbar,trace,lower,upper,gap"]
@@ -445,61 +443,7 @@ def sweep(config: SweepConfig) -> SweepResult:
                     f"sandwich lower bound violated at hbar={hbar}: "
                     f"{lower} + {two_jump} > {trace}")
         result.rows.append(SweepRow(hbar, trace, lower, classical, gap))
-    result.gap_ratios = [
-        b.gap / a.gap if a.gap > 0 else float("nan")
-        for a, b in zip(result.rows, result.rows[1:])
-    ]
     final_gap = result.rows[-1].gap
     result.converged = final_gap < max(1e-6, 1e-3 * classical)
     return result
 
-
-def exhaustion_sweep(host: WeightedGraph, exhaustion: ExhaustionSequence,
-                     config: SweepConfig):
-    """Sweep summaries along a nested truncation sequence.
-
-    Returns a list of dicts (size, classical_value, final_trace,
-    converged) plus a coarse divergence flag on the classical values:
-    the trend is flagged divergent when the marginal per-vertex
-    contribution of the last truncation step does not vanish faster
-    than 1/size.
-    """
-    summaries = []
-    V = resolve(host, config.connection, config.potential).potential
-    for keep in exhaustion.subsets:
-        keep = sorted(keep)
-        sub = restrict(host, keep)
-        subV = Potential(V.rank, V.values[keep])
-        subc = None
-        if config.connection is not None:
-            subc = Connection(config.connection.rank, config.connection
-                              .aligned(host)[edge_mask(host, keep)])
-        subconf = SweepConfig(sub, config.beta, config.hbar_schedule,
-                              subV, subc)
-        res = sweep(subconf)
-        summaries.append({
-            "size": sub.n,
-            "classical_value": res.classical_value,
-            "final_trace": res.rows[-1].trace,
-            "converged": res.converged,
-        })
-    divergent = False
-    if len(summaries) >= 3:
-        s0, s1, s2 = summaries[-3], summaries[-2], summaries[-1]
-        d1 = s1["size"] - s0["size"]
-        d2 = s2["size"] - s1["size"]
-        if d1 > 0 and d2 > 0:
-            # size-weighted marginal per-vertex contributions; a convergent
-            # tail must decay faster than 1/size
-            prod_prev = (s1["classical_value"] - s0["classical_value"]) \
-                / d1 * s1["size"]
-            prod_last = (s2["classical_value"] - s1["classical_value"]) \
-                / d2 * s2["size"]
-            divergent = prod_last > 1e-12 and prod_last >= 0.9 * prod_prev
-    elif len(summaries) == 2:
-        a, b = summaries
-        dn = b["size"] - a["size"]
-        if dn > 0:
-            marginal = (b["classical_value"] - a["classical_value"]) / dn
-            divergent = marginal * b["size"] > 0.1
-    return summaries, divergent

@@ -1,4 +1,5 @@
-"""Exact spectral calculus: eigendecompositions, heat kernels, traces.
+"""Exact spectral calculus: eigendecompositions, heat kernels, traces
+and the Kato functional.
 
 Everything here runs through a dense eigensolve of the symmetrized
 operator (desk scale, deterministic), so semigroups and partition
@@ -17,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bundles import Connection, Potential
 from .errors import BadCoefficients, NumericalFailure
 from .graphs import WeightedGraph
 from .operators import OperatorMatrix, assemble, symmetrize
@@ -36,10 +36,6 @@ class SpectralDecomposition:
     vectors: np.ndarray
     measure: np.ndarray
     rank: int
-
-    @property
-    def dimension(self):
-        return self.eigenvalues.size
 
 
 @dataclass(frozen=True)
@@ -138,19 +134,3 @@ def kato_functional(g: WeightedGraph, w, t):
         out[i] = ((U @ (ti * ratio * proj)) / sq).max()
     return float(out) if out.ndim == 0 else out
 
-
-def relative_form_bound_check(g: WeightedGraph, c: Connection,
-                              V_minus: Potential, C1: float, C2: float):
-    """Check Q_{V^-}(f) <= C1 Q_{Phi,0}(f) + C2 ||f||_m^2 for all f.
-
-    Equivalent to C1 H_{Phi,-V^-/C1} + C2 >= 0; returns (holds, margin)
-    with margin the smallest eigenvalue of the symmetrized operator.
-    """
-    if not (0.0 < C1 < 1.0 and C2 >= 0.0):  # NaN fails it too
-        raise BadCoefficients("need C1 in (0,1) and C2 >= 0")
-    # V^- / (-C1) is -V^-/C1
-    op = assemble(g, c, V_minus.scaled(-C1))
-    shifted = OperatorMatrix(
-        g, op.rank, C1 * op.matrix + C2 * np.eye(op.dimension), g.measure)
-    lam_min = float(eigenvalues(shifted)[0])
-    return lam_min >= -1e-10, lam_min

@@ -1,4 +1,5 @@
-"""Shared randomized-instance helpers for the test suite."""
+"""Shared randomized-instance helpers and independent oracles for the
+test suite."""
 
 import shutil
 import tempfile
@@ -8,7 +9,10 @@ import pytest
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from graphfk.bundles import Connection, Potential
-from graphfk.graphs import build_graph
+from graphfk.errors import RankMismatch
+from graphfk.graphs import build_graph, degrees
+from graphfk.operators import _coupling, resolve
+from graphfk.paths import _chunk_moments, _merge_moments
 from graphfk.spectral import heat_kernel
 
 
@@ -43,6 +47,15 @@ def dense_weights(g):
     for (i, j), w in zip(g.edges.tolist(), g.weights.tolist()):
         B[i, j] = B[j, i] = w
     return B
+
+
+def brute_force_connected(g):
+    """Transitive-closure oracle."""
+    n = g.n
+    reach = np.eye(n, dtype=bool) | (dense_weights(g) > 0)
+    for _ in range(n):
+        reach = reach | (reach @ reach)
+    return bool(reach.all())
 
 
 def transports(g, c):
@@ -86,6 +99,56 @@ def kernel_trace(dec, t):
     for x in range(dec.measure.size):
         total += np.trace(K.block(x, x)).real * dec.measure[x]
     return total
+
+
+def _as_section(f, n, rank):
+    f = np.asarray(f, dtype=complex)
+    if rank == 1 and f.shape == (n,):
+        f = f.reshape(n, 1)
+    if f.shape != (n, rank):
+        raise RankMismatch(f"section must have shape ({n}, {rank}), got {f.shape}")
+    return f
+
+
+def apply_formal(g, c, V, f):
+    """Matrix-free evaluation of the operator on a section (n, nu)."""
+    p = resolve(g, c, V)
+    f = _as_section(f, g.n, p.rank)
+    out = degrees(g).deg_m[:, None] * f
+    hop = (_coupling(p) @ f[p.dst][:, :, None])[:, :, 0]
+    np.subtract.at(out, p.src, (p.w / g.measure[p.src])[:, None] * hop)
+    return out + (p.potential.values @ f[:, :, None])[:, :, 0]
+
+
+def quadratic_form(g, c, f1, f2):
+    """Sesquilinear energy form of the free covariant operator.
+
+    (1/2) sum over ordered neighbor pairs x~y of
+    b(x,y) (f1(x) - Phi_{y,x} f1(y), f2(x) - Phi_{y,x} f2(y))_x,
+    conjugate-linear in the second argument.
+    """
+    p = resolve(g, c)
+    f1 = _as_section(f1, g.n, p.rank)
+    f2 = _as_section(f2, g.n, p.rank)
+    P = _coupling(p)
+    d1 = f1[p.src] - (P @ f1[p.dst][:, :, None])[:, :, 0]
+    d2 = f2[p.src] - (P @ f2[p.dst][:, :, None])[:, :, 0]
+    return complex(0.5 * (p.w * np.sum(np.conj(d2) * d1, axis=1)).sum())
+
+
+def spectral_floor(V):
+    """Scalar potential w(i) = min spec(V(i)); identity on rank 1."""
+    if V.rank == 1:
+        return Potential.scalar(V.as_scalar())
+    return Potential.scalar(np.linalg.eigvalsh(V.values)[:, 0])
+
+
+def _moments(values_by_chunk):
+    """(count, mean, M2) of one sample given in chunks, merged in order."""
+    n, mean, m2 = _merge_moments(1, 1, (
+        _chunk_moments(np.zeros(v.size, dtype=np.int64), v[:, None])
+        for v in values_by_chunk))
+    return int(n[0, 0]), float(mean[0, 0]), float(m2[0, 0])
 
 
 @pytest.fixture

@@ -11,20 +11,10 @@ import time
 import numpy as np
 import pytest
 
-from graphfk.bundles import (
-    Potential,
-    connection_from_magnetic,
-    spectral_floor,
-)
+from graphfk.bundles import Potential, connection_from_magnetic
 from graphfk.cli import run as cli_run
 from graphfk.graphs import build_graph, degrees, generate
-from graphfk.operators import (
-    apply_formal,
-    assemble,
-    degree_bound,
-    quadratic_form,
-    resolve,
-)
+from graphfk.operators import assemble, resolve, symmetrize
 from graphfk.paths import (
     _JumpTable,
     _path_chunk,
@@ -37,11 +27,14 @@ from graphfk.semiclassics import SweepConfig, semiclassical_trace, sweep
 from graphfk.spectral import eigendecompose, heat_kernel
 
 from conftest import (
+    apply_formal,
     dense_weights,
+    quadratic_form,
     random_connection,
     random_graph,
     random_potential,
     random_section,
+    spectral_floor,
 )
 
 
@@ -180,8 +173,9 @@ def test_criterion_7_operator_layer():
         Hf1 = apply_formal(g, c, None, f1)
         ip = complex(np.sum(np.conj(f2) * Hf1 * g.measure[:, None]))
         worst_green = max(worst_green, abs(Q - ip) / (1 + abs(Q)))
-        _c_bm, bound, observed = degree_bound(g)
-        norm_ok = norm_ok and observed <= bound + 1e-9
+        # ||H_0|| <= 2 C(b, m)
+        observed = np.abs(np.linalg.eigvalsh(symmetrize(assemble(g)))).max()
+        norm_ok = norm_ok and observed <= 2.0 * degrees(g).c_bm + 1e-9
     stencil_ok = True
     for l, side in ((1, 6), (2, 3)):
         g = generate("lattice_box", l=l, side=side)

@@ -5,8 +5,6 @@ from graphfk.bundles import (
     Connection,
     Potential,
     connection_from_magnetic,
-    decompose_potential,
-    spectral_floor,
     validate_connection,
 )
 from graphfk.errors import ConfigError, InvalidConnection, NonHermitian
@@ -14,7 +12,7 @@ from graphfk.fileio import connection_from_entries, magnetic_from_entries
 from graphfk.graphs import build_graph, generate
 from graphfk.operators import resolve
 
-from conftest import random_connection, random_potential
+from conftest import random_connection, random_potential, spectral_floor
 
 
 @pytest.fixture
@@ -155,38 +153,8 @@ class TestSpectralFloor:
 
 
 class TestDecompose:
-    def test_diagonal_split(self):
-        V = Potential(2, np.diag([2.0, -1.0])[None].astype(complex))
-        plus, minus = decompose_potential(V)
-        assert np.allclose(plus.values[0], np.diag([2.0, 0.0]))
-        assert np.allclose(minus.values[0], np.diag([0.0, 1.0]))
-
-    def test_nonnegative_has_zero_minus(self):
-        V = Potential(2, np.diag([1.0, 3.0])[None].astype(complex))
-        _plus, minus = decompose_potential(V)
-        assert np.allclose(minus.values, 0.0)
-
-    def test_swap_matrix_projections(self):
-        V = Potential(2, np.array([[[0, 1], [1, 0]]], dtype=complex))
-        plus, minus = decompose_potential(V)
-        e_plus = np.array([1, 1]) / np.sqrt(2)
-        e_minus = np.array([1, -1]) / np.sqrt(2)
-        assert np.allclose(plus.values[0], np.outer(e_plus, e_plus))
-        assert np.allclose(minus.values[0], np.outer(e_minus, e_minus))
-        assert np.allclose(plus.values[0] @ minus.values[0], 0.0, atol=1e-10)
-
-    def test_properties_random(self, rng):
-        g = generate("cycle", n=5)
-        V = random_potential(g, 3, rng)
-        plus, minus = decompose_potential(V)
-        for i in range(g.n):
-            P, M, A = plus.values[i], minus.values[i], V.values[i]
-            assert np.allclose(P - M, A, atol=1e-10)
-            assert np.linalg.eigvalsh(P)[0] >= -1e-10
-            assert np.linalg.eigvalsh(M)[0] >= -1e-10
-            assert np.allclose(P @ M, 0.0, atol=1e-10)
-            assert np.allclose(P @ A - A @ P, 0.0, atol=1e-9)
-            assert np.allclose(M @ A - A @ M, 0.0, atol=1e-9)
+    """``Potential`` refuses the values that no fiberwise spectral split
+    takes: non-Hermitian or non-finite ones."""
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(NonHermitian):

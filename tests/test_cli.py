@@ -523,6 +523,27 @@ class TestMalformedConfig:
         self._exit_1(tmp_path, capsys, subcommand,
                      {"graph": {"preset": "two_vertex"}, **cfg})
 
+    @pytest.mark.parametrize("subcommand, key", [("kato", "t_grid"),
+                                                 ("sweep", "hbar_schedule")])
+    def test_empty_list_params(self, tmp_path, capsys, subcommand, key):
+        # kato wrote a kato.csv of its header alone and exited 0; sweep
+        # exited 1 but said its "entries must be positive"
+        record = self._exit_1(tmp_path, capsys, subcommand, {
+            "graph": {"preset": "two_vertex"}, "params": {key: []}})
+        assert key in record["error"]
+
+    @pytest.mark.parametrize("subcommand, cfg", [
+        ("sweep", {"params": {"beta": True}}),
+        ("sweep", {"params": {"hbar_schedule": [True]}}),
+        ("spectrum", {"potential": {"inline": [["a", True], ["b", 0.5]]}}),
+        ("spectrum", {"graph": {"family": "path", "n": True}}),
+    ], ids=["beta", "hbar-schedule", "potential", "family-size"])
+    def test_boolean_for_a_number(self, tmp_path, capsys, subcommand, cfg):
+        # JSON true was read as 1, and the run exited 0
+        record = self._exit_1(tmp_path, capsys, subcommand,
+                              {"graph": {"preset": "two_vertex"}, **cfg})
+        assert "True" in record["error"]
+
     @pytest.mark.parametrize("graph", [5, {"preset": {}}, {"preset": ["x"]},
                                        {"file": 5}],
                              ids=["number", "object-preset", "list-preset",
@@ -755,6 +776,25 @@ class TestKato:
         assert values[0] >= values[1] >= values[2] >= 0
         report = (tmp_path / "out" / "report.txt").read_text()
         assert "[PASS] monotone in t" in report
+
+    def test_monotone_check_reads_values_in_order_of_t(self, tmp_path,
+                                                       monkeypatch):
+        # the check compared the values in grid order, so a correct result
+        # on a grid that rises read [FAIL]
+        cfg = write_config(tmp_path, "c.json", {
+            "graph": {"preset": "two_vertex"},
+            "params": {"t_grid": [0.5, 2.0, 1.0]},
+            "output_dir": str(tmp_path / "out"),
+        })
+        assert run(cfg, "kato") == 0
+        report = (tmp_path / "out" / "report.txt").read_text()
+        assert "[PASS] monotone in t: values nondecreasing in t" in report
+        # values that fall as t rises still fail it
+        monkeypatch.setattr(cli, "kato_functional",
+                            lambda g, w, t: np.array([3.0, 1.0, 2.0]))
+        assert run(cfg, "kato") == 0
+        report = (tmp_path / "out" / "report.txt").read_text()
+        assert "[FAIL] monotone in t" in report
 
     def test_connection_exits_1(self, tmp_path, capsys):
         # the Kato functional is of the free scalar kernel: a flux through

@@ -7,18 +7,13 @@ from graphfk.bundles import (
     connection_from_magnetic,
 )
 from graphfk.errors import DimensionCap, InvalidConnection, RankMismatch
-from graphfk.graphs import build_graph, generate
-from graphfk.operators import (
-    apply_formal,
-    assemble,
-    degree_bound,
-    quadratic_form,
-    resolve,
-    symmetrize,
-)
+from graphfk.graphs import build_graph, degrees, generate
+from graphfk.operators import DIMENSION_CAP, assemble, resolve, symmetrize
 
 from conftest import (
+    apply_formal,
     dense_weights,
+    quadratic_form,
     random_connection,
     random_graph,
     random_section,
@@ -51,9 +46,11 @@ class TestAssemble:
             assemble(edge_graph, c, Potential.scalar([0.0, 1.0]))
 
     def test_dimension_cap(self):
-        g = generate("path", n=5)
-        with pytest.raises(DimensionCap):
-            assemble(g, cap=4)
+        # n = 4225 > DIMENSION_CAP; refused before the matrix is allocated
+        g = generate("lattice_box", l=2, side=65)
+        assert g.n > DIMENSION_CAP
+        with pytest.raises(DimensionCap, match="4225"):
+            assemble(g)
 
 
 class TestResolve:
@@ -175,33 +172,37 @@ class TestQuadraticForm:
             assert q_cov >= q_scal - 1e-10
 
 
+def free_norm(g):
+    """||H_0||, the largest-magnitude eigenvalue of the free scalar
+    operator."""
+    return float(np.abs(np.linalg.eigvalsh(symmetrize(assemble(g)))).max())
+
+
 class TestDegreeBound:
+    """||H_0|| <= 2 C(b, m), C(b, m) = max deg_m."""
+
     def test_single_edge(self, edge_graph):
-        c_bm, bound, observed = degree_bound(edge_graph)
-        assert (c_bm, bound) == (1.0, 2.0)
-        assert observed == pytest.approx(2.0)
+        assert degrees(edge_graph).c_bm == 1.0
+        assert free_norm(edge_graph) == pytest.approx(2.0)
 
     def test_path3(self):
         g = generate("path", n=3)
-        c_bm, bound, observed = degree_bound(g)
-        assert (c_bm, bound) == (2.0, 4.0)
-        assert observed <= bound + 1e-9
+        assert degrees(g).c_bm == 2.0
+        assert free_norm(g) <= 2 * degrees(g).c_bm + 1e-9
         lam = np.linalg.eigvalsh(assemble(g).matrix.real)
         assert np.allclose(lam, [0.0, 1.0, 3.0])
 
     def test_measure_scaling(self, edge_graph):
         scaled = build_graph([("a", "b", 1.0)],
                              measure=[("a", 0.1), ("b", 0.1)])
-        c1, _b1, o1 = degree_bound(edge_graph)
-        c2, _b2, o2 = degree_bound(scaled)
-        assert c2 == pytest.approx(10 * c1)
-        assert o2 == pytest.approx(10 * o1)
+        assert degrees(scaled).c_bm == pytest.approx(
+            10 * degrees(edge_graph).c_bm)
+        assert free_norm(scaled) == pytest.approx(10 * free_norm(edge_graph))
 
     def test_norm_bound_random(self, rng):
         for _ in range(25):
             g = random_graph(rng, max_n=9, connected=False)
-            c_bm, bound, observed = degree_bound(g)
-            assert observed <= bound + 1e-9
+            assert free_norm(g) <= 2 * degrees(g).c_bm + 1e-9
 
 
 class TestSymmetrize:

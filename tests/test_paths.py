@@ -5,12 +5,7 @@ from collections.abc import Iterator
 import numpy as np
 import pytest
 
-from graphfk.bundles import (
-    Connection,
-    Potential,
-    connection_from_magnetic,
-    spectral_floor,
-)
+from graphfk.bundles import Connection, Potential, connection_from_magnetic
 from graphfk.errors import BadParams, RankMismatch, UnknownIndex
 from graphfk.graphs import build_graph, degrees, generate
 from graphfk.operators import assemble, resolve
@@ -26,10 +21,8 @@ from graphfk.paths import (
     _JumpTable,
     _mean_se,
     _merge_moments,
-    _moments,
     _path_chunk,
     _run_jobs,
-    estimate_heat_kernel,
     estimate_partition,
     path_stream,
     simulate_scalar_paths,
@@ -38,10 +31,12 @@ from graphfk.semiclassics import jump_terms, semiclassical_trace
 from graphfk.spectral import eigenvalues, partition_function
 
 from conftest import (
+    _moments,
     dense_weights,
     random_connection,
     random_graph,
     random_potential,
+    spectral_floor,
     transports,
 )
 from graphfk.presets import two_vertex
@@ -529,26 +524,29 @@ class TestOccupationIntegral:
 
 
 class TestHeatKernelEstimate:
+    """The frequency of X_t = y over the terminal vertices of
+    ``simulate_scalar_paths`` estimates p(t, x, y) m(y)."""
+
     def test_two_vertex_on_diagonal(self, edge_graph):
-        report = estimate_heat_kernel(edge_graph, 0, 0, 1.0, 100_000, seed=51)
+        terminal, _F, _N = simulate_scalar_paths(edge_graph, 0, 1.0, 100_000,
+                                                 seed=51)
+        hits = (terminal == 0).astype(float)
+        estimate, stderr = hits.mean(), hits.std(ddof=1) / math.sqrt(hits.size)
         target = (1 + math.exp(-2)) / 2
-        assert abs(report.estimate - target) <= 3 * report.stderr
+        assert abs(estimate - target) <= 3 * stderr
 
     def test_other_component_exact_zero(self):
         g = build_graph([("a", "b", 1.0), ("c", "d", 1.0)])
-        report = estimate_heat_kernel(g, 0, 2, 0.8, 1000, seed=52)
-        assert report.estimate == 0.0
+        terminal, _F, _N = simulate_scalar_paths(g, 0, 0.8, 1000, seed=52)
+        assert np.all(terminal < 2)
 
     def test_frequencies_partition_unity(self, rng):
+        # every path ends on a vertex of g
         g = random_graph(rng, max_n=5)
-        total = sum(
-            estimate_heat_kernel(g, 0, y, 0.7, 2000, seed=53).estimate
-            for y in range(g.n))
-        assert total == pytest.approx(1.0, abs=1e-12)
-
-    def test_sample_floor(self, edge_graph):
-        with pytest.raises(BadParams):
-            estimate_heat_kernel(edge_graph, 0, 0, 1.0, 50, seed=54)
+        terminal, _F, _N = simulate_scalar_paths(g, 0, 0.7, 2000, seed=53)
+        freq = np.bincount(terminal, minlength=g.n) / terminal.size
+        assert freq.size == g.n
+        assert freq.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestPartitionEstimate:
@@ -681,9 +679,6 @@ class TestPartitionEstimate:
         with pytest.raises(BadParams):
             simulate_scalar_paths(edge_graph, 0, 1.0, 1000, seed=74,
                                   chunk=chunk)
-        with pytest.raises(BadParams):
-            estimate_heat_kernel(edge_graph, 0, 0, 1.0, 1000, seed=75,
-                                 chunk=chunk)
 
     @pytest.mark.parametrize("workers", [0, -2])
     def test_process_law_estimators_reject_no_workers(self, edge_graph,
@@ -692,9 +687,6 @@ class TestPartitionEstimate:
         with pytest.raises(BadParams):
             simulate_scalar_paths(edge_graph, 0, 1.0, 1000, seed=76,
                                   workers=workers)
-        with pytest.raises(BadParams):
-            estimate_heat_kernel(edge_graph, 0, 0, 1.0, 1000, seed=77,
-                                 workers=workers)
 
     def test_workers_above_the_bound_rejected_before_any_thread(
             self, edge_graph, monkeypatch):
@@ -711,9 +703,6 @@ class TestPartitionEstimate:
             with pytest.raises(BadParams, match="workers"):
                 simulate_scalar_paths(edge_graph, 0, 1.0, 1000, seed=79,
                                       workers=workers)
-            with pytest.raises(BadParams, match="workers"):
-                estimate_heat_kernel(edge_graph, 0, 0, 1.0, 1000, seed=80,
-                                     workers=workers)
 
     def test_chunk_sizes_are_lazy(self):
         # a list of every job used to be built first: 10^12 paths died
@@ -801,12 +790,9 @@ class TestPartitionEstimate:
                                   v=np.array([0.3, 0.5]))
 
     def test_process_law_estimators_reject_nan_horizon(self, edge_graph):
-        # NaN passed the old t < 0 check, no path moved, and the heat
-        # kernel came back as 1.0
+        # NaN passed the old t < 0 check, and no path moved
         with pytest.raises(BadParams):
             simulate_scalar_paths(edge_graph, 0, math.nan, 3, seed=1)
-        with pytest.raises(BadParams):
-            estimate_heat_kernel(edge_graph, 0, 0, math.nan, 100, seed=1)
 
     @pytest.mark.parametrize("x", [2, -1])
     def test_simulate_scalar_paths_rejects_unknown_start(self, edge_graph,
@@ -815,12 +801,6 @@ class TestPartitionEstimate:
         # but reported -1 as the end of a path that did not jump
         with pytest.raises(UnknownIndex):
             simulate_scalar_paths(edge_graph, x, 1.0, 3, seed=1)
-
-    @pytest.mark.parametrize("y", [7, -1])
-    def test_heat_kernel_rejects_unknown_target(self, edge_graph, y):
-        # 7 was reported as 0.0 with stderr 0
-        with pytest.raises(UnknownIndex):
-            estimate_heat_kernel(edge_graph, 0, y, 1.0, 100, seed=1)
 
     @pytest.mark.parametrize("samples", [0, -3])
     def test_simulate_scalar_paths_rejects_no_samples(self, edge_graph,

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from graphfk.bundles import Connection, Potential
 from graphfk.graphs import build_graph
-from graphfk.operators import MODES, apply_formal, assemble, resolve
+from graphfk.operators import MODES, assemble, resolve
 from graphfk.paths import estimate_partition
 from graphfk.semiclassics import (
     SweepConfig,
@@ -30,7 +30,7 @@ from graphfk.spectral import (
     partition_function,
 )
 
-from conftest import kernel_trace
+from conftest import apply_formal, kernel_trace
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None)
 unit = st.floats(-1.0, 1.0)

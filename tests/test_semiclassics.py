@@ -13,13 +13,12 @@ from graphfk.bundles import (
     connection_from_magnetic,
 )
 from graphfk.errors import BadParams
-from graphfk.graphs import ExhaustionSequence, build_graph, generate, restrict
+from graphfk.graphs import build_graph, generate
 from graphfk.operators import assemble, resolve, symmetrize
 from graphfk.semiclassics import (
     SweepConfig,
     _divided_exp,
     classical_partition,
-    exhaustion_sweep,
     golden_thompson_margin,
     jump_terms,
     semiclassical_trace,
@@ -676,54 +675,3 @@ class TestGaugeInvariance:
         tr0 = partition_function(eigenvalues(assemble(g, c0, w)), t)
         tr1 = partition_function(eigenvalues(assemble(g, c1, w)), t)
         assert tr0 == pytest.approx(tr1, abs=1e-9)
-
-
-class TestExhaustionSweep:
-    def _config(self, g, w):
-        return SweepConfig(g, 1.0, (1e-1, 1e-2), Potential.scalar(w))
-
-    def test_constant_zero_potential(self):
-        host = generate("path", n=8)
-        seq = ExhaustionSequence(
-            host, (set(range(2)), set(range(4)), set(range(8))))
-        config = self._config(host, np.zeros(8))
-        summaries, _div = exhaustion_sweep(host, seq, config)
-        assert [s["classical_value"] for s in summaries] == [2.0, 4.0, 8.0]
-
-    def test_harmonic_flagged_divergent(self):
-        n = 64
-        host = generate("path", n=n)
-        w = np.log(1 + np.arange(n))
-        seq = ExhaustionSequence(
-            host, tuple(set(range(k)) for k in (8, 16, 32, 64)))
-        config = self._config(host, w)
-        summaries, divergent = exhaustion_sweep(host, seq, config)
-        partial = [sum(1.0 / (1 + k) for k in range(s["size"]))
-                   for s in summaries]
-        for s, expect in zip(summaries, partial):
-            assert s["classical_value"] == pytest.approx(expect, rel=1e-10)
-        assert divergent
-
-    def test_decaying_not_flagged(self):
-        n = 64
-        host = generate("path", n=n)
-        w = 0.1 * np.arange(n)  # geometric summand decay
-        seq = ExhaustionSequence(
-            host, tuple(set(range(k)) for k in (8, 16, 32, 64)))
-        config = self._config(host, w)
-        _summaries, divergent = exhaustion_sweep(host, seq, config)
-        assert not divergent
-
-    def test_single_truncation_matches_plain_sweep(self):
-        host = generate("path", n=6)
-        w = np.linspace(0, 1, 6)
-        keep = [0, 1, 2]
-        seq = ExhaustionSequence(host, (set(keep),))
-        config = self._config(host, w)
-        summaries, _ = exhaustion_sweep(host, seq, config)
-        sub = restrict(host, keep)
-        direct = sweep(self._config(sub, w[keep]))
-        assert summaries[0]["classical_value"] == pytest.approx(
-            direct.classical_value)
-        assert summaries[0]["final_trace"] == pytest.approx(
-            direct.rows[-1].trace)
