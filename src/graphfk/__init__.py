@@ -27,15 +27,12 @@ from .paths import (
     path_stream,
 )
 from .semiclassics import (
-    SweepConfig,
     SweepResult,
     classical_partition,
-    golden_thompson_margin,
     semiclassical_trace,
     sweep,
 )
 from .spectral import (
-    HeatKernel,
     SpectralDecomposition,
     eigendecompose,
     eigenvalues,

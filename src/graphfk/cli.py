@@ -27,22 +27,11 @@ import numpy as np
 
 from . import fileio, presets
 from .bundles import Connection, validate_connection
-from .errors import (
-    BadParams,
-    ConfigError,
-    GraphFKError,
-    IOFailure,
-    NumericalFailure,
-)
+from .errors import BadParams, ConfigError, GraphFKError, NumericalFailure
 from .graphs import generate
 from .operators import MODES, assemble, resolve
 from .paths import estimate_partition
-from .semiclassics import (
-    SweepConfig,
-    classical_partition,
-    golden_thompson_margin,
-    sweep,
-)
+from .semiclassics import classical_partition, semiclassical_trace, sweep
 from .spectral import (
     eigendecompose,
     eigenvalues,
@@ -75,7 +64,8 @@ def _resolve_graph(cfg):
     if "file" in spec:
         return fileio.load_graph(spec["file"]), None
     if "family" in spec:
-        params = {k: v for k, v in spec.items() if k != "family"}
+        params = {k: _number(v, k, int) for k, v in spec.items()
+                  if k != "family"}
         return generate(spec["family"], **params), None
     raise ConfigError("graph entry must give a file, preset, or family")
 
@@ -111,12 +101,12 @@ def _check_params(cfg, subcommand):
 
 
 def _number(value, name, kind=float):
-    """``kind(value)`` for a finite config number; ConfigError else, for
-    a JSON boolean, and for an int also when ``value`` has a fraction
+    """``kind(value)`` for a finite JSON number (``fileio.is_number``);
+    ConfigError else, and for an int also when ``value`` has a fraction
     that it would drop."""
     try:
         x = kind(value)
-        if (math.isfinite(x) and not isinstance(value, bool)
+        if (fileio.is_number(value) and math.isfinite(x)
                 and not (isinstance(value, float) and x != value)):
             return x
     except (TypeError, ValueError, OverflowError):
@@ -190,8 +180,6 @@ def _write(outdir, name, text):
 
 def emit_report(results, outdir, digest):
     """Plain-text summary of a subcommand run."""
-    if not results:
-        raise IOFailure("refusing to report empty results")
     lines = [
         f"inputs sha256: {digest}",
         f"subcommand: {results.get('subcommand', '?')}",
@@ -250,17 +238,14 @@ def _cmd_kernel(cfg, outdir):
     g = p.graph
     t = _number(_params(cfg).get("t", 1.0), "t")
     dec = eigendecompose(assemble(g, p.connection, p.potential))
-    K = heat_kernel(dec, t)
-    lines = ["t,x,y,re,im"]
     nu = dec.rank
-    for x in range(g.n):
-        for y in range(g.n):
-            blk = K.block(x, y)
-            for a in range(nu):
-                for b in range(nu):
-                    lines.append(
-                        f"{_fmt(t)},{x * nu + a},{y * nu + b},"
-                        f"{_fmt(blk[a, b].real)},{_fmt(blk[a, b].imag)}")
+    # rows in the order (x, y, a, b), of entry (x nu + a, y nu + b)
+    K = heat_kernel(dec, t).reshape(g.n, nu, g.n, nu)
+    lines = ["t,x,y,re,im"]
+    for x, y, a, b in np.ndindex(g.n, g.n, nu, nu):
+        k = K[x, a, y, b]
+        lines.append(f"{_fmt(t)},{x * nu + a},{y * nu + b},"
+                     f"{_fmt(k.real)},{_fmt(k.imag)}")
     _write(outdir, "kernel.csv", "\n".join(lines) + "\n")
     return {"subcommand": "kernel", "t": t,
             "trace": _fmt(partition_function(dec.eigenvalues, t))}
@@ -271,8 +256,7 @@ def _cmd_sweep(cfg, outdir):
     params = _params(cfg)
     beta = _number(params.get("beta", 1.0), "beta")
     schedule = _numbers(params, "hbar_schedule", [1e-1, 1e-2, 1e-3, 1e-4])
-    config = SweepConfig(p.graph, beta, schedule, p.potential, p.connection)
-    result = sweep(config)
+    result = sweep(p.graph, p.connection, p.potential, beta, schedule)
     _write(outdir, "sweep.csv", result.to_csv())
     last = result.rows[-1]
     return {
@@ -294,9 +278,11 @@ def _cmd_sweep(cfg, outdir):
 def _cmd_gt_check(cfg, outdir):
     p = _resolve_inputs(cfg)
     t = _number(_params(cfg).get("t", 1.0), "t")
-    margin = golden_thompson_margin(p.graph, p.connection, p.potential, t)
+    if not t > 0:
+        raise BadParams("t must be positive")
+    quantum = semiclassical_trace(p.graph, p.connection, p.potential, t, 1.0)
     classical = classical_partition(p.potential, t)
-    quantum = classical - margin
+    margin = classical - quantum
     _write(outdir, "gt.csv",
            "t,classical,quantum,margin\n"
            f"{_fmt(t)},{_fmt(classical)},{_fmt(quantum)},{_fmt(margin)}\n")
@@ -353,10 +339,6 @@ def _cmd_fk_compare(cfg, outdir):
                  f"{_fmt(rep.stderr)},{_fmt(z_total)}")
     _write(outdir, "fk_compare.csv", "\n".join(lines) + "\n")
     detail = f"|z| = {abs(z_total):.3f}"
-    strata = {} if rep.strata is None else {
-        "forced_jumps": rep.forced,
-        "exact_strata": " ".join(f"Z{k}" for k in rep.strata),
-        "forced_reason": rep.forced_reason}
     if rep.stderr == 0:
         detail += " (stderr is 0)"
     return {
@@ -367,7 +349,9 @@ def _cmd_fk_compare(cfg, outdir):
         "estimate": _fmt(rep.estimate),
         "stderr": _fmt(rep.stderr),
         "max_abs_z": _fmt(max_z),
-        **strata,
+        "forced_jumps": rep.forced,
+        "exact_strata": " ".join(f"Z{k}" for k in rep.strata),
+        "forced_reason": rep.forced_reason,
         "checks": [("estimate within 3 standard errors", abs(z_total) <= 3.0,
                     detail)],
     }

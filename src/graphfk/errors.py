@@ -59,7 +59,3 @@ class BadCoefficients(BadParams):
 
 class ConfigError(GraphFKError):
     pass
-
-
-class IOFailure(GraphFKError):
-    pass

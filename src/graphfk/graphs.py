@@ -13,9 +13,8 @@ strings kept for I/O only.
 
 Graphs are built from labelled edge lists (``build_graph``) or standard
 families (``generate``).  Besides the degrees, the module answers the
-two questions of structure the trace estimator asks: whether the graph
-is bipartite (``two_colouring``) and whether it holds a triangle
-(``has_triangle``).
+one question of structure the trace estimator asks: whether the graph
+is bipartite (``two_colouring``).
 """
 
 from __future__ import annotations
@@ -203,45 +202,6 @@ def two_colouring(g: WeightedGraph):
     colour = np.array(colour, dtype=np.int64)
     ends = colour[g.edges]
     return colour if np.all(ends[:, 0] != ends[:, 1]) else None
-
-
-def _triangle_pieces(g: WeightedGraph):
-    """The triangles of g, as arrays of rows (u, v, w), one per piece of
-    about 2^20 lookups.
-
-    Each edge is oriented up the order (degree, index), which leaves every
-    vertex at most sqrt(2E) out-neighbors, and each oriented edge u -> v
-    lists the out-neighbors of v that are also out-neighbors of u (Chiba &
-    Nishizeki, SIAM J. Comput. 14 (1985) 210): row (u, v, w) has u -> v,
-    u -> w and v -> w, so each triangle comes once.  O(E sqrt(E)) work.
-    """
-    pairs = g.edges
-    rank = np.empty(g.n, dtype=np.int64)
-    rank[np.lexsort((np.arange(g.n),
-                     np.bincount(pairs.ravel(), minlength=g.n)))] = \
-        np.arange(g.n)
-    pairs = np.where((rank[pairs[:, 0]] < rank[pairs[:, 1]])[:, None],
-                     pairs, pairs[:, ::-1])
-    keys = np.sort(pairs[:, 0] * g.n + pairs[:, 1])
-    u, v = np.divmod(keys, g.n)
-    count = np.bincount(u, minlength=g.n)
-    width = int(count.max(initial=0))
-    out = np.full((g.n, width), -1, dtype=np.int64)  # -1 pads
-    out[u, np.arange(u.size) - (np.cumsum(count) - count)[u]] = v
-    step = max(1, 2**20 // max(width, 1))
-    for lo in range(0, u.size, step):
-        w = out[v[lo:lo + step]]
-        probe = u[lo:lo + step, None] * g.n + w
-        at = np.minimum(np.searchsorted(keys, probe), keys.size - 1)
-        row, col = np.nonzero((w >= 0) & (keys[at] == probe))
-        yield np.stack([u[lo + row], v[lo + row], w[row, col]], axis=1)
-
-
-def has_triangle(g: WeightedGraph) -> bool:
-    """True iff some three vertices are pairwise adjacent; it stops at
-    the first piece of ``_triangle_pieces`` that holds one, so a dense
-    graph costs one piece, not a listing of its triangles."""
-    return any(len(piece) for piece in _triangle_pieces(g))
 
 
 def generate(family, **params) -> WeightedGraph:

@@ -102,7 +102,6 @@ class OperatorMatrix:
     the weighted inner product the matrix is self-adjoint under.
     """
 
-    graph: WeightedGraph
     rank: int
     matrix: np.ndarray
     measure: np.ndarray
@@ -133,7 +132,7 @@ def assemble(g: WeightedGraph, c: Connection = None,
     # g stores each edge once, so each off-diagonal block is one arc
     A[p.src, :, p.dst, :] -= (
         (p.w / g.measure[p.src])[:, None, None] * _coupling(p))
-    return OperatorMatrix(g, nu, A.reshape(n * nu, n * nu), g.measure)
+    return OperatorMatrix(nu, A.reshape(n * nu, n * nu), g.measure)
 
 
 def symmetrize(op: OperatorMatrix) -> np.ndarray:

@@ -36,30 +36,30 @@ Z_0 = p_0 tr e^{-t V(x)/hbar}, with p_0 = e^{-deg_m(x) t} the
 probability of no jump, is the paper's semiclassical leading term; Z_2,
 Z_3, Z_4 and Z_6 are ``semiclassics.jump_terms``, one routine that sums
 divided differences of exp over the closed 2-, 3-, 4- and 6-walks; all
-are exact.  Z_1 = 0, the graph having no self-loops, Z_3 = 0 when it
-has no triangle, and every odd stratum is 0 on a bipartite graph.  So
-the paths are drawn with their first K jumps forced, K = 6 on a
-bipartite graph and 5 on any other: each of the first K holding times is
-drawn given that it ends before the horizon, and the path carries the
-probability g of those events (the forced transitions of Lewis & Boehm,
-Nucl. Eng. Des. 77 (1984) 49).  On a bipartite graph
-with s = t max deg_m >= ``SIX_JUMPS_FROM`` (1), Z_6 is exact as well
-and K = 8; at smaller s the tail beyond six jumps is too small a share
-of the trace to be worth it.  Where the closed 4-walks, times nu^4,
-exceed ``WALK_BUDGET``, Z_3 and Z_4 are left to the paths, and K is 4 on
-a graph without triangles and 3 otherwise; where the closed 6-walks,
-times nu^6, exceed it, Z_6 is left to them and K stays 6.
-``_exact_strata`` picks K and says why.  A path is not scored by
-whether it happens to end at x.  Each of its jumps k >= K from a
-neighbor y of x scores, in S, the weight of the return it could have
-made: the probability p(y -> x) of jumping to x times the probability
-e^{-deg_m(x) r} of then staying there for the time r left, times the
-Dyson weight of that return.  This is the expected-value (next-event)
-estimator of Spanier & Gelbard, Monte Carlo Principles and Neutron
-Transport Problems (1969), ch. 3: each term is the conditional
-expectation, given the path up to the time of its k-th jump, of the
-weight of the paths that end at x with exactly k jumps, so its mean is
-Z_k, and the Bernoulli noise of the indicator is gone.
+are exact.  Z_1 = 0, the graph having no self-loops, and every odd
+stratum is 0 on a bipartite graph; on any other, Z_3 is taken (exactly
+0 where there is no triangle).  So the paths are drawn with their first
+K jumps forced, K = 6 on a bipartite graph and 5 on any other: each of
+the first K holding times is drawn given that it ends before the
+horizon, and the path carries the probability g of those events (the
+forced transitions of Lewis & Boehm, Nucl. Eng. Des. 77 (1984) 49).  On
+a bipartite graph with s = t max deg_m >= ``SIX_JUMPS_FROM`` (1), Z_6 is
+exact as well and K = 8; at smaller s the tail beyond six jumps is too
+small a share of the trace to be worth it.  Where the closed 4-walks,
+times nu^4, exceed ``WALK_BUDGET``, Z_3 and Z_4 are left to the paths,
+and K is 4 on a bipartite graph and 3 otherwise; where the closed
+6-walks, times nu^6, exceed it, Z_6 is left to them and K stays 6.
+``_exact_strata`` picks K from ``graphs.two_colouring`` and says why.
+A path is not scored by whether it happens to end at x.  Each of its
+jumps k >= K from a neighbor y of x scores, in S, the weight of the
+return it could have made: the probability p(y -> x) of jumping to x
+times the probability e^{-deg_m(x) r} of then staying there for the
+time r left, times the Dyson weight of that return.  This is the
+expected-value (next-event) estimator of Spanier & Gelbard, Monte Carlo
+Principles and Neutron Transport Problems (1969), ch. 3: each term is
+the conditional expectation, given the path up to the time of its k-th
+jump, of the weight of the paths that end at x with exactly k jumps, so
+its mean is Z_k, and the Bernoulli noise of the indicator is gone.
 
 The process law runs at rank 1, unconditioned: ``simulate_scalar_paths``
 returns each path's terminal vertex, Feynman-Kac weight and jump count.
@@ -84,7 +84,7 @@ import numpy as np
 
 from .bundles import Connection
 from .errors import BadParams, UnknownIndex
-from .graphs import WeightedGraph, degrees, has_triangle, two_colouring
+from .graphs import WeightedGraph, degrees, two_colouring
 from .operators import Problem, resolve
 from .semiclassics import _eigenbasis, jump_terms
 
@@ -127,13 +127,12 @@ class EstimatorReport:
 
     estimate: float
     stderr: float
-    samples: int
-    imag_estimate: float = None
-    imag_stderr: float = None
-    per_vertex: tuple = None
-    forced: int = None  # the jumps every path was forced to make
-    strata: tuple = None  # the orders k of the strata Z_k added exactly
-    forced_reason: str = None  # why ``forced`` is what it is
+    imag_estimate: float
+    imag_stderr: float
+    per_vertex: tuple  # (x, estimate, stderr) per vertex
+    forced: int  # the jumps every path was forced to make
+    strata: tuple  # the orders k of the strata Z_k added exactly
+    forced_reason: str  # why ``forced`` is what it is
 
 
 class _JumpTable:
@@ -461,29 +460,28 @@ def _exact_strata(problem: Problem, t: float, hbar: float):
     the reason for K).
 
     Z_3 and Z_4 are exact unless the closed 4-walks, times nu^4, exceed
-    ``WALK_BUDGET``; then the strata are Z_0 and Z_2, and K is 3 on a
-    graph with triangles and 4 without.  Otherwise K is the first order
+    ``WALK_BUDGET``; then the strata are Z_0 and Z_2, and K is 4 on a
+    bipartite graph and 3 on any other.  Otherwise K is the first order
     above 4 whose stratum the graph does not make 0: 5 on a graph that is
-    not bipartite, and 6 on a bipartite one, which has no closed walk of
-    odd length.  On a bipartite graph with s = t max deg_m at least
-    ``SIX_JUMPS_FROM``, Z_6 is exact too and K is 8, unless the closed
-    6-walks, times nu^6, exceed the budget.
+    not bipartite, which takes Z_3 (0 where no 2-path closes with an arc,
+    so where there is no triangle), and 6 on a bipartite one, which has
+    no closed walk of odd length.  On a bipartite graph with s = t max
+    deg_m at least ``SIX_JUMPS_FROM``, Z_6 is exact too and K is 8,
+    unless the closed 6-walks, times nu^6, exceed the budget.
     """
     g = problem.graph
+    bipartite = two_colouring(g) is not None
     z4 = jump_terms(problem, t, hbar, 4, budget=WALK_BUDGET)
     if z4 is None:
         over = "Z3 and Z4 not computed: the closed 4-walks exceed " \
                "paths.WALK_BUDGET"
-        if has_triangle(g):
-            return 0.0, 3, (0, 2), over
-        return 0.0, 4, (0, 2), over + "; no triangle, so Z3 = 0"
-    # within the budget, tr A^3 <= sqrt(2E tr A^4) is too
-    odd_walks = "not bipartite, so Z5 is not 0"
-    if has_triangle(g):
+        if bipartite:
+            return 0.0, 4, (0, 2), over + "; bipartite, so Z3 = 0"
+        return 0.0, 3, (0, 2), over
+    if not bipartite:
+        # within the budget, tr A^3 <= sqrt(2E tr A^4) is too
         return (z4 + jump_terms(problem, t, hbar, 3), 5, (0, 2, 3, 4),
-                odd_walks)
-    if two_colouring(g) is None:
-        return z4, 5, (0, 2, 4), odd_walks
+                "not bipartite, so Z5 is not 0")
     s = t * float(degrees(g).deg_m.max())
     if s < SIX_JUMPS_FROM:
         return z4, 6, (0, 2, 4), (f"bipartite, so Z5 = 0; Z6 not computed: "
@@ -516,14 +514,15 @@ def estimate_partition(g: WeightedGraph, c: Connection, V, beta: float,
     Z_4 (``semiclassics.jump_terms``) are exact, and so is Z_6 on a
     bipartite graph with t max deg_m >= ``SIX_JUMPS_FROM``.  A path
     that jumps once cannot return, the graph having no self-loops, nor
-    one that jumps five or seven times if the graph is bipartite.  So the
-    paths are drawn with their first K jumps forced (``_exact_strata``):
-    K = 8 where Z_6 is computed, 6 on any other bipartite graph and 5 on
-    the rest; where the closed 4-walks exceed ``WALK_BUDGET``, Z_3 and
-    Z_4 are not computed and K is 4 without triangles and 3 with them,
-    and where the closed 6-walks exceed it, K is 6.  The walk runs as by
-    ``_path_chunk`` with ``loops``: g is the probability of a first jump
-    inside the horizon and, given each, of the next, up to the K-th.
+    one that jumps three, five or seven times if the graph is bipartite.
+    So the paths are drawn with their first K jumps forced
+    (``_exact_strata``): K = 8 where Z_6 is computed, 6 on any other
+    bipartite graph and 5 on the rest; where the closed 4-walks exceed
+    ``WALK_BUDGET``, Z_3 and Z_4 are not computed and K is 4 on a
+    bipartite graph and 3 on any other, and where the closed 6-walks
+    exceed it, K is 6.  The walk runs as by ``_path_chunk`` with
+    ``loops``: g is the probability of a first jump inside the horizon
+    and, given each, of the next, up to the K-th.
     Each path is scored by S, the sum over its jumps k >= K from a
     neighbor of x of the weight of the return to x it could have made
     there and then, in place of the indicator 1_{X_t = x}: by the tower
@@ -567,7 +566,7 @@ def estimate_partition(g: WeightedGraph, c: Connection, V, beta: float,
     # a zero-variance estimate of a trace meets the exact value bit for bit
     return EstimatorReport(
         math.fsum(est[:, 0].tolist()), float(np.sqrt(np.sum(se[:, 0] ** 2))),
-        samples * g.n, imag_estimate=math.fsum(est[:, 1].tolist()),
+        imag_estimate=math.fsum(est[:, 1].tolist()),
         imag_stderr=float(np.sqrt(np.sum(se[:, 1] ** 2))),
         per_vertex=tuple(zip(range(g.n), est[:, 0].tolist(),
                              se[:, 0].tolist())),

@@ -1,4 +1,4 @@
-"""Semiclassical trace sweeps, Golden-Thompson margins, Dyson strata.
+"""Semiclassical trace sweeps and Dyson strata.
 
 The quantum partition function tr(e^{-beta hbar H_{Phi, V/hbar}}) is
 squeezed, in the scalar nonmagnetic case, between
@@ -36,34 +36,9 @@ from .bundles import Connection, Potential
 from .errors import BadParams
 from .graphs import WeightedGraph, degrees
 from .operators import Problem, _coupling, assemble, resolve, symmetrize
-from .spectral import eigenvalues, hermitian_eigenvalues, partition_function
+from .spectral import hermitian_eigenvalues, partition_function
 # not called here; kept because perfbench/tracer.py rebinds it
 from .spectral import eigendecompose  # noqa: F401
-
-
-@dataclass(frozen=True)
-class SweepConfig:
-    """Inputs of a semiclassical sweep over a decreasing hbar schedule.
-
-    The mode is not an input: ``sweep`` derives it from the connection
-    and the potential (``operators.Problem.mode``).
-    """
-
-    graph: WeightedGraph
-    beta: float
-    hbar_schedule: tuple
-    potential: Potential = None
-    connection: Connection = None
-
-    def __post_init__(self):
-        if not self.beta > 0:  # NaN fails it too
-            raise BadParams("beta must be positive")
-        sched = tuple(float(h) for h in self.hbar_schedule)
-        if not sched or any(not h > 0 for h in sched):
-            raise BadParams("hbar schedule entries must be positive")
-        if any(b >= a for a, b in zip(sched, sched[1:])):
-            raise BadParams("hbar schedule must be strictly decreasing")
-        object.__setattr__(self, "hbar_schedule", sched)
 
 
 @dataclass
@@ -139,16 +114,6 @@ def semiclassical_trace(g: WeightedGraph, c: Connection, V,
     if not (beta > 0 and hbar > 0):  # NaN fails it too
         raise BadParams("beta and hbar must be positive")
     return next(_traces(resolve(g, c, V), beta, (hbar,)))
-
-
-def golden_thompson_margin(g: WeightedGraph, c: Connection, V,
-                           t: float) -> float:
-    """Classical minus quantum trace at time t; nonnegative by theory."""
-    if not t > 0:  # NaN fails it too
-        raise BadParams("t must be positive")
-    V = resolve(g, c, V).potential
-    lam = eigenvalues(assemble(g, c, V))
-    return classical_partition(V, t) - partition_function(lam, t)
 
 
 def _eigenbasis(problem: Problem, hbar: float):
@@ -412,24 +377,31 @@ def jump_terms(problem: Problem, t: float, hbar: float, k: int,
     return out
 
 
-def sweep(config: SweepConfig) -> SweepResult:
-    """Semiclassical sweep over the hbar schedule.
+def sweep(g: WeightedGraph, c: Connection, V, beta: float,
+          hbar_schedule) -> SweepResult:
+    """Semiclassical sweep over a strictly decreasing hbar schedule.
 
-    Each row carries (hbar, trace, lower, upper, gap = upper - trace).
-    The scalar sandwich lower <= trace <= upper is asserted when the
-    problem is scalar, sharpened below to lower + Z_2 <= trace with the
-    two-jump term of ``jump_terms``; only the upper bound is asserted
-    otherwise.  The problem is resolved, and the free operator assembled
-    and symmetrized, once for the whole schedule (``_traces``).
+    ``c`` and ``V`` are resolved as by ``operators.resolve``, and the mode
+    follows from them.  Each row carries (hbar, trace, lower, upper, gap =
+    upper - trace).  The scalar sandwich lower <= trace <= upper is
+    asserted when the problem is scalar, sharpened below to lower + Z_2
+    <= trace with the two-jump term of ``jump_terms``; only the upper
+    bound is asserted otherwise.  The problem is resolved, and the free
+    operator assembled and symmetrized, once for the whole schedule
+    (``_traces``).
     """
-    g = config.graph
-    beta = config.beta
-    problem = resolve(g, config.connection, config.potential)
+    if not beta > 0:  # NaN fails it too
+        raise BadParams("beta must be positive")
+    schedule = tuple(float(h) for h in hbar_schedule)
+    if not schedule or any(not h > 0 for h in schedule):
+        raise BadParams("hbar schedule entries must be positive")
+    if any(b >= a for a, b in zip(schedule, schedule[1:])):
+        raise BadParams("hbar schedule must be strictly decreasing")
+    problem = resolve(g, c, V)
     deg_m = degrees(g).deg_m
     terms = _classical_terms(problem.potential, beta)
     classical = float(terms.sum())
     result = SweepResult(classical_value=classical)
-    schedule = config.hbar_schedule
     for hbar, trace in zip(schedule, _traces(problem, beta, schedule)):
         lower = float((np.exp(-deg_m * beta * hbar) * terms).sum())
         gap = classical - trace

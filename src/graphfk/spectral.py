@@ -7,8 +7,11 @@ functions are exact up to linear-algebra rounding.  Traces need only
 eigenvalues (``eigenvalues``, or ``hermitian_eigenvalues`` on a matrix
 already symmetrized); kernels and propagators take the full
 decomposition (``eigendecompose``).  Both solve in real arithmetic
-when the assembled operator is real.  ``kato_functional`` takes a whole
-grid of times on one decomposition of the free operator.
+when the assembled operator is real.  ``heat_kernel`` returns the
+kernel as a plain (n nu, n nu) matrix, in the block layout of the
+assembled operator, and ``propagator`` weighs its columns by the
+measure.  ``kato_functional`` takes a whole grid of times on one
+decomposition of the free operator.
 """
 
 from __future__ import annotations
@@ -36,20 +39,6 @@ class SpectralDecomposition:
     vectors: np.ndarray
     measure: np.ndarray
     rank: int
-
-
-@dataclass(frozen=True)
-class HeatKernel:
-    """Kernel K(t, x, y) of e^{-tH}: (e^{-tH} f)(x) = sum_y K(t,x,y) f(y) m(y)."""
-
-    time: float
-    matrix: np.ndarray  # (n*nu, n*nu), block (x, y) is the nu x nu kernel block
-    measure: np.ndarray
-    rank: int
-
-    def block(self, x, y):
-        nu = self.rank
-        return self.matrix[x * nu:(x + 1) * nu, y * nu:(y + 1) * nu]
 
 
 def eigendecompose(op: OperatorMatrix) -> SpectralDecomposition:
@@ -85,17 +74,19 @@ def propagator(dec: SpectralDecomposition, t: float) -> np.ndarray:
 
     (e^{-tA})_{xy} = K(t, x, y) m(y), the heat kernel against the measure.
     """
-    return heat_kernel(dec, t).matrix * _weights(dec)
+    return heat_kernel(dec, t) * _weights(dec)
 
 
-def heat_kernel(dec: SpectralDecomposition, t: float) -> HeatKernel:
-    """Heat kernel at time t > 0 via functional calculus."""
+def heat_kernel(dec: SpectralDecomposition, t: float) -> np.ndarray:
+    """The kernel K(t, x, y) of e^{-tH} at t > 0, by functional calculus:
+    (e^{-tH} f)(x) = sum_y K(t, x, y) f(y) m(y).  The matrix is (n nu, n
+    nu), block (x, y) the nu x nu kernel block at rows x nu .. (x + 1) nu
+    and columns y nu .. (y + 1) nu."""
     if not t > 0:  # NaN fails it too
         raise BadCoefficients("heat kernel needs t > 0")
     w = np.sqrt(_weights(dec))
     core = (dec.vectors * np.exp(-t * dec.eigenvalues)) @ dec.vectors.conj().T
-    K = (core / w[:, None]) / w[None, :]
-    return HeatKernel(float(t), K, dec.measure, dec.rank)
+    return (core / w[:, None]) / w[None, :]
 
 
 def partition_function(lam: np.ndarray, t: float) -> float:

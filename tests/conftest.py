@@ -94,10 +94,11 @@ def random_section(rng, n, nu):
 
 def kernel_trace(dec, t):
     """Trace recomputed as sum_x tr_x K(t,x,x) m(x) (basis independence check)."""
-    K = heat_kernel(dec, t)
+    n, nu = dec.measure.size, dec.rank
+    K = heat_kernel(dec, t).reshape(n, nu, n, nu)
     total = 0.0
-    for x in range(dec.measure.size):
-        total += np.trace(K.block(x, x)).real * dec.measure[x]
+    for x in range(n):
+        total += np.trace(K[x, :, x, :]).real * dec.measure[x]
     return total
 
 

@@ -23,7 +23,7 @@ from graphfk.paths import (
     simulate_scalar_paths,
 )
 from graphfk.presets import four_cycle, two_vertex, weyl_path
-from graphfk.semiclassics import SweepConfig, semiclassical_trace, sweep
+from graphfk.semiclassics import semiclassical_trace, sweep
 from graphfk.spectral import eigendecompose, heat_kernel
 
 from conftest import (
@@ -47,7 +47,7 @@ def report(number, name, ok, detail):
 def test_criterion_1_semiclassical_limit():
     g, pot = two_vertex()
     start = time.perf_counter()
-    result = sweep(SweepConfig(g, 1.0, (1e-1, 1e-2, 1e-3, 1e-4), pot))
+    result = sweep(g, None, pot, 1.0, (1e-1, 1e-2, 1e-3, 1e-4))
     elapsed = time.perf_counter() - start
     rows_ok = all(r.lower <= r.trace + 1e-9 and r.trace <= r.upper + 1e-9
                   for r in result.rows)
@@ -151,7 +151,7 @@ def test_criterion_6_process_laws():
             worst = max(worst, z0)
             # terminal law: P^x(X_t = y) = p(t,x,y) m(y)
             for y in range(g.n):
-                p = K.block(x, y)[0, 0].real * g.measure[y]
+                p = K[x, y] * g.measure[y]
                 se = math.sqrt(p * (1 - p) / n)
                 z = abs(float((terminal == y).mean()) - p) / se
                 ok = ok and z <= 3.0
@@ -241,7 +241,7 @@ def test_criterion_8_diamagnetic_and_norm_bound():
 
 def test_criterion_9_weighted_limit():
     g, pot = weyl_path()
-    result = sweep(SweepConfig(g, 1.0, (1e-1, 1e-2, 1e-3, 1e-4), pot))
+    result = sweep(g, None, pot, 1.0, (1e-1, 1e-2, 1e-3, 1e-4))
     err = abs(result.rows[-1].trace - 6.0)
     ok = result.classical_value == pytest.approx(6.0, abs=1e-12) and err < 1e-3
     report(9, "measure-weighted classical limit", ok,

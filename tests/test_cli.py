@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from graphfk import cli, fileio, paths, semiclassics, spectral
+from graphfk import cli, fileio, paths, presets, semiclassics, spectral
 from graphfk.bundles import connection_from_magnetic
 from graphfk.cli import main, run
 from graphfk.paths import EstimatorReport
@@ -214,6 +214,37 @@ class TestGtCheck:
         margin = float(rows[0].split(",")[3])
         assert margin == pytest.approx(0.61242, abs=1e-5)
 
+    def test_quantum_is_the_trace_bit_for_bit(self, tmp_path):
+        # it was classical - (classical - trace), 1 ulp off here
+        g, pot = presets.lattice_box_2d()
+        cfg = write_config(tmp_path, "c.json", {
+            "graph": {"preset": "lattice_box"},
+            "params": {"t": 2.5},
+            "output_dir": str(tmp_path / "out"),
+        })
+        assert run(cfg, "gt-check") == 0
+        _header, rows = csv_rows(tmp_path / "out" / "gt.csv")
+        _t, classical, quantum, margin = map(float, rows[0].split(","))
+        assert quantum == semiclassical_trace(g, None, pot, 2.5, 1.0)
+        assert margin == classical - quantum
+
+    @pytest.mark.parametrize("t", [0.0, -1.0])
+    def test_nonpositive_t_exits_1_before_the_solve(self, tmp_path, capsys,
+                                                    monkeypatch, t):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("an eigensolve ran")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_solve)
+        monkeypatch.setattr(np.linalg, "eigh", no_solve)
+        cfg = write_config(tmp_path, "c.json", {
+            "graph": {"preset": "two_vertex"},
+            "params": {"t": t},
+            "output_dir": str(tmp_path / "out"),
+        })
+        assert run(cfg, "gt-check") == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "t must be positive", "kind": "validation"}
+
 
 class TestFkCompare:
     def _config(self, tmp_path, **extra):
@@ -397,9 +428,12 @@ class TestFkCompare:
         p0 = math.exp(-2e-7)
 
         def zero_stderr(g, *args, **kwargs):
-            return EstimatorReport(4 * p0, 0.0, 1024 * g.n, "stub",
-                                   per_vertex=tuple((x, p0, 0.0)
-                                                    for x in range(g.n)))
+            return EstimatorReport(
+                4 * p0, 0.0, 0.0, 0.0,
+                per_vertex=tuple((x, p0, 0.0) for x in range(g.n)),
+                forced=6, strata=(0, 2, 4),
+                forced_reason="bipartite, so Z5 = 0; Z6 not computed: "
+                              "t max deg_m = 2e-07 < 1")
 
         monkeypatch.setattr(cli, "estimate_partition", zero_stderr)
         cfg = write_config(tmp_path, "c.json", {
@@ -543,6 +577,37 @@ class TestMalformedConfig:
         record = self._exit_1(tmp_path, capsys, subcommand,
                               {"graph": {"preset": "two_vertex"}, **cfg})
         assert "True" in record["error"]
+
+    @pytest.mark.parametrize("subcommand, cfg, named", [
+        ("sweep", {"params": {"beta": "0.5"}}, "'0.5'"),
+        ("fk-compare", {"params": {"samples": 100}, "seed": "7"}, "'7'"),
+        ("spectrum", {"magnetic": {"inline": [["a", "b", True]]}}, "True"),
+        ("spectrum", {"magnetic": {"inline": [["a", "b", "0.3"]]}}, "'0.3'"),
+        ("spectrum", {"connection": {"inline": [["a", "b", [[["1", "0"]]]]]}},
+         "'1'"),
+        ("spectrum", {"potential": {"inline": [["a", "0.5"]]}}, "'0.5'"),
+        ("spectrum", {"graph": {"family": "path", "n": "3"}}, "'3'"),
+    ], ids=["beta", "seed", "magnetic-boolean", "magnetic-text",
+            "connection-text", "potential-text", "family-size"])
+    def test_string_or_boolean_for_a_number(self, tmp_path, capsys,
+                                            subcommand, cfg, named):
+        # each was read as the number it spells (float("0.5"), int("7"),
+        # float(True)), and the run exited 0: a 3-vertex path for "3"
+        record = self._exit_1(tmp_path, capsys, subcommand,
+                              {"graph": {"preset": "two_vertex"}, **cfg})
+        assert named in record["error"]
+
+    @pytest.mark.parametrize("graph, named", [
+        ({"edges": [["a", "b", True]]}, "True"),
+        ({"edges": [["a", "b", 1.0]], "measure": [["a", "2"]]}, "'2'"),
+        ({"edges": [["a", "b", 10**400]]}, "too large"),
+    ], ids=["boolean-weight", "text-measure", "huge-weight"])
+    def test_graph_file_numbers(self, tmp_path, capsys, graph, named):
+        # a weight of true was read as 1 and a measure of "2" as 2; an
+        # integer too large for a float crashed with an OverflowError
+        path = write_config(tmp_path, "g.json", graph)
+        record = self._exit_1(tmp_path, capsys, "spectrum", {"graph": path})
+        assert named in record["error"]
 
     @pytest.mark.parametrize("graph", [5, {"preset": {}}, {"preset": ["x"]},
                                        {"file": 5}],

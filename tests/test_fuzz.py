@@ -4,14 +4,14 @@ Each example takes a preset graph, gives it a connection, magnetic
 phases, a potential and params, and then breaks some of them: entries
 with swapped or unknown labels, on non-edges, duplicated, reversed or
 dropped, non-square, NaN or non-numeric matrices, values of the wrong
-type, and params keys the subcommand does not read.  ``cli.run`` must
-return 0, 1 or 2, and a run that fails writes one JSON error record as
-the last line of stderr; a stray params key exits 1 with an error that
-names it.  The params stay small (samples <= 10^4, workers <= 4), so no
-example starts large work.  Hypothesis draws each example's seed,
-derandomized and without a database, and a stdlib Random on that seed
-makes the choices, evenly: Hypothesis's own draws favour the first of a
-list's entries.
+type, numbers given as strings or booleans, and params keys the
+subcommand does not read.  ``cli.run`` must return 0, 1 or 2, and a run
+that fails writes one JSON error record as the last line of stderr; a
+stray params key exits 1 with an error that names it.  The params stay
+small (samples <= 10^4, workers <= 4), so no example starts large work.
+Hypothesis draws each example's seed, derandomized and without a
+database, and a stdlib Random on that seed makes the choices, evenly:
+Hypothesis's own draws favour the first of a list's entries.
 """
 
 import contextlib
@@ -52,7 +52,7 @@ NONSQUARE = [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
              [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]]
 BAD_VALUES = [math.nan, "x", None, {}, [], [[[math.nan, 0.0]]], NONSQUARE,
               [NONSQUARE[0]], [[["x", 0.0]]], [[1.0, 2.0, 3.0]],
-              matrix_json(np.eye(3))]
+              matrix_json(np.eye(3)), "0.5", True, [[["1", "0"]]]]
 
 
 def mutated(rnd, entries, labels):
@@ -96,11 +96,13 @@ VALID = {
     "mode": ["scalar", "magnetic", "covariant"],
     "hbar_schedule": [[0.1, 0.01]], "t_grid": [[1.0, 0.5]]}
 INVALID = {
-    "samples": [0, -3, 1.5, "x", None], "workers": [0, -1, 2.5, "x"],
-    "beta": [0.0, -1.0, math.nan, "x"], "hbar": [0.0, -0.1, math.nan],
-    "t": [0.0, -1.0, "x"], "mode": ["bogus", 5],
-    "hbar_schedule": [[0.01, 0.1], [], "x", [0.1, -1.0]],
-    "t_grid": [[], ["x"], 1.0]}
+    "samples": [0, -3, 1.5, "x", None, "50"],
+    "workers": [0, -1, 2.5, "x", "1"],
+    "beta": [0.0, -1.0, math.nan, "x", "0.5"],
+    "hbar": [0.0, -0.1, math.nan, "0.3"], "t": [0.0, -1.0, "x", "0.5"],
+    "mode": ["bogus", 5],
+    "hbar_schedule": [[0.01, 0.1], [], "x", [0.1, -1.0], ["0.1"]],
+    "t_grid": [[], ["x"], 1.0, ["1.0"]]}
 
 
 def params(rnd, subcommand):
@@ -133,7 +135,7 @@ def configs(draw):
     labels = list(GRAPHS[name].labels)
     pairs = [[labels[i], labels[j]] for i, j in GRAPHS[name].edges.tolist()]
     cfg = {"graph": {"preset": name}, "params": params(rnd, subcommand),
-           "seed": rnd.choice([1, 7])}
+           "seed": rnd.choice([1, 7, "7"])}
     rank = rnd.randint(1, 2)
     kind = rnd.choice(["none", "connection", "magnetic"])
     if kind == "connection":

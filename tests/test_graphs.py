@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 
@@ -14,11 +12,9 @@ from graphfk.errors import (
 )
 from graphfk.graphs import (
     WeightedGraph,
-    _triangle_pieces,
     build_graph,
     degrees,
     generate,
-    has_triangle,
     two_colouring,
 )
 
@@ -139,44 +135,6 @@ class TestConnectivity:
         assert not brute_force_connected(
             build_graph([("a", "b", 1.0), ("c", "d", 1.0)]))
         assert brute_force_connected(generate("cycle", n=5))
-
-
-def triangles(g):
-    """Every triangle of g once, the rows of ``_triangle_pieces`` joined."""
-    return np.concatenate([np.zeros((0, 3), dtype=np.int64),
-                           *_triangle_pieces(g)])
-
-
-def _triangle_set(g):
-    return {frozenset(t) for t in triangles(g).tolist()}
-
-
-class TestTriangles:
-    def test_examples(self):
-        assert has_triangle(generate("cycle", n=3))
-        assert has_triangle(generate("complete", n=5))
-        assert not has_triangle(generate("cycle", n=4))
-        assert not has_triangle(generate("lattice_box", l=2, side=5))
-        assert not has_triangle(generate("star", leaves=6))
-        assert not has_triangle(build_graph([], vertices=["a", "b"]))
-        assert _triangle_set(generate("cycle", n=3)) == {frozenset(range(3))}
-        assert len(triangles(generate("complete", n=5))) == 10
-        assert len(triangles(generate("cycle", n=4))) == 0
-        assert len(triangles(generate("lattice_box", l=2, side=5))) == 0
-        assert len(triangles(generate("star", leaves=6))) == 0
-        assert triangles(build_graph([], vertices=["a", "b"])).shape == (0, 3)
-
-    def test_against_brute_force(self, rng):
-        # each triangle once, as a row (u, v, w) whose three pairs are edges
-        for _ in range(60):
-            g = random_graph(rng, max_n=9, connected=False)
-            B = dense_weights(g)
-            want = {frozenset(c) for c in itertools.combinations(range(g.n), 3)
-                    if B[c[0], c[1]] and B[c[1], c[2]] and B[c[0], c[2]]}
-            found = triangles(g)
-            assert len(found) == len(want)
-            assert _triangle_set(g) == want
-            assert has_triangle(g) == bool(want)
 
 
 class TestTwoColouring:

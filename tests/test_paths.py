@@ -891,16 +891,24 @@ def _mode_inputs(g, mode, rng):
     return None, w
 
 
-GRAPHS = {"lattice": ("lattice_box", dict(l=2, side=3)),
-          "even cycle": ("cycle", dict(n=6)),
-          "path": ("path", dict(n=5)),
-          "odd cycle": ("cycle", dict(n=5)),
-          "complete": ("complete", dict(n=4))}
+def _petersen():
+    """The Petersen graph: no triangle, but 5-cycles, so not bipartite."""
+    ring = [(f"o{i}", f"o{(i + 1) % 5}") for i in range(5)]
+    star = [(f"i{i}", f"i{(i + 2) % 5}") for i in range(5)]
+    spokes = [(f"o{i}", f"i{i}") for i in range(5)]
+    return build_graph([(u, v, 1.0) for u, v in ring + star + spokes])
+
+
+GRAPHS = {"lattice": lambda: generate("lattice_box", l=2, side=3),
+          "even cycle": lambda: generate("cycle", n=6),
+          "path": lambda: generate("path", n=5),
+          "odd cycle": lambda: generate("cycle", n=5),
+          "complete": lambda: generate("complete", n=4),
+          "petersen": _petersen}
 
 
 def _graph(name):
-    family, params = GRAPHS[name]
-    return generate(family, **params)
+    return GRAPHS[name]()
 
 
 class TestExactStrata:
@@ -912,8 +920,8 @@ class TestExactStrata:
 
     @pytest.mark.parametrize("name, forced, strata", [
         ("lattice", 8, (0, 2, 4, 6)), ("even cycle", 8, (0, 2, 4, 6)),
-        ("path", 8, (0, 2, 4, 6)), ("odd cycle", 5, (0, 2, 4)),
-        ("complete", 5, (0, 2, 3, 4))])
+        ("path", 8, (0, 2, 4, 6)), ("odd cycle", 5, (0, 2, 3, 4)),
+        ("complete", 5, (0, 2, 3, 4)), ("petersen", 5, (0, 2, 3, 4))])
     def test_forced_jumps(self, rng, name, forced, strata):
         # at t = 0.5 the degree-2 cycle and path sit at t max deg_m = 1,
         # where Z_6 is taken, and the lattice at 2
@@ -923,11 +931,12 @@ class TestExactStrata:
         assert (rep.forced, rep.strata) == (forced, strata)
 
     @pytest.mark.parametrize("name, walks, fallback", [
-        ("even cycle", 6 * 6, 4), ("complete", 84, 3)])
+        ("even cycle", 6 * 6, 4), ("complete", 84, 3), ("odd cycle", 30, 3)])
     def test_walk_budget_keeps_the_old_forcing(self, rng, monkeypatch, name,
                                                walks, fallback):
-        # the 6-cycle has tr A^4 = 36 closed 4-walks and K_4 has 84: one
-        # over the budget keeps Z_0 + Z_2 and K = 4, or 3 with triangles
+        # the 6-cycle has tr A^4 = 36 closed 4-walks, the 5-cycle 30 and
+        # K_4 84: one over the budget keeps Z_0 + Z_2 and K = 4 on a
+        # bipartite graph, 3 on any other
         g = _graph(name)
         w = rng.uniform(-1, 1, g.n)
         args = (g, None, w, 1.0, 0.5, 4000)
@@ -956,7 +965,7 @@ class TestExactStrata:
 
     @pytest.mark.parametrize("mode", ["scalar", "magnetic", "covariant"])
     @pytest.mark.parametrize("name", ["lattice", "even cycle", "odd cycle",
-                                      "complete"])
+                                      "complete", "petersen"])
     def test_matches_exact_trace(self, rng, mode, name):
         # at t = 1.5 the strata from 5 or 6 jumps on hold a few per cent
         # of the trace
@@ -1004,7 +1013,7 @@ class TestExactStrata:
          "the closed 6-walks exceed paths.WALK_BUDGET"),
         ("odd cycle", 0.5, None, 5, "not bipartite, so Z5 is not 0"),
         ("even cycle", 0.5, 0, 4, "Z3 and Z4 not computed: the closed "
-         "4-walks exceed paths.WALK_BUDGET; no triangle, so Z3 = 0"),
+         "4-walks exceed paths.WALK_BUDGET; bipartite, so Z3 = 0"),
         ("complete", 0.5, 0, 3, "Z3 and Z4 not computed: the closed "
          "4-walks exceed paths.WALK_BUDGET")],
         ids=["eight", "six-small-s", "six-over-budget", "five",

@@ -19,7 +19,6 @@ from graphfk.graphs import build_graph
 from graphfk.operators import MODES, assemble, resolve
 from graphfk.paths import estimate_partition
 from graphfk.semiclassics import (
-    SweepConfig,
     classical_partition,
     semiclassical_trace,
     sweep,
@@ -96,7 +95,7 @@ def test_trace_bounds(problem, beta, hbar):
     classical = classical_partition(V, beta)
     assert trace <= classical + 1e-9
     # sweep asserts the upper bound, and the sandwich when scalar
-    row = sweep(SweepConfig(g, beta, (hbar,), V, c)).rows[0]
+    row = sweep(g, c, V, beta, (hbar,)).rows[0]
     assert row.trace == trace
     if mode == "scalar":
         assert row.lower <= trace + 1e-9

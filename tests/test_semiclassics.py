@@ -16,10 +16,8 @@ from graphfk.errors import BadParams
 from graphfk.graphs import build_graph, generate
 from graphfk.operators import assemble, resolve, symmetrize
 from graphfk.semiclassics import (
-    SweepConfig,
     _divided_exp,
     classical_partition,
-    golden_thompson_margin,
     jump_terms,
     semiclassical_trace,
     sweep,
@@ -85,28 +83,35 @@ class TestSandwich:
     # the lower and upper columns of the sweep's rows
     def test_two_vertex_values(self):
         g, pot = two_vertex()
-        row, = sweep(SweepConfig(g, 1.0, (0.01,), pot)).rows
+        row, = sweep(g, None, pot, 1.0, (0.01,)).rows
         assert row.lower == pytest.approx(np.exp(-0.01) * (1 + np.exp(-1)),
                                           abs=1e-12)
         assert row.upper == pytest.approx(1 + np.exp(-1), abs=1e-12)
 
     def test_lower_tends_to_upper(self):
         g, pot = two_vertex()
-        rows = sweep(SweepConfig(g, 1.0, (0.1, 0.01, 0.001), pot)).rows
+        rows = sweep(g, None, pot, 1.0, (0.1, 0.01, 0.001)).rows
         gaps = [r.upper - r.lower for r in rows]
         assert gaps[0] > gaps[1] > gaps[2] >= 0
 
     def test_constant_degree_closed_form(self):
         g = generate("cycle", n=6)
-        row, = sweep(SweepConfig(g, 2.0, (0.05,), np.zeros(6))).rows
+        row, = sweep(g, None, np.zeros(6), 2.0, (0.05,)).rows
         assert row.lower == pytest.approx(6 * np.exp(-2 * 2.0 * 0.05),
                                           abs=1e-12)
+
+
+def _margin(g, c, V, t):
+    """Classical minus quantum trace at time t, as gt-check takes them;
+    nonnegative by theory."""
+    return (classical_partition(resolve(g, c, V).potential, t)
+            - semiclassical_trace(g, c, V, t, 1.0))
 
 
 class TestGoldenThompson:
     def test_two_vertex_value(self):
         g, pot = two_vertex()
-        margin = golden_thompson_margin(g, None, pot, 1.0)
+        margin = _margin(g, None, pot, 1.0)
         expect = (1 + np.exp(-1)) - (
             np.exp(-(3 - np.sqrt(5)) / 2) + np.exp(-(3 + np.sqrt(5)) / 2))
         assert margin == pytest.approx(expect, abs=1e-12)
@@ -114,23 +119,20 @@ class TestGoldenThompson:
 
     def test_zero_potential(self):
         g, _ = two_vertex()
-        margin = golden_thompson_margin(g, None, None, 1.0)
+        margin = _margin(g, None, None, 1.0)
         assert margin == pytest.approx(2 - (1 + np.exp(-2)), abs=1e-12)
 
     def test_isolated_vertex_equality(self):
         g = build_graph([], vertices=["a"], measure=[("a", 1.0)])
         V = Potential.scalar([0.7])
-        assert golden_thompson_margin(g, None, V, 1.0) == pytest.approx(
-            0.0, abs=1e-12)
+        assert _margin(g, None, V, 1.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_scalar_random(self, rng):
         for _ in range(50):
             g = random_graph(rng, max_n=10, connected=False)
             w = rng.uniform(-2, 2, size=g.n)
             t = float(rng.uniform(1e-3, 2.0))
-            margin = golden_thompson_margin(
-                g, None, Potential.scalar(w), t)
-            assert margin >= -1e-9
+            assert _margin(g, None, Potential.scalar(w), t) >= -1e-9
 
     def test_covariant_random(self, rng):
         for _ in range(30):
@@ -139,14 +141,13 @@ class TestGoldenThompson:
             c = random_connection(g, nu, rng)
             V = random_potential(g, nu, rng)
             t = float(rng.uniform(1e-3, 2.0))
-            assert golden_thompson_margin(g, c, V, t) >= -1e-9
+            assert _margin(g, c, V, t) >= -1e-9
 
 
 class TestSweep:
     def test_two_vertex_convergence(self):
         g, pot = two_vertex()
-        config = SweepConfig(g, 1.0, (1e-1, 1e-2, 1e-3), pot)
-        result = sweep(config)
+        result = sweep(g, None, pot, 1.0, (1e-1, 1e-2, 1e-3))
         gaps = [r.gap for r in result.rows]
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[-1] < 2e-3
@@ -158,15 +159,13 @@ class TestSweep:
         g = generate("cycle", n=4)
         c = random_connection(g, 2, rng)
         V = random_potential(g, 2, rng)
-        config = SweepConfig(g, 1.0, (1e-1, 1e-2), V, c)
-        result = sweep(config)
+        result = sweep(g, c, V, 1.0, (1e-1, 1e-2))
         for r in result.rows:
             assert r.trace <= result.classical_value + 1e-9
 
     def test_weyl_preset(self):
         g, pot = weyl_path()
-        config = SweepConfig(g, 1.0, (1e-1, 1e-2, 1e-3, 1e-4), pot)
-        result = sweep(config)
+        result = sweep(g, None, pot, 1.0, (1e-1, 1e-2, 1e-3, 1e-4))
         assert result.classical_value == pytest.approx(6.0, abs=1e-12)
         assert abs(result.rows[-1].trace - 6.0) < 1e-2
 
@@ -177,11 +176,11 @@ class TestSweep:
                             (0.0 for _hbar in schedule))
         g, pot = weyl_path()
         with pytest.raises(AssertionError, match="sandwich lower bound"):
-            sweep(SweepConfig(g, 1.0, (1e-1, 1e-2), pot))
-        magnetic = sweep(SweepConfig(g, 1.0, (1e-1, 1e-2), pot,
-                                     Connection.identity(g, 1)))
+            sweep(g, None, pot, 1.0, (1e-1, 1e-2))
+        magnetic = sweep(g, Connection.identity(g, 1), pot, 1.0,
+                         (1e-1, 1e-2))
         V2 = Potential(2, np.zeros((g.n, 2, 2)))
-        covariant = sweep(SweepConfig(g, 1.0, (1e-1, 1e-2), V2))
+        covariant = sweep(g, None, V2, 1.0, (1e-1, 1e-2))
         for result in (magnetic, covariant):
             assert all(r.lower > r.trace == 0.0 for r in result.rows)
 
@@ -189,13 +188,13 @@ class TestSweep:
         # a trace equal to Z_0 meets the paper's lower bound but falls short
         # of Z_0 + Z_2 by Z_2, which is far above the 1e-9 allowance here
         g, pot = weyl_path()
-        rows = sweep(SweepConfig(g, 1.0, (1e-1, 1e-2), pot)).rows
+        rows = sweep(g, None, pot, 1.0, (1e-1, 1e-2)).rows
         lower = {r.hbar: r.lower for r in rows}
         monkeypatch.setattr(semiclassics, "_traces",
                             lambda problem, beta, schedule:
                             (lower[hbar] for hbar in schedule))
         with pytest.raises(AssertionError, match="sandwich lower bound"):
-            sweep(SweepConfig(g, 1.0, (1e-1, 1e-2), pot))
+            sweep(g, None, pot, 1.0, (1e-1, 1e-2))
 
     @pytest.mark.parametrize("mode", ["scalar", "magnetic", "covariant",
                                       "covariant-trivial"])
@@ -212,7 +211,7 @@ class TestSweep:
             if mode in ("magnetic", "covariant"):
                 c = random_connection(g, nu, rng)
             V = random_potential(g, nu, rng)
-            rows = sweep(SweepConfig(g, 1.3, schedule, V, c)).rows
+            rows = sweep(g, c, V, 1.3, schedule).rows
             assert [r.hbar for r in rows] == list(schedule)
             assert [r.trace for r in rows] == [
                 semiclassical_trace(g, c, V, 1.3, h) for h in schedule]
@@ -236,7 +235,7 @@ class TestSweep:
 
         monkeypatch.setattr(semiclassics, "hermitian_eigenvalues", capture)
         schedule = (0.5, 1e-2, 1e-4)
-        sweep(SweepConfig(g, 1.0, schedule, V, c))
+        sweep(g, c, V, 1.0, schedule)
         assert len(seen) == len(schedule)
         for S, hbar in zip(seen, schedule):
             want = symmetrize(assemble(g, c, V.scaled(hbar)))
@@ -253,21 +252,21 @@ class TestSweep:
         monkeypatch.setattr(semiclassics, "assemble", counted)
         g = generate("cycle", n=5)
         c = random_connection(g, 2, rng)
-        sweep(SweepConfig(g, 1.0, (1e-1, 1e-2, 1e-3, 1e-4),
-                          random_potential(g, 2, rng), c))
+        sweep(g, c, random_potential(g, 2, rng), 1.0,
+              (1e-1, 1e-2, 1e-3, 1e-4))
         assert len(calls) == 1
 
     def test_schedule_validation(self):
         g, pot = two_vertex()
         with pytest.raises(BadParams):
-            SweepConfig(g, 1.0, (1e-2, 1e-1), pot)
+            sweep(g, None, pot, 1.0, (1e-2, 1e-1))
         with pytest.raises(BadParams):
-            SweepConfig(g, -1.0, (1e-1,), pot)
+            sweep(g, None, pot, -1.0, (1e-1,))
         # NaN compares false both ways: it used to pass both checks
         with pytest.raises(BadParams):
-            SweepConfig(g, np.nan, (1e-1,), pot)
+            sweep(g, None, pot, np.nan, (1e-1,))
         with pytest.raises(BadParams):
-            SweepConfig(g, 1.0, (1e-1, np.nan), pot)
+            sweep(g, None, pot, 1.0, (1e-1, np.nan))
 
     def test_gap_envelope(self, rng):
         # gap(hbar) <= classical * (1 - e^{-beta hbar C(b,m)}) from the sandwich
@@ -275,9 +274,8 @@ class TestSweep:
         for _ in range(10):
             g = random_graph(rng, max_n=7)
             w = rng.uniform(-1, 1, size=g.n)
-            config = SweepConfig(g, 1.0, (1e-1, 1e-2, 1e-3),
-                                 Potential.scalar(w))
-            result = sweep(config)
+            result = sweep(g, None, Potential.scalar(w), 1.0,
+                           (1e-1, 1e-2, 1e-3))
             c_bm = degrees(g).c_bm
             for r in result.rows:
                 envelope = result.classical_value * (
@@ -395,8 +393,7 @@ class TestTwoJumpTerm:
             w = rng.uniform(-2, 2, size=g.n)
             beta = float(rng.uniform(0.2, 2.0))
             hbar = float(10 ** rng.uniform(-3, 0))
-            row, = sweep(SweepConfig(g, beta, (hbar,),
-                                     Potential.scalar(w))).rows
+            row, = sweep(g, None, Potential.scalar(w), beta, (hbar,)).rows
             assert row.trace == semiclassical_trace(g, None, w, beta, hbar)
             z2 = jump_terms(resolve(g, None, w), beta * hbar, hbar, 2).sum()
             assert row.lower + z2 <= row.trace * (1 + 1e-13)
@@ -645,12 +642,11 @@ class TestSixJumpStratum:
 @pytest.mark.parametrize("call", [
     lambda g, w: semiclassical_trace(g, None, w, np.nan, 0.1),
     lambda g, w: semiclassical_trace(g, None, w, 1.0, np.nan),
-    lambda g, w: sweep(SweepConfig(g, np.nan, (0.1,), w)),
-    lambda g, w: sweep(SweepConfig(g, 1.0, (np.nan,), w)),
-    lambda g, w: golden_thompson_margin(g, None, w, np.nan),
+    lambda g, w: sweep(g, None, w, np.nan, (0.1,)),
+    lambda g, w: sweep(g, None, w, 1.0, (np.nan,)),
     lambda g, w: classical_partition(w, np.nan),
 ], ids=["trace-beta", "trace-hbar", "sandwich-beta", "sandwich-hbar",
-        "golden-thompson", "classical"])
+        "classical"])
 def test_nan_time_rejected(call):
     # NaN passed the old beta <= 0 checks and came back as a NaN result
     g, pot = two_vertex()
