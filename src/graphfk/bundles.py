@@ -10,15 +10,19 @@ i < j, and the reverse Phi_{j,i} is its conjugate transpose, so the
 inverse-symmetry relation is exact by construction for validated inputs.
 The scalar case is rank 1, where a connection is a unit-modulus phase
 e^{i theta} with theta an antisymmetric magnetic potential.
+
+``validate_connection`` lists the edges whose transport is not unitary
+within ``UNITARITY_TOL``; the CLI refuses a connection with any.  A
+malformed connection or potential raises ``errors.GraphFKError``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConnection, NonHermitian
+from .errors import GraphFKError
 from .graphs import WeightedGraph
 
 UNITARITY_TOL = 1e-10
@@ -46,7 +50,7 @@ class Connection:
         per edge of g."""
         P = np.asarray(self.matrices, dtype=complex)
         if P.shape != (len(g.edges), self.rank, self.rank):
-            raise InvalidConnection(
+            raise GraphFKError(
                 f"connection matrices of shape {P.shape}, not one "
                 f"{self.rank} x {self.rank} transport per edge of "
                 f"{len(g.edges)}")
@@ -67,15 +71,15 @@ class Potential:
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=complex)
         if vals.ndim != 3 or vals.shape[1:] != (self.rank, self.rank):
-            raise NonHermitian(
+            raise GraphFKError(
                 f"potential values must have shape (n, {self.rank}, {self.rank})"
             )
         if not np.isfinite(vals).all():
-            raise NonHermitian("potential values must be finite")
+            raise GraphFKError("potential values must be finite")
         dev = np.abs(vals - vals.conj().transpose(0, 2, 1)).max(initial=0.0)
         scale = np.abs(vals).max(initial=0.0)
         if dev > 1e-12 * (1.0 + scale):
-            raise NonHermitian(f"potential not Hermitian (deviation {dev:.3e})")
+            raise GraphFKError(f"potential not Hermitian (deviation {dev:.3e})")
         if not vals.imag.any():
             vals = vals.real.copy()
         object.__setattr__(self, "values", vals)
@@ -96,23 +100,8 @@ class Potential:
     def as_scalar(self):
         """Real vertex values of a rank-1 potential."""
         if self.rank != 1:
-            raise NonHermitian("not a scalar potential")
+            raise GraphFKError("not a scalar potential")
         return self.values[:, 0, 0].real.copy()
-
-
-@dataclass
-class ValidationReport:
-    """Diagnostic list of connection violations; empty means valid."""
-
-    violations: list = field(default_factory=list)
-
-    @property
-    def ok(self):
-        return not self.violations
-
-    @property
-    def max_deviation(self):
-        return max((v[2] for v in self.violations), default=0.0)
 
 
 def connection_from_magnetic(theta) -> Connection:
@@ -138,16 +127,17 @@ def distance_to_identity(P) -> np.ndarray:
     return dev
 
 
-def validate_connection(c: Connection, g: WeightedGraph) -> ValidationReport:
+def validate_connection(c: Connection, g: WeightedGraph):
     """Check the unitarity of c on every edge of g.
 
-    Returns a diagnostic report, with entries (edge, "unitarity",
-    deviation) in edge order.  Raises InvalidConnection only when c does
-    not hold one transport per edge of g.
+    Returns the violations, entries (edge, "unitarity", deviation) in
+    edge order, where the deviation is ||Phi^* Phi - I||_2 (NaN for a
+    non-finite transport), and the largest deviation over all edges.
+    Raises GraphFKError only when c does not hold one transport per edge
+    of g.
     """
     P = c.aligned(g)
     dev = distance_to_identity(P.conj().swapaxes(1, 2) @ P)
     bad = np.flatnonzero(~(dev <= UNITARITY_TOL))  # NaN fails it too
-    return ValidationReport([(tuple(g.edges[e].tolist()), "unitarity",
-                              float(dev[e])) for e in bad])
-
+    return ([(tuple(g.edges[e].tolist()), "unitarity", float(dev[e]))
+             for e in bad], float(dev.max(initial=0.0)))

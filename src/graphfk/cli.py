@@ -10,8 +10,15 @@ subcommand reads (``PARAMS``).  All outputs (CSV files plus a plain-text
 report) are deterministic given the config; stochastic subcommands
 require an explicit seed.
 
-Exit status: 0 on success, 1 on config/validation failure (with a
-machine-readable error record), 2 on numerical failure.
+Connection, magnetic and potential entries come from a file path or
+from ``{"inline": entries}`` (``_entries``) and go to the parsers of
+``fileio``.  Every CSV is written by ``_write_csv``: a header line, then
+one line per row, with numbers printed to 17 significant digits.
+
+Exit status: 0 on success; 1 when an input is refused
+(``errors.GraphFKError``) and 2 when a numerical routine fails
+(``errors.NumericalFailure``), each with a JSON error record on stderr,
+{"error": message, "kind": "validation" | "numerical"}.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ import numpy as np
 
 from . import fileio, presets
 from .bundles import Connection, validate_connection
-from .errors import BadParams, ConfigError, GraphFKError, NumericalFailure
+from .errors import GraphFKError, NumericalFailure
 from .graphs import generate
 from .operators import MODES, assemble, resolve
 from .paths import estimate_partition
@@ -50,16 +57,16 @@ def _fmt(v):
 def _resolve_graph(cfg):
     spec = cfg.get("graph")
     if spec is None:
-        raise ConfigError("config needs a 'graph' entry")
+        raise GraphFKError("config needs a 'graph' entry")
     if isinstance(spec, str):
         return fileio.load_graph(spec), None
     if not isinstance(spec, dict):
-        raise ConfigError("graph entry must be a file path or an object, "
-                          f"not {spec!r}")
+        raise GraphFKError("graph entry must be a file path or an object, "
+                           f"not {spec!r}")
     if "preset" in spec:
         name = spec["preset"]
         if not isinstance(name, str) or name not in presets.PRESETS:
-            raise ConfigError(f"unknown preset {name!r}")
+            raise GraphFKError(f"unknown preset {name!r}")
         return presets.PRESETS[name]()
     if "file" in spec:
         return fileio.load_graph(spec["file"]), None
@@ -67,7 +74,7 @@ def _resolve_graph(cfg):
         params = {k: _number(v, k, int) for k, v in spec.items()
                   if k != "family"}
         return generate(spec["family"], **params), None
-    raise ConfigError("graph entry must give a file, preset, or family")
+    raise GraphFKError("graph entry must give a file, preset, or family")
 
 
 # The ``params`` keys each subcommand reads; ``run`` refuses any other
@@ -86,23 +93,23 @@ def _params(cfg):
     """The config's ``params`` object, {} when absent."""
     params = cfg.get("params", {})
     if not isinstance(params, dict):
-        raise ConfigError("'params' must be a JSON object")
+        raise GraphFKError("'params' must be a JSON object")
     return params
 
 
 def _check_params(cfg, subcommand):
-    """ConfigError naming the first ``params`` key, in sorted order, that
+    """GraphFKError naming the first ``params`` key, in sorted order, that
     ``subcommand`` does not read."""
     stray = sorted(set(_params(cfg)) - set(PARAMS[subcommand]))
     if stray:
         reads = ", ".join(PARAMS[subcommand]) or "none"
-        raise ConfigError(f"{subcommand} does not read params key "
-                          f"{stray[0]!r} (it reads: {reads})")
+        raise GraphFKError(f"{subcommand} does not read params key "
+                           f"{stray[0]!r} (it reads: {reads})")
 
 
 def _number(value, name, kind=float):
     """``kind(value)`` for a finite JSON number (``fileio.is_number``);
-    ConfigError else, and for an int also when ``value`` has a fraction
+    GraphFKError else, and for an int also when ``value`` has a fraction
     that it would drop."""
     try:
         x = kind(value)
@@ -111,44 +118,39 @@ def _number(value, name, kind=float):
             return x
     except (TypeError, ValueError, OverflowError):
         pass
-    raise ConfigError(f"{name} must be a finite number, not {value!r}")
+    raise GraphFKError(f"{name} must be a finite number, not {value!r}")
 
 
 def _numbers(params, key, default):
-    """The nonempty list ``params[key]`` as finite floats; ConfigError
+    """The nonempty list ``params[key]`` as finite floats; GraphFKError
     else."""
     values = params.get(key, default)
     if not isinstance(values, list) or not values:
-        raise ConfigError(f"{key} must be a nonempty list of numbers, not "
-                          f"{values!r}")
+        raise GraphFKError(f"{key} must be a nonempty list of numbers, not "
+                           f"{values!r}")
     return [_number(v, f"{key} entry") for v in values]
 
 
-def _resolve_inline_or_file(spec, loader_file, loader_inline, g):
+def _entries(spec):
+    """The entries of a connection, magnetic or potential spec: the JSON
+    of the file it names, or its ``inline`` value."""
     if isinstance(spec, str):
-        return loader_file(spec, g)
+        return fileio._load_json(spec)
     if isinstance(spec, dict) and "inline" in spec:
-        return loader_inline(spec["inline"], g)
-    raise ConfigError("expected a file path or an 'inline' entry")
+        return spec["inline"]
+    raise GraphFKError("expected a file path or an 'inline' entry")
 
 
 def _read_inputs(cfg):
     """(graph, connection, potential) as the config gives them."""
-    g, preset_pot = _resolve_graph(cfg)
+    g, pot = _resolve_graph(cfg)
     conn = None
     if "connection" in cfg:
-        conn = _resolve_inline_or_file(
-            cfg["connection"], fileio.load_connection,
-            fileio.connection_from_entries, g)
+        conn = fileio.connection_from_entries(_entries(cfg["connection"]), g)
     elif "magnetic" in cfg:
-        conn = _resolve_inline_or_file(
-            cfg["magnetic"], fileio.load_magnetic,
-            fileio.magnetic_from_entries, g)
-    pot = preset_pot
+        conn = fileio.magnetic_from_entries(_entries(cfg["magnetic"]), g)
     if "potential" in cfg:
-        pot = _resolve_inline_or_file(
-            cfg["potential"], fileio.load_potential,
-            fileio.potential_from_entries, g)
+        pot = fileio.potential_from_entries(_entries(cfg["potential"]), g)
     return g, conn, pot
 
 
@@ -156,15 +158,15 @@ def _resolve_inputs(cfg):
     """The config's Problem; ``params.mode``, if stated, bounds its mode."""
     g, conn, pot = _read_inputs(cfg)
     # symmetrize would hide a non-unitary transport, so reject it here
-    bad = validate_connection(conn, g).violations if conn is not None else []
+    bad = validate_connection(conn, g)[0] if conn is not None else []
     if bad:
         (i, j), kind, dev = bad[0]
-        raise ConfigError(f"connection fails {kind} on edge ({g.labels[i]}, "
-                          f"{g.labels[j]}): deviation {dev:.3e}")
+        raise GraphFKError(f"connection fails {kind} on edge ({g.labels[i]}, "
+                           f"{g.labels[j]}): deviation {dev:.3e}")
     problem = resolve(g, conn, pot)
     stated = _params(cfg).get("mode", problem.mode)
     if stated not in MODES or MODES.index(stated) < MODES.index(problem.mode):
-        raise BadParams(
+        raise GraphFKError(
             f"mode {stated!r} must be one of {MODES}, no narrower than the "
             f"inputs' mode {problem.mode!r} (scalar takes no connection and "
             "only a rank-1 potential, magnetic only rank 1)")
@@ -176,6 +178,16 @@ def _write(outdir, name, text):
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text)
     return path
+
+
+def _write_csv(outdir, name, header, rows):
+    """The CSV file ``name`` in outdir: the line ``header``, then one line
+    per row, string cells as they are and numbers through ``_fmt``."""
+    lines = [header]
+    for row in rows:
+        lines.append(",".join(c if isinstance(c, str) else _fmt(c)
+                              for c in row))
+    return _write(outdir, name, "\n".join(lines) + "\n")
 
 
 def emit_report(results, outdir, digest):
@@ -198,33 +210,29 @@ def _cmd_validate(cfg, outdir):
     g, conn, _pot = _read_inputs(cfg)
     if conn is None:
         conn = Connection.identity(g)
-    report = validate_connection(conn, g)
-    lines = ["edge_i,edge_j,kind,deviation"]
-    for (i, j), kind, dev in report.violations:
-        lines.append(f"{i},{j},{kind},{_fmt(dev)}")
-    _write(outdir, "violations.csv", "\n".join(lines) + "\n")
-    results = {
+    bad, largest = validate_connection(conn, g)
+    _write_csv(outdir, "violations.csv", "edge_i,edge_j,kind,deviation",
+               ((i, j, kind, dev) for (i, j), kind, dev in bad))
+    if bad:
+        # the first violation as the other subcommands name it, and the count
+        (i, j), kind, dev = bad[0]
+        raise GraphFKError(f"connection fails {kind} on edge ({g.labels[i]}, "
+                           f"{g.labels[j]}): deviation {dev:.3e}; "
+                           f"{len(bad)} of {len(g.edges)} edges fail")
+    return {
         "subcommand": "validate",
         "vertices": g.n,
         "edges": len(g.edges),
-        "violations": len(report.violations),
-        "checks": [("connection valid", report.ok,
-                    f"max deviation {report.max_deviation:.3e}")],
+        "violations": len(bad),
+        "checks": [("connection valid", not bad,
+                    f"max deviation {largest:.3e}")],
     }
-    if not report.ok:
-        raise ConfigError(
-            json.dumps({"error": "connection validation failed",
-                        "violations": len(report.violations)}))
-    return results
 
 
 def _cmd_spectrum(cfg, outdir):
     p = _resolve_inputs(cfg)
     lam = eigenvalues(assemble(p.graph, p.connection, p.potential))
-    lines = ["index,eigenvalue"]
-    for k, value in enumerate(lam):
-        lines.append(f"{k},{_fmt(value)}")
-    _write(outdir, "spectrum.csv", "\n".join(lines) + "\n")
+    _write_csv(outdir, "spectrum.csv", "index,eigenvalue", enumerate(lam))
     return {
         "subcommand": "spectrum",
         "dimension": lam.size,
@@ -241,12 +249,9 @@ def _cmd_kernel(cfg, outdir):
     nu = dec.rank
     # rows in the order (x, y, a, b), of entry (x nu + a, y nu + b)
     K = heat_kernel(dec, t).reshape(g.n, nu, g.n, nu)
-    lines = ["t,x,y,re,im"]
-    for x, y, a, b in np.ndindex(g.n, g.n, nu, nu):
-        k = K[x, a, y, b]
-        lines.append(f"{_fmt(t)},{x * nu + a},{y * nu + b},"
-                     f"{_fmt(k.real)},{_fmt(k.imag)}")
-    _write(outdir, "kernel.csv", "\n".join(lines) + "\n")
+    _write_csv(outdir, "kernel.csv", "t,x,y,re,im", (
+        (t, x * nu + a, y * nu + b, K[x, a, y, b].real, K[x, a, y, b].imag)
+        for x, y, a, b in np.ndindex(g.n, g.n, nu, nu)))
     return {"subcommand": "kernel", "t": t,
             "trace": _fmt(partition_function(dec.eigenvalues, t))}
 
@@ -257,7 +262,10 @@ def _cmd_sweep(cfg, outdir):
     beta = _number(params.get("beta", 1.0), "beta")
     schedule = _numbers(params, "hbar_schedule", [1e-1, 1e-2, 1e-3, 1e-4])
     result = sweep(p.graph, p.connection, p.potential, beta, schedule)
-    _write(outdir, "sweep.csv", result.to_csv())
+    rows = [(r.hbar, r.trace, r.lower, r.upper, r.gap) for r in result.rows]
+    rows.append((f"# classical_value={_fmt(result.classical_value)}",
+                 f"converged={str(result.converged).lower()}"))
+    _write_csv(outdir, "sweep.csv", "hbar,trace,lower,upper,gap", rows)
     last = result.rows[-1]
     return {
         "subcommand": "sweep",
@@ -279,13 +287,12 @@ def _cmd_gt_check(cfg, outdir):
     p = _resolve_inputs(cfg)
     t = _number(_params(cfg).get("t", 1.0), "t")
     if not t > 0:
-        raise BadParams("t must be positive")
+        raise GraphFKError("t must be positive")
     quantum = semiclassical_trace(p.graph, p.connection, p.potential, t, 1.0)
     classical = classical_partition(p.potential, t)
     margin = classical - quantum
-    _write(outdir, "gt.csv",
-           "t,classical,quantum,margin\n"
-           f"{_fmt(t)},{_fmt(classical)},{_fmt(quantum)},{_fmt(margin)}\n")
+    _write_csv(outdir, "gt.csv", "t,classical,quantum,margin",
+               [(t, classical, quantum, margin)])
     return {
         "subcommand": "gt-check",
         "t": t,
@@ -311,7 +318,7 @@ def _cmd_fk_compare(cfg, outdir):
     g, conn, pot = p.graph, p.connection, p.potential
     params = _params(cfg)
     if "seed" not in cfg:
-        raise ConfigError("fk-compare requires an explicit seed")
+        raise GraphFKError("fk-compare requires an explicit seed")
     seed = _number(cfg["seed"], "seed", int)
     beta = _number(params.get("beta", 1.0), "beta")
     hbar = _number(params.get("hbar", 0.1), "hbar")
@@ -326,18 +333,14 @@ def _cmd_fk_compare(cfg, outdir):
     # tr_x of the diagonal block of e^{-tA}: sum_k |U_{xa,k}|^2 e^{-t lambda_k}
     diag = np.abs(dec.vectors) ** 2 @ np.exp(-t * dec.eigenvalues)
     exact_x = diag.reshape(g.n, dec.rank).sum(axis=1)
-    lines = ["x,exact,estimate,stderr,z_score"]
-    max_z = 0.0
-    for (x, est, se), exact in zip(rep.per_vertex, exact_x.tolist()):
-        z = _z_score(est, exact, se)
-        max_z = max(max_z, abs(z))
-        lines.append(f"{x},{_fmt(exact)},{_fmt(est)},{_fmt(se)},{_fmt(z)}")
+    rows = [(x, exact, est, se, _z_score(est, exact, se))
+            for (x, est, se), exact in zip(rep.per_vertex, exact_x.tolist())]
     exact_total = partition_function(dec.eigenvalues, t)
     z_total = _z_score(rep.estimate, exact_total, rep.stderr)
-    max_z = max(max_z, abs(z_total))
-    lines.append(f"total,{_fmt(exact_total)},{_fmt(rep.estimate)},"
-                 f"{_fmt(rep.stderr)},{_fmt(z_total)}")
-    _write(outdir, "fk_compare.csv", "\n".join(lines) + "\n")
+    rows.append(("total", exact_total, rep.estimate, rep.stderr, z_total))
+    _write_csv(outdir, "fk_compare.csv", "x,exact,estimate,stderr,z_score",
+               rows)
+    max_z = max(0.0, *(abs(row[-1]) for row in rows))
     detail = f"|z| = {abs(z_total):.3f}"
     if rep.stderr == 0:
         detail += " (stderr is 0)"
@@ -360,14 +363,12 @@ def _cmd_fk_compare(cfg, outdir):
 def _cmd_kato(cfg, outdir):
     p = _resolve_inputs(cfg)
     if p.mode != "scalar":
-        raise BadParams(f"kato takes a scalar problem, not {p.mode}: "
-                        "no connection and a rank-1 potential")
+        raise GraphFKError(f"kato takes a scalar problem, not {p.mode}: "
+                           "no connection and a rank-1 potential")
     g, w = p.graph, p.potential.as_scalar()
     grid = _numbers(_params(cfg), "t_grid", [1.0, 0.5, 0.25, 0.125, 0.0625])
     values = kato_functional(g, w, np.array(grid)).tolist()
-    lines = ["t,value"] + [f"{_fmt(t)},{_fmt(val)}"
-                           for t, val in zip(grid, values)]
-    _write(outdir, "kato.csv", "\n".join(lines) + "\n")
+    _write_csv(outdir, "kato.csv", "t,value", zip(grid, values))
     by_t = [val for _t, val in sorted(zip(grid, values))]
     return {
         "subcommand": "kato",
@@ -396,7 +397,7 @@ def run(config_path, subcommand):
         cfg = fileio.load_config(config_path)
         outdir = cfg.get("output_dir", ".")
         if not isinstance(outdir, str):
-            raise ConfigError(f"output_dir must be a path, not {outdir!r}")
+            raise GraphFKError(f"output_dir must be a path, not {outdir!r}")
         digest = hashlib.sha256(
             Path(config_path).read_bytes()).hexdigest()
         _check_params(cfg, subcommand)

@@ -1,61 +1,15 @@
-"""Exception hierarchy shared across the package."""
+"""The package's two errors, one per failing exit status of the CLI.
+
+``GraphFKError`` refuses an input (exit 1); ``NumericalFailure`` reports
+a numerical routine that failed on an accepted input (exit 2).  The
+message of each names what went wrong; the CLI prints it in its JSON
+error record.
+"""
 
 
 class GraphFKError(Exception):
-    """Base class for all package errors."""
-
-
-class DuplicateLabel(GraphFKError):
-    pass
-
-
-class NonpositiveWeight(GraphFKError):
-    pass
-
-
-class NonpositiveMeasure(GraphFKError):
-    pass
-
-
-class SelfLoop(GraphFKError):
-    pass
-
-
-class AsymmetricInput(GraphFKError):
-    pass
-
-
-class BadParams(GraphFKError):
-    pass
-
-
-class UnknownIndex(GraphFKError):
-    pass
-
-
-class NonHermitian(GraphFKError):
-    pass
-
-
-class RankMismatch(GraphFKError):
-    pass
-
-
-class InvalidConnection(GraphFKError):
-    pass
-
-
-class DimensionCap(GraphFKError):
-    pass
+    """An input refused: a config, a file, a parameter or a value."""
 
 
 class NumericalFailure(GraphFKError):
-    pass
-
-
-class BadCoefficients(BadParams):
-    """A time out of range."""
-
-
-class ConfigError(GraphFKError):
-    pass
+    """A numerical routine that failed on an accepted input."""

@@ -6,8 +6,11 @@ Connection: [[label_i, label_j, matrix]] with complex entries [re, im].
 Magnetic: [[label_i, label_j, phase]].  Potential: [[label, matrix]] or
 [[label, scalar]], at most one entry per vertex; a vertex without one
 takes the value 0.  Every number is a JSON number (``is_number``): a
-string or a boolean in its place is refused with a ConfigError that
+string or a boolean in its place is refused with a GraphFKError that
 names it.
+
+The CLI reads these entries from a file or from an ``{"inline": ...}``
+entry of its config and passes them to the ``*_from_entries`` parsers.
 
 Connection and magnetic entries go through one aligner, a magnetic
 phase as its rank-1 transport e^{i phase}.  Every edge takes an entry
@@ -15,7 +18,7 @@ in either orientation, and the reverse orientation is read as the
 conjugate transpose.  An entry on a pair that is not an edge, two
 entries on one edge in one orientation, an edge without an entry, and
 an edge given both ways whose reverse is not the inverse within
-``bundles.UNITARITY_TOL``, are refused with a ConfigError.
+``bundles.UNITARITY_TOL``, are refused with a GraphFKError.
 """
 
 from __future__ import annotations
@@ -33,34 +36,34 @@ from .bundles import (
     connection_from_magnetic,
     distance_to_identity,
 )
-from .errors import ConfigError
+from .errors import GraphFKError
 from .graphs import WeightedGraph, build_graph
 
 
 def _load_json(path):
     if not isinstance(path, (str, os.PathLike)):
         # open() would take an integer for a file descriptor
-        raise ConfigError(f"a file path must be a string, not {path!r}")
+        raise GraphFKError(f"a file path must be a string, not {path!r}")
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError:
-        raise ConfigError(f"file not found: {path}") from None
+        raise GraphFKError(f"file not found: {path}") from None
     except (OSError, UnicodeDecodeError) as exc:
         # a directory, an unreadable file, or bytes that are not UTF-8
-        raise ConfigError(f"cannot read {path}: {exc}") from None
+        raise GraphFKError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"cannot parse {path}: {exc}") from None
+        raise GraphFKError(f"cannot parse {path}: {exc}") from None
 
 
 @contextmanager
 def _parsing(what):
     """Report the TypeError, ValueError or OverflowError of a malformed
-    entry as a ConfigError naming ``what``."""
+    entry as a GraphFKError naming ``what``."""
     try:
         yield
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"malformed {what}: {exc}") from None
+        raise GraphFKError(f"malformed {what}: {exc}") from None
 
 
 def is_number(value) -> bool:
@@ -86,7 +89,7 @@ def _reals(entry):
 
 def graph_from_dict(data) -> WeightedGraph:
     if not isinstance(data, dict):
-        raise ConfigError("a graph spec must be a JSON object")
+        raise GraphFKError("a graph spec must be a JSON object")
     with _parsing("graph spec"):
         edges = [(a, b, _real(w)) for a, b, w in data.get("edges", [])]
         measure = [(a, _real(v)) for a, v in data.get("measure", [])]
@@ -108,7 +111,7 @@ def _complex_matrix(entry):
         return np.array([[arr[0, 0] + 1j * arr[0, 1]]])
     if arr.ndim == 3 and arr.shape[2] == 2:
         return arr[..., 0] + 1j * arr[..., 1]
-    raise ConfigError(f"cannot interpret matrix entry of shape {arr.shape}")
+    raise GraphFKError(f"cannot interpret matrix entry of shape {arr.shape}")
 
 
 def _aligned(g: WeightedGraph, arcs, mats, what) -> Connection:
@@ -123,23 +126,23 @@ def _aligned(g: WeightedGraph, arcs, mats, what) -> Connection:
     for k, (i, j) in enumerate(arcs):
         e = edge.get((min(i, j), max(i, j)))
         if e is None:
-            raise ConfigError(f"{what} entry on {name(i, j)}, which is not "
-                              "an edge")
+            raise GraphFKError(f"{what} entry on {name(i, j)}, which is not "
+                               "an edge")
         slot = 2 * e + (i > j)
         if given[slot] >= 0:
-            raise ConfigError(f"two {what} entries on {name(i, j)}")
+            raise GraphFKError(f"two {what} entries on {name(i, j)}")
         given[slot] = k
     fwd, rev = given[0::2], given[1::2]
     missing = np.flatnonzero((fwd < 0) & (rev < 0))
     if missing.size:
-        raise ConfigError(f"{what} has no entry for edge "
-                          f"{name(*g.edges[missing[0]])}")
+        raise GraphFKError(f"{what} has no entry for edge "
+                           f"{name(*g.edges[missing[0]])}")
     both = np.flatnonzero((fwd >= 0) & (rev >= 0))
     dev = distance_to_identity(mats[rev[both]] @ mats[fwd[both]])
     bad = np.flatnonzero(~(dev <= UNITARITY_TOL))  # NaN fails it too
     if bad.size:
-        raise ConfigError(f"{what} fails inverse-symmetry on edge "
-                          f"{name(*g.edges[both[bad[0]]])}: deviation "
+        raise GraphFKError(f"{what} fails inverse-symmetry on edge "
+                           f"{name(*g.edges[both[bad[0]]])}: deviation "
                           f"{dev[bad[0]]:.3e}")
     return Connection(mats.shape[1], np.where(
         (fwd >= 0)[:, None, None], mats[fwd], mats[rev].conj().swapaxes(1, 2)))
@@ -159,14 +162,10 @@ def _entries(entries, g: WeightedGraph, what, parse):
 def connection_from_entries(entries, g: WeightedGraph) -> Connection:
     arcs, mats = _entries(entries, g, "connection", _complex_matrix)
     if not mats:
-        raise ConfigError("empty connection file")
+        raise GraphFKError("empty connection file")
     if any(M.shape != (len(mats[0]),) * 2 for M in mats):
-        raise ConfigError("connection matrices must be square, of one rank")
+        raise GraphFKError("connection matrices must be square, of one rank")
     return _aligned(g, arcs, np.array(mats), "connection")
-
-
-def load_connection(path, g: WeightedGraph) -> Connection:
-    return connection_from_entries(_load_json(path), g)
 
 
 def magnetic_from_entries(entries, g: WeightedGraph) -> Connection:
@@ -176,10 +175,6 @@ def magnetic_from_entries(entries, g: WeightedGraph) -> Connection:
                     "magnetic potential")
 
 
-def load_magnetic(path, g: WeightedGraph) -> Connection:
-    return magnetic_from_entries(_load_json(path), g)
-
-
 def potential_from_entries(entries, g: WeightedGraph) -> Potential:
     by_index = {}
     rank = None
@@ -187,7 +182,7 @@ def potential_from_entries(entries, g: WeightedGraph) -> Potential:
         for lab, value in entries:
             i = g.index(lab)
             if i in by_index:
-                raise ConfigError(f"two potential entries for vertex {lab!r}")
+                raise GraphFKError(f"two potential entries for vertex {lab!r}")
             # apart: ``_complex_matrix`` takes about 1 us more per scalar
             if is_number(value):
                 M = np.array([[complex(value)]])
@@ -196,23 +191,19 @@ def potential_from_entries(entries, g: WeightedGraph) -> Potential:
             if rank is None:
                 rank = M.shape[0]
             if M.shape != (rank, rank):
-                raise ConfigError("potential matrices must be square, of one "
-                                  "rank")
+                raise GraphFKError("potential matrices must be square, of one "
+                                   "rank")
             by_index[i] = M
     if rank is None:
-        raise ConfigError("empty potential file")
+        raise GraphFKError("empty potential file")
     vals = np.zeros((g.n, rank, rank), dtype=complex)
     for i, M in by_index.items():
         vals[i] = M
     return Potential(rank, vals)
 
 
-def load_potential(path, g: WeightedGraph) -> Potential:
-    return potential_from_entries(_load_json(path), g)
-
-
 def load_config(path) -> dict:
     data = _load_json(path)
     if not isinstance(data, dict):
-        raise ConfigError("config must be a JSON object")
+        raise GraphFKError("config must be a JSON object")
     return data

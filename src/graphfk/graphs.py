@@ -24,15 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    AsymmetricInput,
-    BadParams,
-    DuplicateLabel,
-    NonpositiveMeasure,
-    NonpositiveWeight,
-    SelfLoop,
-    UnknownIndex,
-)
+from .errors import GraphFKError
 
 
 @dataclass(frozen=True)
@@ -55,28 +47,28 @@ class WeightedGraph:
         for name, value in (("measure", m), ("edges", e), ("weights", w)):
             object.__setattr__(self, name, value)
         if not np.all(m > 0):  # NaN fails it too
-            raise NonpositiveMeasure("measure must be strictly positive")
+            raise GraphFKError("measure must be strictly positive")
         if w.shape != (len(e),):
-            raise BadParams(f"{len(e)} edges and {w.size} weights")
+            raise GraphFKError(f"{len(e)} edges and {w.size} weights")
         # each check names the first edge that fails it
         checks = (
-            (e[:, 0] == e[:, 1], SelfLoop, "self-loop at index {i}"),
-            (((e < 0) | (e >= self.n)).any(axis=1), UnknownIndex,
+            (e[:, 0] == e[:, 1], "self-loop at index {i}"),
+            (((e < 0) | (e >= self.n)).any(axis=1),
              "edge ({i},{j}) out of range"),
-            (e[:, 0] > e[:, 1], BadParams, "edge ({i},{j}) not stored as i < j"),
-            (~(w > 0), NonpositiveWeight, "b({i},{j}) = {w}"),  # NaN fails
+            (e[:, 0] > e[:, 1], "edge ({i},{j}) not stored as i < j"),
+            (~(w > 0), "b({i},{j}) = {w}"),  # NaN fails
         )
-        for fails, error, text in checks:
+        for fails, text in checks:
             if fails.any():
                 k = int(np.argmax(fails))
-                raise error(text.format(i=e[k, 0], j=e[k, 1], w=w[k]))
+                raise GraphFKError(text.format(i=e[k, 0], j=e[k, 1], w=w[k]))
         # a set of the keys i n + j: numpy's sort would map a few hundred
         # KiB of its code into every run, and np.unique imports numpy.ma
         key = e[:, 0] * self.n + e[:, 1]
         if len(set(key.tolist())) < len(key):
             key = np.sort(key)  # the pair stored twice sits next to itself
             i, j = divmod(int(key[1:][key[1:] == key[:-1]][0]), self.n)
-            raise BadParams(f"edge ({i},{j}) stored twice")
+            raise GraphFKError(f"edge ({i},{j}) stored twice")
 
     @property
     def n(self):
@@ -91,7 +83,7 @@ class WeightedGraph:
         try:
             return self._positions[label]
         except (KeyError, TypeError):  # TypeError: an unhashable label
-            raise UnknownIndex(f"unknown vertex label {label!r}") from None
+            raise GraphFKError(f"unknown vertex label {label!r}") from None
 
 
 @dataclass(frozen=True)
@@ -123,7 +115,7 @@ def build_graph(edges, measure=None, vertices=None):
     if vertices is not None:
         for lab in vertices:
             if lab in seen:
-                raise DuplicateLabel(f"duplicate vertex label {lab!r}")
+                raise GraphFKError(f"duplicate vertex label {lab!r}")
             add_label(lab)
     for a, b_lab, _w in edges:
         add_label(a)
@@ -136,13 +128,13 @@ def build_graph(edges, measure=None, vertices=None):
     edge_map = {}
     for a, b_lab, w in edges:
         if a == b_lab:
-            raise SelfLoop(f"self-loop at {a!r}")
+            raise GraphFKError(f"self-loop at {a!r}")
         if not w > 0:  # NaN fails it too
-            raise NonpositiveWeight(f"b({a!r},{b_lab!r}) = {w}")
+            raise GraphFKError(f"b({a!r},{b_lab!r}) = {w}")
         i, j = idx[a], idx[b_lab]
         key = (i, j) if i < j else (j, i)
         if key in edge_map and edge_map[key] != w:
-            raise AsymmetricInput(
+            raise GraphFKError(
                 f"conflicting weights for edge ({a!r},{b_lab!r}): "
                 f"{edge_map[key]} vs {w}"
             )
@@ -152,7 +144,7 @@ def build_graph(edges, measure=None, vertices=None):
     if measure:
         for lab, v in measure:
             if not v > 0:  # NaN fails it too
-                raise NonpositiveMeasure(f"m({lab!r}) = {v}")
+                raise GraphFKError(f"m({lab!r}) = {v}")
             m[idx[lab]] = v
 
     return WeightedGraph(tuple(labels), list(edge_map),
@@ -219,31 +211,31 @@ def generate(family, **params) -> WeightedGraph:
                for key, value in params.items()):
             raise ValueError
     except (TypeError, ValueError, OverflowError):
-        raise BadParams(f"{family} takes integer parameters, not "
-                        f"{params}") from None
+        raise GraphFKError(f"{family} takes integer parameters, not "
+                           f"{params}") from None
     params = ints
     if family == "path":
         n = params.get("n", 0)
         if n < 1:
-            raise BadParams("path needs n >= 1")
+            raise GraphFKError("path needs n >= 1")
         edges = [(f"v{i}", f"v{i+1}", 1.0) for i in range(n - 1)]
         return build_graph(edges, vertices=[f"v{i}" for i in range(n)])
     if family == "cycle":
         n = params.get("n", 0)
         if n < 3:
-            raise BadParams("cycle needs n >= 3 (no self-loops or doubled edges)")
+            raise GraphFKError("cycle needs n >= 3 (no self-loops or doubled edges)")
         edges = [(f"v{i}", f"v{(i+1) % n}", 1.0) for i in range(n)]
         return build_graph(edges)
     if family == "star":
         k = params.get("leaves", 0)
         if k < 1:
-            raise BadParams("star needs leaves >= 1")
+            raise GraphFKError("star needs leaves >= 1")
         edges = [("c", f"l{i}", 1.0) for i in range(k)]
         return build_graph(edges)
     if family == "complete":
         n = params.get("n", 0)
         if n < 2:
-            raise BadParams("complete needs n >= 2")
+            raise GraphFKError("complete needs n >= 2")
         edges = [
             (f"v{i}", f"v{j}", 1.0) for i in range(n) for j in range(i + 1, n)
         ]
@@ -252,7 +244,7 @@ def generate(family, **params) -> WeightedGraph:
         l = params.get("l", 0)
         side = params.get("side", 0)
         if l < 1 or side < 2:
-            raise BadParams("lattice_box needs l >= 1 and side >= 2")
+            raise GraphFKError("lattice_box needs l >= 1 and side >= 2")
         # vertex v has the coordinates coords[v], the last the fastest; its
         # edges go one step up each dimension d where there is room, in the
         # order (v, d), to v + side^(l - 1 - d)
@@ -264,5 +256,5 @@ def generate(family, **params) -> WeightedGraph:
         labels = ["x" + "_".join(map(str, c)) for c in coords.tolist()]
         return WeightedGraph(tuple(labels), edges, np.ones(len(edges)),
                              np.ones(len(labels)))
-    raise BadParams(f"unknown family {family!r}")
+    raise GraphFKError(f"unknown family {family!r}")
 

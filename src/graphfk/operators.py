@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bundles import Connection, Potential
-from .errors import DimensionCap, RankMismatch
+from .errors import GraphFKError
 from .graphs import WeightedGraph, degrees
 
 # The largest n * nu that ``assemble`` materializes: a dense complex
@@ -72,7 +72,7 @@ def resolve(g: WeightedGraph, c: Connection = None, V=None) -> Problem:
 
     ``V`` may be a Potential, a real vector (rank 1) or None (zero, of the
     connection's rank); ``c`` None is the identity connection, and
-    InvalidConnection is raised unless c holds one transport per edge.
+    GraphFKError is raised unless c holds one transport per edge.
     """
     if V is None:
         rank = 1 if c is None else c.rank
@@ -80,9 +80,9 @@ def resolve(g: WeightedGraph, c: Connection = None, V=None) -> Problem:
     elif not isinstance(V, Potential):
         V = Potential.scalar(V)
     if c is not None and c.rank != V.rank:
-        raise RankMismatch(f"potential rank {V.rank} != connection rank {c.rank}")
+        raise GraphFKError(f"potential rank {V.rank} != connection rank {c.rank}")
     if V.n != g.n:
-        raise RankMismatch(f"potential defined on {V.n} vertices, graph has {g.n}")
+        raise GraphFKError(f"potential defined on {V.n} vertices, graph has {g.n}")
     src, dst = g.edges.ravel(), g.edges[:, ::-1].ravel()
     w = np.repeat(g.weights, 2)
     nu = V.rank
@@ -118,13 +118,13 @@ def assemble(g: WeightedGraph, c: Connection = None,
 
     ``c`` and ``V`` are resolved as by ``resolve``.  The matrix is float64
     when no transport and no potential value has an imaginary part, and
-    complex otherwise.  DimensionCap is raised, before anything of size
+    complex otherwise.  GraphFKError is raised, before anything of size
     n^2 is allocated, when n * nu exceeds ``DIMENSION_CAP``.
     """
     p = resolve(g, c, V)
     n, nu = g.n, p.rank
     if n * nu > DIMENSION_CAP:
-        raise DimensionCap(f"dimension {n * nu} exceeds cap {DIMENSION_CAP}")
+        raise GraphFKError(f"dimension {n * nu} exceeds cap {DIMENSION_CAP}")
     Vvals = p.potential.values
     A = np.zeros((n, nu, n, nu), dtype=np.result_type(p.phi, Vvals))
     x = np.arange(n)

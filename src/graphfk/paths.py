@@ -83,7 +83,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bundles import Connection
-from .errors import BadParams, UnknownIndex
+from .errors import GraphFKError
 from .graphs import WeightedGraph, degrees, two_colouring
 from .operators import Problem, resolve
 from .semiclassics import _eigenbasis, jump_terms
@@ -272,10 +272,10 @@ def _path_chunk(tbl, start, horizon, rng, loops=False):
     a path leaves the walk in the round it stops jumping, before that
     round's products: its last jump and last hold are never multiplied
     out.  Without, a path's F is M[0, 0] after its last hold, which is
-    its weight at rank 1 only: above it, BadParams is raised.
+    its weight at rank 1 only: above it, GraphFKError is raised.
     """
     if not loops and tbl.rank > 1:
-        raise BadParams("the unforced walk weighs paths at rank 1 only")
+        raise GraphFKError("the unforced walk weighs paths at rank 1 only")
     nu, width = tbl.rank, tbl.nbrs.shape[1]
     states = start.copy()
     N = np.zeros(start.size, dtype=np.int64)
@@ -357,21 +357,21 @@ def _return_score(tbl, M, ys, x, r):
 
 def simulate_scalar_paths(g: WeightedGraph, start: int, t: float,
                           samples: int, seed: int, v=None,
-                          chunk: int = CHUNK_SIZE, workers: int = 1):
+                          workers: int = 1):
     """Chunked scalar simulation; returns (terminal, F, N) arrays.
 
     With v = None the weights F are identically 1 and the output carries
     the pure process law (terminal states and jump counts).
     """
     if not t >= 0:  # NaN fails it too
-        raise BadParams("horizon must be nonnegative")
+        raise GraphFKError("horizon must be nonnegative")
     if not 0 <= start < g.n:
-        raise UnknownIndex(f"start vertex {start} not in graph")
+        raise GraphFKError(f"start vertex {start} not in graph")
     if samples < 1:
-        raise BadParams("need at least 1 sample")
+        raise GraphFKError("need at least 1 sample")
     _check_workers(workers)
     tbl = _JumpTable(resolve(g, None, v), forced=0)
-    jobs = _chunk_sizes(samples, chunk)
+    jobs = _chunk_sizes(samples)
 
     def run(job):
         ci, size = job
@@ -384,19 +384,19 @@ def simulate_scalar_paths(g: WeightedGraph, start: int, t: float,
     return tuple(np.concatenate(cols) for cols in zip(*parts))
 
 
-def _chunk_sizes(samples, chunk):
-    """(chunk index, size) of each piece of ``samples`` paths, lazily, so
-    that a run of any size holds no list of its jobs."""
-    if chunk < 1:
-        raise BadParams("chunk size must be at least 1")
+def _chunk_sizes(samples):
+    """(chunk index, size) of each piece of ``samples`` paths, in pieces
+    of ``CHUNK_SIZE``, lazily, so that a run of any size holds no list of
+    its jobs."""
+    chunk = CHUNK_SIZE
     return ((ci, min(chunk, samples - ci * chunk))
             for ci in range(-(-samples // chunk)))
 
 
 def _check_workers(workers):
     if not 1 <= workers <= MAX_WORKERS:
-        raise BadParams(f"workers must be between 1 and {MAX_WORKERS}, "
-                        f"not {workers}")
+        raise GraphFKError(f"workers must be between 1 and {MAX_WORKERS}, "
+                           f"not {workers}")
 
 
 def _run_jobs(run, jobs, workers):
@@ -499,7 +499,6 @@ def _exact_strata(problem: Problem, t: float, hbar: float):
 
 def estimate_partition(g: WeightedGraph, c: Connection, V, beta: float,
                        hbar: float, samples: int, seed: int,
-                       chunk: int = CHUNK_SIZE,
                        workers: int = 1) -> EstimatorReport:
     """Monte Carlo estimate of tr(e^{-beta hbar H_{Phi, V/hbar}}).
 
@@ -529,8 +528,8 @@ def estimate_partition(g: WeightedGraph, c: Connection, V, beta: float,
     property E^x[S] is the weight of the paths with K jumps or more that
     end at x, and ``samples`` such paths estimate it.  A vertex of rate 0
     runs no path and reports its exact terms with stderr 0.  The paths of
-    all vertices run vertex-major in pieces of ``chunk`` paths, one kernel
-    call per piece on the stream keyed (seed, piece index); per-vertex
+    all vertices run vertex-major in pieces of ``CHUNK_SIZE`` paths, one
+    kernel call per piece on the stream keyed (seed, piece index); per-vertex
     moments merge in piece order, so results do not depend on
     ``workers``.  The Z_x are summed in vertex order, and the imaginary
     part is reported alongside the real one; the report also gives K
@@ -538,10 +537,10 @@ def estimate_partition(g: WeightedGraph, c: Connection, V, beta: float,
     the exact strata (``strata``).
     """
     if not (beta > 0 and hbar > 0):  # NaN fails it too
-        raise BadParams("beta and hbar must be positive")
+        raise GraphFKError("beta and hbar must be positive")
     if samples < 2:
-        raise BadParams("need at least 2 samples per vertex for a "
-                        "standard error")
+        raise GraphFKError("need at least 2 samples per vertex for a "
+                           "standard error")
     _check_workers(workers)
     problem = resolve(g, c, V)
     t = beta * hbar
@@ -553,12 +552,12 @@ def estimate_partition(g: WeightedGraph, c: Connection, V, beta: float,
 
     def run(job):
         ci, size = job
-        start = live[(ci * chunk + np.arange(size)) // samples]
+        start = live[(ci * CHUNK_SIZE + np.arange(size)) // samples]
         rng = path_stream(seed, _ALL_STARTS, ci)
         _terminal, F, _N = _path_chunk(tbl, start, t, rng, loops=True)
         return _chunk_moments(start, np.stack([F.real, F.imag], axis=1))
 
-    jobs = _chunk_sizes(live.size * samples, chunk)
+    jobs = _chunk_sizes(live.size * samples)
     mean, se = _mean_se(*_merge_moments(g.n, 2, _run_jobs(run, jobs, workers)))
     # columns: real and imaginary part
     est = np.stack([exact, np.zeros(g.n)], axis=1) + mean

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bundles import Connection, Potential
-from .errors import BadParams
+from .errors import GraphFKError
 from .graphs import WeightedGraph, degrees
 from .operators import Problem, _coupling, assemble, resolve, symmetrize
 from .spectral import hermitian_eigenvalues, partition_function
@@ -56,19 +56,6 @@ class SweepResult:
     classical_value: float = 0.0
     converged: bool = False
 
-    def to_csv(self):
-        lines = ["hbar,trace,lower,upper,gap"]
-        for r in self.rows:
-            lines.append(
-                f"{r.hbar:.17g},{r.trace:.17g},{r.lower:.17g},"
-                f"{r.upper:.17g},{r.gap:.17g}"
-            )
-        lines.append(
-            f"# classical_value={self.classical_value:.17g},"
-            f"converged={str(self.converged).lower()}"
-        )
-        return "\n".join(lines) + "\n"
-
 
 def _classical_terms(V: Potential, beta: float) -> np.ndarray:
     """Per-vertex terms tr_x e^{-beta V(x)} (scalar: e^{-beta w(x)})."""
@@ -78,7 +65,7 @@ def _classical_terms(V: Potential, beta: float) -> np.ndarray:
 def classical_partition(V, beta: float) -> float:
     """sum_x tr_x e^{-beta V(x)} (scalar: sum_x e^{-beta w(x)})."""
     if not beta > 0:  # NaN fails it too
-        raise BadParams("beta must be positive")
+        raise GraphFKError("beta must be positive")
     if not isinstance(V, Potential):
         V = Potential.scalar(V)
     return float(_classical_terms(V, beta).sum())
@@ -112,7 +99,7 @@ def semiclassical_trace(g: WeightedGraph, c: Connection, V,
                         beta: float, hbar: float) -> float:
     """tr(e^{-beta hbar H_{Phi, V/hbar}})."""
     if not (beta > 0 and hbar > 0):  # NaN fails it too
-        raise BadParams("beta and hbar must be positive")
+        raise GraphFKError("beta and hbar must be positive")
     return next(_traces(resolve(g, c, V), beta, (hbar,)))
 
 
@@ -391,12 +378,12 @@ def sweep(g: WeightedGraph, c: Connection, V, beta: float,
     (``_traces``).
     """
     if not beta > 0:  # NaN fails it too
-        raise BadParams("beta must be positive")
+        raise GraphFKError("beta must be positive")
     schedule = tuple(float(h) for h in hbar_schedule)
     if not schedule or any(not h > 0 for h in schedule):
-        raise BadParams("hbar schedule entries must be positive")
+        raise GraphFKError("hbar schedule entries must be positive")
     if any(b >= a for a, b in zip(schedule, schedule[1:])):
-        raise BadParams("hbar schedule must be strictly decreasing")
+        raise GraphFKError("hbar schedule must be strictly decreasing")
     problem = resolve(g, c, V)
     deg_m = degrees(g).deg_m
     terms = _classical_terms(problem.potential, beta)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadCoefficients, NumericalFailure
+from .errors import GraphFKError, NumericalFailure
 from .graphs import WeightedGraph
 from .operators import OperatorMatrix, assemble, symmetrize
 
@@ -83,7 +83,7 @@ def heat_kernel(dec: SpectralDecomposition, t: float) -> np.ndarray:
     nu), block (x, y) the nu x nu kernel block at rows x nu .. (x + 1) nu
     and columns y nu .. (y + 1) nu."""
     if not t > 0:  # NaN fails it too
-        raise BadCoefficients("heat kernel needs t > 0")
+        raise GraphFKError("heat kernel needs t > 0")
     w = np.sqrt(_weights(dec))
     core = (dec.vectors * np.exp(-t * dec.eigenvalues)) @ dec.vectors.conj().T
     return (core / w[:, None]) / w[None, :]
@@ -92,7 +92,7 @@ def heat_kernel(dec: SpectralDecomposition, t: float) -> np.ndarray:
 def partition_function(lam: np.ndarray, t: float) -> float:
     """tr(e^{-tH}) = sum_k e^{-t lambda_k} from the eigenvalues lam."""
     if not t > 0:  # NaN fails it too
-        raise BadCoefficients("partition function needs t > 0")
+        raise GraphFKError("partition function needs t > 0")
     return math.fsum(np.exp(-t * np.asarray(lam)))
 
 
@@ -111,7 +111,7 @@ def kato_functional(g: WeightedGraph, w, t):
     """
     times = np.asarray(t, dtype=float)
     if not np.all(times > 0):  # NaN fails it too
-        raise BadCoefficients("kato functional needs t > 0")
+        raise GraphFKError("kato functional needs t > 0")
     w = np.asarray(w, dtype=float)
     dec = eigendecompose(assemble(g))
     sq = np.sqrt(g.measure)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from graphfk.bundles import Connection, Potential
-from graphfk.errors import RankMismatch
+from graphfk.errors import GraphFKError
 from graphfk.graphs import build_graph, degrees
 from graphfk.operators import _coupling, resolve
 from graphfk.paths import _chunk_moments, _merge_moments
@@ -107,7 +107,8 @@ def _as_section(f, n, rank):
     if rank == 1 and f.shape == (n,):
         f = f.reshape(n, 1)
     if f.shape != (n, rank):
-        raise RankMismatch(f"section must have shape ({n}, {rank}), got {f.shape}")
+        raise GraphFKError(f"section must have shape ({n}, {rank}), "
+                           f"got {f.shape}")
     return f
 
 

@@ -7,7 +7,7 @@ from graphfk.bundles import (
     connection_from_magnetic,
     validate_connection,
 )
-from graphfk.errors import ConfigError, InvalidConnection, NonHermitian
+from graphfk.errors import GraphFKError
 from graphfk.fileio import connection_from_entries, magnetic_from_entries
 from graphfk.graphs import build_graph, generate
 from graphfk.operators import resolve
@@ -67,27 +67,29 @@ class TestMagnetic:
         assert reverse.matrices[0, 0, 0] == pytest.approx(np.exp(-0.7j))
 
     def test_missing_phase(self, edge_graph):
-        with pytest.raises(ConfigError, match=r"no entry for edge \(a, b\)"):
+        with pytest.raises(GraphFKError, match=r"no entry for edge \(a, b\)"):
             magnetic_from_entries([], edge_graph)
 
     def test_output_always_validates(self, rng):
         g = generate("cycle", n=6)
         c = connection_from_magnetic(rng.uniform(-np.pi, np.pi, len(g.edges)))
-        assert validate_connection(c, g).ok
+        assert validate_connection(c, g)[0] == []
 
 
 class TestValidateConnection:
     def test_identity_clean(self):
         g = generate("cycle", n=4)
-        report = validate_connection(Connection.identity(g, 2), g)
-        assert report.ok
+        bad, largest = validate_connection(Connection.identity(g, 2), g)
+        assert bad == []
+        assert largest == 0.0
 
     def test_nonunitary_flagged(self, edge_graph):
         c = Connection(2, [np.diag([1.0, 2.0]).astype(complex)])
-        report = validate_connection(c, edge_graph)
-        kinds = {v[1] for v in report.violations}
+        bad, largest = validate_connection(c, edge_graph)
+        kinds = {v[1] for v in bad}
         assert "unitarity" in kinds
-        assert report.max_deviation >= 1.0
+        assert max(v[2] for v in bad) >= 1.0
+        assert largest >= 1.0
 
     @pytest.mark.parametrize("both", [False, True])
     def test_nan_matrix_flagged(self, edge_graph, both):
@@ -97,14 +99,14 @@ class TestValidateConnection:
             # given both ways, the reverse is checked as the entries align
             entries = [["a", "b", matrix_json(M)],
                        ["b", "a", matrix_json(np.eye(2))]]
-            with pytest.raises(ConfigError,
+            with pytest.raises(GraphFKError,
                                match="inverse-symmetry .* deviation nan"):
                 connection_from_entries(entries, edge_graph)
             return
-        report = validate_connection(Connection(2, [M]), edge_graph)
-        assert not report.ok
-        assert all(np.isnan(v[2]) for v in report.violations)
-        assert {v[1] for v in report.violations} == {"unitarity"}
+        bad, _largest = validate_connection(Connection(2, [M]), edge_graph)
+        assert bad != []
+        assert all(np.isnan(v[2]) for v in bad)
+        assert {v[1] for v in bad} == {"unitarity"}
 
     def test_wrong_reverse_flagged(self, edge_graph):
         a = np.pi / 3
@@ -112,7 +114,7 @@ class TestValidateConnection:
                        dtype=complex)
         # reverse set to the forward matrix instead of its inverse
         entries = [["a", "b", matrix_json(rot)], ["b", "a", matrix_json(rot)]]
-        with pytest.raises(ConfigError, match="inverse-symmetry on edge"):
+        with pytest.raises(GraphFKError, match="inverse-symmetry on edge"):
             connection_from_entries(entries, edge_graph)
         # the true inverse passes, and the forward entry is kept
         entries[1][2] = matrix_json(rot.conj().T)
@@ -122,9 +124,10 @@ class TestValidateConnection:
     def test_missing_edge_flagged(self):
         g = generate("path", n=3)
         c = Connection(1, [np.eye(1, dtype=complex)])
-        with pytest.raises(InvalidConnection, match="per edge of 2"):
+        with pytest.raises(GraphFKError, match="per edge of 2"):
             validate_connection(c, g)
-        with pytest.raises(ConfigError, match=r"no entry for edge \(v1, v2\)"):
+        with pytest.raises(GraphFKError,
+                           match=r"no entry for edge \(v1, v2\)"):
             connection_from_entries([["v0", "v1", 1.0]], g)
 
 
@@ -157,15 +160,15 @@ class TestDecompose:
     takes: non-Hermitian or non-finite ones."""
 
     def test_non_hermitian_rejected(self):
-        with pytest.raises(NonHermitian):
+        with pytest.raises(GraphFKError, match="not Hermitian"):
             Potential(2, np.array([[[0, 1], [0, 0]]], dtype=complex))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_rejected(self, bad):
         # a NaN made the Hermiticity deviation NaN, which passed dev > tol
-        with pytest.raises(NonHermitian, match="finite"):
+        with pytest.raises(GraphFKError, match="finite"):
             Potential.scalar([0.0, bad])
-        with pytest.raises(NonHermitian, match="finite"):
+        with pytest.raises(GraphFKError, match="finite"):
             Potential(2, np.array([[[bad, 0], [0, 1]]], dtype=complex))
 
 

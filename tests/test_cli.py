@@ -76,6 +76,42 @@ class TestValidate:
         assert "unitarity on edge (a, b)" in record["error"]
         assert not (tmp_path / "out").exists()
 
+    @staticmethod
+    def _on_four_cycle(tmp_path, diagonals):
+        """A validate config for four_cycle with the transports diag(d)
+        on its edges (v0, v1), (v1, v2), (v2, v3), (v3, v0)."""
+        pairs = [["v0", "v1"], ["v1", "v2"], ["v2", "v3"], ["v3", "v0"]]
+        return write_config(tmp_path, "c.json", {
+            "graph": {"preset": "four_cycle"},
+            "connection": {"inline": [
+                pair + [[[[d[0], 0.0], [0.0, 0.0]], [[0.0, 0.0], [d[1], 0.0]]]]
+                for pair, d in zip(pairs, diagonals)]},
+            "output_dir": str(tmp_path / "out")})
+
+    def test_failed_validate_names_the_first_edge(self, tmp_path, capsys):
+        # the record's message used to be a JSON string of its own
+        cfg = self._on_four_cycle(
+            tmp_path, [(1.0, 1.0), (2.0, 1.0), (1.0, 1.0), (1.0, 2.0)])
+        assert run(cfg, "validate") == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "connection fails unitarity on edge (v1, v2): deviation "
+                     "3.000e+00; 2 of 4 edges fail",
+            "kind": "validation"}
+        _header, rows = csv_rows(tmp_path / "out" / "violations.csv")
+        assert rows == ["1,2,unitarity,3", "0,3,unitarity,3"]
+
+    def test_passing_validate_reports_the_largest_deviation(self, tmp_path):
+        # ||Phi^* Phi - I|| is 2.0e-12 on (v1, v2) and 1.0e-12 on (v3, v0),
+        # both within bundles.UNITARITY_TOL; the maximum used to be taken
+        # over the violations alone and read 0 on every passing run
+        cfg = self._on_four_cycle(tmp_path, [
+            (1.0, 1.0), (1.0, 1.0 + 1e-12), (1.0, 1.0), (1.0 + 5e-13, 1.0)])
+        assert run(cfg, "validate") == 0
+        report = (tmp_path / "out" / "report.txt").read_text()
+        assert "violations: 0\n" in report
+        assert ("[PASS] connection valid: max deviation 2.000e-12\n"
+                in report)
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert run(str(tmp_path / "nope.json"), "validate") == 1
         record = json.loads(capsys.readouterr().err.strip())
@@ -922,6 +958,25 @@ class TestMain:
         })
         assert main(["sweep", cfg]) == 0
         assert (tmp_path / "out" / "sweep.csv").exists()
+
+    def test_numerical_failure_exits_2(self, tmp_path, capsys, monkeypatch):
+        # a solver that fails on accepted input exits 2, "numerical"; a
+        # refused input still exits 1, "validation"
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+        cfg = {"graph": {"preset": "two_vertex"},
+               "output_dir": str(tmp_path / "out")}
+        assert main(["spectrum", write_config(tmp_path, "c.json", cfg)]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "eigenvalue solve failed: Eigenvalues did not converge",
+            "kind": "numerical"}
+        bad = write_config(tmp_path, "bad.json",
+                           cfg | {"params": {"mode": "bogus"}})
+        assert main(["spectrum", bad]) == 1
+        assert json.loads(capsys.readouterr().err)["kind"] == "validation"
+        assert not (tmp_path / "out").exists()
 
     def test_rejects_unknown_subcommand(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -1,15 +1,7 @@
 import numpy as np
 import pytest
 
-from graphfk.errors import (
-    AsymmetricInput,
-    BadParams,
-    DuplicateLabel,
-    NonpositiveMeasure,
-    NonpositiveWeight,
-    SelfLoop,
-    UnknownIndex,
-)
+from graphfk.errors import GraphFKError
 from graphfk.graphs import (
     WeightedGraph,
     build_graph,
@@ -29,7 +21,9 @@ class TestBuildGraph:
         assert np.allclose(d.deg_1, [1.0, 1.0])
 
     def test_asymmetric_weights_rejected(self):
-        with pytest.raises(AsymmetricInput):
+        with pytest.raises(GraphFKError,
+                           match=r"conflicting weights for edge \('b','a'\): "
+                           "1.0 vs 2.0"):
             build_graph([("a", "b", 1.0), ("b", "a", 2.0)])
 
     def test_symmetric_duplicate_allowed(self):
@@ -43,41 +37,42 @@ class TestBuildGraph:
         assert d.c_bm == pytest.approx(2.0)
 
     def test_errors(self):
-        with pytest.raises(SelfLoop):
+        with pytest.raises(GraphFKError, match="self-loop at 'a'"):
             build_graph([("a", "a", 1.0)])
-        with pytest.raises(NonpositiveWeight):
+        with pytest.raises(GraphFKError, match=r"b\('a','b'\) = 0.0"):
             build_graph([("a", "b", 0.0)])
-        with pytest.raises(NonpositiveMeasure):
+        with pytest.raises(GraphFKError, match=r"m\('a'\) = -1.0"):
             build_graph([("a", "b", 1.0)], measure=[("a", -1.0)])
-        with pytest.raises(DuplicateLabel):
+        with pytest.raises(GraphFKError, match="duplicate vertex label 'a'"):
             build_graph([("a", "b", 1.0)], vertices=["a", "a", "b"])
 
     def test_nan_weight_and_measure_rejected(self):
         # NaN compares false both ways, so it passed w <= 0 and m <= 0
         nan = float("nan")
-        with pytest.raises(NonpositiveWeight):
+        with pytest.raises(GraphFKError, match=r"b\('a','b'\) = nan"):
             build_graph([("a", "b", nan)])
-        with pytest.raises(NonpositiveMeasure):
+        with pytest.raises(GraphFKError, match=r"m\('a'\) = nan"):
             build_graph([("a", "b", 1.0)], measure=[("a", nan)])
-        with pytest.raises(NonpositiveWeight):
+        with pytest.raises(GraphFKError, match=r"b\(0,1\) = nan"):
             WeightedGraph(("a", "b"), [(0, 1)], [nan], np.ones(2))
-        with pytest.raises(NonpositiveMeasure):
+        with pytest.raises(GraphFKError,
+                           match="measure must be strictly positive"):
             WeightedGraph(("a", "b"), [(0, 1)], [1.0], np.array([1.0, nan]))
 
-    @pytest.mark.parametrize("edges, error, message", [
-        ([(0, 1), (2, 2)], SelfLoop, "self-loop at index 2"),
-        ([(0, 1), (1, 3)], UnknownIndex, r"edge \(1,3\) out of range"),
-        ([(0, 1), (-1, 2)], UnknownIndex, r"edge \(-1,2\) out of range"),
-        ([(0, 1), (2, 1)], BadParams, r"edge \(2,1\) not stored as i < j"),
-        ([(1, 2), (0, 1), (1, 2)], BadParams, r"edge \(1,2\) stored twice"),
+    @pytest.mark.parametrize("edges, message", [
+        ([(0, 1), (2, 2)], "self-loop at index 2"),
+        ([(0, 1), (1, 3)], r"edge \(1,3\) out of range"),
+        ([(0, 1), (-1, 2)], r"edge \(-1,2\) out of range"),
+        ([(0, 1), (2, 1)], r"edge \(2,1\) not stored as i < j"),
+        ([(1, 2), (0, 1), (1, 2)], r"edge \(1,2\) stored twice"),
     ])
-    def test_edge_arrays_checked(self, edges, error, message):
-        with pytest.raises(error, match=message):
+    def test_edge_arrays_checked(self, edges, message):
+        with pytest.raises(GraphFKError, match=message):
             WeightedGraph(("a", "b", "c"), edges, np.ones(len(edges)),
                           np.ones(3))
 
     def test_weights_one_per_edge(self):
-        with pytest.raises(BadParams, match="2 edges and 1 weights"):
+        with pytest.raises(GraphFKError, match="2 edges and 1 weights"):
             WeightedGraph(("a", "b", "c"), [(0, 1), (1, 2)], [1.0],
                           np.ones(3))
 
@@ -86,7 +81,7 @@ class TestBuildGraph:
         g = WeightedGraph(("a", "b", "a"), [], [], np.ones(3))
         assert [g.index(lab) for lab in ("a", "b")] == [0, 1]
         for label in ("c", ["a"]):
-            with pytest.raises(UnknownIndex):
+            with pytest.raises(GraphFKError, match="unknown vertex label"):
                 g.index(label)
 
 
@@ -207,12 +202,13 @@ class TestGenerate:
         assert len(g.edges) == n_expected
 
     def test_bad_params(self):
-        with pytest.raises(BadParams):
+        with pytest.raises(GraphFKError, match="cycle needs n >= 3"):
             generate("cycle", n=1)
-        with pytest.raises(BadParams):
+        with pytest.raises(GraphFKError, match="lattice_box needs l >= 1"):
             generate("lattice_box", l=0, side=3)
-        with pytest.raises(BadParams):
+        with pytest.raises(GraphFKError, match="unknown family 'nonsense'"):
             generate("nonsense")
-        with pytest.raises(BadParams):
+        with pytest.raises(GraphFKError,
+                           match="path takes integer parameters"):
             generate("path", n="x")
 

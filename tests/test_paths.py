@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from graphfk.bundles import Connection, Potential, connection_from_magnetic
-from graphfk.errors import BadParams, RankMismatch, UnknownIndex
+from graphfk.errors import GraphFKError
 from graphfk.graphs import build_graph, degrees, generate
 from graphfk.operators import assemble, resolve
 from scipy.linalg import expm
@@ -81,7 +81,7 @@ class TestSamplePath:
         assert N.tolist() == [0] * 100 and terminal.tolist() == [2] * 100
 
     def test_negative_horizon(self, edge_graph):
-        with pytest.raises(BadParams):
+        with pytest.raises(GraphFKError, match="horizon must be nonnegative"):
             simulate_scalar_paths(edge_graph, 0, -1.0, 3, seed=5)
 
     def test_no_jump_probability(self, edge_graph):
@@ -370,7 +370,7 @@ class TestKernel:
         # without loops F is M[0, 0], one entry of the Dyson product: the
         # weight of a path at rank 1 only
         g, c, V = _triangle(rng, 2)
-        with pytest.raises(BadParams, match="rank 1 only"):
+        with pytest.raises(GraphFKError, match="rank 1 only"):
             _path_chunk(_JumpTable(resolve(g, c, V), forced=0),
                         np.zeros(4, dtype=np.int64), 1.0, path_stream(1, 0, 0))
 
@@ -473,7 +473,8 @@ class TestOrderedExponential:
     def test_rank_mismatch(self, edge_graph, rng):
         c = random_connection(edge_graph, 3, rng)
         V = random_potential(edge_graph, 2, rng)
-        with pytest.raises(RankMismatch):
+        with pytest.raises(GraphFKError,
+                           match="potential rank 2 != connection rank 3"):
             _JumpTable(resolve(edge_graph, c, V), forced=0)
 
     def test_gronwall_norm_bound(self, rng):
@@ -598,22 +599,24 @@ class TestPartitionEstimate:
         assert (rep.forced, rep.strata) == (3, (0, 2))
         assert abs(rep.estimate - exact) <= 4 * rep.stderr
 
-    def test_worker_count_invariance(self):
+    def test_worker_count_invariance(self, monkeypatch):
         g, pot = two_vertex()
-        kw = dict(beta=1.0, hbar=0.2, samples=20_000, seed=65, chunk=1024)
+        monkeypatch.setattr(paths, "CHUNK_SIZE", 1024)
+        kw = dict(beta=1.0, hbar=0.2, samples=20_000, seed=65)
         one = estimate_partition(g, None, pot, workers=1, **kw)
         four = estimate_partition(g, None, pot, workers=4, **kw)
         assert one.estimate == four.estimate
         assert one.stderr == four.stderr
         assert one.per_vertex == four.per_vertex
 
-    def test_straddling_chunks_worker_invariance(self, rng):
+    def test_straddling_chunks_worker_invariance(self, rng, monkeypatch):
         # 1000 paths per vertex in pieces of 384: pieces straddle vertices
         g = generate("cycle", n=3)
         c = random_connection(g, 2, rng)
         V = random_potential(g, 2, rng)
+        monkeypatch.setattr(paths, "CHUNK_SIZE", 384)
         reports = [estimate_partition(g, c, V, 1.0, 0.5, 1000, seed=68,
-                                      chunk=384, workers=w)
+                                      workers=w)
                    for w in (1, 2, 4)]
         assert reports[0] == reports[1] == reports[2]
         assert all(se > 0 for _x, _est, se in reports[0].per_vertex)
@@ -651,40 +654,33 @@ class TestPartitionEstimate:
         assert a == b
 
     def test_bad_params(self, edge_graph):
-        with pytest.raises(BadParams):
+        with pytest.raises(GraphFKError, match="beta and hbar must be"):
             estimate_partition(edge_graph, None, np.zeros(2), -1.0, 1.0,
                                1000, seed=67)
-        with pytest.raises(BadParams):
+        with pytest.raises(GraphFKError, match="beta and hbar must be"):
             estimate_partition(edge_graph, None, np.zeros(2), math.nan, 1.0,
                                1000, seed=67)
-        with pytest.raises(RankMismatch):
+        with pytest.raises(GraphFKError,
+                           match="potential rank 1 != connection rank 2"):
             estimate_partition(edge_graph, Connection.identity(edge_graph, 2),
                                np.zeros(2), 1.0, 1.0, 1000, seed=69)
 
     @pytest.mark.parametrize("kw", [dict(samples=1), dict(samples=0),
                                     dict(samples=-5), dict(workers=0),
-                                    dict(workers=-2), dict(chunk=0),
-                                    dict(chunk=-1)])
+                                    dict(workers=-2)])
     def test_ignored_inputs_rejected(self, edge_graph, kw):
-        # one sample has no standard error, and a chunk size below 1 never
-        # advances the chunk loop
-        args = dict(samples=1000, chunk=CHUNK_SIZE, workers=1) | kw
-        with pytest.raises(BadParams):
+        # one sample has no standard error
+        args = dict(samples=1000, workers=1) | kw
+        message = "workers must be" if "workers" in kw else "2 samples"
+        with pytest.raises(GraphFKError, match=message):
             estimate_partition(edge_graph, None, np.zeros(2), 1.0, 1.0,
                                seed=73, **args)
-
-    @pytest.mark.parametrize("chunk", [0, -1])
-    def test_process_law_estimators_reject_empty_chunks(self, edge_graph,
-                                                        chunk):
-        with pytest.raises(BadParams):
-            simulate_scalar_paths(edge_graph, 0, 1.0, 1000, seed=74,
-                                  chunk=chunk)
 
     @pytest.mark.parametrize("workers", [0, -2])
     def test_process_law_estimators_reject_no_workers(self, edge_graph,
                                                       workers):
         # a worker count below 1 used to run serially without a word
-        with pytest.raises(BadParams):
+        with pytest.raises(GraphFKError, match="workers must be"):
             simulate_scalar_paths(edge_graph, 0, 1.0, 1000, seed=76,
                                   workers=workers)
 
@@ -697,22 +693,21 @@ class TestPartitionEstimate:
 
         monkeypatch.setattr(paths, "ThreadPoolExecutor", no_pool)
         for workers in (MAX_WORKERS + 1, 10**12):
-            with pytest.raises(BadParams, match="workers"):
+            with pytest.raises(GraphFKError, match="workers"):
                 estimate_partition(edge_graph, None, np.zeros(2), 1.0, 1.0,
                                    1000, seed=78, workers=workers)
-            with pytest.raises(BadParams, match="workers"):
+            with pytest.raises(GraphFKError, match="workers"):
                 simulate_scalar_paths(edge_graph, 0, 1.0, 1000, seed=79,
                                       workers=workers)
 
-    def test_chunk_sizes_are_lazy(self):
+    def test_chunk_sizes_are_lazy(self, monkeypatch):
         # a list of every job used to be built first: 10^12 paths died
         # with a MemoryError before one ran
-        jobs = _chunk_sizes(10, 3)
+        assert next(_chunk_sizes(10**12)) == (0, CHUNK_SIZE)
+        monkeypatch.setattr(paths, "CHUNK_SIZE", 3)
+        jobs = _chunk_sizes(10)
         assert isinstance(jobs, Iterator)
         assert list(jobs) == [(0, 3), (1, 3), (2, 3), (3, 1)]
-        assert next(_chunk_sizes(10**12, CHUNK_SIZE)) == (0, CHUNK_SIZE)
-        with pytest.raises(BadParams):
-            _chunk_sizes(10, 0)  # on the call, not on the first job
 
     def test_jobs_in_flight_are_bounded(self, monkeypatch):
         # the pool holds at most 2 * workers jobs not yet taken, and the
@@ -785,13 +780,13 @@ class TestPartitionEstimate:
     def test_simulate_scalar_paths_rejects_negative_horizon(self,
                                                             edge_graph):
         # it used to return the t = 0 law: F = 1 and N = 0
-        with pytest.raises(BadParams):
+        with pytest.raises(GraphFKError, match="horizon must be nonnegative"):
             simulate_scalar_paths(edge_graph, 0, -1.0, 3, seed=1,
                                   v=np.array([0.3, 0.5]))
 
     def test_process_law_estimators_reject_nan_horizon(self, edge_graph):
         # NaN passed the old t < 0 check, and no path moved
-        with pytest.raises(BadParams):
+        with pytest.raises(GraphFKError, match="horizon must be nonnegative"):
             simulate_scalar_paths(edge_graph, 0, math.nan, 3, seed=1)
 
     @pytest.mark.parametrize("x", [2, -1])
@@ -799,14 +794,15 @@ class TestPartitionEstimate:
                                                          x):
         # 2 raised an IndexError in the kernel, and -1 walked from vertex 1
         # but reported -1 as the end of a path that did not jump
-        with pytest.raises(UnknownIndex):
+        with pytest.raises(GraphFKError,
+                           match=f"start vertex {x} not in graph"):
             simulate_scalar_paths(edge_graph, x, 1.0, 3, seed=1)
 
     @pytest.mark.parametrize("samples", [0, -3])
     def test_simulate_scalar_paths_rejects_no_samples(self, edge_graph,
                                                       samples):
         # it used to return (), which no caller can unpack into three arrays
-        with pytest.raises(BadParams):
+        with pytest.raises(GraphFKError, match="need at least 1 sample"):
             simulate_scalar_paths(edge_graph, 0, 1.0, samples, seed=1)
 
 
@@ -994,12 +990,13 @@ class TestExactStrata:
 
     @pytest.mark.parametrize("mode", ["scalar", "magnetic", "covariant"])
     @pytest.mark.parametrize("name", ["lattice", "complete"])
-    def test_worker_count_invariance(self, rng, mode, name):
+    def test_worker_count_invariance(self, rng, monkeypatch, mode, name):
         # 300 paths per vertex in pieces of 256 straddle the vertices
         g = _graph(name)
         c, V = _mode_inputs(g, mode, rng)
+        monkeypatch.setattr(paths, "CHUNK_SIZE", 256)
         reports = [estimate_partition(g, c, V, 1.0, 0.7, 300, seed=93,
-                                      chunk=256, workers=w)
+                                      workers=w)
                    for w in (1, 2, 4)]
         assert reports[0] == reports[1] == reports[2]
         assert reports[0].forced == (8 if name == "lattice" else 5)

@@ -12,7 +12,7 @@ from graphfk.bundles import (
     Potential,
     connection_from_magnetic,
 )
-from graphfk.errors import BadParams
+from graphfk.errors import GraphFKError
 from graphfk.graphs import build_graph, generate
 from graphfk.operators import assemble, resolve, symmetrize
 from graphfk.semiclassics import (
@@ -258,14 +258,15 @@ class TestSweep:
 
     def test_schedule_validation(self):
         g, pot = two_vertex()
-        with pytest.raises(BadParams):
+        with pytest.raises(GraphFKError, match="strictly decreasing"):
             sweep(g, None, pot, 1.0, (1e-2, 1e-1))
-        with pytest.raises(BadParams):
+        with pytest.raises(GraphFKError, match="beta must be positive"):
             sweep(g, None, pot, -1.0, (1e-1,))
         # NaN compares false both ways: it used to pass both checks
-        with pytest.raises(BadParams):
+        with pytest.raises(GraphFKError, match="beta must be positive"):
             sweep(g, None, pot, np.nan, (1e-1,))
-        with pytest.raises(BadParams):
+        with pytest.raises(GraphFKError,
+                           match="hbar schedule entries must be positive"):
             sweep(g, None, pot, 1.0, (1e-1, np.nan))
 
     def test_gap_envelope(self, rng):
@@ -639,18 +640,21 @@ class TestSixJumpStratum:
                 assert got.shape == (n,) and not got.any()
 
 
-@pytest.mark.parametrize("call", [
-    lambda g, w: semiclassical_trace(g, None, w, np.nan, 0.1),
-    lambda g, w: semiclassical_trace(g, None, w, 1.0, np.nan),
-    lambda g, w: sweep(g, None, w, np.nan, (0.1,)),
-    lambda g, w: sweep(g, None, w, 1.0, (np.nan,)),
-    lambda g, w: classical_partition(w, np.nan),
+@pytest.mark.parametrize("call, message", [
+    (lambda g, w: semiclassical_trace(g, None, w, np.nan, 0.1),
+     "beta and hbar must be positive"),
+    (lambda g, w: semiclassical_trace(g, None, w, 1.0, np.nan),
+     "beta and hbar must be positive"),
+    (lambda g, w: sweep(g, None, w, np.nan, (0.1,)), "beta must be positive"),
+    (lambda g, w: sweep(g, None, w, 1.0, (np.nan,)),
+     "hbar schedule entries must be positive"),
+    (lambda g, w: classical_partition(w, np.nan), "beta must be positive"),
 ], ids=["trace-beta", "trace-hbar", "sandwich-beta", "sandwich-hbar",
         "classical"])
-def test_nan_time_rejected(call):
+def test_nan_time_rejected(call, message):
     # NaN passed the old beta <= 0 checks and came back as a NaN result
     g, pot = two_vertex()
-    with pytest.raises(BadParams):
+    with pytest.raises(GraphFKError, match=message):
         call(g, pot.as_scalar())
 
 

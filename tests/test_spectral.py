@@ -3,7 +3,7 @@ import pytest
 
 from graphfk.bundles import Connection, connection_from_magnetic
 from graphfk import spectral
-from graphfk.errors import BadCoefficients, BadParams
+from graphfk.errors import GraphFKError
 from graphfk.graphs import build_graph, generate
 from graphfk.operators import OperatorMatrix, assemble, symmetrize
 from graphfk.spectral import (
@@ -258,7 +258,7 @@ class TestKato:
         assert v_half <= v_full + 1e-9
 
     def test_needs_positive_t(self, edge_graph):
-        with pytest.raises(BadCoefficients):
+        with pytest.raises(GraphFKError, match="kato functional needs t > 0"):
             kato_functional(edge_graph, [1.0, 1.0], 0.0)
 
     def test_grid_equals_per_time_calls(self, rng):
@@ -295,7 +295,7 @@ class TestKato:
             raise AssertionError("decomposed before the grid was checked")
 
         monkeypatch.setattr(spectral, "eigendecompose", no_solve)
-        with pytest.raises(BadCoefficients):
+        with pytest.raises(GraphFKError, match="kato functional needs t > 0"):
             kato_functional(edge_graph, [1.0, 1.0], [1.0, 0.5, bad])
 
     def test_one_decomposition_per_grid(self, edge_graph, monkeypatch):
@@ -310,12 +310,15 @@ class TestKato:
         assert len(calls) == 1
 
 
-@pytest.mark.parametrize("call", [
-    lambda g: heat_kernel(eigendecompose(assemble(g)), np.nan),
-    lambda g: partition_function(eigenvalues(assemble(g)), np.nan),
-    lambda g: kato_functional(g, [1.0, 1.0], np.nan),
+@pytest.mark.parametrize("call, message", [
+    (lambda g: heat_kernel(eigendecompose(assemble(g)), np.nan),
+     "heat kernel needs t > 0"),
+    (lambda g: partition_function(eigenvalues(assemble(g)), np.nan),
+     "partition function needs t > 0"),
+    (lambda g: kato_functional(g, [1.0, 1.0], np.nan),
+     "kato functional needs t > 0"),
 ], ids=["heat_kernel", "partition_function", "kato_functional"])
-def test_nan_time_rejected(call):
+def test_nan_time_rejected(call, message):
     # NaN passed the old t <= 0 checks and came back as a NaN result
-    with pytest.raises(BadParams):
+    with pytest.raises(GraphFKError, match=message):
         call(build_graph([("a", "b", 1.0)]))
