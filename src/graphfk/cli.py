@@ -207,10 +207,9 @@ def emit_report(results, outdir, digest):
 
 
 def _cmd_validate(cfg, outdir):
-    g, conn, _pot = _read_inputs(cfg)
-    if conn is None:
-        conn = Connection.identity(g)
-    bad, largest = validate_connection(conn, g)
+    g, conn, pot = _read_inputs(cfg)
+    bad, largest = validate_connection(
+        Connection.identity(g) if conn is None else conn, g)
     _write_csv(outdir, "violations.csv", "edge_i,edge_j,kind,deviation",
                ((i, j, kind, dev) for (i, j), kind, dev in bad))
     if bad:
@@ -219,6 +218,9 @@ def _cmd_validate(cfg, outdir):
         raise GraphFKError(f"connection fails {kind} on edge ({g.labels[i]}, "
                            f"{g.labels[j]}): deviation {dev:.3e}; "
                            f"{len(bad)} of {len(g.edges)} edges fail")
+    # the unitary inputs must also fit together, as every other
+    # subcommand requires
+    resolve(g, conn, pot)
     return {
         "subcommand": "validate",
         "vertices": g.n,

@@ -13,17 +13,19 @@ for rank 1 with the identity connection it is e^{-int_0^t v(X_s) ds}.
 
 One chunk kernel runs every estimator: the scalar case is rank 1 of the
 covariant one, with the identity connection.  It reads a per-vertex jump
-table sorted from the arcs of one ``operators.Problem``: the rate
-deg_m(y), the neighbors of y in ascending index order, their cumulative
+table sorted from the arcs of one ``operators.Problem``: the hold rate
+of y, the neighbors of y in ascending index order, their cumulative
 probabilities cumsum(b(y, .) / deg_1(y)) with the last entry exactly 1,
 the eigenbasis V(y)/hbar = Q_y diag(lam_y) Q_y^H, diagonalized once per
 problem, and the jump factors W = Q_y^H Phi_{x',y} Q_{x'} between
-eigenbases.  A jump from y with a uniform u in [0, 1) takes slot
-count(cum[y] < u), so it always lands on a neighbor, and costs O(largest
-degree), not O(n).  Paths are weighed in the eigenbases as they walk, at
-every rank by the same code: a holding interval scales by diag(e^{-s
-lam_y}) and a jump multiplies by one W, so no LAPACK call runs in the
-path loop, and at rank 1 each factor is one elementwise product.
+eigenbases (with the trace estimator's weight deg_m(y) / a_y, below).
+A jump from y with a uniform u in [0, 1) takes slot count(cum[y] < u),
+so it always lands on a neighbor, and costs O(largest degree), not
+O(n).  Paths are weighed in the eigenbases as they walk, at every rank
+by the same code: a holding interval scales by a diagonal e^{-s lam_y},
+shifted in the trace estimator (below), and a jump multiplies by one W,
+so no LAPACK call runs in the path loop, and at rank 1 each factor is
+one elementwise product.
 
 Partition traces are estimated per start vertex x from the Dyson
 strata Z_k(x), the weight of the paths from x that end at x with exactly
@@ -61,8 +63,32 @@ the conditional expectation, given the path up to the time of its k-th
 jump, of the weight of the paths that end at x with exactly k jumps, so
 its mean is Z_k, and the Bernoulli noise of the indicator is gone.
 
-The process law runs at rank 1, unconditioned: ``simulate_scalar_paths``
-returns each path's terminal vertex, Feynman-Kac weight and jump count.
+The trace estimator's holds are survival-biased (implicit capture:
+Spanier & Gelbard, ch. 3; Lux & Koblinger, Monte Carlo Particle
+Transport Methods, 1991), since the weight e^{-s V/hbar} lives in holds
+far shorter than Exp(deg_m) where the potential steps up.  A path holds
+at y at rate a_y = deg_m(y) + c_y, with
+
+    c_y = lam_min(y) - min over z in {y} and the neighbors of y of lam_min(z),
+
+lam_min(y) the smallest eigenvalue of V(y)/hbar; it carries the hold
+factor e^{-s (lam_y - c_y)}, and every jump out of y, taken or scored,
+carries deg_m(y) / a_y.  Both laws give a path the same expected weight:
+a hold of length s that ends in a jump has density a e^{-a s} and weighs
+(deg_m / a) e^{-s (lam - c)}, together deg_m e^{-s (deg_m + lam)}, and a
+hold that reaches the horizon, with probability e^{-a r}, weighs e^{-r
+(lam - c)}, together e^{-r (deg_m + lam)}.  The exact Z_0, the stay at x
+of a scored return and the test for a vertex that runs paths keep deg_m
+and the unshifted lam.  The shift is taken against the lowest neighbor,
+not against 0: c is 0 wherever V is flat on a neighborhood and at an
+isolated vertex, and V -> V + kappa leaves every c alone, so it draws
+the same paths and multiplies every weight by e^{-beta kappa}.  A shift
+against 0 would raise every hold rate by about 100 under V = 100 + U[0,
+1] and hbar = 1, and put the weight on rare paths with few jumps.
+
+The process law runs at rank 1, unconditioned and unbiased:
+``simulate_scalar_paths`` returns each path's terminal vertex,
+Feynman-Kac weight and jump count.
 
 Random streams are counter-based (Philox).  ``estimate_partition`` lays
 its paths out vertex-major and cuts them into pieces of a fixed chunk
@@ -138,15 +164,19 @@ class EstimatorReport:
 class _JumpTable:
     """Per-vertex jump data, one row per vertex y padded to the largest degree.
 
-    ``rates[y]`` is deg_m(y).  Row y of ``nbrs`` holds the neighbors of y
-    in ascending index order, and ``cum`` their cumulative probabilities
-    cumsum(b(y, .) / deg_1(y)) with the last entry and the padding exactly
-    1.  A jump from y with uniform u in [0, 1) takes slot count(cum[y] < u).
-    ``lam`` and the unitaries Q diagonalize V(y) / hbar = Q_y diag(lam_y)
-    Q_y^H, and ``W[:, :, y, k] = Q_y^H Phi_{x',y} Q_{x'}`` is the factor a
-    jump y -> x' = nbrs[y, k] puts into the Dyson weight, with the back
-    transport Phi_{x',y} (the reverse arc's) taken between the two
-    eigenbases (``semiclassics._eigenbasis``, the identity on the
+    ``deg_m[y]`` is deg_m(y), and ``rates[y]`` the rate a_y at which a
+    path holds at y: deg_m(y) + c_y, with the survival-biasing shift c_y
+    of the module docstring, where ``forced`` > 0, and deg_m(y) where it
+    is 0.  Row y of ``nbrs`` holds the neighbors of y in ascending index
+    order, and ``cum`` their cumulative probabilities cumsum(b(y, .) /
+    deg_1(y)) with the last entry and the padding exactly 1.  A jump from
+    y with uniform u in [0, 1) takes slot count(cum[y] < u).  ``lam`` and
+    the unitaries Q diagonalize V(y) / hbar = Q_y diag(lam_y) Q_y^H, and a
+    hold for a time s at y scales by e^{-s hold_y}, ``hold`` = lam - c.
+    ``W[:, :, y, k] = (deg_m(y) / a_y) Q_y^H Phi_{x',y} Q_{x'}`` is the
+    factor a jump y -> x' = nbrs[y, k] puts into the Dyson weight, with
+    the back transport Phi_{x',y} (the reverse arc's) taken between the
+    two eigenbases (``semiclassics._eigenbasis``, the identity on the
     padding); W is stored entry-major, as ``_path_chunk`` keeps its Dyson
     products.
 
@@ -156,7 +186,8 @@ class _JumpTable:
     return from a non-neighbor of x reads.  ``ncols`` holds the columns of
     ``nbrs`` with the padding set to n, so that the slot of x in row y is
     count(nbrs[y] < x).  ``stay`` is lam + deg_m: held at x for a time r
-    without a jump, a path gains e^{-r stay[x]} in the eigenbasis.
+    without a jump under the process law, a path gains e^{-r stay[x]} in
+    the eigenbasis.
 
     ``forced`` is the number of jumps the trace estimator forces, and the
     first it scores: K of ``_exact_strata``.  ``simulate_scalar_paths``
@@ -167,7 +198,7 @@ class _JumpTable:
         g, nu = problem.graph, problem.rank
         self.rank = nu
         deg = degrees(g)
-        self.rates = deg.deg_m
+        self.deg_m = deg.deg_m
         order = np.lexsort((problem.dst, problem.src))
         src, dst = problem.src[order], problem.dst[order]
         count = np.bincount(src, minlength=g.n)
@@ -185,13 +216,24 @@ class _JumpTable:
         pad = np.arange(width) >= count[:, None]
         self.ncols = np.ascontiguousarray(np.where(pad, g.n, self.nbrs).T)
         self.lam, arcW = _eigenbasis(problem, hbar)
+        # survival biasing: c_y = lam_min(y) - the lowest lam_min on y and
+        # its neighbors, 0 where V is flat about y and at an isolated y
+        c = np.zeros(g.n)
+        if forced:
+            low = self.lam[:, 0]
+            floor = low.copy()
+            np.minimum.at(floor, src, low[dst])
+            c = low - floor
+        self.rates = self.deg_m + c
+        self.hold = self.lam - c[:, None]
         W = np.broadcast_to(np.eye(nu, dtype=arcW.dtype),
                             (g.n, width, nu, nu)).copy()
-        W[src, slot] = arcW[order]
+        keep = self.deg_m[src] / self.rates[src]  # deg_m / a_y per arc
+        W[src, slot] = arcW[order] * keep[:, None, None]
         self.W = np.ascontiguousarray(np.moveaxis(W, (2, 3), (0, 1)))
         PW = (self.W * P).reshape(nu, nu, -1)
         self.PW = np.concatenate([PW, np.zeros((nu, nu, 1), PW.dtype)], axis=2)
-        self.stay = self.lam + self.rates[:, None]
+        self.stay = self.lam + self.deg_m[:, None]
         self.dtype = self.W.dtype
         self.forced = forced
 
@@ -227,9 +269,10 @@ def _exp_take(values, ys, scale):
 
 
 def _hold(tbl, ys, dwell):
-    """e^{-dwell lam_y} per path, shape (paths, nu): the holding factor
-    exp(-dwell V(y)) in the eigenbasis of V(y), a diagonal."""
-    return _exp_take(tbl.lam, ys, dwell)
+    """e^{-dwell (lam_y - c_y)} per path, shape (paths, nu): the holding
+    factor exp(-dwell V(y)) in the eigenbasis of V(y), a diagonal, times
+    e^{dwell c_y} for a hold drawn at the biased rate (``_JumpTable``)."""
+    return _exp_take(tbl.hold, ys, dwell)
 
 
 def _path_chunk(tbl, start, horizon, rng, loops=False):
@@ -243,36 +286,40 @@ def _path_chunk(tbl, start, horizon, rng, loops=False):
     next-event score S of each path in place of F.  The first K =
     ``tbl.forced`` jumps are forced: each of the first K holding times is
     drawn given that it ends within the time left, r = horizon - (time so
-    far), which happens with probability g_k = 1 - e^{-deg_m r}, and the
-    path carries the product g = g_1 ... g_K.  So every path jumps at
-    least K times (every start needs a positive rate).  Each jump k >= K,
-    at tau_k from a neighbor y of the start x, scores the return it could
-    have made:
+    far), which happens with probability g_k = 1 - e^{-a_y r} at the hold
+    rate a_y of ``tbl.rates``, and the path carries the product g = g_1
+    ... g_K.  So every path jumps at least K times (every start needs a
+    positive rate).  Each jump k >= K, at tau_k from a neighbor y of the
+    start x, scores the return it could have made:
 
-        g p(y -> x) e^{-deg_m(x) r} tr(M_k Phi_{x,y} e^{-r V(x)}),
+        g p(y -> x) (deg_m(y) / a_y) e^{-deg_m(x) r}
+            tr(M_k Phi_{x,y} e^{-r V(x)}),
 
     with r = horizon - tau_k, p(y -> x) = b(x, y) / deg_1(y) and M_k the
-    Dyson product up to tau_k.  Given the path up to tau_k, that is the
-    expected weight of the paths whose k-th jump lands on x and that stay
-    there: so E[S] is the weight of the paths from x with K jumps or more
-    that end at x, with no Bernoulli noise from the indicator.  The path
-    itself walks on as drawn.
+    Dyson product up to tau_k, its holds and jumps weighed as the table
+    says; the stay at x is not drawn, and keeps the process law.  Given
+    the path up to tau_k, that is the expected weight of the paths whose
+    k-th jump lands on x and that stay there: so E[S] is the weight of
+    the paths from x with K jumps or more that end at x, with no
+    Bernoulli noise from the indicator.  The path itself walks on as
+    drawn.
 
     The jump chain is walked for all paths at once, round by round, and
     each path carries its Dyson product M in the eigenbases of the
     potential, stored entry-major, shape (nu, nu, paths), so that every
     operation runs over the long path axis.  M starts at the identity.  A
     round multiplies in the jump the path made in the round before, M W
-    with W = Q_y^H Phi_{x',y} Q_{x'} (one nu x nu product, in which the
-    inner Q_{x'} Q_{x'}^H cancel; the first is W with its rows scaled, M
-    being diagonal until then), then g_k in a forced round, then the hold,
-    which scales the columns of M by e^{-s lam_y}.  The score of a return
-    takes nu^2 products (``_return_score``); the path it closes ends at x,
-    so the outer Q_x ... Q_x^H leave its trace unchanged.  With ``loops``
-    a path leaves the walk in the round it stops jumping, before that
-    round's products: its last jump and last hold are never multiplied
-    out.  Without, a path's F is M[0, 0] after its last hold, which is
-    its weight at rank 1 only: above it, GraphFKError is raised.
+    with W = (deg_m(y) / a_y) Q_y^H Phi_{x',y} Q_{x'} (one nu x nu
+    product, in which the inner Q_{x'} Q_{x'}^H cancel; the first is W
+    with its rows scaled, M being diagonal until then), then g_k in a
+    forced round, then the hold, which scales the columns of M by e^{-s
+    (lam_y - c_y)}.  The score of a return takes nu^2 products
+    (``_return_score``); the path it closes ends at x, so the outer Q_x
+    ... Q_x^H leave its trace unchanged.  With ``loops`` a path leaves the
+    walk in the round it stops jumping, before that round's products: its
+    last jump and last hold are never multiplied out.  Without, a path's F
+    is M[0, 0] after its last hold, which is its weight at rank 1 only:
+    above it, GraphFKError is raised.
     """
     if not loops and tbl.rank > 1:
         raise GraphFKError("the unforced walk weighs paths at rank 1 only")
@@ -521,7 +568,14 @@ def estimate_partition(g: WeightedGraph, c: Connection, V, beta: float,
     bipartite graph and 3 on any other, and where the closed 6-walks
     exceed it, K is 6.  The walk runs as by ``_path_chunk`` with
     ``loops``: g is the probability of a first jump inside the horizon
-    and, given each, of the next, up to the K-th.
+    and, given each, of the next, up to the K-th.  The holds are
+    survival-biased (module docstring): a path holds at y at rate a_y =
+    deg_m(y) + c_y, c_y = lam_min(y) less the lowest lam_min on y and its
+    neighbors, with the hold factor e^{-s (lam_y - c_y)} and deg_m(y) /
+    a_y on every jump out of y; the exact terms and the stay of a scored
+    return keep deg_m.  c = 0 where V is flat on a neighborhood, so such
+    a vertex draws as the process does, and V + kappa draws as V does,
+    with every weight times e^{-beta kappa}.
     Each path is scored by S, the sum over its jumps k >= K from a
     neighbor of x of the weight of the return to x it could have made
     there and then, in place of the indicator 1_{X_t = x}: by the tower
@@ -546,9 +600,9 @@ def estimate_partition(g: WeightedGraph, c: Connection, V, beta: float,
     t = beta * hbar
     higher, forced, strata, reason = _exact_strata(problem, t, hbar)
     tbl = _JumpTable(problem, hbar, forced=forced)
-    exact = (np.exp(-tbl.rates * t) * np.exp(-t * tbl.lam).sum(axis=1)
+    exact = (np.exp(-tbl.deg_m * t) * np.exp(-t * tbl.lam).sum(axis=1)
              + jump_terms(problem, t, hbar, 2) + higher)
-    live = np.flatnonzero(tbl.rates * t > 0.0)  # p_0 < 1
+    live = np.flatnonzero(tbl.deg_m * t > 0.0)  # p_0 < 1
 
     def run(job):
         ci, size = job

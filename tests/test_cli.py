@@ -79,14 +79,32 @@ class TestValidate:
     @staticmethod
     def _on_four_cycle(tmp_path, diagonals):
         """A validate config for four_cycle with the transports diag(d)
-        on its edges (v0, v1), (v1, v2), (v2, v3), (v3, v0)."""
+        on its edges (v0, v1), (v1, v2), (v2, v3), (v3, v0), and a zero
+        potential of rank 2 to match them."""
         pairs = [["v0", "v1"], ["v1", "v2"], ["v2", "v3"], ["v3", "v0"]]
+        zero = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
         return write_config(tmp_path, "c.json", {
             "graph": {"preset": "four_cycle"},
             "connection": {"inline": [
                 pair + [[[[d[0], 0.0], [0.0, 0.0]], [[0.0, 0.0], [d[1], 0.0]]]]
                 for pair, d in zip(pairs, diagonals)]},
+            "potential": {"inline": [[f"v{x}", zero] for x in range(4)]},
             "output_dir": str(tmp_path / "out")})
+
+    @pytest.mark.parametrize("subcommand", ["validate", "spectrum"])
+    def test_rank_mismatch_refused(self, tmp_path, capsys, subcommand):
+        # a unitary rank-2 connection on two_vertex's rank-1 potential:
+        # validate used to pass it while every other subcommand refused it
+        identity = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+        cfg = write_config(tmp_path, "c.json", {
+            "graph": {"preset": "two_vertex"},
+            "connection": {"inline": [["a", "b", identity]]},
+            "output_dir": str(tmp_path / "out")})
+        assert run(cfg, subcommand) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "potential rank 1 != connection rank 2",
+            "kind": "validation"}
+        assert not (tmp_path / "out" / "report.txt").exists()
 
     def test_failed_validate_names_the_first_edge(self, tmp_path, capsys):
         # the record's message used to be a JSON string of its own

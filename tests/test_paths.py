@@ -196,20 +196,43 @@ def _dyson_product(phi, V, holds, walk):
     return np.trace(A)
 
 
-def _cycle_walk(n, t, forced):
+def _survival_bias(g, V):
+    """(deg_m, a, c) of the trace estimator's biased holds at hbar = 1,
+    from the dense weights: c_y = lam_min(y) - the lowest lam_min(z) over
+    z = y and its neighbors, lam_min(y) the smallest eigenvalue of V(y),
+    and the hold rate a_y = deg_m(y) + c_y."""
+    low = np.linalg.eigvalsh(V.values)[:, 0]
+    B = dense_weights(g)
+    c = np.array([low[y] - min(low[y], low[B[y] > 0].min(initial=np.inf))
+                  for y in range(g.n)])
+    deg_m = degrees(g).deg_m
+    return deg_m, deg_m + c, c
+
+
+def _bias_factor(deg_m, a, c, holds, walk):
+    """What survival biasing multiplies into the score of the return along
+    ``walk`` with its ``holds``, the last the stay at the start: deg_m(y) /
+    a_y per jump out of y, and e^{s c_y} per hold s before one."""
+    factor = 1.0
+    for s, y in zip(holds[:-1], walk[:-1]):
+        factor *= deg_m[y] / a[y] * math.exp(s * c[y])
+    return factor
+
+
+def _cycle_walk(n, t, forced, a):
     """The stub draws that walk the n-cycle 0 -> 1 -> ... -> n-1 -> 0 with
     the forced holding times ``forced``, then 0 -> 1 -> 0 unforced, and
     the probability g that the forced holding times all end inside the
-    horizon t.  Every vertex leaves at rate 2; a forced holding time s with
-    the time r left is drawn with P(tau <= s) = expm1(-2 s) / expm1(-2 r).
-    Going round takes the first slot of {1, n-1} at 0, the second of
-    {i-1, i+1} at 0 < i < n-1, and the first of {0, n-2} at n-1; the
-    steps after it take the first slot."""
+    horizon t.  Vertex y is left at rate a[y]; a forced holding time s
+    with the time r left is drawn with P(tau <= s) = expm1(-a s) /
+    expm1(-a r).  Going round takes the first slot of {1, n-1} at 0, the
+    second of {i-1, i+1} at 0 < i < n-1, and the first of {0, n-2} at
+    n-1; the steps after it take the first slot."""
     slots = [0.25] + [0.75] * (n - 2) + [0.25]
     uniforms, g, r = [], 1.0, t
-    for s, slot in zip(forced, slots):
-        uniforms += [math.expm1(-2 * s) / math.expm1(-2 * r), slot]
-        g *= -math.expm1(-2 * r)
+    for y, (s, slot) in enumerate(zip(forced, slots)):
+        uniforms += [math.expm1(-a[y] * s) / math.expm1(-a[y] * r), slot]
+        g *= -math.expm1(-a[y] * r)
         r -= s
     return uniforms + [0.25, 0.25], g
 
@@ -219,15 +242,20 @@ class TestKernel:
         # the loop 0 -> 1 -> 2 -> 0 with its three jumps forced, at 0.2, 0.5
         # and 0.9, scores at jump 3 the Dyson weight tr(E_0 Phi_10 E_1
         # Phi_21 E_2 Phi_02 E_3), earliest factor leftmost; with
-        # non-commuting V the reverse order differs
+        # non-commuting V the reverse order differs.  The holds are drawn
+        # at the biased rates a_y, so each jump out of y carries deg_m / a_y
+        # and each hold before it e^{s c_y}
         g, c, V = _triangle(rng, 2)
         tbl = _JumpTable(resolve(g, c, V), forced=3)
+        deg_m, a, shift = _survival_bias(g, V)
+        assert (shift > 0).sum() == 2
         t = 1.2
-        uniforms, weight = _cycle_walk(3, t, (0.2, 0.3, 0.4))
+        uniforms, weight = _cycle_walk(3, t, (0.2, 0.3, 0.4), a)
         score = _path_chunk(tbl, np.zeros(1, dtype=np.int64), t,
                             _StubStream(uniforms), loops=True)[1][0]
-        factor = weight * 0.5 * math.exp(-2 * 0.3)
         holds, walk = (0.2, 0.3, 0.4, 0.3), (0, 1, 2, 0)
+        factor = (weight * 0.5 * math.exp(-2 * 0.3)
+                  * _bias_factor(deg_m, a, shift, holds, walk))
         phi = transports(g, c)
         want = factor * _dyson_product(phi, V, holds, walk)
         reverse = expm(-holds[-1] * V.values[walk[-1]])
@@ -248,21 +276,26 @@ class TestKernel:
         # not score): the return to 0 with probability 1/2, staying there up
         # to t = 1.5 with probability e^{-2 r}.  Two unforced holds of 0.1
         # then walk 0 -> 1 -> 0: jump K + 1 leaves the start and adds 0,
-        # and jump K + 2 leaves 1 and scores its return
+        # and jump K + 2 leaves 1 and scores its return.  Every hold is
+        # drawn at the biased rate a_y (_survival_bias)
         g = generate("cycle", n=n)
         c, V = random_connection(g, nu, rng), random_potential(g, nu, rng)
         tbl = _JumpTable(resolve(g, c, V), forced=n)
+        deg_m, a, shift = _survival_bias(g, V)
+        assert shift.max() > 0
         t = 1.5
         forced = (0.2, 0.3, 0.4) if n == 3 else (0.2, 0.3, 0.2, 0.2)
-        uniforms, weight = _cycle_walk(n, t, forced)
+        uniforms, weight = _cycle_walk(n, t, forced, a)
         walk = tuple(range(n)) + (0,)
         phi = transports(g, c)
-        first = weight * 0.5 * math.exp(-2 * 0.6) * _dyson_product(
-            phi, V, forced + (0.6,), walk)
-        second = weight * 0.5 * math.exp(-2 * 0.4) * _dyson_product(
-            phi, V, forced + (0.1, 0.1, 0.4), walk + (1, 0))
-        # the stub's exponentials are scaled by 1 / rate: 0.2 holds for 0.1
-        for holds, want in (((), first), ((0.2, 0.2), first + second)):
+        returns = [(forced + (0.6,), walk, 0.6),
+                   (forced + (0.1, 0.1, 0.4), walk + (1, 0), 0.4)]
+        first, second = (
+            weight * 0.5 * math.exp(-2 * r) * _dyson_product(phi, V, h, w)
+            * _bias_factor(deg_m, a, shift, h, w) for h, w, r in returns)
+        # the stub's exponentials are scaled by 1 / a_y: 0.1 a_y holds for 0.1
+        for holds, want in (((), first),
+                            ((0.1 * a[0], 0.1 * a[1]), first + second)):
             stream = _StubStream(uniforms, holds)
             terminal, S, N = _path_chunk(tbl, np.zeros(1, dtype=np.int64), t,
                                          stream, loops=True)
@@ -337,10 +370,13 @@ class TestKernel:
     def test_scalar_is_rank_one_of_covariant(self, rng, graph, phased):
         # V = diag(v_1, v_2) with a diagonal connection diag(e^{i theta_1},
         # e^{i theta_2}) splits into two rank-1 problems: on the same draws
-        # the rank-2 walk is theirs, and its scores are their sum.  At
-        # t = 1.5 the paths make 4 to 16 jumps, so the rounds shrink
+        # the rank-2 walk is theirs, and its scores are their sum.  With
+        # v_2 = v_1 + kappa, kappa >= 0, the three share lam_min = v_1 up to
+        # a constant, so the same shifts c and hold rates, and draw alike.
+        # At t = 1.5 the paths make 4 to 16 jumps, so the rounds shrink
         g = generate(graph[0], **graph[1])
-        v = rng.uniform(-1.0, 1.0, size=(2, g.n))
+        v = rng.uniform(-1.0, 1.0, size=g.n)
+        v = np.stack([v, v + rng.uniform(0.0, 1.0)])
         theta = rng.uniform(-np.pi, np.pi, size=(2, len(g.edges))) * phased
         phase = np.exp(1j * theta)
         both = Connection.identity(g, 2)
@@ -350,8 +386,10 @@ class TestKernel:
         V = Potential(2, np.stack([np.diag(v[:, x]) for x in range(g.n)])
                       .astype(complex))
         start = np.repeat(np.arange(g.n), 400)
-        runs = [_path_chunk(_JumpTable(resolve(g, both, V), 0.5, forced=4),
-                            start, 1.5, path_stream(81, 0, 0), loops=True)]
+        tbl = _JumpTable(resolve(g, both, V), 0.5, forced=4)
+        assert (tbl.rates > degrees(g).deg_m).any()
+        runs = [_path_chunk(tbl, start, 1.5, path_stream(81, 0, 0),
+                            loops=True)]
         for a in range(2):
             c = Connection(1, phase[a].reshape(-1, 1, 1))
             runs.append(_path_chunk(
@@ -447,13 +485,14 @@ class TestOrderedExponential:
             norm = max(np.linalg.norm(V.values[i], 2) for i in range(g.n))
             t = 0.1 / norm
             tbl = _JumpTable(resolve(g, c, V), forced=3)
-            uniforms, weight = _cycle_walk(3, t, (0.2 * t, 0.3 * t, 0.4 * t))
+            deg_m, a, shift = _survival_bias(g, V)
+            holds, walk = (0.2 * t, 0.3 * t, 0.4 * t, 0.1 * t), (0, 1, 2, 0)
+            uniforms, weight = _cycle_walk(3, t, holds[:3], a)
             score = _path_chunk(tbl, np.zeros(1, dtype=np.int64), t,
                                 _StubStream(uniforms), loops=True)[1][0]
-            loop = score / (weight * 0.5 * math.exp(-2 * 0.1 * t))
-            oracle = _series_product(
-                transports(g, c), V, (0.2 * t, 0.3 * t, 0.4 * t, 0.1 * t),
-                (0, 1, 2, 0))
+            loop = score / (weight * 0.5 * math.exp(-2 * 0.1 * t)
+                            * _bias_factor(deg_m, a, shift, holds, walk))
+            oracle = _series_product(transports(g, c), V, holds, walk)
             assert abs(loop - oracle) <= 10 * (norm * t) ** 5
 
     def test_trivial_bundle(self):
@@ -601,6 +640,7 @@ class TestPartitionEstimate:
 
     def test_worker_count_invariance(self, monkeypatch):
         g, pot = two_vertex()
+        assert _biased_somewhere(g, None, pot, 0.2)
         monkeypatch.setattr(paths, "CHUNK_SIZE", 1024)
         kw = dict(beta=1.0, hbar=0.2, samples=20_000, seed=65)
         one = estimate_partition(g, None, pot, workers=1, **kw)
@@ -614,6 +654,7 @@ class TestPartitionEstimate:
         g = generate("cycle", n=3)
         c = random_connection(g, 2, rng)
         V = random_potential(g, 2, rng)
+        assert _biased_somewhere(g, c, V, 0.5)
         monkeypatch.setattr(paths, "CHUNK_SIZE", 384)
         reports = [estimate_partition(g, c, V, 1.0, 0.5, 1000, seed=68,
                                       workers=w)
@@ -806,6 +847,94 @@ class TestPartitionEstimate:
             simulate_scalar_paths(edge_graph, 0, 1.0, samples, seed=1)
 
 
+def _biased_somewhere(g, c, V, hbar):
+    """Whether survival biasing raises a hold rate of the trace estimator
+    above deg_m on this problem, so that c_y > 0 somewhere."""
+    tbl = _JumpTable(resolve(g, c, V), hbar, forced=5)
+    return bool((tbl.rates > tbl.deg_m).any())
+
+
+def _box_but_vertex_0(high):
+    g = generate("lattice_box", l=2, side=3)
+    return g, np.r_[0.0, np.full(g.n - 1, high)]
+
+
+def _complete_but_vertex_0(high):
+    g = generate("complete", n=4)
+    return g, np.r_[0.0, np.full(g.n - 1, high)]
+
+
+class TestSurvivalBias:
+    """The trace estimator holds at y at rate a_y = deg_m(y) + c_y, with
+    c_y = lam_min(y) - the lowest lam_min on y and its neighbors, and
+    weighs each jump out of y by deg_m(y) / a_y."""
+
+    @pytest.mark.parametrize("make, samples, seed", [
+        (lambda: (two_vertex()[0], np.array([0.0, 1500.0])), 2000, 7),
+        (lambda: _box_but_vertex_0(1600.0), 200, 7),
+        (lambda: _complete_but_vertex_0(1600.0), 200, 7)],
+        ids=["two-vertex", "box", "complete"])
+    def test_wide_spread_within_five_sigma(self, make, samples, seed):
+        # with holds drawn at deg_m alone, the paths missed the brief holds
+        # at the high vertices that carry the tail, and stated a stderr
+        # that missed it too: z = -2.3e5 on the edge, -1.8e14 on the box
+        g, w = make()
+        exact = semiclassical_trace(g, None, w, 1.0, 1.0)
+        rep = estimate_partition(g, None, w, 1.0, 1.0, samples, seed=seed)
+        assert rep.stderr > 0
+        assert abs(rep.estimate - exact) <= 5 * rep.stderr
+
+    def test_flat_offset_within_five_sigma(self):
+        # V = 100 + U[0, 1]: a shift against zero, c = max(lam_min, 0),
+        # would hold every path some 100 times faster and put the weight on
+        # rare paths with few jumps (z = -4.1e4); against the lowest
+        # neighbor c stays below 1
+        g = generate("lattice_box", l=2, side=8)
+        w = 100.0 + np.random.default_rng(8).uniform(0.0, 1.0, g.n)
+        exact = semiclassical_trace(g, None, w, 1.0, 1.0)
+        rep = estimate_partition(g, None, w, 1.0, 1.0, 256, seed=11)
+        assert abs(rep.estimate - exact) <= 5 * rep.stderr
+
+    @pytest.mark.parametrize("mode", ["scalar", "covariant"])
+    def test_shift_invariance(self, rng, mode):
+        # V + kappa leaves every c and so every draw alone, and multiplies
+        # every weight by e^{-beta kappa}
+        g = generate("lattice_box", l=2, side=3)
+        c, V = _mode_inputs(g, mode, rng)
+        kappa, beta, hbar = 2.5, 1.3, 0.6
+        shifted = (Potential(2, V.values + kappa * np.eye(2))
+                   if mode == "covariant" else V + kappa)
+        assert _biased_somewhere(g, c, V, hbar)
+        args = (beta, hbar, 500)
+        base = estimate_partition(g, c, V, *args, seed=33)
+        moved = estimate_partition(g, c, shifted, *args, seed=33)
+        scale = math.exp(-beta * kappa)
+        for (_x, est, se), (_y, est2, se2) in zip(base.per_vertex,
+                                                  moved.per_vertex):
+            assert se > 0
+            assert abs(est2 - scale * est) <= 1e-12 * scale * abs(est)
+            assert abs(se2 - scale * se) <= 1e-12 * scale * se
+
+    @pytest.mark.parametrize("mode, estimate, stderr", [
+        ("scalar", 1.1571463610249106, 0.00014309967263787971),
+        ("covariant", 4.305598492750565, 0.00038675227848421266)],
+        ids=["scalar", "covariant"])
+    def test_constant_potential_keeps_its_bits(self, mode, estimate, stderr):
+        # c = 0 where the potential is flat: the estimate and stderr of
+        # the unbiased holds, pinned as they were before the bias
+        rng = np.random.default_rng(5)
+        g = generate("cycle", n=5)
+        if mode == "covariant":
+            c = random_connection(g, 2, rng)
+            H = 0.5 * np.array([[1.0, 0.3 - 0.2j], [0.3 + 0.2j, -0.4]])
+            V = Potential(2, np.broadcast_to(H, (g.n, 2, 2)).copy())
+        else:
+            c, V = None, np.full(g.n, 0.7)
+        assert not _biased_somewhere(g, c, V, 0.5)
+        rep = estimate_partition(g, c, V, 1.0, 0.5, 300, seed=44)
+        assert (rep.estimate, rep.stderr) == (estimate, stderr)
+
+
 class TestMoments:
     def _se(self, values):
         chunks = [values[i:i + CHUNK_SIZE]
@@ -977,9 +1106,11 @@ class TestExactStrata:
     @pytest.mark.parametrize("name", ["lattice", "complete"])
     def test_wide_potential_spread_stays_finite(self, rng, name):
         # beta dV = 1600 between neighbors: every stratum stays finite.
-        # The paths seldom draw the brief holds at the high vertices that
-        # carry the tail, so the stated stderr is not checked here; the
-        # exact strata hold the estimate to a fraction of the trace
+        # The holds are biased to the potential but the jumps are not: on
+        # K_4 two of a low vertex's three jumps go to a high one, and 200
+        # paths seldom make the runs of low-to-low jumps that carry the
+        # tail, so the stated stderr is not checked here; the exact strata
+        # hold the estimate to a fraction of the trace
         g = _graph(name)
         w = rng.uniform(0.0, 3.0, g.n)
         w[::2] += 1600.0
@@ -994,6 +1125,7 @@ class TestExactStrata:
         # 300 paths per vertex in pieces of 256 straddle the vertices
         g = _graph(name)
         c, V = _mode_inputs(g, mode, rng)
+        assert _biased_somewhere(g, c, V, 0.7)
         monkeypatch.setattr(paths, "CHUNK_SIZE", 256)
         reports = [estimate_partition(g, c, V, 1.0, 0.7, 300, seed=93,
                                       workers=w)
