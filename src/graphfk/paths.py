@@ -86,9 +86,10 @@ the same paths and multiplies every weight by e^{-beta kappa}.  A shift
 against 0 would raise every hold rate by about 100 under V = 100 + U[0,
 1] and hbar = 1, and put the weight on rare paths with few jumps.
 
-The process law runs at rank 1, unconditioned and unbiased:
-``simulate_scalar_paths`` returns each path's terminal vertex,
-Feynman-Kac weight and jump count.
+The process law is the same kernel at K = 0: no jump forced and no
+survival bias (c = 0).  ``simulate_scalar_paths`` runs it with V = 0
+and returns each path's terminal vertex, next-event score and jump
+count.
 
 Random streams are counter-based (Philox).  ``estimate_partition`` lays
 its paths out vertex-major and cuts them into pieces of a fixed chunk
@@ -113,6 +114,7 @@ from .errors import GraphFKError
 from .graphs import WeightedGraph, degrees, two_colouring
 from .operators import Problem, resolve
 from .semiclassics import _eigenbasis, jump_terms
+from .spectral import finite
 
 CHUNK_SIZE = 8192
 # Upper bound on ``workers``: each worker is an OS thread, and past a few
@@ -268,29 +270,17 @@ def _exp_take(values, ys, scale):
     return np.exp(-scale[:, None] * np.take(values, ys, axis=0))
 
 
-def _hold(tbl, ys, dwell):
-    """e^{-dwell (lam_y - c_y)} per path, shape (paths, nu): the holding
-    factor exp(-dwell V(y)) in the eigenbasis of V(y), a diagonal, times
-    e^{dwell c_y} for a hold drawn at the biased rate (``_JumpTable``)."""
-    return _exp_take(tbl.hold, ys, dwell)
+def _path_chunk(tbl, start, horizon, rng):
+    """Run one path from each entry of ``start``; returns (terminal, S, N).
 
-
-def _path_chunk(tbl, start, horizon, rng, loops=False):
-    """Run one path from each entry of ``start``; returns (terminal, F, N).
-
-    F is the path's Dyson weight (module docstring), with the identity
-    connection the Feynman-Kac weight prod_k e^{-v(Y_k) s_k}; it is kept
-    at rank 1 only, which is all ``simulate_scalar_paths`` runs.
-
-    With ``loops`` the chunk serves the trace estimator and returns the
-    next-event score S of each path in place of F.  The first K =
-    ``tbl.forced`` jumps are forced: each of the first K holding times is
-    drawn given that it ends within the time left, r = horizon - (time so
-    far), which happens with probability g_k = 1 - e^{-a_y r} at the hold
-    rate a_y of ``tbl.rates``, and the path carries the product g = g_1
-    ... g_K.  So every path jumps at least K times (every start needs a
-    positive rate).  Each jump k >= K, at tau_k from a neighbor y of the
-    start x, scores the return it could have made:
+    S is the next-event score of each path for the trace estimator.  The
+    first K = ``tbl.forced`` jumps are forced: each of the first K holding
+    times is drawn given that it ends within the time left, r = horizon -
+    (time so far), which happens with probability g_k = 1 - e^{-a_y r} at
+    the hold rate a_y of ``tbl.rates``, and the path carries the product g
+    = g_1 ... g_K.  So every path jumps at least K times (every start
+    needs a positive rate).  Each jump k >= K, at tau_k from a neighbor y
+    of the start x, scores the return it could have made:
 
         g p(y -> x) (deg_m(y) / a_y) e^{-deg_m(x) r}
             tr(M_k Phi_{x,y} e^{-r V(x)}),
@@ -302,7 +292,10 @@ def _path_chunk(tbl, start, horizon, rng, loops=False):
     k-th jump lands on x and that stay there: so E[S] is the weight of
     the paths from x with K jumps or more that end at x, with no
     Bernoulli noise from the indicator.  The path itself walks on as
-    drawn.
+    drawn.  At K = 0 the table has no survival bias (c = 0), the walk is
+    the process law itself, and E[S] + e^{-deg_m(x) t} tr e^{-t V(x)} is
+    the diagonal (e^{-tH})_xx; a path from a start of rate 0 holds there,
+    with S = 0 and N = 0.
 
     The jump chain is walked for all paths at once, round by round, and
     each path carries its Dyson product M in the eigenbases of the
@@ -315,33 +308,27 @@ def _path_chunk(tbl, start, horizon, rng, loops=False):
     forced round, then the hold, which scales the columns of M by e^{-s
     (lam_y - c_y)}.  The score of a return takes nu^2 products
     (``_return_score``); the path it closes ends at x, so the outer Q_x
-    ... Q_x^H leave its trace unchanged.  With ``loops`` a path leaves the
-    walk in the round it stops jumping, before that round's products: its
-    last jump and last hold are never multiplied out.  Without, a path's F
-    is M[0, 0] after its last hold, which is its weight at rank 1 only:
-    above it, GraphFKError is raised.
+    ... Q_x^H leave its trace unchanged.  A path leaves the walk in the
+    round it stops jumping, before that round's products: its last jump
+    and last hold are never multiplied out.
     """
-    if not loops and tbl.rank > 1:
-        raise GraphFKError("the unforced walk weighs paths at rank 1 only")
     nu, width = tbl.rank, tbl.nbrs.shape[1]
     states = start.copy()
     N = np.zeros(start.size, dtype=np.int64)
-    F = np.ones(start.size, dtype=tbl.dtype)
     S = np.zeros(start.size, dtype=tbl.dtype)
-    # a path from a vertex of rate 0 holds there up to the horizon
-    idle = np.flatnonzero((horizon > 0) & (tbl.rates[start] == 0.0))
-    F[idle] *= _hold(tbl, start[idle], np.full(idle.size, horizon))[:, 0]
     act = np.flatnonzero((horizon > 0) & (tbl.rates[start] > 0.0))
     ys, t = start[act], np.zeros(act.size)
     M = np.zeros((nu, nu, act.size), dtype=tbl.dtype)
     M[range(nu), range(nu)] = 1.0
     W = tbl.W.reshape(nu, nu, -1)
-    forced = tbl.forced if loops else 0
+    # the arc of each path's last jump, read from round 1 on; set before
+    # round 0 because at K = 0 a path can stop in it, and arc is filtered
+    arc = ys
     i = 0  # the round, and the jump it makes is jump i + 1
     while act.size:
         rates = tbl.rates[ys]
         rem = horizon - t
-        if i < forced:
+        if i < tbl.forced:
             # P(tau <= s | tau < r) = expm1(-rate s) / expm1(-rate r); the
             # clamp keeps a draw that rounds up to r inside it
             g = -np.expm1(-rates * rem)
@@ -352,7 +339,7 @@ def _path_chunk(tbl, start, horizon, rng, loops=False):
         t += dt
         jumped = dt < rem
         dwell = np.minimum(dt, rem)
-        dropped = loops and not jumped.all()  # never in a forced round
+        dropped = not jumped.all()  # never in a forced round
         if dropped:
             act, ys, t, dwell, arc, M = (
                 a[..., jumped] for a in (act, ys, t, dwell, arc, M))
@@ -361,13 +348,12 @@ def _path_chunk(tbl, start, horizon, rng, loops=False):
             M *= np.take(W, arc, axis=2)
         elif i:
             M = _matmul(M, np.take(W, arc, axis=2), fresh=dropped)
-        if i < forced:
+        if i < tbl.forced:
             M *= g
-        M *= _hold(tbl, ys, dwell).T[None]
-        if not loops:
-            F[act[~jumped]] = M[0, 0, ~jumped]
-            act, ys, t, M = (a[..., jumped] for a in (act, ys, t, M))
-        if loops and i >= forced - 1:
+        # the holding factor exp(-dwell V(y)) in the eigenbasis of V(y), a
+        # diagonal, times e^{dwell c_y} for a hold at the biased rate
+        M *= _exp_take(tbl.hold, ys, dwell).T[None]
+        if i >= tbl.forced - 1:
             # jump K or later: score the return to the start
             S[act] += _return_score(tbl, M, ys, start[act], horizon - t)
         u = rng.random(act.size)
@@ -381,7 +367,7 @@ def _path_chunk(tbl, start, horizon, rng, loops=False):
         states[act] = ys
         N[act] += 1
         i += 1
-    return states, S if loops else F, N
+    return states, S, N
 
 
 def _return_score(tbl, M, ys, x, r):
@@ -403,12 +389,15 @@ def _return_score(tbl, M, ys, x, r):
 
 
 def simulate_scalar_paths(g: WeightedGraph, start: int, t: float,
-                          samples: int, seed: int, v=None,
-                          workers: int = 1):
-    """Chunked scalar simulation; returns (terminal, F, N) arrays.
+                          samples: int, seed: int):
+    """The process law from ``start`` with V = 0, in chunks of
+    ``CHUNK_SIZE`` paths on the streams keyed (seed, start, chunk index);
+    returns (terminal, S, N) arrays.
 
-    With v = None the weights F are identically 1 and the output carries
-    the pure process law (terminal states and jump counts).
+    It is the K = 0 run of ``_path_chunk``: no forced jump and no
+    survival bias, so the terminal vertices and jump counts follow the
+    jump process, and S is the next-event score of the returns to
+    ``start``, of mean (e^{-tH})_xx - e^{-deg_m(x) t}.
     """
     if not t >= 0:  # NaN fails it too
         raise GraphFKError("horizon must be nonnegative")
@@ -416,18 +405,10 @@ def simulate_scalar_paths(g: WeightedGraph, start: int, t: float,
         raise GraphFKError(f"start vertex {start} not in graph")
     if samples < 1:
         raise GraphFKError("need at least 1 sample")
-    _check_workers(workers)
-    tbl = _JumpTable(resolve(g, None, v), forced=0)
-    jobs = _chunk_sizes(samples)
-
-    def run(job):
-        ci, size = job
-        rng = path_stream(seed, start, ci)
-        starts = np.full(size, start, dtype=np.int64)
-        terminal, F, N = _path_chunk(tbl, starts, t, rng)
-        return terminal, F.real, N
-
-    parts = _run_jobs(run, jobs, workers)
+    tbl = _JumpTable(resolve(g), forced=0)
+    parts = (_path_chunk(tbl, np.full(size, start, dtype=np.int64), t,
+                         path_stream(seed, start, ci))
+             for ci, size in _chunk_sizes(samples))
     return tuple(np.concatenate(cols) for cols in zip(*parts))
 
 
@@ -438,12 +419,6 @@ def _chunk_sizes(samples):
     chunk = CHUNK_SIZE
     return ((ci, min(chunk, samples - ci * chunk))
             for ci in range(-(-samples // chunk)))
-
-
-def _check_workers(workers):
-    if not 1 <= workers <= MAX_WORKERS:
-        raise GraphFKError(f"workers must be between 1 and {MAX_WORKERS}, "
-                           f"not {workers}")
 
 
 def _run_jobs(run, jobs, workers):
@@ -566,14 +541,13 @@ def estimate_partition(g: WeightedGraph, c: Connection, V, beta: float,
     bipartite graph and 5 on the rest; where the closed 4-walks exceed
     ``WALK_BUDGET``, Z_3 and Z_4 are not computed and K is 4 on a
     bipartite graph and 3 on any other, and where the closed 6-walks
-    exceed it, K is 6.  The walk runs as by ``_path_chunk`` with
-    ``loops``: g is the probability of a first jump inside the horizon
-    and, given each, of the next, up to the K-th.  The holds are
-    survival-biased (module docstring): a path holds at y at rate a_y =
-    deg_m(y) + c_y, c_y = lam_min(y) less the lowest lam_min on y and its
-    neighbors, with the hold factor e^{-s (lam_y - c_y)} and deg_m(y) /
-    a_y on every jump out of y; the exact terms and the stay of a scored
-    return keep deg_m.  c = 0 where V is flat on a neighborhood, so such
+    exceed it, K is 6.  The walk runs as by ``_path_chunk``: g is the
+    probability of a first jump inside the horizon and, given each, of
+    the next, up to the K-th.  The holds are survival-biased (module
+    docstring): a path holds at y at rate a_y = deg_m(y) + c_y, c_y =
+    lam_min(y) less the lowest lam_min on y and its neighbors, with the
+    hold factor e^{-s (lam_y - c_y)} and deg_m(y) / a_y on every jump out
+    of y; the exact terms and the stay of a scored return keep deg_m.  c = 0 where V is flat on a neighborhood, so such
     a vertex draws as the process does, and V + kappa draws as V does,
     with every weight times e^{-beta kappa}.
     Each path is scored by S, the sum over its jumps k >= K from a
@@ -581,11 +555,12 @@ def estimate_partition(g: WeightedGraph, c: Connection, V, beta: float,
     there and then, in place of the indicator 1_{X_t = x}: by the tower
     property E^x[S] is the weight of the paths with K jumps or more that
     end at x, and ``samples`` such paths estimate it.  A vertex of rate 0
-    runs no path and reports its exact terms with stderr 0.  The paths of
-    all vertices run vertex-major in pieces of ``CHUNK_SIZE`` paths, one
-    kernel call per piece on the stream keyed (seed, piece index); per-vertex
-    moments merge in piece order, so results do not depend on
-    ``workers``.  The Z_x are summed in vertex order, and the imaginary
+    runs no path and reports its exact terms with stderr 0.  Exact terms
+    that overflow a float raise NumericalFailure before a path runs.  The
+    paths of all vertices run vertex-major in pieces of ``CHUNK_SIZE``
+    paths, one kernel call per piece on the stream keyed (seed, piece
+    index); per-vertex moments merge in piece order, so results do not
+    depend on ``workers``.  The Z_x are summed in vertex order, and the imaginary
     part is reported alongside the real one; the report also gives K
     (``forced``), the reason for it (``forced_reason``) and the orders of
     the exact strata (``strata``).
@@ -595,21 +570,25 @@ def estimate_partition(g: WeightedGraph, c: Connection, V, beta: float,
     if samples < 2:
         raise GraphFKError("need at least 2 samples per vertex for a "
                            "standard error")
-    _check_workers(workers)
+    if not 1 <= workers <= MAX_WORKERS:
+        raise GraphFKError(f"workers must be between 1 and {MAX_WORKERS}, "
+                           f"not {workers}")
     problem = resolve(g, c, V)
     t = beta * hbar
-    higher, forced, strata, reason = _exact_strata(problem, t, hbar)
-    tbl = _JumpTable(problem, hbar, forced=forced)
-    exact = (np.exp(-tbl.deg_m * t) * np.exp(-t * tbl.lam).sum(axis=1)
-             + jump_terms(problem, t, hbar, 2) + higher)
+    with np.errstate(over="ignore"):  # refused by ``finite``
+        higher, forced, strata, reason = _exact_strata(problem, t, hbar)
+        tbl = _JumpTable(problem, hbar, forced=forced)
+        exact = (np.exp(-tbl.deg_m * t) * np.exp(-t * tbl.lam).sum(axis=1)
+                 + jump_terms(problem, t, hbar, 2) + higher)
+    finite(exact, f"the exact part of the estimate at t = {t:.6g}")
     live = np.flatnonzero(tbl.deg_m * t > 0.0)  # p_0 < 1
 
     def run(job):
         ci, size = job
         start = live[(ci * CHUNK_SIZE + np.arange(size)) // samples]
         rng = path_stream(seed, _ALL_STARTS, ci)
-        _terminal, F, _N = _path_chunk(tbl, start, t, rng, loops=True)
-        return _chunk_moments(start, np.stack([F.real, F.imag], axis=1))
+        _terminal, S, _N = _path_chunk(tbl, start, t, rng)
+        return _chunk_moments(start, np.stack([S.real, S.imag], axis=1))
 
     jobs = _chunk_sizes(live.size * samples)
     mean, se = _mean_se(*_merge_moments(g.n, 2, _run_jobs(run, jobs, workers)))

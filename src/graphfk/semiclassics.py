@@ -33,10 +33,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bundles import Connection, Potential
-from .errors import GraphFKError
+from .errors import GraphFKError, NumericalFailure
 from .graphs import WeightedGraph, degrees
 from .operators import Problem, _coupling, assemble, resolve, symmetrize
-from .spectral import hermitian_eigenvalues, partition_function
+from .spectral import finite, hermitian_eigenvalues, partition_function
 # not called here; kept because perfbench/tracer.py rebinds it
 from .spectral import eigendecompose  # noqa: F401
 
@@ -58,8 +58,12 @@ class SweepResult:
 
 
 def _classical_terms(V: Potential, beta: float) -> np.ndarray:
-    """Per-vertex terms tr_x e^{-beta V(x)} (scalar: e^{-beta w(x)})."""
-    return np.exp(-beta * np.linalg.eigvalsh(V.values)).sum(axis=1)
+    """Per-vertex terms tr_x e^{-beta V(x)} (scalar: e^{-beta w(x)});
+    NumericalFailure where their sum overflows a float."""
+    with np.errstate(over="ignore"):  # refused by ``finite``
+        terms = np.exp(-beta * np.linalg.eigvalsh(V.values)).sum(axis=1)
+        finite(terms.sum(), f"the classical sum at beta = {beta:.6g}")
+    return terms
 
 
 def classical_partition(V, beta: float) -> float:
@@ -71,8 +75,9 @@ def classical_partition(V, beta: float) -> float:
     return float(_classical_terms(V, beta).sum())
 
 
-def _traces(problem: Problem, beta: float, schedule):
-    """tr(e^{-beta hbar H_{Phi, V/hbar}}) for each hbar of ``schedule``.
+def _spectra(problem: Problem, schedule):
+    """The ascending eigenvalues of H_{Phi, V/hbar}, symmetrized, for each
+    hbar of ``schedule``.
 
     The hops do not depend on hbar, so the free operator is assembled and
     symmetrized once; each hbar then writes the diagonal blocks
@@ -92,7 +97,7 @@ def _traces(problem: Problem, beta: float, schedule):
     for hbar in schedule:
         B = deg + problem.potential.scaled(hbar).values
         blocks[diag, :, diag, :] = 0.5 * (B + B.conj().swapaxes(1, 2))
-        yield partition_function(hermitian_eigenvalues(S), beta * hbar)
+        yield hermitian_eigenvalues(S)
 
 
 def semiclassical_trace(g: WeightedGraph, c: Connection, V,
@@ -100,7 +105,8 @@ def semiclassical_trace(g: WeightedGraph, c: Connection, V,
     """tr(e^{-beta hbar H_{Phi, V/hbar}})."""
     if not (beta > 0 and hbar > 0):  # NaN fails it too
         raise GraphFKError("beta and hbar must be positive")
-    return next(_traces(resolve(g, c, V), beta, (hbar,)))
+    return partition_function(next(_spectra(resolve(g, c, V), (hbar,))),
+                              beta * hbar)
 
 
 def _eigenbasis(problem: Problem, hbar: float):
@@ -375,7 +381,10 @@ def sweep(g: WeightedGraph, c: Connection, V, beta: float,
     <= trace with the two-jump term of ``jump_terms``; only the upper
     bound is asserted otherwise.  The problem is resolved, and the free
     operator assembled and symmetrized, once for the whole schedule
-    (``_traces``).
+    (``_spectra``).  A bound counts as violated only by more than the
+    rounding of the trace, 16 ulps of it times t ||S||, t = beta hbar and
+    ||S|| the largest |eigenvalue|, and at least by 1e-9; a violation
+    raises NumericalFailure.
     """
     if not beta > 0:  # NaN fails it too
         raise GraphFKError("beta must be positive")
@@ -389,16 +398,23 @@ def sweep(g: WeightedGraph, c: Connection, V, beta: float,
     terms = _classical_terms(problem.potential, beta)
     classical = float(terms.sum())
     result = SweepResult(classical_value=classical)
-    for hbar, trace in zip(schedule, _traces(problem, beta, schedule)):
+    for hbar, lam in zip(schedule, _spectra(problem, schedule)):
+        trace = partition_function(lam, beta * hbar)
+        # eigvalsh is backward stable: each eigenvalue lies within a small
+        # multiple of eps ||S|| of the exact one, so the trace within that
+        # multiple of eps t ||S|| relatively, ||S|| the largest |lam|.  16
+        # ulps of the trace per unit of t ||S|| allow for the multiple and
+        # for the rounding of the exponentials and the sums
+        slack = max(1e-9, 16 * np.spacing(trace) * beta * hbar * abs(lam).max())
         lower = float((np.exp(-deg_m * beta * hbar) * terms).sum())
         gap = classical - trace
-        if trace > classical + 1e-9:
-            raise AssertionError(
+        if trace > classical + slack:
+            raise NumericalFailure(
                 f"upper bound violated at hbar={hbar}: {trace} > {classical}")
         if problem.mode == "scalar":
             two_jump = float(jump_terms(problem, beta * hbar, hbar, 2).sum())
-            if lower + two_jump > trace + 1e-9:
-                raise AssertionError(
+            if lower + two_jump > trace + slack:
+                raise NumericalFailure(
                     f"sandwich lower bound violated at hbar={hbar}: "
                     f"{lower} + {two_jump} > {trace}")
         result.rows.append(SweepRow(hbar, trace, lower, classical, gap))

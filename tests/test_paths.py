@@ -17,7 +17,7 @@ from graphfk.paths import (
     MAX_WORKERS,
     _chunk_moments,
     _chunk_sizes,
-    _hold,
+    _exp_take,
     _JumpTable,
     _mean_se,
     _merge_moments,
@@ -28,7 +28,12 @@ from graphfk.paths import (
     simulate_scalar_paths,
 )
 from graphfk.semiclassics import jump_terms, semiclassical_trace
-from graphfk.spectral import eigenvalues, partition_function
+from graphfk.spectral import (
+    eigendecompose,
+    eigenvalues,
+    heat_kernel,
+    partition_function,
+)
 
 from conftest import (
     _moments,
@@ -52,14 +57,14 @@ class TestSamplePath:
     ``simulate_scalar_paths`` walks in one batch."""
 
     def test_zero_horizon(self, edge_graph):
-        terminal, _F, N = simulate_scalar_paths(edge_graph, 0, 0.0, 100,
+        terminal, _S, N = simulate_scalar_paths(edge_graph, 0, 0.0, 100,
                                                 seed=1)
         assert N.tolist() == [0] * 100
         assert terminal.tolist() == [0] * 100
 
     def test_two_vertex_alternates(self, edge_graph):
         # single neighbor: every jump flips the vertex
-        terminal, _F, N = simulate_scalar_paths(edge_graph, 0, 5.0, 2000,
+        terminal, _S, N = simulate_scalar_paths(edge_graph, 0, 5.0, 2000,
                                                 seed=2)
         assert N.max() > 5
         assert np.array_equal(terminal, N % 2)
@@ -68,7 +73,7 @@ class TestSamplePath:
         for i in range(20):
             g = random_graph(rng, max_n=8)
             x = int(rng.integers(0, g.n))
-            terminal, _F, N = simulate_scalar_paths(g, x, 0.5, 500, seed=i)
+            terminal, _S, N = simulate_scalar_paths(g, x, 0.5, 500, seed=i)
             assert np.all(terminal[N == 0] == x)
             one = terminal[N == 1]
             assert one.size
@@ -77,7 +82,7 @@ class TestSamplePath:
     def test_isolated_vertex_never_jumps(self):
         g = build_graph([("a", "b", 1.0)], vertices=["a", "b", "c"],
                         measure=[("c", 1.0)])
-        terminal, _F, N = simulate_scalar_paths(g, 2, 10.0, 100, seed=4)
+        terminal, _S, N = simulate_scalar_paths(g, 2, 10.0, 100, seed=4)
         assert N.tolist() == [0] * 100 and terminal.tolist() == [2] * 100
 
     def test_negative_horizon(self, edge_graph):
@@ -93,24 +98,11 @@ class TestSamplePath:
                                     (center, 1, 2.0, 0.1, 12),
                                     (center, 1, 2.0, 0.5, 13),
                                     (center, 1, 2.0, 1.0, 14)):
-            _term, _F, N = simulate_scalar_paths(g, x, t, n, seed=seed)
+            _term, _S, N = simulate_scalar_paths(g, x, t, n, seed=seed)
             p_hat = float((N == 0).mean())
             p = math.exp(-rate * t)
             se = math.sqrt(p * (1 - p) / n)
             assert abs(p_hat - p) <= 3 * se
-
-    def test_mean_first_holding_time(self):
-        # the centre of a star with two unit edges leaves at rate 2, and
-        # leaves of measure 1e12 hold for good; with v the indicator of the
-        # centre, -log F is the first holding time, of mean 1/2
-        g = build_graph([("c", "l1", 1.0), ("c", "l2", 1.0)],
-                        measure=[("l1", 1e12), ("l2", 1e12)])
-        _term, F, N = simulate_scalar_paths(g, 0, 30.0, 20_000, seed=12,
-                                            v=np.array([1.0, 0.0, 0.0]))
-        assert N.tolist() == [1] * N.size
-        holds = -np.log(F)
-        se = holds.std(ddof=1) / math.sqrt(holds.size)
-        assert abs(holds.mean() - 0.5) <= 3 * se
 
     def test_transition_frequencies(self):
         # the star centre jumps to leaf j with probability b_j / sum b; with
@@ -118,21 +110,38 @@ class TestSamplePath:
         # does not bias the leaf it took
         g = build_graph([("c", "l1", 1.0), ("c", "l2", 3.0)],
                         measure=[("l2", 3.0)])
-        terminal, _F, N = simulate_scalar_paths(g, 0, 1.0, 100_000, seed=15)
+        terminal, _S, N = simulate_scalar_paths(g, 0, 1.0, 100_000, seed=15)
         first = terminal[N == 1]
         p_hat = float((first == 2).mean())
         p = 0.75
         se = math.sqrt(p * (1 - p) / first.size)
         assert abs(p_hat - p) <= 3 * se
 
-    def test_constant_potential_weight(self, rng):
-        # a constant v weighs every path by e^{-v t}, however it jumps
-        g = random_graph(rng, max_n=8)
-        _term, F, N = simulate_scalar_paths(g, 0, 1.5, 2000, seed=16,
-                                            v=np.full(g.n, 0.8))
-        assert N.max() > 1
-        want = math.exp(-0.8 * 1.5)
-        assert np.abs(F - want).max() <= 1e-12 * want
+    @pytest.mark.parametrize("which, x, t", [("edge", 0, 1.0),
+                                             ("path centre", 1, 0.7),
+                                             ("random", 0, 0.9)])
+    def test_score_and_stay_give_the_heat_kernel_diagonal(self, rng, which,
+                                                          x, t):
+        # at K = 0 the walk is the process law, with no survival bias, and
+        # S scores the returns to x after one jump or more: mean(S) plus the
+        # probability e^{-t deg_m(x)} of never jumping is (e^{-tH})_xx
+        g = {"edge": build_graph([("a", "b", 1.0)]),
+             "path centre": generate("path", n=3),
+             "random": random_graph(rng, max_n=8)}[which]
+        _term, S, _N = simulate_scalar_paths(g, x, t, 20_000, seed=17)
+        estimate = S.mean() + math.exp(-t * degrees(g).deg_m[x])
+        want = heat_kernel(eigendecompose(assemble(g)), t)[x, x] * g.measure[x]
+        se = S.std(ddof=1) / math.sqrt(S.size)
+        assert se > 0
+        assert abs(estimate - want) <= 5 * se
+
+    def test_draws_are_pinned(self):
+        # the terminal vertices and jump counts on the stream keyed (seed,
+        # start, chunk): a change in the order of the draws shows here
+        g = generate("path", n=4)
+        terminal, _S, N = simulate_scalar_paths(g, 1, 1.5, 12, seed=23)
+        assert terminal.tolist() == [2, 2, 1, 0, 0, 1, 2, 0, 0, 1, 1, 0]
+        assert N.tolist() == [1, 3, 2, 3, 3, 2, 7, 3, 5, 2, 2, 1]
 
 
 class _StubStream:
@@ -171,7 +180,7 @@ class TestJumpTable:
     @pytest.mark.parametrize("u, leaf", [(1.0 - 2.0**-53, "l3"),
                                          (0.0, "l0")])
     def test_every_draw_lands_on_a_neighbor(self, star, u, leaf):
-        terminal, _F, N = _path_chunk(_JumpTable(resolve(star), forced=0),
+        terminal, _S, N = _path_chunk(_JumpTable(resolve(star), forced=0),
                                       np.zeros(1, dtype=np.int64), 1.0,
                                       _StubStream(u))
         assert N.tolist() == [1]
@@ -252,7 +261,7 @@ class TestKernel:
         t = 1.2
         uniforms, weight = _cycle_walk(3, t, (0.2, 0.3, 0.4), a)
         score = _path_chunk(tbl, np.zeros(1, dtype=np.int64), t,
-                            _StubStream(uniforms), loops=True)[1][0]
+                            _StubStream(uniforms))[1][0]
         holds, walk = (0.2, 0.3, 0.4, 0.3), (0, 1, 2, 0)
         factor = (weight * 0.5 * math.exp(-2 * 0.3)
                   * _bias_factor(deg_m, a, shift, holds, walk))
@@ -268,7 +277,7 @@ class TestKernel:
     @pytest.mark.parametrize("nu", [1, 2])
     @pytest.mark.parametrize("n", [3, 4])
     def test_forced_jumps_weight(self, rng, nu, n):
-        # loops: the first K jumps are forced, K = 3 on the triangle and
+        # the first K jumps are forced, K = 3 on the triangle and
         # K = 4 on the square, which has none, and the path carries g, the
         # probability that they all fall inside the horizon.  The walk round
         # the n-cycle, its holds adding up to 0.9, scores only at jump K,
@@ -298,7 +307,7 @@ class TestKernel:
                             ((0.1 * a[0], 0.1 * a[1]), first + second)):
             stream = _StubStream(uniforms, holds)
             terminal, S, N = _path_chunk(tbl, np.zeros(1, dtype=np.int64), t,
-                                         stream, loops=True)
+                                         stream)
             assert N.tolist() == [n + len(holds)]
             assert terminal.tolist() == [0]
             assert abs(S[0] - want) <= 1e-12 * abs(want)
@@ -321,8 +330,7 @@ class TestKernel:
             # start the highest slot of a row from 0, the lowest from 4
             stream = _StubStream([0.5, away, 0.5, back, 0.5, away, 0.5, away,
                                   away, away], holds)
-            terminal, S, N = _path_chunk(tbl, np.array([x]), 3.0, stream,
-                                         loops=True)
+            terminal, S, N = _path_chunk(tbl, np.array([x]), 3.0, stream)
             assert N.tolist() == [4 + len(holds)]
             assert terminal.tolist() == [abs(x - 2 - len(holds))]
             scores.append(S[0])
@@ -347,21 +355,10 @@ class TestKernel:
                 want = Q[y].conj().T @ phi[x, y] @ Q[x]
                 assert np.abs(tbl.W[:, :, y, k] - want).max() <= 1e-13
             dt = float(rng.uniform(0.01, 1.0))
-            e = _hold(tbl, np.array([y]), np.array([dt]))[0]
+            e = _exp_take(tbl.hold, np.array([y]), np.array([dt]))[0]
             got = (Q[y] * e) @ Q[y].conj().T
             want = expm(-dt * V.values[y] / hbar)
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
-
-    def test_idle_scalar_path_holds_for_the_horizon(self):
-        # a path from a vertex of rate 0 never jumps and carries the
-        # Feynman-Kac weight of holding there up to t
-        g = build_graph([("a", "b", 1.0)], vertices=["a", "b", "c"],
-                        measure=[("c", 1.0)])
-        v = np.array([0.3, -0.2, 0.9])
-        terminal, F, N = simulate_scalar_paths(g, 2, 0.7, 5, seed=3, v=v)
-        assert terminal.tolist() == [2] * 5 and N.tolist() == [0] * 5
-        want = math.exp(-0.7 * 0.9)
-        assert np.abs(F - want).max() <= 1e-15 * want
 
     @pytest.mark.parametrize("graph", [("cycle", dict(n=5)),
                                        ("complete", dict(n=4)),
@@ -388,14 +385,13 @@ class TestKernel:
         start = np.repeat(np.arange(g.n), 400)
         tbl = _JumpTable(resolve(g, both, V), 0.5, forced=4)
         assert (tbl.rates > degrees(g).deg_m).any()
-        runs = [_path_chunk(tbl, start, 1.5, path_stream(81, 0, 0),
-                            loops=True)]
+        runs = [_path_chunk(tbl, start, 1.5, path_stream(81, 0, 0))]
         for a in range(2):
             c = Connection(1, phase[a].reshape(-1, 1, 1))
             runs.append(_path_chunk(
                 _JumpTable(resolve(g, c, Potential.scalar(v[a])), 0.5,
                            forced=4),
-                start, 1.5, path_stream(81, 0, 0), loops=True))
+                start, 1.5, path_stream(81, 0, 0)))
         (term, S, N), (term_1, S_1, N_1), (term_2, S_2, N_2) = runs
         assert np.array_equal(term, term_1) and np.array_equal(term, term_2)
         assert np.array_equal(N, N_1) and np.array_equal(N, N_2)
@@ -404,23 +400,31 @@ class TestKernel:
         assert scale > 0
         assert np.abs(S - (S_1 + S_2)).max() <= 1e-12 * scale
 
-    def test_unforced_walk_refuses_rank_above_one(self, rng):
-        # without loops F is M[0, 0], one entry of the Dyson product: the
-        # weight of a path at rank 1 only
-        g, c, V = _triangle(rng, 2)
-        with pytest.raises(GraphFKError, match="rank 1 only"):
-            _path_chunk(_JumpTable(resolve(g, c, V), forced=0),
-                        np.zeros(4, dtype=np.int64), 1.0, path_stream(1, 0, 0))
+    def test_unforced_walk_weighs_every_rank(self, rng):
+        # at K = 0, V = diag(v_1, v_2) with the identity connection splits
+        # into two rank-1 problems: on the same draws it scores their sum
+        g = generate("cycle", n=5)
+        v = rng.uniform(-1.0, 1.0, size=(2, g.n))
+        V = Potential(2, np.stack([np.diag(v[:, x]) for x in range(g.n)]))
+        start = np.repeat(np.arange(g.n), 200)
+        (term, S, N), *parts = (
+            _path_chunk(_JumpTable(resolve(g, None, P), forced=0), start,
+                        1.5, path_stream(5, 0, 0))
+            for P in (V, v[0], v[1]))
+        for term_a, _S_a, N_a in parts:
+            assert np.array_equal(term, term_a) and np.array_equal(N, N_a)
+        assert np.abs(S).max() > 0
+        assert (np.abs(S - parts[0][1] - parts[1][1]).max()
+                <= 1e-12 * np.abs(S).max())
 
     def test_conditioned_draw_stays_inside_the_horizon(self):
         # at rate 1.5 and t = 0.01 the unclamped draw -log1p(u expm1(-rt))/r
         # rounds up to t for u = 1 - 2^-53, and the path would not jump;
         # clamped, the second forced draw also lands inside the time left
         g = build_graph([("a", "b", 1.5)])
-        terminal, _F, N = _path_chunk(_JumpTable(resolve(g), forced=4),
+        terminal, _S, N = _path_chunk(_JumpTable(resolve(g), forced=4),
                                       np.zeros(1, dtype=np.int64), 0.01,
-                                      _StubStream(1.0 - 2.0**-53),
-                                      loops=True)
+                                      _StubStream(1.0 - 2.0**-53))
         assert N.tolist() == [2] and terminal.tolist() == [0]
 
 
@@ -444,38 +448,7 @@ def _series_product(phi, V, holds, walk, order=4):
     return total
 
 
-class TestParallelTransport:
-    def test_rank1_phase_product(self, rng):
-        # with V = 0 the kernel weighs the loop 0 -> 1 -> 2 -> 3 -> 0 round
-        # a magnetic 4-cycle by its phases alone; each vertex leaves at
-        # rate 2, so the holds 2 jump at 1, 2, 3 and 4
-        g = generate("cycle", n=4)
-        # edges (0, 1), (1, 2), (2, 3) and (0, 3): the loop runs the last
-        # one backwards, against its phase
-        assert g.edges.tolist() == [[0, 1], [1, 2], [2, 3], [0, 3]]
-        phases = rng.uniform(-np.pi, np.pi, 4)
-        c = connection_from_magnetic(phases)
-        total = phases[0] + phases[1] + phases[2] - phases[3]
-        terminal, F, N = _path_chunk(
-            _JumpTable(resolve(g, c, np.zeros(4)), forced=0),
-            np.zeros(1, dtype=np.int64), 5.0,
-            _StubStream([0.25, 0.75, 0.75, 0.25], (2.0,) * 4))
-        assert N.tolist() == [4] and terminal.tolist() == [0]
-        assert F[0] == pytest.approx(np.exp(-1j * total), abs=1e-12)
-
-
 class TestOrderedExponential:
-    def test_constant_scalar(self, edge_graph):
-        cval = 0.8
-        V = Potential.scalar([cval, cval])
-        c = Connection.identity(edge_graph, 1)
-        _term, F, N = _path_chunk(_JumpTable(resolve(edge_graph, c, V),
-                                             forced=0),
-                                  np.zeros(200, dtype=np.int64), 1.5,
-                                  path_stream(32, 0, 0))
-        assert N.max() > 1
-        assert np.abs(F - np.exp(-cval * 1.5)).max() <= 1e-12
-
     def test_dyson_series_oracle(self, rng):
         # small-time truncated ordered series within 5 (|V| t)^5 per entry,
         # so 10 (|V| t)^5 on the rank-2 trace: the loop of
@@ -489,14 +462,15 @@ class TestOrderedExponential:
             holds, walk = (0.2 * t, 0.3 * t, 0.4 * t, 0.1 * t), (0, 1, 2, 0)
             uniforms, weight = _cycle_walk(3, t, holds[:3], a)
             score = _path_chunk(tbl, np.zeros(1, dtype=np.int64), t,
-                                _StubStream(uniforms), loops=True)[1][0]
+                                _StubStream(uniforms))[1][0]
             loop = score / (weight * 0.5 * math.exp(-2 * 0.1 * t)
                             * _bias_factor(deg_m, a, shift, holds, walk))
             oracle = _series_product(transports(g, c), V, holds, walk)
             assert abs(loop - oracle) <= 10 * (norm * t) ** 5
 
     def test_trivial_bundle(self):
-        # c = None is the trivial bundle, as in operators.resolve
+        # c = None is the trivial bundle, as in operators.resolve: the same
+        # scores, in real arithmetic
         g = generate("path", n=2)
         V = Potential.scalar([0.1, 0.2])
         start = np.zeros(200, dtype=np.int64)
@@ -505,7 +479,7 @@ class TestOrderedExponential:
         _t, ident, _N = _path_chunk(
             _JumpTable(resolve(g, Connection.identity(g, 1), V), forced=0),
             start, 5.0, path_stream(1, 0, 0))
-        assert N.max() > 5
+        assert N.max() > 5 and none.max() > 0
         assert np.array_equal(none, ident)
         assert not np.iscomplexobj(none)
 
@@ -525,42 +499,52 @@ class TestOrderedExponential:
         w = spectral_floor(V)
         start = np.zeros(2000, dtype=np.int64)
         term, S, N = _path_chunk(_JumpTable(resolve(g, c, V), forced=3),
-                                 start, 1.0, path_stream(37, 0, 0),
-                                 loops=True)
+                                 start, 1.0, path_stream(37, 0, 0))
         term_w, S_w, N_w = _path_chunk(
             _JumpTable(resolve(g, None, w), forced=3), start, 1.0,
-            path_stream(37, 0, 0), loops=True)
+            path_stream(37, 0, 0))
         assert np.array_equal(term, term_w) and np.array_equal(N, N_w)
         assert np.any(S != 0)
         assert np.all(np.abs(S) <= 2 * S_w.real * (1 + 1e-12))
 
 
 class TestOccupationIntegral:
-    """The rank-1 weight F = exp(-int_0^t v(X_s) ds) read as the
-    occupation integral of v."""
+    """At K = 0 a scored return weighs e^{-int_0^t v(X_s) ds} along the
+    path that returns, its stay at the start included, times the
+    probability e^{-deg_m r} of that stay: the occupation integral of v."""
 
     def test_constant_one(self, edge_graph):
-        _term, F, N = simulate_scalar_paths(edge_graph, 0, 1.7, 100, seed=41,
-                                            v=np.ones(2))
-        assert N.max() > 1
-        assert np.abs(-np.log(F) - 1.7).max() <= 1e-12
+        # v = 1 integrates to t along every path: each score is e^{-t} times
+        # the score of the same draws under v = 0
+        start = np.zeros(100, dtype=np.int64)
+        (_t0, S0, N0), (_t1, S1, N1) = (
+            _path_chunk(_JumpTable(resolve(edge_graph, None, np.full(2, v)),
+                                   forced=0),
+                        start, 1.7, path_stream(41, 0, 0))
+            for v in (0.0, 1.0))
+        assert np.array_equal(N0, N1) and N0.max() > 1 and S0.max() > 0
+        assert np.abs(S1 - math.exp(-1.7) * S0).max() <= 1e-12 * S0.max()
 
     def test_no_jump_value(self, edge_graph):
-        terminal, F, N = _path_chunk(
+        # a path that holds past the horizon leaves the walk in its first
+        # round, before any jump, and scores nothing: Z_0 holds its weight
+        terminal, S, N = _path_chunk(
             _JumpTable(resolve(edge_graph, None, np.array([0.3, 9.0])),
                        forced=0),
             np.zeros(1, dtype=np.int64), 2.0, _StubStream(0.5, (1e9,)))
         assert N.tolist() == [0] and terminal.tolist() == [0]
-        assert -math.log(F[0]) == pytest.approx(0.6, abs=1e-12)
+        assert S.tolist() == [0.0]
 
     def test_two_interval_path(self, edge_graph):
-        # the jump 0 -> 1 at 0.4: time spent at vertex 1 is 0.6
-        terminal, F, N = _path_chunk(
+        # the jump 0 -> 1 at 0.4 and back at 0.7: 0.3 spent at vertex 1,
+        # where v = 1, and the stay at 0 for the r = 0.3 left, of
+        # probability e^{-deg_m r} = e^{-0.3}
+        terminal, S, N = _path_chunk(
             _JumpTable(resolve(edge_graph, None, np.array([0.0, 1.0])),
                        forced=0),
-            np.zeros(1, dtype=np.int64), 1.0, _StubStream(0.5, (0.4,)))
-        assert N.tolist() == [1] and terminal.tolist() == [1]
-        assert -math.log(F[0]) == pytest.approx(0.6, abs=1e-12)
+            np.zeros(1, dtype=np.int64), 1.0, _StubStream(0.5, (0.4, 0.3)))
+        assert N.tolist() == [2] and terminal.tolist() == [0]
+        assert -math.log(S[0]) == pytest.approx(0.6, abs=1e-12)
 
 
 class TestHeatKernelEstimate:
@@ -568,7 +552,7 @@ class TestHeatKernelEstimate:
     ``simulate_scalar_paths`` estimates p(t, x, y) m(y)."""
 
     def test_two_vertex_on_diagonal(self, edge_graph):
-        terminal, _F, _N = simulate_scalar_paths(edge_graph, 0, 1.0, 100_000,
+        terminal, _S, _N = simulate_scalar_paths(edge_graph, 0, 1.0, 100_000,
                                                  seed=51)
         hits = (terminal == 0).astype(float)
         estimate, stderr = hits.mean(), hits.std(ddof=1) / math.sqrt(hits.size)
@@ -577,13 +561,13 @@ class TestHeatKernelEstimate:
 
     def test_other_component_exact_zero(self):
         g = build_graph([("a", "b", 1.0), ("c", "d", 1.0)])
-        terminal, _F, _N = simulate_scalar_paths(g, 0, 0.8, 1000, seed=52)
+        terminal, _S, _N = simulate_scalar_paths(g, 0, 0.8, 1000, seed=52)
         assert np.all(terminal < 2)
 
     def test_frequencies_partition_unity(self, rng):
         # every path ends on a vertex of g
         g = random_graph(rng, max_n=5)
-        terminal, _F, _N = simulate_scalar_paths(g, 0, 0.7, 2000, seed=53)
+        terminal, _S, _N = simulate_scalar_paths(g, 0, 0.7, 2000, seed=53)
         freq = np.bincount(terminal, minlength=g.n) / terminal.size
         assert freq.size == g.n
         assert freq.sum() == pytest.approx(1.0, abs=1e-12)
@@ -717,14 +701,6 @@ class TestPartitionEstimate:
             estimate_partition(edge_graph, None, np.zeros(2), 1.0, 1.0,
                                seed=73, **args)
 
-    @pytest.mark.parametrize("workers", [0, -2])
-    def test_process_law_estimators_reject_no_workers(self, edge_graph,
-                                                      workers):
-        # a worker count below 1 used to run serially without a word
-        with pytest.raises(GraphFKError, match="workers must be"):
-            simulate_scalar_paths(edge_graph, 0, 1.0, 1000, seed=76,
-                                  workers=workers)
-
     def test_workers_above_the_bound_rejected_before_any_thread(
             self, edge_graph, monkeypatch):
         # each worker is an OS thread: a huge count must be refused up
@@ -737,9 +713,6 @@ class TestPartitionEstimate:
             with pytest.raises(GraphFKError, match="workers"):
                 estimate_partition(edge_graph, None, np.zeros(2), 1.0, 1.0,
                                    1000, seed=78, workers=workers)
-            with pytest.raises(GraphFKError, match="workers"):
-                simulate_scalar_paths(edge_graph, 0, 1.0, 1000, seed=79,
-                                      workers=workers)
 
     def test_chunk_sizes_are_lazy(self, monkeypatch):
         # a list of every job used to be built first: 10^12 paths died
@@ -820,10 +793,9 @@ class TestPartitionEstimate:
 
     def test_simulate_scalar_paths_rejects_negative_horizon(self,
                                                             edge_graph):
-        # it used to return the t = 0 law: F = 1 and N = 0
+        # it used to return the t = 0 law: N = 0
         with pytest.raises(GraphFKError, match="horizon must be nonnegative"):
-            simulate_scalar_paths(edge_graph, 0, -1.0, 3, seed=1,
-                                  v=np.array([0.3, 0.5]))
+            simulate_scalar_paths(edge_graph, 0, -1.0, 3, seed=1)
 
     def test_process_law_estimators_reject_nan_horizon(self, edge_graph):
         # NaN passed the old t < 0 check, and no path moved
@@ -1196,6 +1168,5 @@ class TestExactStrata:
         tbl = _JumpTable(resolve(g), forced=6)
         assert tbl.forced == 6
         _terminal, _S, N = _path_chunk(tbl, np.zeros(500, dtype=np.int64),
-                                       0.05, path_stream(94, 0, 0),
-                                       loops=True)
+                                       0.05, path_stream(94, 0, 0))
         assert N.min() == 6

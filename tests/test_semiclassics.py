@@ -12,7 +12,7 @@ from graphfk.bundles import (
     Potential,
     connection_from_magnetic,
 )
-from graphfk.errors import GraphFKError
+from graphfk.errors import GraphFKError, NumericalFailure
 from graphfk.graphs import build_graph, generate
 from graphfk.operators import assemble, resolve, symmetrize
 from graphfk.semiclassics import (
@@ -171,11 +171,10 @@ class TestSweep:
 
     def test_sandwich_asserted_exactly_when_scalar(self, monkeypatch):
         # a trace of 0 lies below the lower bound and under the upper one
-        monkeypatch.setattr(semiclassics, "_traces",
-                            lambda problem, beta, schedule:
-                            (0.0 for _hbar in schedule))
+        monkeypatch.setattr(semiclassics, "partition_function",
+                            lambda lam, t: 0.0)
         g, pot = weyl_path()
-        with pytest.raises(AssertionError, match="sandwich lower bound"):
+        with pytest.raises(NumericalFailure, match="sandwich lower bound"):
             sweep(g, None, pot, 1.0, (1e-1, 1e-2))
         magnetic = sweep(g, Connection.identity(g, 1), pot, 1.0,
                          (1e-1, 1e-2))
@@ -190,11 +189,21 @@ class TestSweep:
         g, pot = weyl_path()
         rows = sweep(g, None, pot, 1.0, (1e-1, 1e-2)).rows
         lower = {r.hbar: r.lower for r in rows}
-        monkeypatch.setattr(semiclassics, "_traces",
-                            lambda problem, beta, schedule:
-                            (lower[hbar] for hbar in schedule))
-        with pytest.raises(AssertionError, match="sandwich lower bound"):
+        # beta = 1, so the trace's t = beta hbar is hbar
+        monkeypatch.setattr(semiclassics, "partition_function",
+                            lambda lam, t: lower[t])
+        with pytest.raises(NumericalFailure, match="sandwich lower bound"):
             sweep(g, None, pot, 1.0, (1e-1, 1e-2))
+
+    def test_bounds_allow_for_the_rounding_of_a_large_trace(self):
+        # V = -40 on the 4 x 4 box: at hbar = 1e-4 the trace is about
+        # 3.8e18, and Z_0 + Z_2 came out above it by about 2e4, 5e-15 of
+        # it, within the rounding of the eigensolve but far above 1e-9
+        g = generate("lattice_box", l=2, side=4)
+        rows = sweep(g, None, np.full(g.n, -40.0), 1.0,
+                     (1e-1, 1e-2, 1e-3, 1e-4)).rows
+        assert rows[-1].trace == pytest.approx(16 * math.exp(40), rel=1e-3)
+        assert rows[-1].lower <= rows[-1].trace
 
     @pytest.mark.parametrize("mode", ["scalar", "magnetic", "covariant",
                                       "covariant-trivial"])

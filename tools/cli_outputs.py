@@ -20,8 +20,11 @@ The set: the five presets through all seven subcommands; a magnetic
 5-cycle with phases and a potential read from files, and a covariant
 3 x 3 box with inline SU(2) transports and potential, each through the
 six subcommands other than ``kato``; a weighted graph file through all
-seven; a ``validate`` that fails; and thirteen configs that each exit 1
-for a different input.  NAME restricts the runs to the ones named.
+seven; a ``validate`` that fails; thirteen configs that each exit 1
+for a different input; a ``sweep`` of a trace near 3.8e18, whose bounds
+must allow for its rounding; and a potential whose traces overflow a
+float through the four subcommands that sum one, each of which exits 2.
+NAME restricts the runs to the ones named.
 """
 
 from __future__ import annotations
@@ -114,6 +117,17 @@ GRAPH_FILE = {
     "measure": [["p", 1.0], ["q", 2.0], ["r", 0.5], ["s", 1.5]],
 }
 
+# The 4 x 4 box at V = -40 through sweep's default schedule: at hbar =
+# 1e-4 the trace is about 3.8e18, and Z_0 + Z_2 rounds above it by about 2e4
+BOX_DEEP = {"graph": {"family": "lattice_box", "l": 2, "side": 4},
+            "potential": {"inline": [[f"x{i}_{j}", -40.0] for i in range(4)
+                                     for j in range(4)]},
+            "params": {"beta": 1.0}}
+
+# The 5-cycle at V = -800: e^800 overflows a float
+OVERFLOW = {"graph": {"family": "cycle", "n": 5},
+            "potential": {"inline": [[f"v{k}", -800.0] for k in range(5)]}}
+
 # name: (subcommand, config, data files); each exits 1
 ERRORS = {
     "error-graph-entry": ("spectrum", {"graph": {}}, {}),
@@ -169,6 +183,11 @@ def runs():
                 sub, _with_params(_covariant(), sub), {})
     table["validate-fails"] = ("validate", _covariant(diagonal_on=4), {})
     table.update(ERRORS)
+    table["box-deep-sweep"] = ("sweep", BOX_DEEP, {})
+    # at the default params: e^{-tH} overflows at t = 1, not at 0.7
+    for sub in ("sweep", "gt-check", "kernel"):
+        table[f"overflow-{sub}"] = (sub, OVERFLOW, {})
+    table["overflow-fk-compare"] = ("fk-compare", OVERFLOW | {"seed": 1}, {})
     return table
 
 
