@@ -28,8 +28,6 @@ from .paths import (
 )
 from .semiclassics import (
     SweepResult,
-    classical_partition,
-    semiclassical_trace,
     sweep,
 )
 from .spectral import (

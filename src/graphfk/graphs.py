@@ -46,8 +46,11 @@ class WeightedGraph:
         w = np.asarray(self.weights, dtype=float)
         for name, value in (("measure", m), ("edges", e), ("weights", w)):
             object.__setattr__(self, name, value)
-        if not np.all(m > 0):  # NaN fails it too
-            raise GraphFKError("measure must be strictly positive")
+        bad = ~(np.isfinite(m) & (m > 0))  # NaN fails too
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise GraphFKError("measure must be strictly positive and "
+                               f"finite: m({k}) = {m[k]}")
         if w.shape != (len(e),):
             raise GraphFKError(f"{len(e)} edges and {w.size} weights")
         # each check names the first edge that fails it
@@ -56,7 +59,7 @@ class WeightedGraph:
             (((e < 0) | (e >= self.n)).any(axis=1),
              "edge ({i},{j}) out of range"),
             (e[:, 0] > e[:, 1], "edge ({i},{j}) not stored as i < j"),
-            (~(w > 0), "b({i},{j}) = {w}"),  # NaN fails
+            (~(np.isfinite(w) & (w > 0)), "b({i},{j}) = {w}"),  # NaN fails
         )
         for fails, text in checks:
             if fails.any():
@@ -214,33 +217,33 @@ def generate(family, **params) -> WeightedGraph:
         raise GraphFKError(f"{family} takes integer parameters, not "
                            f"{params}") from None
     params = ints
+    # each family's vertices and edges (i, j), i < j, in the order in
+    # which ``build_graph`` would list them from its label strings
+    n = params.get("n", 0)
     if family == "path":
-        n = params.get("n", 0)
         if n < 1:
             raise GraphFKError("path needs n >= 1")
-        edges = [(f"v{i}", f"v{i+1}", 1.0) for i in range(n - 1)]
-        return build_graph(edges, vertices=[f"v{i}" for i in range(n)])
-    if family == "cycle":
-        n = params.get("n", 0)
+        labels = [f"v{i}" for i in range(n)]
+        edges = np.stack([np.arange(n - 1), np.arange(1, n)], axis=1)
+    elif family == "cycle":
         if n < 3:
             raise GraphFKError("cycle needs n >= 3 (no self-loops or doubled edges)")
-        edges = [(f"v{i}", f"v{(i+1) % n}", 1.0) for i in range(n)]
-        return build_graph(edges)
-    if family == "star":
+        labels = [f"v{i}" for i in range(n)]
+        edges = np.stack([np.r_[np.arange(n - 1), 0],
+                          np.r_[np.arange(1, n), n - 1]], axis=1)
+    elif family == "star":
         k = params.get("leaves", 0)
         if k < 1:
             raise GraphFKError("star needs leaves >= 1")
-        edges = [("c", f"l{i}", 1.0) for i in range(k)]
-        return build_graph(edges)
-    if family == "complete":
-        n = params.get("n", 0)
+        labels = ["c"] + [f"l{i}" for i in range(k)]
+        edges = np.stack([np.zeros(k, dtype=np.int64), np.arange(1, k + 1)],
+                         axis=1)
+    elif family == "complete":
         if n < 2:
             raise GraphFKError("complete needs n >= 2")
-        edges = [
-            (f"v{i}", f"v{j}", 1.0) for i in range(n) for j in range(i + 1, n)
-        ]
-        return build_graph(edges)
-    if family == "lattice_box":
+        labels = [f"v{i}" for i in range(n)]
+        edges = np.stack(np.triu_indices(n, 1), axis=1)
+    elif family == "lattice_box":
         l = params.get("l", 0)
         side = params.get("side", 0)
         if l < 1 or side < 2:
@@ -254,7 +257,8 @@ def generate(family, **params) -> WeightedGraph:
         edges = np.stack([np.broadcast_to(v, up.shape)[up],
                           (v + side ** np.arange(l)[::-1])[up]], axis=1)
         labels = ["x" + "_".join(map(str, c)) for c in coords.tolist()]
-        return WeightedGraph(tuple(labels), edges, np.ones(len(edges)),
-                             np.ones(len(labels)))
-    raise GraphFKError(f"unknown family {family!r}")
+    else:
+        raise GraphFKError(f"unknown family {family!r}")
+    return WeightedGraph(tuple(labels), edges, np.ones(len(edges)),
+                         np.ones(len(labels)))
 

@@ -112,6 +112,12 @@ def _coupling(p: Problem):
     return p.phi[np.arange(p.src.size) ^ 1]
 
 
+def check_dimension(n, nu):
+    """GraphFKError where n * nu exceeds ``DIMENSION_CAP``."""
+    if n * nu > DIMENSION_CAP:
+        raise GraphFKError(f"dimension {n * nu} exceeds cap {DIMENSION_CAP}")
+
+
 def assemble(g: WeightedGraph, c: Connection = None,
              V=None) -> OperatorMatrix:
     """Materialize H_{Phi,V} as a dense matrix.
@@ -123,8 +129,7 @@ def assemble(g: WeightedGraph, c: Connection = None,
     """
     p = resolve(g, c, V)
     n, nu = g.n, p.rank
-    if n * nu > DIMENSION_CAP:
-        raise GraphFKError(f"dimension {n * nu} exceeds cap {DIMENSION_CAP}")
+    check_dimension(n, nu)
     Vvals = p.potential.values
     A = np.zeros((n, nu, n, nu), dtype=np.result_type(p.phi, Vvals))
     x = np.arange(n)

@@ -66,15 +66,6 @@ def _classical_terms(V: Potential, beta: float) -> np.ndarray:
     return terms
 
 
-def classical_partition(V, beta: float) -> float:
-    """sum_x tr_x e^{-beta V(x)} (scalar: sum_x e^{-beta w(x)})."""
-    if not beta > 0:  # NaN fails it too
-        raise GraphFKError("beta must be positive")
-    if not isinstance(V, Potential):
-        V = Potential.scalar(V)
-    return float(_classical_terms(V, beta).sum())
-
-
 def _spectra(problem: Problem, schedule):
     """The ascending eigenvalues of H_{Phi, V/hbar}, symmetrized, for each
     hbar of ``schedule``.
@@ -98,15 +89,6 @@ def _spectra(problem: Problem, schedule):
         B = deg + problem.potential.scaled(hbar).values
         blocks[diag, :, diag, :] = 0.5 * (B + B.conj().swapaxes(1, 2))
         yield hermitian_eigenvalues(S)
-
-
-def semiclassical_trace(g: WeightedGraph, c: Connection, V,
-                        beta: float, hbar: float) -> float:
-    """tr(e^{-beta hbar H_{Phi, V/hbar}})."""
-    if not (beta > 0 and hbar > 0):  # NaN fails it too
-        raise GraphFKError("beta and hbar must be positive")
-    return partition_function(next(_spectra(resolve(g, c, V), (hbar,))),
-                              beta * hbar)
 
 
 def _eigenbasis(problem: Problem, hbar: float):

@@ -11,9 +11,9 @@ from hypothesis.configuration import set_hypothesis_home_dir
 from graphfk.bundles import Connection, Potential
 from graphfk.errors import GraphFKError
 from graphfk.graphs import build_graph, degrees
-from graphfk.operators import _coupling, resolve
+from graphfk.operators import _coupling, assemble, resolve
 from graphfk.paths import _chunk_moments, _merge_moments
-from graphfk.spectral import heat_kernel
+from graphfk.spectral import eigenvalues, heat_kernel, partition_function
 
 
 def random_graph(rng, max_n=10, min_n=2, connected=True):
@@ -136,6 +136,21 @@ def quadratic_form(g, c, f1, f2):
     d1 = f1[p.src] - (P @ f1[p.dst][:, :, None])[:, :, 0]
     d2 = f2[p.src] - (P @ f2[p.dst][:, :, None])[:, :, 0]
     return complex(0.5 * (p.w * np.sum(np.conj(d2) * d1, axis=1)).sum())
+
+
+def exact_trace(g, c, V, beta, hbar):
+    """tr e^{-beta hbar H_{Phi, V/hbar}} from the eigenvalues of the
+    assembled operator, V / hbar taken in the arithmetic of V's values."""
+    V = resolve(g, c, V).potential
+    return partition_function(eigenvalues(assemble(g, c, V.scaled(hbar))),
+                              beta * hbar)
+
+
+def classical_sum(V, beta):
+    """sum_x tr_x e^{-beta V(x)} (scalar: sum_x e^{-beta w(x)})."""
+    if not isinstance(V, Potential):
+        V = Potential.scalar(V)
+    return float(np.exp(-beta * np.linalg.eigvalsh(V.values)).sum())
 
 
 def spectral_floor(V):

@@ -23,12 +23,13 @@ from graphfk.paths import (
     simulate_scalar_paths,
 )
 from graphfk.presets import four_cycle, two_vertex, weyl_path
-from graphfk.semiclassics import semiclassical_trace, sweep
+from graphfk.semiclassics import sweep
 from graphfk.spectral import eigendecompose, heat_kernel
 
 from conftest import (
     apply_formal,
     dense_weights,
+    exact_trace,
     quadratic_form,
     random_connection,
     random_graph,
@@ -107,7 +108,7 @@ def test_criterion_4_feynman_kac_scalar():
         w = rng.uniform(-1, 1, size=g.n)
         beta = 1.0
         hbar = float(rng.uniform(0.3, 1.0))  # beta*hbar <= 1
-        exact = semiclassical_trace(g, None, w, beta, hbar)
+        exact = exact_trace(g, None, w, beta, hbar)
         rep = estimate_partition(g, None, w, beta, hbar, 100_000,
                                  seed=4100 + k)
         if abs(rep.estimate - exact) <= 3 * rep.stderr:
@@ -124,7 +125,7 @@ def test_criterion_5_feynman_kac_covariant():
     c = random_connection(g, 2, rng)
     V = random_potential(g, 2, rng)
     beta, hbar = 1.0, 0.5
-    exact = semiclassical_trace(g, c, V, beta, hbar)
+    exact = exact_trace(g, c, V, beta, hbar)
     rep = estimate_partition(g, c, V, beta, hbar, 100_000, seed=5100)
     z_re = abs(rep.estimate - exact) / rep.stderr
     z_im = abs(rep.imag_estimate) / rep.imag_stderr

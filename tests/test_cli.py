@@ -8,9 +8,12 @@ import pytest
 from graphfk import cli, fileio, paths, presets, semiclassics, spectral
 from graphfk.bundles import connection_from_magnetic
 from graphfk.cli import main, run
+from graphfk.graphs import generate
 from graphfk.paths import EstimatorReport
 from graphfk.presets import four_cycle, two_vertex
-from graphfk.semiclassics import semiclassical_trace
+from graphfk.semiclassics import sweep
+
+from conftest import exact_trace
 
 
 def write_config(tmp_path, name, cfg):
@@ -279,8 +282,43 @@ class TestGtCheck:
         assert run(cfg, "gt-check") == 0
         _header, rows = csv_rows(tmp_path / "out" / "gt.csv")
         _t, classical, quantum, margin = map(float, rows[0].split(","))
-        assert quantum == semiclassical_trace(g, None, pot, 2.5, 1.0)
+        assert quantum == exact_trace(g, None, pot, 2.5, 1.0)
         assert margin == classical - quantum
+
+    def test_margin_is_the_sweep_gap_within_its_rounding(self, tmp_path):
+        # V = -4e18 on the 4 x 4 box at t = 1e-17: the trace rounds above
+        # the classical sum by far more than 1e-9, within the rounding
+        # that sweep allows for; a fixed -1e-9 tolerance read [FAIL] here
+        g = generate("lattice_box", l=2, side=4)
+        cfg = write_config(tmp_path, "c.json", {
+            "graph": {"family": "lattice_box", "l": 2, "side": 4},
+            "potential": {"inline": [[lab, -4e18] for lab in g.labels]},
+            "params": {"t": 1e-17},
+            "output_dir": str(tmp_path / "out"),
+        })
+        assert run(cfg, "gt-check") == 0
+        _header, rows = csv_rows(tmp_path / "out" / "gt.csv")
+        _t, classical, quantum, margin = map(float, rows[0].split(","))
+        row, = sweep(g, None, np.full(g.n, -4e18), 1e-17, (1.0,)).rows
+        assert (quantum, margin) == (row.trace, row.gap)
+        assert margin < -1e-9
+        report = (tmp_path / "out" / "report.txt").read_text()
+        assert f"[PASS] trace upper bound: margin {margin:.6g}" in report
+
+    def test_broken_upper_bound_exits_2(self, tmp_path, capsys, monkeypatch):
+        # a trace above the classical sum beyond its rounding
+        monkeypatch.setattr(semiclassics, "partition_function",
+                            lambda lam, t: 10.0)
+        cfg = write_config(tmp_path, "c.json", {
+            "graph": {"preset": "two_vertex"},
+            "params": {"t": 1.0},
+            "output_dir": str(tmp_path / "out"),
+        })
+        assert run(cfg, "gt-check") == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "numerical"
+        assert err["error"].startswith("upper bound violated at hbar=1.0")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("t", [0.0, -1.0])
     def test_nonpositive_t_exits_1_before_the_solve(self, tmp_path, capsys,
@@ -371,7 +409,7 @@ class TestFkCompare:
         assert np.array_equal(c.matrices,
                               connection_from_magnetic([1.1]).matrices)
         assert exact == pytest.approx(
-            semiclassical_trace(g, c, pot, 1.0, 0.1), rel=1e-12)
+            exact_trace(g, c, pot, 1.0, 0.1), rel=1e-12)
         # two_vertex is a tree, so the phase is a gauge: the total matches
         # the scalar run; on a cycle the flux changes it
         cycle = {"graph": {"preset": "four_cycle"},
@@ -386,7 +424,7 @@ class TestFkCompare:
         g4, pot4 = four_cycle()
         c4 = fileio.magnetic_from_entries(flux["inline"], g4)
         assert magnetic == pytest.approx(
-            semiclassical_trace(g4, c4, pot4, 1.0, 0.1), rel=1e-12)
+            exact_trace(g4, c4, pot4, 1.0, 0.1), rel=1e-12)
         assert abs(magnetic - scalar) > 1e-6
 
     @pytest.mark.parametrize("graph, budget, lines", [
@@ -547,6 +585,23 @@ class TestFkCompare:
         assert "samples" in record["error"]
 
 
+    def test_dimension_cap_refused_before_sampling(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # the exact side's cap was met only after every path was drawn
+        def no_paths(*args, **kwargs):
+            raise AssertionError("paths were drawn")
+
+        monkeypatch.setattr(cli, "estimate_partition", no_paths)
+        cfg = write_config(tmp_path, "c.json", {
+            "graph": {"family": "lattice_box", "l": 2, "side": 65},
+            "params": {"samples": 20000}, "seed": 1,
+            "output_dir": str(tmp_path / "out")})
+        assert run(cfg, "fk-compare") == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "dimension 4225 exceeds cap 4096", "kind": "validation"}
+        assert not (tmp_path / "out").exists()
+
+
 class TestMalformedConfig:
     """Bad config values exit 1 with a JSON error record and write no
     output, where they used to crash with a traceback or run on."""
@@ -561,6 +616,22 @@ class TestMalformedConfig:
         assert record["kind"] == "validation"
         assert not (tmp_path / "out").exists()
         return record
+
+    @pytest.mark.parametrize("subcommand", sorted(cli.PARAMS))
+    @pytest.mark.parametrize("entry, message", [
+        ("edges", "b(1,2) = inf"),
+        ("measure", "measure must be strictly positive and finite: "
+                    "m(2) = inf")], ids=["weight", "measure"])
+    def test_infinite_weight_or_measure(self, tmp_path, capsys, subcommand,
+                                        entry, message):
+        # JSON reads Infinity as inf > 0: on a weight kato wrote nan and
+        # validate passed, on a measure fk-compare ended in a traceback
+        spec = {"edges": [["p", "q", 1.0], ["q", "r", 1.0]],
+                "measure": [["p", 1.0], ["q", 1.0], ["r", 1.0]]}
+        spec[entry][-1][-1] = math.inf
+        path = write_config(tmp_path, "g.json", spec)
+        record = self._exit_1(tmp_path, capsys, subcommand, {"graph": path})
+        assert record["error"] == message
 
     def test_repeated_potential_vertex(self, tmp_path, capsys):
         # a second entry for a vertex used to replace the first silently
@@ -998,7 +1069,7 @@ class TestMain:
 
     @pytest.mark.parametrize("subcommand, quantity", [
         ("sweep", "the classical sum at beta = 1"),
-        ("gt-check", "the trace tr e^(-tH) at t = 1"),
+        ("gt-check", "the classical sum at beta = 1"),
         ("kernel", "the heat kernel at t = 1"),
         ("fk-compare", "the exact part of the estimate at t = 0.1")])
     def test_overflowing_trace_exits_2(self, tmp_path, capsys, subcommand,

@@ -1,4 +1,5 @@
-"""``tools/cli_outputs.py`` on three of its runs."""
+"""``tools/cli_outputs.py`` on three of its runs, and on every run it
+expects to be refused."""
 
 import hashlib
 import importlib.util
@@ -13,10 +14,15 @@ def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def test_listing_names_each_run_and_digests_its_outputs(tmp_path, capsys):
+def load_tool():
     spec = importlib.util.spec_from_file_location("cli_outputs", TOOL)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_listing_names_each_run_and_digests_its_outputs(tmp_path, capsys):
+    tool = load_tool()
     names = ["two_vertex-spectrum", "c5-magnetic-validate", "error-no-seed"]
     assert tool.main([str(ROOT / "src"), str(tmp_path)] + names) == 0
     lines = [line.split() for line in capsys.readouterr().out.splitlines()]
@@ -38,3 +44,23 @@ def test_listing_names_each_run_and_digests_its_outputs(tmp_path, capsys):
     cfg = json.loads((tmp_path / "c5-magnetic-validate" / "config.json")
                      .read_text())
     assert (cfg["magnetic"], cfg["output_dir"]) == ("phases.json", "out")
+
+
+def test_each_refusal_writes_one_json_line(tmp_path, capsys):
+    # the runs refused with exit 1 or 2: the stderr of each is its JSON
+    # error record alone, with no traceback and no warning before it, and
+    # none writes an output
+    tool = load_tool()
+    names = [name for name in tool.runs()
+             if name.startswith(("error-", "overflow-"))]
+    assert tool.main([str(ROOT / "src"), str(tmp_path)] + names) == 0
+    lines = capsys.readouterr().out.splitlines()
+    for name, line in zip(names, lines):
+        exit_status = line.split()[1]
+        kind = "numerical" if name.startswith("overflow-") else "validation"
+        assert exit_status == ("exit=2" if kind == "numerical" else "exit=1")
+        err = (tmp_path / name / "stderr.txt").read_text()
+        assert err.count("\n") == 1 and err.endswith("\n"), name
+        record = json.loads(err)
+        assert set(record) == {"error", "kind"} and record["kind"] == kind
+        assert not (tmp_path / name / "out").exists()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from graphfk import graphs
 from graphfk.errors import GraphFKError
 from graphfk.graphs import (
     WeightedGraph,
@@ -58,6 +59,18 @@ class TestBuildGraph:
         with pytest.raises(GraphFKError,
                            match="measure must be strictly positive"):
             WeightedGraph(("a", "b"), [(0, 1)], [1.0], np.array([1.0, nan]))
+
+    def test_infinite_weight_and_measure_rejected(self):
+        # inf > 0, and JSON's Infinity reads as inf: kato wrote nan, and
+        # a measure inf ended fk-compare in a ValueError
+        inf = float("inf")
+        with pytest.raises(GraphFKError, match=r"b\(0,1\) = inf"):
+            build_graph([("a", "b", inf)])
+        with pytest.raises(GraphFKError, match=r"m\(1\) = inf"):
+            build_graph([("a", "b", 1.0)], measure=[("b", inf)])
+        with pytest.raises(GraphFKError, match=r"b\(1,2\) = -inf"):
+            WeightedGraph(("a", "b", "c"), [(0, 1), (1, 2)], [1.0, -inf],
+                          np.ones(3))
 
     @pytest.mark.parametrize("edges, message", [
         ([(0, 1), (2, 2)], "self-loop at index 2"),
@@ -200,6 +213,38 @@ class TestGenerate:
         # every distance-1 pair is present
         n_expected = 2 * 3 * 2  # per-dimension interior bonds
         assert len(g.edges) == n_expected
+
+    @pytest.mark.parametrize("family, key, sizes", [
+        ("path", "n", (1, 2, 5, 40)),
+        ("cycle", "n", (3, 4, 7, 40)),
+        ("star", "leaves", (1, 2, 9, 40)),
+        ("complete", "n", (2, 3, 6, 40))])
+    def test_families_match_the_label_construction(self, monkeypatch,
+                                                   family, key, sizes):
+        # the label strings through build_graph are the oracle; generate
+        # builds the index arrays without them
+        def labelled(n):
+            v = [f"v{i}" for i in range(n)]
+            if family == "path":
+                return build_graph([(v[i], v[i + 1], 1.0)
+                                    for i in range(n - 1)], vertices=v)
+            if family == "cycle":
+                return build_graph([(v[i], v[(i + 1) % n], 1.0)
+                                    for i in range(n)])
+            if family == "star":
+                return build_graph([("c", f"l{i}", 1.0) for i in range(n)])
+            return build_graph([(v[i], v[j], 1.0) for i in range(n)
+                                for j in range(i + 1, n)])
+
+        want = [labelled(n) for n in sizes]
+        monkeypatch.setattr(graphs, "build_graph", None)
+        for n, h in zip(sizes, want):
+            g = generate(family, **{key: n})
+            assert g.labels == h.labels
+            for a, b in ((g.edges, h.edges), (g.weights, h.weights),
+                         (g.measure, h.measure)):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
 
     def test_bad_params(self):
         with pytest.raises(GraphFKError, match="cycle needs n >= 3"):

@@ -27,7 +27,7 @@ from graphfk.paths import (
     path_stream,
     simulate_scalar_paths,
 )
-from graphfk.semiclassics import jump_terms, semiclassical_trace
+from graphfk.semiclassics import jump_terms
 from graphfk.spectral import (
     eigendecompose,
     eigenvalues,
@@ -38,6 +38,7 @@ from graphfk.spectral import (
 from conftest import (
     _moments,
     dense_weights,
+    exact_trace,
     random_connection,
     random_graph,
     random_potential,
@@ -583,7 +584,7 @@ class TestPartitionEstimate:
     def test_scalar_matches_spectral(self):
         g, pot = two_vertex()
         beta, hbar = 1.0, 0.05
-        exact = semiclassical_trace(g, None, pot, beta, hbar)
+        exact = exact_trace(g, None, pot, beta, hbar)
         report = estimate_partition(g, None, pot, beta, hbar, 50_000, seed=62)
         assert abs(report.estimate - exact) <= 3 * report.stderr
 
@@ -592,7 +593,7 @@ class TestPartitionEstimate:
         c = random_connection(g, 2, rng)
         V = random_potential(g, 2, rng)
         beta, hbar = 1.0, 0.5
-        exact = semiclassical_trace(g, c, V, beta, hbar)
+        exact = exact_trace(g, c, V, beta, hbar)
         report = estimate_partition(g, c, V, beta, hbar, 40_000, seed=63)
         assert abs(report.estimate - exact) <= 3 * report.stderr
         assert abs(report.imag_estimate) <= 3 * report.imag_stderr
@@ -617,7 +618,7 @@ class TestPartitionEstimate:
         monkeypatch.setattr(paths, "WALK_BUDGET", 0)
         g = generate("complete", n=n)
         w = rng.uniform(-1, 1, size=n)
-        exact = semiclassical_trace(g, None, w, 1.0, 0.3)
+        exact = exact_trace(g, None, w, 1.0, 0.3)
         rep = estimate_partition(g, None, w, 1.0, 0.3, 4000, seed=80 + n)
         assert (rep.forced, rep.strata) == (3, (0, 2))
         assert abs(rep.estimate - exact) <= 4 * rep.stderr
@@ -668,7 +669,7 @@ class TestPartitionEstimate:
 
         monkeypatch.setattr(paths, "_path_chunk", no_paths)
         rep = estimate_partition(g, None, w, 1.0, 0.25, 1000, seed=72)
-        exact = semiclassical_trace(g, None, w, 1.0, 0.25)
+        exact = exact_trace(g, None, w, 1.0, 0.25)
         assert rep.estimate == exact
         assert rep.stderr == 0.0
 
@@ -851,7 +852,7 @@ class TestSurvivalBias:
         # at the high vertices that carry the tail, and stated a stderr
         # that missed it too: z = -2.3e5 on the edge, -1.8e14 on the box
         g, w = make()
-        exact = semiclassical_trace(g, None, w, 1.0, 1.0)
+        exact = exact_trace(g, None, w, 1.0, 1.0)
         rep = estimate_partition(g, None, w, 1.0, 1.0, samples, seed=seed)
         assert rep.stderr > 0
         assert abs(rep.estimate - exact) <= 5 * rep.stderr
@@ -863,7 +864,7 @@ class TestSurvivalBias:
         # neighbor c stays below 1
         g = generate("lattice_box", l=2, side=8)
         w = 100.0 + np.random.default_rng(8).uniform(0.0, 1.0, g.n)
-        exact = semiclassical_trace(g, None, w, 1.0, 1.0)
+        exact = exact_trace(g, None, w, 1.0, 1.0)
         rep = estimate_partition(g, None, w, 1.0, 1.0, 256, seed=11)
         assert abs(rep.estimate - exact) <= 5 * rep.stderr
 
@@ -1042,7 +1043,7 @@ class TestExactStrata:
         monkeypatch.setattr(paths, "WALK_BUDGET", walks - 1)
         rep = estimate_partition(*args, seed=91)
         assert (rep.forced, rep.strata) == (fallback, (0, 2))
-        exact = semiclassical_trace(g, None, w, 1.0, 0.5)
+        exact = exact_trace(g, None, w, 1.0, 0.5)
         assert abs(rep.estimate - exact) <= 5 * rep.stderr
 
     def test_over_the_budget_no_triangle_is_listed(self, monkeypatch):
@@ -1068,7 +1069,7 @@ class TestExactStrata:
         # of the trace
         g = _graph(name)
         c, V = _mode_inputs(g, mode, rng)
-        exact = semiclassical_trace(g, c, V, 1.0, 1.5)
+        exact = exact_trace(g, c, V, 1.0, 1.5)
         rep = estimate_partition(g, c, V, 1.0, 1.5, 4000, seed=92)
         assert rep.forced == (8 if name in ("lattice", "even cycle") else 5)
         assert rep.stderr > 0
@@ -1088,7 +1089,7 @@ class TestExactStrata:
         w[::2] += 1600.0
         rep = estimate_partition(g, None, w, 1.0, 1.0, 200, seed=96)
         assert np.isfinite(rep.estimate) and np.isfinite(rep.stderr)
-        exact = semiclassical_trace(g, None, w, 1.0, 1.0)
+        exact = exact_trace(g, None, w, 1.0, 1.0)
         assert abs(rep.estimate - exact) <= 1e-2 * exact
 
     @pytest.mark.parametrize("mode", ["scalar", "magnetic", "covariant"])
@@ -1143,7 +1144,7 @@ class TestExactStrata:
         monkeypatch.setattr(paths, "WALK_BUDGET", walks - 1)
         rep = estimate_partition(*args, seed=98)
         assert (rep.forced, rep.strata) == (6, (0, 2, 4))
-        exact = semiclassical_trace(g, c, V, 1.0, 1.5)
+        exact = exact_trace(g, c, V, 1.0, 1.5)
         assert abs(rep.estimate - exact) <= 5 * rep.stderr
 
     def test_small_s_never_takes_six_jumps(self, rng, monkeypatch):

@@ -11,6 +11,7 @@ the exact trace.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,18 +19,14 @@ from graphfk.bundles import Connection, Potential
 from graphfk.graphs import build_graph
 from graphfk.operators import MODES, assemble, resolve
 from graphfk.paths import estimate_partition
-from graphfk.semiclassics import (
-    classical_partition,
-    semiclassical_trace,
-    sweep,
-)
+from graphfk.semiclassics import sweep
 from graphfk.spectral import (
     eigendecompose,
     eigenvalues,
     partition_function,
 )
 
-from conftest import apply_formal, kernel_trace
+from conftest import apply_formal, classical_sum, exact_trace, kernel_trace
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None)
 unit = st.floats(-1.0, 1.0)
@@ -91,12 +88,13 @@ def test_eigenvalue_trace_matches_kernel_trace(problem, t):
 @given(problems(), st.floats(0.1, 2.0), st.floats(1e-3, 1.0))
 def test_trace_bounds(problem, beta, hbar):
     g, c, V, mode = problem
-    trace = semiclassical_trace(g, c, V, beta, hbar)
-    classical = classical_partition(V, beta)
+    trace = exact_trace(g, c, V, beta, hbar)
+    classical = classical_sum(V, beta)
     assert trace <= classical + 1e-9
     # sweep asserts the upper bound, and the sandwich when scalar
     row = sweep(g, c, V, beta, (hbar,)).rows[0]
     assert row.trace == trace
+    assert row.upper == pytest.approx(classical, rel=1e-14, abs=0)
     if mode == "scalar":
         assert row.lower <= trace + 1e-9
 
@@ -105,7 +103,7 @@ def test_trace_bounds(problem, beta, hbar):
 @given(problems(), st.floats(0.2, 1.0), st.integers(0, 2**31))
 def test_monte_carlo_within_five_sigma(problem, hbar, seed):
     g, c, V, _mode = problem
-    exact = semiclassical_trace(g, c, V, 1.0, hbar)
+    exact = exact_trace(g, c, V, 1.0, hbar)
     rep = estimate_partition(g, c, V, 1.0, hbar, 2000, seed)
     # a path set without spread has se = 0: allow float64 rounding
     tol = 1e-12 * max(1.0, abs(exact))

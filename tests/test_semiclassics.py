@@ -15,38 +15,49 @@ from graphfk.bundles import (
 from graphfk.errors import GraphFKError, NumericalFailure
 from graphfk.graphs import build_graph, generate
 from graphfk.operators import assemble, resolve, symmetrize
-from graphfk.semiclassics import (
-    _divided_exp,
-    classical_partition,
-    jump_terms,
-    semiclassical_trace,
-    sweep,
-)
+from graphfk.semiclassics import _divided_exp, jump_terms, sweep
 from graphfk.spectral import eigendecompose, eigenvalues, partition_function
 
-from conftest import random_connection, random_graph, random_potential
+from conftest import (
+    exact_trace,
+    random_connection,
+    random_graph,
+    random_potential,
+)
 from graphfk.presets import two_vertex, weyl_path
 
 
 class TestClassicalPartition:
+    # the classical sum that every row of a sweep is bounded by
     def test_zero_potential(self):
-        assert classical_partition(np.zeros(7), 2.5) == pytest.approx(7.0)
+        g = generate("path", n=7)
+        result = sweep(g, None, np.zeros(7), 2.5, (1.0,))
+        assert result.classical_value == pytest.approx(7.0)
 
     def test_two_values(self):
-        assert classical_partition(np.array([0.0, 1.0]), 1.0) == pytest.approx(
-            1 + np.exp(-1), abs=1e-12)
+        g = generate("path", n=2)
+        result = sweep(g, None, np.array([0.0, 1.0]), 1.0, (1.0,))
+        assert result.classical_value == pytest.approx(1 + np.exp(-1),
+                                                       abs=1e-12)
 
     def test_fiber_trace(self):
+        g = build_graph([], vertices=["a"])
         V = Potential(2, np.array([[[0, 1], [1, 0]]], dtype=complex))
-        assert classical_partition(V, 1.0) == pytest.approx(
-            np.exp(-1) + np.exp(1), abs=1e-12)
+        assert sweep(g, None, V, 1.0, (1.0,)).classical_value == \
+            pytest.approx(np.exp(-1) + np.exp(1), abs=1e-12)
+
+
+def _trace(g, c, V, beta, hbar):
+    """The trace of a one-row sweep."""
+    row, = sweep(g, c, V, beta, (hbar,)).rows
+    return row.trace
 
 
 class TestSemiclassicalTrace:
     def test_two_vertex_closed_form(self):
         g, pot = two_vertex()
         hbar = 0.01
-        trace = semiclassical_trace(g, None, pot, 1.0, hbar)
+        trace = _trace(g, None, pot, 1.0, hbar)
         lam = np.array([
             (1 + 2 * hbar - np.sqrt(1 + 4 * hbar ** 2)) / 2,
             (1 + 2 * hbar + np.sqrt(1 + 4 * hbar ** 2)) / 2,
@@ -56,24 +67,23 @@ class TestSemiclassicalTrace:
 
     def test_zero_potential_limit(self):
         g = generate("cycle", n=5)
-        traces = [semiclassical_trace(g, None, np.zeros(5), 1.0, h)
-                  for h in (0.1, 0.01, 0.001)]
+        traces = [r.trace for r in
+                  sweep(g, None, np.zeros(5), 1.0, (0.1, 0.01, 0.001)).rows]
         assert abs(traces[-1] - 5.0) < abs(traces[0] - 5.0)
         assert traces[-1] == pytest.approx(5.0, abs=1e-2)
 
     def test_potential_and_vector_agree_bit_for_bit(self):
         # both scale V by hbar in the same (real) arithmetic
         g, pot = weyl_path()
-        assert semiclassical_trace(g, None, pot, 1.0, 0.1) == \
-            semiclassical_trace(g, None, pot.as_scalar(), 1.0, 0.1)
+        assert _trace(g, None, pot, 1.0, 0.1) == \
+            _trace(g, None, pot.as_scalar(), 1.0, 0.1)
 
     def test_constant_potential_factors(self, rng):
         g = generate("cycle", n=4)
         c = connection_from_magnetic(rng.uniform(-np.pi, np.pi, len(g.edges)))
         cval = 0.7
         beta, hbar = 1.3, 0.2
-        with_pot = semiclassical_trace(
-            g, c, np.full(4, cval), beta, hbar)
+        with_pot = _trace(g, c, np.full(4, cval), beta, hbar)
         dec = eigendecompose(assemble(g, c))
         free = float(np.exp(-beta * hbar * dec.eigenvalues).sum())
         assert with_pot == pytest.approx(np.exp(-beta * cval) * free, rel=1e-10)
@@ -102,10 +112,9 @@ class TestSandwich:
 
 
 def _margin(g, c, V, t):
-    """Classical minus quantum trace at time t, as gt-check takes them;
-    nonnegative by theory."""
-    return (classical_partition(resolve(g, c, V).potential, t)
-            - semiclassical_trace(g, c, V, t, 1.0))
+    """Classical minus quantum trace at time t, as gt-check takes them: the
+    gap of the sweep at hbar = 1, beta = t; nonnegative by theory."""
+    return sweep(g, c, V, t, (1.0,)).rows[0].gap
 
 
 class TestGoldenThompson:
@@ -223,7 +232,7 @@ class TestSweep:
             rows = sweep(g, c, V, 1.3, schedule).rows
             assert [r.hbar for r in rows] == list(schedule)
             assert [r.trace for r in rows] == [
-                semiclassical_trace(g, c, V, 1.3, h) for h in schedule]
+                exact_trace(g, c, V, 1.3, h) for h in schedule]
 
     @pytest.mark.parametrize("mode", ["scalar", "magnetic", "covariant",
                                       "covariant-trivial"])
@@ -404,7 +413,7 @@ class TestTwoJumpTerm:
             beta = float(rng.uniform(0.2, 2.0))
             hbar = float(10 ** rng.uniform(-3, 0))
             row, = sweep(g, None, Potential.scalar(w), beta, (hbar,)).rows
-            assert row.trace == semiclassical_trace(g, None, w, beta, hbar)
+            assert row.trace == exact_trace(g, None, w, beta, hbar)
             z2 = jump_terms(resolve(g, None, w), beta * hbar, hbar, 2).sum()
             assert row.lower + z2 <= row.trace * (1 + 1e-13)
 
@@ -650,16 +659,10 @@ class TestSixJumpStratum:
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda g, w: semiclassical_trace(g, None, w, np.nan, 0.1),
-     "beta and hbar must be positive"),
-    (lambda g, w: semiclassical_trace(g, None, w, 1.0, np.nan),
-     "beta and hbar must be positive"),
     (lambda g, w: sweep(g, None, w, np.nan, (0.1,)), "beta must be positive"),
     (lambda g, w: sweep(g, None, w, 1.0, (np.nan,)),
      "hbar schedule entries must be positive"),
-    (lambda g, w: classical_partition(w, np.nan), "beta must be positive"),
-], ids=["trace-beta", "trace-hbar", "sandwich-beta", "sandwich-hbar",
-        "classical"])
+], ids=["sandwich-beta", "sandwich-hbar"])
 def test_nan_time_rejected(call, message):
     # NaN passed the old beta <= 0 checks and came back as a NaN result
     g, pot = two_vertex()

@@ -20,10 +20,13 @@ The set: the five presets through all seven subcommands; a magnetic
 5-cycle with phases and a potential read from files, and a covariant
 3 x 3 box with inline SU(2) transports and potential, each through the
 six subcommands other than ``kato``; a weighted graph file through all
-seven; a ``validate`` that fails; thirteen configs that each exit 1
-for a different input; a ``sweep`` of a trace near 3.8e18, whose bounds
-must allow for its rounding; and a potential whose traces overflow a
-float through the four subcommands that sum one, each of which exits 2.
+seven; a ``validate`` that fails; seventeen configs that each exit 1
+for a different input (``ERRORS``), among them the graph file with an
+infinite weight or measure and an ``fk-compare`` above the dimension
+cap; a ``sweep`` and a ``gt-check`` of traces near 3.8e18, whose
+bounds must allow for their rounding; and a potential whose traces
+overflow a float through the four subcommands that sum one, each of
+which exits 2.  Each run leaves its stderr in WORKDIR/NAME/stderr.txt.
 NAME restricts the runs to the ones named.
 """
 
@@ -124,6 +127,22 @@ BOX_DEEP = {"graph": {"family": "lattice_box", "l": 2, "side": 4},
                                      for j in range(4)]},
             "params": {"beta": 1.0}}
 
+# The 4 x 4 box at V = -4e18 and t = 1e-17: the trace rounds above the
+# classical sum by about 1.7e4, within the rounding that sweep allows for
+BOX_TINY_T = {"graph": {"family": "lattice_box", "l": 2, "side": 4},
+              "potential": {"inline": [[f"x{i}_{j}", -4e18] for i in range(4)
+                                       for j in range(4)]},
+              "params": {"t": 1e-17}}
+
+
+def _infinite(entry):
+    """The weighted graph file with its last ``entry`` ("edges" or
+    "measure") infinite, as JSON's Infinity."""
+    spec = json.loads(json.dumps(GRAPH_FILE))
+    spec[entry][-1][-1] = math.inf
+    return {"graph.json": spec}
+
+
 # The 5-cycle at V = -800: e^800 overflows a float
 OVERFLOW = {"graph": {"family": "cycle", "n": 5},
             "potential": {"inline": [[f"v{k}", -800.0] for k in range(5)]}}
@@ -156,6 +175,18 @@ ERRORS = {
     "error-magnetic-missing-edge": (
         "spectrum", {"graph": {"family": "cycle", "n": 5},
                      "magnetic": {"inline": _c5_phases(skip=2)}}, {}),
+    "error-infinite-weight-kato": ("kato", {"graph": "graph.json"},
+                                   _infinite("edges")),
+    "error-infinite-weight-validate": ("validate", {"graph": "graph.json"},
+                                       _infinite("edges")),
+    "error-infinite-measure-fk-compare": (
+        "fk-compare", {"graph": "graph.json", "seed": 1},
+        _infinite("measure")),
+    # refused before any of its 84,500,000 paths is drawn
+    "error-fk-compare-dimension-cap": (
+        "fk-compare", {"graph": {"family": "lattice_box", "l": 2,
+                                 "side": 65},
+                       "params": {"samples": 20000}, "seed": 1}, {}),
 }
 
 
@@ -184,6 +215,7 @@ def runs():
     table["validate-fails"] = ("validate", _covariant(diagonal_on=4), {})
     table.update(ERRORS)
     table["box-deep-sweep"] = ("sweep", BOX_DEEP, {})
+    table["box-tiny-t-gt-check"] = ("gt-check", BOX_TINY_T, {})
     # at the default params: e^{-tH} overflows at t = 1, not at 0.7
     for sub in ("sweep", "gt-check", "kernel"):
         table[f"overflow-{sub}"] = (sub, OVERFLOW, {})
@@ -206,6 +238,7 @@ def run_one(name, subcommand, cfg, files, workdir, src):
     proc = subprocess.run(
         [sys.executable, "-m", "graphfk.cli", subcommand, "config.json"],
         cwd=here, env=env, capture_output=True)
+    (here / "stderr.txt").write_bytes(proc.stderr)
     out = here / "out"
     digests = [f"{p.relative_to(out)}={_sha(p.read_bytes())}"
                for p in sorted(out.rglob("*")) if p.is_file()]
