@@ -63,18 +63,27 @@ def _resolve_graph(cfg):
     if not isinstance(spec, dict):
         raise GraphFKError("graph entry must be a file path or an object, "
                            f"not {spec!r}")
-    if "preset" in spec:
+    forms = [form for form in ("file", "preset", "family") if form in spec]
+    if not forms:
+        raise GraphFKError("graph entry must give a file, preset, or family")
+    if len(forms) > 1:
+        raise GraphFKError("graph entry must give exactly one of file, "
+                           f"preset and family, not {forms}")
+    form, = forms
+    if form != "family" and len(spec) > 1:
+        stray = sorted(set(spec) - {form})
+        raise GraphFKError(f"a {form} graph entry does not read graph key "
+                           f"{stray[0]!r}")
+    if form == "preset":
         name = spec["preset"]
         if not isinstance(name, str) or name not in presets.PRESETS:
             raise GraphFKError(f"unknown preset {name!r}")
         return presets.PRESETS[name]()
-    if "file" in spec:
+    if form == "file":
         return fileio.load_graph(spec["file"]), None
-    if "family" in spec:
-        params = {k: _number(v, k, int) for k, v in spec.items()
-                  if k != "family"}
-        return generate(spec["family"], **params), None
-    raise GraphFKError("graph entry must give a file, preset, or family")
+    params = {k: _number(v, k, int) for k, v in spec.items()
+              if k != "family"}
+    return generate(spec["family"], **params), None
 
 
 # The ``params`` keys each subcommand reads; ``run`` refuses any other

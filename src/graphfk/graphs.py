@@ -199,13 +199,25 @@ def two_colouring(g: WeightedGraph):
     return colour if np.all(ends[:, 0] != ends[:, 1]) else None
 
 
+# The parameters each family of ``generate`` reads
+_FAMILIES = {"path": ("n",), "cycle": ("n",), "star": ("leaves",),
+             "complete": ("n",), "lattice_box": ("l", "side")}
+
+
 def generate(family, **params) -> WeightedGraph:
     """Standard graph families with b = 1 and m = 1.
 
     Families: path(n), cycle(n), star(leaves), complete(n),
     lattice_box(l, side) -- the integer lattice restricted to a box of
     the given side length, edges between Euclidean-distance-1 points.
+    A parameter the family does not read is refused.
     """
+    if not isinstance(family, str) or family not in _FAMILIES:
+        raise GraphFKError(f"unknown family {family!r}")
+    stray = sorted(set(params) - set(_FAMILIES[family]))
+    if stray:
+        raise GraphFKError(f"{family} does not read graph key {stray[0]!r} "
+                           f"(it reads: {', '.join(_FAMILIES[family])})")
     try:
         ints = {key: int(value) for key, value in params.items()}
         # int() would drop the fraction of 2.7 silently, and read true as 1
@@ -243,7 +255,7 @@ def generate(family, **params) -> WeightedGraph:
             raise GraphFKError("complete needs n >= 2")
         labels = [f"v{i}" for i in range(n)]
         edges = np.stack(np.triu_indices(n, 1), axis=1)
-    elif family == "lattice_box":
+    else:  # lattice_box
         l = params.get("l", 0)
         side = params.get("side", 0)
         if l < 1 or side < 2:
@@ -257,8 +269,6 @@ def generate(family, **params) -> WeightedGraph:
         edges = np.stack([np.broadcast_to(v, up.shape)[up],
                           (v + side ** np.arange(l)[::-1])[up]], axis=1)
         labels = ["x" + "_".join(map(str, c)) for c in coords.tolist()]
-    else:
-        raise GraphFKError(f"unknown family {family!r}")
     return WeightedGraph(tuple(labels), edges, np.ones(len(edges)),
                          np.ones(len(labels)))
 

@@ -123,11 +123,12 @@ CHUNK_SIZE = 8192
 MAX_WORKERS = 64
 # Closed 4-walks, times nu^4 index sequences, above which
 # ``estimate_partition`` does not compute Z_3 and Z_4 and forces the
-# jumps it forced without them: at 0.5-0.8 us each on a 2-core machine,
-# 2^21 of them take about a second.  The closed 6-walks, times nu^6, meet
-# the same budget before Z_6 is computed; at n = 1024 a weighed pair of
-# 6-walks takes about 0.5 us, so 2^21 walks, about a million pairs, take
-# about half a second
+# jumps it forced without them.  The closed 6-walks, times nu^6, meet
+# the same budget before Z_6 is computed.  At 2^21 walks on the lattice
+# box (rank 1, 2-core machine), Z_4 took 0.25 s (0.12 us per walk) and
+# Z_6 0.05 s (0.03 us) where every start's walks spread little
+# (``semiclassics._DD_SERIES``), and 1.6 s and 1.8 s (0.75 and 0.85 us)
+# where every start's spread widely
 WALK_BUDGET = 2**21
 # s = t max deg_m from which a bipartite graph takes Z_6 exactly and
 # forces 8 jumps.  Below it, the tail beyond six jumps is a vanishing
@@ -341,6 +342,10 @@ def _path_chunk(tbl, start, horizon, rng):
         dwell = np.minimum(dt, rem)
         dropped = not jumped.all()  # never in a forced round
         if dropped:
+            # a path that leaves the walk ends where it is, after i jumps
+            left = np.flatnonzero(~jumped)
+            states[act[left]] = ys[left]
+            N[act[left]] = i
             act, ys, t, dwell, arc, M = (
                 a[..., jumped] for a in (act, ys, t, dwell, arc, M))
         if i == 1:  # M is diagonal: M W is W with its rows scaled
@@ -364,8 +369,6 @@ def _path_chunk(tbl, start, horizon, rng):
             slot += col[ys] < u
         arc = ys * width + slot  # the flat index of (y, slot)
         ys = np.take(tbl.nbrs, arc)
-        states[act] = ys
-        N[act] += 1
         i += 1
     return states, S, N
 

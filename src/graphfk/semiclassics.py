@@ -15,14 +15,21 @@ The lower bound is the no-jump term Z_0 of the Dyson series of the
 trace.  ``jump_terms`` gives the strata Z_k, k >= 2, per vertex,
 exactly: each closed walk of k jumps contributes its hops times t^k
 times a divided difference of exp over the k + 1 values deg_m + lam it
-holds at (Hermite-Genocchi), and ``_divided_exp`` takes those, batched,
-from the exponential of the bidiagonal Opitz matrix: by its series where
-the values spread little, by scaling and squaring where they spread
-widely.  Every closed k-walk is joined from a pair of paths of ceil(k/2)
-and floor(k/2) jumps with the same ends.  In the scalar case every term
-of the series is nonnegative, so Z_0 + Z_2 <= trace is a sharper lower
-bound, and the sweep asserts it.  The Monte Carlo trace estimator adds
-the higher strata; the sweep does not.
+holds at (Hermite-Genocchi).  Every closed k-walk is joined from a path
+of ceil(k/2) jumps and the reverse of a path of floor(k/2) jumps with
+the same ends.  Where the values within floor(k/2) jumps of a start
+spread little, t (max - min) at most ``_DD_SERIES`` (16), the divided
+difference is a series of complete homogeneous polynomials about the
+smallest value, and that of a joined walk is the Cauchy product of its
+halves': so the start's walks are weighed as sums of half-walks per
+pair of ends, not one by one.  Where they spread widely, each walk is
+weighed on its own by scaling and squaring the bidiagonal Opitz matrix
+(``_divided_exp``).  Either way the closed walks, times nu^k, are
+counted against the caller's budget before any is weighed.  In the
+scalar case every term of the
+series is nonnegative, so Z_0 + Z_2 <= trace is a sharper lower bound,
+and the sweep asserts it.  The Monte Carlo trace estimator adds the
+higher strata; the sweep does not.
 """
 
 from __future__ import annotations
@@ -107,77 +114,36 @@ def _eigenbasis(problem: Problem, hbar: float):
     return lam, Q[problem.src].conj().swapaxes(1, 2) @ back @ Q[problem.dst]
 
 
-# The node spread up to which ``_divided_exp`` sums the series about the
-# smallest node, in a number of terms that grows as the spread (72 at
-# 16); a wider batch scales and squares, at a cost that grows as its
-# logarithm.  At 16 the two cost about the same
+# The node spread, t (max - min) of deg_m + lam over the vertices within
+# floor(k/2) jumps of a start, up to which ``jump_terms`` sums its walks'
+# divided differences as a series about their smallest node, in a number
+# of terms that grows as the spread (72 at 16); past about 700 the
+# series' powers overflow.  A wider start's walks scale and square
+# (``_divided_exp``), at a cost that grows as the logarithm of the spread
 _DD_SERIES = 16.0
 # The Taylor terms beyond the order k, and the size to which
-# ``_dd_squared`` scales the nodes before it sums them: each entry's tail
+# ``_divided_exp`` scales the nodes before it sums them: each entry's tail
 # is then below (1/4)^12 / 12! = 1.3e-16 of it
 _DD_TERMS, _DD_NORM = 11, 0.25
-# Divided differences per piece of ``jump_terms``: pieces bound its memory
-# whatever the number of walks
+# Divided differences per piece of the pair route, and h-paths per block
+# of starts of the series route at rank 1 (nu^2 times fewer at rank nu):
+# pieces and blocks bound the memory of ``jump_terms`` whatever the number
+# of walks
 _PIECE = 2048
+_BLOCK = 16384
 
 
 def _divided_exp(z):
     """e[z_0, ..., z_k], the divided difference of exp, per column of z,
-    shape (k + 1, B) -> (B,).
+    shape (k + 1, B) -> (B,), by scaling and squaring.
 
     It is entry (0, k) of the exponential of the Opitz matrix Z = diag(z)
     + N, N the ones above the diagonal (Opitz, ZAMM 44 (1964); McCurdy,
     Ng & Parlett, Math. Comp. 43 (1984) 501).  Entry (i, j) of e^Z is
-    e[z_i, ..., z_j] > 0, by Hermite-Genocchi.  A batch whose nodes
-    spread over at most ``_DD_SERIES`` shifts each column by its smallest
-    node, e^Z = e^bottom e^{Z - bottom}, and sums the series of entry (0,
-    k) alone (``_dd_series``), at most e^16.  A wider one shifts each
-    column by its largest node top and scales and squares the whole
-    triangle (``_dd_squared``): the nodes of Z - top are at most 0, so no
-    entry of e^{u (Z - top)}, u >= 0, exceeds 1, and none overflows,
-    whatever the spread.
-    """
-    top, bottom = z.max(axis=0), z.min(axis=0)
-    spread = float((top - bottom).max(initial=0.0))
-    if spread <= _DD_SERIES:
-        return np.exp(bottom) * _dd_series(z - bottom, spread)
-    return np.exp(top) * _dd_squared(z, top, bottom, spread)
-
-
-def _dd_series(b, spread):
-    """e[b_0, ..., b_k] per column for nodes b in [0, spread], as the
-    series sum_m (e_0^T B^m e_k) / m!, B = diag(b) + N.
-
-    Row 0 of B^m takes row 0 of B^{m-1} times B, 2k + 1 operations per
-    column, and its entry k is h_{m-k}(b_0, ..., b_k), the complete
-    homogeneous polynomial, at most C(m, k) spread^{m-k}.  Every term is
-    nonnegative, so nothing cancels and the rounding stays near m eps;
-    term j = m - k is below spread^j / j! of the value, which is at least
-    1/k!, and the sum stops once that falls below 2^-56.
-    """
-    k = b.shape[0] - 1
-    last, term = k, 1.0
-    while term >= 2.0 ** -56:
-        last += 1
-        term *= spread / (last - k)
-    row = np.zeros_like(b)
-    row[0] = 1.0
-    tmp = np.empty_like(b)
-    out = np.zeros(b.shape[1])
-    f = 1.0
-    for m in range(1, last):
-        f /= m
-        np.multiply(b, row, out=tmp)
-        tmp[1:] += row[:-1]
-        row, tmp = tmp, row
-        if m >= k:
-            out += f * row[k]
-    return out
-
-
-def _dd_squared(z, top, bottom, spread):
-    """e^{-top} e[z_0, ..., z_k] per column, by scaling and squaring the
-    Opitz matrix Z.
+    e[z_i, ..., z_j] > 0, by Hermite-Genocchi.  Each column is shifted by
+    its largest node top: the nodes of Z - top are at most 0, so no entry
+    of e^{u (Z - top)}, u >= 0, exceeds 1, and none overflows, whatever
+    the spread.
 
     With mu the midpoint of the nodes, the Taylor series of e^B, B = 2^-s
     (Z - mu), is summed by Horner's rule, s the least with the nodes of B
@@ -193,6 +159,8 @@ def _dd_squared(z, top, bottom, spread):
     after the other, flat, shape ((k+1)(k+2)/2, B), so every operation
     runs over the batch.
     """
+    top, bottom = z.max(axis=0), z.min(axis=0)
+    spread = float((top - bottom).max(initial=0.0))
     n = z.shape[0]
     mid = 0.5 * (top + bottom)
     half = 0.5 * spread
@@ -233,8 +201,8 @@ def _dd_squared(z, top, bottom, spread):
         corner = X[off[n - 1]] * X[0]
         for j in range(1, n):
             corner += X[off[j]] * X[off[n - 1 - j] + j]
-        return corner
-    return X[-1]
+        return np.exp(top) * corner
+    return np.exp(top) * X[-1]
 
 
 def _walk_terms(arcs, seq, factors, t):
@@ -264,81 +232,182 @@ def _walk_terms(arcs, seq, factors, t):
                                                          F.real, dd)
 
 
-def _h_paths(problem: Problem, h: int):
-    """The h-paths x -> ... -> z (z = x too) as their h arcs, shape (h,
-    P), and their keys x n + z, both sorted by key.  Each path of h - 1
-    arcs is extended by the arcs out of its end, in arc order."""
-    src, dst, n = problem.src, problem.dst, problem.graph.n
-    order = np.argsort(src, kind="stable")  # the arcs out of y, in a run
-    out = np.bincount(src, minlength=n)
-    ptr = np.cumsum(out) - out
-    arcs = np.arange(src.size)[None]
-    for _ in range(h - 1):
-        fan = out[dst[arcs[-1]]]
-        arcs = np.repeat(arcs, fan, axis=1)
-        nxt = order[ptr[dst[arcs[-1]]] + np.arange(arcs.shape[1])
-                    - np.repeat(np.cumsum(fan) - fan, fan)]
-        arcs = np.concatenate([arcs, nxt[None]])
-    key = src[arcs[0]] * n + dst[arcs[-1]]
+def _fan(csr, ends):
+    """(r, e): the arcs e out of each ends[r], r ascending, the arcs out
+    of one end in arc order; ``csr`` = (order, out, ptr) lists the arcs
+    out of y as order[ptr[y]:ptr[y] + out[y]]."""
+    order, out, ptr = csr
+    fan = out[ends]
+    r = np.repeat(np.arange(ends.size), fan)
+    return r, order[np.arange(r.size) + (ptr[ends] - np.cumsum(fan) + fan)[r]]
+
+
+def _h_paths(problem: Problem, csr, starts, h: int):
+    """The h-paths x -> ... -> z (z = x too) from each x of ``starts``, as
+    their h arcs, shape (h, P), and their keys x n + z, both sorted by
+    key.  Each path of h - 1 arcs is extended by the arcs out of its end,
+    in arc order."""
+    arcs, ends = np.empty((0, starts.size), dtype=np.int64), starts
+    for _ in range(h):
+        r, e = _fan(csr, ends)
+        arcs = np.concatenate([arcs[:, r], e[None]])
+        ends = problem.dst[e]
+    key = problem.src[arcs[0]] * problem.graph.n + ends
     by = np.argsort(key, kind="stable")
     return arcs[:, by], key[by]
 
 
-def jump_terms(problem: Problem, t: float, hbar: float, k: int,
-               budget=None):
-    """Per vertex x, the k-jump term Z_k(x) of tr e^{-t H_{Phi, V/hbar}},
-    k >= 2, or None when its closed k-walks times nu^k exceed ``budget``.
+def _levels(problem: Problem, csr, starts, k: int):
+    """The keys of the series route from ``starts``: per jump m = 1 ...
+    ceil(k/2), the keys s n + y of the m-paths from starts[s] to y,
+    sorted and each once, and per pair of a key r of jump m - 1 and an
+    arc e out of its end, r ascending, the index q of the key it reaches.
+    For odd k the last jump keeps and indexes the keys of the jump
+    before: no other closes a walk."""
+    n, j = problem.graph.n, k // 2
+    keys, levels = np.arange(starts.size) * n + starts, []
+    for m in range((k + 1) // 2):
+        r, e = _fan(csr, keys % n)
+        new = keys[r] - keys[r] % n + problem.dst[e]
+        if m < j:
+            # np.unique, without the numpy.ma it imports
+            by = np.argsort(new, kind="stable")
+            fresh = np.diff(new[by], prepend=-1) != 0
+            keys, q = new[by][fresh], np.empty_like(by)
+            q[by] = np.cumsum(fresh) - 1
+        else:
+            # a key past the last of the jump before reads -1
+            q = np.searchsorted(keys, new)
+            hit = np.append(keys, -1)[q] == new
+            r, e, q = r[hit], e[hit], q[hit]
+        levels.append((keys, r, e, q))
+    return levels
 
-    H = D - K splits into its diagonal blocks D_x = deg_m(x) + V(x)/hbar
-    and the hops K_xy = b(x,y)/m_x Phi_{y,x}.  Z_k(x) is the trace at x of
-    the term of the Dyson series of e^{-tH} with k factors K: the sum of
-    the weights (``_walk_terms``) of the closed k-walks from x.  A jump
-    along the arc x -> y puts hop = b(x,y)/m_x and W (``_eigenbasis``)
-    into the weight of a walk, and a hold at x the values a = deg_m(x) +
-    lam_x, gathered per arc at its source.  Z_0(x) = sum_a e^{-t a_xa},
-    Z_1 = 0 without self-loops, and in the scalar case every term is
-    nonnegative.
 
-    A closed k-walk from x is an h-path p from x to z, h = ceil(k/2),
-    followed by the reverse of a j-path q from x to z, j = floor(k/2): one
-    with the same key in ``_h_paths``.  For even k, (p, q) and (q, p) are
-    each other's reverse and weigh complex conjugates, so the pairs p <= q
-    are weighed, those with p < q twice, real part; for odd k every pair
-    is.  The closed walks are counted before any is weighed, which is done
-    in pieces of about ``_PIECE`` divided differences.  For even k every
-    h-path makes a walk with itself, so their count 1^T A^h 1 is checked
-    against the budget before they are listed, one pass over the arcs per
-    jump.
-    """
+def _series_length(spread):
+    """The terms j = 0 ... M - 1 of sum_j c_j h_j(b), the least M with
+    spread^M / M! < 2^-56: the term j is at most spread^j / j! of the
+    sum for nodes b in [0, spread]."""
+    m, term = 1, spread
+    while term >= 2.0 ** -56:
+        m += 1
+        term *= spread / m
+    return m
+
+
+def _node(U, b):
+    """U(u) diag(1 / (1 - b_c u)) in place, U(u) = sum_i U[i] u^i stored
+    as U, shape (M, S, nu, keys, nu), for b broadcast to (S, nu, keys,
+    nu): each i in turn takes U_i + b U_{i-1}."""
+    tmp = np.empty_like(U[0])
+    for i in range(1, U.shape[0]):
+        np.multiply(b, U[i - 1], out=tmp)
+        U[i] += tmp
+    return U
+
+
+def _series_block(problem: Problem, levels, xs, k, t, hold, top, C, HW):
+    """Z_k at each start of ``xs`` by the series route of ``jump_terms``,
+    from the ``_levels`` of ``xs``, with C = [c_{i+l}], shape (M, M).
+
+    The table of a jump holds, per start s, key x -> y of the jump and
+    fibre indices a (at x) and c (at y), the coefficients of u^0 ...
+    u^{M-1} in the half-walk sum from x to y, shape (M, S, nu, keys, nu),
+    each start's keys padded to the block's widest.  A jump multiplies
+    the table of the jump before by the hop W of each arc, per start one
+    dense matrix over the keys (``_jump``), and then takes the node at
+    each key's end (``_node``).  The Hankel matrix C acts on the
+    coefficients and a jump on the keys, so R = C Hf is C times the table
+    of jump j - 1, which has fewer keys, taken through jump j."""
+    n, nu, S, M = problem.graph.n, problem.rank, xs.size, C.shape[0]
+    # jump 0: the key x -> x, the identity, then the node at x; b = t
+    # (top_x - a) >= 0
+    T = np.zeros((M, S, nu, 1, nu))
+    T[0, :, range(nu), 0, range(nu)] = 1.0
+    T = _node(T, (t * (top[xs, None] - hold[xs]))[:, None, None])
+    off = np.arange(S + 1)
+    for m, (keys, r, e, q) in enumerate(levels, 1):
+        before, off = off, np.searchsorted(keys, np.arange(S + 1) * n)
+        width = int(np.diff(off).max(initial=0))
+        if not width:
+            return np.zeros(S)
+        s = keys[q] // n
+        A = np.zeros((S, T.shape[3], nu, width, nu), dtype=HW.dtype)
+        A[s, r - before[s], :, q - off[s], :] = HW[e]
+        if m == k // 2:
+            # C T rides along with T through the jump
+            X = np.empty((2 * M,) + T.shape[1:], dtype=T.dtype)
+            X[:M] = T
+            _hankel(C, T, out=X[M:])
+            U = _jump(X, A)
+            U, R = U[:M], U[M:]
+        else:
+            U = _jump(T, A)
+        # per padded key: b = t (top_x - a_y), x its start and y its end
+        s = keys // n
+        slot = (s, np.arange(keys.size) - off[s])
+        b = np.zeros((S, 1, width, nu))
+        b[slot[0], 0, slot[1]] = t * (top[xs[s], None] - hold[keys % n])
+        T = _node(U, b)
+    # Z_k(x) = t^k e^{-t top_x} sum_z (m_x / m_z)
+    #          sum_{i,l} c_{i+l} Re tr(HP_xz(i) Hf_xz(l)^H)
+    P, R = T.reshape(M, -1), R.reshape(M, -1)
+    walk = np.einsum("ix,ix->x", P.real, R.real)
+    if np.iscomplexobj(P):
+        walk += np.einsum("ix,ix->x", P.imag, R.imag)
+    measure = problem.graph.measure
+    ratio = np.zeros((S, width))
+    ratio[slot] = measure[xs[s]] / measure[keys % n]
+    walk = walk.reshape(S, nu, width, nu).sum(axis=(1, 3)) * ratio
+    return t ** k * np.exp(-t * top[xs]) * walk.sum(axis=1)
+
+
+def _jump(T, A):
+    """The table T, shape (M, S, nu, keys, nu), times A, shape (S, keys
+    nu, keys' nu): per start and fibre index a, the M x (keys nu) matrix
+    of T times A, written in the table's layout."""
+    M, S, nu = T.shape[:3]
+    dtype = np.result_type(T, A)
+    if T.shape[3] * nu == 1:
+        # one key of rank 1 per start: an outer product
+        width = A.shape[3]
+        U = np.repeat(T.reshape(M, S).astype(dtype, copy=False), width,
+                      axis=1)
+        U *= A.reshape(-1)
+        return U.reshape(M, S, 1, width, 1)
+    U = np.empty((M, S, nu, A.shape[3], nu), dtype=dtype)
+    np.matmul(T.reshape(M, S, nu, -1).transpose(1, 2, 0, 3),
+              A.reshape(S, 1, T.shape[3] * nu, -1),
+              out=U.reshape(M, S, nu, -1).transpose(1, 2, 0, 3))
+    return U
+
+
+def _hankel(C, T, out):
+    """C applied to the coefficients of the table T, into ``out``, in
+    products of at most 2^18 multiply-adds: a BLAS that would share a
+    larger one among threads can wait on a busy core far longer than the
+    product takes."""
+    F, R = T.reshape(T.shape[0], -1), out.reshape(T.shape[0], -1)
+    step = max(1, 2 ** 18 // C.size)
+    for c0 in range(0, F.shape[1], step):
+        np.matmul(C, F[:, c0:c0 + step], out=R[:, c0:c0 + step])
+
+
+def _pair_terms(problem: Problem, arcs, back, lo, hi, k, t, factors):
+    """Z_k per vertex by the pair route of ``jump_terms``: the h-paths
+    ``arcs`` and the j-paths ``back``, each h-path p with its partners
+    lo[p] ... hi[p] - 1."""
     g, nu, src = problem.graph, problem.rank, problem.src
     h, j = (k + 1) // 2, k // 2
-    per_walk = nu ** k
-    if budget is not None and h == j:
-        paths = np.ones(g.n)
-        for _ in range(h):
-            paths = np.bincount(src, weights=paths[problem.dst],
-                                minlength=g.n)
-        if paths.sum() * per_walk > budget:
-            return None
-    arcs, key = _h_paths(problem, h)
-    back, back_key = (arcs, key) if h == j else _h_paths(problem, j)
-    # the partners of p: the j-paths lo[p] ... hi[p] - 1, with its key
-    lo = np.searchsorted(back_key, key)
-    hi = np.searchsorted(back_key, key, side="right")
-    if budget is not None and int((hi - lo).sum()) * per_walk > budget:
-        return None
     if h == j:
-        lo = np.arange(key.size)  # the pairs p <= q
-    lam, W = _eigenbasis(problem, hbar)
-    factors = ((degrees(g).deg_m[:, None] + lam)[src], W,
-               problem.w / g.measure[src])
+        lo = np.arange(arcs.shape[1])  # the pairs p <= q
     seq = np.indices((nu,) * k).reshape(k, -1)
     # the pairs in order of p, then q
     after = hi - lo
     end = np.cumsum(after)
     total = int(end[-1]) if end.size else 0
     out = np.zeros(g.n)
-    step = max(1, _PIECE // per_walk)
+    step = max(1, _PIECE // nu ** k)
     for first in range(0, total, step):
         idx = np.arange(first, min(first + step, total))
         p = np.searchsorted(end, idx, side="right")
@@ -349,6 +418,138 @@ def jump_terms(problem: Problem, t: float, hbar: float, k: int,
         if h == j:
             weight *= np.where(p < q, 2.0, 1.0)
         out += np.bincount(src[arcs[0, p]], weights=weight, minlength=g.n)
+    return out
+
+
+def _ball(values, csr, dst, radius, reduce):
+    """``reduce`` (np.maximum or np.minimum) of ``values`` over the
+    vertices within ``radius`` jumps of each vertex."""
+    order, out, ptr = csr
+    has = out > 0
+    for _ in range(radius):
+        values = values.copy()
+        values[has] = reduce(values[has],
+                             reduce.reduceat(values[dst[order]], ptr[has]))
+    return values
+
+
+def jump_terms(problem: Problem, t: float, hbar: float, k: int,
+               budget=None):
+    """Per vertex x, the k-jump term Z_k(x) of tr e^{-t H_{Phi, V/hbar}},
+    k >= 2, or None when its closed k-walks times nu^k exceed ``budget``.
+
+    H = D - K splits into its diagonal blocks D_x = deg_m(x) + V(x)/hbar
+    and the hops K_xy = b(x,y)/m_x Phi_{y,x}.  Z_k(x) is the trace at x of
+    the term of the Dyson series of e^{-tH} with k factors K: the sum of
+    the weights of the closed k-walks from x.  A jump along the arc x ->
+    y puts hop = b(x,y)/m_x and W (``_eigenbasis``) into the weight of a
+    walk, and a hold at x the values a = deg_m(x) + lam_x, with a divided
+    difference of exp over the k + 1 values -t a it holds at, t^k e[z_0,
+    ..., z_k] (``_walk_terms``).  Z_0(x) = sum_a e^{-t a_xa}, Z_1 = 0
+    without self-loops, and in the scalar case every term is nonnegative.
+
+    A closed k-walk from x is an h-path p from x to z, h = ceil(k/2),
+    followed by the reverse of a j-path q from x to z, j = floor(k/2),
+    and it stays within j jumps of x.  The route is picked per start x by
+    the spread t (max - min) of a over those vertices and every fibre
+    eigenvalue:
+
+    - up to ``_DD_SERIES``, the series route.  With s_x = -t max a and b
+      = -t a - s_x >= 0 there, e[z_0, ..., z_k] = e^{s_x} sum_m c_m
+      h_m(b_0, ..., b_k), c_m = 1/(m + k)! and h_m the complete
+      homogeneous polynomial, and h_m of a joined walk is sum_{i+l=m}
+      h_i(p's nodes) h_l(q's nodes but z), a Cauchy product.  So Z_k(x)
+      = t^k e^{s_x} sum_z sum_{i,l} c_{i+l} Re tr(HP_xz(i) HQ_xz(l)):
+      HP_xz sums over the h-paths x -> z their hops, their products of W
+      and h_i over their nodes, z included (a nu x nu matrix per i), and
+      HQ_xz = (m_x / m_z) Hf_xz^H, Hf the same sum over the j-paths with
+      z left out, since a reversed path's W product is the adjoint and
+      its hops differ by m_x / m_z.  The half-walk sums are taken jump by
+      jump over the keys x n + y (``_levels``, ``_series_block``), in
+      blocks of starts of about ``_BLOCK`` / nu^2 h-paths, and the
+      series keeps ``_series_length`` terms of the block's widest start.
+      Every term is nonnegative in the scalar case.
+    - wider, the pair route (``_pair_terms``): each pair (p, q) with the
+      same key is weighed on its own (``_walk_terms``) by scaling and
+      squaring, in pieces of about ``_PIECE`` divided differences.  For
+      even k, (p, q) and (q, p) are each other's reverse and weigh
+      complex conjugates, so the pairs p <= q are weighed, those with p
+      < q twice, real part; for odd k every pair is.  Past a spread of
+      about 700 the series would overflow.
+
+    The budget meets the closed walks times nu^k, and they are counted
+    per key, on both routes, before any is weighed; for even k every
+    h-path makes a walk with itself, so their count 1^T A^h is checked
+    against it before any key is listed, one pass over the arcs per
+    jump.  Where no walk closes, as Z_3 on a graph without a triangle,
+    the result is 0 with nothing weighed.
+    """
+    g, nu, src, dst = problem.graph, problem.rank, problem.src, problem.dst
+    h, j = (k + 1) // 2, k // 2
+    per_walk = nu ** k
+    # the h-paths from each vertex, 1^T A^h
+    paths = np.ones(g.n)
+    for _ in range(h):
+        paths = np.bincount(src, weights=paths[dst], minlength=g.n)
+    if budget is not None and h == j and paths.sum() * per_walk > budget:
+        return None
+    fan = np.bincount(src, minlength=g.n)
+    csr = (np.argsort(src, kind="stable"), fan, np.cumsum(fan) - fan)
+    lam, W = _eigenbasis(problem, hbar)
+    hold = degrees(g).deg_m[:, None] + lam
+    top = _ball(hold.max(axis=1), csr, dst, j, np.maximum)
+    spread = t * (top - _ball(hold.min(axis=1), csr, dst, j, np.minimum))
+    wide = spread > _DD_SERIES
+    # the series starts in blocks of about ``_BLOCK`` / nu^2 h-paths, in
+    # order of their h-paths, so that each block pads its keys little; a
+    # start counts at least 16, so that starts with few (Z_2) do not
+    # make a block of many keys: on the 64 x 64 box Z_2 took 16-21 ms in
+    # one block of 4096 starts, 5-8 ms in four (2-core machine)
+    series = np.flatnonzero(~wide & (fan > 0))
+    series = series[np.argsort(paths[series], kind="stable")]
+    cum = np.cumsum(np.maximum(paths[series], 16.0))
+    size = max(1, _BLOCK // nu ** 2)
+    bounds = np.r_[0, np.searchsorted(
+        cum, np.arange(size, cum[-1:].sum(), size), side="right"),
+                   series.size]
+    blocks = [series[b0:b1] for b0, b1 in zip(bounds[:-1], bounds[1:])
+              if b1 > b0]
+    levels = [_levels(problem, csr, xs, k) for xs in blocks]
+    # the closed walks per key of the last jump: its h-paths times the
+    # j-paths with its key (for odd k the last jump indexes the keys of
+    # jump j)
+    walks = 0.0
+    for xs, block in zip(blocks, levels):
+        count, counts = np.ones(xs.size), []
+        for keys, r, _e, q in block:
+            count = np.bincount(q, weights=count[r], minlength=keys.size)
+            counts.append(count)
+        walks += float(counts[-1] @ counts[j - 1])
+    pairs = np.flatnonzero(wide)
+    if pairs.size:
+        arcs, key = _h_paths(problem, csr, pairs, h)
+        back, back_key = (arcs, key) if h == j else _h_paths(
+            problem, csr, pairs, j)
+        # the partners of p: the j-paths lo[p] ... hi[p] - 1, with its key
+        lo = np.searchsorted(back_key, key)
+        hi = np.searchsorted(back_key, key, side="right")
+        walks += float((hi - lo).sum())
+    if budget is not None and walks * per_walk > budget:
+        return None
+    out = np.zeros(g.n)
+    if not walks:
+        return out
+    hop = problem.w / g.measure[src]
+    HW = hop[:, None, None] * W
+    for xs, block in zip(blocks, levels):
+        M = _series_length(float(spread[xs].max()))
+        # c_{i+l} = 1/(i + l + k)!
+        inverse = 1.0 / np.cumprod(np.r_[1.0, np.arange(1.0, k + 2 * M)])
+        C = inverse[k + np.add.outer(np.arange(M), np.arange(M))]
+        out[xs] = _series_block(problem, block, xs, k, t, hold, top, C, HW)
+    if pairs.size:
+        out += _pair_terms(problem, arcs, back, lo, hi, k, t,
+                           (hold[src], W, hop))
     return out
 
 

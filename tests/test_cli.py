@@ -146,6 +146,32 @@ class TestValidate:
         assert run(cfg, "validate") == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("graph, message", [
+        ({"family": "lattice_box", "l": 2, "side": 3, "n": 1000},
+         "lattice_box does not read graph key 'n'"),
+        ({"family": "path", "n": 4, "side": 9},
+         "path does not read graph key 'side'"),
+        ({"preset": "two_vertex", "family": "path", "n": 4,
+          "file": "/nonexistent"},
+         "exactly one of file, preset and family, not ['file', 'preset', "
+         "'family']"),
+        ({"preset": "two_vertex", "n": 4},
+         "a preset graph entry does not read graph key 'n'"),
+        ({"file": "g.json", "side": 2},
+         "a file graph entry does not read graph key 'side'"),
+        ({"n": 4}, "graph entry must give a file, preset, or family")])
+    def test_graph_keys_the_form_does_not_read(self, tmp_path, capsys, graph,
+                                               message):
+        # every subcommand exits 1 before it reads a graph it would
+        # otherwise build without the stray key
+        cfg = write_config(tmp_path, "c.json", {
+            "graph": graph, "output_dir": str(tmp_path / "out")})
+        for subcommand in ("validate", "spectrum"):
+            assert run(cfg, subcommand) == 1
+            record = json.loads(capsys.readouterr().err.strip())
+            assert message in record["error"]
+        assert not (tmp_path / "out").exists()
+
 
 class TestSpectrum:
     def test_two_vertex_eigenvalues(self, tmp_path):

@@ -257,3 +257,16 @@ class TestGenerate:
                            match="path takes integer parameters"):
             generate("path", n="x")
 
+    @pytest.mark.parametrize("family, params, stray", [
+        ("path", dict(n=4, side=9), "side"),
+        ("cycle", dict(n=4, leaves=2), "leaves"),
+        ("complete", dict(l=2, n=4), "l"),
+        ("star", dict(leaves=3, n=4), "n"),
+        ("lattice_box", dict(l=2, side=3, n=1000), "n")])
+    def test_keys_the_family_does_not_read(self, family, params, stray):
+        with pytest.raises(GraphFKError, match=f"{family} does not read "
+                                               f"graph key '{stray}'"):
+            generate(family, **params)
+        with pytest.raises(GraphFKError, match="unknown family"):
+            generate(["path"], n=4)
+

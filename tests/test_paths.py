@@ -144,6 +144,22 @@ class TestSamplePath:
         assert terminal.tolist() == [2, 2, 1, 0, 0, 1, 2, 0, 0, 1, 1, 0]
         assert N.tolist() == [1, 3, 2, 3, 3, 2, 7, 3, 5, 2, 2, 1]
 
+    @pytest.mark.parametrize("forced, terminal, jumps", [
+        (8, [4, 4, 3, 8, 6, 8, 7, 1, 0, 4, 1, 5, 8, 6, 3, 3, 2, 7],
+         [8, 8, 8, 9, 8, 8, 8, 10, 10, 8, 8, 8, 8, 8, 8, 8, 8, 9]),
+        (0, [4, 5, 8, 3, 0, 2, 0, 3, 7, 1, 7, 0, 1, 7, 1, 2, 2, 8],
+         [6, 3, 5, 6, 6, 2, 1, 0, 1, 3, 4, 3, 5, 3, 6, 5, 2, 2])])
+    def test_forced_draws_are_pinned(self, forced, terminal, jumps):
+        # the terminal vertices and jump counts of the trace kernel with
+        # K forced jumps and survival-biased holds, two paths from each
+        # vertex of the side-3 box under a sloped potential
+        g = generate("lattice_box", l=2, side=3)
+        tbl = _JumpTable(resolve(g, None, np.linspace(0.0, 2.0, g.n)), 0.5,
+                         forced=forced)
+        got, _S, N = _path_chunk(tbl, np.repeat(np.arange(g.n), 2), 1.5,
+                                 path_stream(5, 0, 0))
+        assert got.tolist() == terminal and N.tolist() == jumps
+
 
 class _StubStream:
     """A generator stand-in: the standard exponentials ``holds`` in turn,

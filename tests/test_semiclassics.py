@@ -361,20 +361,24 @@ class TestTwoJumpTerm:
     def test_psi_chi_against_exact_series(self):
         # psi(z) = int_0^1 s e^{-sz} ds = e[-z, 0, -z] and chi(z) =
         # int_0^1 (1 - s) e^{-sz} ds = e[-z, 0, 0], from z = 1e-8 to 4,
-        # against their Taylor series summed in exact rational arithmetic
-        # to 60 terms, below 1e-20
+        # are Z_2 at t = 1 at the two ends of an edge, b = m = 1, that
+        # hold at deg_m + v = z and 0: one edge per z, all on the series
+        # route, against their Taylor series summed in exact rational
+        # arithmetic to 60 terms, below 1e-20
         z = np.geomspace(1e-8, 4.0, 61)
-        zero = np.zeros_like(z)
-        got = (_divided_exp(np.stack([-z, zero, -z])),
-               _divided_exp(np.stack([-z, zero, zero])))
-        for k, zk in enumerate(z.tolist()):
+        g = build_graph([(f"a{i}", f"b{i}", 1.0) for i in range(z.size)])
+        at = {label: x for x, label in enumerate(g.labels)}
+        v = np.full(g.n, -1.0)
+        v[[at[f"a{i}"] for i in range(z.size)]] = z - 1.0
+        got = jump_terms(resolve(g, None, v), 1.0, 1.0, 2)
+        for i, zk in enumerate((1.0 + (z - 1.0)).tolist()):
             x = Fraction(zk)
-            for mirrored in (0, 1):
+            for mirrored, end in ((0, f"a{i}"), (1, f"b{i}")):
                 exact = sum(
                     (-x) ** j / (math.factorial(j + 2) if mirrored
                                  else math.factorial(j) * (j + 2))
                     for j in range(60))
-                assert abs(got[mirrored][k] / float(exact) - 1) <= 1e-15
+                assert abs(got[at[end]] / float(exact) - 1) <= 1e-15
 
     def test_integral_matches_closed_form(self):
         # Z_2 of one edge, b = m = 1, is I(alpha, beta) = int_0^t u
@@ -460,17 +464,24 @@ class TestDividedExp:
 
     @pytest.mark.parametrize("k", [1, 2, 4])
     @pytest.mark.parametrize("factor", [1 - 1e-9, 1 + 1e-9])
-    def test_either_side_of_the_series_limit(self, rng, k, factor):
-        # up to a spread of _DD_SERIES the series about the smallest node,
-        # beyond it scaling and squaring; each column spans the spread
-        spread = semiclassics._DD_SERIES * factor
-        z = -spread * rng.uniform(0, 1, (k + 1, 64))
-        z[k] = z[0]
-        z[0], z[1] = 0.0, -spread
-        z -= rng.uniform(0, 3, 64)
-        got = _divided_exp(z)
-        want = np.array([_opitz_expm(col) for col in z.T])
-        assert np.abs(got / want - 1).max() <= 1e-12
+    def test_either_side_of_the_series_limit(self, monkeypatch, k, factor):
+        # the ends of an edge, b = m = 1, hold _DD_SERIES * factor apart at
+        # t = 1 (offset by k): Z_2 takes the series route just below the
+        # limit and the pair route just above it, against (1 - e^{-td} (1
+        # + td)) e^{-t beta} / d^2, d = alpha - beta, in 50-digit decimal
+        # arithmetic
+        series = _counting(monkeypatch, "_series_block")
+        g, _ = two_vertex()
+        v = np.array([k, k + semiclassics._DD_SERIES * factor]) - 1.0
+        got = jump_terms(resolve(g, None, v), 1.0, 1.0, 2)
+        assert bool(series) == (factor < 1)
+        ends = [Decimal(a) for a in (1.0 + v).tolist()]
+        with localcontext() as ctx:
+            ctx.prec = 50
+            for value, (alpha, beta) in zip(got, (ends, ends[::-1])):
+                d = alpha - beta
+                want = (1 - (-d).exp() * (1 + d)) / (d * d) * (-beta).exp()
+                assert abs(value / float(want) - 1) <= 1e-12
 
     def test_equal_and_two_nodes_in_closed_form(self):
         # e[z, ..., z] = e^z / k!, and e[x, y] = (e^x - e^y) / (x - y)
@@ -656,6 +667,76 @@ class TestSixJumpStratum:
             for budget in (None, 0):
                 got = jump_terms(problem, 1.0, 1.0, k, budget=budget)
                 assert got.shape == (n,) and not got.any()
+
+
+def _counting(monkeypatch, name):
+    """Wrap semiclassics.<name> to count its calls."""
+    calls = []
+    inner = getattr(semiclassics, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(semiclassics, name, counted)
+    return calls
+
+
+class TestSeriesAndPairRoutes:
+    def test_every_order_and_rank_against_block_expm(self, rng, monkeypatch):
+        # random graphs with random weights, measures and transports, each
+        # with a tail path of five vertices hung on vertex v0, whose
+        # potential sits 40 above the rest at t = 1: the starts within
+        # floor(k/2) jumps of it spread over _DD_SERIES and take the pair
+        # route, the far end of the tail the series route, in one call
+        series = _counting(monkeypatch, "_series_block")
+        pair = _counting(monkeypatch, "_walk_terms")
+        for trial in range(9):
+            nu = 1 + trial % 3
+            core = random_graph(rng, min_n=3, max_n=6)
+            tail = [(f"w{i}" if i else "v0", f"w{i + 1}",
+                     float(rng.uniform(0.2, 2.0))) for i in range(5)]
+            g = build_graph(
+                [(core.labels[i], core.labels[j], w) for (i, j), w
+                 in zip(core.edges.tolist(), core.weights.tolist())] + tail,
+                measure=[(lab, float(rng.uniform(0.3, 2.0)))
+                         for lab in core.labels + tuple(
+                             f"w{i}" for i in range(1, 6))])
+            c = None if trial % 2 == 0 and nu == 1 else random_connection(
+                g, nu, rng)
+            V = random_potential(g, nu, rng)
+            if nu == 1:
+                V = Potential.scalar(V.values[:, 0, 0].real)
+            V.values[g.labels.index("v0")] += 40.0 * np.eye(nu)
+            problem = resolve(g, c, V)
+            for k in range(2, 7):
+                del series[:], pair[:]
+                got = jump_terms(problem, 1.0, 1.0, k)
+                want = _dyson_block(g, c, V, 1.0, k)
+                scale = np.abs(want).max()
+                assert np.abs(got - want).max() <= 1e-12 * scale, (trial, k)
+                # an odd k may close no walk, and then weighs nothing
+                assert k % 2 or (series and pair), (trial, k)
+
+    @pytest.mark.parametrize("n", [5, 7])
+    def test_odd_cycle_without_a_triangle(self, rng, monkeypatch, n):
+        # C_5 and C_7 are not bipartite but hold no triangle: Z_3 is 0
+        # with nothing weighed, and Z_5 and Z_7 meet the oracle (Z_5 = 0
+        # on C_7, which closes no walk of five jumps)
+        g = _weighted(generate("cycle", n=n), rng)
+        w = rng.uniform(-1.0, 2.0, n)
+        problem = resolve(g, None, w)
+        series = _counting(monkeypatch, "_series_block")
+        pair = _counting(monkeypatch, "_walk_terms")
+        got = jump_terms(problem, 1.0, 0.5, 3)
+        assert got.tolist() == [0.0] * n and not series and not pair
+        V = Potential.scalar(w / 0.5)
+        scale = np.abs(_dyson_block(g, None, V, 1.0, 4)).max()
+        for k in (5, 7):
+            got = jump_terms(problem, 1.0, 0.5, k)
+            want = _dyson_block(g, None, V, 1.0, k)
+            assert np.abs(got - want).max() <= 1e-12 * scale, k
+            assert got.any() == (k >= n)
 
 
 @pytest.mark.parametrize("call, message", [

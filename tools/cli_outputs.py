@@ -20,13 +20,16 @@ The set: the five presets through all seven subcommands; a magnetic
 5-cycle with phases and a potential read from files, and a covariant
 3 x 3 box with inline SU(2) transports and potential, each through the
 six subcommands other than ``kato``; a weighted graph file through all
-seven; a ``validate`` that fails; seventeen configs that each exit 1
+seven; a ``validate`` that fails; twenty-one configs that each exit 1
 for a different input (``ERRORS``), among them the graph file with an
-infinite weight or measure and an ``fk-compare`` above the dimension
-cap; a ``sweep`` and a ``gt-check`` of traces near 3.8e18, whose
-bounds must allow for their rounding; and a potential whose traces
-overflow a float through the four subcommands that sum one, each of
-which exits 2.  Each run leaves its stderr in WORKDIR/NAME/stderr.txt.
+infinite weight or measure, an ``fk-compare`` above the dimension cap
+and graph entries with keys their form does not read; a ``sweep`` and
+a ``gt-check`` of traces near 3.8e18, whose bounds must allow for their
+rounding; an ``fk-compare`` on a 4 x 4 box with 1600 on one corner,
+whose exact strata take both routes of ``semiclassics.jump_terms``;
+and a potential whose traces overflow a float through the four
+subcommands that sum one, each of which exits 2.  Each run leaves its
+stderr in WORKDIR/NAME/stderr.txt.
 NAME restricts the runs to the ones named.
 """
 
@@ -187,7 +190,29 @@ ERRORS = {
         "fk-compare", {"graph": {"family": "lattice_box", "l": 2,
                                  "side": 65},
                        "params": {"samples": 20000}, "seed": 1}, {}),
+    # graph keys that the entry's form does not read
+    "error-family-stray-key": (
+        "spectrum", {"graph": {"family": "lattice_box", "l": 2, "side": 3,
+                               "n": 1000}}, {}),
+    "error-path-stray-key": (
+        "spectrum", {"graph": {"family": "path", "n": 4, "side": 9}}, {}),
+    "error-preset-stray-key": (
+        "spectrum", {"graph": {"preset": "two_vertex", "n": 4}}, {}),
+    "error-three-graph-forms": (
+        "spectrum", {"graph": {"preset": "two_vertex", "family": "path",
+                               "n": 4, "file": "/nonexistent"}}, {}),
 }
+
+# The 4 x 4 box with 1600 on the corner x0_0 and 0.1 k on the rest: at
+# beta = 1 and hbar = 0.5 the starts within floor(k/2) jumps of the
+# corner spread too widely for the series route of the exact stratum
+# Z_k, and the rest take it
+BOX_CORNER = {
+    "graph": {"family": "lattice_box", "l": 2, "side": 4},
+    "potential": {"inline": [[f"x{i}_{j}", 1600.0 if i == j == 0
+                              else 0.1 * (4 * i + j)]
+                             for i in range(4) for j in range(4)]},
+    "params": PARAMS["fk-compare"], "seed": 1}
 
 
 def _with_params(cfg, subcommand):
@@ -216,6 +241,7 @@ def runs():
     table.update(ERRORS)
     table["box-deep-sweep"] = ("sweep", BOX_DEEP, {})
     table["box-tiny-t-gt-check"] = ("gt-check", BOX_TINY_T, {})
+    table["box-corner-fk-compare"] = ("fk-compare", BOX_CORNER, {})
     # at the default params: e^{-tH} overflows at t = 1, not at 0.7
     for sub in ("sweep", "gt-check", "kernel"):
         table[f"overflow-{sub}"] = (sub, OVERFLOW, {})
