@@ -289,6 +289,12 @@ def _cmd_sweep(cfg, outdir):
             f"hbar={_fmt(r.hbar)} lower={_fmt(r.lower)} "
             f"trace={_fmt(r.trace)} upper={_fmt(r.upper)}"
             for r in result.rows),
+        # each row's trace: the dense solve, or the bracket's steps and
+        # its width relative to the trace
+        "routes": "; ".join(
+            f"hbar={_fmt(r.hbar)} " + (
+                f"bracket m={r.steps}, width={r.width:.1e}" if r.steps
+                else "dense") for r in result.rows),
         "checks": [("semiclassical convergence", result.converged,
                     f"final gap {last.gap:.3e}")],
     }

@@ -1,4 +1,4 @@
-"""Semiclassical trace sweeps and Dyson strata.
+"""Semiclassical trace sweeps, a certified trace bracket and Dyson strata.
 
 The quantum partition function tr(e^{-beta hbar H_{Phi, V/hbar}}) is
 squeezed, in the scalar nonmagnetic case, between
@@ -30,6 +30,19 @@ scalar case every term of the
 series is nonnegative, so Z_0 + Z_2 <= trace is a sharper lower bound,
 and the sweep asserts it.  The Monte Carlo trace estimator adds the
 higher strata; the sweep does not.
+
+The sweep's trace itself needs no eigensolve where t = beta hbar is
+small.  As hbar -> 0 the diagonal entry of e^{-tS} at x, S the
+symmetrized operator, is fixed by a small ball about x (the entries of
+f(S) decay with the distance: Benzi & Razouk, ETNA 28 (2007) 16), and
+``trace_bracket`` certifies it from m Lanczos steps run from every
+e_{x,a} at once, each start on the ball its steps reach: the Gauss rule
+lies below it and the Gauss-Radau rule, with a node below the spectrum,
+above.  ``sweep`` takes a row's trace from the bracket, its midpoint,
+where the bracket closes to ``BRACKET_WIDTH`` of the trace within the
+predicted cost of the dense solve; the balls serve the whole schedule.
+Every other row solves densely, for the eigenvalues of the assembled
+operator, which no row assembles unless one of them needs it.
 """
 
 from __future__ import annotations
@@ -42,7 +55,8 @@ import numpy as np
 from .bundles import Connection, Potential
 from .errors import GraphFKError, NumericalFailure
 from .graphs import WeightedGraph, degrees
-from .operators import Problem, _coupling, assemble, resolve, symmetrize
+from .operators import (Problem, _coupling, assemble, check_dimension,
+                        resolve, symmetrize)
 from .spectral import finite, hermitian_eigenvalues, partition_function
 # not called here; kept because perfbench/tracer.py rebinds it
 from .spectral import eigendecompose  # noqa: F401
@@ -55,6 +69,10 @@ class SweepRow:
     lower: float
     upper: float
     gap: float
+    # the bracket's Lanczos steps and its width relative to the trace; 0
+    # and 0.0 for a dense row
+    steps: int = 0
+    width: float = 0.0
 
 
 @dataclass
@@ -73,29 +91,37 @@ def _classical_terms(V: Potential, beta: float) -> np.ndarray:
     return terms
 
 
-def _spectra(problem: Problem, schedule):
-    """The ascending eigenvalues of H_{Phi, V/hbar}, symmetrized, for each
-    hbar of ``schedule``.
+def _spectra(problem: Problem):
+    """A function hbar -> the ascending eigenvalues of H_{Phi, V/hbar},
+    symmetrized.
 
     The hops do not depend on hbar, so the free operator is assembled and
-    symmetrized once; each hbar then writes the diagonal blocks
-    0.5 (B + B^H), B = deg_m + V/hbar, in place, as ``symmetrize`` of the
-    assembled H_{Phi, V/hbar} holds them (its scale ratio is exactly 1
-    there), and solves for the eigenvalues.  V / hbar is taken in the
-    arithmetic of V's values.
+    symmetrized once, at the first call; each hbar then writes the diagonal
+    blocks 0.5 (B + B^H), B = deg_m + V/hbar, in place, as ``symmetrize``
+    of the assembled H_{Phi, V/hbar} holds them (its scale ratio is
+    exactly 1 there), and solves for the eigenvalues.  V / hbar is taken in
+    the arithmetic of V's values.
     """
     g, nu = problem.graph, problem.rank
-    S = symmetrize(assemble(g, problem.connection,
-                            Potential(nu, np.zeros((g.n, nu, nu)))))
-    # complex as soon as the hops or V are, as the assembled matrix is
-    S = S.astype(np.result_type(S, problem.potential.values), copy=False)
-    blocks = S.reshape(g.n, nu, g.n, nu)
     deg = degrees(g).deg_m[:, None, None] * np.eye(nu)
     diag = np.arange(g.n)
-    for hbar in schedule:
+    S = None
+
+    def solve(hbar):
+        nonlocal S
+        if S is None:
+            S = symmetrize(assemble(g, problem.connection,
+                                    Potential(nu, np.zeros((g.n, nu, nu)))))
+            # complex as soon as the hops or V are, as the assembled
+            # matrix is
+            S = S.astype(np.result_type(S, problem.potential.values),
+                         copy=False)
         B = deg + problem.potential.scaled(hbar).values
-        blocks[diag, :, diag, :] = 0.5 * (B + B.conj().swapaxes(1, 2))
-        yield hermitian_eigenvalues(S)
+        S.reshape(g.n, nu, g.n, nu)[diag, :, diag, :] = 0.5 * (
+            B + B.conj().swapaxes(1, 2))
+        return hermitian_eigenvalues(S)
+
+    return solve
 
 
 def _eigenbasis(problem: Problem, hbar: float):
@@ -230,6 +256,13 @@ def _walk_terms(arcs, seq, factors, t):
     dd = _divided_exp(z.reshape(k + 1, -1)).reshape(F.shape)
     return t ** k * hop[arcs].prod(axis=0) * np.einsum("bs,bs->b",
                                                          F.real, dd)
+
+
+def _csr(src, n):
+    """(order, out, ptr) of the arcs from ``src``: the arcs out of y are
+    order[ptr[y]:ptr[y] + out[y]], in arc order."""
+    out = np.bincount(src, minlength=n)
+    return np.argsort(src, kind="stable"), out, np.cumsum(out) - out
 
 
 def _fan(csr, ends):
@@ -433,6 +466,23 @@ def _ball(values, csr, dst, radius, reduce):
     return values
 
 
+def _has_triangle(g: WeightedGraph):
+    """Whether some three vertices x < y < z are pairwise adjacent: the
+    paths x -> y -> z up the vertex order are listed by their first edge,
+    ``_PIECE`` edges at a time, up to the first piece with one whose ends
+    are an edge."""
+    (i, j), n = g.edges.T, g.n
+    keys = np.sort(i * n + j)
+    up = _csr(i, n)
+    for lo in range(0, i.size, _PIECE):
+        r, e = _fan(up, j[lo:lo + _PIECE])
+        ends = i[lo + r] * n + j[e]
+        pos = np.searchsorted(keys, ends).clip(max=keys.size - 1)
+        if (keys[pos] == ends).any():
+            return True
+    return False
+
+
 def jump_terms(problem: Problem, t: float, hbar: float, k: int,
                budget=None):
     """Per vertex x, the k-jump term Z_k(x) of tr e^{-t H_{Phi, V/hbar}},
@@ -481,8 +531,9 @@ def jump_terms(problem: Problem, t: float, hbar: float, k: int,
     per key, on both routes, before any is weighed; for even k every
     h-path makes a walk with itself, so their count 1^T A^h is checked
     against it before any key is listed, one pass over the arcs per
-    jump.  Where no walk closes, as Z_3 on a graph without a triangle,
-    the result is 0 with nothing weighed.
+    jump.  Where no walk closes the result is 0 with nothing weighed; Z_3
+    asks first whether the graph holds a triangle (``_has_triangle``),
+    before any key is listed.
     """
     g, nu, src, dst = problem.graph, problem.rank, problem.src, problem.dst
     h, j = (k + 1) // 2, k // 2
@@ -493,8 +544,10 @@ def jump_terms(problem: Problem, t: float, hbar: float, k: int,
         paths = np.bincount(src, weights=paths[dst], minlength=g.n)
     if budget is not None and h == j and paths.sum() * per_walk > budget:
         return None
-    fan = np.bincount(src, minlength=g.n)
-    csr = (np.argsort(src, kind="stable"), fan, np.cumsum(fan) - fan)
+    csr = _csr(src, g.n)
+    fan = csr[1]
+    if k == 3 and not _has_triangle(g):
+        return np.zeros(g.n)
     lam, W = _eigenbasis(problem, hbar)
     hold = degrees(g).deg_m[:, None] + lam
     top = _ball(hold.max(axis=1), csr, dst, j, np.maximum)
@@ -553,21 +606,356 @@ def jump_terms(problem: Problem, t: float, hbar: float, k: int,
     return out
 
 
+@dataclass(frozen=True)
+class Bracket:
+    """Per vertex x, lower <= sum_a (e^{-tS})_{xa,xa} <= upper, from
+    ``steps`` Lanczos steps; ``ritz`` is the largest |Ritz value|, at most
+    ||S||."""
+
+    lower: np.ndarray
+    upper: np.ndarray
+    steps: int
+    ritz: float
+
+
+# The relative width, (upper - lower) / trace, within which ``sweep``
+# takes a row's trace from ``trace_bracket`` in place of the dense solve
+BRACKET_WIDTH = 1e-13
+# Predicted seconds per unit of work (2-core machine, BENCH_26.json): a
+# dense row's eigenvalue solve per (n nu)^3, a complex one ``_COMPLEX``
+# times that, and the assembly, once per sweep, per (n nu)^2; a
+# bracket's growth per arc out of the level it completes, its steps per
+# slot, start and arc times nu^3 and a fixed price per step, and its two
+# rules per start and (m + 1)^2
+_DENSE_S, _COMPLEX, _ASSEMBLE_S = 7e-11, 3.5, 1.3e-8
+_BALL_S, _STEP_S, _CALL_S, _RULE_S = 1.5e-7, 1.2e-8, 3e-4, 2e-7
+# The slots, about, per piece of rows in which a step of
+# ``trace_bracket`` gathers
+_GATHER = 16384
+
+
+class _Balls:
+    """The balls B_r(x) about every vertex x, grown a radius at a time, for
+    ``trace_bracket``; the hops do not depend on hbar, so one serves every
+    row of a sweep.
+
+    Slot i of x holds a vertex of B_r(x), x's slots in order of level (the
+    distance from x) and by vertex within a level, so that B_r(x) fills the
+    first |B_r(x)| slots of x.  The tables are slot-major, row i holding
+    slot i of every start: the slots within radius r of every start are the
+    first ``width(r)`` rows, and ``rows`` hold a slot at all.  A vector on
+    the balls is flat, shape (1 + rows n, nu, nu): a block of zeros, then
+    slot i of x at 1 + i n + x.  Per slot, ``verts`` holds its vertex y +
+    1, or 0, and ``nbr`` points into a vector at the slot itself and at the
+    far end of each arc out of y, in arc order, or at the zeros: so that
+    the block row of S at y, ``hops[y + 1]`` with its diagonal block
+    written in, times the vector at ``nbr`` is S times the vector there.
+    The tables double their capacity as they fill, so that they seldom
+    copy.
+
+    Listing level r + 1 sets the arcs of level r within it and out to the
+    new level, and the reverse of each of the latter, so that the arcs of
+    the new level back into r are set too: its other arcs can meet only
+    slots outside B_r, where a vector that lives on B_r is zero.  A level
+    that would make some ball wider than asked is listed but not placed;
+    ``reach`` is the width of the next level, or one it reaches at least,
+    so that a level refused once is not listed again for a narrower ask.
+    """
+
+    def __init__(self, problem: Problem):
+        g, nu = problem.graph, problem.rank
+        n, src, dst = g.n, problem.src, problem.dst
+        self.csr = order, fan, ptr = _csr(src, n)
+        self.problem, self.fan = problem, int(fan.max(initial=0))
+        # the place of each arc among those out of its source
+        self.rank = np.empty(src.size, dtype=np.int64)
+        self.rank[order] = np.arange(src.size) - ptr[src[order]]
+        # per vertex + 1 its block row of S: its diagonal block (written per
+        # hbar) and -b / sqrt(m_x m_y) times the transport of each arc
+        hop = problem.w / np.sqrt(g.measure[src] * g.measure[dst])
+        arcs = -hop[:, None, None] * _coupling(problem)
+        self.hops = np.zeros((n + 1, nu, 1 + self.fan, nu), np.result_type(
+            arcs, problem.potential.values))
+        self.hops[1 + src, :, 1 + self.rank] = arcs
+        # the keys x n + y of the last level, sorted, and their slots; per
+        # radius the sizes |B_r(x)|
+        self.last = (np.arange(n) * (n + 1), np.zeros(n, dtype=np.int64))
+        self.sizes = [np.ones(n, dtype=np.int64)]
+        self.verts = np.zeros((0, n), dtype=np.int64)
+        self.nbr = np.zeros((0, n, 1 + self.fan), dtype=np.int64)
+        self.rows = 0
+        self._place(*self.last)
+        self.reach = 1
+
+    @property
+    def radius(self):
+        return len(self.sizes) - 1
+
+    def width(self, r):
+        return int(self.sizes[r].max())
+
+    def _place(self, keys, slots):
+        """Put the vertices of ``keys`` into their ``slots``."""
+        n, used = self.problem.graph.n, self.rows
+        self.rows = self.width(-1)
+        if self.rows > self.nbr.shape[0]:
+            cap = max(self.rows, 2 * self.nbr.shape[0])
+            for name in ("verts", "nbr"):
+                old = getattr(self, name)
+                new = np.zeros((cap,) + old.shape[1:], old.dtype)
+                new[:used] = old[:used]
+                setattr(self, name, new)
+        x = keys // n
+        at = slots * n + x
+        self.verts.reshape(-1)[at] = keys - x * n + 1
+        self.nbr.reshape(-1)[at * (1 + self.fan)] = 1 + at
+
+    def grow(self, limit=math.inf):
+        """List the next level and, unless it makes some ball wider than
+        ``limit``, place it and set the arcs of the last not yet set: each
+        ends in it or in the new level.  Returns whether it did."""
+        if self.reach > limit:
+            return False
+        p, n = self.problem, self.problem.graph.n
+        keys, slots = self.last
+        r, e = _fan(self.csr, keys % n)
+        x = keys[r] // n
+        at = slots[r] * n + x
+        # arc k of the slot at the flat row f is entry f (1 + fan) + 1 + k
+        # of nbr, flat; the arcs back into the level before are set
+        arc = at * (1 + self.fan) + 1 + self.rank[e]
+        todo = self.nbr.reshape(-1)[arc] == 0
+        e, x, at, arc = e[todo], x[todo], at[todo], arc[todo]
+        ends = x * n + p.dst[e]
+        pos = np.searchsorted(keys, ends).clip(max=keys.size - 1)
+        out = keys[pos] != ends
+        end = slots[pos]
+        # the new keys, sorted and each once, and their slots
+        new = np.sort(ends[out])
+        new = new[np.diff(new, prepend=-1) != 0]
+        s = new // n
+        count = np.bincount(s, minlength=n)
+        size = self.sizes[-1]
+        self.reach = int((size + count).max())
+        if self.reach > limit:
+            return False
+        slot = size[s] + np.arange(new.size) - (np.cumsum(count) - count)[s]
+        end[out] = slot[np.searchsorted(new, ends[out])]
+        self.last = (new, slot)
+        self.sizes.append(size + count)
+        self._place(new, slot)
+        end = end * n + x
+        nbr = self.nbr.reshape(-1)
+        nbr[arc] = 1 + end
+        nbr[end[out] * (1 + self.fan) + 1 + self.rank[e[out] ^ 1]] = (
+            1 + at[out])
+        return True
+
+
+def _rule(alpha, beta, t):
+    """(e^{-tT})_{11} per row of the Jacobi matrices T with diagonals
+    ``alpha`` and off-diagonals ``beta``, shape (N, m) and (N, m - 1), and
+    the eigenvalues of T."""
+    N, m = alpha.shape
+    T = np.zeros((N, m, m))
+    i = np.arange(m)
+    T[:, i, i] = alpha
+    T[:, i[1:], i[:-1]] = T[:, i[:-1], i[1:]] = beta
+    theta, U = np.linalg.eigh(T)
+    with np.errstate(over="ignore"):  # an overflow fails the width test
+        return np.einsum("ij,ij->i", np.exp(-t * theta), U[:, 0] ** 2), theta
+
+
+def trace_bracket(problem: Problem, t: float, hbar: float) -> Bracket:
+    """The ``Bracket`` of the diagonal of e^{-tS} per vertex, S the
+    symmetrized H_{Phi, V/hbar}.
+
+    From each e_{x,a} it runs m Lanczos steps on S, at once for every
+    start, on the ball B_m(x) that the m-th step reaches (``_Balls``,
+    grown as the steps need it).  Step k reads the first max_x
+    |B_{k+1}(x)| slots only, padded to 1 + the most neighbours of a
+    vertex.  The steps give the Jacobi matrix T_m, the diagonal alpha
+    and the off-diagonal beta.  The Gauss rule (e^{-tT_m})_{11} lies
+    below (e^{-tS})_{xa,xa}, and the Gauss-Radau rule, T_m extended by
+    one row that fixes a node at a = min_x lambda_min(V(x)) / hbar <=
+    lambda_min(S) (the connection Laplacian is >= 0), above it: the even
+    derivatives of e^{-t lambda} are positive and the odd negative (Golub
+    & Meurant, Matrices, Moments and Quadrature with Applications, 2010,
+    ch. 6-7).
+
+    The steps stop once the a-priori error of the two rules is within
+    half ``BRACKET_WIDTH`` of the trace: the Gauss error is at most t^{2m}
+    e^{-ta} (beta_1 ... beta_m)^2 / (2m)!, the Gauss-Radau error at most
+    t (G - a) / (2m + 1) times that, G Gershgorin's bound on lambda_max(S),
+    and the trace is at least sum e^{-t alpha_1} (Jensen).  The two rules
+    are then taken once, by batched eigensolves of size m and m + 1.  A
+    start whose beta falls to rounding (its Krylov space is exhausted)
+    stops there, exactly.
+    """
+    return _bracket(problem, t, hbar, _Balls(problem))
+
+
+def _bracket(problem: Problem, t: float, hbar: float, balls: _Balls,
+             budget=None, share=1):
+    """``trace_bracket`` on ``balls``, grown as far as it needs them, or
+    None where its predicted seconds would pass ``budget`` before it
+    closes; each growth is charged 1 / ``share`` of its price, since the
+    balls serve later calls too.
+
+    Within a budget it keeps the padded tables of the balls, rows n (1 +
+    fan) entries, within the (n nu)^2 of the dense operator, and it
+    gives up as soon as the steps it is likely to take would cost more
+    than is left: likely, as many as the error bound needs if every later
+    beta stays at the last step's largest, each step past the balls'
+    radius as much wider as the last level was.
+    """
+    g, nu = problem.graph, problem.rank
+    n = g.n
+    values = problem.potential.scaled(hbar).values
+    B = degrees(g).deg_m[:, None, None] * np.eye(nu) + values
+    D = 0.5 * (B + B.conj().swapaxes(1, 2))
+    a = float(np.linalg.eigvalsh(values)[:, 0].min())
+    # Gershgorin: per row of S its diagonal entry and its absolute
+    # off-diagonal sum, within its block and over its hops
+    diag = np.diagonal(D, axis1=1, axis2=2).real
+    top = float((diag + np.abs(D).sum(axis=2) - np.abs(diag) + np.abs(
+        balls.hops[1:, :, 1:]).sum(axis=(2, 3))).max())
+    scale = max(abs(top), abs(a))
+    # the trace is at least sum e^{-t alpha_1}, alpha_1 = diag: e^{-ta}
+    # times this
+    floor = float(np.exp(-t * (diag - a)).sum())
+    limit, likely = math.inf, 0
+    per_slot = _STEP_S * n * nu ** 3 * (1 + balls.fan)
+    if budget is not None:
+        limit = n * nu ** 2 / (1 + balls.fan)
+
+    def short(m):
+        """Whether what is spent, the steps likely left after the m-th,
+        the levels they need past the balls' radius r and the two rules
+        pass the budget; each level past r adds as many keys and slots
+        as the r-th did."""
+        steps, r = max(likely, m), balls.radius
+        w, past = balls.width(r), max(0, steps - r)
+        slots = (steps - m) * w + past * (past + 1) // 2 * (
+            w - balls.width(r - 1) if r else 0)
+        return budget is not None and (
+            spent + (steps - m) * _CALL_S + per_slot * slots
+            + _BALL_S * balls.fan * balls.last[0].size * past / share
+            + _RULE_S * n * nu * (steps + 1) ** 2 > budget)
+
+    balls.hops[1:, :, 0] = D
+    spent, rows, m = 0.0, 1, 0
+    # the vectors q_m and q_{m-1}: q_0 = e_{x,a}, in slot 0 of x
+    Q = np.zeros((1 + n, nu, nu), balls.hops.dtype)
+    Q[1:] = np.eye(nu)
+    prev = np.zeros_like(Q)
+    alphas, betas = [], []
+    beta = np.zeros((n, nu))
+    # (t beta_1)^2 ... (t beta_m)^2 / (2m)! per start
+    error = np.ones((n, nu))
+    alive = np.ones((n, nu), dtype=bool)
+    while True:
+        # step m reads the slots within m + 1 of each start
+        while balls.radius < m + 1:
+            spent += _BALL_S * balls.fan * balls.last[0].size / share
+            if short(m) or not balls.grow(limit):
+                return None
+        w = balls.width(m + 1)
+        spent += _CALL_S + per_slot * w
+        if short(m + 1):
+            return None
+        if balls.rows > rows:
+            # zeros in the vectors for the new slots
+            Q, prev = (np.concatenate([old, np.zeros(
+                ((balls.rows - rows) * n, nu, nu), Q.dtype)])
+                for old in (Q, prev))
+            rows = balls.rows
+        # the matrix-vector product a piece of rows at a time, so that
+        # the gathers stay small
+        Y = np.empty((w, n, nu, nu), Q.dtype)
+        piece = max(1, _GATHER // n)
+        for lo in range(0, w, piece):
+            hi = min(w, lo + piece)
+            H = np.take(balls.hops, balls.verts[lo:hi], axis=0)
+            G = np.take(Q, balls.nbr[lo:hi], axis=0)
+            np.matmul(H.reshape(hi - lo, n, nu, -1),
+                      G.reshape(hi - lo, n, -1, nu), out=Y[lo:hi])
+        q = Q[1:1 + w * n].reshape(w, n, nu, nu)
+        alpha = np.einsum("ixca,ixca->xa", q.conj(), Y).real
+        Y -= alpha[:, None, :] * q
+        Y -= beta[:, None, :] * prev[1:1 + w * n].reshape(w, n, nu, nu)
+        beta = np.sqrt(np.einsum("ixca,ixca->xa", Y.conj(), Y).real)
+        # a stopped start holds q = 0; its alpha_1 stands in, decoupled
+        alphas.append(np.where(alive, alpha, diag))
+        alive &= beta > 2.0 ** -46 * scale
+        beta = np.where(alive, beta, 0.0)
+        betas.append(beta)
+        m += 1
+        error *= (t * beta) ** 2 / ((2 * m - 1) * (2 * m))
+        bound = float(error.sum()) * (1 + t * (top - a) / (2 * m + 1))
+        if bound <= 0.5 * BRACKET_WIDTH * floor:
+            break
+        # the steps likely in all: as many as the error bound needs if
+        # every beta stays at this step's largest (none past the budget)
+        likely, left, ratio = m, bound, (t * float(beta.max())) ** 2
+        while budget is not None and likely * _CALL_S <= budget and (
+                left > 0.5 * BRACKET_WIDTH * floor):
+            likely += 1
+            left *= ratio / ((2 * likely - 1) * (2 * likely))
+        Y *= np.divide(1.0, beta, out=np.zeros_like(beta),
+                       where=alive)[:, None, :]
+        prev, Q = Q, prev
+        Q[1:1 + w * n] = Y.reshape(-1, nu, nu)
+    alpha = np.stack(alphas, axis=-1).reshape(n * nu, m)
+    beta = np.stack(betas, axis=-1).reshape(n * nu, m)
+    lower, theta = _rule(alpha, beta[:, :-1], t)
+    # the Gauss-Radau row: alpha_{m+1} = a + beta_m^2 / d_m, d the pivots
+    # of T_m - a
+    d = alpha[:, 0] - a
+    for j in range(1, m):
+        d = alpha[:, j] - a - _ratio(beta[:, j - 1] ** 2, d)
+    radau = np.concatenate([alpha, a + _ratio(beta[:, -1:] ** 2, d[:, None])],
+                           axis=1)
+    upper, _ = _rule(radau, beta, t)
+    return Bracket(lower.reshape(n, nu).sum(axis=1),
+                   upper.reshape(n, nu).sum(axis=1), m,
+                   float(np.abs(theta).max(initial=0.0)))
+
+
+def _ratio(num, den):
+    """num / den, and 0 where num is 0 (the beta of a stopped start)."""
+    out = np.zeros_like(num)
+    np.divide(num, den, out=out, where=num > 0)
+    return out
+
+
 def sweep(g: WeightedGraph, c: Connection, V, beta: float,
           hbar_schedule) -> SweepResult:
     """Semiclassical sweep over a strictly decreasing hbar schedule.
 
     ``c`` and ``V`` are resolved as by ``operators.resolve``, and the mode
-    follows from them.  Each row carries (hbar, trace, lower, upper, gap =
-    upper - trace).  The scalar sandwich lower <= trace <= upper is
+    follows from them; a dimension n nu above ``DIMENSION_CAP`` is refused
+    first.  Each row carries (hbar, trace, lower, upper, gap = upper -
+    trace) and its route.  The scalar sandwich lower <= trace <= upper is
     asserted when the problem is scalar, sharpened below to lower + Z_2
     <= trace with the two-jump term of ``jump_terms``; only the upper
-    bound is asserted otherwise.  The problem is resolved, and the free
-    operator assembled and symmetrized, once for the whole schedule
-    (``_spectra``).  A bound counts as violated only by more than the
+    bound is asserted otherwise.
+
+    A row takes its trace from ``trace_bracket`` where the bracket closes
+    to ``BRACKET_WIDTH`` of the trace within the predicted seconds of the
+    dense solve (the first dense row's assembly included); it reports the
+    bracket's midpoint, its steps m and its width.  The balls of the
+    bracket are grown once for the whole schedule, and never hold more
+    entries than the dense operator: a graph with a vertex of more than
+    about sqrt(n) nu neighbours builds none.  Every other row solves
+    for the eigenvalues of the dense operator, which is assembled and
+    symmetrized at most once, and only for dense rows (``_spectra``).  The
+    bounds are checked against the bracket's ends, its lower end below the
+    classical sum and Z_0 + Z_2 below its upper end; a dense row's ends
+    are its trace.  A bound counts as violated only by more than the
     rounding of the trace, 16 ulps of it times t ||S||, t = beta hbar and
-    ||S|| the largest |eigenvalue|, and at least by 1e-9; a violation
-    raises NumericalFailure.
+    ||S|| the largest |eigenvalue| or |Ritz value|, and at least by 1e-9;
+    a violation raises NumericalFailure.
     """
     if not beta > 0:  # NaN fails it too
         raise GraphFKError("beta must be positive")
@@ -577,31 +965,67 @@ def sweep(g: WeightedGraph, c: Connection, V, beta: float,
     if any(b >= a for a, b in zip(schedule, schedule[1:])):
         raise GraphFKError("hbar schedule must be strictly decreasing")
     problem = resolve(g, c, V)
+    check_dimension(g.n, problem.rank)
     deg_m = degrees(g).deg_m
     terms = _classical_terms(problem.potential, beta)
     classical = float(terms.sum())
     result = SweepResult(classical_value=classical)
-    for hbar, lam in zip(schedule, _spectra(problem, schedule)):
-        trace = partition_function(lam, beta * hbar)
+    dense, balls = _spectra(problem), None
+    dim = g.n * problem.rank
+    solve = _DENSE_S * dim ** 3 * (
+        _COMPLEX if np.iscomplexobj(problem.phi)
+        or np.iscomplexobj(problem.potential.values) else 1.0)
+    assembly = _ASSEMBLE_S * dim ** 2
+    # the balls' padded tables may hold no more entries than the dense
+    # operator (``_bracket``), and the ball of radius 1 about a vertex of
+    # most neighbours holds 1 + that many slots (no edge is doubled)
+    fan = int(np.bincount(problem.src, minlength=g.n).max(initial=0))
+    hub = (1 + fan) ** 2 > dim * problem.rank
+    for i, hbar in enumerate(schedule):
+        t = beta * hbar
+        bracket = None
+        # no bracket is cheaper than one step's fixed price; the balls
+        # serve this row and the rest
+        if solve + assembly > _CALL_S and not hub:
+            balls = _Balls(problem) if balls is None else balls
+            bracket = _bracket(problem, t, hbar, balls, solve + assembly,
+                               len(schedule) - i)
+        if bracket is not None:
+            low, high = math.fsum(bracket.lower), math.fsum(bracket.upper)
+            trace = 0.5 * (low + high)
+            # a width that is not finite, or wider than asked, falls back
+            if not high - low <= BRACKET_WIDTH * trace:
+                bracket = None
+        if bracket is None:
+            lam = dense(hbar)
+            assembly = 0.0
+            trace = partition_function(lam, t)
+            low = high = trace
+            route, norm = (0, 0.0), abs(lam).max()
+        else:
+            # both ends 0 where e^{-tS} underflows
+            width = (high - low) / trace if trace else 0.0
+            route, norm = (bracket.steps, width), bracket.ritz
         # eigvalsh is backward stable: each eigenvalue lies within a small
         # multiple of eps ||S|| of the exact one, so the trace within that
         # multiple of eps t ||S|| relatively, ||S|| the largest |lam|.  16
         # ulps of the trace per unit of t ||S|| allow for the multiple and
-        # for the rounding of the exponentials and the sums
-        slack = max(1e-9, 16 * np.spacing(trace) * beta * hbar * abs(lam).max())
+        # for the rounding of the exponentials and the sums; the Lanczos
+        # rules round alike, and their Ritz values are at most ||S||
+        slack = max(1e-9, 16 * np.spacing(trace) * beta * hbar * norm)
         lower = float((np.exp(-deg_m * beta * hbar) * terms).sum())
         gap = classical - trace
-        if trace > classical + slack:
+        if low > classical + slack:
             raise NumericalFailure(
-                f"upper bound violated at hbar={hbar}: {trace} > {classical}")
+                f"upper bound violated at hbar={hbar}: {low} > {classical}")
         if problem.mode == "scalar":
-            two_jump = float(jump_terms(problem, beta * hbar, hbar, 2).sum())
-            if lower + two_jump > trace + slack:
+            two_jump = float(jump_terms(problem, t, hbar, 2).sum())
+            if lower + two_jump > high + slack:
                 raise NumericalFailure(
                     f"sandwich lower bound violated at hbar={hbar}: "
-                    f"{lower} + {two_jump} > {trace}")
-        result.rows.append(SweepRow(hbar, trace, lower, classical, gap))
+                    f"{lower} + {two_jump} > {high}")
+        result.rows.append(SweepRow(hbar, trace, lower, classical, gap,
+                                    *route))
     final_gap = result.rows[-1].gap
     result.converged = final_gap < max(1e-6, 1e-3 * classical)
     return result
-

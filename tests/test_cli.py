@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -260,6 +261,28 @@ class TestSweep:
             assert record["kind"] == "validation"
             assert "'covariant'" in record["error"]
 
+    def test_report_states_each_row_route(self, tmp_path):
+        # the two-vertex rows solve densely; the 32 x 32 box's rows take
+        # the trace bracket, with its steps and its relative width
+        assert run(self._config(tmp_path), "sweep") == 0
+        report = (tmp_path / "out" / "report.txt").read_text()
+        assert ("routes: hbar=0.10000000000000001 dense; hbar=0.01 dense; "
+                "hbar=0.001 dense\n") in report
+        g = generate("lattice_box", l=2, side=32)
+        cfg = write_config(tmp_path, "box.json", {
+            "graph": {"family": "lattice_box", "l": 2, "side": 32},
+            "potential": {"inline": [[lab, 0.5] for lab in g.labels]},
+            "output_dir": str(tmp_path / "box")})
+        assert run(cfg, "sweep") == 0
+        line, = [line for line in (tmp_path / "box" / "report.txt")
+                 .read_text().splitlines() if line.startswith("routes: ")]
+        routes = line[len("routes: "):].split("; ")
+        assert len(routes) == 4
+        for route in routes:
+            m, width = re.fullmatch(
+                r"hbar=\S+ bracket m=(\d+), width=(\S+)", route).groups()
+            assert int(m) > 0 and abs(float(width)) <= 1e-13
+
     def test_rerun_byte_identical(self, tmp_path):
         cfg = self._config(tmp_path)
         assert run(cfg, "sweep") == 0
@@ -310,6 +333,27 @@ class TestGtCheck:
         _t, classical, quantum, margin = map(float, rows[0].split(","))
         assert quantum == exact_trace(g, None, pot, 2.5, 1.0)
         assert margin == classical - quantum
+
+    def test_quantum_takes_the_sweep_dispatch(self, tmp_path):
+        # the 32 x 32 box at t = 0.01: the one-row sweep brackets, and the
+        # quantum column is its midpoint, within 1e-12 of the dense trace
+        g = generate("lattice_box", l=2, side=32)
+        V = np.linspace(0.0, 2.0, g.n)
+        cfg = write_config(tmp_path, "c.json", {
+            "graph": {"family": "lattice_box", "l": 2, "side": 32},
+            "potential": {"inline": [[lab, float(v)]
+                                     for lab, v in zip(g.labels, V)]},
+            "params": {"t": 0.01},
+            "output_dir": str(tmp_path / "out"),
+        })
+        assert run(cfg, "gt-check") == 0
+        _header, rows = csv_rows(tmp_path / "out" / "gt.csv")
+        _t, classical, quantum, margin = map(float, rows[0].split(","))
+        row, = sweep(g, None, V, 0.01, (1.0,)).rows
+        assert row.steps > 0
+        assert (quantum, margin) == (row.trace, row.gap)
+        want = exact_trace(g, None, V, 0.01, 1.0)
+        assert abs(quantum - want) <= 1e-12 * want
 
     def test_margin_is_the_sweep_gap_within_its_rounding(self, tmp_path):
         # V = -4e18 on the 4 x 4 box at t = 1e-17: the trace rounds above

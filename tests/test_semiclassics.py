@@ -15,7 +15,7 @@ from graphfk.bundles import (
 from graphfk.errors import GraphFKError, NumericalFailure
 from graphfk.graphs import build_graph, generate
 from graphfk.operators import assemble, resolve, symmetrize
-from graphfk.semiclassics import _divided_exp, jump_terms, sweep
+from graphfk.semiclassics import _divided_exp, _fan, jump_terms, sweep
 from graphfk.spectral import eigendecompose, eigenvalues, partition_function
 
 from conftest import (
@@ -300,6 +300,204 @@ class TestSweep:
                 envelope = result.classical_value * (
                     1 - np.exp(-r.hbar * c_bm))
                 assert r.gap <= envelope + 1e-9
+
+
+def _dense_diagonal(g, c, V, t, hbar):
+    """Per vertex, sum_a (e^{-tS})_{xa,xa}, S the symmetrized H_{Phi,
+    V/hbar}, and ||S||, from the eigendecomposition."""
+    dec = eigendecompose(assemble(g, c, V.scaled(hbar)))
+    diag = (np.abs(dec.vectors) ** 2) @ np.exp(-t * dec.eigenvalues)
+    return diag.reshape(g.n, V.rank).sum(axis=1), np.abs(dec.eigenvalues).max()
+
+
+def _box(side, rng):
+    """The side x side box and a U[0, 2] potential on it."""
+    g = generate("lattice_box", l=2, side=side)
+    return g, Potential.scalar(rng.uniform(0.0, 2.0, g.n))
+
+
+class TestTraceBracket:
+    @pytest.mark.parametrize("t", [1e-3, 0.1, 1.0])
+    @pytest.mark.parametrize("mode", ["scalar", "magnetic", "covariant"])
+    def test_encloses_the_dense_diagonal(self, rng, mode, t):
+        # random graphs with random weights and measures, some in pieces
+        # (a start's Krylov space runs out), and a weighted 5 x 5 box;
+        # each end may miss by the rounding sweep allows for, 16 ulps of
+        # the trace per unit of t ||S||, and at least 16 ulps
+        nu = 2 if mode == "covariant" else 1
+        graphs = [random_graph(rng, min_n=2, max_n=30, connected=k % 2 == 0)
+                  for k in range(6)]
+        graphs.append(_weighted(generate("lattice_box", l=2, side=5), rng))
+        for g in graphs:
+            c = None if mode == "scalar" else random_connection(g, nu, rng)
+            V = random_potential(g, nu, rng)
+            if nu == 1:
+                V = Potential.scalar(V.values[:, 0, 0].real)
+            hbar = float(rng.choice([1.0, 0.1, 0.01]))
+            problem = resolve(g, c, V)
+            assert problem.mode == mode
+            bracket = semiclassics.trace_bracket(problem, t, hbar)
+            diag, norm = _dense_diagonal(g, c, V, t, hbar)
+            allow = 16 * np.spacing(diag.sum()) * max(1.0, t * norm)
+            assert (bracket.lower <= diag + allow).all()
+            assert (diag <= bracket.upper + allow).all()
+            assert 0 < bracket.ritz <= norm * (1 + 1e-12)
+
+    @pytest.mark.parametrize("width", [1e-2, 1e-6])
+    def test_a_wider_bracket_still_encloses(self, rng, monkeypatch, width):
+        # stopped early, after fewer steps, the two rules still bracket
+        # the diagonal, and the bracket closes as far as it was asked to;
+        # without a potential a = lambda_min(S) = 0 exactly, the node of
+        # the Gauss-Radau rule sits on the spectrum's edge
+        monkeypatch.setattr(semiclassics, "BRACKET_WIDTH", width)
+        for k in range(8):
+            g = random_graph(rng, min_n=6, max_n=30)
+            V = (Potential.scalar(np.zeros(g.n)) if k % 2 else
+                 Potential.scalar(rng.uniform(0.0, 2.0, g.n)))
+            c = random_connection(g, 1, rng) if k % 4 > 1 else None
+            t = (0.1, 1.0)[k % 2]
+            bracket = semiclassics.trace_bracket(resolve(g, c, V), t, 1.0)
+            diag, norm = _dense_diagonal(g, c, V, t, 1.0)
+            allow = 16 * np.spacing(diag.sum()) * max(1.0, t * norm)
+            assert (bracket.lower <= diag + allow).all()
+            assert (diag <= bracket.upper + allow).all()
+            assert (bracket.upper - bracket.lower).sum() <= width * diag.sum()
+
+    def test_budget_and_shared_balls(self, rng):
+        # a budget below the first step's price returns None; the balls
+        # grown for one call serve the next, with the same result
+        g, V = _box(8, rng)
+        problem = resolve(g, None, V)
+        balls = semiclassics._Balls(problem)
+        assert semiclassics._bracket(problem, 0.1, 0.1, balls, 1e-9) is None
+        first = semiclassics._bracket(problem, 0.1, 0.1, balls)
+        radius = balls.radius
+        again = semiclassics._bracket(problem, 0.1, 0.1, balls)
+        assert balls.radius == radius
+        alone = semiclassics.trace_bracket(problem, 0.1, 0.1)
+        for other in (again, alone):
+            assert np.array_equal(first.lower, other.lower)
+            assert np.array_equal(first.upper, other.upper)
+            assert first.steps == other.steps
+
+    def test_box_takes_the_bracket_on_every_row(self, rng, monkeypatch):
+        # the 32 x 32 box on the default schedule: no row solves densely,
+        # so nothing is assembled, and each trace is within 1e-12 of the
+        # dense one
+        g, V = _box(32, rng)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the dense operator was assembled")
+
+        monkeypatch.setattr(semiclassics, "assemble", refuse)
+        schedule = (1e-1, 1e-2, 1e-3, 1e-4)
+        rows = sweep(g, None, V, 1.0, schedule).rows
+        monkeypatch.undo()
+        for row in rows:
+            assert row.steps > 0
+            assert abs(row.width) <= semiclassics.BRACKET_WIDTH
+            want = exact_trace(g, None, V, 1.0, row.hbar)
+            assert abs(row.trace - want) <= 1e-12 * want
+
+    def test_large_t_falls_back_to_the_dense_trace(self, rng):
+        # beta = 10, hbar = 1: the bracket would cost more than the dense
+        # solve, and the row is the dense trace, bit for bit
+        g, V = _box(32, rng)
+        row, = sweep(g, None, V, 10.0, (1.0,)).rows
+        assert (row.steps, row.width) == (0, 0.0)
+        assert row.trace == exact_trace(g, None, V, 10.0, 1.0)
+
+    def test_two_runs_agree(self, rng):
+        g, V = _box(32, rng)
+        schedule = (1e-1, 1e-2, 1e-3, 1e-4)
+        assert sweep(g, None, V, 1.0, schedule).rows == \
+            sweep(g, None, V, 1.0, schedule).rows
+
+    def test_small_graphs_solve_densely(self, rng, monkeypatch):
+        # up to 9 vertices (the bit-identity tests' graphs) no ball is
+        # built: the dense solve is predicted cheaper
+        def refuse(*args, **kwargs):
+            raise AssertionError("a bracket was tried")
+
+        monkeypatch.setattr(semiclassics, "_Balls", refuse)
+        for nu in (1, 3):
+            g = random_graph(rng, min_n=9, max_n=9)
+            c = random_connection(g, nu, rng)
+            V = random_potential(g, nu, rng)
+            rows = sweep(g, c, V, 1.0, (1.0, 1e-2, 1e-4)).rows
+            assert all(row.steps == 0 for row in rows)
+
+    @pytest.mark.parametrize("family", ["complete", "star"])
+    def test_a_hub_builds_no_ball(self, rng, monkeypatch, family):
+        # a vertex of n - 1 neighbours makes its ball of radius 1 as wide
+        # as the graph, so the padded tables would hold n^2 (1 + fan)
+        # entries, above the dense operator's n^2: no ball is built, and
+        # every row solves densely
+        def refuse(*args, **kwargs):
+            raise AssertionError("a bracket was tried")
+
+        monkeypatch.setattr(semiclassics, "_Balls", refuse)
+        size = {"n": 400} if family == "complete" else {"leaves": 399}
+        g = _weighted(generate(family, **size), rng)
+        V = rng.uniform(0.0, 2.0, g.n)
+        rows = sweep(g, None, V, 1.0, (1e-1, 1e-2, 1e-3, 1e-4)).rows
+        assert all(row.steps == 0 for row in rows)
+
+    def test_tables_stay_within_the_dense_operator(self, rng):
+        # on the 16 x 16 box the tables may hold 256 / 5 slots per start:
+        # B_4 (41 wide) is placed, B_5 (61) is not, and t = 1 needs 12
+        # steps, so even an ample budget gives up
+        g, V = _box(16, rng)
+        problem = resolve(g, None, V)
+        balls = semiclassics._Balls(problem)
+        assert semiclassics._bracket(problem, 1.0, 1.0, balls, 1e9) is None
+        assert (balls.radius, balls.rows, balls.reach) == (4, 41, 61)
+        assert semiclassics._bracket(problem, 1.0, 1.0, balls).steps == 12
+
+    def test_a_level_too_wide_is_listed_once(self, rng, monkeypatch):
+        # a level that would make a ball wider than the limit is not
+        # placed, and a later ask as narrow does not list it again
+        g, V = _box(8, rng)
+        balls = semiclassics._Balls(resolve(g, None, V))
+        listed = []
+        monkeypatch.setattr(semiclassics, "_fan", lambda *args: (
+            listed.append(args) or _fan(*args)))
+        assert balls.grow(5) and balls.radius == 1
+        assert not balls.grow(12) and balls.radius == 1
+        assert not balls.grow(12) and len(listed) == 2
+        assert balls.grow(13) and balls.radius == 2
+
+    def test_cap_is_checked_before_any_bracket(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a bracket was tried")
+
+        monkeypatch.setattr(semiclassics, "_Balls", refuse)
+        g = generate("lattice_box", l=2, side=65)
+        with pytest.raises(GraphFKError, match="exceeds cap"):
+            sweep(g, None, np.zeros(g.n), 1.0, (1e-3,))
+
+    @pytest.mark.parametrize("end", ["lower", "upper"])
+    def test_bounds_are_checked_against_the_ends(self, rng, monkeypatch,
+                                                 end):
+        # a bracket whose lower end lies above the classical sum, or whose
+        # upper end lies below Z_0 + Z_2, breaks a bound even though its
+        # midpoint would not
+        g, V = _box(32, rng)
+        problem = resolve(g, None, V)
+        classical = float(np.exp(-V.values[:, 0, 0].real).sum())
+        true = semiclassics.trace_bracket(problem, 0.01, 0.01)
+        low, high = true.lower.sum(), true.upper.sum()
+        shift = (classical - low + 1.0) if end == "lower" else (
+            -(high - low) - 1.0)
+        # keep the width within BRACKET_WIDTH: move both ends
+        fake = semiclassics.Bracket(true.lower + shift / g.n,
+                                    true.upper + shift / g.n, true.steps,
+                                    true.ritz)
+        monkeypatch.setattr(semiclassics, "_bracket",
+                            lambda *args, **kwargs: fake)
+        message = "upper bound" if end == "lower" else "sandwich lower"
+        with pytest.raises(NumericalFailure, match=message):
+            sweep(g, None, V, 1.0, (1e-2,))
 
 
 def _dyson_two_jump(g, c, V, t):
@@ -717,6 +915,26 @@ class TestSeriesAndPairRoutes:
                 assert np.abs(got - want).max() <= 1e-12 * scale, (trial, k)
                 # an odd k may close no walk, and then weighs nothing
                 assert k % 2 or (series and pair), (trial, k)
+
+    def test_no_triangle_lists_no_key(self, rng, monkeypatch):
+        # C_33 is not bipartite and holds no triangle: Z_3 is 0 before
+        # any 2-path key is listed; on K_4 the keys are listed, and Z_3
+        # meets the oracle
+        def refuse(*args, **kwargs):
+            raise AssertionError("a key was listed")
+
+        g = _weighted(generate("cycle", n=33), rng)
+        problem = resolve(g, None, rng.uniform(-1.0, 2.0, g.n))
+        monkeypatch.setattr(semiclassics, "_levels", refuse)
+        got = jump_terms(problem, 1.0, 0.5, 3)
+        assert got.tolist() == [0.0] * g.n
+        monkeypatch.undo()
+        levels = _counting(monkeypatch, "_levels")
+        g = _weighted(generate("complete", n=4), rng)
+        w = rng.uniform(-1.0, 2.0, g.n)
+        got = jump_terms(resolve(g, None, w), 1.0, 0.5, 3)
+        want = _dyson_block(g, None, Potential.scalar(w / 0.5), 1.0, 3)
+        assert levels and np.abs(got - want).max() <= 1e-12 * want.max()
 
     @pytest.mark.parametrize("n", [5, 7])
     def test_odd_cycle_without_a_triangle(self, rng, monkeypatch, n):

@@ -27,8 +27,11 @@ and graph entries with keys their form does not read; a ``sweep`` and
 a ``gt-check`` of traces near 3.8e18, whose bounds must allow for their
 rounding; an ``fk-compare`` on a 4 x 4 box with 1600 on one corner,
 whose exact strata take both routes of ``semiclassics.jump_terms``;
-and a potential whose traces overflow a float through the four
-subcommands that sum one, each of which exits 2.  Each run leaves its
+a potential whose traces overflow a float through the four
+subcommands that sum one, each of which exits 2; and two ``sweep`` runs
+of a 32 x 32 box, one on the default schedule, whose rows all take
+their traces from ``semiclassics.trace_bracket``, and one at beta = 10,
+hbar = 1, which falls back to the dense solve.  Each run leaves its
 stderr in WORKDIR/NAME/stderr.txt.
 NAME restricts the runs to the ones named.
 """
@@ -215,6 +218,15 @@ BOX_CORNER = {
     "params": PARAMS["fk-compare"], "seed": 1}
 
 
+# The 32 x 32 box with V = 0.25 ((3 i + 5 j) mod 8) on x_{i,j}: on
+# sweep's default schedule every row takes the trace bracket, and at
+# beta = 10, hbar = 1 (t = 10) the bracket would cost more than the dense
+# solve, which the row takes
+BOX_32 = {"graph": {"family": "lattice_box", "l": 2, "side": 32},
+          "potential": {"inline": [[f"x{i}_{j}", 0.25 * ((3 * i + 5 * j) % 8)]
+                                   for i in range(32) for j in range(32)]}}
+
+
 def _with_params(cfg, subcommand):
     cfg = cfg | {"params": PARAMS[subcommand]}
     if subcommand == "fk-compare":
@@ -246,6 +258,10 @@ def runs():
     for sub in ("sweep", "gt-check", "kernel"):
         table[f"overflow-{sub}"] = (sub, OVERFLOW, {})
     table["overflow-fk-compare"] = ("fk-compare", OVERFLOW | {"seed": 1}, {})
+    table["box-32-bracket-sweep"] = ("sweep", BOX_32, {})
+    table["box-32-dense-sweep"] = (
+        "sweep", BOX_32 | {"params": {"beta": 10.0, "hbar_schedule": [1.0]}},
+        {})
     return table
 
 
