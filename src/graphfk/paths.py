@@ -125,10 +125,10 @@ MAX_WORKERS = 64
 # ``estimate_partition`` does not compute Z_3 and Z_4 and forces the
 # jumps it forced without them.  The closed 6-walks, times nu^6, meet
 # the same budget before Z_6 is computed.  At 2^21 walks on the lattice
-# box (rank 1, 2-core machine), Z_4 took 0.25 s (0.12 us per walk) and
-# Z_6 0.05 s (0.03 us) where every start's walks spread little
-# (``semiclassics._DD_SERIES``), and 1.6 s and 1.8 s (0.75 and 0.85 us)
-# where every start's spread widely
+# box (rank 1, 2-core machine, best of nine calls), Z_4 took 0.25 s
+# (0.12 us per walk) and Z_6 0.05 s (0.02 us) where every start's walks
+# spread little (``semiclassics._DD_SERIES``), and 1.5 s and 0.14 s
+# (0.72 and 0.07 us) where every start's spread widely (BENCH_27.json)
 WALK_BUDGET = 2**21
 # s = t max deg_m from which a bipartite graph takes Z_6 exactly and
 # forces 8 jumps.  Below it, the tail beyond six jumps is a vanishing

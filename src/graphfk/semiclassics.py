@@ -17,19 +17,21 @@ exactly: each closed walk of k jumps contributes its hops times t^k
 times a divided difference of exp over the k + 1 values deg_m + lam it
 holds at (Hermite-Genocchi).  Every closed k-walk is joined from a path
 of ceil(k/2) jumps and the reverse of a path of floor(k/2) jumps with
-the same ends.  Where the values within floor(k/2) jumps of a start
-spread little, t (max - min) at most ``_DD_SERIES`` (16), the divided
-difference is a series of complete homogeneous polynomials about the
-smallest value, and that of a joined walk is the Cauchy product of its
-halves': so the start's walks are weighed as sums of half-walks per
-pair of ends, not one by one.  Where they spread widely, each walk is
-weighed on its own by scaling and squaring the bidiagonal Opitz matrix
-(``_divided_exp``).  Either way the closed walks, times nu^k, are
-counted against the caller's budget before any is weighed.  In the
-scalar case every term of the
-series is nonnegative, so Z_0 + Z_2 <= trace is a sharper lower bound,
-and the sweep asserts it.  The Monte Carlo trace estimator adds the
-higher strata; the sweep does not.
+the same ends, and its divided difference factors over the two halves:
+so each start's walks are weighed as sums of half-walks per pair of
+ends, not one by one, in one kind of table whatever the spread.  Where
+the values within floor(k/2) jumps of a start spread little, t (max -
+min) at most ``_DD_SERIES`` (32), the divided difference is a series of
+complete homogeneous polynomials about the smallest value, and that of
+a joined walk is the Cauchy product of its halves'; where they spread
+more, it is a contour integral of e^s times a product of 1 / (s - z)
+over the walk's values, taken by the trapezoid rule on a Talbot
+contour, which nothing overflows at any spread.  The closed walks,
+times nu^k, are counted against the caller's budget before any is
+weighed.  In the scalar case every term of the series is nonnegative,
+so Z_0 + Z_2 <= trace is a sharper lower bound, and the sweep asserts
+it.  The Monte Carlo trace estimator adds the higher strata; the sweep
+does not.
 
 The sweep's trace itself needs no eigensolve where t = beta hbar is
 small.  As hbar -> 0 the diagonal entry of e^{-tS} at x, S the
@@ -49,6 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -143,119 +146,52 @@ def _eigenbasis(problem: Problem, hbar: float):
 # The node spread, t (max - min) of deg_m + lam over the vertices within
 # floor(k/2) jumps of a start, up to which ``jump_terms`` sums its walks'
 # divided differences as a series about their smallest node, in a number
-# of terms that grows as the spread (72 at 16); past about 700 the
-# series' powers overflow.  A wider start's walks scale and square
-# (``_divided_exp``), at a cost that grows as the logarithm of the spread
-_DD_SERIES = 16.0
-# The Taylor terms beyond the order k, and the size to which
-# ``_divided_exp`` scales the nodes before it sums them: each entry's tail
-# is then below (1/4)^12 / 12! = 1.3e-16 of it
-_DD_TERMS, _DD_NORM = 11, 0.25
-# Divided differences per piece of the pair route, and h-paths per block
-# of starts of the series route at rank 1 (nu^2 times fewer at rank nu):
-# pieces and blocks bound the memory of ``jump_terms`` whatever the number
-# of walks
+# of terms that grows as the spread (72 at 16, 118 at 32); it held Z_2
+# of two vertices to 9e-16 at spreads 30 and 48, but past about 50 its
+# powers overflow where its factorials underflow (NaN at 64).  A wider
+# start's walks take the contour (``_talbot``), which holds a walk only
+# to about 3e-14 (BENCH_27.json)
+_DD_SERIES = 32.0
+# Pieces of ``_has_triangle``, and h-paths per block of starts of
+# ``jump_terms`` at rank 1 (nu^2 times fewer at rank nu): the blocks
+# bound the memory of ``jump_terms`` whatever the number of walks
 _PIECE = 2048
 _BLOCK = 16384
 
 
-def _divided_exp(z):
-    """e[z_0, ..., z_k], the divided difference of exp, per column of z,
-    shape (k + 1, B) -> (B,), by scaling and squaring.
+def _talbot(N, scale):
+    """The nodes s_j and weights w_j of the trapezoid rule, (1 / 2 pi i)
+    int e^s f(s) ds ~ sum_j w_j f(s_j), on the Talbot contour s(theta) =
+    scale (-0.6122 + 0.5017 theta cot(0.6407 theta) + 0.2645 i theta) at
+    the midpoints theta_j of N equal pieces of (-pi, pi), w_j = e^{s_j}
+    s'(theta_j) / (i N); with scale = N it is the contour of Weideman &
+    Trefethen (Math. Comp. 76 (2007) 1341).  The nodes come in conjugate
+    pairs, s_{N-1-j} = conj(s_j).
 
-    It is entry (0, k) of the exponential of the Opitz matrix Z = diag(z)
-    + N, N the ones above the diagonal (Opitz, ZAMM 44 (1964); McCurdy,
-    Ng & Parlett, Math. Comp. 43 (1984) 501).  Entry (i, j) of e^Z is
-    e[z_i, ..., z_j] > 0, by Hermite-Genocchi.  Each column is shifted by
-    its largest node top: the nodes of Z - top are at most 0, so no entry
-    of e^{u (Z - top)}, u >= 0, exceeds 1, and none overflows, whatever
-    the spread.
-
-    With mu the midpoint of the nodes, the Taylor series of e^B, B = 2^-s
-    (Z - mu), is summed by Horner's rule, s the least with the nodes of B
-    at most ``_DD_NORM`` in size; every entry's terms are bounded by
-    those of e^{|b|}, so they cancel at most by a factor e^{2 |b|}.
-    Times e^{-2^-s (top - mu)}, e^B becomes e^{2^-s (Z - top)}, and s
-    squarings bring that back to e^{Z - top}.  The upper triangle of
-    every power is nonnegative, so they add only products of nonnegative
-    numbers and nothing cancels there (the last forms entry (0, k)
-    alone); each doubles the relative rounding, which ends near 2^s eps,
-    below 4 spread eps.  One s serves the whole batch: that of its widest
-    column.  The upper triangle is kept entry-major, its diagonals one
-    after the other, flat, shape ((k+1)(k+2)/2, B), so every operation
-    runs over the batch.
-    """
-    top, bottom = z.max(axis=0), z.min(axis=0)
-    spread = float((top - bottom).max(initial=0.0))
-    n = z.shape[0]
-    mid = 0.5 * (top + bottom)
-    half = 0.5 * spread
-    s = math.ceil(math.log2(half / _DD_NORM)) if half > _DD_NORM else 0
-    b = (z - mid) * 2.0 ** -s
-    # diagonal l of the triangle holds the entries (i, i + l), i < n - l
-    off = np.r_[0, np.cumsum(np.arange(n, 0, -1))]
-    diag = [slice(off[l], off[l + 1]) for l in range(n)]
-    rows = np.concatenate([b[:n - l] for l in range(n)])
-    X = np.empty((off[-1], z.shape[1]))
-    X[:n], X[n:] = 1.0, 0.0
-    tmp = np.empty_like(X)
-    # Horner's rule on B1 = diag(b) + N, without divisions: after step m,
-    # X holds M!/(m - 1)! times the partial result, M the number of terms
-    c = 1.0
-    for m in range(_DD_TERMS + n - 1, 0, -1):
-        c *= m
-        np.multiply(rows, X, out=tmp)
-        for l in range(1, n):
-            tmp[diag[l]] += X[off[l - 1] + 1:off[l]]
-        tmp[:n] += c
-        X, tmp = tmp, X
-    # e^B = D e^{B1} D^-1, D = diag(2^-s i): diagonal l scales by 2^-s l;
-    # the shift from mid to top scales it all
-    X *= np.exp((mid - top) * 2.0 ** -s) / c
-    for l in range(1, n):
-        X[diag[l]] *= 2.0 ** (-s * l)
-    for _ in range(s - 1):
-        for l in range(n):
-            out = tmp[diag[l]]
-            np.multiply(X[:n - l], X[diag[l]], out=out)
-            for j in range(1, l + 1):
-                out += (X[off[j]:off[j] + n - l]
-                        * X[off[l - j] + j:off[l - j + 1]])
-        X, tmp = tmp, X
-    if s:
-        # the last squaring needs entry (0, k) only: sum_j (0, j) (j, k)
-        corner = X[off[n - 1]] * X[0]
-        for j in range(1, n):
-            corner += X[off[j]] * X[off[n - 1 - j] + j]
-        return np.exp(top) * corner
-    return np.exp(top) * X[-1]
+    They are taken in long double where the platform has it: a weight
+    rounds off as e^{s_j} does, by the ulps of s_j, and a walk whose
+    values all lie 10 above the start's lowest was held to 7e-12 so,
+    5e-11 in double (BENCH_27.json)."""
+    f = np.longdouble
+    theta = np.pi * np.arange(1 - N, N, 2, dtype=f) / N
+    c = f(0.6407) * theta
+    s = scale * (f(-0.6122) + f(0.5017) * theta / np.tan(c)
+                 + 1j * f(0.2645) * theta)
+    ds = scale * (f(0.5017) * (1 / np.tan(c) - c / np.sin(c) ** 2)
+                  + 1j * f(0.2645))
+    return s.astype(complex), (np.exp(s) * ds / (1j * N)).astype(complex)
 
 
-def _walk_terms(arcs, seq, factors, t):
-    """The weight of each closed walk along ``arcs``, shape (k, B), in the
-    Dyson term of e^{-tH} with k hops, real part.
-
-    The walk x_0 -> x_1 -> ... -> x_0 takes, with (a, W, hop) =
-    ``factors`` (``jump_terms``), its hops times the sum over the index
-    sequences i_0 ... i_{k-1}, the columns of ``seq``, shape (k, nu^k), of
-    prod_j W_j[i_j, i_{j+1}] (i_k = i_0) times the integral over the
-    holds s_0 + ... + s_k = t of e^{-sum_j s_j a_j}, the last hold at x_0
-    again: t^k e[-t a_0, ..., -t a_{k-1}, -t a_0] by Hermite-Genocchi.
-    The index sequences run along the batch, B nu^k divided differences
-    in one ``_divided_exp`` call.
-    """
-    a, W, hop = factors
-    k, nu = seq.shape[0], a.shape[1]
-    # W_j[i_j, i_{j+1}] and a at the start of hop j, as flat indices
-    i, j = seq[:, None], np.roll(seq, -1, axis=0)[:, None]
-    F = np.take(W, arcs[:, :, None] * nu * nu + i * nu + j).prod(axis=0)
-    z = np.empty((k + 1,) + F.shape)
-    z[:k] = np.take(a, arcs[:, :, None] * nu + i)
-    z[:k] *= -t
-    z[k] = z[0]
-    dd = _divided_exp(z.reshape(k + 1, -1)).reshape(F.shape)
-    return t ** k * hop[arcs].prod(axis=0) * np.einsum("bs,bs->b",
-                                                         F.real, dd)
+# The contour crosses the real axis at 0.171 scale, where e^s is largest,
+# so the rule rounds off as e^{0.171 scale} times eps: relative to a walk
+# whose nodes all lie at or below -c, whose size is about e^{-c}, as
+# e^{0.171 scale + c}.  At scale 28 the crossing is 4.8 and e^s falls to
+# 4e-16 at the last node; 48 nodes then hold e[z_0, ..., z_k], z in
+# [-spread, 0] with 0 among them, within 2.7e-14 over spreads 0.5-5000
+# and k = 2 ... 8, and a walk whose nodes lie at or below -10 within
+# 7e-12.  Weideman & Trefethen's scale 48 held these to 1.4e-13 and 2e-10
+# (BENCH_27.json)
+_NODES, _WEIGHTS = _talbot(48, 28)
 
 
 def _csr(src, n):
@@ -275,23 +211,8 @@ def _fan(csr, ends):
     return r, order[np.arange(r.size) + (ptr[ends] - np.cumsum(fan) + fan)[r]]
 
 
-def _h_paths(problem: Problem, csr, starts, h: int):
-    """The h-paths x -> ... -> z (z = x too) from each x of ``starts``, as
-    their h arcs, shape (h, P), and their keys x n + z, both sorted by
-    key.  Each path of h - 1 arcs is extended by the arcs out of its end,
-    in arc order."""
-    arcs, ends = np.empty((0, starts.size), dtype=np.int64), starts
-    for _ in range(h):
-        r, e = _fan(csr, ends)
-        arcs = np.concatenate([arcs[:, r], e[None]])
-        ends = problem.dst[e]
-    key = problem.src[arcs[0]] * problem.graph.n + ends
-    by = np.argsort(key, kind="stable")
-    return arcs[:, by], key[by]
-
-
 def _levels(problem: Problem, csr, starts, k: int):
-    """The keys of the series route from ``starts``: per jump m = 1 ...
+    """The keys of the half-walk tables from ``starts``: per jump m = 1 ...
     ceil(k/2), the keys s n + y of the m-paths from starts[s] to y,
     sorted and each once, and per pair of a key r of jump m - 1 and an
     arc e out of its end, r ascending, the index q of the key it reaches.
@@ -339,25 +260,47 @@ def _node(U, b):
     return U
 
 
-def _series_block(problem: Problem, levels, xs, k, t, hold, top, C, HW):
-    """Z_k at each start of ``xs`` by the series route of ``jump_terms``,
-    from the ``_levels`` of ``xs``, with C = [c_{i+l}], shape (M, M).
+def _pole(U, b):
+    """U(s) diag(1 / (s - b_c)) in place at each node s = s_j of the
+    contour, U(s_j) stored as U[j], shape (N, S, nu, keys, nu), for b
+    broadcast to (S, nu, keys, nu)."""
+    U /= _NODES[:, None, None, None, None] - b
+    return U
+
+
+def _mirror(T, out):
+    """conj(w_j) T(s_{N-1-j}) = conj(w_j) T(conj(s_j)) into ``out``: the
+    adjoint of a table at s_j, node factors unconjugated, is conj of this
+    table at the mirror node, so that Re sum_j w_j tr(P(s_j) Hf(s_j)^H),
+    Hf's nodes taken at s_j, is Re sum_j tr(P_j out_j^H)."""
+    np.multiply(_WEIGHTS.conj()[:, None, None, None, None], T[::-1], out=out)
+
+
+def _half_walks(problem: Problem, levels, xs, k, t, hold, shift, route,
+                HW):
+    """Z_k at each start of ``xs``, from the ``_levels`` of ``xs``, by a
+    route of ``jump_terms``: ``route`` = (first, node, close), the jump-0
+    table's entries along the leading axis, the node step and the closing
+    sum's map on that axis.
 
     The table of a jump holds, per start s, key x -> y of the jump and
-    fibre indices a (at x) and c (at y), the coefficients of u^0 ...
-    u^{M-1} in the half-walk sum from x to y, shape (M, S, nu, keys, nu),
-    each start's keys padded to the block's widest.  A jump multiplies
-    the table of the jump before by the hop W of each arc, per start one
+    fibre indices a (at x) and c (at y), the half-walk sum from x to y
+    along a leading axis of the route's, shape (L, S, nu, keys, nu), each
+    start's keys padded to the block's widest.  A jump multiplies the
+    table of the jump before by the hop W of each arc, per start one
     dense matrix over the keys (``_jump``), and then takes the node at
-    each key's end (``_node``).  The Hankel matrix C acts on the
-    coefficients and a jump on the keys, so R = C Hf is C times the table
-    of jump j - 1, which has fewer keys, taken through jump j."""
-    n, nu, S, M = problem.graph.n, problem.rank, xs.size, C.shape[0]
-    # jump 0: the key x -> x, the identity, then the node at x; b = t
-    # (top_x - a) >= 0
-    T = np.zeros((M, S, nu, 1, nu))
-    T[0, :, range(nu), 0, range(nu)] = 1.0
-    T = _node(T, (t * (top[xs, None] - hold[xs]))[:, None, None])
+    each key's end: node(U, b) with b = t (shift_x - a_y), x the key's
+    start and y its end.  ``close`` acts on the leading axis and a jump
+    on the keys, so R = close(Hf) is ``close`` of the table of jump j -
+    1, which has fewer keys, taken through jump j; Z_k(x) = t^k e^{-t
+    shift_x} sum_z (m_x / m_z) Re sum_i tr(HP_xz[i] R_xz[i]^H)."""
+    n, nu, S = problem.graph.n, problem.rank, xs.size
+    first, node, close = route
+    L = first.size
+    # jump 0: the key x -> x, the identity, then the node at x
+    T = np.zeros((L, S, nu, 1, nu), dtype=first.dtype)
+    T[:, :, range(nu), 0, range(nu)] = first[:, None, None]
+    T = node(T, (t * (shift[xs, None] - hold[xs]))[:, None, None])
     off = np.arange(S + 1)
     for m, (keys, r, e, q) in enumerate(levels, 1):
         before, off = off, np.searchsorted(keys, np.arange(S + 1) * n)
@@ -368,23 +311,20 @@ def _series_block(problem: Problem, levels, xs, k, t, hold, top, C, HW):
         A = np.zeros((S, T.shape[3], nu, width, nu), dtype=HW.dtype)
         A[s, r - before[s], :, q - off[s], :] = HW[e]
         if m == k // 2:
-            # C T rides along with T through the jump
-            X = np.empty((2 * M,) + T.shape[1:], dtype=T.dtype)
-            X[:M] = T
-            _hankel(C, T, out=X[M:])
+            # close(T) rides along with T through the jump
+            X = np.empty((2 * L,) + T.shape[1:], dtype=T.dtype)
+            X[:L] = T
+            close(T, out=X[L:])
             U = _jump(X, A)
-            U, R = U[:M], U[M:]
+            U, R = U[:L], U[L:]
         else:
             U = _jump(T, A)
-        # per padded key: b = t (top_x - a_y), x its start and y its end
         s = keys // n
         slot = (s, np.arange(keys.size) - off[s])
         b = np.zeros((S, 1, width, nu))
-        b[slot[0], 0, slot[1]] = t * (top[xs[s], None] - hold[keys % n])
-        T = _node(U, b)
-    # Z_k(x) = t^k e^{-t top_x} sum_z (m_x / m_z)
-    #          sum_{i,l} c_{i+l} Re tr(HP_xz(i) Hf_xz(l)^H)
-    P, R = T.reshape(M, -1), R.reshape(M, -1)
+        b[slot[0], 0, slot[1]] = t * (shift[xs[s], None] - hold[keys % n])
+        T = node(U, b)
+    P, R = T.reshape(L, -1), R.reshape(L, -1)
     walk = np.einsum("ix,ix->x", P.real, R.real)
     if np.iscomplexobj(P):
         walk += np.einsum("ix,ix->x", P.imag, R.imag)
@@ -392,7 +332,7 @@ def _series_block(problem: Problem, levels, xs, k, t, hold, top, C, HW):
     ratio = np.zeros((S, width))
     ratio[slot] = measure[xs[s]] / measure[keys % n]
     walk = walk.reshape(S, nu, width, nu).sum(axis=(1, 3)) * ratio
-    return t ** k * np.exp(-t * top[xs]) * walk.sum(axis=1)
+    return t ** k * np.exp(-t * shift[xs]) * walk.sum(axis=1)
 
 
 def _jump(T, A):
@@ -424,34 +364,6 @@ def _hankel(C, T, out):
     step = max(1, 2 ** 18 // C.size)
     for c0 in range(0, F.shape[1], step):
         np.matmul(C, F[:, c0:c0 + step], out=R[:, c0:c0 + step])
-
-
-def _pair_terms(problem: Problem, arcs, back, lo, hi, k, t, factors):
-    """Z_k per vertex by the pair route of ``jump_terms``: the h-paths
-    ``arcs`` and the j-paths ``back``, each h-path p with its partners
-    lo[p] ... hi[p] - 1."""
-    g, nu, src = problem.graph, problem.rank, problem.src
-    h, j = (k + 1) // 2, k // 2
-    if h == j:
-        lo = np.arange(arcs.shape[1])  # the pairs p <= q
-    seq = np.indices((nu,) * k).reshape(k, -1)
-    # the pairs in order of p, then q
-    after = hi - lo
-    end = np.cumsum(after)
-    total = int(end[-1]) if end.size else 0
-    out = np.zeros(g.n)
-    step = max(1, _PIECE // nu ** k)
-    for first in range(0, total, step):
-        idx = np.arange(first, min(first + step, total))
-        p = np.searchsorted(end, idx, side="right")
-        q = lo[p] + idx - (end[p] - after[p])
-        # p's arcs, then q's reversed, last first
-        weight = _walk_terms(np.concatenate([arcs[:, p], back[::-1, q] ^ 1]),
-                             seq, factors, t)
-        if h == j:
-            weight *= np.where(p < q, 2.0, 1.0)
-        out += np.bincount(src[arcs[0, p]], weights=weight, minlength=g.n)
-    return out
 
 
 def _ball(values, csr, dst, radius, reduce):
@@ -494,55 +406,61 @@ def jump_terms(problem: Problem, t: float, hbar: float, k: int,
     the weights of the closed k-walks from x.  A jump along the arc x ->
     y puts hop = b(x,y)/m_x and W (``_eigenbasis``) into the weight of a
     walk, and a hold at x the values a = deg_m(x) + lam_x, with a divided
-    difference of exp over the k + 1 values -t a it holds at, t^k e[z_0,
-    ..., z_k] (``_walk_terms``).  Z_0(x) = sum_a e^{-t a_xa}, Z_1 = 0
-    without self-loops, and in the scalar case every term is nonnegative.
+    difference of exp over the k + 1 values z = -t a it holds at, t^k
+    e[z_0, ..., z_k].  Z_0(x) = sum_a e^{-t a_xa}, Z_1 = 0 without
+    self-loops, and in the scalar case every term is nonnegative.
 
     A closed k-walk from x is an h-path p from x to z, h = ceil(k/2),
     followed by the reverse of a j-path q from x to z, j = floor(k/2),
-    and it stays within j jumps of x.  The route is picked per start x by
-    the spread t (max - min) of a over those vertices and every fibre
-    eigenvalue:
+    and it stays within j jumps of x.  Both routes shift the values by
+    sigma_x, z' = z - sigma_x, and write e[z_0, ..., z_k] = e^{sigma_x}
+    B(F(p's nodes), F(q's nodes but z)): F is a product of one factor per
+    node, held along an axis, and B a bilinear form on that axis.  So
+    Z_k(x) = t^k e^{sigma_x} sum_z Re B(HP_xz, HQ_xz), B taken with tr
+    of the product: HP_xz sums over the h-paths x -> z their hops, their
+    products of W and F over their nodes, z included (a nu x nu matrix
+    per entry of the axis), and HQ_xz = (m_x / m_z) Hf_xz^H, Hf the same
+    sum over the j-paths with z left out, since a reversed path's W
+    product is the adjoint and its hops differ by m_x / m_z.  The
+    half-walk sums are taken jump by jump over the keys x n +
+    y (``_levels``, ``_half_walks``), in blocks of starts of about
+    ``_BLOCK`` / nu^2 h-paths.  The route is picked per start x by the
+    spread t (max - min) of a over the vertices within j jumps of x and
+    every fibre eigenvalue:
 
-    - up to ``_DD_SERIES``, the series route.  With s_x = -t max a and b
-      = -t a - s_x >= 0 there, e[z_0, ..., z_k] = e^{s_x} sum_m c_m
-      h_m(b_0, ..., b_k), c_m = 1/(m + k)! and h_m the complete
-      homogeneous polynomial, and h_m of a joined walk is sum_{i+l=m}
-      h_i(p's nodes) h_l(q's nodes but z), a Cauchy product.  So Z_k(x)
-      = t^k e^{s_x} sum_z sum_{i,l} c_{i+l} Re tr(HP_xz(i) HQ_xz(l)):
-      HP_xz sums over the h-paths x -> z their hops, their products of W
-      and h_i over their nodes, z included (a nu x nu matrix per i), and
-      HQ_xz = (m_x / m_z) Hf_xz^H, Hf the same sum over the j-paths with
-      z left out, since a reversed path's W product is the adjoint and
-      its hops differ by m_x / m_z.  The half-walk sums are taken jump by
-      jump over the keys x n + y (``_levels``, ``_series_block``), in
-      blocks of starts of about ``_BLOCK`` / nu^2 h-paths, and the
-      series keeps ``_series_length`` terms of the block's widest start.
-      Every term is nonnegative in the scalar case.
-    - wider, the pair route (``_pair_terms``): each pair (p, q) with the
-      same key is weighed on its own (``_walk_terms``) by scaling and
-      squaring, in pieces of about ``_PIECE`` divided differences.  For
-      even k, (p, q) and (q, p) are each other's reverse and weigh
-      complex conjugates, so the pairs p <= q are weighed, those with p
-      < q twice, real part; for odd k every pair is.  Past a spread of
-      about 700 the series would overflow.
+    - up to ``_DD_SERIES``, the series.  With sigma_x = -t max a, z' >=
+      0 and e[z'] = sum_m c_m h_m(z'), c_m = 1/(m + k)! and h_m the
+      complete homogeneous polynomial, whose generating function is
+      prod_i 1 / (1 - z'_i u); so F is that product, the axis holds its
+      coefficients (``_node``), and the closing sum weighs the
+      coefficients i of HP and l of Hf by c_{i+l}, the Hankel matrix C
+      (``_hankel``).  The block keeps ``_series_length`` terms of its
+      widest start.  Every term is nonnegative in the scalar case.
+    - wider, the contour.  With sigma_x = -t min a, z' <= 0, and e[z'] =
+      (1 / 2 pi i) int e^s prod_i 1 / (s - z'_i) ds over a Talbot contour
+      about [-spread, 0] (Trefethen, Weideman & Schmelzer, BIT 46 (2006)
+      653); so F(s) is that product, the axis holds it at the contour's
+      nodes s_j (``_pole``), and the closing sum weighs them by w_j
+      (``_talbot``, ``_mirror``).  Nothing overflows at any spread.  The
+      rule's rounding is relative to e^{sigma_x}: a walk whose values all
+      lie above min a by c / t, which weighs about e^{-c} of that, is
+      held about e^c times less closely (7e-12 at c = 10).
 
     The budget meets the closed walks times nu^k, and they are counted
-    per key, on both routes, before any is weighed; for even k every
-    h-path makes a walk with itself, so their count 1^T A^h is checked
-    against it before any key is listed, one pass over the arcs per
-    jump.  Where no walk closes the result is 0 with nothing weighed; Z_3
-    asks first whether the graph holds a triangle (``_has_triangle``),
-    before any key is listed.
+    per key before any is weighed; for even k every h-path makes a walk
+    with itself, so their count 1^T A^h is checked against it before any
+    key is listed, one pass over the arcs per jump.  Where no walk closes
+    the result is 0 with nothing weighed; Z_3 asks first whether the
+    graph holds a triangle (``_has_triangle``), before any key is listed.
     """
     g, nu, src, dst = problem.graph, problem.rank, problem.src, problem.dst
-    h, j = (k + 1) // 2, k // 2
+    j = k // 2
     per_walk = nu ** k
     # the h-paths from each vertex, 1^T A^h
     paths = np.ones(g.n)
-    for _ in range(h):
+    for _ in range((k + 1) // 2):
         paths = np.bincount(src, weights=paths[dst], minlength=g.n)
-    if budget is not None and h == j and paths.sum() * per_walk > budget:
+    if budget is not None and k % 2 == 0 and paths.sum() * per_walk > budget:
         return None
     csr = _csr(src, g.n)
     fan = csr[1]
@@ -551,22 +469,24 @@ def jump_terms(problem: Problem, t: float, hbar: float, k: int,
     lam, W = _eigenbasis(problem, hbar)
     hold = degrees(g).deg_m[:, None] + lam
     top = _ball(hold.max(axis=1), csr, dst, j, np.maximum)
-    spread = t * (top - _ball(hold.min(axis=1), csr, dst, j, np.minimum))
-    wide = spread > _DD_SERIES
-    # the series starts in blocks of about ``_BLOCK`` / nu^2 h-paths, in
+    low = _ball(hold.min(axis=1), csr, dst, j, np.minimum)
+    narrow = t * (top - low) <= _DD_SERIES
+    # each route's starts in blocks of about ``_BLOCK`` / nu^2 h-paths, in
     # order of their h-paths, so that each block pads its keys little; a
     # start counts at least 16, so that starts with few (Z_2) do not
     # make a block of many keys: on the 64 x 64 box Z_2 took 16-21 ms in
     # one block of 4096 starts, 5-8 ms in four (2-core machine)
-    series = np.flatnonzero(~wide & (fan > 0))
-    series = series[np.argsort(paths[series], kind="stable")]
-    cum = np.cumsum(np.maximum(paths[series], 16.0))
+    blocks = []
     size = max(1, _BLOCK // nu ** 2)
-    bounds = np.r_[0, np.searchsorted(
-        cum, np.arange(size, cum[-1:].sum(), size), side="right"),
-                   series.size]
-    blocks = [series[b0:b1] for b0, b1 in zip(bounds[:-1], bounds[1:])
-              if b1 > b0]
+    for route in (narrow, ~narrow):
+        xs = np.flatnonzero(route & (fan > 0))
+        xs = xs[np.argsort(paths[xs], kind="stable")]
+        cum = np.cumsum(np.maximum(paths[xs], 16.0))
+        bounds = np.r_[0, np.searchsorted(
+            cum, np.arange(size, cum[-1:].sum(), size), side="right"),
+                       xs.size]
+        blocks += [xs[b0:b1] for b0, b1 in zip(bounds[:-1], bounds[1:])
+                   if b1 > b0]
     levels = [_levels(problem, csr, xs, k) for xs in blocks]
     # the closed walks per key of the last jump: its h-paths times the
     # j-paths with its key (for odd k the last jump indexes the keys of
@@ -578,31 +498,27 @@ def jump_terms(problem: Problem, t: float, hbar: float, k: int,
             count = np.bincount(q, weights=count[r], minlength=keys.size)
             counts.append(count)
         walks += float(counts[-1] @ counts[j - 1])
-    pairs = np.flatnonzero(wide)
-    if pairs.size:
-        arcs, key = _h_paths(problem, csr, pairs, h)
-        back, back_key = (arcs, key) if h == j else _h_paths(
-            problem, csr, pairs, j)
-        # the partners of p: the j-paths lo[p] ... hi[p] - 1, with its key
-        lo = np.searchsorted(back_key, key)
-        hi = np.searchsorted(back_key, key, side="right")
-        walks += float((hi - lo).sum())
     if budget is not None and walks * per_walk > budget:
         return None
     out = np.zeros(g.n)
     if not walks:
         return out
-    hop = problem.w / g.measure[src]
-    HW = hop[:, None, None] * W
+    HW = (problem.w / g.measure[src])[:, None, None] * W
     for xs, block in zip(blocks, levels):
-        M = _series_length(float(spread[xs].max()))
-        # c_{i+l} = 1/(i + l + k)!
-        inverse = 1.0 / np.cumprod(np.r_[1.0, np.arange(1.0, k + 2 * M)])
-        C = inverse[k + np.add.outer(np.arange(M), np.arange(M))]
-        out[xs] = _series_block(problem, block, xs, k, t, hold, top, C, HW)
-    if pairs.size:
-        out += _pair_terms(problem, arcs, back, lo, hi, k, t,
-                           (hold[src], W, hop))
+        if narrow[xs[0]]:
+            M = _series_length(float(t * (top - low)[xs].max()))
+            # c_{i+l} = 1/(i + l + k)!, 0 past 170!, which overflows: the
+            # terms it drops, m = i + l >= 171 - k, are below 32^m / m! of
+            # the sum, 1e-37 for k up to 20
+            with np.errstate(over="ignore"):
+                inverse = 1.0 / np.cumprod(
+                    np.r_[1.0, np.arange(1.0, k + 2 * M)])
+            C = inverse[k + np.add.outer(np.arange(M), np.arange(M))]
+            route, shift = (np.eye(1, M)[0], _node, partial(_hankel, C)), top
+        else:
+            route, shift = (np.ones(_NODES.size, complex), _pole, _mirror), low
+        out[xs] = _half_walks(problem, block, xs, k, t, hold, shift, route,
+                              HW)
     return out
 
 
@@ -1015,12 +931,13 @@ def sweep(g: WeightedGraph, c: Connection, V, beta: float,
         slack = max(1e-9, 16 * np.spacing(trace) * beta * hbar * norm)
         lower = float((np.exp(-deg_m * beta * hbar) * terms).sum())
         gap = classical - trace
-        if low > classical + slack:
+        # written so that NaN fails them too
+        if not low <= classical + slack:
             raise NumericalFailure(
                 f"upper bound violated at hbar={hbar}: {low} > {classical}")
         if problem.mode == "scalar":
             two_jump = float(jump_terms(problem, t, hbar, 2).sum())
-            if lower + two_jump > high + slack:
+            if not lower + two_jump <= high + slack:
                 raise NumericalFailure(
                     f"sandwich lower bound violated at hbar={hbar}: "
                     f"{lower} + {two_jump} > {high}")

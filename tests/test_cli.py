@@ -290,6 +290,29 @@ class TestSweep:
         assert run(cfg, "sweep") == 0
         assert (tmp_path / "out" / "sweep.csv").read_bytes() == first
 
+    @pytest.mark.parametrize("patched, message", [
+        ("partition_function", "upper bound violated at hbar=1e-05"),
+        ("jump_terms", "sandwich lower bound violated at hbar=1e-05")])
+    def test_nan_in_a_bound_exits_2(self, tmp_path, capsys, monkeypatch,
+                                    patched, message):
+        # a NaN trace or Z_2 on the 3-path with V = (1e300, 0, 0) exits 2
+        # with a JSON record, not 0 with the row written
+        nan = {"partition_function": lambda lam, t: math.nan,
+               "jump_terms": lambda *args: np.full(3, math.nan)}[patched]
+        monkeypatch.setattr(semiclassics, patched, nan)
+        cfg = write_config(tmp_path, "c.json", {
+            "graph": {"family": "path", "n": 3},
+            "potential": {"inline": [["v0", 1e300], ["v1", 0.0],
+                                     ["v2", 0.0]]},
+            "params": {"beta": 1.0, "hbar_schedule": [1e-5]},
+            "output_dir": str(tmp_path / "out"),
+        })
+        assert run(cfg, "sweep") == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "numerical"
+        assert err["error"].startswith(message)
+        assert not (tmp_path / "out").exists()
+
 
 class TestGtCheck:
     def test_zero_potential_margin(self, tmp_path):

@@ -861,12 +861,18 @@ class TestSurvivalBias:
     @pytest.mark.parametrize("make, samples, seed", [
         (lambda: (two_vertex()[0], np.array([0.0, 1500.0])), 2000, 7),
         (lambda: _box_but_vertex_0(1600.0), 200, 7),
-        (lambda: _complete_but_vertex_0(1600.0), 200, 7)],
-        ids=["two-vertex", "box", "complete"])
+        (lambda: _complete_but_vertex_0(1600.0), 200, 7),
+        (lambda: (build_graph([("a", "b", 1.0), ("b", "c", 1.0)]),
+                  np.array([1e50, 0.0, 0.0])), 1000, 1)],
+        ids=["two-vertex", "box", "complete", "path"])
     def test_wide_spread_within_five_sigma(self, make, samples, seed):
         # with holds drawn at deg_m alone, the paths missed the brief holds
         # at the high vertices that carry the tail, and stated a stderr
-        # that missed it too: z = -2.3e5 on the edge, -1.8e14 on the box
+        # that missed it too: z = -2.3e5 on the edge, -1.8e14 on the box.
+        # On the 3-path with 1e50 at one end the exact strata, once
+        # weighed by scaling and squaring the widest walk's batch, put
+        # Z_2 at the middle vertex at 1.4e-51 in place of 0.0972: z =
+        # -11,764
         g, w = make()
         exact = exact_trace(g, None, w, 1.0, 1.0)
         rep = estimate_partition(g, None, w, 1.0, 1.0, samples, seed=seed)

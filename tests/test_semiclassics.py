@@ -13,9 +13,9 @@ from graphfk.bundles import (
     connection_from_magnetic,
 )
 from graphfk.errors import GraphFKError, NumericalFailure
-from graphfk.graphs import build_graph, generate
+from graphfk.graphs import build_graph, degrees, generate
 from graphfk.operators import assemble, resolve, symmetrize
-from graphfk.semiclassics import _divided_exp, _fan, jump_terms, sweep
+from graphfk.semiclassics import _fan, jump_terms, sweep
 from graphfk.spectral import eigendecompose, eigenvalues, partition_function
 
 from conftest import (
@@ -203,6 +203,19 @@ class TestSweep:
                             lambda lam, t: lower[t])
         with pytest.raises(NumericalFailure, match="sandwich lower bound"):
             sweep(g, None, pot, 1.0, (1e-1, 1e-2))
+
+    @pytest.mark.parametrize("patched, message", [
+        ("partition_function", "upper bound"),
+        ("jump_terms", "sandwich lower bound")])
+    def test_nan_breaks_the_bounds(self, monkeypatch, patched, message):
+        # a NaN trace or Z_2 compares False with any bound, so a check
+        # written as "above the bound" let its row through
+        nan = {"partition_function": lambda lam, t: math.nan,
+               "jump_terms": lambda *args: np.full(3, math.nan)}[patched]
+        monkeypatch.setattr(semiclassics, patched, nan)
+        g = build_graph([("a", "b", 1.0), ("b", "c", 1.0)])
+        with pytest.raises(NumericalFailure, match=message):
+            sweep(g, None, np.array([1e300, 0.0, 0.0]), 1.0, (1e-5,))
 
     def test_bounds_allow_for_the_rounding_of_a_large_trace(self):
         # V = -40 on the 4 x 4 box: at hbar = 1e-4 the trace is about
@@ -626,18 +639,42 @@ def _opitz_expm(z):
     return expm(np.diag(z) + np.diag(np.ones(k), 1))[0, k]
 
 
+def _contour(z):
+    """e[z_0, ..., z_k] per column of z, shape (k + 1, B), by the contour
+    rule of the wide route of ``jump_terms``: Re sum_j w_j prod_i 1 / (s_j
+    - z_i)."""
+    poles = np.prod(1 / (semiclassics._NODES[:, None, None] - z), axis=1)
+    return (semiclassics._WEIGHTS @ poles).real
+
+
+def _edge_two_jump(alpha, beta, t):
+    """Z_2 at the end of an edge, b = m = 1, that holds at alpha, its other
+    end at beta: I(alpha, beta) = int_0^t u e^{-u alpha} e^{-(t - u) beta}
+    du, in Decimal arithmetic, as (1 - e^{-td} (1 + td)) e^{-t beta} / d^2
+    for d = alpha - beta > 0 and (-td - 1 + e^{td}) e^{-t alpha} / d^2 for
+    d < 0, so that no exponential grows."""
+    d, T = alpha - beta, Decimal(t)
+    if d == 0:
+        return T * T / 2 * (-T * beta).exp()
+    if d > 0:
+        return (1 - (-T * d).exp() * (1 + T * d)) / (d * d) * (-T * beta).exp()
+    return (-T * d - 1 + (T * d).exp()) / (d * d) * (-T * alpha).exp()
+
+
 class TestDividedExp:
+    # the contour rule of the wide route, its nodes over [-spread, 0] with
+    # the largest at 0, as ``jump_terms`` shifts a start's lowest value
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @pytest.mark.parametrize("spread", [0.0, 1e-9, 0.3, 1.0, 5.0, 30.0,
                                         100.0, 700.0])
     def test_against_expm_of_the_opitz_matrix(self, rng, k, spread):
-        # random nodes over [-spread, 0] shifted by up to 3, the first
-        # repeated last as a closed walk repeats its start, and in every
-        # fourth column all nodes equal
-        z = -spread * rng.uniform(0, 1, (k + 1, 64)) - rng.uniform(0, 3, 64)
+        # random nodes, the first repeated last as a closed walk repeats
+        # its start, and in every fourth column all nodes equal
+        z = -spread * rng.uniform(0, 1, (k + 1, 64))
         z[k] = z[0]
         z[:, ::4] = z[0, ::4]
-        got = _divided_exp(z)
+        z -= z.max(axis=0)
+        got = _contour(z)
         assert np.all(np.isfinite(got)) and np.all(got > 0)
         want = np.array([_opitz_expm(col) for col in z.T])
         assert np.abs(got / want - 1).max() <= 1e-12
@@ -645,59 +682,89 @@ class TestDividedExp:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @pytest.mark.parametrize("spread", [1500.0, 5000.0])
     def test_wide_spreads_stay_finite(self, rng, k, spread):
-        # past a spread of 1420 e^{(Z - mu)} overflows for any shift mu
-        # but the largest node; the largest node of each column is in
-        # [-3, 0], so the value does not underflow.  The rounding grows as
-        # 2^s eps, s the squarings, below 4 spread eps
+        # e^{-spread} underflows; column 1 holds a (k - 1)-fold node at
+        # -spread between two at 0
         z = -spread * rng.uniform(0, 1, (k + 1, 64))
         z[k] = z[0]
         z[:, ::4] = z[0, ::4]
         z[:, 1] = 0.0
         z[1:k, 1] = -spread
-        z -= z.max(axis=0) + rng.uniform(0, 3, 64)
-        got = _divided_exp(z)
+        z -= z.max(axis=0)
+        got = _contour(z)
         assert np.all(np.isfinite(got)) and np.all(got > 0)
         want = np.array([_opitz_expm(col) for col in z.T])
-        assert np.abs(got / want - 1).max() <= 2e-15 * spread
+        assert np.abs(got / want - 1).max() <= 1e-12
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant <= 52,
+                        reason="long double is double on this platform")
+    @pytest.mark.parametrize("c", [6.0, 10.0])
+    def test_walks_that_miss_the_lowest_value(self, rng, c):
+        # every node at or below -c: the rule rounds off relative to e^0,
+        # about e^c times the value; weights taken in long double hold
+        # it within 1.5e-15 e^c, in double only within 6e-15 e^c
+        for k in (2, 4, 6):
+            z = -60.0 * rng.uniform(0, 1, (k + 1, 64))
+            z[k] = z[0]
+            z -= z.max(axis=0) + c
+            want = np.array([_opitz_expm(col) for col in z.T])
+            err = np.abs(_contour(z) / want - 1).max()
+            assert err <= 3e-15 * math.exp(c), k
 
     @pytest.mark.parametrize("k", [1, 2, 4])
     @pytest.mark.parametrize("factor", [1 - 1e-9, 1 + 1e-9])
     def test_either_side_of_the_series_limit(self, monkeypatch, k, factor):
         # the ends of an edge, b = m = 1, hold _DD_SERIES * factor apart at
         # t = 1 (offset by k): Z_2 takes the series route just below the
-        # limit and the pair route just above it, against (1 - e^{-td} (1
-        # + td)) e^{-t beta} / d^2, d = alpha - beta, in 50-digit decimal
-        # arithmetic
-        series = _counting(monkeypatch, "_series_block")
+        # limit and the contour just above it, against the closed form in
+        # 50-digit decimal arithmetic
+        series = _counting(monkeypatch, "_node")
+        contour = _counting(monkeypatch, "_pole")
         g, _ = two_vertex()
         v = np.array([k, k + semiclassics._DD_SERIES * factor]) - 1.0
         got = jump_terms(resolve(g, None, v), 1.0, 1.0, 2)
-        assert bool(series) == (factor < 1)
+        assert (bool(series), bool(contour)) == (factor < 1, factor > 1)
         ends = [Decimal(a) for a in (1.0 + v).tolist()]
         with localcontext() as ctx:
             ctx.prec = 50
-            for value, (alpha, beta) in zip(got, (ends, ends[::-1])):
-                d = alpha - beta
-                want = (1 - (-d).exp() * (1 + d)) / (d * d) * (-beta).exp()
-                assert abs(value / float(want) - 1) <= 1e-12
+            want = [_edge_two_jump(*ends, 1.0),
+                    _edge_two_jump(*ends[::-1], 1.0)]
+        assert np.abs(got / np.array(want, dtype=float) - 1).max() <= 1e-12
 
     def test_equal_and_two_nodes_in_closed_form(self):
-        # e[z, ..., z] = e^z / k!, and e[x, y] = (e^x - e^y) / (x - y)
-        z = np.linspace(-40.0, 3.0, 44)
+        # e[0, ..., 0] = 1 / k!, and e[x, 0] = (e^x - 1) / x
         for k in range(1, 5):
-            got = _divided_exp(np.tile(z, (k + 1, 1)))
-            assert np.abs(got / (np.exp(z) / math.factorial(k)) - 1).max() \
-                <= 1e-14
-        x, y = np.array([-1.0, -700.0, 2.0]), np.array([-2.0, 0.0, 2.5])
-        want = np.expm1(x - y) * np.exp(y) / (x - y)
-        alone = [_divided_exp(np.array([[a], [b]]))[0] for a, b in zip(x, y)]
-        err = np.abs(np.array(alone) / want - 1)
-        # each squaring doubles the relative rounding of the Taylor sum:
-        # the spread of 700 takes 11 of them
-        assert err[[0, 2]].max() <= 1e-15 and err[1] <= 1e-12
-        # in one batch every column takes the squarings of the widest
-        assert np.abs(_divided_exp(np.stack([x, y])) / want - 1).max() \
-            <= 1e-12
+            got = _contour(np.zeros((k + 1, 1)))[0]
+            assert abs(got * math.factorial(k) - 1) <= 1e-14
+        x = np.array([-1e-9, -0.5, -1.0, -40.0, -700.0])
+        got = _contour(np.stack([x, np.zeros_like(x)]))
+        assert np.abs(got / (np.expm1(x) / x) - 1).max() <= 1e-14
+
+    @pytest.mark.parametrize("spread", [1e3, 5e3, 1e6, 1e10, 1e50, 1e150])
+    @pytest.mark.parametrize("graph", ["path", "two_vertex"])
+    def test_wide_two_jump_term_per_start(self, graph, spread):
+        # Z_2 at t = 1 on the 3-path a - b - c, V = (spread, 0, 0), and on
+        # two vertices, V = (0, spread), b = m = 1, against the closed form
+        # in 50-digit decimal arithmetic at every start; scaling and
+        # squaring one batch by its widest walk lost 4.5e-9 at 1e10 and
+        # every digit at 1e50
+        if graph == "path":
+            g = build_graph([("a", "b", 1.0), ("b", "c", 1.0)])
+            v = np.array([spread, 0.0, 0.0])
+            pairs = [(0, 1), (1, 0), (1, 2), (2, 1)]
+        else:
+            g, _ = two_vertex()
+            v = np.array([0.0, spread])
+            pairs = [(0, 1), (1, 0)]
+        got = jump_terms(resolve(g, None, v), 1.0, 1.0, 2)
+        values = [Decimal(a) for a in (degrees(g).deg_m + v).tolist()]
+        want = [Decimal(0)] * g.n
+        with localcontext() as ctx:
+            ctx.prec = 50
+            for x, y in pairs:
+                want[x] += _edge_two_jump(values[x], values[y], 1.0)
+        want = np.array(want, dtype=float)
+        assert np.all(want > 0)
+        assert np.abs(got / want - 1).max() <= 1e-12
 
 
 def _dyson_block(g, c, V, t, k):
@@ -885,10 +952,10 @@ class TestSeriesAndPairRoutes:
         # random graphs with random weights, measures and transports, each
         # with a tail path of five vertices hung on vertex v0, whose
         # potential sits 40 above the rest at t = 1: the starts within
-        # floor(k/2) jumps of it spread over _DD_SERIES and take the pair
-        # route, the far end of the tail the series route, in one call
-        series = _counting(monkeypatch, "_series_block")
-        pair = _counting(monkeypatch, "_walk_terms")
+        # floor(k/2) jumps of it spread over _DD_SERIES and take the
+        # contour, the far end of the tail the series route, in one call
+        series = _counting(monkeypatch, "_node")
+        contour = _counting(monkeypatch, "_pole")
         for trial in range(9):
             nu = 1 + trial % 3
             core = random_graph(rng, min_n=3, max_n=6)
@@ -908,13 +975,13 @@ class TestSeriesAndPairRoutes:
             V.values[g.labels.index("v0")] += 40.0 * np.eye(nu)
             problem = resolve(g, c, V)
             for k in range(2, 7):
-                del series[:], pair[:]
+                del series[:], contour[:]
                 got = jump_terms(problem, 1.0, 1.0, k)
                 want = _dyson_block(g, c, V, 1.0, k)
                 scale = np.abs(want).max()
                 assert np.abs(got - want).max() <= 1e-12 * scale, (trial, k)
                 # an odd k may close no walk, and then weighs nothing
-                assert k % 2 or (series and pair), (trial, k)
+                assert k % 2 or (series and contour), (trial, k)
 
     def test_no_triangle_lists_no_key(self, rng, monkeypatch):
         # C_33 is not bipartite and holds no triangle: Z_3 is 0 before
@@ -944,10 +1011,10 @@ class TestSeriesAndPairRoutes:
         g = _weighted(generate("cycle", n=n), rng)
         w = rng.uniform(-1.0, 2.0, n)
         problem = resolve(g, None, w)
-        series = _counting(monkeypatch, "_series_block")
-        pair = _counting(monkeypatch, "_walk_terms")
+        series = _counting(monkeypatch, "_node")
+        contour = _counting(monkeypatch, "_pole")
         got = jump_terms(problem, 1.0, 0.5, 3)
-        assert got.tolist() == [0.0] * n and not series and not pair
+        assert got.tolist() == [0.0] * n and not series and not contour
         V = Potential.scalar(w / 0.5)
         scale = np.abs(_dyson_block(g, None, V, 1.0, 4)).max()
         for k in (5, 7):

@@ -26,7 +26,9 @@ infinite weight or measure, an ``fk-compare`` above the dimension cap
 and graph entries with keys their form does not read; a ``sweep`` and
 a ``gt-check`` of traces near 3.8e18, whose bounds must allow for their
 rounding; an ``fk-compare`` on a 4 x 4 box with 1600 on one corner,
-whose exact strata take both routes of ``semiclassics.jump_terms``;
+whose exact strata take both routes of ``semiclassics.jump_terms``, in
+the scalar, magnetic and covariant modes, and one on the 3-path with
+1e50 on one end;
 a potential whose traces overflow a float through the four
 subcommands that sum one, each of which exits 2; and two ``sweep`` runs
 of a 32 x 32 box, one on the default schedule, whose rows all take
@@ -72,13 +74,14 @@ def _matrix(M):
     return [[_pair(complex(z)) for z in row] for row in M]
 
 
-def _box():
-    """Labels and edges of the 3 x 3 lattice box, as the ``lattice_box``
-    family names them."""
-    labels = [f"x{i}_{j}" for i in range(3) for j in range(3)]
+def _box(side=3):
+    """Labels and edges of the side x side lattice box, as the
+    ``lattice_box`` family names them."""
+    labels = [f"x{i}_{j}" for i in range(side) for j in range(side)]
     edges = [(f"x{i}_{j}", f"x{i + di}_{j + dj}")
-             for i in range(3) for j in range(3)
-             for di, dj in ((1, 0), (0, 1)) if i + di < 3 and j + dj < 3]
+             for i in range(side) for j in range(side)
+             for di, dj in ((1, 0), (0, 1))
+             if i + di < side and j + dj < side]
     return labels, edges
 
 
@@ -218,6 +221,34 @@ BOX_CORNER = {
     "params": PARAMS["fk-compare"], "seed": 1}
 
 
+def _corner(rank):
+    """BOX_CORNER with U(1) phases 0.3 (k + 1) on its edges (rank 1), or
+    with SU(2) transports and a Hermitian 2 x 2 potential, 1600 on the
+    corner's diagonal (rank 2): the wide starts' strata with complex W."""
+    labels, edges = _box(4)
+    if rank == 1:
+        return BOX_CORNER | {"magnetic": {"inline": [
+            [a, b, 0.3 * (k + 1)] for k, (a, b) in enumerate(edges)]}}
+    potential = [[lab, _matrix([[value, 0.1 + 0.05j * x],
+                                [0.1 - 0.05j * x, value + 0.3]])]
+                 for x, (lab, value) in enumerate(
+                     BOX_CORNER["potential"]["inline"])]
+    return BOX_CORNER | {
+        "connection": {"inline": [[a, b, _matrix(_su2(k))]
+                                  for k, (a, b) in enumerate(edges)]},
+        "potential": {"inline": potential}}
+
+
+# The 3-path with 1e50 on one end at beta = hbar = 1: Z_2 at the middle
+# vertex is 0.0972, where scaling and squaring the widest walk's batch
+# gave 1.4e-51
+PATH_1E50 = {"graph": {"family": "path", "n": 3},
+             "potential": {"inline": [["v0", 1e50], ["v1", 0.0],
+                                      ["v2", 0.0]]},
+             "params": {"beta": 1.0, "hbar": 1.0, "samples": 1000},
+             "seed": 1}
+
+
 # The 32 x 32 box with V = 0.25 ((3 i + 5 j) mod 8) on x_{i,j}: on
 # sweep's default schedule every row takes the trace bracket, and at
 # beta = 10, hbar = 1 (t = 10) the bracket would cost more than the dense
@@ -254,6 +285,10 @@ def runs():
     table["box-deep-sweep"] = ("sweep", BOX_DEEP, {})
     table["box-tiny-t-gt-check"] = ("gt-check", BOX_TINY_T, {})
     table["box-corner-fk-compare"] = ("fk-compare", BOX_CORNER, {})
+    table["box-corner-magnetic-fk-compare"] = ("fk-compare", _corner(1), {})
+    table["box-corner-covariant-fk-compare"] = ("fk-compare", _corner(2),
+                                                {})
+    table["path-1e50-fk-compare"] = ("fk-compare", PATH_1E50, {})
     # at the default params: e^{-tH} overflows at t = 1, not at 0.7
     for sub in ("sweep", "gt-check", "kernel"):
         table[f"overflow-{sub}"] = (sub, OVERFLOW, {})
